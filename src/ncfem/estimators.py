@@ -178,11 +178,9 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
                                                    + eta_E_sq.sum())))
 
 
-def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec, degree: int = 6):
-    """Diagnostic terms || p - Pi_0 p || with p = A grad(u) + u b, and
-    osc_1(f - gamma u), sampled from the exact solution."""
-    if problem.kind is not ProblemKind.SECOND_ORDER_CR:
-        raise ValueError("cr_apriori_terms applies to the CR problem")
+def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec, degree: int):
+    """Weighted quadrature values (nt, nq) of |p - Pi_0 p|^2 with
+    p = A grad(u) + u b, and osc_1(f - gamma u) per element and in total."""
     geom = geometry(mesh)
     rule = quad_triangle(degree)
     xq = physical_points(mesh, rule.points)
@@ -195,7 +193,6 @@ def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec, degree: int = 6):
         p = p + val[..., None] * problem.b(xq)
     mean = (wdx[..., None] * p).sum(axis=1) / geom.area[:, None]
     diff = p - mean[:, None, :]
-    p_term = float(np.sqrt((wdx * np.einsum("tqa,tqa->tq", diff, diff)).sum()))
 
     def data(pts):
         out = problem.f(pts)
@@ -203,8 +200,17 @@ def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec, degree: int = 6):
             out = out - problem.gamma(pts) * u_exact.value(pts)
         return out
 
-    _, osc1 = oscillation(mesh, data, k=1, p=1, degree=degree)
-    return p_term, osc1
+    osc_el, osc1 = oscillation(mesh, data, k=1, p=1, degree=degree)
+    return wdx * np.einsum("tqa,tqa->tq", diff, diff), osc_el, osc1
+
+
+def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec, degree: int = 6):
+    """Diagnostic terms || p - Pi_0 p || with p = A grad(u) + u b, and
+    osc_1(f - gamma u), sampled from the exact solution."""
+    if problem.kind is not ProblemKind.SECOND_ORDER_CR:
+        raise ValueError("cr_apriori_terms applies to the CR problem")
+    p_sq, _, osc1 = _cr_apriori_integrands(mesh, u_exact, problem, degree)
+    return float(np.sqrt(p_sq.sum())), osc1
 
 
 def broken_energy_error(mesh, dofmap, problem, U: DiscreteFunction, exact,
@@ -249,34 +255,14 @@ def estimate(mesh, dofmap, problem: ProblemSpec, U: DiscreteFunction,
         return estimate_ns_morley(mesh, dofmap, U, problem.f)
     if kind is ProblemKind.VON_KARMAN_MORLEY:
         return estimate_vk_morley(mesh, dofmap, U, problem.f, problem.g)
-    geom = geometry(mesh)
-    ne = mesh.n_edges
     if exact is not None:
         fields = exact if isinstance(exact, (tuple, list)) else (exact,)
-        rule = quad_triangle(6)
-        xq = physical_points(mesh, rule.points)
-        wdx = 2.0 * geom.area[:, None] * rule.weights
-        grad = fields[0].gradient(xq)
-        val = fields[0].value(xq)
-        p = np.einsum("tqab,tqb->tqa", problem.A(xq), grad) if problem.A is not None else grad.copy()
-        if problem.b is not None:
-            p = p + val[..., None] * problem.b(xq)
-        mean = (wdx[..., None] * p).sum(axis=1) / geom.area[:, None]
-        diff = p - mean[:, None, :]
-        per_el = (wdx * np.einsum("tqa,tqa->tq", diff, diff)).sum(axis=1)
-
-        def data(pts):
-            out = problem.f(pts)
-            if problem.gamma is not None:
-                out = out - problem.gamma(pts) * fields[0].value(pts)
-            return out
-
-        osc_el, osc1 = oscillation(mesh, data, k=1, p=1)
-        eta_K_sq = per_el + osc_el
+        p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, fields[0], problem, 6)
+        eta_K_sq = p_sq.sum(axis=1) + osc_el
         osc_sq = float(osc1 ** 2)
     else:
-        eta_K_sq = geom.area.copy()
+        eta_K_sq = geometry(mesh).area.copy()
         osc_sq = 0.0
-    return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=np.zeros(ne),
+    return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=np.zeros(mesh.n_edges),
                            avg_term_S_sq=0.0, osc_sq=osc_sq,
                            eta_total=float(np.sqrt(eta_K_sq.sum())))

@@ -16,6 +16,10 @@ form norm is not computable in closed form; gamma_norm_estimate is a sampled
 lower bound (random triples plus alternating maximization), so condition_met
 (4 delta |Gamma| < beta0) is advisory and never gates a solve.  Newton
 damping is intentionally absent; divergence is reported, not masked.
+
+beta0 = infsup_constant(J^T, G, G) and the discrete inf-sup constant share one
+routine: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
+fixed start vector; non-convergence raises ArpackNoConvergence (RuntimeError).
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -37,9 +40,6 @@ __all__ = [
     "KantorovichReport", "kantorovich_report", "infsup_constant",
     "gamma_norm_lower_bound", "discrete_embedding_ratio", "fd_jacobian",
 ]
-
-DENSE_CAP = 3000
-POWER_TOL = 1e-8
 
 
 def _as_csc(A):
@@ -87,7 +87,6 @@ def energy_dual_norm(residual, gram):
 class NewtonTrace:
     residual_norms: list = field(default_factory=list)   # per visited iterate
     correction_norms: list = field(default_factory=list)  # per Newton step
-    quad_ratios: list = field(default_factory=list)  # |d_{k+1}| / |d_k|^2
     converged: bool = False
     iterations: int = 0
 
@@ -127,10 +126,6 @@ def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
         J = asm.jacobian(U)
         d = sparse_solve(J, -r)
         dn = float(np.sqrt(max(d @ (G @ d), 0.0)))
-        if trace.correction_norms:
-            prev = trace.correction_norms[-1]
-            if prev > 0:
-                trace.quad_ratios.append(dn / prev ** 2)
         trace.correction_norms.append(dn)
         trace.iterations += 1
         U = DiscreteFunction(space=U.space, n_components=U.n_components,
@@ -140,38 +135,6 @@ def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
             trace.converged = True
             break
     return U, trace
-
-
-def _smallest_generalized_singular_value(J, G, dense_cap=DENSE_CAP,
-                                         tol=POWER_TOL, seed=0):
-    """sigma_min of G^{-1/2} J G^{-1/2}: dense SVD at desk scale, inverse
-    power iteration on the pencil (J^T G^-1 J, G) above."""
-    n = J.shape[0]
-    if n <= dense_cap:
-        Jd = J.toarray() if sparse.issparse(J) else np.asarray(J, dtype=float)
-        Gd = G.toarray() if sparse.issparse(G) else np.asarray(G, dtype=float)
-        L = scipy.linalg.cholesky(Gd, lower=True)
-        K = scipy.linalg.solve_triangular(L, Jd, lower=True)
-        K = scipy.linalg.solve_triangular(L, K.T, lower=True).T
-        return float(scipy.linalg.svdvals(K)[-1])
-    Jlu = spla.splu(_as_csc(J))
-    Glu = spla.splu(_as_csc(G))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
-    sigma2 = np.inf
-    for _ in range(200):
-        t = G @ z
-        s = Jlu.solve(t, trans="T")
-        z = Jlu.solve(np.asarray(G @ s))
-        z /= np.sqrt(max(z @ (G @ z), 1e-300))
-        w = J @ z
-        num = w @ Glu.solve(w)
-        sigma2_new = num / (z @ (G @ z))
-        if abs(sigma2_new - sigma2) <= tol * abs(sigma2_new):
-            sigma2 = sigma2_new
-            break
-        sigma2 = sigma2_new
-    return float(np.sqrt(max(sigma2, 0.0)))
 
 
 def _gamma_slot_gradients(asm, kind):
@@ -288,7 +251,7 @@ class KantorovichReport:
 
 
 def kantorovich_report(mesh, dofmap, problem, U0=None, n_samples: int = 1000,
-                       seed: int = 0, dense_cap: int = DENSE_CAP):
+                       seed: int = 0):
     """Newton-Kantorovich constants at the state U0 (default 0)."""
     asm = assembler(mesh, dofmap, problem)
     n = dofmap.n_free * problem.n_components
@@ -298,8 +261,7 @@ def kantorovich_report(mesh, dofmap, problem, U0=None, n_samples: int = 1000,
                               coeffs=np.zeros(n))
     G = asm.gram()
     J = asm.jacobian(U0)
-    beta0 = _smallest_generalized_singular_value(J, G, dense_cap=dense_cap,
-                                                 seed=seed)
+    beta0 = infsup_constant(J.T, G, G)
     if beta0 <= 0:
         raise RuntimeError("singular Jacobian: beta0 = 0")
     d = sparse_solve(J, -asm.residual(U0))
@@ -325,59 +287,47 @@ def kantorovich_report(mesh, dofmap, problem, U0=None, n_samples: int = 1000,
                              condition_met=bool(4.0 * delta * gamma_est < beta0))
 
 
-def _check_symmetric(M, name):
-    d = M - M.T
-    defect = np.abs(d.toarray() if sparse.issparse(d) else d).max()
-    scale = np.abs(M.toarray() if sparse.issparse(M) else M).max()
-    if defect > 1e-10 * max(scale, 1.0):
+def _spd_factor(M, name):
+    """SuperLU factor of a sparse M; ValueError unless M is SPD.  With
+    diag_pivot_thresh=0 an SPD M keeps perm_r == perm_c, and by Sylvester's
+    law of inertia it is SPD iff every pivot in diag(U) is positive."""
+    if abs(M - M.T).max() > 1e-10 * max(abs(M).max(), 1.0):
         raise ValueError(f"{name} is not symmetric")
+    try:
+        lu = spla.splu(M, diag_pivot_thresh=0.0)
+    except RuntimeError as exc:
+        raise ValueError(f"{name} is not positive definite") from exc
+    if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
+        raise ValueError(f"{name} is not positive definite")
+    return lu
 
 
-def infsup_constant(B, Gx, Gy, dense_cap: int = DENSE_CAP, tol: float = POWER_TOL):
+def infsup_constant(B, Gx, Gy):
     """Smallest generalized singular value
 
-        beta = inf_x sup_y (x^T B y) / sqrt(x^T Gx x * y^T Gy y),
+        beta = inf_x sup_y (x^T B y) / sqrt(x^T Gx x * y^T Gy y)
 
-    computed from the eigenproblem for B Gy^-1 B^T relative to Gx (dense at
-    desk scale, inverse power iteration with a direct factorization above)."""
-    _check_symmetric(Gx, "Gx")
-    _check_symmetric(Gy, "Gy")
+    of a square B: sqrt(lambda_min) of the pencil (B Gy^-1 B^T, Gx), found by
+    shift-invert Lanczos at sigma = 0 with the inverse B^-T Gy B^-1."""
+    same_gram = Gy is Gx
+    B, Gx, Gy = _as_csc(B), _as_csc(Gx), _as_csc(Gy)
+    Gxlu = _spd_factor(Gx, "Gx")
+    Gylu = Gxlu if same_gram else _spd_factor(Gy, "Gy")
     n = B.shape[0]
-    if max(B.shape) <= dense_cap:
-        Bd = B.toarray() if sparse.issparse(B) else np.asarray(B, dtype=float)
-        Gxd = Gx.toarray() if sparse.issparse(Gx) else np.asarray(Gx, dtype=float)
-        Gyd = Gy.toarray() if sparse.issparse(Gy) else np.asarray(Gy, dtype=float)
-        for M, name in ((Gxd, "Gx"), (Gyd, "Gy")):
-            try:
-                scipy.linalg.cholesky(M)
-            except scipy.linalg.LinAlgError as exc:
-                raise ValueError(f"{name} is not positive definite") from exc
-        A = Bd @ scipy.linalg.solve(Gyd, Bd.T, assume_a="pos")
-        lam = scipy.linalg.eigh(A, Gxd, eigvals_only=True,
-                                subset_by_index=(0, 0))[0]
-        return float(np.sqrt(max(lam, 0.0)))
-    if B.shape[0] != B.shape[1]:
-        raise ValueError("iterative inf-sup path needs a square B")
-    Blu = spla.splu(_as_csc(B))
-    Gylu = spla.splu(_as_csc(Gy))
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(n)
-    lam = np.inf
-    for _ in range(300):
-        t = Gx @ z
-        s = Blu.solve(t)
-        z = Blu.solve(np.asarray(Gy @ s), trans="T")
-        z /= np.sqrt(max(z @ (Gx @ z), 1e-300))
-        v = B.T @ z
-        num = v @ Gylu.solve(v)
-        den = z @ (Gx @ z)
-        lam_new = num / den
-        if lam_new < 0:
-            raise ValueError("Gram matrix is not positive definite")
-        if abs(lam_new - lam) <= tol * abs(lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
+    if not B.shape == Gx.shape == Gy.shape == (n, n):
+        raise ValueError("infsup_constant needs a square B matching Gx and Gy")
+    if n == 1:  # ARPACK needs n >= 2
+        return float(abs(B[0, 0]) / np.sqrt(Gx[0, 0] * Gy[0, 0]))
+    Blu = spla.splu(B)
+    # shift-invert mode applies only OPinv and M; A states the pencil
+    A = spla.LinearOperator((n, n), dtype=float,
+                            matvec=lambda x: B @ Gylu.solve(B.T @ x))
+    OPinv = spla.LinearOperator(
+        (n, n), dtype=float,
+        matvec=lambda x: Blu.solve(Gy @ Blu.solve(x), trans="T"))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    lam = spla.eigsh(A, k=1, M=Gx, sigma=0.0, OPinv=OPinv, v0=v0,
+                     return_eigenvectors=False)[0]
     return float(np.sqrt(max(lam, 0.0)))
 
 

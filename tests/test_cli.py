@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from ncfem.afem import ConvergenceRecord
 from ncfem.cli import main
 from ncfem.reporting import emit_plots, read_records_csv, write_records_csv
@@ -118,6 +121,30 @@ def test_cli_infsup(tmp_path):
     lines = (out / "infsup_cr_sine.csv").read_text().strip().splitlines()
     assert lines[0] == "level,n_free,beta_h"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("solve", "kantorovich: beta0 = 1.6667e-01,"),
+    ("infsup", "  0        1 1.666667e-01\n"),
+])
+def test_cli_single_free_dof(command, expected, tmp_path, capsys):
+    # one CR dof: the 1x1 pencil has the closed form |b| / sqrt(gx gy)
+    code = main([command, "--problem", "cr_sine", "--levels", "1",
+                 "--base-refinements", "0", "--out", str(tmp_path)])
+    assert code == 0
+    assert expected in capsys.readouterr().out
+
+
+def test_cli_infsup_eigensolver_failure_is_numerical_error(tmp_path, monkeypatch):
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence",
+                                  np.empty(0), np.empty((0, 0)))
+    monkeypatch.setattr("ncfem.solve.spla.eigsh", no_convergence)
+    code = main(["infsup", "--problem", "cr_sine", "--levels", "2",
+                 "--base-refinements", "1", "--out", str(tmp_path)])
+    assert code == 1
 
 
 def test_cli_infsup_wrong_problem(tmp_path):

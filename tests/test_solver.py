@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from conftest import cr_dofmap, morley_dofmap
-from ncfem.assembly import assemble_a_pw, assemble_b_pw_cr, gram_matrix
+from ncfem.assembly import (assemble_a_pw, assemble_b_pw_cr, assembler,
+                            gram_matrix)
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
@@ -172,6 +175,10 @@ def test_infsup_rejects_indefinite_gram():
     G = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="positive definite"):
         infsup_constant(B, B, G)
+    # zero diagonal: the LU needs a row swap, after which diag(U) = (1, 1)
+    G = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="positive definite"):
+        infsup_constant(B, B, G)
 
 
 def test_infsup_basis_change_invariance(square32):
@@ -194,9 +201,40 @@ def test_infsup_iterative_path_matches_dense(square32):
     B = (assemble_a_pw(square32, dm, problem)
          + assemble_b_pw_cr(square32, dm, problem)).T.tocsr()
     G = gram_matrix(square32, dm, problem)
-    dense = infsup_constant(B, G, G, dense_cap=10_000)
-    iterative = infsup_constant(B, G, G, dense_cap=1)
-    assert iterative == pytest.approx(dense, rel=1e-6)
+    Bd, Gd = B.toarray(), G.toarray()
+    A = Bd @ scipy.linalg.solve(Gd, Bd.T, assume_a="pos")
+    lam = scipy.linalg.eigh(A, Gd, eigvals_only=True, subset_by_index=(0, 0))
+    assert infsup_constant(B, G, G) == pytest.approx(np.sqrt(lam[0]), rel=1e-8)
+
+
+def test_infsup_bitwise_deterministic(square32):
+    problem = manufactured("cr_sine").problem
+    dm = cr_dofmap(square32)
+    B = (assemble_a_pw(square32, dm, problem)
+         + assemble_b_pw_cr(square32, dm, problem)).T.tocsr()
+    G = gram_matrix(square32, dm, problem)
+    first = infsup_constant(B, G, G)
+    assert infsup_constant(B, G, G) == first
+    # an unrelated ARPACK call in between must not shift the start vector
+    scipy.sparse.linalg.eigsh(sp.diags(np.arange(1.0, 41.0)), k=2)
+    assert infsup_constant(B, G, G) == first
+
+
+@pytest.mark.parametrize("name, n", [("ns_poly", 961), ("vk_poly", 1922)])
+def test_kantorovich_beta0_matches_dense_svd(name, n):
+    man = manufactured(name)
+    mesh = refine(builtin_domain("unit_square"), 4)
+    dm = morley_dofmap(mesh)
+    U0 = morley_interpolate(mesh, dm, man.exact)
+    assert len(U0.coeffs) == n
+    asm = assembler(mesh, dm, man.problem)
+    J, G = asm.jacobian(U0).toarray(), asm.gram().toarray()
+    L = scipy.linalg.cholesky(G, lower=True)
+    K = scipy.linalg.solve_triangular(L, J, lower=True)
+    K = scipy.linalg.solve_triangular(L, K.T, lower=True).T
+    dense = scipy.linalg.svdvals(K)[-1]
+    rep = kantorovich_report(mesh, dm, man.problem, U0, n_samples=5)
+    assert rep.beta0 == pytest.approx(dense, rel=1e-8)
 
 
 def test_embedding_ratio_positive_and_finite(square32):
