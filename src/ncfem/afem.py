@@ -57,12 +57,12 @@ def dorfler_mark(mesh, report: EstimatorReport, theta: float):
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
     ind = report.eta_K_sq.astype(float).copy()
-    share = report.eta_E_sq / np.fromiter(
-        (len(adj) for adj in mesh.triangles_of_edge), dtype=float,
-        count=mesh.n_edges)
-    for e, adj in enumerate(mesh.triangles_of_edge):
-        for t in adj:
-            ind[t] += share[e]
+    adj = mesh.triangles_of_edge.ravel()
+    side = adj >= 0
+    share = report.eta_E_sq / side.reshape(-1, 2).sum(axis=1)
+    # unbuffered and in edge order: each ind[t] sums its edges' shares in
+    # ascending edge order
+    np.add.at(ind, adj[side], np.repeat(share, 2)[side])
     order = np.lexsort((np.arange(len(ind)), -ind))
     csum = np.cumsum(ind[order])
     total = csum[-1] if len(csum) else 0.0

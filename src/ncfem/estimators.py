@@ -56,14 +56,7 @@ class EstimatorReport:
 def _edge_sides(mesh):
     """(t_plus, t_minus) per edge; t_minus = -1 on boundary edges.  t_plus is
     the lower-indexed adjacent triangle, fixing the sign of jumps."""
-    ne = mesh.n_edges
-    t_plus = np.empty(ne, dtype=np.int64)
-    t_minus = np.full(ne, -1, dtype=np.int64)
-    for e, adj in enumerate(mesh.triangles_of_edge):
-        t_plus[e] = adj[0]
-        if len(adj) == 2:
-            t_minus[e] = adj[1]
-    return t_plus, t_minus
+    return mesh.triangles_of_edge[:, 0], mesh.triangles_of_edge[:, 1]
 
 
 def _hessians(mesh, dofmap, c_loc):

@@ -2,10 +2,14 @@
 
 A Triangulation stores vertices, counterclockwise triangles and one designated
 refinement edge per triangle (local edge k is the edge opposite local vertex
-k).  All derived incidence tables are built once; instances are immutable and
-safe for concurrent reads.  `bisect` returns a new mesh and never mutates its
-input; the `parent` attribute of a refined mesh maps each triangle to the
-triangle of the input mesh it descends from.
+k).  All derived incidence tables are numpy arrays built once, without loops
+over vertices, edges or triangles: `triangles_of_edge` is an (ne, 2) array
+holding the lower-indexed adjacent triangle in column 0 and the other one, or
+-1 on a boundary edge, in column 1.  Instances are immutable and safe for
+concurrent reads; `geometry(mesh)` is computed on first use, kept on the
+instance and returned read-only.  `bisect` returns a new mesh and never
+mutates its input; the `parent` attribute of a refined mesh maps each
+triangle to the triangle of the input mesh it descends from.
 
 The newest-vertex rule: when a triangle is bisected at the midpoint of its
 refinement edge, the midpoint becomes the newest vertex of both children and
@@ -13,7 +17,8 @@ each child's refinement edge is its edge opposite that midpoint.
 
 Text file format: 'nv nt' on the first line, then nv lines 'x y', then nt
 lines 'i j k [r]' with optional refinement-edge index r in {0,1,2}.  Comments
-start with '#'.
+start with '#'.  `r` is given on every triangle row or on none; a malformed file
+raises ValueError naming the file and line.
 """
 from __future__ import annotations
 
@@ -34,10 +39,12 @@ class Triangulation:
     ref_edge: np.ndarray          # (nt,) int in {0,1,2}, local edge index
     edges: np.ndarray             # (ne, 2) int, sorted pairs, lexicographic
     edge_of_triangle: np.ndarray  # (nt, 3) int, local edge k = (k+1, k+2) mod 3
-    triangles_of_edge: tuple      # ne tuples of 1 or 2 triangle indices
+    triangles_of_edge: np.ndarray  # (ne, 2) int, lower-indexed triangle first, -1 if none
     boundary_edge: np.ndarray     # (ne,) bool
     boundary_vertex: np.ndarray   # (nv,) bool
     parent: np.ndarray | None = field(default=None)  # (nt,) int into source mesh
+    # MeshGeometry, set by the first geometry(mesh) call
+    _geometry: MeshGeometry | None = field(default=None, init=False, repr=False)
 
     @property
     def n_vertices(self):
@@ -84,27 +91,29 @@ def _edge_lengths_local(vertices, triangles):
     return out
 
 
-def _build_edge_tables(nv, triangles):
-    nt = len(triangles)
-    pairs = np.empty((3 * nt, 2), dtype=np.int64)
-    for k in range(3):
-        pairs[k * nt:(k + 1) * nt, 0] = triangles[:, (k + 1) % 3]
-        pairs[k * nt:(k + 1) * nt, 1] = triangles[:, (k + 2) % 3]
-    pairs.sort(axis=1)
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    edge_of_triangle = np.empty((nt, 3), dtype=np.int64)
-    for k in range(3):
-        edge_of_triangle[:, k] = inverse[k * nt:(k + 1) * nt]
+def _unique_edges(nv, triangles):
+    """Sorted vertex pairs of all edges in lexicographic order, and the (nt, 3)
+    map from local edge k = (k+1, k+2) mod 3 to its row."""
+    pairs = np.sort(triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1)
+    # i * nv + j orders sorted pairs (i, j) lexicographically
+    keys, inverse = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
+    return edges, inverse.reshape(len(triangles), 3)
 
+
+def _build_edge_tables(nv, triangles):
+    edges, edge_of_triangle = _unique_edges(nv, triangles)
     count = np.bincount(edge_of_triangle.ravel(), minlength=len(edges))
     if count.max(initial=0) > 2:
         raise ValueError("non-conforming input: an edge is shared by more than 2 triangles")
 
-    adj = [[] for _ in range(len(edges))]
-    for t in range(nt):
-        for k in range(3):
-            adj[edge_of_triangle[t, k]].append(t)
-    triangles_of_edge = tuple(tuple(a) for a in adj)
+    # the stable sort lists the triangles of each edge in ascending order
+    owner = np.argsort(edge_of_triangle.ravel(), kind="stable") // 3
+    first = np.cumsum(count) - count
+    triangles_of_edge = np.full((len(edges), 2), -1, dtype=np.int64)
+    triangles_of_edge[:, 0] = owner[first]
+    interior = count == 2
+    triangles_of_edge[interior, 1] = owner[first[interior] + 1]
 
     boundary_edge = count == 1
     boundary_vertex = np.zeros(nv, dtype=bool)
@@ -119,32 +128,81 @@ def _finalize(vertices, triangles, ref_edge, parent=None):
     return mesh
 
 
+# candidate (edge, vertex) pairs per batch; a batch holds fewer than
+# _PAIRS_PER_BATCH + nv of them, so _hanging_node_check needs O(nv + ne) memory
+_PAIRS_PER_BATCH = 1 << 16
+
+
 def _hanging_node_check(vertices, edges):
-    """Reject vertices lying strictly inside an edge (O(nv*ne), input meshes only)."""
+    """Reject vertices lying strictly inside an edge.
+
+    A vertex on the open segment ab lies in the ball of radius |ab|/2 around
+    the midpoint of ab.  Edges are grouped by level k = ceil(log2 |ab|); at
+    level k the vertices are binned into square cells of side 2^k, so each
+    ball meets at most a 2 x 2 block of cells, and only the vertices binned
+    there are tested.  The smallest hanging vertex index is reported.  A block
+    holds O(1) vertices on shape-regular meshes; on anisotropic ones (a long
+    edge beside many short ones) the time is still O(nv * ne).
+    """
+    nv = len(vertices)
     a = vertices[edges[:, 0]]
     b = vertices[edges[:, 1]]
     ab = b - a
     ab2 = np.einsum("ij,ij->i", ab, ab)
-    for i, v in enumerate(vertices):
-        av = v - a
-        t = np.einsum("ij,ij->i", av, ab) / ab2
-        proj = a + t[:, None] * ab
-        dist2 = np.einsum("ij,ij->i", v - proj, v - proj)
-        on_open_segment = (dist2 < 1e-24 * ab2) & (t > 1e-10) & (t < 1 - 1e-10)
-        on_open_segment &= (edges[:, 0] != i) & (edges[:, 1] != i)
-        if on_open_segment.any():
-            raise ValueError(f"non-conforming input: vertex {i} hangs on an edge")
+    mid = 0.5 * (a + b)
+    # the ball radius, widened by far more than the rounding of mid and |ab|
+    radius = 0.5 * np.sqrt(ab2) * (1.0 + 1e-6) + 1e-15 * np.abs(mid).max(axis=1, initial=0.0)
+    level = np.ceil(np.log2(2.0 * radius)).astype(np.int64)
+    hanging = nv
+    for k in np.unique(level):
+        sel = np.flatnonzero(level == k)
+        side = np.ldexp(1.0, int(k))
+        lower = np.floor((mid[sel] - radius[sel, None]) / side)
+        # cell coordinates ranked per axis, so that the cell keys fit in int64
+        cells = np.concatenate([np.floor(vertices / side), lower, lower + 1.0])
+        _, cx = np.unique(cells[:, 0], return_inverse=True)
+        _, cy = np.unique(cells[:, 1], return_inverse=True)
+        cx *= cy.max() + 1
+        key = cx[:nv] + cy[:nv]
+        by_cell = np.argsort(key)
+        sorted_keys = key[by_cell]
+        # the keys of the 2 x 2 block of cells of each edge, 4 per edge
+        x0, x1 = np.split(cx[nv:], 2)
+        y0, y1 = np.split(cy[nv:], 2)
+        block = np.stack([x0 + y0, x0 + y1, x1 + y0, x1 + y1], axis=1).ravel()
+        first = np.searchsorted(sorted_keys, block, side="left")
+        count = np.searchsorted(sorted_keys, block, side="right") - first
+        # blocks whose candidates start in the same window of
+        # _PAIRS_PER_BATCH candidates are tested together
+        start = np.cumsum(count) - count
+        cuts = np.flatnonzero(np.diff(start // _PAIRS_PER_BATCH)) + 1
+        for blocks in np.split(np.arange(len(block)), cuts):
+            n = count[blocks]
+            offset = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+            i = by_cell[np.repeat(first[blocks], n) + offset]
+            e = sel[np.repeat(blocks // 4, n)]
+            # np.take gathers rows much faster than fancy indexing
+            v = np.take(vertices, i, axis=0)
+            ae = np.take(a, e, axis=0)
+            abe = np.take(ab, e, axis=0)
+            t = np.einsum("ij,ij->i", v - ae, abe) / ab2[e]
+            proj = ae + t[:, None] * abe
+            dist2 = np.einsum("ij,ij->i", v - proj, v - proj)
+            on_open_segment = (dist2 < 1e-24 * ab2[e]) & (t > 1e-10) & (t < 1 - 1e-10)
+            ends = np.take(edges, e, axis=0)
+            on_open_segment &= (ends[:, 0] != i) & (ends[:, 1] != i)
+            hanging = min(hanging, int(i[on_open_segment].min(initial=nv)))
+    if hanging < nv:
+        raise ValueError(f"non-conforming input: vertex {hanging} hangs on an edge")
 
 
 def _longest_edge_assignment(vertices, triangles):
     lengths = _edge_lengths_local(vertices, triangles)
-    ref = np.empty(len(triangles), dtype=np.int64)
-    for t in range(len(triangles)):
-        lmax = lengths[t].max()
-        candidates = np.flatnonzero(lengths[t] >= lmax * (1.0 - 1e-12))
-        # tie break: smallest global index of the vertex opposite the edge
-        ref[t] = candidates[np.argmin(triangles[t, candidates])]
-    return ref
+    lmax = lengths.max(axis=1, keepdims=True)
+    candidate = lengths >= lmax * (1.0 - 1e-12)
+    # tie break: smallest global index of the vertex opposite the edge
+    opposite = np.where(candidate, triangles, np.iinfo(np.int64).max)
+    return np.argmin(opposite, axis=1).astype(np.int64)
 
 
 def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
@@ -187,10 +245,9 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
         swap = flip & (ref_edge > 0)
         ref_edge[swap] = 3 - ref_edge[swap]
 
-    edges_preview = np.unique(
-        np.sort(triangles[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2), axis=1), axis=0)
-    _hanging_node_check(vertices, edges_preview)
-    return _finalize(vertices, triangles, ref_edge)
+    mesh = _finalize(vertices, triangles, ref_edge)
+    _hanging_node_check(vertices, mesh.edges)
+    return mesh
 
 
 def bisect(mesh: Triangulation, marked) -> Triangulation:
@@ -301,8 +358,11 @@ def geometry(mesh: Triangulation) -> MeshGeometry:
 
     nu_E points from the lower-indexed adjacent triangle into the
     higher-indexed one, and outward on boundary edges; tau_E is nu_E rotated
-    by +90 degrees.
+    by +90 degrees.  Computed once per mesh; its arrays are read-only, since
+    every caller shares them.
     """
+    if mesh._geometry is not None:
+        return mesh._geometry
     lengths = _edge_lengths_local(mesh.vertices, mesh.triangles)
     h_T = lengths.max(axis=1)
     area = _signed_area(mesh.vertices, mesh.triangles)
@@ -315,13 +375,16 @@ def geometry(mesh: Triangulation) -> MeshGeometry:
 
     centroids = mesh.vertices[mesh.triangles].mean(axis=1)
     mids = 0.5 * (a + b)
-    from_tri = np.fromiter((adj[0] for adj in mesh.triangles_of_edge),
-                           dtype=np.int64, count=mesh.n_edges)
+    from_tri = mesh.triangles_of_edge[:, 0]
     flip = np.einsum("ij,ij->i", nu, mids - centroids[from_tri]) < 0
     nu[flip] *= -1.0
     tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
-    return MeshGeometry(h_T=h_T, area=area, h_E=h_E, nu_E=nu, tau_E=tau,
+    for arr in (h_T, area, h_E, nu, tau):
+        arr.setflags(write=False)
+    geom = MeshGeometry(h_T=h_T, area=area, h_E=h_E, nu_E=nu, tau_E=tau,
                         h_max=float(h_T.max()))
+    object.__setattr__(mesh, "_geometry", geom)
+    return geom
 
 
 def builtin_domain(name: str) -> Triangulation:
@@ -342,25 +405,43 @@ def builtin_domain(name: str) -> Triangulation:
 
 
 def read_mesh(path) -> Triangulation:
-    rows = []
+    """Read the text format above; a malformed file raises
+    ValueError('<path>:<line>: ...')."""
+    rows = []   # (line number, fields) of the non-empty lines
     with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                rows.append(line.split())
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                rows.append((lineno, fields))
     if not rows:
         raise ValueError(f"empty mesh file {path}")
-    nv, nt = int(rows[0][0]), int(rows[0][1])
+
+    def parse(row, cast, sizes, form):
+        lineno, fields = row
+        try:
+            if len(fields) in sizes:
+                return [cast(f) for f in fields]
+        except ValueError:
+            pass
+        raise ValueError(f"{path}:{lineno}: expected '{form}', "
+                         f"got {' '.join(fields)!r}")
+
+    nv, nt = parse(rows[0], int, (2,), "nv nt")
+    if nv < 0 or nt < 1:
+        raise ValueError(f"{path}:{rows[0][0]}: need nv >= 0 and nt >= 1")
     if len(rows) != 1 + nv + nt:
         raise ValueError(f"mesh file {path}: expected {1 + nv + nt} records, got {len(rows)}")
-    vertices = np.array([[float(r[0]), float(r[1])] for r in rows[1:1 + nv]])
-    tri_rows = rows[1 + nv:]
-    triangles = np.array([[int(r[0]), int(r[1]), int(r[2])] for r in tri_rows])
-    if all(len(r) >= 4 for r in tri_rows):
-        ref_edge = np.array([int(r[3]) for r in tri_rows])
-    else:
-        ref_edge = None
-    return build_from_arrays(vertices, triangles, ref_edge=ref_edge)
+    vertices = np.array([parse(r, float, (2,), "x y") for r in rows[1:1 + nv]],
+                        dtype=float).reshape(nv, 2)
+    tri_rows = [parse(r, int, (3, 4), "i j k [r]") for r in rows[1 + nv:]]
+    has_ref = [len(r) == 4 for r in tri_rows]
+    if not all(f == has_ref[0] for f in has_ref):
+        lineno = rows[1 + nv + has_ref.index(not has_ref[0])][0]
+        raise ValueError(f"{path}:{lineno}: the refinement edge r must be given "
+                         "on every triangle row or on none")
+    triangles = np.array(tri_rows, dtype=np.int64)
+    ref_edge = triangles[:, 3] if has_ref[0] else None
+    return build_from_arrays(vertices, triangles[:, :3], ref_edge=ref_edge)
 
 
 def write_mesh(mesh: Triangulation, path):

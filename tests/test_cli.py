@@ -186,3 +186,49 @@ def test_cli_solve_reads_mesh_file(tmp_path, capsys):
     code = main(["solve", "--problem", "cr_sine", "--domain", str(path),
                  "--levels", "2"])
     assert code == 0
+
+
+# The adaptive run of scripts/afem_lshape.py up to 4000 free dofs, as the
+# list-based adjacency tables produced it: marking and refinement must keep
+# every mesh, and so every level, bitwise the same.
+AFEM_LSHAPE_N_FREE = [5, 13, 17, 23, 29, 41, 65, 81, 129, 153, 213, 305, 375,
+                      519, 701, 903, 1249, 1691, 2301, 3159, 4147]
+AFEM_LSHAPE_ETA = [
+    3.4641016151377584, 2.4669692944988215, 1.7677669529663702,
+    1.389782445146911, 1.0801961240083455, 0.8367051135446859,
+    0.6366684081240637, 0.4673012285212849, 0.36050890584914214,
+    0.28416989498918366, 0.22458898292255544, 0.17345795123715563,
+    0.14090066459934988, 0.11994296940274324, 0.09762529884726233,
+    0.07982823354999953, 0.06454928082181023, 0.05351988874311628,
+    0.04671088573188704, 0.038748974929143205, 0.03186182813522606,
+]
+
+
+def test_cli_afem_lshape_trajectory_pinned(tmp_path):
+    out = tmp_path / "out"
+    code = main(["afem", "--problem", "ns_unit_load", "--domain", "l_shape",
+                 "--theta", "0.5", "--max-free-dofs", "4000",
+                 "--out", str(out)])
+    assert code == 0
+    records = read_records_csv(out / "afem_ns_unit_load_l_shape.csv")
+    assert [r.n_free for r in records] == AFEM_LSHAPE_N_FREE
+    assert [r.eta_total for r in records] == pytest.approx(AFEM_LSHAPE_ETA,
+                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("3 1\n0 0\n1 0\n0 1\n0 1\n", 5),                  # triangle row of 2 fields
+    ("4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3\n", 7),  # r on one row only
+    ("4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3 1\n", 7),  # r on the other row only
+    ("3 1\n0 0\n1 0 0\n0 1\n0 1 2\n", 3),              # vertex row of 3 fields
+    ("3 1\n0 0\n1\n0 1\n0 1 2\n", 3),                  # vertex row of 1 field
+    ("# header\n3 1 x\n0 0\n1 0\n0 1\n0 1 2\n", 2),    # header of 3 fields
+    ("3 1\n0 0\n1 0\n0 1\n0 1 two\n", 5),              # non-integer index
+])
+def test_cli_malformed_mesh_file_is_usage_error(text, line, tmp_path, capsys):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    code = main(["study", "--problem", "cr_sine", "--domain", str(path),
+                 "--levels", "1", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{path}:{line}:" in capsys.readouterr().err

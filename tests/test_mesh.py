@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfem.mesh import (bisect, build_from_arrays, builtin_domain, geometry,
-                        read_mesh, refine, uniform_refine, write_mesh)
+from ncfem.mesh import (_hanging_node_check, bisect, build_from_arrays,
+                        builtin_domain, geometry, read_mesh, refine,
+                        uniform_refine, write_mesh)
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -151,7 +154,7 @@ def test_normal_orientation():
         adj = m.triangles_of_edge[e]
         mid = m.vertices[m.edges[e]].mean(axis=0)
         assert np.dot(g.nu_E[e], mid - centroids[adj[0]]) > 0
-        if len(adj) == 2:
+        if adj[1] >= 0:
             assert np.dot(g.nu_E[e], centroids[adj[1]] - centroids[adj[0]]) > 0
 
 
@@ -213,3 +216,147 @@ def test_mesh_file_comments_and_optional_refinement_edge(tmp_path):
     # without explicit r the longest edge is chosen
     ref = build_from_arrays(SQUARE_V, SQUARE_T)
     assert np.array_equal(m.ref_edge, ref.ref_edge)
+
+
+def test_geometry_computed_once_and_read_only():
+    m = uniform_refine(builtin_domain("l_shape"))
+    g = geometry(m)
+    assert geometry(m) is g
+    for arr in (g.h_T, g.area, g.h_E, g.nu_E, g.tau_E):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        g.area *= 2.0
+    # a refined mesh gets its own geometry
+    assert geometry(uniform_refine(m)) is not g
+
+
+def test_triangles_of_edge_layout():
+    m = uniform_refine(builtin_domain("l_shape"))
+    adj = m.triangles_of_edge
+    assert adj.shape == (m.n_edges, 2)
+    assert np.array_equal(adj[:, 1] < 0, m.boundary_edge)
+    inner = ~m.boundary_edge
+    assert (adj[inner, 0] < adj[inner, 1]).all()
+    for e in range(m.n_edges):
+        expected = [t for t in range(m.n_triangles) if e in m.edge_of_triangle[t]]
+        assert adj[e][adj[e] >= 0].tolist() == expected
+
+
+def _hanging_node_check_reference(vertices, edges):
+    """The O(nv*ne) vertex-by-vertex check that _hanging_node_check replaces."""
+    a = vertices[edges[:, 0]]
+    b = vertices[edges[:, 1]]
+    ab = b - a
+    ab2 = np.einsum("ij,ij->i", ab, ab)
+    for i, v in enumerate(vertices):
+        av = v - a
+        t = np.einsum("ij,ij->i", av, ab) / ab2
+        proj = a + t[:, None] * ab
+        dist2 = np.einsum("ij,ij->i", v - proj, v - proj)
+        on_open_segment = (dist2 < 1e-24 * ab2) & (t > 1e-10) & (t < 1 - 1e-10)
+        on_open_segment &= (edges[:, 0] != i) & (edges[:, 1] != i)
+        if on_open_segment.any():
+            raise ValueError(f"non-conforming input: vertex {i} hangs on an edge")
+
+
+def _check_outcome(check, vertices, edges):
+    try:
+        check(vertices, edges)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+# positions along an edge ab: inside (0.5, 0.25), inside but within 1e-10 of
+# an endpoint (1e-11), and collinear beyond an endpoint
+_ALONG = [0.5, 0.25, 1e-11, 1 - 1e-11, 1 + 1e-9, -1e-9, 1.25, -0.5]
+# offsets normal to ab, relative to |ab|, none drawn twice as often: the
+# check's tolerance is 1e-12
+_ACROSS = [0.0, 0.0, 1e-13, 1e-11]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4),
+       scale=st.sampled_from([1.0, 1e-3, 3e2]),
+       shift=st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+       injected=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                   st.sampled_from(_ALONG),
+                                   st.sampled_from(_ACROSS)),
+                         max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hanging_node_check_matches_reference(nx, ny, scale, shift, injected,
+                                              seed):
+    x, y = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
+    grid = scale * np.column_stack([x.ravel(), y.ravel()]) + np.asarray(shift)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
+    v0 = (j * (nx + 1) + i).ravel()
+    tris = np.concatenate([np.column_stack([v0, v0 + 1, v0 + nx + 2]),
+                           np.column_stack([v0, v0 + nx + 2, v0 + nx + 1])])
+    edges = np.unique(np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2),
+                              axis=1), axis=0)
+    extra = []
+    for e, t, off in injected:
+        a, b = grid[edges[e % len(edges)]]
+        ab = b - a
+        extra.append(a + t * ab + off * np.array([-ab[1], ab[0]]))
+    vertices = np.vstack([grid, np.reshape(extra, (-1, 2))])
+    # shuffle the vertex numbering, so that the reported index varies
+    perm = np.random.default_rng(seed).permutation(len(vertices))
+    rank = np.argsort(perm)
+    vertices, edges = vertices[perm], rank[edges]
+    assert (_check_outcome(_hanging_node_check, vertices, edges)
+            == _check_outcome(_hanging_node_check_reference, vertices, edges))
+
+
+def test_hanging_node_check_reports_smallest_vertex():
+    v = [(0, 0), (2, 0), (0, 2), (1, 1), (2, -2), (1, 0)]
+    t = [(0, 1, 2), (0, 5, 4)]
+    with pytest.raises(ValueError, match="vertex 3 hangs"):
+        build_from_arrays(v, t)
+
+
+def test_graded_mesh_passes_hanging_node_check():
+    m = builtin_domain("l_shape")
+    for _ in range(24):
+        at_corner = np.abs(m.vertices[m.triangles]).sum(axis=2).min(axis=1) == 0
+        m = bisect(m, np.flatnonzero(at_corner))
+    m = uniform_refine(m)
+    rebuilt = build_from_arrays(m.vertices, m.triangles)
+    assert np.array_equal(rebuilt.edges, m.edges)
+    assert _check_outcome(_hanging_node_check_reference, m.vertices, m.edges) is None
+    # the midpoint of the shortest edge, appended, hangs on it
+    e = np.argmin(geometry(m).h_E)
+    v = np.vstack([m.vertices, m.vertices[m.edges[e]].mean(axis=0)])
+    message = f"vertex {m.n_vertices} hangs"
+    assert message in _check_outcome(_hanging_node_check, v, m.edges)
+    assert message in _check_outcome(_hanging_node_check_reference, v, m.edges)
+
+
+def _sliver_strip(n):
+    """The unit square cut into n strips of height 1/n, two triangles each."""
+    x, y = np.meshgrid([0.0, 1.0], np.arange(n + 1) / n)
+    j = np.arange(n)
+    tris = np.concatenate([np.column_stack([2 * j, 2 * j + 1, 2 * j + 3]),
+                           np.column_stack([2 * j, 2 * j + 3, 2 * j + 2])])
+    return np.column_stack([x.ravel(), y.ravel()]), tris
+
+
+def test_hanging_node_check_on_sliver_strip():
+    # the 2 x 2 block of cells around each of the ~2n long edges holds all
+    # 2n + 2 vertices, so the ~4n^2 candidates must be tested in batches
+    m = build_from_arrays(*_sliver_strip(1000))
+    tracemalloc.start()
+    try:
+        _hanging_node_check(m.vertices, m.edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    assert _check_outcome(_hanging_node_check_reference, m.vertices, m.edges) is None
+    # the midpoint of a diagonal, appended, hangs on it
+    e = np.argmax(geometry(m).h_E)
+    v = np.vstack([m.vertices, m.vertices[m.edges[e]].mean(axis=0)])
+    expected = _check_outcome(_hanging_node_check_reference, v, m.edges)
+    assert f"vertex {m.n_vertices} hangs" in expected
+    assert _check_outcome(_hanging_node_check, v, m.edges) == expected

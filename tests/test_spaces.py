@@ -99,6 +99,7 @@ def test_morley_interelement_behavior(square32):
     # the midpoint value is the mean)
     for e in square32.interior_edges()[:12]:
         t0, t1 = square32.triangles_of_edge[e]
+        assert min(t0, t1) >= 0
         mid = square32.vertices[square32.edges[e]].mean(axis=0)
         g0 = evaluate(square32, dm, u, t0, mid, "gradient") @ g.nu_E[e]
         g1 = evaluate(square32, dm, u, t1, mid, "gradient") @ g.nu_E[e]
