@@ -11,9 +11,7 @@ from .spaces import (SpaceTag, DofMap, DiscreteFunction, ElementBasis,
                      build_dofmap, element_basis, evaluate)
 from .problems import (ProblemKind, ProblemSpec, Field, manufactured,
                        registry_names, ns_unit_load, polynomial_field)
-from .assembly import (assemble_a_pw, assemble_b_pw_cr, assemble_load,
-                       assemble_residual, assemble_jacobian, gram_matrix,
-                       gamma_ns, gamma_vk)
+from .assembly import Assembler, assembler, gamma_ns, gamma_vk
 from .interpolation import (morley_interpolate, cr_interpolate, l2_project,
                             oscillation, transfer_morley)
 from .solve import (sparse_solve, energy_dual_norm, newton_solve,

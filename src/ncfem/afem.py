@@ -1,4 +1,5 @@
-"""Adaptive loop (solve, estimate, mark, refine) and uniform studies.
+"""One level driver (solve, estimate, mark, refine) for adaptive runs and
+uniform studies.
 
 Marking uses Doerfler bulk criterion on combined element indicators
 eta_K'^2 = eta_K^2 + sum over the element's edges of eta_E^2 / (number of
@@ -21,9 +22,9 @@ import numpy as np
 from .estimators import EstimatorReport, broken_energy_error, estimate
 from .interpolation import transfer_morley
 from .mesh import bisect, geometry, uniform_refine
-from .problems import ProblemKind, ProblemSpec
+from .problems import ProblemSpec
 from .solve import newton_solve
-from .spaces import SpaceTag, build_dofmap
+from .spaces import SpaceTag, build_dofmap, space_of
 
 __all__ = [
     "ConvergenceRecord", "NewtonDivergence", "dorfler_mark", "afem_loop",
@@ -51,11 +52,15 @@ class NewtonDivergence(RuntimeError):
         self.records = records
 
 
+def _check_theta(theta):
+    if not 0.0 < theta <= 1.0:
+        raise ValueError("theta must lie in (0, 1]")
+
+
 def dorfler_mark(mesh, report: EstimatorReport, theta: float):
     """Greedy minimal bulk-marking set M with
     sum_{K in M} eta_K'^2 >= theta * sum_K eta_K'^2."""
-    if not 0.0 < theta <= 1.0:
-        raise ValueError("theta must lie in (0, 1]")
+    _check_theta(theta)
     ind = report.eta_K_sq.astype(float).copy()
     adj = mesh.triangles_of_edge.ravel()
     side = adj >= 0
@@ -73,25 +78,6 @@ def dorfler_mark(mesh, report: EstimatorReport, theta: float):
     return set(int(t) for t in chosen if ind[t] > 0.0)
 
 
-def _space_for(problem: ProblemSpec):
-    return (SpaceTag.CROUZEIX_RAVIART
-            if problem.kind is ProblemKind.SECOND_ORDER_CR else SpaceTag.MORLEY)
-
-
-def _solve_level(mesh, problem, prev, tol, records):
-    dofmap = build_dofmap(mesh, _space_for(problem))
-    U0 = None
-    if prev is not None and dofmap.space is SpaceTag.MORLEY:
-        prev_mesh, prev_dofmap, prev_U = prev
-        U0 = transfer_morley(prev_mesh, prev_dofmap, prev_U, mesh, dofmap)
-    U, trace = newton_solve(mesh, dofmap, problem, U0=U0, tol=tol)
-    if not trace.converged:
-        raise NewtonDivergence(
-            f"Newton did not converge within {len(trace.residual_norms)} "
-            f"iterations at n_free = {dofmap.n_free}", records)
-    return dofmap, U, trace
-
-
 def _rate(prev, cur, q_log):
     if prev is None or cur is None or prev <= 0 or cur <= 0 or q_log == 0:
         return None
@@ -103,81 +89,80 @@ class AfemResult:
     records: list
     meshes: list
     solutions: list
+    dofmaps: list
+    traces: list
+
+
+def _run_levels(problem, mesh0, refine_step, q_log, tol, exact) -> AfemResult:
+    """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh.
+
+    Each level starts Newton from the previous solution carried to the new
+    mesh (Morley spaces; the linear CR problem restarts from zero).
+    refine_step(record, mesh, report) returns the next mesh, or None to stop;
+    q_log(prev_record, record) is the log2 ratio that the rates divide by."""
+    res = AfemResult(records=[], meshes=[], solutions=[], dofmaps=[],
+                     traces=[])
+    mesh = mesh0
+    while mesh is not None:
+        dofmap = build_dofmap(mesh, space_of(problem.kind))
+        U0 = None
+        if res.records and dofmap.space is SpaceTag.MORLEY:
+            U0 = transfer_morley(res.meshes[-1], res.dofmaps[-1],
+                                 res.solutions[-1], mesh, dofmap)
+        U, trace = newton_solve(mesh, dofmap, problem, U0=U0, tol=tol)
+        if not trace.converged:
+            raise NewtonDivergence(
+                f"Newton did not converge within {len(trace.residual_norms)} "
+                f"iterations at n_free = {dofmap.n_free}", res.records)
+        report = estimate(mesh, dofmap, problem, U, exact=exact)
+        err = (broken_energy_error(mesh, dofmap, problem, U, exact)
+               if exact is not None else None)
+        rec = ConvergenceRecord(level=len(res.records), n_free=dofmap.n_free,
+                                h_max=geometry(mesh).h_max, error_pw=err,
+                                eta_total=report.eta_total,
+                                newton_iters=trace.iterations)
+        if res.records:
+            prev = res.records[-1]
+            q = q_log(prev, rec)
+            rec.rate_error = _rate(prev.error_pw, err, q)
+            rec.rate_eta = _rate(prev.eta_total, rec.eta_total, q)
+        res.records.append(rec)
+        res.meshes.append(mesh)
+        res.solutions.append(U)
+        res.dofmaps.append(dofmap)
+        res.traces.append(trace)
+        mesh = refine_step(rec, mesh, report)
+    return res
 
 
 def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
               tol: float = 1e-10, exact=None) -> AfemResult:
-    """Adaptive loop; stops once n_free exceeds max_free_dofs.  The previous
-    solution is carried to the refined mesh as the Newton starting iterate
-    (Morley spaces; the linear CR problem restarts from zero)."""
-    records, meshes, solutions = [], [], []
-    mesh = mesh0
-    prev = None
-    level = 0
-    while True:
-        dofmap, U, trace = _solve_level(mesh, problem, prev, tol, records)
-        report = estimate(mesh, dofmap, problem, U, exact=exact)
-        err = (broken_energy_error(mesh, dofmap, problem, U, exact)
-               if exact is not None else None)
-        rec = ConvergenceRecord(level=level, n_free=dofmap.n_free,
-                                h_max=geometry(mesh).h_max, error_pw=err,
-                                eta_total=report.eta_total,
-                                newton_iters=trace.iterations)
-        if records:
-            q_log = 0.5 * math.log2(rec.n_free / records[-1].n_free)
-            rec.rate_error = _rate(records[-1].error_pw, err, q_log)
-            rec.rate_eta = _rate(records[-1].eta_total, rec.eta_total, q_log)
-        records.append(rec)
-        meshes.append(mesh)
-        solutions.append(U)
-        if dofmap.n_free > max_free_dofs:
-            break
+    """Adaptive loop with Doerfler marking and bisection; stops once n_free
+    exceeds max_free_dofs or nothing is marked."""
+    _check_theta(theta)
+
+    def mark_and_bisect(rec, mesh, report):
+        if rec.n_free > max_free_dofs:
+            return None
         marked = dorfler_mark(mesh, report, theta)
-        if not marked:
-            break
-        prev = (mesh, dofmap, U)
-        mesh = bisect(mesh, marked)
-        level += 1
-    return AfemResult(records=records, meshes=meshes, solutions=solutions)
+        return bisect(mesh, marked) if marked else None
+
+    return _run_levels(
+        problem, mesh0, mark_and_bisect,
+        lambda prev, rec: 0.5 * math.log2(rec.n_free / prev.n_free), tol, exact)
 
 
 def uniform_study(problem: ProblemSpec, mesh0, levels: int,
-                  tol: float = 1e-10, exact=None, keep_all: bool = False):
+                  tol: float = 1e-10, exact=None) -> AfemResult:
     """Uniform-refinement convergence study over `levels` meshes (level 0 is
-    mesh0).  Each level starts Newton from the transferred previous solution.
-
-    Returns the records, or (records, AfemResult-like detail) with keep_all."""
+    mesh0)."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    records, meshes, solutions, traces, dofmaps = [], [], [], [], []
-    mesh = mesh0
-    prev = None
-    for level in range(levels):
-        dofmap, U, trace = _solve_level(mesh, problem, prev, tol, records)
-        report = estimate(mesh, dofmap, problem, U, exact=exact)
-        err = (broken_energy_error(mesh, dofmap, problem, U, exact)
-               if exact is not None else None)
-        h_max = geometry(mesh).h_max
-        rec = ConvergenceRecord(level=level, n_free=dofmap.n_free,
-                                h_max=h_max, error_pw=err,
-                                eta_total=report.eta_total,
-                                newton_iters=trace.iterations)
-        if records:
-            q_log = math.log2(records[-1].h_max / h_max)
-            rec.rate_error = _rate(records[-1].error_pw, err, q_log)
-            rec.rate_eta = _rate(records[-1].eta_total, rec.eta_total, q_log)
-        records.append(rec)
-        meshes.append(mesh)
-        solutions.append(U)
-        traces.append(trace)
-        dofmaps.append(dofmap)
-        if level + 1 < levels:
-            prev = (mesh, dofmap, U)
-            mesh = uniform_refine(mesh)
-    if keep_all:
-        return records, {"meshes": meshes, "solutions": solutions,
-                         "traces": traces, "dofmaps": dofmaps}
-    return records
+    return _run_levels(
+        problem, mesh0,
+        lambda rec, mesh, report: (uniform_refine(mesh)
+                                   if rec.level + 1 < levels else None),
+        lambda prev, rec: math.log2(prev.h_max / rec.h_max), tol, exact)
 
 
 def corner_fraction(mesh, center=(0.0, 0.0), radius: float = 0.1):

@@ -29,23 +29,14 @@ import scipy.sparse as sparse
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
-from .quadrature import quad_triangle
 from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
-                     local_coefficients, physical_points)
+                     local_coefficients, space_of, volume_quadrature)
 
 __all__ = [
-    "Assembler", "assembler", "assemble_a_pw", "assemble_b_pw_cr",
-    "assemble_load", "assemble_residual", "assemble_jacobian", "gram_matrix",
-    "gamma_ns", "gamma_vk", "bracket_pairing",
+    "Assembler", "assembler", "gamma_ns", "gamma_vk", "bracket_pairing",
 ]
 
 VOLUME_QUAD_DEGREE = 4
-
-
-def _space_of(kind: ProblemKind) -> SpaceTag:
-    if kind is ProblemKind.SECOND_ORDER_CR:
-        return SpaceTag.CROUZEIX_RAVIART
-    return SpaceTag.MORLEY
 
 
 def _scatter_matrix(loc, dofmap: DofMap):
@@ -95,9 +86,8 @@ class Assembler:
     iterations only pay for the state-dependent contractions.
     """
 
-    def __init__(self, mesh, dofmap: DofMap, problem: ProblemSpec,
-                 volume_degree: int = VOLUME_QUAD_DEGREE):
-        if dofmap.space is not _space_of(problem.kind):
+    def __init__(self, mesh, dofmap: DofMap, problem: ProblemSpec):
+        if dofmap.space is not space_of(problem.kind):
             raise ValueError(f"dofmap space {dofmap.space} does not match "
                              f"problem kind {problem.kind}")
         self.mesh = mesh
@@ -105,10 +95,7 @@ class Assembler:
         self.problem = problem
         self.geom = geometry(mesh)
         self.tables = basis_tables(mesh, dofmap.space)
-
-        rule = quad_triangle(volume_degree)
-        self.xq = physical_points(mesh, rule.points)          # (nt, nq, 2)
-        self.wdx = 2.0 * self.geom.area[:, None] * rule.weights  # (nt, nq)
+        self.xq, self.wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
 
         if dofmap.space is SpaceTag.MORLEY:
             self._init_morley()
@@ -224,6 +211,7 @@ class Assembler:
         return self._load
 
     def residual(self, U: DiscreteFunction):
+        """Entries N_h(U; phi_j) of the discrete residual over free test dofs."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
             return (self.a_matrix() + self.b_matrix()) @ U.coeffs - self.load()
@@ -243,6 +231,7 @@ class Assembler:
         return self.a_matrix() @ U.coeffs - self.load() + np.concatenate([r1, r2])
 
     def jacobian(self, U: DiscreteFunction):
+        """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .)."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
             return (self.a_matrix() + self.b_matrix()).tocsr()
@@ -287,32 +276,6 @@ class Assembler:
 @lru_cache(maxsize=8)
 def assembler(mesh, dofmap, problem) -> Assembler:
     return Assembler(mesh, dofmap, problem)
-
-
-def assemble_a_pw(mesh, dofmap, problem):
-    return assembler(mesh, dofmap, problem).a_matrix()
-
-
-def assemble_b_pw_cr(mesh, dofmap, problem):
-    return assembler(mesh, dofmap, problem).b_matrix()
-
-
-def assemble_load(mesh, dofmap, problem):
-    return assembler(mesh, dofmap, problem).load()
-
-
-def assemble_residual(mesh, dofmap, problem, U: DiscreteFunction):
-    """Entries N_h(U; phi_j) of the discrete residual over free test dofs."""
-    return assembler(mesh, dofmap, problem).residual(U)
-
-
-def assemble_jacobian(mesh, dofmap, problem, U: DiscreteFunction):
-    """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .)."""
-    return assembler(mesh, dofmap, problem).jacobian(U)
-
-
-def gram_matrix(mesh, dofmap, problem):
-    return assembler(mesh, dofmap, problem).gram()
 
 
 def _zero_load(pts):

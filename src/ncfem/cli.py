@@ -23,7 +23,7 @@ from .problems import (ProblemKind, manufactured, ns_unit_load,
                        polynomial_field, registry_names)
 from .reporting import emit_plots, write_records_csv
 from .spaces import (DiscreteFunction, SpaceTag, basis_tables, build_dofmap,
-                     local_coefficients)
+                     local_coefficients, space_of, volume_quadrature)
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 1
 
@@ -47,6 +47,10 @@ class RunConfig:
     def validate(self):
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if self.base_refinements < 0:
+            raise ValueError("base_refinements must be >= 0")
+        if self.max_free_dofs < 1:
+            raise ValueError("max_free_dofs must be >= 1")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
         if self.tol <= 0:
@@ -102,57 +106,57 @@ def _print_records(records):
               f"{r.eta_total:>12.4e} {r.newton_iters:>3} {re_:>6} {rn:>6}")
 
 
-def _cmd_study(cfg: RunConfig):
+def _run_and_report(cfg: RunConfig, stem: str, drive, summary=None):
+    """Shared body of `study` and `afem`: drive(problem, mesh, exact) runs
+    the levels; the records go to <stem>.csv, <stem>.svg and stdout, or to
+    the CSV alone when Newton diverges.  summary(result) may print more."""
     problem, exact = _resolve_problem(cfg.problem)
     mesh = meshmod.refine(_resolve_domain(cfg.domain), cfg.base_refinements)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"study_{cfg.problem}.csv"
+    csv_path = out / f"{stem}.csv"
     try:
-        records = uniform_study(problem, mesh, cfg.levels, tol=cfg.tol,
-                                exact=exact)
-    except NewtonDivergence as exc:
-        write_records_csv(exc.records, csv_path)
-        print(f"error: {exc} (partial results in {csv_path})", file=sys.stderr)
-        return NUMERICAL_ERROR
-    write_records_csv(records, csv_path)
-    emit_plots(records, out, stem=f"study_{cfg.problem}")
-    _print_records(records)
-    print(f"wrote {csv_path}")
-    return 0
-
-
-def _cmd_afem(cfg: RunConfig):
-    problem, exact = _resolve_problem(cfg.problem)
-    mesh = meshmod.refine(_resolve_domain(cfg.domain), cfg.base_refinements)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"afem_{cfg.problem}_{Path(cfg.domain).stem}.csv"
-    try:
-        result = afem_loop(problem, mesh, cfg.theta, cfg.max_free_dofs,
-                           tol=cfg.tol, exact=exact)
+        result = drive(problem, mesh, exact)
     except NewtonDivergence as exc:
         write_records_csv(exc.records, csv_path)
         print(f"error: {exc} (partial results in {csv_path})", file=sys.stderr)
         return NUMERICAL_ERROR
     write_records_csv(result.records, csv_path)
-    emit_plots(result.records, out, stem=csv_path.stem)
+    emit_plots(result.records, out, stem=stem)
     _print_records(result.records)
-    if cfg.domain == "l_shape":
-        fracs = [corner_fraction(m) for m in result.meshes]
-        print("corner fraction per level: "
-              + " ".join(f"{f:.3f}" for f in fracs))
+    if summary is not None:
+        summary(result)
     print(f"wrote {csv_path}")
     return 0
+
+
+def _cmd_study(cfg: RunConfig):
+    return _run_and_report(
+        cfg, f"study_{cfg.problem}",
+        lambda problem, mesh, exact: uniform_study(
+            problem, mesh, cfg.levels, tol=cfg.tol, exact=exact))
+
+
+def _cmd_afem(cfg: RunConfig):
+    def corner_fractions(result):
+        if cfg.domain == "l_shape":
+            fracs = [corner_fraction(m) for m in result.meshes]
+            print("corner fraction per level: "
+                  + " ".join(f"{f:.3f}" for f in fracs))
+
+    return _run_and_report(
+        cfg, f"afem_{cfg.problem}_{Path(cfg.domain).stem}",
+        lambda problem, mesh, exact: afem_loop(
+            problem, mesh, cfg.theta, cfg.max_free_dofs, tol=cfg.tol,
+            exact=exact),
+        corner_fractions)
 
 
 def _cmd_solve(cfg: RunConfig):
     problem, exact = _resolve_problem(cfg.problem)
     mesh = meshmod.refine(_resolve_domain(cfg.domain),
                           cfg.base_refinements + cfg.levels - 1)
-    space = (SpaceTag.CROUZEIX_RAVIART
-             if problem.kind is ProblemKind.SECOND_ORDER_CR else SpaceTag.MORLEY)
-    dofmap = build_dofmap(mesh, space)
+    dofmap = build_dofmap(mesh, space_of(problem.kind))
     U, trace = solvemod.newton_solve(mesh, dofmap, problem, tol=cfg.tol)
     if not trace.converged:
         print("error: Newton did not converge", file=sys.stderr)
@@ -182,9 +186,9 @@ def _cmd_infsup(cfg: RunConfig):
     rows = []
     for level in range(cfg.levels):
         dofmap = build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
-        B = (assembly.assemble_a_pw(mesh, dofmap, problem)
-             + assembly.assemble_b_pw_cr(mesh, dofmap, problem)).T.tocsr()
-        G = assembly.gram_matrix(mesh, dofmap, problem)
+        asm = assembly.assembler(mesh, dofmap, problem)
+        B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+        G = asm.gram()
         beta = solvemod.infsup_constant(B, G, G)
         rows.append((level, dofmap.n_free, beta))
         print(f"{level:>3} {dofmap.n_free:>8} {beta:>12.6e}")
@@ -254,12 +258,8 @@ def _verify_checks(cfg: RunConfig):
                 c[i, j] = rng.standard_normal()
         return polynomial_field(c)
 
-    from .quadrature import quad_triangle as qt
-    rule = qt(4)
-    from .spaces import physical_points
     geom = geometry(mesh)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, 4)
     worst = 0.0
     for _ in range(20):
         fld = random_poly(4)
@@ -281,17 +281,14 @@ def _verify_checks(cfg: RunConfig):
     yield "cr commuting identity grad I_CR = Pi0 grad", worst, 1e-10
 
     # jacobian against central finite differences of the residual
-    from .problems import manufactured as man
     for name in ("cr_sine", "ns_poly", "vk_poly"):
-        problem = man(name).problem
-        space = (SpaceTag.CROUZEIX_RAVIART
-                 if problem.kind is ProblemKind.SECOND_ORDER_CR
-                 else SpaceTag.MORLEY)
+        problem = manufactured(name).problem
+        space = space_of(problem.kind)
         dmx = build_dofmap(mesh, space)
         n = dmx.n_free * problem.n_components
         U = DiscreteFunction(space=space, n_components=problem.n_components,
                              coeffs=0.1 * rng.standard_normal(n))
-        J = assembly.assemble_jacobian(mesh, dmx, problem, U).toarray()
+        J = assembly.assembler(mesh, dmx, problem).jacobian(U).toarray()
         if cfg.corrupt_jacobian and name == "ns_poly":
             J[0, 0] += 1.0e-2 * (1.0 + abs(J[0, 0]))
         fd = solvemod.fd_jacobian(mesh, dmx, problem, U)

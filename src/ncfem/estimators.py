@@ -27,9 +27,9 @@ import numpy as np
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
-from .quadrature import quad_edge, quad_triangle
+from .quadrature import quad_edge
 from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
-                     local_coefficients, physical_points)
+                     local_coefficients, volume_quadrature)
 from .interpolation import oscillation
 
 __all__ = [
@@ -90,9 +90,7 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f,
     geom = geometry(mesh)
     cu = local_coefficients(dofmap, u_M)
 
-    rule = quad_triangle(ESTIMATOR_VOLUME_DEGREE)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
     fq = f.value(xq) if hasattr(f, "value") else f(xq)
     # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
     eta_K_sq = geom.h_T ** 4 * (wdx * fq ** 2).sum(axis=1)
@@ -143,9 +141,7 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
     buv = bracket(Hu, Hv)
     buu = bracket(Hu, Hu)
 
-    rule = quad_triangle(ESTIMATOR_VOLUME_DEGREE)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
     fq = f.value(xq) if hasattr(f, "value") else f(xq)
     res1 = buv[:, None] + fq
     if g is not None:
@@ -175,9 +171,7 @@ def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec, degree: int):
     """Weighted quadrature values (nt, nq) of |p - Pi_0 p|^2 with
     p = A grad(u) + u b, and osc_1(f - gamma u) per element and in total."""
     geom = geometry(mesh)
-    rule = quad_triangle(degree)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, degree)
 
     grad = u_exact.gradient(xq)
     val = u_exact.value(xq)
@@ -211,10 +205,7 @@ def broken_energy_error(mesh, dofmap, problem, U: DiscreteFunction, exact,
     """Broken energy error against a manufactured solution: the piecewise H^2
     seminorm distance for Morley (summed over components), the A-weighted
     piecewise H^1 distance for CR."""
-    geom = geometry(mesh)
-    rule = quad_triangle(degree)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, degree)
     fields = exact if isinstance(exact, (tuple, list)) else (exact,)
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import geometry
-from .quadrature import quad_edge, quad_triangle
+from .quadrature import quad_edge
 from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
                      function_from_element_values, local_coefficients,
-                     physical_points)
+                     volume_quadrature)
 
 __all__ = [
     "morley_interpolate", "cr_interpolate", "morley_dof_values",
@@ -95,9 +95,7 @@ def l2_project(mesh, g, k: int, degree: int = 6) -> ElementPolynomials:
     if k not in (0, 1):
         raise ValueError("l2_project supports k in {0, 1}")
     geom = geometry(mesh)
-    rule = quad_triangle(degree)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, degree)
     gq = g.value(xq) if hasattr(g, "value") else g(xq)
     center = mesh.vertices[mesh.triangles].mean(axis=1)
     scale = geom.h_T
@@ -121,9 +119,7 @@ def oscillation(mesh, g, k: int, p: int, degree: int = 6):
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
     geom = geometry(mesh)
-    rule = quad_triangle(degree)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
+    xq, wdx = volume_quadrature(mesh, degree)
     gq = g.value(xq) if hasattr(g, "value") else g(xq)
     proj = l2_project(mesh, g, k, degree=degree)
     diff = gq - proj.evaluate(np.arange(mesh.n_triangles), xq)

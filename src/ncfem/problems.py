@@ -64,10 +64,6 @@ class ProblemSpec:
     def n_components(self):
         return 2 if self.kind is ProblemKind.VON_KARMAN_MORLEY else 1
 
-    @property
-    def is_linear(self):
-        return self.kind is ProblemKind.SECOND_ORDER_CR
-
 
 @dataclass(frozen=True, eq=False)
 class Manufactured:

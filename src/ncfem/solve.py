@@ -333,7 +333,7 @@ def infsup_constant(B, Gx, Gy):
 
 def fd_jacobian(mesh, dofmap, problem, U: DiscreteFunction, step: float = 1e-6):
     """Central-difference Jacobian of the residual; the independent oracle
-    for assemble_jacobian (exact for quadratic residuals up to round-off)."""
+    for Assembler.jacobian (exact for quadratic residuals up to round-off)."""
     asm = assembler(mesh, dofmap, problem)
     n = len(U.coeffs)
     out = np.empty((n, n))

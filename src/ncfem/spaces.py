@@ -29,11 +29,14 @@ from functools import lru_cache
 import numpy as np
 
 from .mesh import Triangulation, geometry
+from .problems import ProblemKind
+from .quadrature import quad_triangle
 
 __all__ = [
     "SpaceTag", "DofMap", "DiscreteFunction", "ElementBasis",
     "build_dofmap", "element_basis", "evaluate", "basis_tables",
-    "local_coefficients", "function_from_element_values",
+    "local_coefficients", "function_from_element_values", "space_of",
+    "volume_quadrature",
 ]
 
 
@@ -57,10 +60,6 @@ class DofMap:
     def n_dofs(self):
         return len(self.is_boundary_dof)
 
-    @property
-    def n_local(self):
-        return self.element_dofs.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteFunction:
@@ -77,6 +76,14 @@ class ElementBasis:
     values: np.ndarray     # (nloc,)
     gradients: np.ndarray  # (nloc, 2)
     hessians: np.ndarray   # (nloc, 2, 2), symmetric; zero for CR/P1/P0
+
+
+def space_of(kind: ProblemKind) -> SpaceTag:
+    """The discrete space of a problem: CR for the second-order problem,
+    Morley for the fourth-order ones."""
+    if kind is ProblemKind.SECOND_ORDER_CR:
+        return SpaceTag.CROUZEIX_RAVIART
+    return SpaceTag.MORLEY
 
 
 def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
@@ -267,6 +274,14 @@ def physical_points(mesh, bary):
     """Map barycentric points (nq, 3) to physical points per element (nt, nq, 2)."""
     p = mesh.vertices[mesh.triangles]
     return np.einsum("qk,tkd->tqd", bary, p)
+
+
+def volume_quadrature(mesh, degree: int):
+    """Points (nt, nq, 2) and weights (nt, nq) of the degree-exact volume rule
+    on every element; the weights carry the element area."""
+    rule = quad_triangle(degree)
+    xq = physical_points(mesh, rule.points)
+    return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
 
 
 def element_basis(mesh, geom, space: SpaceTag, triangle: int, point) -> ElementBasis:

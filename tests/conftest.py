@@ -94,3 +94,24 @@ def mean_hessian_by_parts(mesh, field, edge_degree=16):
             out[t] += np.outer(edge_int[e], n)
     out = 0.5 * (out + np.transpose(out, (0, 2, 1)))
     return out / geom.area[:, None, None]
+
+
+def patch_newton(monkeypatch, fail_from_level=None):
+    """Count the level driver's Newton solves and, from the given level on,
+    make them report non-convergence.  Returns the list of calls."""
+    import dataclasses
+
+    import ncfem.afem
+
+    real = ncfem.afem.newton_solve
+    calls = []
+
+    def newton_solve(*args, **kwargs):
+        U, trace = real(*args, **kwargs)
+        calls.append(None)
+        if fail_from_level is not None and len(calls) > fail_from_level:
+            trace = dataclasses.replace(trace, converged=False)
+        return U, trace
+
+    monkeypatch.setattr(ncfem.afem, "newton_solve", newton_solve)
+    return calls

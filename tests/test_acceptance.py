@@ -11,8 +11,7 @@ import pytest
 
 from conftest import morley_dofmap, random_function
 from ncfem.afem import afem_loop, corner_fraction, uniform_study
-from ncfem.assembly import (Assembler, assemble_a_pw, assemble_b_pw_cr,
-                            assemble_jacobian, gamma_ns, gram_matrix)
+from ncfem.assembly import Assembler, assembler, gamma_ns
 from ncfem.estimators import (cr_apriori_terms, estimate_ns_morley,
                               estimate_vk_morley)
 from ncfem.interpolation import (cr_dof_values, morley_dof_values,
@@ -42,9 +41,8 @@ def ns_study():
     man = manufactured("ns_poly")
     mesh0 = refine(builtin_domain("unit_square"), 1)
     t0 = time.perf_counter()
-    records, detail = uniform_study(man.problem, mesh0, 6, exact=man.exact,
-                                    keep_all=True)
-    return {"man": man, "records": records, "detail": detail,
+    result = uniform_study(man.problem, mesh0, 6, exact=man.exact)
+    return {"man": man, "records": result.records, "result": result,
             "elapsed": time.perf_counter() - t0}
 
 
@@ -53,18 +51,17 @@ def vk_study():
     man = manufactured("vk_poly")
     mesh0 = refine(builtin_domain("unit_square"), 1)
     t0 = time.perf_counter()
-    records, detail = uniform_study(man.problem, mesh0, 6, exact=man.exact,
-                                    keep_all=True)
-    return {"man": man, "records": records, "detail": detail,
+    result = uniform_study(man.problem, mesh0, 6, exact=man.exact)
+    return {"man": man, "records": result.records, "result": result,
             "elapsed": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
 def cr_study():
     man = manufactured("cr_sine")
-    records, detail = uniform_study(man.problem, builtin_domain("unit_square"),
-                                    8, exact=man.exact, keep_all=True)
-    return {"man": man, "records": records, "detail": detail}
+    result = uniform_study(man.problem, builtin_domain("unit_square"), 8,
+                           exact=man.exact)
+    return {"man": man, "records": result.records, "result": result}
 
 
 def test_criterion_1_ns_convergence(ns_study):
@@ -92,7 +89,7 @@ def test_criterion_3_cr_convergence(cr_study):
     man = cr_study["man"]
     rate = records[-1].rate_error
     terms = [cr_apriori_terms(m, man.exact[0], man.problem)
-             for m in cr_study["detail"]["meshes"][-2:]]
+             for m in cr_study["result"].meshes[-2:]]
     p_rate = np.log2(terms[0][0] / terms[1][0])
     osc_rate = np.log2(terms[0][1] / terms[1][1])
     ok = (RATE_WINDOW[0] <= rate <= RATE_WINDOW[1]
@@ -108,7 +105,7 @@ def _newton_checks(study, label):
     ok_small = all(i <= 6 for i in iters)
     ok_mono = all(b <= a for a, b in zip(iters[2:], iters[3:]))
     ratios = []
-    for trace in study["detail"]["traces"]:
+    for trace in study["result"].traces:
         for k, dn in enumerate(trace.correction_norms[:-1]):
             if 1e-8 <= dn <= 1e-2:
                 ratios.append(trace.correction_norms[k + 1] / dn ** 2)
@@ -117,16 +114,16 @@ def _newton_checks(study, label):
 
 
 def _kantorovich_h_values(study, problem):
-    detail = study["detail"]
+    res = study["result"]
     hs = []
-    for lvl in range(1, len(detail["meshes"])):
-        h_max = geometry(detail["meshes"][lvl]).h_max
+    for lvl in range(1, len(res.meshes)):
+        h_max = geometry(res.meshes[lvl]).h_max
         if h_max > 0.125 + 1e-12:
             continue
-        U0 = transfer_morley(detail["meshes"][lvl - 1], detail["dofmaps"][lvl - 1],
-                             detail["solutions"][lvl - 1],
-                             detail["meshes"][lvl], detail["dofmaps"][lvl])
-        rep = kantorovich_report(detail["meshes"][lvl], detail["dofmaps"][lvl],
+        U0 = transfer_morley(res.meshes[lvl - 1], res.dofmaps[lvl - 1],
+                             res.solutions[lvl - 1],
+                             res.meshes[lvl], res.dofmaps[lvl])
+        rep = kantorovich_report(res.meshes[lvl], res.dofmaps[lvl],
                                  problem, U0, n_samples=1000, seed=0)
         hs.append((lvl, rep.h, rep.condition_met))
     return hs
@@ -171,10 +168,9 @@ def test_criterion_5_effectivity(ns_study, vk_study):
 
 def test_criterion_6_average_term_decay(ns_study):
     man = ns_study["man"]
-    detail = ns_study["detail"]
+    res = ns_study["result"]
     S = []
-    for mesh, dm, U in zip(detail["meshes"], detail["dofmaps"],
-                           detail["solutions"]):
+    for mesh, dm, U in zip(res.meshes, res.dofmaps, res.solutions):
         rep = estimate_ns_morley(mesh, dm, U, man.problem.f)
         S.append(np.sqrt(rep.avg_term_S_sq))
     rates = [np.log2(a / b) for a, b in zip(S[1:], S[2:])]
@@ -259,7 +255,7 @@ def test_criterion_7_identity_suite():
         dmx = build_dofmap(mesh, space)
         U = random_function(dmx, rng, n_components=problem.n_components,
                             scale=0.2)
-        J = assemble_jacobian(mesh, dmx, problem, U).toarray()
+        J = assembler(mesh, dmx, problem).jacobian(U).toarray()
         fd = fd_jacobian(mesh, dmx, problem, U)
         worst = max(worst, np.abs(J - fd).max() / max(1.0, np.abs(fd).max()))
     checks.append(("jacobian vs finite differences", worst, 1e-6))
@@ -279,9 +275,9 @@ def test_criterion_8_infsup_plateau():
     betas = []
     for _ in range(4):
         dm = build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
-        B = (assemble_a_pw(mesh, dm, man.problem)
-             + assemble_b_pw_cr(mesh, dm, man.problem)).T.tocsr()
-        G = gram_matrix(mesh, dm, man.problem)
+        asm = assembler(mesh, dm, man.problem)
+        B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+        G = asm.gram()
         betas.append(infsup_constant(B, G, G))
         mesh = uniform_refine(mesh)
     plateau = min(betas[-2:]) >= 0.9 * betas[-1]

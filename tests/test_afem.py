@@ -1,6 +1,8 @@
 import pytest
 
-from ncfem.afem import afem_loop, corner_fraction, uniform_study
+from conftest import patch_newton
+from ncfem.afem import (NewtonDivergence, afem_loop, corner_fraction,
+                        uniform_study)
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured, ns_unit_load
 
@@ -37,10 +39,34 @@ def test_afem_stops_at_budget():
     assert all(r.n_free <= 200 for r in res.records[:-1])
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+def test_afem_checks_theta_before_the_first_solve(theta, monkeypatch):
+    calls = patch_newton(monkeypatch)
+    for budget in (100, 100_000):
+        with pytest.raises(ValueError, match="theta"):
+            afem_loop(ns_unit_load(), refine(builtin_domain("l_shape"), 3),
+                      theta=theta, max_free_dofs=budget)
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("driver", ["afem", "uniform"])
+def test_divergence_carries_the_converged_levels(driver, monkeypatch):
+    patch_newton(monkeypatch, fail_from_level=2)
+    man = manufactured("ns_poly")
+    with pytest.raises(NewtonDivergence, match="did not converge") as info:
+        if driver == "afem":
+            afem_loop(man.problem, builtin_domain("unit_square"), 0.5,
+                      max_free_dofs=10_000, exact=man.exact)
+        else:
+            uniform_study(man.problem, builtin_domain("unit_square"), 4,
+                          exact=man.exact)
+    assert [r.level for r in info.value.records] == [0, 1]
+
+
 def test_uniform_study_levels_and_rates():
     man = manufactured("cr_sine")
     records = uniform_study(man.problem, builtin_domain("unit_square"), 3,
-                            exact=man.exact)
+                            exact=man.exact).records
     assert [r.level for r in records] == [0, 1, 2]
     assert records[0].rate_error is None and records[0].rate_eta is None
     assert records[1].rate_error is not None
@@ -51,7 +77,7 @@ def test_uniform_study_levels_and_rates():
 def test_uniform_study_single_level():
     man = manufactured("cr_sine")
     records = uniform_study(man.problem, builtin_domain("unit_square"), 1,
-                            exact=man.exact)
+                            exact=man.exact).records
     assert len(records) == 1
     assert records[0].rate_error is None
 

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cr_dofmap, morley_dofmap, random_function
-from ncfem.assembly import (Assembler, assemble_a_pw, assemble_b_pw_cr,
-                            assemble_jacobian, assemble_load,
-                            assemble_residual, gamma_ns, gamma_vk,
-                            gram_matrix)
+from ncfem.assembly import Assembler, assembler, gamma_ns, gamma_vk
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import energy_dual_norm, fd_jacobian, sparse_solve
@@ -35,7 +32,7 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
     rng = np.random.default_rng(0)
     for mesh in (square8, square32, lshape):
         dm = morley_dofmap(mesh)
-        A = assemble_a_pw(mesh, dm, NS)
+        A = assembler(mesh, dm, NS).a_matrix()
         dense = A.toarray()
         assert np.abs(dense - dense.T).max() < 1e-12
         assert np.linalg.eigvalsh(dense).min() > 0
@@ -54,11 +51,11 @@ def test_cr_stiffness_closed_form_reference_triangle():
 
 def test_b_pw_zero_and_mass(square8):
     dm = cr_dofmap(square8)
-    B0 = assemble_b_pw_cr(square8, dm, cr_problem())
+    B0 = assembler(square8, dm, cr_problem()).b_matrix()
     assert B0.nnz == 0 or np.abs(B0.toarray()).max() == 0.0
 
     one = lambda pts: np.ones(np.shape(pts)[:-1])
-    M = assemble_b_pw_cr(square8, dm, cr_problem(gamma=one)).toarray()
+    M = assembler(square8, dm, cr_problem(gamma=one)).b_matrix().toarray()
     assert np.abs(M - M.T).max() < 1e-12
     assert np.linalg.eigvalsh(M).min() > 0
 
@@ -67,8 +64,8 @@ def test_indefinite_symmetric_part(square32):
     mesh = refine(square32, 1)  # 128 triangles
     dm = cr_dofmap(mesh)
     problem = manufactured("cr_sine").problem
-    M = (assemble_a_pw(mesh, dm, problem)
-         + assemble_b_pw_cr(mesh, dm, problem)).toarray()
+    asm = assembler(mesh, dm, problem)
+    M = (asm.a_matrix() + asm.b_matrix()).toarray()
     sym = 0.5 * (M + M.T)
     assert np.linalg.eigvalsh(sym).min() < 0
 
@@ -148,17 +145,17 @@ def test_gamma_vk_structure(square8):
 def test_residual_zero_state_zero_load(square8):
     dm = morley_dofmap(square8)
     U = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    assert np.abs(assemble_residual(square8, dm, NS, U)).max() == 0.0
+    assert np.abs(assembler(square8, dm, NS).residual(U)).max() == 0.0
 
 
 def test_residual_vanishes_at_discrete_solution(square8):
     problem = manufactured("cr_sine").problem
     dm = cr_dofmap(square8)
-    A = (assemble_a_pw(square8, dm, problem)
-         + assemble_b_pw_cr(square8, dm, problem)).tocsc()
-    F = assemble_load(square8, dm, problem)
+    asm = assembler(square8, dm, problem)
+    A = (asm.a_matrix() + asm.b_matrix()).tocsc()
+    F = asm.load()
     u = DiscreteFunction(SpaceTag.CROUZEIX_RAVIART, 1, sparse_solve(A, F))
-    r = assemble_residual(square8, dm, problem, u)
+    r = asm.residual(u)
     assert np.abs(r).max() < 1e-10 * (1 + np.abs(F).max())
 
 
@@ -169,8 +166,8 @@ def test_residual_dual_norm_rate_at_interpolant():
     for _ in range(4):
         dm = morley_dofmap(mesh)
         U = morley_interpolate(mesh, dm, man.exact[0], edge_degree=10)
-        r = assemble_residual(mesh, dm, man.problem, U)
-        norms.append(energy_dual_norm(r, gram_matrix(mesh, dm, man.problem)))
+        asm = assembler(mesh, dm, man.problem)
+        norms.append(energy_dual_norm(asm.residual(U), asm.gram()))
         mesh = refine(mesh, 1)
     rate = np.log2(norms[-2] / norms[-1])
     assert rate > 0.8
@@ -187,7 +184,7 @@ def test_jacobian_matches_finite_differences(name, square8):
     for _ in range(20):
         U = random_function(dm, rng, n_components=problem.n_components,
                             scale=0.3)
-        J = assemble_jacobian(square8, dm, problem, U).toarray()
+        J = assembler(square8, dm, problem).jacobian(U).toarray()
         fd = fd_jacobian(square8, dm, problem, U)
         worst = max(worst, np.abs(J - fd).max() / max(1.0, np.abs(fd).max()))
     assert worst < 1e-6
@@ -196,8 +193,8 @@ def test_jacobian_matches_finite_differences(name, square8):
 def test_jacobian_at_zero_is_a_pw(square8):
     dm = morley_dofmap(square8)
     U0 = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    J = assemble_jacobian(square8, dm, NS, U0)
-    A = assemble_a_pw(square8, dm, NS)
+    J = assembler(square8, dm, NS).jacobian(U0)
+    A = assembler(square8, dm, NS).a_matrix()
     assert np.abs((J - A).toarray()).max() < 1e-14
 
 
@@ -207,10 +204,9 @@ def test_jacobian_affine_in_state(square8):
     U1, U2 = random_function(dm, rng), random_function(dm, rng)
     U12 = DiscreteFunction(SpaceTag.MORLEY, 1, U1.coeffs + U2.coeffs)
     U0 = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    combo = (assemble_jacobian(square8, dm, NS, U12)
-             - assemble_jacobian(square8, dm, NS, U1)
-             - assemble_jacobian(square8, dm, NS, U2)
-             + assemble_jacobian(square8, dm, NS, U0))
+    asm = assembler(square8, dm, NS)
+    combo = (asm.jacobian(U12) - asm.jacobian(U1) - asm.jacobian(U2)
+             + asm.jacobian(U0))
     assert np.abs(combo.toarray()).max() < 1e-12
 
 
@@ -218,8 +214,9 @@ def test_cr_jacobian_independent_of_state(square8):
     problem = manufactured("cr_sine").problem
     dm = cr_dofmap(square8)
     rng = np.random.default_rng(7)
-    J1 = assemble_jacobian(square8, dm, problem, random_function(dm, rng))
-    J2 = assemble_jacobian(square8, dm, problem, random_function(dm, rng))
+    asm = assembler(square8, dm, problem)
+    J1 = asm.jacobian(random_function(dm, rng))
+    J2 = asm.jacobian(random_function(dm, rng))
     assert np.abs((J1 - J2).toarray()).max() == 0.0
 
 
@@ -250,7 +247,7 @@ def test_piecewise_constant_coefficient_sampling(square8):
     p = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR, f=zero_load, A=ident,
                     gamma=gamma, piecewise_constant=True)
     dm = cr_dofmap(square8)
-    M = assemble_b_pw_cr(square8, dm, p).toarray()
+    M = assembler(square8, dm, p).b_matrix().toarray()
     # mass matrix with elementwise-constant weight: compare against manual sum
     from ncfem.assembly import Assembler as _A
     asm = _A(square8, dm, p)

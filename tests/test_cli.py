@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import patch_newton
 from ncfem.afem import ConvergenceRecord
 from ncfem.cli import main
 from ncfem.reporting import emit_plots, read_records_csv, write_records_csv
@@ -91,6 +92,19 @@ def test_cli_unknown_config_key(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("thetta = 0.5\n")
     assert main(["study", "--config", str(cfgfile)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--base-refinements", "-1"],
+    ["afem", "--base-refinements", "-1"],
+    ["solve", "--base-refinements", "-2"],
+    ["afem", "--max-free-dofs", "-5"],
+    ["afem", "--max-free-dofs", "0"],
+])
+def test_cli_bad_level_arguments_are_usage_errors(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_config_file_with_overrides(tmp_path):
@@ -213,6 +227,44 @@ def test_cli_afem_lshape_trajectory_pinned(tmp_path):
     records = read_records_csv(out / "afem_ns_unit_load_l_shape.csv")
     assert [r.n_free for r in records] == AFEM_LSHAPE_N_FREE
     assert [r.eta_total for r in records] == pytest.approx(AFEM_LSHAPE_ETA,
+                                                           rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["study", "--problem", "ns_poly", "--levels", "4"], "study_ns_poly.csv"),
+    (["afem", "--problem", "ns_unit_load", "--domain", "l_shape",
+      "--max-free-dofs", "300"], "afem_ns_unit_load_l_shape.csv"),
+])
+def test_cli_divergence_writes_partial_csv(argv, csv, tmp_path, monkeypatch,
+                                           capsys):
+    patch_newton(monkeypatch, fail_from_level=2)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "partial results" in capsys.readouterr().err
+    assert [r.level for r in read_records_csv(out / csv)] == [0, 1]
+    assert not list(out.glob("*.svg"))
+
+
+# The first 4 levels of the von Karman study of scripts/vk_convergence.py
+# (its 6-level run in perfbench/reference.json): the two-component transfer
+# and the h_max rates must keep every level the same.
+VK_STUDY_N_FREE = [9, 49, 225, 961]
+VK_STUDY_ERROR = [0.0950419326889216, 0.07322187834690867,
+                  0.03868775636336803, 0.019760062280822416]
+VK_STUDY_ETA = [2.671888423064828, 0.6958978594741206, 0.19809438580203353,
+                0.06929244675157563]
+
+
+def test_cli_vk_study_trajectory_pinned(tmp_path):
+    out = tmp_path / "out"
+    code = main(["study", "--problem", "vk_poly", "--levels", "4",
+                 "--base-refinements", "1", "--out", str(out)])
+    assert code == 0
+    records = read_records_csv(out / "study_vk_poly.csv")
+    assert [r.n_free for r in records] == VK_STUDY_N_FREE
+    assert [r.error_pw for r in records] == pytest.approx(VK_STUDY_ERROR,
+                                                          rel=1e-12)
+    assert [r.eta_total for r in records] == pytest.approx(VK_STUDY_ETA,
                                                            rel=1e-12)
 
 

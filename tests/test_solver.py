@@ -5,8 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from conftest import cr_dofmap, morley_dofmap
-from ncfem.assembly import (assemble_a_pw, assemble_b_pw_cr, assembler,
-                            gram_matrix)
+from ncfem.assembly import assembler
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
@@ -184,9 +183,9 @@ def test_infsup_rejects_indefinite_gram():
 def test_infsup_basis_change_invariance(square32):
     problem = manufactured("cr_sine").problem
     dm = cr_dofmap(square32)
-    B = (assemble_a_pw(square32, dm, problem)
-         + assemble_b_pw_cr(square32, dm, problem)).T.toarray()
-    G = gram_matrix(square32, dm, problem).toarray()
+    asm = assembler(square32, dm, problem)
+    B = (asm.a_matrix() + asm.b_matrix()).T.toarray()
+    G = asm.gram().toarray()
     beta = infsup_constant(B, G, G)
     rng = np.random.default_rng(8)
     n = B.shape[0]
@@ -198,9 +197,9 @@ def test_infsup_basis_change_invariance(square32):
 def test_infsup_iterative_path_matches_dense(square32):
     problem = manufactured("cr_sine").problem
     dm = cr_dofmap(square32)
-    B = (assemble_a_pw(square32, dm, problem)
-         + assemble_b_pw_cr(square32, dm, problem)).T.tocsr()
-    G = gram_matrix(square32, dm, problem)
+    asm = assembler(square32, dm, problem)
+    B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+    G = asm.gram()
     Bd, Gd = B.toarray(), G.toarray()
     A = Bd @ scipy.linalg.solve(Gd, Bd.T, assume_a="pos")
     lam = scipy.linalg.eigh(A, Gd, eigvals_only=True, subset_by_index=(0, 0))
@@ -210,9 +209,9 @@ def test_infsup_iterative_path_matches_dense(square32):
 def test_infsup_bitwise_deterministic(square32):
     problem = manufactured("cr_sine").problem
     dm = cr_dofmap(square32)
-    B = (assemble_a_pw(square32, dm, problem)
-         + assemble_b_pw_cr(square32, dm, problem)).T.tocsr()
-    G = gram_matrix(square32, dm, problem)
+    asm = assembler(square32, dm, problem)
+    B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+    G = asm.gram()
     first = infsup_constant(B, G, G)
     assert infsup_constant(B, G, G) == first
     # an unrelated ARPACK call in between must not shift the start vector
