@@ -33,7 +33,7 @@ from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
                      local_coefficients, space_of, volume_quadrature)
 
 __all__ = [
-    "Assembler", "assembler", "gamma_ns", "gamma_vk", "bracket_pairing",
+    "Assembler", "assembler", "gamma_ns", "gamma_vk",
 ]
 
 VOLUME_QUAD_DEGREE = 4
@@ -272,6 +272,44 @@ class Assembler:
         return (self.vk_b_pw(x1, t2, p1) + self.vk_b_pw(x2, t1, p1)
                 - self.vk_b_pw(x1, t1, p2))
 
+    def gamma_gradient(self, slot, x, y, z):
+        """Dual vector w with w_i = Gamma(..., phi_i, ...), the basis function
+        phi_i in `slot` (0, 1 or 2) and the other slots held at x, y, z; so
+        Gamma(x, y, z) = w . (coefficients of that slot's argument)."""
+        dm = self.dofmap
+        kind = self.problem.kind
+        if kind is ProblemKind.NAVIER_STOKES_MORLEY:
+            cx, cy, cz = (local_coefficients(dm, u) for u in (x, y, z))
+            if slot == 0:
+                loc = self.trH * np.einsum("tj,tjk,tk->t", cy, self.S, cz)[:, None]
+            else:
+                su = (np.einsum("tjk,tk->tj", self.S, cz) if slot == 1
+                      else np.einsum("tj,tjk->tk", cy, self.S))
+                loc = np.einsum("ti,ti->t", self.trH, cx)[:, None] * su
+            return _scatter_vector(loc, dm)
+        if kind is not ProblemKind.VON_KARMAN_MORLEY:
+            raise ValueError("the CR problem has no trilinear form")
+        p1, p2 = (local_coefficients(dm, z, c) for c in (0, 1))
+        iv1 = np.einsum("tk,tk->t", self.IV, p1)
+        iv2 = np.einsum("tk,tk->t", self.IV, p2)
+        if slot < 2:
+            # Gamma is symmetric in its first two slots (Br is symmetric)
+            o1, o2 = (local_coefficients(dm, y if slot == 0 else x, c)
+                      for c in (0, 1))
+            bo1 = np.einsum("tij,tj->ti", self.Br, o1)
+            bo2 = np.einsum("tij,tj->ti", self.Br, o2)
+            g1 = 0.5 * (iv2[:, None] * bo1 - iv1[:, None] * bo2)
+            g2 = -0.5 * iv1[:, None] * bo1
+        else:
+            x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
+            y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
+            q12 = np.einsum("ti,tij,tj->t", x1, self.Br, y2)
+            q21 = np.einsum("ti,tij,tj->t", x2, self.Br, y1)
+            q11 = np.einsum("ti,tij,tj->t", x1, self.Br, y1)
+            g1 = -0.5 * (q12 + q21)[:, None] * self.IV
+            g2 = 0.5 * q11[:, None] * self.IV
+        return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
+
 
 @lru_cache(maxsize=8)
 def assembler(mesh, dofmap, problem) -> Assembler:
@@ -295,12 +333,3 @@ def gamma_vk(mesh, dofmap, Xi, Theta, Phi, problem=None):
     """Coupled von Karman trilinear form on component pairs."""
     return assembler(mesh, dofmap, problem or _VK_PROBE).gamma_vk_value(Xi, Theta, Phi)
 
-
-def bracket_pairing(mesh, dofmap, u_loc, v_loc, problem=None):
-    """Elementwise constant von Karman bracket [u, v] for Morley coefficients."""
-    tab = basis_tables(mesh, SpaceTag.MORLEY)
-    hess = tab.hess
-    hu = np.einsum("tjab,tj->tab", hess, u_loc)
-    hv = np.einsum("tjab,tj->tab", hess, v_loc)
-    return (hu[:, 0, 0] * hv[:, 1, 1] + hu[:, 1, 1] * hv[:, 0, 0]
-            - 2.0 * hu[:, 0, 1] * hv[:, 0, 1])

@@ -169,8 +169,7 @@ def _cmd_solve(cfg: RunConfig):
     if exact is not None:
         err = broken_energy_error(mesh, dofmap, problem, U, exact)
         print(f"error_pw = {err:.6e}")
-    kant = solvemod.kantorovich_report(mesh, dofmap, problem, U,
-                                       seed=cfg.seed)
+    kant = solvemod.kantorovich_report(mesh, dofmap, problem, U)
     print(f"kantorovich: beta0 = {kant.beta0:.4e}, delta = {kant.delta:.3e}, "
           f"h = {kant.h:.3e}, condition_met = {kant.condition_met}")
     return 0

@@ -90,13 +90,12 @@ class ElementPolynomials:
         return out
 
 
-def l2_project(mesh, g, k: int, degree: int = 6) -> ElementPolynomials:
-    """Elementwise L2-orthogonal projection of g onto P_k, k in {0, 1}."""
+def _project(mesh, xq, wdx, gq, k: int) -> ElementPolynomials:
+    """Elementwise L2 projection onto P_k of g sampled as gq on the rule
+    (xq, wdx)."""
     if k not in (0, 1):
         raise ValueError("l2_project supports k in {0, 1}")
     geom = geometry(mesh)
-    xq, wdx = volume_quadrature(mesh, degree)
-    gq = g.value(xq) if hasattr(g, "value") else g(xq)
     center = mesh.vertices[mesh.triangles].mean(axis=1)
     scale = geom.h_T
     if k == 0:
@@ -112,18 +111,23 @@ def l2_project(mesh, g, k: int, degree: int = 6) -> ElementPolynomials:
     return ElementPolynomials(coeffs=coeffs, center=center, scale=scale, degree=k)
 
 
+def l2_project(mesh, g, k: int, degree: int = 6) -> ElementPolynomials:
+    """Elementwise L2-orthogonal projection of g onto P_k, k in {0, 1}."""
+    xq, wdx = volume_quadrature(mesh, degree)
+    return _project(mesh, xq, wdx, g.value(xq) if hasattr(g, "value") else g(xq), k)
+
+
 def oscillation(mesh, g, k: int, p: int, degree: int = 6):
     """Oscillation osc_k(g)^2 per element and its square-rooted total,
     osc_k(g) = || h^p (I - Pi_k) g ||, p = 1 for second-order and p = 2 for
     fourth-order problems."""
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
-    geom = geometry(mesh)
     xq, wdx = volume_quadrature(mesh, degree)
     gq = g.value(xq) if hasattr(g, "value") else g(xq)
-    proj = l2_project(mesh, g, k, degree=degree)
+    proj = _project(mesh, xq, wdx, gq, k)
     diff = gq - proj.evaluate(np.arange(mesh.n_triangles), xq)
-    per_element = geom.h_T ** (2 * p) * (wdx * diff ** 2).sum(axis=1)
+    per_element = geometry(mesh).h_T ** (2 * p) * (wdx * diff ** 2).sum(axis=1)
     return per_element, float(np.sqrt(per_element.sum()))
 
 

@@ -124,7 +124,7 @@ def _kantorovich_h_values(study, problem):
                              res.solutions[lvl - 1],
                              res.meshes[lvl], res.dofmaps[lvl])
         rep = kantorovich_report(res.meshes[lvl], res.dofmaps[lvl],
-                                 problem, U0, n_samples=1000, seed=0)
+                                 problem, U0)
         hs.append((lvl, rep.h, rep.condition_met))
     return hs
 
@@ -312,7 +312,7 @@ def test_criterion_10_discrete_embedding():
     ratios = []
     for _ in range(4):
         dm = morley_dofmap(mesh)
-        ratios.append(discrete_embedding_ratio(mesh, dm, n_samples=100, seed=0))
+        ratios.append(discrete_embedding_ratio(mesh, dm))
         mesh = uniform_refine(mesh)
     ok = max(ratios) <= 1.5 * ratios[0]
     report(10, ok, "sup/energy ratios per level "

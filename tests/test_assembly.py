@@ -108,7 +108,6 @@ def test_vk_bracket_constant_hessian_value():
     # full dof vector since the quadratic is not clamped
     m = refine(builtin_domain("unit_square"), 1)
     dm = morley_dofmap(m)
-    from ncfem.assembly import bracket_pairing
     from ncfem.interpolation import morley_dof_values
     from ncfem.problems import polynomial_field
 
@@ -116,7 +115,7 @@ def test_vk_bracket_constant_hessian_value():
     c = np.zeros((3, 3))
     c[2, 0], c[1, 1], c[0, 2] = 1.0, 3.0, -1.0
     cu = morley_dof_values(m, polynomial_field(c))[dm.element_dofs]
-    vals = bracket_pairing(m, dm, cu, cu)
+    vals = np.einsum("ti,tij,tj->t", cu, Assembler(m, dm, VK).Br, cu)
     assert np.allclose(vals, 2 * (-13.0), atol=1e-10)
 
 
@@ -140,6 +139,22 @@ def test_gamma_vk_structure(square8):
     expected = -asm.vk_b_pw(x1, t1, p2)
     assert gamma_vk(square8, dm, Xi0, Theta, Phi2) == pytest.approx(
         expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
+def test_gamma_gradient_matches_value(square32, problem, slot):
+    # Gamma is linear in each slot, so its gradient there, dotted with that
+    # slot's coefficients, gives Gamma back
+    rng = np.random.default_rng(slot)
+    dm = morley_dofmap(square32)
+    args = [random_function(dm, rng, n_components=problem.n_components)
+            for _ in range(3)]
+    asm = Assembler(square32, dm, problem)
+    value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)(*args)
+    w = asm.gamma_gradient(slot, *args)
+    assert w @ args[slot].coeffs == pytest.approx(value, rel=1e-12)
+    assert abs(value) > 1e-3 * np.linalg.norm(w)
 
 
 def test_residual_zero_state_zero_load(square8):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -165,11 +167,27 @@ def test_cli_infsup_wrong_problem(tmp_path):
     assert main(["infsup", "--problem", "ns_poly", "--out", str(tmp_path)]) == 2
 
 
+# the fields that perfbench/checks.py reads from `solve` output, by its regexes
+SOLVE_FIELDS = {
+    "n_free": r"n_free = (\d+)",
+    "eta_total": r"eta_total = (\S+)",
+    "error_pw": r"error_pw = (\S+)",
+    "beta0": r"beta0 = ([^,\s]+)",
+    "delta": r"delta = ([^,\s]+)",
+    "h": r"\bh = ([^,\s]+)",
+}
+
+
 def test_cli_solve(capsys):
     code = main(["solve", "--problem", "ns_poly", "--levels", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "newton_iters" in out and "eta_total" in out and "error_pw" in out
+    for key, pattern in SOLVE_FIELDS.items():
+        m = re.search(pattern, out)
+        assert m is not None, f"solve output lacks {key}"
+        value = float(m.group(1))
+        assert np.isfinite(value) and value > 0, f"{key} = {value}"
 
 
 def test_cli_verify_passes(capsys):
