@@ -311,7 +311,8 @@ class Assembler:
         return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
 
 
-@lru_cache(maxsize=8)
+# one entry: a level's lookups are consecutive, and finished levels are freed
+@lru_cache(maxsize=1)
 def assembler(mesh, dofmap, problem) -> Assembler:
     return Assembler(mesh, dofmap, problem)
 

@@ -3,7 +3,11 @@
 All norms here are energy norms: the Gram matrix G is the assembled piecewise
 energy form (broken H^2 for Morley, A-weighted broken H^1 for CR), residuals
 are measured in the G-dual norm sqrt(r^T G^-1 r) and corrections in
-sqrt(d^T G d).
+sqrt(d^T G d).  G is SPD, so every factorization of it (_gram_factor) is
+SuperLU without pivoting: the rows follow the COLAMD column order, which
+leaves less fill than partial pivoting.  newton_solve factors G once and
+reuses the factor for every residual norm; each Newton step solves with the
+Jacobian through sparse_solve (partial pivoting, since J is not symmetric).
 
 The Kantorovich report computes
   beta0  smallest singular value of the Jacobian between energy norms,
@@ -75,12 +79,20 @@ def sparse_solve(A, rhs):
     return x
 
 
+def _gram_factor(G):
+    """SuperLU factor of an energy Gram matrix without pivoting.  G is SPD, so
+    every pivot of its Cholesky-like LU is positive and the rows may follow
+    the COLAMD column order (perm_r == perm_c); partial pivoting would only
+    add fill.  A singular G raises RuntimeError."""
+    return spla.splu(_as_csc(G), diag_pivot_thresh=0.0)
+
+
 def energy_dual_norm(residual, gram):
     """sqrt(r^T G^-1 r) for an SPD Gram matrix G."""
     residual = np.asarray(residual, dtype=float)
     if not np.any(residual):
         return 0.0
-    x = sparse_solve(gram, residual)
+    x = _gram_factor(gram).solve(residual)
     return float(np.sqrt(max(residual @ x, 0.0)))
 
 
@@ -111,7 +123,7 @@ def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
             raise ValueError("initial iterate does not match the dof map")
         U = U0
     G = asm.gram()
-    Glu = spla.splu(G.tocsc())
+    Glu = _gram_factor(G)
 
     def dual(r):
         return float(np.sqrt(max(r @ Glu.solve(r), 0.0)))
@@ -158,7 +170,7 @@ def gamma_norm_lower_bound(mesh, dofmap, problem):
     value = (asm.gamma_ns_value if kind is ProblemKind.NAVIER_STOKES_MORLEY
              else asm.gamma_vk_value)
     G = asm.gram()
-    Glu = spla.splu(G.tocsc())
+    Glu = _gram_factor(G)
     n = dofmap.n_free * problem.n_components
 
     def wrap(c):
@@ -227,13 +239,13 @@ def kantorovich_report(mesh, dofmap, problem, U0=None):
 
 
 def _spd_factor(M, name):
-    """SuperLU factor of a sparse M; ValueError unless M is SPD.  With
-    diag_pivot_thresh=0 an SPD M keeps perm_r == perm_c, and by Sylvester's
-    law of inertia it is SPD iff every pivot in diag(U) is positive."""
+    """_gram_factor of a sparse M; ValueError unless M is SPD.  Without
+    pivoting an SPD M keeps perm_r == perm_c, and by Sylvester's law of
+    inertia it is SPD iff every pivot in diag(U) is positive."""
     if abs(M - M.T).max() > 1e-10 * max(abs(M).max(), 1.0):
         raise ValueError(f"{name} is not symmetric")
     try:
-        lu = spla.splu(M, diag_pivot_thresh=0.0)
+        lu = _gram_factor(M)
     except RuntimeError as exc:
         raise ValueError(f"{name} is not positive definite") from exc
     if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
@@ -303,7 +315,7 @@ def discrete_embedding_ratio(mesh, dofmap, problem=None):
     if n == 0:
         return 0.0
     asm = assembler(mesh, dofmap, problem or _NS_PROBE)
-    Glu = spla.splu(asm.gram()[:n, :n].tocsc())
+    Glu = _gram_factor(asm.gram()[:n, :n])
     tab = basis_tables(mesh, dofmap.space)
     rule = quad_triangle(4)
     bary = np.vstack([np.eye(3), 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0)),

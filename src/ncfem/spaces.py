@@ -259,7 +259,8 @@ class _P0Tables:
         return np.zeros(np.shape(tris) + (1, 2, 2))
 
 
-@lru_cache(maxsize=8)
+# one entry: a level's lookups are consecutive, and finished levels are freed
+@lru_cache(maxsize=1)
 def basis_tables(mesh: Triangulation, space: SpaceTag):
     if space is SpaceTag.MORLEY:
         return _MorleyTables(mesh)

@@ -3,8 +3,10 @@ import pytest
 from conftest import patch_newton
 from ncfem.afem import (NewtonDivergence, afem_loop, corner_fraction,
                         uniform_study)
+from ncfem.assembly import assembler
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured, ns_unit_load
+from ncfem.spaces import basis_tables
 
 
 def test_afem_cr_linear_one_newton_iteration_per_level():
@@ -80,6 +82,18 @@ def test_uniform_study_single_level():
                             exact=man.exact).records
     assert len(records) == 1
     assert records[0].rate_error is None
+
+
+def test_finished_levels_are_not_cached():
+    man = manufactured("ns_poly")
+    assembler.cache_clear()
+    basis_tables.cache_clear()
+    uniform_study(man.problem, builtin_domain("unit_square"), 3,
+                  exact=man.exact)
+    asm, tab = assembler.cache_info(), basis_tables.cache_info()
+    # one miss per level and no recomputation within a level
+    assert (asm.misses, asm.hits, asm.currsize) == (3, 0, 1)
+    assert (tab.misses, tab.currsize) == (3, 1)
 
 
 def test_corner_fraction_geometry():

@@ -9,10 +9,11 @@ from ncfem.assembly import assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
-from ncfem.solve import (GAMMA_MAX_ROUNDS, discrete_embedding_ratio,
-                         energy_dual_norm, gamma_norm_lower_bound,
-                         infsup_constant, kantorovich_report, newton_solve,
-                         sparse_solve)
+import ncfem.solve
+from ncfem.solve import (GAMMA_MAX_ROUNDS, _gram_factor,
+                         discrete_embedding_ratio, energy_dual_norm,
+                         gamma_norm_lower_bound, infsup_constant,
+                         kantorovich_report, newton_solve, sparse_solve)
 from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
                           local_coefficients)
 from ncfem.quadrature import quad_triangle
@@ -64,6 +65,72 @@ def test_energy_dual_norm_basics():
 def test_energy_dual_norm_weighted():
     G = sp.diags([4.0, 1.0]).tocsr()
     assert energy_dual_norm(np.array([2.0, 0.0]), G) == pytest.approx(1.0)
+
+
+def test_energy_dual_norm_singular_gram_raises():
+    G = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(RuntimeError, match="singular"):
+        energy_dual_norm(np.array([1.0, 0.0]), G)
+
+
+GRAMS = {"ns": (NS, morley_dofmap), "vk": (VK, morley_dofmap),
+         "cr": (manufactured("cr_sine").problem, cr_dofmap)}
+
+
+@pytest.mark.parametrize("name", sorted(GRAMS))
+def test_gram_factor_keeps_column_order_and_solves(square32, name):
+    problem, dofmap = GRAMS[name]
+    G = assembler(square32, dofmap(square32), problem).gram()
+    lu = _gram_factor(G)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    b = np.random.default_rng(0).standard_normal(G.shape[0])
+    x = scipy.sparse.linalg.spsolve(G.tocsc(), b)
+    assert np.linalg.norm(lu.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_gram_factor_fills_less_than_partial_pivoting():
+    mesh = refine(builtin_domain("unit_square"), 3)
+    G = assembler(mesh, morley_dofmap(mesh), NS).gram()
+    lu, pivoted = _gram_factor(G), scipy.sparse.linalg.splu(G.tocsc())
+    assert lu.L.nnz + lu.U.nnz < pivoted.L.nnz + pivoted.U.nnz
+
+
+class CountingSpla:
+    """Stands in for scipy.sparse.linalg inside ncfem.solve, as the
+    benchmark's tracer does, and counts the calls its spans see."""
+
+    def __init__(self):
+        self.calls = {"splu": 0, "spsolve": 0}
+
+    def __getattr__(self, name):
+        fn = getattr(scipy.sparse.linalg, name)
+        if name not in self.calls:
+            return fn
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
+                                                           monkeypatch):
+    spla = CountingSpla()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    problem = manufactured(name).problem
+    dofmap = cr_dofmap if name == "cr_sine" else morley_dofmap
+    _, trace = newton_solve(square32, dofmap(square32), problem)
+    assert trace.converged and trace.iterations >= 1
+    assert spla.calls == {"splu": 1, "spsolve": trace.iterations}
+
+
+def test_kantorovich_report_factors_and_solves(square8, monkeypatch):
+    spla = CountingSpla()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    man = manufactured("ns_poly")
+    kantorovich_report(square8, morley_dofmap(square8), man.problem)
+    assert spla.calls["splu"] >= 1 and spla.calls["spsolve"] >= 1
 
 
 def test_newton_linear_problem_one_iteration(square8):
