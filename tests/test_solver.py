@@ -5,12 +5,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from conftest import cr_dofmap, morley_dofmap
+from ncfem.afem import afem_loop
 from ncfem.assembly import assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
-from ncfem.problems import ProblemKind, ProblemSpec, manufactured
+from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
 from ncfem.interpolation import morley_interpolate
 import ncfem.solve
-from ncfem.solve import (GAMMA_MAX_ROUNDS, _gram_factor,
+from ncfem.solve import (GAMMA_MAX_ROUNDS, _equilibrate, _gram_factor,
                          discrete_embedding_ratio, energy_dual_norm,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
@@ -95,28 +96,118 @@ def test_gram_factor_fills_less_than_partial_pivoting():
     assert lu.L.nnz + lu.U.nnz < pivoted.L.nnz + pivoted.U.nnz
 
 
-class CountingSpla:
+class SplaSpy:
     """Stands in for scipy.sparse.linalg inside ncfem.solve, as the
-    benchmark's tracer does, and counts the calls its spans see."""
+    benchmark's tracer does, and records the calls its spans see; `perturb`
+    is added to the first spsolve solution."""
 
-    def __init__(self):
-        self.calls = {"splu": 0, "spsolve": 0}
+    def __init__(self, perturb=0.0):
+        self.args = {"splu": [], "spsolve": []}
+        self.perturb = perturb
+
+    @property
+    def calls(self):
+        return {name: len(seen) for name, seen in self.args.items()}
 
     def __getattr__(self, name):
         fn = getattr(scipy.sparse.linalg, name)
-        if name not in self.calls:
+        if name not in self.args:
             return fn
 
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return fn(*args, **kwargs)
-        return counted
+        def recorded(*args, **kwargs):
+            self.args[name].append((args, kwargs))
+            out = fn(*args, **kwargs)
+            if name == "spsolve" and len(self.args[name]) == 1:
+                out = out + self.perturb
+            return out
+        return recorded
+
+
+@pytest.fixture(scope="module")
+def graded_ns():
+    """Jacobian and Gram of ns_unit_load at the last level (1249 dofs) of an
+    adaptive NVB run on the L-shape."""
+    problem = ns_unit_load()
+    res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000)
+    assert res.records[-1].n_free == 1249
+    asm = assembler(res.meshes[-1], res.dofmaps[-1], problem)
+    return asm.jacobian(res.solutions[-1]).tocsc(), asm.gram()
+
+
+def assert_equilibrated(As):
+    diag = np.abs(As.diagonal())
+    diag = diag[diag > 0]
+    assert diag.min() >= 0.5 and diag.max() <= 2.0
+
+
+def test_sparse_solve_equilibrates_by_powers_of_two(graded_ns, monkeypatch):
+    J, _ = graded_ns
+    diag = np.abs(J.diagonal())
+    assert diag.max() > 16.0 * diag.min()        # unscaled, it spreads
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    sparse_solve(J, np.ones(J.shape[0]))
+    [((As, d), _)] = spla.args["spsolve"]          # d * rhs = d
+    assert np.all(np.frexp(d)[0] == 0.5)
+    assert abs(As - sp.diags(d) @ J @ sp.diags(d)).max() == 0.0
+    assert_equilibrated(As)
+
+
+def test_equilibration_cuts_jacobian_fill(graded_ns):
+    J, _ = graded_ns
+    plain = scipy.sparse.linalg.splu(J)
+    scaled = scipy.sparse.linalg.splu(_equilibrate(J)[0])
+    assert scaled.L.nnz + scaled.U.nnz <= 0.75 * (plain.L.nnz + plain.U.nnz)
+
+
+def test_sparse_solve_retry_uses_the_scaled_matrix(graded_ns, monkeypatch):
+    J, _ = graded_ns
+    spla = SplaSpy(perturb=1e-3)
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    b = np.random.default_rng(0).standard_normal(J.shape[0])
+    x = sparse_solve(J, b)
+    first, retry = spla.args["spsolve"]
+    assert retry[0][0] is first[0][0]
+    assert np.abs(J @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
+
+
+def test_sparse_solve_matches_plain_spsolve_bitwise_on_cr():
+    """Pivots stay on the diagonal of this J unscaled, so scaling by powers
+    of two must not change a bit; any other scaling would."""
+    mesh = refine(builtin_domain("unit_square"), 4)
+    dm = cr_dofmap(mesh)
+    U = DiscreteFunction(dm.space, 1, np.zeros(dm.n_free))
+    J = assembler(mesh, dm, manufactured("cr_sine").problem).jacobian(U).tocsc()
+    assert not np.all(_equilibrate(J)[1] == 1.0)
+    b = np.random.default_rng(0).standard_normal(J.shape[0])
+    assert np.array_equal(sparse_solve(J, b),
+                          scipy.sparse.linalg.spsolve(J, b))
+
+
+@pytest.mark.parametrize("M", [
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[400.0, 1.0, 3.0], [1.0, 0.01, 2.0], [3.0, 2.0, 0.0]],   # saddle point
+])
+def test_sparse_solve_zero_diagonal(M):
+    M = np.array(M)
+    b = np.arange(1.0, len(M) + 1.0)
+    assert np.allclose(sparse_solve(sp.csr_matrix(M), b),
+                       np.linalg.solve(M, b), rtol=1e-12, atol=0.0)
+
+
+def test_infsup_factors_the_equilibrated_b(graded_ns, monkeypatch):
+    J, G = graded_ns
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    infsup_constant(J.T, G, G)
+    [b_factor] = [args[0] for args, kwargs in spla.args["splu"] if not kwargs]
+    assert_equilibrated(b_factor)
 
 
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
                                                            monkeypatch):
-    spla = CountingSpla()
+    spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     problem = manufactured(name).problem
     dofmap = cr_dofmap if name == "cr_sine" else morley_dofmap
@@ -126,7 +217,7 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
 
 
 def test_kantorovich_report_factors_and_solves(square8, monkeypatch):
-    spla = CountingSpla()
+    spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     man = manufactured("ns_poly")
     kantorovich_report(square8, morley_dofmap(square8), man.problem)
