@@ -39,6 +39,7 @@ __all__ = [
 
 ESTIMATOR_VOLUME_DEGREE = 6
 ESTIMATOR_EDGE_DEGREE = 4
+MORLEY_OSC_K = 0    # the Morley estimators report osc_0(f)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +84,7 @@ def _lap_grad_at_edges(mesh, dofmap, c_loc, tris, pts):
     return lap[tris][:, None, None] * grad
 
 
-def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f,
-                       osc_k: int = 0) -> EstimatorReport:
+def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f) -> EstimatorReport:
     if dofmap.space is not SpaceTag.MORLEY or u_M.n_components != 1:
         raise ValueError("estimate_ns_morley needs a scalar Morley function")
     geom = geometry(mesh)
@@ -116,7 +116,7 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f,
     avg_sq = geom.h_E ** 3 * (geom.h_E * (at ** 2 @ erule.weights))
     eta_E_sq = eta_E_sq + jump_sq + avg_sq
 
-    _, osc = oscillation(mesh, f, k=osc_k, p=2)
+    _, osc = oscillation(mesh, f, k=MORLEY_OSC_K, p=2)
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=eta_E_sq,
                            avg_term_S_sq=float(avg_sq.sum()),
                            osc_sq=float(osc ** 2),
@@ -125,7 +125,7 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f,
 
 
 def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
-                       g=None, osc_k: int = 0) -> EstimatorReport:
+                       g=None) -> EstimatorReport:
     if dofmap.space is not SpaceTag.MORLEY or Psi.n_components != 2:
         raise ValueError("estimate_vk_morley needs a Morley component pair")
     geom = geometry(mesh)
@@ -156,10 +156,10 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
     eta_E_sq = (_hessian_jump_term(mesh, geom, Hu, t_plus, t_minus)
                 + _hessian_jump_term(mesh, geom, Hv, t_plus, t_minus))
 
-    _, osc_f = oscillation(mesh, f, k=osc_k, p=2)
+    _, osc_f = oscillation(mesh, f, k=MORLEY_OSC_K, p=2)
     osc_sq = osc_f ** 2
     if g is not None:
-        _, osc_g = oscillation(mesh, g, k=osc_k, p=2)
+        _, osc_g = oscillation(mesh, g, k=MORLEY_OSC_K, p=2)
         osc_sq += osc_g ** 2
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=eta_E_sq,
                            avg_term_S_sq=0.0, osc_sq=float(osc_sq),
@@ -167,11 +167,11 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
                                                    + eta_E_sq.sum())))
 
 
-def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec, degree: int):
+def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec):
     """Weighted quadrature values (nt, nq) of |p - Pi_0 p|^2 with
     p = A grad(u) + u b, and osc_1(f - gamma u) per element and in total."""
     geom = geometry(mesh)
-    xq, wdx = volume_quadrature(mesh, degree)
+    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
 
     grad = u_exact.gradient(xq)
     val = u_exact.value(xq)
@@ -187,25 +187,24 @@ def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec, degree: int):
             out = out - problem.gamma(pts) * u_exact.value(pts)
         return out
 
-    osc_el, osc1 = oscillation(mesh, data, k=1, p=1, degree=degree)
+    osc_el, osc1 = oscillation(mesh, data, k=1, p=1)
     return wdx * np.einsum("tqa,tqa->tq", diff, diff), osc_el, osc1
 
 
-def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec, degree: int = 6):
+def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
     """Diagnostic terms || p - Pi_0 p || with p = A grad(u) + u b, and
     osc_1(f - gamma u), sampled from the exact solution."""
     if problem.kind is not ProblemKind.SECOND_ORDER_CR:
         raise ValueError("cr_apriori_terms applies to the CR problem")
-    p_sq, _, osc1 = _cr_apriori_integrands(mesh, u_exact, problem, degree)
+    p_sq, _, osc1 = _cr_apriori_integrands(mesh, u_exact, problem)
     return float(np.sqrt(p_sq.sum())), osc1
 
 
-def broken_energy_error(mesh, dofmap, problem, U: DiscreteFunction, exact,
-                        degree: int = 6):
+def broken_energy_error(mesh, dofmap, problem, U: DiscreteFunction, exact):
     """Broken energy error against a manufactured solution: the piecewise H^2
     seminorm distance for Morley (summed over components), the A-weighted
     piecewise H^1 distance for CR."""
-    xq, wdx = volume_quadrature(mesh, degree)
+    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
     fields = exact if isinstance(exact, (tuple, list)) else (exact,)
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:
@@ -241,7 +240,7 @@ def estimate(mesh, dofmap, problem: ProblemSpec, U: DiscreteFunction,
         return estimate_vk_morley(mesh, dofmap, U, problem.f, problem.g)
     if exact is not None:
         fields = exact if isinstance(exact, (tuple, list)) else (exact,)
-        p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, fields[0], problem, 6)
+        p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, fields[0], problem)
         eta_K_sq = p_sq.sum(axis=1) + osc_el
         osc_sq = float(osc1 ** 2)
     else:

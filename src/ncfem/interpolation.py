@@ -25,6 +25,8 @@ __all__ = [
     "transfer_morley",
 ]
 
+PROJECTION_DEGREE = 6   # volume rule of l2_project and oscillation
+
 
 def _edge_points(mesh, rule):
     a = mesh.vertices[mesh.edges[:, 0]]
@@ -111,19 +113,19 @@ def _project(mesh, xq, wdx, gq, k: int) -> ElementPolynomials:
     return ElementPolynomials(coeffs=coeffs, center=center, scale=scale, degree=k)
 
 
-def l2_project(mesh, g, k: int, degree: int = 6) -> ElementPolynomials:
+def l2_project(mesh, g, k: int) -> ElementPolynomials:
     """Elementwise L2-orthogonal projection of g onto P_k, k in {0, 1}."""
-    xq, wdx = volume_quadrature(mesh, degree)
+    xq, wdx = volume_quadrature(mesh, PROJECTION_DEGREE)
     return _project(mesh, xq, wdx, g.value(xq) if hasattr(g, "value") else g(xq), k)
 
 
-def oscillation(mesh, g, k: int, p: int, degree: int = 6):
+def oscillation(mesh, g, k: int, p: int):
     """Oscillation osc_k(g)^2 per element and its square-rooted total,
     osc_k(g) = || h^p (I - Pi_k) g ||, p = 1 for second-order and p = 2 for
     fourth-order problems."""
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
-    xq, wdx = volume_quadrature(mesh, degree)
+    xq, wdx = volume_quadrature(mesh, PROJECTION_DEGREE)
     gq = g.value(xq) if hasattr(g, "value") else g(xq)
     proj = _project(mesh, xq, wdx, gq, k)
     diff = gq - proj.evaluate(np.arange(mesh.n_triangles), xq)

@@ -15,6 +15,10 @@ The newest-vertex rule: when a triangle is bisected at the midpoint of its
 refinement edge, the midpoint becomes the newest vertex of both children and
 each child's refinement edge is its edge opposite that midpoint.
 
+`bisect` works on arrays alone (after Funken, Praetorius and Wissgott, 2011);
+its four-slot rule numbers the children as cutting one triangle at a time,
+depth first, does, so every table comes out the same.
+
 Text file format: 'nv nt' on the first line, then nv lines 'x y', then nt
 lines 'i j k [r]' with optional refinement-edge index r in {0,1,2}.  Comments
 start with '#'.  `r` is given on every triangle row or on none; a malformed file
@@ -22,7 +26,7 @@ raises ValueError naming the file and line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -253,25 +257,33 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
 def bisect(mesh: Triangulation, marked) -> Triangulation:
     """Bisect the marked triangles, with conforming closure.
 
-    Every marked triangle is bisected through its refinement edge at least
-    once.  The closure marks the refinement edge of any triangle one of whose
-    edges is marked, until a fixed point is reached; afterwards each triangle
-    holds 0, 1, 2 or 3 marked edges and is split into 1, 2, 3 or 4 children
-    whose refinement edges follow the newest-vertex rule.
+    `marked` holds integer triangle indices (array, list, range or set); a
+    mask or a non-integral index raises ValueError.  The closure marks the
+    refinement edge of every marked triangle, and of any triangle with a
+    marked edge, until a fixed point.  A triangle with peak p and refinement
+    edge (a, b) is then cut at the midpoint m of (a, b) if that is marked,
+    and its halves at the midpoints ma of (p, a) and mb of (b, p) where
+    marked; its children (triangle, local refinement edge) fill four slots:
+        0: unsplit (tri, ref); else (p, a, m), 2, or with ma (m, p, ma), 2
+        1: with ma (m, ma, a), 1
+        2: if split (p, m, b), 1, or with mb (m, b, mb), 2
+        3: with mb (m, mb, p), 1
+    Read in triangle and slot order, the filled slots list the children as
+    cutting one triangle at a time, depth first, left before right, does.
     """
-    marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
-    if len(marked) and (marked.min() < 0 or marked.max() >= mesh.n_triangles):
+    nt = mesh.n_triangles
+    marked = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked)
+    if marked.size == 0:
+        return replace(mesh, parent=np.arange(nt))
+    if marked.ndim != 1 or marked.dtype.kind not in "iu":
+        raise ValueError("marked must hold integer triangle indices, not a mask")
+    if marked.min() < 0 or marked.max() >= nt:
         raise ValueError("marked triangle index out of range")
-    if len(marked) == 0:
-        return Triangulation(mesh.vertices, mesh.triangles, mesh.ref_edge,
-                             mesh.edges, mesh.edge_of_triangle,
-                             mesh.triangles_of_edge, mesh.boundary_edge,
-                             mesh.boundary_vertex,
-                             parent=np.arange(mesh.n_triangles))
 
     eot = mesh.edge_of_triangle
     ref = mesh.ref_edge
-    ref_global = eot[np.arange(mesh.n_triangles), ref]
+    rows = np.arange(nt)
+    ref_global = eot[rows, ref]
 
     marked_edge = np.zeros(mesh.n_edges, dtype=bool)
     marked_edge[ref_global[marked]] = True
@@ -285,53 +297,24 @@ def bisect(mesh: Triangulation, marked) -> Triangulation:
     marked_ids = np.flatnonzero(marked_edge)
     mid_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
     mid_of_edge[marked_ids] = mesh.n_vertices + np.arange(len(marked_ids))
-    midpoints = 0.5 * (mesh.vertices[mesh.edges[marked_ids, 0]]
-                       + mesh.vertices[mesh.edges[marked_ids, 1]])
-    vertices = np.vstack([mesh.vertices, midpoints])
+    vertices = np.vstack([mesh.vertices, mesh.vertices[mesh.edges[marked_ids]].mean(axis=1)])
 
-    new_tris, new_ref, new_parent = [], [], []
+    p, a, b = (mesh.triangles[rows, (ref + i) % 3] for i in range(3))
+    m = mid_of_edge[ref_global]
+    ma = mid_of_edge[eot[rows, (ref + 2) % 3]]
+    mb = mid_of_edge[eot[rows, (ref + 1) % 3]]
+    split = m >= 0
+    slots = np.array([
+        np.where(split, np.where(ma < 0, [p, a, m], [m, p, ma]), mesh.triangles.T),
+        [m, ma, a],
+        np.where(mb < 0, [p, m, b], [m, b, mb]),
+        [m, mb, p]], dtype=np.int64)                          # (slot, vertex, t)
+    slot_ref = np.array([np.where(split, 2, ref), np.full(nt, 1),
+                         np.where(mb < 0, 1, 2), np.full(nt, 1)], dtype=np.int64)
+    keep = np.stack([np.ones(nt, dtype=bool), ma >= 0, split, mb >= 0], axis=1)
 
-    def emit(tri, r, parent_t):
-        new_tris.append(tri)
-        new_ref.append(r)
-        new_parent.append(parent_t)
-
-    def split(p, a, b, edge_pa, edge_bp, m, t):
-        """Bisect CCW triangle (p, a, b) with refinement edge (a, b) at m.
-
-        edge_pa / edge_bp are the global ids of the remaining two edges (or -1
-        for edges created by an earlier split, which are never marked)."""
-        for peak, base0, base1, contained in (
-                (p, a, m, edge_pa),   # child (p, a, m), refinement edge (p, a)
-                (p, m, b, edge_bp)):  # child (p, m, b), refinement edge (b, p)
-            if contained >= 0 and marked_edge[contained]:
-                m2 = mid_of_edge[contained]
-                if base1 == m:   # child (p, a, m): split edge (p, a)
-                    split(base1, peak, base0, -1, -1, m2, t)
-                else:            # child (p, m, b): split edge (b, p)
-                    split(base0, base1, peak, -1, -1, m2, t)
-            else:
-                if base1 == m:
-                    emit((peak, base0, base1), 2, t)  # ref edge (p, a), opposite m
-                else:
-                    emit((peak, base0, base1), 1, t)  # ref edge (b, p), opposite m
-
-    for t in range(mesh.n_triangles):
-        e_ref = ref_global[t]
-        if not marked_edge[e_ref]:
-            emit(tuple(mesh.triangles[t]), ref[t], t)
-            continue
-        k = ref[t]
-        p = mesh.triangles[t, k]
-        a = mesh.triangles[t, (k + 1) % 3]
-        b = mesh.triangles[t, (k + 2) % 3]
-        split(p, a, b, eot[t, (k + 2) % 3], eot[t, (k + 1) % 3],
-              mid_of_edge[e_ref], t)
-
-    out = _finalize(vertices,
-                    np.asarray(new_tris, dtype=np.int64),
-                    np.asarray(new_ref, dtype=np.int64),
-                    parent=np.asarray(new_parent, dtype=np.int64))
+    out = _finalize(vertices, np.moveaxis(slots, 2, 0)[keep], slot_ref.T[keep],
+                    parent=np.repeat(rows, keep.sum(axis=1)))
     assert abs(out.n_vertices - mesh.n_vertices - len(marked_ids)) == 0
     return out
 
@@ -340,11 +323,7 @@ def uniform_refine(mesh: Triangulation) -> Triangulation:
     """Two bisection sweeps over all triangles: quarters every triangle."""
     first = bisect(mesh, range(mesh.n_triangles))
     second = bisect(first, range(first.n_triangles))
-    parent = first.parent[second.parent]
-    return Triangulation(second.vertices, second.triangles, second.ref_edge,
-                         second.edges, second.edge_of_triangle,
-                         second.triangles_of_edge, second.boundary_edge,
-                         second.boundary_vertex, parent=parent)
+    return replace(second, parent=first.parent[second.parent])
 
 
 def refine(mesh: Triangulation, levels: int) -> Triangulation:

@@ -1,10 +1,15 @@
+import ast
+import importlib
+import inspect
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import patch_newton
 from ncfem.afem import ConvergenceRecord
+from ncfem.assembly import Assembler
 from ncfem.cli import main
 from ncfem.reporting import emit_plots, read_records_csv, write_records_csv
 
@@ -302,3 +307,39 @@ def test_cli_malformed_mesh_file_is_usage_error(text, line, tmp_path, capsys):
                  "--levels", "1", "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"{path}:{line}:" in capsys.readouterr().err
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_assignment(filename, name):
+    """The right-hand side of the module-level `name = ...` in a perfbench
+    file, parsed without importing it."""
+    for node in ast.parse((PERFBENCH / filename).read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{filename} assigns no {name}")
+
+
+def test_benchmark_spans_resolve():
+    """Every span the benchmark requires names a public function of its ncfem
+    module or a public Assembler method, so that the tracer wraps it; every
+    span whose hit ratio it reports is an lru_cache'd function."""
+    spans = [ast.literal_eval(k) for k in _perfbench_assignment("run.py", "REQUIRED_SPANS").keys]
+    cached = ast.literal_eval(_perfbench_assignment("tracer.py", "CACHED"))
+    assert spans and cached
+    for span in spans:
+        if span in ("solve.splu", "solve.spsolve"):   # scipy calls, proxied
+            continue
+        layer, name = span.split(".")
+        assert not name.startswith("_"), span
+        module = importlib.import_module(f"ncfem.{layer}")
+        obj = getattr(module, name, None)
+        if (inspect.isfunction(obj) or hasattr(obj, "cache_info")) \
+                and obj.__module__ == module.__name__:
+            continue
+        assert layer == "assembly" and inspect.isfunction(vars(Assembler).get(name)), span
+    for span in cached:
+        layer, name = span.split(".")
+        assert hasattr(getattr(importlib.import_module(f"ncfem.{layer}"), name), "cache_info"), span

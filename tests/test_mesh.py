@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncfem.mesh import (_hanging_node_check, bisect, build_from_arrays,
-                        builtin_domain, geometry, read_mesh, refine,
-                        uniform_refine, write_mesh)
+from ncfem.mesh import (_finalize, _hanging_node_check, bisect,
+                        build_from_arrays, builtin_domain, geometry, read_mesh,
+                        refine, uniform_refine, write_mesh)
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -101,6 +101,19 @@ def test_bisect_empty_is_identity():
     assert np.array_equal(m2.vertices, m.vertices)
 
 
+def test_bisect_rejects_masks_and_non_integral_indices():
+    m = uniform_refine(builtin_domain("l_shape"))
+    mask = np.zeros(m.n_triangles, dtype=bool)
+    mask[[10, 20]] = True
+    with pytest.raises(ValueError, match="integer"):
+        bisect(m, mask)
+    with pytest.raises(ValueError, match="integer"):
+        bisect(m, {1.7})
+    expected = bisect(m, [10, 20])
+    for marked in (range(10, 21, 10), {10, 20}, np.flatnonzero(mask)):
+        _assert_same_tables(bisect(m, marked), expected)
+
+
 def test_closure_propagates_through_shared_refinement_edge():
     m = build_from_arrays(SQUARE_V, SQUARE_T)
     m2 = bisect(m, {0})
@@ -144,6 +157,13 @@ def test_geometry_reference_triangle():
     assert g.h_max == pytest.approx(np.sqrt(2))
     assert np.abs(np.einsum("ed,ed->e", g.nu_E, g.tau_E)).max() == 0.0
     assert np.linalg.norm(g.nu_E, axis=1) == pytest.approx(1.0)
+    # edges (0, 1), (0, 2), (1, 2), all on the boundary: outward normals
+    assert m.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert g.h_E == pytest.approx([1.0, 1.0, np.sqrt(2)])
+    r = np.sqrt(0.5)
+    assert g.nu_E == pytest.approx(np.array([[0, -1], [-1, 0], [r, r]]))
+    assert g.tau_E == pytest.approx(np.stack([-g.nu_E[:, 1], g.nu_E[:, 0]], axis=1))
+    assert g.tau_E == pytest.approx(np.array([[1, 0], [0, -1], [-r, r]]))
 
 
 def test_normal_orientation():
@@ -243,6 +263,133 @@ def test_triangles_of_edge_layout():
         assert adj[e][adj[e] >= 0].tolist() == expected
 
 
+_TABLES = ("vertices", "triangles", "ref_edge", "edges", "edge_of_triangle",
+           "triangles_of_edge", "boundary_edge", "boundary_vertex", "parent")
+
+
+def _assert_same_tables(mesh, expected):
+    for name in _TABLES:
+        a, b = getattr(mesh, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _bisect_reference(mesh, marked):
+    """The recursive, one-triangle-at-a-time bisection that bisect replaces."""
+    marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
+    eot = mesh.edge_of_triangle
+    ref = mesh.ref_edge
+    ref_global = eot[np.arange(mesh.n_triangles), ref]
+
+    marked_edge = np.zeros(mesh.n_edges, dtype=bool)
+    marked_edge[ref_global[marked]] = True
+    while True:
+        needs = marked_edge[eot].any(axis=1) & ~marked_edge[ref_global]
+        if not needs.any():
+            break
+        marked_edge[ref_global[needs]] = True
+
+    marked_ids = np.flatnonzero(marked_edge)
+    mid_of_edge = np.full(mesh.n_edges, -1, dtype=np.int64)
+    mid_of_edge[marked_ids] = mesh.n_vertices + np.arange(len(marked_ids))
+    midpoints = 0.5 * (mesh.vertices[mesh.edges[marked_ids, 0]]
+                       + mesh.vertices[mesh.edges[marked_ids, 1]])
+    vertices = np.vstack([mesh.vertices, midpoints])
+
+    new_tris, new_ref, new_parent = [], [], []
+
+    def emit(tri, r, parent_t):
+        new_tris.append(tri)
+        new_ref.append(r)
+        new_parent.append(parent_t)
+
+    def split(p, a, b, edge_pa, edge_bp, m, t):
+        for peak, base0, base1, contained in ((p, a, m, edge_pa), (p, m, b, edge_bp)):
+            if contained >= 0 and marked_edge[contained]:
+                m2 = mid_of_edge[contained]
+                if base1 == m:
+                    split(base1, peak, base0, -1, -1, m2, t)
+                else:
+                    split(base0, base1, peak, -1, -1, m2, t)
+            else:
+                emit((peak, base0, base1), 2 if base1 == m else 1, t)
+
+    for t in range(mesh.n_triangles):
+        e_ref = ref_global[t]
+        if not marked_edge[e_ref]:
+            emit(tuple(mesh.triangles[t]), ref[t], t)
+            continue
+        k = ref[t]
+        p = mesh.triangles[t, k]
+        a = mesh.triangles[t, (k + 1) % 3]
+        b = mesh.triangles[t, (k + 2) % 3]
+        split(p, a, b, eot[t, (k + 2) % 3], eot[t, (k + 1) % 3],
+              mid_of_edge[e_ref], t)
+
+    return _finalize(vertices, np.asarray(new_tris, dtype=np.int64),
+                     np.asarray(new_ref, dtype=np.int64),
+                     parent=np.asarray(new_parent, dtype=np.int64))
+
+
+def _graded_l_shape(rounds):
+    """The L-shape bisected `rounds` times at the triangles touching the
+    re-entrant corner."""
+    m = builtin_domain("l_shape")
+    for _ in range(rounds):
+        at_corner = np.abs(m.vertices[m.triangles]).sum(axis=2).min(axis=1) == 0
+        m = bisect(m, np.flatnonzero(at_corner))
+    return m
+
+
+_BISECT_BASES = {
+    "unit_square": lambda: builtin_domain("unit_square"),
+    "l_shape": lambda: builtin_domain("l_shape"),
+    "unit_square_3": lambda: refine(builtin_domain("unit_square"), 3),
+    "l_shape_2": lambda: refine(builtin_domain("l_shape"), 2),
+    "graded_14": lambda: _graded_l_shape(14),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(sorted(_BISECT_BASES)), rounds=st.integers(1, 4),
+       data=st.data())
+def test_bisect_matches_reference(base, rounds, data):
+    m = _BISECT_BASES[base]()
+    for _ in range(rounds):
+        nt = m.n_triangles
+        marked = data.draw(st.sets(st.integers(0, nt - 1), min_size=1,
+                                   max_size=max(1, nt // 2)))
+        expected = _bisect_reference(m, marked)
+        m = bisect(m, np.fromiter(marked, dtype=np.int64))
+        _assert_same_tables(m, expected)
+
+
+def _child_patterns(mesh, fine):
+    """Per triangle of `mesh`: its number of children in `fine` and whether
+    its edges (p, a) and (b, p) were cut, for peak p and refinement edge
+    (a, b)."""
+    rows = np.arange(mesh.n_triangles)
+    p, a, b = (mesh.vertices[mesh.triangles[rows, (mesh.ref_edge + i) % 3]]
+               for i in range(3))
+    new = {tuple(v) for v in fine.vertices[mesh.n_vertices:]}
+    children = np.bincount(fine.parent, minlength=mesh.n_triangles)
+    return {(int(c), tuple(0.5 * (p[t] + a[t])) in new, tuple(0.5 * (b[t] + p[t])) in new)
+            for t, c in enumerate(children)}
+
+
+def test_bisect_all_child_patterns_match_reference():
+    m = uniform_refine(builtin_domain("unit_square"))
+    for marked in ([2], [1, 8], [0, 1, 3, 9, 10], [1, 6, 9, 13, 18]):
+        m = bisect(m, marked)
+    marked = [3, 14, 33]
+    fine = bisect(m, marked)
+    # unsplit, bisected once, (p, a) cut too, (b, p) cut too, both cut
+    assert _child_patterns(m, fine) == {(1, False, False), (2, False, False),
+                                        (3, True, False), (3, False, True),
+                                        (4, True, True)}
+    _assert_same_tables(fine, _bisect_reference(m, marked))
+
+
 def _hanging_node_check_reference(vertices, edges):
     """The O(nv*ne) vertex-by-vertex check that _hanging_node_check replaces."""
     a = vertices[edges[:, 0]]
@@ -317,11 +464,7 @@ def test_hanging_node_check_reports_smallest_vertex():
 
 
 def test_graded_mesh_passes_hanging_node_check():
-    m = builtin_domain("l_shape")
-    for _ in range(24):
-        at_corner = np.abs(m.vertices[m.triangles]).sum(axis=2).min(axis=1) == 0
-        m = bisect(m, np.flatnonzero(at_corner))
-    m = uniform_refine(m)
+    m = uniform_refine(_graded_l_shape(24))
     rebuilt = build_from_arrays(m.vertices, m.triangles)
     assert np.array_equal(rebuilt.edges, m.edges)
     assert _check_outcome(_hanging_node_check_reference, m.vertices, m.edges) is None
