@@ -57,10 +57,18 @@ class RunConfig:
             raise ValueError("tol must be positive")
 
 
+def _parse_bool(s):
+    if s.lower() in ("1", "true", "yes"):
+        return True
+    if s.lower() in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected one of 1/true/yes/0/false/no, got {s!r}")
+
+
 def _parse_config_file(path) -> dict:
     values = {}
     field_types = {f.name: f.type for f in fields(RunConfig)}
-    casts = {"int": int, "float": float, "str": str, "bool": lambda s: s.lower() in ("1", "true", "yes")}
+    casts = {"int": int, "float": float, "str": str, "bool": _parse_bool}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,7 +78,10 @@ def _parse_config_file(path) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in field_types:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = casts[field_types[key]](val)
+        try:
+            values[key] = casts[field_types[key]](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -171,7 +182,8 @@ def _cmd_solve(cfg: RunConfig):
         print(f"error_pw = {err:.6e}")
     kant = solvemod.kantorovich_report(mesh, dofmap, problem, U)
     print(f"kantorovich: beta0 = {kant.beta0:.4e}, delta = {kant.delta:.3e}, "
-          f"h = {kant.h:.3e}, condition_met = {kant.condition_met}")
+          f"h = {kant.h:.3e}, condition_met = {kant.condition_met}, "
+          f"gamma_rounds = {kant.gamma_rounds}")
     return 0
 
 

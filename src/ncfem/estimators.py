@@ -91,7 +91,7 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f) -> Estima
     cu = local_coefficients(dofmap, u_M)
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    fq = f.value(xq) if hasattr(f, "value") else f(xq)
+    fq = f(xq)
     # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
     eta_K_sq = geom.h_T ** 4 * (wdx * fq ** 2).sum(axis=1)
 
@@ -142,10 +142,10 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
     buu = bracket(Hu, Hu)
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    fq = f.value(xq) if hasattr(f, "value") else f(xq)
+    fq = f(xq)
     res1 = buv[:, None] + fq
     if g is not None:
-        gq = g.value(xq) if hasattr(g, "value") else g(xq)
+        gq = g(xq)
         res2 = buu[:, None] - 2.0 * gq
     else:
         res2 = np.broadcast_to(buu[:, None], fq.shape)

@@ -116,7 +116,7 @@ def _project(mesh, xq, wdx, gq, k: int) -> ElementPolynomials:
 def l2_project(mesh, g, k: int) -> ElementPolynomials:
     """Elementwise L2-orthogonal projection of g onto P_k, k in {0, 1}."""
     xq, wdx = volume_quadrature(mesh, PROJECTION_DEGREE)
-    return _project(mesh, xq, wdx, g.value(xq) if hasattr(g, "value") else g(xq), k)
+    return _project(mesh, xq, wdx, g(xq), k)
 
 
 def oscillation(mesh, g, k: int, p: int):
@@ -126,7 +126,7 @@ def oscillation(mesh, g, k: int, p: int):
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
     xq, wdx = volume_quadrature(mesh, PROJECTION_DEGREE)
-    gq = g.value(xq) if hasattr(g, "value") else g(xq)
+    gq = g(xq)
     proj = _project(mesh, xq, wdx, gq, k)
     diff = gq - proj.evaluate(np.arange(mesh.n_triangles), xq)
     per_element = geometry(mesh).h_T ** (2 * p) * (wdx * diff ** 2).sum(axis=1)

@@ -14,10 +14,14 @@ that are only piecewise constant with respect to the mesh can set
 only, honoring discontinuities aligned with the mesh.
 
 The manufactured entries carry the exact solution as a `Field` (value,
-gradient, hessian) plus the matching loads; all derivatives and loads are
-produced symbolically and lambdified once per entry.  The second von Karman
-equation gets a verification-only load g so that a manufactured pair can be
-tested; g = 0 recovers the plain plate system.
+gradient, hessian) plus the matching loads.  The polynomial entries are
+bivariate coefficient arrays c[i, j] of x^i y^j: derivatives come from
+`polyder` along one axis, products from a small 2-D convolution, and the
+loads (bilaplacian, transport term, Monge-Ampere bracket) are built from
+these on the arrays and evaluated through `polynomial_field`.  The sine entry
+has closed-form derivatives.  The second von Karman equation gets a
+verification-only load g so that a manufactured pair can be tested; g = 0
+recovers the plain plate system.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-import sympy as sp
+from numpy.polynomial import polynomial as P
 
 __all__ = [
     "ProblemKind", "ProblemSpec", "Field", "Manufactured", "manufactured",
@@ -72,44 +76,40 @@ class Manufactured:
     exact: tuple  # one Field per component
 
 
-_X, _Y = sp.symbols("x y")
+def _dx(c):
+    return P.polyder(c, axis=0)
 
 
-def _lambdify(expr):
-    fn = sp.lambdify((_X, _Y), expr, modules="numpy")
-
-    def wrapped(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = fn(pts[..., 0], pts[..., 1])
-        return np.broadcast_to(np.asarray(out, dtype=float), pts.shape[:-1]).copy()
-
-    return wrapped
+def _dy(c):
+    return P.polyder(c, axis=1)
 
 
-def _field(expr) -> Field:
-    gx, gy = sp.diff(expr, _X), sp.diff(expr, _Y)
-    hxx, hxy, hyy = sp.diff(gx, _X), sp.diff(gx, _Y), sp.diff(gy, _Y)
-    vals = [_lambdify(e) for e in (expr, gx, gy, hxx, hxy, hyy)]
+def _pmul(a, b):
+    """Product of two bivariate coefficient arrays."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
+    for (i, j), aij in np.ndenumerate(a):
+        out[i:i + b.shape[0], j:j + b.shape[1]] += aij * b
+    return out
 
-    def gradient(pts):
-        return np.stack([vals[1](pts), vals[2](pts)], axis=-1)
 
-    def hessian(pts):
-        xx, xy, yy = vals[3](pts), vals[4](pts), vals[5](pts)
-        return np.stack([np.stack([xx, xy], axis=-1),
-                         np.stack([xy, yy], axis=-1)], axis=-2)
-
-    return Field(value=vals[0], gradient=gradient, hessian=hessian)
+def _padd(*terms):
+    """Sum of coefficient arrays of different shapes."""
+    out = np.zeros((max(t.shape[0] for t in terms),
+                    max(t.shape[1] for t in terms)))
+    for t in terms:
+        out[:t.shape[0], :t.shape[1]] += t
+    return out
 
 
 def _lap(u):
-    return sp.diff(u, _X, 2) + sp.diff(u, _Y, 2)
+    return _padd(_dx(_dx(u)), _dy(_dy(u)))
 
 
 def _bracket(u, v):
-    return (sp.diff(u, _X, 2) * sp.diff(v, _Y, 2)
-            + sp.diff(u, _Y, 2) * sp.diff(v, _X, 2)
-            - 2 * sp.diff(u, _X, _Y) * sp.diff(v, _X, _Y))
+    """[u, v] = u_xx v_yy + u_yy v_xx - 2 u_xy v_xy."""
+    return _padd(_pmul(_dx(_dx(u)), _dy(_dy(v))),
+                 _pmul(_dy(_dy(u)), _dx(_dx(v))),
+                 -2.0 * _pmul(_dx(_dy(u)), _dx(_dy(v))))
 
 
 def _identity_matrix(pts):
@@ -137,41 +137,72 @@ def _constant(c):
     return g
 
 
-_BUMP = (_X * (1 - _X)) ** 2 * (_Y * (1 - _Y)) ** 2   # in H^2_0 of the unit square
+_G = np.array([0.0, 0.0, 1.0, -2.0, 1.0])      # t^2 (1 - t)^2
+_BUMP = np.outer(_G, _G)                         # in H^2_0 of the unit square
+
+
+def _sine_field() -> Field:
+    """u = sin(pi x) sin(pi y) with its gradient and Hessian."""
+    def parts(pts):
+        pts = np.asarray(pts, dtype=float)
+        x, y = np.pi * pts[..., 0], np.pi * pts[..., 1]
+        return np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+
+    def value(pts):
+        sx, _, sy, _ = parts(pts)
+        return sx * sy
+
+    def gradient(pts):
+        sx, cx, sy, cy = parts(pts)
+        return np.pi * np.stack([cx * sy, sx * cy], axis=-1)
+
+    def hessian(pts):
+        sx, cx, sy, cy = parts(pts)
+        d, o = -sx * sy, cx * cy
+        return np.pi ** 2 * np.stack([np.stack([d, o], axis=-1),
+                                      np.stack([o, d], axis=-1)], axis=-2)
+
+    return Field(value=value, gradient=gradient, hessian=hessian)
 
 
 @lru_cache(maxsize=None)
 def _build(name: str) -> Manufactured:
     if name == "ns_poly":
         u = _BUMP
-        f = sp.expand(_lap(_lap(u))
-                      + sp.diff((-_lap(u)) * sp.diff(u, _Y), _X)
-                      - sp.diff((-_lap(u)) * sp.diff(u, _X), _Y))
+        w = -_lap(u)
+        f = _padd(_lap(_lap(u)), _dx(_pmul(w, _dy(u))), -_dy(_pmul(w, _dx(u))))
         problem = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
-                              f=_lambdify(f), name=name)
-        return Manufactured(name=name, problem=problem, exact=(_field(u),))
+                              f=polynomial_field(f).value, name=name)
+        return Manufactured(name=name, problem=problem,
+                            exact=(polynomial_field(u),))
 
     if name == "vk_poly":
         u = _BUMP
         v = _BUMP
-        f = sp.expand(_lap(_lap(u)) - _bracket(u, v))
-        g = sp.expand(_lap(_lap(v)) + sp.Rational(1, 2) * _bracket(u, u))
+        f = _padd(_lap(_lap(u)), -_bracket(u, v))
+        g = _padd(_lap(_lap(v)), 0.5 * _bracket(u, u))
         problem = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
-                              f=_lambdify(f), g=_lambdify(g), name=name)
+                              f=polynomial_field(f).value,
+                              g=polynomial_field(g).value, name=name)
         return Manufactured(name=name, problem=problem,
-                            exact=(_field(u), _field(v)))
+                            exact=(polynomial_field(u), polynomial_field(v)))
 
     if name == "cr_sine":
-        u = sp.sin(sp.pi * _X) * sp.sin(sp.pi * _Y)
+        u = _sine_field()
         gamma = -20
-        # -div(grad u + u b) + gamma u with A = I, b = (1, 1)
-        f = sp.expand(-_lap(u) - (sp.diff(u, _X) + sp.diff(u, _Y)) + gamma * u)
+        # -div(grad u + u b) + gamma u with A = I, b = (1, 1):
+        # -Lap u = 2 pi^2 u, so f = (2 pi^2 + gamma) u - u_x - u_y
+        def f(pts):
+            grad = u.gradient(pts)
+            return ((2 * np.pi ** 2 + gamma) * u.value(pts)
+                    - grad[..., 0] - grad[..., 1])
+
         problem = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR,
-                              f=_lambdify(f), A=_identity_matrix,
+                              f=f, A=_identity_matrix,
                               b=_constant_vector(1.0, 1.0),
                               gamma=_constant(gamma),
                               lambda_bounds=(1.0, 1.0), name=name)
-        return Manufactured(name=name, problem=problem, exact=(_field(u),))
+        return Manufactured(name=name, problem=problem, exact=(u,))
 
     raise KeyError(name)
 
@@ -201,14 +232,9 @@ def ns_unit_load() -> ProblemSpec:
 
 def polynomial_field(coeffs) -> Field:
     """Field for the bivariate polynomial sum_ij coeffs[i, j] x^i y^j."""
-    from numpy.polynomial import polynomial as P
-
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    cx = P.polyder(c, axis=0)
-    cy = P.polyder(c, axis=1)
-    cxx = P.polyder(cx, axis=0)
-    cxy = P.polyder(cx, axis=1)
-    cyy = P.polyder(cy, axis=1)
+    cx, cy = _dx(c), _dy(c)
+    cxx, cxy, cyy = _dx(cx), _dy(cx), _dy(cy)
 
     def ev(cc):
         def fn(pts):

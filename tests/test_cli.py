@@ -10,8 +10,12 @@ import pytest
 from conftest import patch_newton
 from ncfem.afem import ConvergenceRecord
 from ncfem.assembly import Assembler
-from ncfem.cli import main
+from ncfem.cli import _parse_config_file, main
+from ncfem.mesh import builtin_domain, refine
+from ncfem.problems import manufactured
 from ncfem.reporting import emit_plots, read_records_csv, write_records_csv
+from ncfem.solve import kantorovich_report, newton_solve
+from ncfem.spaces import build_dofmap, space_of
 
 
 def records_sample():
@@ -93,6 +97,27 @@ def test_cli_bad_config_value(tmp_path, capsys):
     cfgfile.write_text("theta = 1.5\n")
     code = main(["study", "--config", str(cfgfile)])
     assert code == 2
+
+
+@pytest.mark.parametrize("text, key", [
+    ("levels = 2\ncorrupt_jacobian = ture\n", "corrupt_jacobian"),
+    ("# levels as a word\nlevels = two\n", "levels"),
+], ids=["bool", "int"])
+def test_cli_bad_config_cast_names_path_and_line(tmp_path, capsys, text, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    assert main(["verify", "--config", str(cfgfile)]) == 2
+    assert f"{cfgfile}:2: {key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("true", True), ("Yes", True),
+    ("0", False), ("false", False), ("NO", False),
+])
+def test_config_bool_words(tmp_path, word, value):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"corrupt_jacobian = {word}\n")
+    assert _parse_config_file(cfgfile) == {"corrupt_jacobian": value}
 
 
 def test_cli_unknown_config_key(tmp_path):
@@ -193,6 +218,14 @@ def test_cli_solve(capsys):
         assert m is not None, f"solve output lacks {key}"
         value = float(m.group(1))
         assert np.isfinite(value) and value > 0, f"{key} = {value}"
+    m = re.search(r"gamma_rounds = (\d+)", out)
+    assert m is not None, "solve output lacks gamma_rounds"
+    mesh = refine(builtin_domain("unit_square"), 1)
+    problem = manufactured("ns_poly").problem
+    dofmap = build_dofmap(mesh, space_of(problem.kind))
+    U, _ = newton_solve(mesh, dofmap, problem)
+    assert int(m.group(1)) == kantorovich_report(mesh, dofmap, problem,
+                                                 U).gamma_rounds
 
 
 def test_cli_verify_passes(capsys):
@@ -217,7 +250,7 @@ def test_cli_verify_on_lshape(capsys):
 
 
 def test_cli_solve_reads_mesh_file(tmp_path, capsys):
-    from ncfem.mesh import builtin_domain, write_mesh
+    from ncfem.mesh import write_mesh
     path = tmp_path / "square.mesh"
     write_mesh(builtin_domain("unit_square"), path)
     code = main(["solve", "--problem", "cr_sine", "--domain", str(path),

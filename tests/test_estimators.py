@@ -21,7 +21,7 @@ def const_field(c):
 def test_ns_zero_consistency(square8):
     dm = morley_dofmap(square8)
     zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    rep = estimate_ns_morley(square8, dm, zero, const_field(0.0))
+    rep = estimate_ns_morley(square8, dm, zero, const_field(0.0).value)
     assert rep.eta_total == 0.0
     assert rep.eta_K_sq.max() == 0.0 and rep.eta_E_sq.max() == 0.0
     assert rep.avg_term_S_sq == 0.0
@@ -31,7 +31,7 @@ def test_ns_zero_consistency(square8):
 def test_ns_pure_data_term(square8):
     dm = morley_dofmap(square8)
     zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    rep = estimate_ns_morley(square8, dm, zero, const_field(1.0))
+    rep = estimate_ns_morley(square8, dm, zero, const_field(1.0).value)
     g = geometry(square8)
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
     assert rep.eta_E_sq.max() == 0.0
@@ -41,9 +41,9 @@ def test_ns_pure_data_term(square8):
 def test_vk_zero_and_data_cases(square8):
     dm = morley_dofmap(square8)
     zero = DiscreteFunction(SpaceTag.MORLEY, 2, np.zeros(2 * dm.n_free))
-    rep0 = estimate_vk_morley(square8, dm, zero, const_field(0.0))
+    rep0 = estimate_vk_morley(square8, dm, zero, const_field(0.0).value)
     assert rep0.eta_total == 0.0
-    rep1 = estimate_vk_morley(square8, dm, zero, const_field(1.0))
+    rep1 = estimate_vk_morley(square8, dm, zero, const_field(1.0).value)
     g = geometry(square8)
     assert np.allclose(rep1.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
     assert rep1.eta_E_sq.max() == 0.0
@@ -52,8 +52,8 @@ def test_vk_zero_and_data_cases(square8):
 def test_vk_second_equation_verification_load(square8):
     dm = morley_dofmap(square8)
     zero = DiscreteFunction(SpaceTag.MORLEY, 2, np.zeros(2 * dm.n_free))
-    rep = estimate_vk_morley(square8, dm, zero, const_field(0.0),
-                             g=const_field(1.0))
+    rep = estimate_vk_morley(square8, dm, zero, const_field(0.0).value,
+                             g=const_field(1.0).value)
     g = geometry(square8)
     # residual of the second equation is [u,u] - 2g = -2
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * 4.0 * g.area, rtol=1e-12)
@@ -88,11 +88,11 @@ def test_estimators_reject_space_mismatch(square8):
     zero_cr = DiscreteFunction(SpaceTag.CROUZEIX_RAVIART, 1,
                                np.zeros(dm_cr.n_free))
     with pytest.raises(ValueError, match="Morley"):
-        estimate_ns_morley(square8, dm_cr, zero_cr, const_field(0.0))
+        estimate_ns_morley(square8, dm_cr, zero_cr, const_field(0.0).value)
     dm = morley_dofmap(square8)
     scalar = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
     with pytest.raises(ValueError, match="pair"):
-        estimate_vk_morley(square8, dm, scalar, const_field(0.0))
+        estimate_vk_morley(square8, dm, scalar, const_field(0.0).value)
     man = manufactured("ns_poly")
     with pytest.raises(ValueError, match="CR"):
         cr_apriori_terms(square8, man.exact[0], man.problem)

@@ -139,14 +139,14 @@ def test_l2_project_reproduces_polynomials(square8):
     xq = physical_points(square8, rule.points)
     for k in range(2):
         fld = random_poly(k)
-        proj = l2_project(square8, fld, k)
+        proj = l2_project(square8, fld.value, k)
         vals = proj.evaluate(tris, xq)
         assert np.abs(vals - fld.value(xq)).max() < 1e-12
 
 
 def test_l2_project_k0_is_element_mean(square8):
     fld = random_poly(3)
-    proj = l2_project(square8, fld, 0)
+    proj = l2_project(square8, fld.value, 0)
     geom = geometry(square8)
     rule = quad_triangle(6)
     xq = physical_points(square8, rule.points)
@@ -157,7 +157,7 @@ def test_l2_project_k0_is_element_mean(square8):
 
 def test_l2_project_orthogonality(square8):
     fld = random_poly(4)
-    proj = l2_project(square8, fld, 1)
+    proj = l2_project(square8, fld.value, 1)
     geom = geometry(square8)
     rule = quad_triangle(6)
     xq = physical_points(square8, rule.points)
@@ -173,10 +173,10 @@ def test_l2_project_orthogonality(square8):
 
 def test_oscillation_vanishes_on_polynomial_data(square8):
     const = Field(value=lambda p: 3.0 * np.ones(np.shape(p)[:-1]))
-    _, total0 = oscillation(square8, const, k=0, p=2)
+    _, total0 = oscillation(square8, const.value, k=0, p=2)
     assert total0 < 1e-13
     lin = polynomial_field([[1.0, 2.0], [-3.0, 0.0]])
-    _, total1 = oscillation(square8, lin, k=1, p=1)
+    _, total1 = oscillation(square8, lin.value, k=1, p=1)
     assert total1 < 1e-13
 
 
@@ -185,7 +185,7 @@ def test_oscillation_rate():
     mesh = builtin_domain("unit_square")
     totals = []
     for _ in range(4):
-        totals.append(oscillation(mesh, fld, k=0, p=1)[1])
+        totals.append(oscillation(mesh, fld.value, k=0, p=1)[1])
         mesh = uniform_refine(mesh)
     rates = [np.log2(a / b) for a, b in zip(totals, totals[1:])]
     assert rates[-1] == pytest.approx(2.0, abs=0.25)
@@ -193,7 +193,7 @@ def test_oscillation_rate():
 
 def test_oscillation_validates_power(square8):
     with pytest.raises(ValueError):
-        oscillation(square8, random_poly(2), k=0, p=3)
+        oscillation(square8, random_poly(2).value, k=0, p=3)
 
 
 def test_transfer_preserves_shared_vertex_dofs(square32):

@@ -2,12 +2,19 @@
 
 The expected point values were frozen from a symbolic-differentiation run
 performed before the registry was written; the closed forms below re-derive
-the loads by hand from u* = g(x) g(y), g(t) = t^2 (1-t)^2, so the check does
-not share code with the registry.
+the loads by hand from u* = g(x) g(y), g(t) = t^2 (1-t)^2, and sympy
+re-derives every load and exact field from its defining expression, so the
+checks do not share code with the registry's coefficient arrays.
 """
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import sympy as sp
 
+import ncfem
 from ncfem.problems import manufactured, ns_unit_load, polynomial_field, registry_names
 
 RNG = np.random.default_rng(11)
@@ -160,3 +167,84 @@ def test_polynomial_field_derivatives():
     for d, e in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
         fd = (fld.value(pts + e) - fld.value(pts - e)) / (2 * h)
         assert np.allclose(fld.gradient(pts)[:, d], fd, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# symbolic oracle: each load and exact field re-derived with sympy
+
+X, Y = sp.symbols("x y")
+SYM_BUMP = (X * (1 - X)) ** 2 * (Y * (1 - Y)) ** 2
+SYM_SINE = sp.sin(sp.pi * X) * sp.sin(sp.pi * Y)
+
+
+def sym_lap(u):
+    return sp.diff(u, X, 2) + sp.diff(u, Y, 2)
+
+
+def sym_bracket(u, v):
+    return (sp.diff(u, X, 2) * sp.diff(v, Y, 2)
+            + sp.diff(u, Y, 2) * sp.diff(v, X, 2)
+            - 2 * sp.diff(u, X, Y) * sp.diff(v, X, Y))
+
+
+def symbolic_loads(name):
+    """(f, g or None) of the manufactured problem, derived from its PDE."""
+    if name == "ns_poly":
+        u = SYM_BUMP
+        return (sym_lap(sym_lap(u))
+                + sp.diff(-sym_lap(u) * sp.diff(u, Y), X)
+                - sp.diff(-sym_lap(u) * sp.diff(u, X), Y)), None
+    if name == "vk_poly":
+        u = v = SYM_BUMP
+        return (sym_lap(sym_lap(u)) - sym_bracket(u, v),
+                sym_lap(sym_lap(v)) + sp.Rational(1, 2) * sym_bracket(u, u))
+    # -div(A grad u + u b) + gamma u with A = I, b = (1, 1), gamma = -20
+    u = SYM_SINE
+    return -sym_lap(u) - (sp.diff(u, X) + sp.diff(u, Y)) - 20 * u, None
+
+
+def sym_eval(expr, pts):
+    fn = sp.lambdify((X, Y), expr, modules="numpy")
+    return np.broadcast_to(fn(pts[:, 0], pts[:, 1]), pts.shape[:-1])
+
+
+def assert_rel(actual, expected, rel=1e-12):
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+def test_loads_match_symbolic_derivation(name):
+    problem = manufactured(name).problem
+    f, g = symbolic_loads(name)
+    pts = np.random.default_rng(5).random((200, 2))
+    assert_rel(problem.f(pts), sym_eval(f, pts))
+    assert (problem.g is None) == (g is None)
+    if g is not None:
+        assert_rel(problem.g(pts), sym_eval(g, pts))
+
+
+@pytest.mark.parametrize("name, component, expr", [
+    ("ns_poly", 0, SYM_BUMP), ("vk_poly", 0, SYM_BUMP),
+    ("vk_poly", 1, SYM_BUMP), ("cr_sine", 0, SYM_SINE)],
+    ids=["ns_poly-u", "vk_poly-u", "vk_poly-v", "cr_sine-u"])
+def test_exact_fields_match_symbolic_derivatives(name, component, expr):
+    fld = manufactured(name).exact[component]
+    pts = np.random.default_rng(6).random((200, 2))
+    assert_rel(fld.value(pts), sym_eval(expr, pts))
+    grad = fld.gradient(pts)
+    hess = fld.hessian(pts)
+    assert grad.shape == (200, 2) and hess.shape == (200, 2, 2)
+    for a, xa in enumerate((X, Y)):
+        assert_rel(grad[:, a], sym_eval(sp.diff(expr, xa), pts))
+        for b, xb in enumerate((X, Y)):
+            assert_rel(hess[:, a, b], sym_eval(sp.diff(expr, xa, xb), pts))
+
+
+def test_import_does_not_load_sympy():
+    src = str(Path(ncfem.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import ncfem, ncfem.cli; "
+            "assert 'sympy' not in sys.modules, 'ncfem imports sympy'")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
