@@ -7,17 +7,16 @@ from .mesh import (Triangulation, MeshGeometry, build_from_arrays, bisect,
                    uniform_refine, refine, geometry, builtin_domain,
                    read_mesh, write_mesh)
 from .quadrature import QuadRule, quad_triangle, quad_edge
-from .spaces import (SpaceTag, DofMap, DiscreteFunction, ElementBasis,
-                     build_dofmap, element_basis, evaluate)
+from .spaces import SpaceTag, DofMap, DiscreteFunction, build_dofmap
 from .problems import (ProblemKind, ProblemSpec, Field, manufactured,
                        registry_names, ns_unit_load, polynomial_field)
 from .assembly import Assembler, assembler, gamma_ns, gamma_vk
 from .interpolation import (morley_interpolate, cr_interpolate, l2_project,
                             oscillation, transfer_morley)
-from .solve import (sparse_solve, energy_dual_norm, newton_solve,
-                    NewtonTrace, KantorovichReport, kantorovich_report,
-                    infsup_constant, gamma_norm_lower_bound,
-                    discrete_embedding_ratio, fd_jacobian)
+from .solve import (sparse_solve, newton_solve, NewtonTrace,
+                    KantorovichReport, kantorovich_report, infsup_constant,
+                    gamma_norm_lower_bound, discrete_embedding_ratio,
+                    fd_jacobian)
 from .estimators import (EstimatorReport, estimate_ns_morley,
                          estimate_vk_morley, cr_apriori_terms,
                          broken_energy_error)

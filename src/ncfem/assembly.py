@@ -133,8 +133,7 @@ class Assembler:
         p = self.problem
         nt, nq = self.xq.shape[:2]
         tris = np.arange(nt)
-        grads = self.tables.grads_at(tris, self.mesh.vertices[self.mesh.triangles][:, 0])
-        self.cr_grads = grads                                  # (nt, 3, 2)
+        grads = self.tables.grads                              # (nt, 3, 2)
 
         def coeff(fn, trailing):
             # sampled at quadrature points, or at centroids only for

@@ -66,8 +66,11 @@ def _parse_bool(s):
 
 
 def _parse_config_file(path) -> dict:
+    """Keys and cast values of a config file; each value is validated on its
+    own, so an error names the path and line.  The subcommand is no key."""
     values = {}
-    field_types = {f.name: f.type for f in fields(RunConfig)}
+    field_types = {f.name: f.type for f in fields(RunConfig)
+                   if f.name != "command"}
     casts = {"int": int, "float": float, "str": str, "bool": _parse_bool}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -80,6 +83,7 @@ def _parse_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = casts[field_types[key]](val)
+            replace(RunConfig(), **{key: values[key]}).validate()
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
@@ -286,7 +290,7 @@ def _verify_checks(cfg: RunConfig):
     for _ in range(20):
         fld = random_poly(4)
         loc = cr_dof_values(mesh, fld)[dm_cr.element_dofs]
-        g_h = np.einsum("tjd,tj->td", -2.0 * tab_cr.grad_lambda, loc)
+        g_h = np.einsum("tjd,tj->td", tab_cr.grads, loc)
         mean = np.einsum("tq,tqd->td", wdx, fld.gradient(xq)) / geom.area[:, None]
         worst = max(worst, np.abs(g_h - mean).max())
     yield "cr commuting identity grad I_CR = Pi0 grad", worst, 1e-10
@@ -352,7 +356,6 @@ def load_config(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         cfg = replace(cfg, **_parse_config_file(args.config))
-        cfg.command = args.command
     for f in fields(RunConfig):
         val = getattr(args, f.name, None)
         if val is not None and f.name != "command":

@@ -30,7 +30,7 @@ from .problems import ProblemKind, ProblemSpec
 from .quadrature import quad_edge
 from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
                      local_coefficients, volume_quadrature)
-from .interpolation import oscillation
+from .interpolation import _edge_points, oscillation
 
 __all__ = [
     "EstimatorReport", "estimate_ns_morley", "estimate_vk_morley",
@@ -50,9 +50,6 @@ class EstimatorReport:
     osc_sq: float             # oscillation of the data, k and p per problem
     eta_total: float          # sqrt(sum eta_K^2 + sum eta_E^2)
 
-    def total_from_parts(self):
-        return float(np.sqrt(self.eta_K_sq.sum() + self.eta_E_sq.sum()))
-
 
 def _edge_sides(mesh):
     """(t_plus, t_minus) per edge; t_minus = -1 on boundary edges.  t_plus is
@@ -60,7 +57,7 @@ def _edge_sides(mesh):
     return mesh.triangles_of_edge[:, 0], mesh.triangles_of_edge[:, 1]
 
 
-def _hessians(mesh, dofmap, c_loc):
+def _hessians(mesh, c_loc):
     hess = basis_tables(mesh, SpaceTag.MORLEY).hess
     return np.einsum("tjab,tj->tab", hess, c_loc)
 
@@ -74,12 +71,11 @@ def _hessian_jump_term(mesh, geom, H, t_plus, t_minus):
     return geom.h_E ** 2 * np.einsum("ea,ea->e", vec, vec)
 
 
-def _lap_grad_at_edges(mesh, dofmap, c_loc, tris, pts):
-    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2)."""
-    tab = basis_tables(mesh, SpaceTag.MORLEY)
-    H = np.einsum("tjab,tj->tab", tab.hess, c_loc)
+def _lap_grad_at_edges(mesh, H, c_loc, tris, pts):
+    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); H and
+    c_loc are the per-element hessians and local coefficients of u."""
     lap = H[:, 0, 0] + H[:, 1, 1]
-    g = tab.grads_at(tris, pts)                    # (ne, nq, 6, 2)
+    g = basis_tables(mesh, SpaceTag.MORLEY).grads_at(tris, pts)
     grad = np.einsum("eqjd,ej->eqd", g, c_loc[tris])
     return lap[tris][:, None, None] * grad
 
@@ -96,18 +92,16 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f) -> Estima
     eta_K_sq = geom.h_T ** 4 * (wdx * fq ** 2).sum(axis=1)
 
     t_plus, t_minus = _edge_sides(mesh)
-    H = _hessians(mesh, dofmap, cu)
+    H = _hessians(mesh, cu)
     eta_E_sq = _hessian_jump_term(mesh, geom, H, t_plus, t_minus)
 
     erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    pts = a[:, None, :] + erule.points[None, :, None] * (b - a)[:, None, :]
-    w_plus = _lap_grad_at_edges(mesh, dofmap, cu, t_plus, pts)
+    pts = _edge_points(mesh, erule)
+    w_plus = _lap_grad_at_edges(mesh, H, cu, t_plus, pts)
     w_minus = np.zeros_like(w_plus)
     interior = t_minus >= 0
-    w_minus[interior] = _lap_grad_at_edges(mesh, dofmap, cu,
-                                           t_minus[interior], pts[interior])
+    w_minus[interior] = _lap_grad_at_edges(mesh, H, cu, t_minus[interior],
+                                           pts[interior])
     jump = w_plus - w_minus
     avg = np.where(interior[:, None, None], 0.5 * (w_plus + w_minus), w_plus)
     jt = np.einsum("eqd,ed->eq", jump, geom.tau_E)
@@ -131,8 +125,8 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
     geom = geometry(mesh)
     cu = local_coefficients(dofmap, Psi, 0)
     cv = local_coefficients(dofmap, Psi, 1)
-    Hu = _hessians(mesh, dofmap, cu)
-    Hv = _hessians(mesh, dofmap, cv)
+    Hu = _hessians(mesh, cu)
+    Hv = _hessians(mesh, cv)
 
     def bracket(Ha, Hb):
         return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
@@ -209,14 +203,12 @@ def broken_energy_error(mesh, dofmap, problem, U: DiscreteFunction, exact):
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:
         for comp, fld in enumerate(fields):
-            H = _hessians(mesh, dofmap, local_coefficients(dofmap, U, comp))
+            H = _hessians(mesh, local_coefficients(dofmap, U, comp))
             diff = fld.hessian(xq) - H[:, None, :, :]
             total += (wdx * np.einsum("tqab,tqab->tq", diff, diff)).sum()
     else:
-        tab = basis_tables(mesh, dofmap.space)
-        cu = local_coefficients(dofmap, U)
-        gh = np.einsum("tjd,tj->td", tab.grads_at(
-            np.arange(mesh.n_triangles), mesh.vertices[mesh.triangles][:, 0]), cu)
+        grads = basis_tables(mesh, dofmap.space).grads
+        gh = np.einsum("tjd,tj->td", grads, local_coefficients(dofmap, U))
         diff = fields[0].gradient(xq) - gh[:, None, :]
         if problem is not None and problem.A is not None:
             Adiff = np.einsum("tqab,tqb->tqa", problem.A(xq), diff)

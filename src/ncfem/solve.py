@@ -46,11 +46,11 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assembler
 from .problems import ProblemKind
-from .spaces import DiscreteFunction, basis_tables
+from .spaces import DiscreteFunction, basis_tables, physical_points
 from .quadrature import quad_triangle
 
 __all__ = [
-    "sparse_solve", "energy_dual_norm", "NewtonTrace", "newton_solve",
+    "sparse_solve", "NewtonTrace", "newton_solve",
     "KantorovichReport", "kantorovich_report", "infsup_constant",
     "gamma_norm_lower_bound", "discrete_embedding_ratio", "fd_jacobian",
 ]
@@ -110,15 +110,6 @@ def _gram_factor(G):
     the COLAMD column order (perm_r == perm_c); partial pivoting would only
     add fill.  A singular G raises RuntimeError."""
     return spla.splu(_as_csc(G), diag_pivot_thresh=0.0)
-
-
-def energy_dual_norm(residual, gram):
-    """sqrt(r^T G^-1 r) for an SPD Gram matrix G."""
-    residual = np.asarray(residual, dtype=float)
-    if not np.any(residual):
-        return 0.0
-    x = _gram_factor(gram).solve(residual)
-    return float(np.sqrt(max(residual @ x, 0.0)))
 
 
 @dataclass
@@ -347,7 +338,7 @@ def discrete_embedding_ratio(mesh, dofmap, problem=None):
     rule = quad_triangle(4)
     bary = np.vstack([np.eye(3), 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0)),
                       rule.points])
-    pts = np.einsum("qk,tkd->tqd", bary, mesh.vertices[mesh.triangles])
+    pts = physical_points(mesh, bary)
     tris = np.arange(mesh.n_triangles)
     fo = dofmap.free_of_dof[dofmap.element_dofs]     # (nt, nloc), -1 if fixed
     V = tab.values_at(tris, pts) * (fo >= 0)[:, None, :]   # (nt, nq, nloc)

@@ -1,4 +1,4 @@
-"""Finite element spaces on a triangulation: Morley, Crouzeix-Raviart, P1, P0.
+"""Finite element spaces on a triangulation: Morley and Crouzeix-Raviart.
 
 Degrees of freedom
 ------------------
@@ -6,8 +6,6 @@ Morley   : one value per vertex plus one mean normal derivative per edge;
            boundary vertices and boundary edges are constrained to zero
            (homogeneous clamped conditions).
 CR       : one value per edge midpoint; boundary edges constrained to zero.
-P1       : one value per vertex; boundary vertices constrained to zero.
-P0       : one value per triangle, unconstrained.
 
 The Morley basis is built per physical element by inverting the 6x6 matrix
 that pairs centered, h-scaled quadratic monomials with the six dof
@@ -15,10 +13,14 @@ functionals (3 vertex evaluations, 3 edge-mean normal derivatives taken
 against the global edge normal).  The normal-derivative dof is not
 affine-equivariant, so no reference-element mapping is attempted; the two
 elements sharing an edge see one dof with a consistent sign because both use
-the same global normal.
+the same global normal.  The CR basis is 1 - 2 lambda_k in the barycentric
+coordinates lambda_k.
 
-Basis tables accept either paired input (tris (n,), pts (n, 2)) or one point
-set per element (tris (nt,), pts (nt, nq, 2)).
+Second derivatives are constant per element, and so are CR gradients: the
+tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
+`grads` (nt, 3, 2) on the CR table.  values_at and the Morley grads_at accept
+either paired input (tris (n,), pts (n, 2)) or one point set per element
+(tris (nt,), pts (nt, nq, 2)).
 """
 from __future__ import annotations
 
@@ -33,8 +35,7 @@ from .problems import ProblemKind
 from .quadrature import quad_triangle
 
 __all__ = [
-    "SpaceTag", "DofMap", "DiscreteFunction", "ElementBasis",
-    "build_dofmap", "element_basis", "evaluate", "basis_tables",
+    "SpaceTag", "DofMap", "DiscreteFunction", "build_dofmap", "basis_tables",
     "local_coefficients", "function_from_element_values", "space_of",
     "volume_quadrature",
 ]
@@ -43,8 +44,6 @@ __all__ = [
 class SpaceTag(Enum):
     MORLEY = "morley"
     CROUZEIX_RAVIART = "crouzeix_raviart"
-    P1_CONFORMING = "p1"
-    P0 = "p0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +54,6 @@ class DofMap:
     free_of_dof: np.ndarray      # (n_dofs,) free index or -1
     dof_of_free: np.ndarray      # (n_free,) global dof index
     n_free: int
-
-    @property
-    def n_dofs(self):
-        return len(self.is_boundary_dof)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +66,6 @@ class DiscreteFunction:
         return self.coeffs[i * n_free:(i + 1) * n_free]
 
 
-@dataclass(frozen=True, eq=False)
-class ElementBasis:
-    values: np.ndarray     # (nloc,)
-    gradients: np.ndarray  # (nloc, 2)
-    hessians: np.ndarray   # (nloc, 2, 2), symmetric; zero for CR/P1/P0
-
-
 def space_of(kind: ProblemKind) -> SpaceTag:
     """The discrete space of a problem: CR for the second-order problem,
     Morley for the fourth-order ones."""
@@ -87,7 +75,6 @@ def space_of(kind: ProblemKind) -> SpaceTag:
 
 
 def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
-    nt = mesh.n_triangles
     if space is SpaceTag.MORLEY:
         nv = mesh.n_vertices
         element_dofs = np.hstack([mesh.triangles, nv + mesh.edge_of_triangle])
@@ -95,12 +82,6 @@ def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
     elif space is SpaceTag.CROUZEIX_RAVIART:
         element_dofs = mesh.edge_of_triangle.copy()
         is_bdry = mesh.boundary_edge.copy()
-    elif space is SpaceTag.P1_CONFORMING:
-        element_dofs = mesh.triangles.copy()
-        is_bdry = mesh.boundary_vertex.copy()
-    elif space is SpaceTag.P0:
-        element_dofs = np.arange(nt, dtype=np.int64)[:, None]
-        is_bdry = np.zeros(nt, dtype=bool)
     else:
         raise ValueError(f"unknown space {space}")
 
@@ -144,12 +125,8 @@ def _per_element(arr, pts_ndim):
 class _MorleyTables:
     """Per-element Morley basis coefficients against the local monomials."""
 
-    nloc = 6
-
     def __init__(self, mesh):
-        self.mesh = mesh
         geom = geometry(mesh)
-        self.geom = geom
         p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
         self.center = p.mean(axis=1)
         self.scale = geom.h_T
@@ -198,18 +175,11 @@ class _MorleyTables:
         C = _per_element(self.C[tris], pts.ndim)
         return np.einsum("...mj,...md->...jd", C, g)
 
-    def hess_at(self, tris, pts=None):
-        return self.hess[tris]
 
+class _CRTables:
+    """CR basis 1 - 2*lambda from the barycentric coordinates lambda."""
 
-class _LagrangeTables:
-    """CR (1 - 2*lambda) and P1 (lambda) bases from barycentric coordinates."""
-
-    nloc = 3
-
-    def __init__(self, mesh, kind):
-        self.mesh = mesh
-        self.kind = kind
+    def __init__(self, mesh):
         p = mesh.vertices[mesh.triangles]
         nt = mesh.n_triangles
         mats = np.empty((nt, 3, 3))
@@ -218,6 +188,7 @@ class _LagrangeTables:
         inv = np.linalg.inv(mats)
         # lambda_k(x) = inv[0, k] + inv[1, k] x + inv[2, k] y
         self.grad_lambda = np.transpose(inv[:, 1:, :], (0, 2, 1))  # (nt, 3, 2)
+        self.grads = -2.0 * self.grad_lambda    # constant basis gradients
         self.verts = p
 
     def _bary(self, tris, pts):
@@ -229,34 +200,7 @@ class _LagrangeTables:
 
     def values_at(self, tris, pts):
         lam = self._bary(tris, pts)
-        return 1.0 - 2.0 * lam if self.kind is SpaceTag.CROUZEIX_RAVIART else lam
-
-    def grads_at(self, tris, pts):
-        g = self.grad_lambda[tris]
-        if self.kind is SpaceTag.CROUZEIX_RAVIART:
-            g = -2.0 * g
-        if pts.ndim == 3:
-            g = np.broadcast_to(g[:, None, :, :], pts.shape[:2] + (3, 2))
-        return g
-
-    def hess_at(self, tris, pts=None):
-        return np.zeros(np.shape(tris) + (3, 2, 2))
-
-
-class _P0Tables:
-    nloc = 1
-
-    def __init__(self, mesh):
-        self.mesh = mesh
-
-    def values_at(self, tris, pts):
-        return np.ones(pts.shape[:-1] + (1,))
-
-    def grads_at(self, tris, pts):
-        return np.zeros(pts.shape[:-1] + (1, 2))
-
-    def hess_at(self, tris, pts=None):
-        return np.zeros(np.shape(tris) + (1, 2, 2))
+        return 1.0 - 2.0 * lam
 
 
 # one entry: a level's lookups are consecutive, and finished levels are freed
@@ -264,10 +208,8 @@ class _P0Tables:
 def basis_tables(mesh: Triangulation, space: SpaceTag):
     if space is SpaceTag.MORLEY:
         return _MorleyTables(mesh)
-    if space in (SpaceTag.CROUZEIX_RAVIART, SpaceTag.P1_CONFORMING):
-        return _LagrangeTables(mesh, space)
-    if space is SpaceTag.P0:
-        return _P0Tables(mesh)
+    if space is SpaceTag.CROUZEIX_RAVIART:
+        return _CRTables(mesh)
     raise ValueError(f"unknown space {space}")
 
 
@@ -283,16 +225,6 @@ def volume_quadrature(mesh, degree: int):
     rule = quad_triangle(degree)
     xq = physical_points(mesh, rule.points)
     return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
-
-
-def element_basis(mesh, geom, space: SpaceTag, triangle: int, point) -> ElementBasis:
-    """Values, gradients and hessians of the local basis at one physical point."""
-    tab = basis_tables(mesh, space)
-    tris = np.asarray([triangle])
-    pts = np.asarray(point, dtype=float)[None, :]
-    return ElementBasis(values=tab.values_at(tris, pts)[0],
-                        gradients=tab.grads_at(tris, pts)[0],
-                        hessians=tab.hess_at(tris)[0])
 
 
 def local_coefficients(dofmap: DofMap, u: DiscreteFunction, component: int = 0):
@@ -311,21 +243,3 @@ def function_from_element_values(dofmap: DofMap, dof_values,
     coeffs = dof_values[:, dofmap.dof_of_free].ravel()
     return DiscreteFunction(space=dofmap.space, n_components=len(dof_values),
                             coeffs=coeffs)
-
-
-def evaluate(mesh, dofmap: DofMap, u: DiscreteFunction, triangle: int, point,
-             derivative: str = "value", component: int = 0):
-    """Evaluate a discrete function on one element; derivative in
-    {'value', 'gradient', 'hessian'}.  No inter-element continuity is
-    assumed: the element's own polynomial is used."""
-    tab = basis_tables(mesh, dofmap.space)
-    loc = local_coefficients(dofmap, u, component)[triangle]
-    tris = np.asarray([triangle])
-    pts = np.asarray(point, dtype=float)[None, :]
-    if derivative == "value":
-        return float(tab.values_at(tris, pts)[0] @ loc)
-    if derivative == "gradient":
-        return tab.grads_at(tris, pts)[0].T @ loc
-    if derivative == "hessian":
-        return np.einsum("jab,j->ab", tab.hess_at(tris)[0], loc)
-    raise ValueError(f"unknown derivative {derivative!r}")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ncfem.mesh import builtin_domain, refine
-from ncfem.spaces import DiscreteFunction, SpaceTag, build_dofmap
+from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
+                          build_dofmap, local_coefficients)
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,18 @@ def random_function(dofmap, rng, n_components=1, scale=1.0):
     return DiscreteFunction(space=dofmap.space, n_components=n_components,
                             coeffs=scale * rng.standard_normal(
                                 n_components * dofmap.n_free))
+
+
+def evaluate(mesh, dofmap, u, triangle, point, derivative="value"):
+    """Value or (Morley) gradient of u at one point, from the polynomial of
+    the given element; no inter-element continuity is assumed."""
+    tab = basis_tables(mesh, dofmap.space)
+    loc = local_coefficients(dofmap, u)[triangle]
+    tris = np.asarray([triangle])
+    pts = np.asarray(point, dtype=float)[None, :]
+    if derivative == "value":
+        return float(tab.values_at(tris, pts)[0] @ loc)
+    return tab.grads_at(tris, pts)[0].T @ loc
 
 
 def morley_dofmap(mesh):

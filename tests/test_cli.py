@@ -97,6 +97,7 @@ def test_cli_bad_config_value(tmp_path, capsys):
     cfgfile.write_text("theta = 1.5\n")
     code = main(["study", "--config", str(cfgfile)])
     assert code == 2
+    assert f"{cfgfile}:1: theta:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, key", [
@@ -124,6 +125,15 @@ def test_cli_unknown_config_key(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("thetta = 0.5\n")
     assert main(["study", "--config", str(cfgfile)]) == 2
+
+
+def test_cli_config_key_command_is_unknown(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("levels = 1\ncommand = afem\n")
+    assert main(["infsup", "--config", str(cfgfile),
+                 "--out", str(tmp_path)]) == 2
+    assert f"{cfgfile}:2: unknown key 'command'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.parametrize("argv", [

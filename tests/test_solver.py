@@ -12,7 +12,7 @@ from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
 from ncfem.interpolation import morley_interpolate
 import ncfem.solve
 from ncfem.solve import (GAMMA_MAX_ROUNDS, _equilibrate, _gram_factor,
-                         discrete_embedding_ratio, energy_dual_norm,
+                         discrete_embedding_ratio,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
 from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
@@ -55,23 +55,10 @@ def test_sparse_solve_singular_raises():
         sparse_solve(A, np.array([1.0, 0.0]))
 
 
-def test_energy_dual_norm_basics():
-    G = sp.identity(3, format="csr")
-    assert energy_dual_norm(np.zeros(3), G) == 0.0
-    r = np.array([3.0, 4.0, 0.0])
-    assert energy_dual_norm(r, G) == pytest.approx(5.0)
-    assert energy_dual_norm(2 * r, G) == pytest.approx(10.0, rel=1e-12)
-
-
-def test_energy_dual_norm_weighted():
-    G = sp.diags([4.0, 1.0]).tocsr()
-    assert energy_dual_norm(np.array([2.0, 0.0]), G) == pytest.approx(1.0)
-
-
-def test_energy_dual_norm_singular_gram_raises():
+def test_gram_factor_singular_raises():
     G = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RuntimeError, match="singular"):
-        energy_dual_norm(np.array([1.0, 0.0]), G)
+        _gram_factor(G)
 
 
 GRAMS = {"ns": (NS, morley_dofmap), "vk": (VK, morley_dofmap),

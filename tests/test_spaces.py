@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import cr_dofmap, morley_dofmap, random_function
+from conftest import cr_dofmap, evaluate, morley_dofmap, random_function
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          build_dofmap, element_basis, evaluate,
                           local_coefficients)
 
 
@@ -17,8 +16,6 @@ def test_dof_counts_bisected_square():
 def test_dof_counts_two_triangle_square(square2):
     assert morley_dofmap(square2).n_free == 1
     assert cr_dofmap(square2).n_free == 1
-    assert build_dofmap(square2, SpaceTag.P1_CONFORMING).n_free == 0
-    assert build_dofmap(square2, SpaceTag.P0).n_free == 2
 
 
 def test_dimension_formula(square32, lshape):
@@ -26,22 +23,25 @@ def test_dimension_formula(square32, lshape):
         assert morley_dofmap(m).n_free == (len(m.interior_vertices())
                                            + len(m.interior_edges()))
         assert cr_dofmap(m).n_free == len(m.interior_edges())
-        assert build_dofmap(m, SpaceTag.P1_CONFORMING).n_free == len(
-            m.interior_vertices())
 
 
 def test_cr_basis_kronecker(square8):
-    g = geometry(square8)
+    tab = basis_tables(square8, SpaceTag.CROUZEIX_RAVIART)
     for t in (0, 3):
-        tri = square8.triangles[t]
         for j in range(3):
             e = square8.edge_of_triangle[t, j]
             mid = square8.vertices[square8.edges[e]].mean(axis=0)
-            basis = element_basis(square8, g, SpaceTag.CROUZEIX_RAVIART, t, mid)
+            values = tab.values_at(np.array([t]), mid[None, :])[0]
             expected = np.zeros(3)
             expected[j] = 1.0
-            assert np.allclose(basis.values, expected, atol=1e-13)
-            assert np.allclose(basis.hessians, 0.0)
+            assert np.allclose(values, expected, atol=1e-13)
+        # the basis is affine: every second difference vanishes
+        c = square8.vertices[square8.triangles[t]].mean(axis=0)
+        steps = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, 0.1],
+                          [0.0, -0.1], [0.1, 0.1], [-0.1, -0.1]])
+        v = tab.values_at(np.full(7, t), c + steps)
+        for i in (1, 3, 5):
+            assert np.allclose(v[i] - 2.0 * v[0] + v[i + 1], 0.0, atol=1e-13)
 
 
 def test_morley_dof_duality_every_element(square32, lshape):
@@ -50,15 +50,6 @@ def test_morley_dof_duality_every_element(square32, lshape):
         defect = np.abs(np.einsum("tim,tmj->tij", tab.dof_matrix, tab.C)
                         - np.eye(6)).max()
         assert defect < 1e-12
-
-
-def test_morley_hessian_constant(square8):
-    g = geometry(square8)
-    p1 = square8.vertices[square8.triangles[2]].mean(axis=0)
-    p2 = 0.6 * p1 + 0.4 * square8.vertices[square8.triangles[2][0]]
-    b1 = element_basis(square8, g, SpaceTag.MORLEY, 2, p1)
-    b2 = element_basis(square8, g, SpaceTag.MORLEY, 2, p2)
-    assert np.allclose(b1.hessians, b2.hessians, atol=1e-12)
 
 
 def test_evaluate_zero_function(square8):
@@ -106,14 +97,21 @@ def test_morley_interelement_behavior(square32):
         assert g0 == pytest.approx(g1, abs=1e-10)
 
 
-def test_cr_gradient_constant_per_element(square8):
-    rng = np.random.default_rng(4)
-    dm = cr_dofmap(square8)
-    u = random_function(dm, rng)
-    p = square8.vertices[square8.triangles[1]]
-    g1 = evaluate(square8, dm, u, 1, p.mean(axis=0), "gradient")
-    g2 = evaluate(square8, dm, u, 1, 0.5 * (p[0] + p[1]), "gradient")
-    assert np.allclose(g1, g2, atol=1e-13)
+def test_cr_grads_match_central_differences(square8, lshape):
+    for m in (square8, lshape):
+        tab = basis_tables(m, SpaceTag.CROUZEIX_RAVIART)
+        tris = np.arange(m.n_triangles)
+        centroid = m.vertices[m.triangles].mean(axis=1)
+        step = 1e-3 * geometry(m).h_T
+        fd = np.empty((m.n_triangles, 3, 2))
+        for d in range(2):
+            shift = np.zeros((m.n_triangles, 2))
+            shift[:, d] = step
+            fd[:, :, d] = ((tab.values_at(tris, centroid + shift)
+                            - tab.values_at(tris, centroid - shift))
+                           / (2.0 * step[:, None]))
+        defect = np.abs(tab.grads - fd).max(axis=(1, 2))
+        assert (defect <= 1e-8 * np.abs(tab.grads).max(axis=(1, 2))).all()
 
 
 def test_local_coefficients_zero_on_boundary(square8):
