@@ -7,9 +7,11 @@ systems ordered [u-block, v-block]).
 
 Everything is element-local and assembled with deterministic numpy
 reductions, so repeated runs are bitwise reproducible.  The piecewise
-structure of Morley functions keeps every form integral exact with the
-default degree-4 rule: hessians are elementwise constant and the
-Navier-Stokes trilinear integrand is elementwise quadratic.
+structure of Morley functions makes every Morley element tensor exact:
+hessians are elementwise constant, so the energy tensor is |T| H H^T, and
+basis gradients are affine, so the Navier-Stokes pairing S comes in closed
+form from the centroid gradients and the second moment of the element; the
+load and the basis integrals use the degree-4 rule.
 
 For the Morley space the trilinear forms factor elementwise:
 
@@ -110,16 +112,21 @@ class Assembler:
     def _init_morley(self):
         tab = self.tables
         hess = tab.hess                                       # (nt, 6, 2, 2)
-        area = self.geom.area
-        self.a_loc = np.einsum("t,tiab,tjab->tij", area, hess, hess)
+        area = self.geom.area[:, None, None]
+        h4 = hess.reshape(-1, 6, 4)
+        self.a_loc = area * (h4 @ np.swapaxes(h4, 1, 2))
         self.trH = hess[:, :, 0, 0] + hess[:, :, 1, 1]        # (nt, 6)
         kind = self.problem.kind
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-            tris = np.arange(self.mesh.n_triangles)
-            g = tab.grads_at(tris, self.xq)                   # (nt, nq, 6, 2)
-            gx, gy = g[..., 0], g[..., 1]
-            self.S = (np.einsum("tq,tqj,tqk->tjk", self.wdx, gy, gx)
-                      - np.einsum("tq,tqj,tqk->tjk", self.wdx, gx, gy))
+            # grad phi_j = g_j + H_j (x - c) is affine and int_T (x - c) = 0,
+            # so int_T phi_j,y phi_k,x = |T| g_j,y g_k,x + (H_j M H_k)_yx
+            # with M the second moment of T about its centroid c
+            g = tab.C[:, 1:3, :] / tab.scale[:, None, None]    # (nt, 2, 6)
+            d = self.mesh.vertices[self.mesh.triangles] - tab.center[:, None, :]
+            M = (area / 12.0) * (np.swapaxes(d, 1, 2) @ d)    # (nt, 2, 2)
+            P = (area * (g[:, 1, :, None] * g[:, 0, None, :])
+                 + hess[:, :, 1, :] @ M @ np.swapaxes(hess[:, :, :, 0], 1, 2))
+            self.S = P - np.swapaxes(P, 1, 2)
         elif kind is ProblemKind.VON_KARMAN_MORLEY:
             hxx, hxy, hyy = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
             self.Br = (np.einsum("ti,tj->tij", hxx, hyy)

@@ -73,10 +73,14 @@ def _hessian_jump_term(mesh, geom, H, t_plus, t_minus):
 
 def _lap_grad_at_edges(mesh, H, c_loc, tris, pts):
     """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); H and
-    c_loc are the per-element hessians and local coefficients of u."""
+    c_loc are the per-element hessians and local coefficients of u.  grad u
+    is affine on each element: g_T + H_T (x - c_T), with g_T its value at the
+    centroid c_T read off the linear monomial coefficients."""
+    tab = basis_tables(mesh, SpaceTag.MORLEY)
     lap = H[:, 0, 0] + H[:, 1, 1]
-    g = basis_tables(mesh, SpaceTag.MORLEY).grads_at(tris, pts)
-    grad = np.einsum("eqjd,ej->eqd", g, c_loc[tris])
+    g = (tab.C[tris, 1:3, :] @ c_loc[tris, :, None]) / tab.scale[tris, None, None]
+    # H is symmetric, so (x - c) @ H is H (x - c)
+    grad = np.swapaxes(g, 1, 2) + (pts - tab.center[tris, None, :]) @ H[tris]
     return lap[tris][:, None, None] * grad
 
 

@@ -16,7 +16,7 @@ on graded meshes); unscaled, partial pivoting leaves the diagonal in about
 half the columns and raises the fill by some 70%.  So every nonsymmetric
 factorization (sparse_solve, and B in infsup_constant) first equilibrates
 symmetrically by powers of two (_equilibrate; Duff and Koster, SIMAX 2001),
-which makes every nonzero |a_ii| lie in [1/2, 2] and adds no rounding error.
+which makes every nonzero |a_ii| lie in [1/2, 2) and adds no rounding error.
 
 The Kantorovich report computes
   beta0  smallest singular value of the Jacobian between energy norms,
@@ -63,13 +63,14 @@ def _as_csc(A):
 
 
 def _equilibrate(A):
-    """(D A D, d) for a CSC matrix A, d_i = 2^-round(log2|a_ii| / 2), and
-    d_i = 1 where a_ii = 0.  Scaling by powers of two is exact, and every
-    nonzero |a_ii| of D A D lies in [1/2, 2]."""
+    """(D A D, d) for a CSC matrix A, d_i = 2^-floor(e_i / 2) with e_i the
+    exponent of |a_ii| = m 2^e_i, m in [1/2, 1), and d_i = 1 where a_ii = 0.
+    Scaling by powers of two is exact, and every nonzero |a_ii| of D A D is
+    m 2^(e_i mod 2), so it lies in [1/2, 2)."""
     diag = np.abs(A.diagonal())
     d = np.ones(A.shape[0])
     nz = diag > 0
-    d[nz] = np.ldexp(1.0, -np.round(0.5 * np.log2(diag[nz])).astype(int))
+    d[nz] = np.ldexp(1.0, -(np.frexp(diag[nz])[1] // 2))
     As = A.astype(float)          # a copy
     As.data *= d[As.indices] * np.repeat(d, np.diff(As.indptr))
     return As, d

@@ -20,7 +20,12 @@ Second derivatives are constant per element, and so are CR gradients: the
 tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
 `grads` (nt, 3, 2) on the CR table.  values_at and the Morley grads_at accept
 either paired input (tris (n,), pts (n, 2)) or one point set per element
-(tris (nt,), pts (nt, nq, 2)).
+(tris (nt,), pts (nt, nq, 2)).  The Morley values_at and grads_at are batched
+matmuls of the monomial values (..., 1, 6) and gradients (..., 6, 2) against
+the per-element coefficient matrices C (nt, 6, 6).  Morley gradients are
+affine, grad u(x) = g_T + H_T (x - center), so kernels that need one
+function's gradient or a pairing of basis gradients can start from the
+centroid gradients C[:, 1:3, :] / h and the hessians instead of a table.
 """
 from __future__ import annotations
 
@@ -168,12 +173,12 @@ class _MorleyTables:
     def values_at(self, tris, pts):
         m = self.monomials_at(tris, pts)
         C = _per_element(self.C[tris], pts.ndim)
-        return np.einsum("...mj,...m->...j", C, m)
+        return (m[..., None, :] @ C)[..., 0, :]
 
     def grads_at(self, tris, pts):
         g = self.mono_grads_at(tris, pts)
         C = _per_element(self.C[tris], pts.ndim)
-        return np.einsum("...mj,...md->...jd", C, g)
+        return np.swapaxes(C, -1, -2) @ g
 
 
 class _CRTables:
@@ -215,8 +220,7 @@ def basis_tables(mesh: Triangulation, space: SpaceTag):
 
 def physical_points(mesh, bary):
     """Map barycentric points (nq, 3) to physical points per element (nt, nq, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    return np.einsum("qk,tkd->tqd", bary, p)
+    return bary @ mesh.vertices[mesh.triangles]
 
 
 def volume_quadrature(mesh, degree: int):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from ncfem.afem import afem_loop
 from ncfem.mesh import builtin_domain, refine
+from ncfem.problems import ns_unit_load
 from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
                           build_dofmap, local_coefficients)
 
@@ -24,6 +26,16 @@ def square32():
 @pytest.fixture(scope="session")
 def lshape():
     return builtin_domain("l_shape")
+
+
+@pytest.fixture(scope="module")
+def graded_lshape():
+    """Last level (1249 free dofs) of an adaptive NVB run of ns_unit_load on
+    the L-shape: (problem, mesh, dofmap, solution)."""
+    problem = ns_unit_load()
+    res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000)
+    assert res.records[-1].n_free == 1249
+    return problem, res.meshes[-1], res.dofmaps[-1], res.solutions[-1]
 
 
 def random_function(dofmap, rng, n_components=1, scale=1.0):

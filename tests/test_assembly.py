@@ -6,7 +6,8 @@ from ncfem.assembly import Assembler, assembler, gamma_ns, gamma_vk
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
-from ncfem.spaces import DiscreteFunction, SpaceTag, build_dofmap
+from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
+                          build_dofmap, volume_quadrature)
 from ncfem.interpolation import morley_interpolate
 
 
@@ -77,6 +78,27 @@ def test_gamma_ns_antisymmetry(square8):
         eta, chi = random_function(dm, rng), random_function(dm, rng)
         scale = max(1.0, abs(gamma_ns(square8, dm, eta, eta, chi)))
         assert abs(gamma_ns(square8, dm, eta, chi, chi)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("mesh", ["lshape", "graded"])
+def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
+    """S from the centroid gradients and the second moment of each element
+    against the degree-4 rule (exact for the quadratic integrand) applied to
+    grads_at, and a_loc against the hessian pairing."""
+    m = lshape if mesh == "lshape" else graded_lshape[1]
+    asm = Assembler(m, morley_dofmap(m), NS)
+    tab = basis_tables(m, SpaceTag.MORLEY)
+    xq, wdx = volume_quadrature(m, 4)
+    g = tab.grads_at(np.arange(m.n_triangles), xq)        # (nt, nq, 6, 2)
+    gx, gy = g[..., 0], g[..., 1]
+    S = (np.einsum("tq,tqj,tqk->tjk", wdx, gy, gx)
+         - np.einsum("tq,tqj,tqk->tjk", wdx, gx, gy))
+    scale = np.abs(S).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(asm.S - S) <= 1e-12 * scale)
+    assert np.array_equal(asm.S, -np.transpose(asm.S, (0, 2, 1)))
+    a = np.einsum("t,tiab,tjab->tij", asm.geom.area, tab.hess, tab.hess)
+    scale = np.abs(a).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(asm.a_loc - a) <= 1e-12 * scale)
 
 
 def test_gamma_ns_skew_in_last_two_slots(square8):

@@ -334,6 +334,22 @@ def test_cli_vk_study_trajectory_pinned(tmp_path):
                                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("argv, csv", [
+    (["afem", "--problem", "ns_unit_load", "--domain", "l_shape",
+      "--theta", "0.5", "--max-free-dofs", "4000"],
+     "afem_ns_unit_load_l_shape.csv"),
+    (["study", "--problem", "vk_poly", "--levels", "4"], "study_vk_poly.csv"),
+])
+def test_cli_csv_repeats_bitwise(argv, csv, tmp_path):
+    """Two runs in one process write the same CSV bytes."""
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        runs.append((out / csv).read_bytes())
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("text, line", [
     ("3 1\n0 0\n1 0\n0 1\n0 1\n", 5),                  # triangle row of 2 fields
     ("4 2\n0 0\n1 0\n1 1\n0 1\n0 1 2 0\n0 2 3\n", 7),  # r on one row only

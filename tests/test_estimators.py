@@ -3,15 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import morley_dofmap
+from conftest import morley_dofmap, random_function
 from ncfem.afem import dorfler_mark
-from ncfem.estimators import (EstimatorReport, broken_energy_error,
+from ncfem.estimators import (EstimatorReport, _edge_sides, _hessians,
+                              _lap_grad_at_edges, broken_energy_error,
                               cr_apriori_terms, estimate_ns_morley,
                               estimate_vk_morley)
+from ncfem.interpolation import _edge_points
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, manufactured
+from ncfem.quadrature import quad_edge
 from ncfem.solve import newton_solve
-from ncfem.spaces import DiscreteFunction, SpaceTag
+from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
+                          local_coefficients)
 
 
 def const_field(c):
@@ -69,6 +73,30 @@ def test_ns_estimator_report_consistency(square32):
     assert rep.eta_total == pytest.approx(
         np.sqrt(rep.eta_K_sq.sum() + rep.eta_E_sq.sum()), rel=1e-12)
     assert 0.0 <= rep.avg_term_S_sq <= rep.eta_E_sq.sum()
+
+
+@pytest.mark.parametrize("mesh", ["lshape", "graded"])
+def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
+    """The affine gradient g_T + H_T (x - c_T) against the basis gradients
+    of grads_at contracted with u, from both sides of every edge."""
+    if mesh == "lshape":
+        m = lshape
+        dm = morley_dofmap(m)
+        u = random_function(dm, np.random.default_rng(1))
+    else:
+        _, m, dm, u = graded_lshape
+    cu = local_coefficients(dm, u)
+    H = _hessians(m, cu)
+    lap = H[:, 0, 0] + H[:, 1, 1]
+    pts = _edge_points(m, quad_edge(4))
+    t_plus, t_minus = _edge_sides(m)
+    interior = t_minus >= 0
+    tab = basis_tables(m, SpaceTag.MORLEY)
+    for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
+        got = _lap_grad_at_edges(m, H, cu, tris, x)
+        g = np.einsum("eqjd,ej->eqd", tab.grads_at(tris, x), cu[tris])
+        want = lap[tris][:, None, None] * g
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_estimator_decay_under_refinement():

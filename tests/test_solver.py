@@ -5,10 +5,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from conftest import cr_dofmap, morley_dofmap
-from ncfem.afem import afem_loop
 from ncfem.assembly import assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
-from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
+from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
 import ncfem.solve
 from ncfem.solve import (GAMMA_MAX_ROUNDS, _equilibrate, _gram_factor,
@@ -111,14 +110,11 @@ class SplaSpy:
 
 
 @pytest.fixture(scope="module")
-def graded_ns():
-    """Jacobian and Gram of ns_unit_load at the last level (1249 dofs) of an
-    adaptive NVB run on the L-shape."""
-    problem = ns_unit_load()
-    res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000)
-    assert res.records[-1].n_free == 1249
-    asm = assembler(res.meshes[-1], res.dofmaps[-1], problem)
-    return asm.jacobian(res.solutions[-1]).tocsc(), asm.gram()
+def graded_ns(graded_lshape):
+    """Jacobian and Gram of ns_unit_load on the graded L-shape."""
+    problem, mesh, dofmap, U = graded_lshape
+    asm = assembler(mesh, dofmap, problem)
+    return asm.jacobian(U).tocsc(), asm.gram()
 
 
 def assert_equilibrated(As):
@@ -138,6 +134,18 @@ def test_sparse_solve_equilibrates_by_powers_of_two(graded_ns, monkeypatch):
     assert np.all(np.frexp(d)[0] == 0.5)
     assert abs(As - sp.diags(d) @ J @ sp.diags(d)).max() == 0.0
     assert_equilibrated(As)
+
+
+@pytest.mark.parametrize("a", [np.nextafter(2.0 ** 17, np.inf), 2.0 ** 17,
+                               np.nextafter(2.0 ** 17, -np.inf), 2.0 ** -40])
+def test_equilibrate_exact_exponent(a):
+    """log2 of a just above 2^17 rounds onto 17, an odd integer, and a
+    rounded half exponent then leaves the scaled diagonal just above 2."""
+    As, d = _equilibrate(sp.csc_matrix(np.diag([a, -a, 1.0])))
+    assert np.all(np.frexp(d)[0] == 0.5)
+    diag = np.abs(As.diagonal())
+    assert np.all((diag >= 0.5) & (diag < 2.0))
+    assert np.array_equal(diag, d * d * np.array([a, a, 1.0]))
 
 
 def test_equilibration_cuts_jacobian_fill(graded_ns):

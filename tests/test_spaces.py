@@ -3,8 +3,9 @@ import pytest
 
 from conftest import cr_dofmap, evaluate, morley_dofmap, random_function
 from ncfem.mesh import bisect, builtin_domain, geometry
+from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          local_coefficients)
+                          local_coefficients, physical_points)
 
 
 def test_dof_counts_bisected_square():
@@ -112,6 +113,41 @@ def test_cr_grads_match_central_differences(square8, lshape):
                            / (2.0 * step[:, None]))
         defect = np.abs(tab.grads - fd).max(axis=(1, 2))
         assert (defect <= 1e-8 * np.abs(tab.grads).max(axis=(1, 2))).all()
+
+
+def morley_grads_by_central_differences(tab, tris, pts, step):
+    """Central differences of values_at; exact up to round-off for the
+    quadratic Morley basis.  step broadcasts against pts[..., 0]."""
+    fd = np.empty(pts.shape[:-1] + (6, 2))
+    for d in range(2):
+        shift = np.zeros(pts.shape)
+        shift[..., d] = step
+        fd[..., d] = ((tab.values_at(tris, pts + shift)
+                       - tab.values_at(tris, pts - shift))
+                      / (2.0 * step[..., None]))
+    return fd
+
+
+@pytest.mark.parametrize("mesh", ["lshape", "graded"])
+def test_morley_grads_match_central_differences(mesh, lshape, graded_lshape):
+    m = lshape if mesh == "lshape" else graded_lshape[1]
+    tab = basis_tables(m, SpaceTag.MORLEY)
+    h = geometry(m).h_T
+    # one point set per element: the degree-4 volume rule, (nt, nq, 2)
+    tris = np.arange(m.n_triangles)
+    pts = physical_points(m, quad_triangle(4).points)
+    step = 1e-3 * h[:, None]
+    # paired input: three random interior points per element, (n, 2)
+    rng = np.random.default_rng(0)
+    bary = rng.dirichlet(np.ones(3), size=3 * m.n_triangles)
+    ptris = np.repeat(tris, 3)
+    ppts = np.einsum("nk,nkd->nd", bary, m.vertices[m.triangles[ptris]])
+    for t, x, s in ((tris, pts, step), (ptris, ppts, 1e-3 * h[ptris])):
+        g = tab.grads_at(t, x)
+        fd = morley_grads_by_central_differences(tab, t, x, s)
+        assert g.shape == x.shape[:-1] + (6, 2)
+        scale = np.abs(g).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(g - fd) <= 1e-8 * scale)
 
 
 def test_local_coefficients_zero_on_boundary(square8):
