@@ -84,11 +84,12 @@ def test_gram_factor_fills_less_than_partial_pivoting():
 
 class SplaSpy:
     """Stands in for scipy.sparse.linalg inside ncfem.solve, as the
-    benchmark's tracer does, and records the calls its spans see; `perturb`
-    is added to the first spsolve solution."""
+    benchmark's tracer does, and records the calls its spans see and what
+    they return; `perturb` is added to the first spsolve solution."""
 
     def __init__(self, perturb=0.0):
         self.args = {"splu": [], "spsolve": []}
+        self.results = {"splu": [], "spsolve": []}
         self.perturb = perturb
 
     @property
@@ -105,6 +106,7 @@ class SplaSpy:
             out = fn(*args, **kwargs)
             if name == "spsolve" and len(self.args[name]) == 1:
                 out = out + self.perturb
+            self.results[name].append(out)
             return out
         return recorded
 
@@ -195,8 +197,63 @@ def test_infsup_factors_the_equilibrated_b(graded_ns, monkeypatch):
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     infsup_constant(J.T, G, G)
-    [b_factor] = [args[0] for args, kwargs in spla.args["splu"] if not kwargs]
+    [b_factor] = [args[0] for args, kwargs in spla.args["splu"]
+                  if "diag_pivot_thresh" not in kwargs]
     assert_equilibrated(b_factor)
+
+
+def fill(lu, A):
+    return (lu.L.nnz + lu.U.nnz) / A.nnz
+
+
+def test_gram_factor_fills_less_than_colamd(graded_ns):
+    """The minimum-degree order of G^T + G halves the fill of SuperLU's
+    default COLAMD order (2.29 against 4.50 nnz(G)), in what SuperLU stores
+    as well as in the entries of L and U, and keeps the rows in column order."""
+    _, G = graded_ns
+    lu = _gram_factor(G)
+    colamd = scipy.sparse.linalg.splu(G.tocsc(), diag_pivot_thresh=0.0)
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert fill(lu, G) <= 0.6 * fill(colamd, G)
+    assert lu.nnz <= 0.6 * colamd.nnz
+
+
+def test_gram_and_b_factors_solve_like_spsolve(graded_ns, monkeypatch):
+    J, G = graded_ns
+    b = np.random.default_rng(0).standard_normal(G.shape[0])
+
+    def assert_solves(x, A):
+        ref = scipy.sparse.linalg.spsolve(A.tocsc(), b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    assert_solves(_gram_factor(G).solve(b), G)
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    infsup_constant(J.T, G, G)
+    [(Bs, Blu)] = [(args[0], lu) for (args, kwargs), lu
+                   in zip(spla.args["splu"], spla.results["splu"])
+                   if "diag_pivot_thresh" not in kwargs]
+    assert_solves(Blu.solve(b), Bs)
+    assert_solves(Blu.solve(b, trans="T"), Bs.T)
+
+
+def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
+    """SuperLU's default relaxed supernodes store 49 nnz(G) and take 40-60
+    times as long on the final G of the afem L-shape run (60421 dofs); every
+    splu must keep the symmetric order and relax=1."""
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    man = manufactured("ns_poly")
+    dm = morley_dofmap(square32)
+    U, _ = newton_solve(square32, dm, man.problem)
+    kantorovich_report(square32, dm, man.problem, U)
+    discrete_embedding_ratio(square32, dm)
+    asm = assembler(square32, cr_dofmap(square32), manufactured("cr_sine").problem)
+    infsup_constant((asm.a_matrix() + asm.b_matrix()).T, asm.gram(), asm.gram())
+    assert spla.calls["splu"] >= 4
+    for _, kwargs in spla.args["splu"]:
+        assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
+        assert kwargs["relax"] == 1
 
 
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
@@ -209,6 +266,18 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
     _, trace = newton_solve(square32, dofmap(square32), problem)
     assert trace.converged and trace.iterations >= 1
     assert spla.calls == {"splu": 1, "spsolve": trace.iterations}
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "cr_sine"])
+def test_newton_trace_gram_fill_repeats_bitwise(square32, name):
+    problem = manufactured(name).problem
+    dofmap = cr_dofmap if name == "cr_sine" else morley_dofmap
+    G = assembler(square32, dofmap(square32), problem).gram()
+    first = newton_solve(square32, dofmap(square32), problem)[1].gram_fill
+    assembler.cache_clear()
+    assert newton_solve(square32, dofmap(square32), problem)[1].gram_fill == first
+    assert first == _gram_factor(G).nnz / G.nnz
+    assert first >= 1.0
 
 
 def test_kantorovich_report_factors_and_solves(square8, monkeypatch):
