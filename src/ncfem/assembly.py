@@ -264,7 +264,8 @@ class Assembler:
         ce = local_coefficients(self.dofmap, eta)
         cc = local_coefficients(self.dofmap, chi)
         cp = local_coefficients(self.dofmap, phi)
-        return float(np.einsum("ti,ti,tj,tjk,tk->", self.trH, ce, cc, self.S, cp))
+        a = (self.trH * ce).sum(1)                     # Delta(eta) on each T
+        return float((a * ((cc[:, None, :] @ self.S)[:, 0] * cp).sum(1)).sum())
 
     def vk_b_pw(self, c_eta, c_chi, c_phi):
         q = np.einsum("ti,tij,tj->t", c_eta, self.Br, c_chi)

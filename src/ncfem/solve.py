@@ -195,8 +195,14 @@ def gamma_norm_lower_bound(mesh, dofmap, problem):
 
     Higher-order power method from one fixed triple: each round sets every
     slot in turn to the normalized G-Riesz representative G^-1 w of that
-    slot's gradient w, which never lowers |Gamma|.  Stops once a round raises
-    |Gamma| by less than GAMMA_RTOL (relative) or after GAMMA_MAX_ROUNDS.
+    slot's gradient w, which never lowers |Gamma|.  Gamma is linear in each
+    slot, so with c = G^-1 w the new slot c / |w|_{G^-1} gives
+    Gamma = w . c / |w|_{G^-1} = |w|_{G^-1}: a round's value is the dual norm
+    of the last slot's gradient, and Gamma itself is evaluated only at the
+    start.  Stops once a round raises |Gamma| by less than GAMMA_RTOL
+    (relative), after GAMMA_MAX_ROUNDS, or as soon as a gradient vanishes, as
+    every gradient does with one free dof: Gamma is then 0 along the other
+    two slots, and the rounds returned count the round that stopped.
     Returns (estimate, rounds); (0.0, 0) for the CR problem."""
     kind = problem.kind
     if kind is ProblemKind.SECOND_ORDER_CR:
@@ -219,8 +225,11 @@ def gamma_norm_lower_bound(mesh, dofmap, problem):
         for slot in range(3):
             w = asm.gamma_gradient(slot, *triple)
             c = Glu.solve(w)
-            triple[slot] = wrap(c / np.sqrt(c @ w))  # |G^-1 w|_G = |w|_{G^-1}
-        new = abs(value(*triple))
+            cw = c @ w                          # |w|_{G^-1}^2 = |G^-1 w|_G^2
+            if cw <= 0:
+                return float(best), rounds
+            new = np.sqrt(cw)
+            triple[slot] = wrap(c / new)
         gain, best = new - best, max(best, new)
         if gain <= GAMMA_RTOL * new:
             break
@@ -237,7 +246,8 @@ class KantorovichReport:
     r_minus: float
     rho: float
     condition_met: bool
-    gamma_rounds: int           # GAMMA_MAX_ROUNDS: the power method hit its cap
+    gamma_rounds: int           # power-method rounds run, up to GAMMA_MAX_ROUNDS
+                                # (the cap); 1 if a first-round gradient vanishes
 
 
 def kantorovich_report(mesh, dofmap, problem, U0=None):

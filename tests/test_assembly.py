@@ -7,7 +7,8 @@ from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
 from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          build_dofmap, volume_quadrature)
+                          build_dofmap, local_coefficients,
+                          volume_quadrature)
 from ncfem.interpolation import morley_interpolate
 
 
@@ -99,6 +100,35 @@ def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     a = np.einsum("t,tiab,tjab->tij", asm.geom.area, tab.hess, tab.hess)
     scale = np.abs(a).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(asm.a_loc - a) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("mesh", ["lshape", "graded"])
+def test_gamma_ns_value_matches_quadrature(mesh, lshape, graded_lshape):
+    """gamma_ns_value against sum_T int_T Delta(eta) (chi_y phi_x - chi_x phi_y)
+    by the degree-4 rule on grads_at (exact for the quadratic integrand), with
+    the constant Laplacians from tab.hess, for random triples.  The L-shape is
+    refined once: with no interior vertex Gamma vanishes on it.  The graded
+    sum cancels (sum_T |Gamma_T| reaches 1300 |Gamma|), so the tolerance is
+    relative to sum_T |Gamma_T|."""
+    m = refine(lshape, 1) if mesh == "lshape" else graded_lshape[1]
+    dm = morley_dofmap(m)
+    asm = Assembler(m, dm, NS)
+    tab = basis_tables(m, SpaceTag.MORLEY)
+    xq, wdx = volume_quadrature(m, 4)
+    g = tab.grads_at(np.arange(m.n_triangles), xq)        # (nt, nq, 6, 2)
+    lap = tab.hess[:, :, 0, 0] + tab.hess[:, :, 1, 1]     # (nt, 6)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        eta, chi, phi = (random_function(dm, rng) for _ in range(3))
+        ce, cc, cp = (local_coefficients(dm, u) for u in (eta, chi, phi))
+        gc = np.einsum("tqja,tj->tqa", g, cc)
+        gp = np.einsum("tqja,tj->tqa", g, cp)
+        cross = gc[..., 1] * gp[..., 0] - gc[..., 0] * gp[..., 1]
+        per_t = (np.einsum("tj,tj->t", lap, ce)
+                 * np.einsum("tq,tq->t", wdx, cross))
+        exact, scale = per_t.sum(), np.abs(per_t).sum()
+        assert abs(exact) > 1e-6 * scale
+        assert abs(asm.gamma_ns_value(eta, chi, phi) - exact) <= 1e-12 * scale
 
 
 def test_gamma_ns_skew_in_last_two_slots(square8):

@@ -2,11 +2,14 @@ import ast
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ncfem
 from conftest import patch_newton
 from ncfem.afem import ConvergenceRecord
 from ncfem.assembly import Assembler
@@ -236,6 +239,22 @@ def test_cli_solve(capsys):
     U, _ = newton_solve(mesh, dofmap, problem)
     assert int(m.group(1)) == kantorovich_report(mesh, dofmap, problem,
                                                  U).gamma_rounds
+
+
+def test_cli_solve_one_free_dof_stops_gamma_cleanly(tmp_path):
+    # the unrefined square has one free dof, where every trilinear gradient
+    # vanishes: the power method stops in round 1, and nothing (no 0/0
+    # RuntimeWarning) reaches stderr
+    src = str(Path(ncfem.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from ncfem.cli import main; "
+            "sys.exit(max(main(['solve', '--problem', p, '--levels', '1', "
+            "'--out', sys.argv[2]]) for p in ('ns_poly', 'vk_poly')))")
+    proc = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert re.findall(r"gamma_rounds = (\d+)", proc.stdout) == ["1", "1"]
 
 
 def test_cli_verify_passes(capsys):

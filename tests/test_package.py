@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import ncfem
 
@@ -14,3 +16,24 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"ncfem.{info.name}.{name}"
         exporting += [info.name] * hasattr(module, "__all__")
     assert {"spaces", "solve", "estimators", "assembly"} <= set(exporting)
+
+
+def test_no_unoptimized_einsum_over_three_operands():
+    """np.einsum without optimize= contracts all its operands in one loop over
+    every index; five operands ran 20x slower than the same product as two
+    contractions, while two or three operands run within 15% of matmul.  So a
+    call with more than three operands (or unpacked ones) must pass optimize=
+    or be split."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum"
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in ("np", "numpy")
+                    and (len(node.args) > 4
+                         or any(isinstance(a, ast.Starred) for a in node.args))
+                    and not any(k.arg == "optimize" for k in node.keywords)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"unoptimized np.einsum over > 3 operands: {offenders}"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,7 +12,7 @@ from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
 import ncfem.solve
-from ncfem.solve import (GAMMA_MAX_ROUNDS, _equilibrate, _gram_factor,
+from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, _equilibrate, _gram_factor,
                          discrete_embedding_ratio,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
@@ -421,6 +423,62 @@ def test_gamma_rounds_report_the_cap(square8, monkeypatch):
     zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(9))
     rep = kantorovich_report(square8, morley_dofmap(square8), NS, zero)
     assert rep.gamma_rounds == 2
+
+
+def _gamma_power_method_reference(mesh, dm, problem):
+    """The power method with Gamma evaluated at the whole triple after every
+    round, as gamma_norm_lower_bound ran before it took a round's value from
+    the last slot's normalization."""
+    asm = assembler(mesh, dm, problem)
+    value = (asm.gamma_ns_value if problem.kind is NS.kind
+             else asm.gamma_vk_value)
+    G = asm.gram()
+    Glu = _gram_factor(G)
+    n = dm.n_free * problem.n_components
+
+    def wrap(c):
+        return DiscreteFunction(SpaceTag.MORLEY, problem.n_components, c)
+
+    triple = [wrap(c / np.sqrt(c @ (G @ c)))
+              for c in np.random.default_rng(0).standard_normal((3, n))]
+    best = abs(value(*triple))
+    for rounds in range(1, GAMMA_MAX_ROUNDS + 1):
+        for slot in range(3):
+            w = asm.gamma_gradient(slot, *triple)
+            c = Glu.solve(w)
+            triple[slot] = wrap(c / np.sqrt(c @ w))
+        new = abs(value(*triple))
+        gain, best = new - best, max(best, new)
+        if gain <= GAMMA_RTOL * new:
+            break
+    return best, rounds
+
+
+@pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
+@pytest.mark.parametrize("mesh", ["square32", "graded"])
+def test_gamma_rounds_value_matches_whole_triple_evaluation(mesh, problem,
+                                                            square32,
+                                                            graded_lshape):
+    # a round's value is |w|_{G^-1} of the last slot's gradient, which is
+    # Gamma at the updated triple: same rounds, same estimate to round-off
+    m = square32 if mesh == "square32" else graded_lshape[1]
+    dm = morley_dofmap(m)
+    ref, ref_rounds = _gamma_power_method_reference(m, dm, problem)
+    est, rounds = gamma_norm_lower_bound(m, dm, problem)
+    assert rounds == ref_rounds
+    assert est == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
+def test_gamma_vanishing_gradient_stops_the_power_method(square2, problem):
+    # one free dof (the unrefined square): S is antisymmetric, so every ns
+    # gradient is 0, and so is every vk gradient; the method stops in its
+    # first round instead of dividing 0 by 0
+    dm = morley_dofmap(square2)
+    assert dm.n_free == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_norm_lower_bound(square2, dm, problem) == (0.0, 1)
 
 
 def test_infsup_trivial_identity():
