@@ -286,21 +286,25 @@ class Assembler:
         dm = self.dofmap
         kind = self.problem.kind
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-            cx, cy, cz = (local_coefficients(dm, u) for u in (x, y, z))
+            # gather only the two arguments the slot reads
             if slot == 0:
+                cy, cz = (local_coefficients(dm, u) for u in (y, z))
                 loc = self.trH * np.einsum("tj,tjk,tk->t", cy, self.S, cz)[:, None]
             else:
-                su = (np.einsum("tjk,tk->tj", self.S, cz) if slot == 1
-                      else np.einsum("tj,tjk->tk", cy, self.S))
+                cx = local_coefficients(dm, x)
+                if slot == 1:
+                    su = np.einsum("tjk,tk->tj", self.S, local_coefficients(dm, z))
+                else:
+                    su = np.einsum("tj,tjk->tk", local_coefficients(dm, y), self.S)
                 loc = np.einsum("ti,ti->t", self.trH, cx)[:, None] * su
             return _scatter_vector(loc, dm)
         if kind is not ProblemKind.VON_KARMAN_MORLEY:
             raise ValueError("the CR problem has no trilinear form")
-        p1, p2 = (local_coefficients(dm, z, c) for c in (0, 1))
-        iv1 = np.einsum("tk,tk->t", self.IV, p1)
-        iv2 = np.einsum("tk,tk->t", self.IV, p2)
         if slot < 2:
             # Gamma is symmetric in its first two slots (Br is symmetric)
+            p1, p2 = (local_coefficients(dm, z, c) for c in (0, 1))
+            iv1 = np.einsum("tk,tk->t", self.IV, p1)
+            iv2 = np.einsum("tk,tk->t", self.IV, p2)
             o1, o2 = (local_coefficients(dm, y if slot == 0 else x, c)
                       for c in (0, 1))
             bo1 = np.einsum("tij,tj->ti", self.Br, o1)

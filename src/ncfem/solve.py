@@ -38,9 +38,12 @@ and the radii r_minus = (1 - sqrt(1 - 2h)) / m - delta (around the first
 iterate) and rho = (1 + sqrt(1 - 2h)) / m (uniqueness radius).  The trilinear
 form norm is not computable in closed form; gamma_norm_estimate is the lower
 bound that the higher-order power method (De Lathauwer, De Moor and
-Vandewalle, SIMAX 2000) reaches from one fixed start, so condition_met
-(4 delta |Gamma| < beta0) is advisory and never gates a solve.  Newton
-damping is intentionally absent; divergence is reported, not masked.
+Vandewalle, SIMAX 2000) reaches from one fixed start, its sweeps extrapolated
+by safeguarded Anderson mixing (Walker and Ni, SINUM 2011).  It is |Gamma| at
+a triple the method visited, and it can stop at a stationary point below the
+maximum, so condition_met (4 delta |Gamma| < beta0) is advisory and never
+gates a solve.  Newton damping is intentionally absent; divergence is
+reported, not masked.
 
 beta0 = infsup_constant(J^T, G, G) and the discrete inf-sup constant share one
 routine: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
@@ -49,6 +52,7 @@ fixed start vector; non-convergence raises ArpackNoConvergence (RuntimeError).
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,28 +189,18 @@ def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
     return U, trace
 
 
-GAMMA_RTOL = 1e-6       # stop once a round raises |Gamma| by less than this
+GAMMA_RTOL = 1e-6       # stop once a round raises |Gamma| by at most this
 GAMMA_MAX_ROUNDS = 100
+GAMMA_HISTORY = 5       # sweep residuals the extrapolation mixes
 
 
-def gamma_norm_lower_bound(mesh, dofmap, problem):
-    """Lower bound for the trilinear form norm
-    sup |Gamma(x, y, z)| / (|x| |y| |z|) in energy norms, and the rounds used.
-
-    Higher-order power method from one fixed triple: each round sets every
-    slot in turn to the normalized G-Riesz representative G^-1 w of that
-    slot's gradient w, which never lowers |Gamma|.  Gamma is linear in each
-    slot, so with c = G^-1 w the new slot c / |w|_{G^-1} gives
-    Gamma = w . c / |w|_{G^-1} = |w|_{G^-1}: a round's value is the dual norm
-    of the last slot's gradient, and Gamma itself is evaluated only at the
-    start.  Stops once a round raises |Gamma| by less than GAMMA_RTOL
-    (relative), after GAMMA_MAX_ROUNDS, or as soon as a gradient vanishes, as
-    every gradient does with one free dof: Gamma is then 0 along the other
-    two slots, and the rounds returned count the round that stopped.
-    Returns (estimate, rounds); (0.0, 0) for the CR problem."""
+def _gamma_power_method(mesh, dofmap, problem):
+    """gamma_norm_lower_bound's (estimate, rounds) and the triple, a (3, n)
+    array of G-normalized slot coefficients, whose |Gamma| the estimate is;
+    (0.0, 0, None) for the CR problem."""
     kind = problem.kind
     if kind is ProblemKind.SECOND_ORDER_CR:
-        return 0.0, 0
+        return 0.0, 0, None
     asm = assembler(mesh, dofmap, problem)
     value = (asm.gamma_ns_value if kind is ProblemKind.NAVIER_STOKES_MORLEY
              else asm.gamma_vk_value)
@@ -214,26 +208,79 @@ def gamma_norm_lower_bound(mesh, dofmap, problem):
     Glu = _gram_factor(G)
     n = dofmap.n_free * problem.n_components
 
-    def wrap(c):
-        return DiscreteFunction(space=dofmap.space,
-                                n_components=problem.n_components, coeffs=c)
+    def wrap(u):
+        return [DiscreteFunction(space=dofmap.space,
+                                 n_components=problem.n_components, coeffs=c)
+                for c in u]
 
-    triple = [wrap(c / np.sqrt(c @ (G @ c)))
-              for c in np.random.default_rng(0).standard_normal((3, n))]
-    best = abs(value(*triple))
+    def normalized(u):          # (u, G u) with every slot of unit G norm
+        Gu = (G @ u.T).T
+        norms = np.sqrt(np.einsum("si,si->s", u, Gu))[:, None]
+        return u / norms, Gu / norms
+
+    u, Gu = normalized(np.random.default_rng(0).standard_normal((3, n)))
+    best = abs(value(*wrap(u)))
+    history = deque(maxlen=GAMMA_HISTORY)      # (F(u), r, G r) per sweep
     for rounds in range(1, GAMMA_MAX_ROUNDS + 1):
+        start = best
+        F, GF = u.copy(), np.empty_like(u)
         for slot in range(3):
-            w = asm.gamma_gradient(slot, *triple)
+            w = asm.gamma_gradient(slot, *wrap(F))
             c = Glu.solve(w)
             cw = c @ w                          # |w|_{G^-1}^2 = |G^-1 w|_G^2
             if cw <= 0:
-                return float(best), rounds
+                return float(best), rounds, u
             new = np.sqrt(cw)
-            triple[slot] = wrap(c / new)
-        gain, best = new - best, max(best, new)
-        if gain <= GAMMA_RTOL * new:
+            F[slot], GF[slot] = c / new, w / new
+        best = max(best, new)
+        history.append((F, F - u, GF - Gu))
+        u, Gu = F, GF
+        if len(history) > 1:
+            Fs, R, GR = (np.stack(h).reshape(len(history), -1)
+                         for h in zip(*history))
+            # a / sum(a), a = A^-1 1, minimizes |sum a_i r_i|_G over sum a_i = 1
+            A = R @ GR.T                        # G inner products of residuals
+            a = np.linalg.lstsq(A, np.ones(len(history)), rcond=None)[0]
+            if a.sum() > 0:                     # 0 once the residuals vanish
+                x, Gx = normalized((a / a.sum() @ Fs).reshape(3, n))
+                extrapolated = abs(value(*wrap(x)))
+                if extrapolated > best:
+                    best, u, Gu = extrapolated, x, Gx
+                else:
+                    history.clear()
+        if best - start <= GAMMA_RTOL * best:
             break
-    return float(best), rounds
+    return float(best), rounds, u
+
+
+def gamma_norm_lower_bound(mesh, dofmap, problem):
+    """Lower bound for the trilinear form norm
+    sup |Gamma(x, y, z)| / (|x| |y| |z|) in energy norms, and the rounds used.
+
+    Higher-order power method from one fixed triple u, with safeguarded
+    Anderson extrapolation (Walker and Ni, SINUM 2011).  A round first
+    sweeps: it sets every slot in turn to the normalized G-Riesz
+    representative G^-1 w of that slot's gradient w, which never lowers
+    |Gamma|.  Gamma is linear in each slot, so with c = G^-1 w the new slot
+    c / |w|_{G^-1} gives Gamma = w . c / |w|_{G^-1} = |w|_{G^-1}: the sweep's
+    value is the dual norm of the last slot's gradient.  Then it mixes the
+    sweep outputs F(u) of the last GAMMA_HISTORY rounds with the weights
+    a (sum 1) that minimize the G norm of sum a_i r_i, r = F(u) - u the
+    concatenated sweep residuals.  G F(u) = w / |w|_{G^-1} comes with the
+    gradients, so the weights need no G product, only an m x m least-squares
+    solve (m <= GAMMA_HISTORY); normalizing the mix in the G norm takes one G
+    product per slot.  The mix replaces the sweep's triple only if |Gamma|
+    there beats the best value so far; else the history is cleared.  So a
+    round costs three gradients, three G solves, one Gamma evaluation and the
+    least-squares solve (a round with one sweep in the history only sweeps),
+    and the estimate is |Gamma|, to round-off, at the triple the method ends
+    on.  Stops once a round raises the best value by at most
+    GAMMA_RTOL (relative), after GAMMA_MAX_ROUNDS, or as soon as a gradient
+    vanishes, as every gradient does with one free dof: Gamma is then 0
+    along the other two slots, and the rounds returned count the round that
+    stopped.  Returns (estimate, rounds); (0.0, 0) for the CR problem."""
+    estimate, rounds, _ = _gamma_power_method(mesh, dofmap, problem)
+    return estimate, rounds
 
 
 @dataclass
@@ -246,8 +293,9 @@ class KantorovichReport:
     r_minus: float
     rho: float
     condition_met: bool
-    gamma_rounds: int           # power-method rounds run, up to GAMMA_MAX_ROUNDS
-                                # (the cap); 1 if a first-round gradient vanishes
+    gamma_rounds: int           # power-method rounds (sweep plus extrapolation)
+                                # run, up to GAMMA_MAX_ROUNDS (the cap); 1 if a
+                                # first-round gradient vanishes
 
 
 def kantorovich_report(mesh, dofmap, problem, U0=None):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import cr_dofmap, morley_dofmap, random_function
-from ncfem.assembly import Assembler, assembler, gamma_ns, gamma_vk
+from ncfem.assembly import (Assembler, _scatter_vector, assembler, gamma_ns,
+                            gamma_vk)
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
@@ -207,6 +208,70 @@ def test_gamma_gradient_matches_value(square32, problem, slot):
     w = asm.gamma_gradient(slot, *args)
     assert w @ args[slot].coeffs == pytest.approx(value, rel=1e-12)
     assert abs(value) > 1e-3 * np.linalg.norm(w)
+
+
+def _gamma_gradient_gathering_all(asm, slot, x, y, z):
+    """Assembler.gamma_gradient as it was when it gathered the local
+    coefficients of all three arguments (the z coefficients and their
+    integrals IV . z also for the vk slot 2, which reads neither)."""
+    dm = asm.dofmap
+    if asm.problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
+        cx, cy, cz = (local_coefficients(dm, u) for u in (x, y, z))
+        if slot == 0:
+            loc = asm.trH * np.einsum("tj,tjk,tk->t", cy, asm.S, cz)[:, None]
+        else:
+            su = (np.einsum("tjk,tk->tj", asm.S, cz) if slot == 1
+                  else np.einsum("tj,tjk->tk", cy, asm.S))
+            loc = np.einsum("ti,ti->t", asm.trH, cx)[:, None] * su
+        return _scatter_vector(loc, dm)
+    p1, p2 = (local_coefficients(dm, z, c) for c in (0, 1))
+    iv1 = np.einsum("tk,tk->t", asm.IV, p1)
+    iv2 = np.einsum("tk,tk->t", asm.IV, p2)
+    if slot < 2:
+        o1, o2 = (local_coefficients(dm, y if slot == 0 else x, c)
+                  for c in (0, 1))
+        bo1 = np.einsum("tij,tj->ti", asm.Br, o1)
+        bo2 = np.einsum("tij,tj->ti", asm.Br, o2)
+        g1 = 0.5 * (iv2[:, None] * bo1 - iv1[:, None] * bo2)
+        g2 = -0.5 * iv1[:, None] * bo1
+    else:
+        x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
+        y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
+        q12 = np.einsum("ti,tij,tj->t", x1, asm.Br, y2)
+        q21 = np.einsum("ti,tij,tj->t", x2, asm.Br, y1)
+        q11 = np.einsum("ti,tij,tj->t", x1, asm.Br, y1)
+        g1 = -0.5 * (q12 + q21)[:, None] * asm.IV
+        g2 = 0.5 * q11[:, None] * asm.IV
+    return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
+
+
+@pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
+def test_gamma_gradient_gathers_only_what_the_slot_reads(square32, problem,
+                                                        monkeypatch):
+    # skipping the unread gathers changes no bit of any gradient; an ns
+    # gradient gathers two arguments, a vk one two arguments of two
+    # components each
+    rng = np.random.default_rng(7)
+    dm = morley_dofmap(square32)
+    asm = Assembler(square32, dm, problem)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return local_coefficients(*args)
+
+    for _ in range(3):
+        args = [random_function(dm, rng, n_components=problem.n_components)
+                for _ in range(3)]
+        for slot in range(3):
+            expected = _gamma_gradient_gathering_all(asm, slot, *args)
+            with monkeypatch.context() as mp:
+                mp.setattr("ncfem.assembly.local_coefficients", spy)
+                calls.clear()
+                w = asm.gamma_gradient(slot, *args)
+            assert np.array_equal(w, expected)
+            assert len(calls) == (2 if problem is NS else 4)
+            assert all(c[1] is not args[slot] for c in calls)
 
 
 def test_residual_zero_state_zero_load(square8):

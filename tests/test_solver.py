@@ -12,7 +12,8 @@ from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
 import ncfem.solve
-from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, _equilibrate, _gram_factor,
+from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, _equilibrate,
+                         _gamma_power_method, _gram_factor,
                          discrete_embedding_ratio,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
@@ -426,9 +427,8 @@ def test_gamma_rounds_report_the_cap(square8, monkeypatch):
 
 
 def _gamma_power_method_reference(mesh, dm, problem):
-    """The power method with Gamma evaluated at the whole triple after every
-    round, as gamma_norm_lower_bound ran before it took a round's value from
-    the last slot's normalization."""
+    """The plain power method, without extrapolation, with Gamma evaluated
+    at the whole triple after every round."""
     asm = assembler(mesh, dm, problem)
     value = (asm.gamma_ns_value if problem.kind is NS.kind
              else asm.gamma_vk_value)
@@ -456,17 +456,58 @@ def _gamma_power_method_reference(mesh, dm, problem):
 
 @pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
 @pytest.mark.parametrize("mesh", ["square32", "graded"])
-def test_gamma_rounds_value_matches_whole_triple_evaluation(mesh, problem,
-                                                            square32,
-                                                            graded_lshape):
-    # a round's value is |w|_{G^-1} of the last slot's gradient, which is
-    # Gamma at the updated triple: same rounds, same estimate to round-off
+def test_gamma_extrapolation_beats_plain_power_method(mesh, problem, square32,
+                                                      graded_lshape):
+    # the safeguard accepts an extrapolated triple only if it raises |Gamma|,
+    # so the estimate is |Gamma| at the triple returned, never below the
+    # plain method's, and reached in no more rounds
     m = square32 if mesh == "square32" else graded_lshape[1]
     dm = morley_dofmap(m)
     ref, ref_rounds = _gamma_power_method_reference(m, dm, problem)
-    est, rounds = gamma_norm_lower_bound(m, dm, problem)
-    assert rounds == ref_rounds
-    assert est == pytest.approx(ref, rel=1e-12, abs=0)
+    est, rounds, triple = _gamma_power_method(m, dm, problem)
+    assert (est, rounds) == gamma_norm_lower_bound(m, dm, problem)
+    assert est >= ref
+    assert rounds <= ref_rounds
+    asm = assembler(m, dm, problem)
+    value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)
+    G = asm.gram()
+    assert np.allclose([c @ (G @ c) for c in triple], 1.0, rtol=1e-12, atol=0)
+    at_triple = abs(value(*(DiscreteFunction(SpaceTag.MORLEY,
+                                             problem.n_components, c)
+                            for c in triple)))
+    assert est == pytest.approx(at_triple, rel=1e-12, abs=0)
+
+
+# Long-run values on refine(unit_square, 4) (961 free dofs), computed once by
+# the plain power method (the sweep alone, as _gamma_power_method_reference
+# runs it) with GAMMA_RTOL = 1e-12 and no round cap.  ns stops at its fixed
+# point after 551 rounds.  vk stalls at a saddle: it holds 0.04319081 from
+# round 200 to round 5000, with gains of 2e-11 to 6e-11 per round, then
+# climbs away and stops at 0.04319443705332055 after 53401 rounds.  The vk
+# entry is its value at round 1000, the saddle that the first 100 rounds
+# approach.
+LONG_RUN_GAMMA = {"ns": 0.016348209799290386, "vk": 0.043190810724343005}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_RUN_GAMMA))
+def test_gamma_estimate_reaches_long_run_value(name):
+    mesh = refine(builtin_domain("unit_square"), 4)
+    dm = morley_dofmap(mesh)
+    assert dm.n_free == 961
+    est, _ = gamma_norm_lower_bound(mesh, dm, {"ns": NS, "vk": VK}[name])
+    assert est == pytest.approx(LONG_RUN_GAMMA[name], rel=1e-5, abs=0)
+
+
+@pytest.mark.parametrize("name, levels, n", [("ns_poly", 6, 3969),
+                                             ("vk_poly", 5, 961)])
+def test_gamma_rounds_at_diagnostics_sizes(name, levels, n):
+    # the solves `ncfem solve --problem ns_poly --levels 6` and `--problem
+    # vk_poly --levels 5` report on; the plain method took 99 and 73 rounds
+    mesh = refine(builtin_domain("unit_square"), levels - 1)
+    dm = morley_dofmap(mesh)
+    assert dm.n_free == n
+    _, rounds = gamma_norm_lower_bound(mesh, dm, manufactured(name).problem)
+    assert rounds <= 30
 
 
 @pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
