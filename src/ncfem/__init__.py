@@ -7,10 +7,10 @@ from .mesh import (Triangulation, MeshGeometry, build_from_arrays, bisect,
                    uniform_refine, refine, geometry, builtin_domain,
                    read_mesh, write_mesh)
 from .quadrature import QuadRule, quad_triangle, quad_edge
-from .spaces import SpaceTag, DofMap, DiscreteFunction, build_dofmap
+from .spaces import SpaceTag, DofMap, build_dofmap
 from .problems import (ProblemKind, ProblemSpec, Field, manufactured,
                        registry_names, ns_unit_load, polynomial_field)
-from .assembly import Assembler, assembler, gamma_ns, gamma_vk
+from .assembly import Assembler, assembler
 from .interpolation import (morley_interpolate, cr_interpolate, l2_project,
                             oscillation, transfer_morley)
 from .solve import (sparse_solve, newton_solve, NewtonTrace,

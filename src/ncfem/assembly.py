@@ -3,7 +3,7 @@
 Matrix convention: M[i, j] = form(trial basis j, test basis i), so the
 residual of a linear problem reads M u - F.  Constrained dofs are eliminated;
 all matrices and vectors live on free dofs (von Karman systems are 2x2 block
-systems ordered [u-block, v-block]).
+systems ordered [u-block, v-block]), and so are the states U (see spaces).
 
 Everything is element-local and assembled with deterministic numpy
 reductions, so repeated runs are bitwise reproducible.  The piecewise
@@ -21,6 +21,9 @@ For the Morley space the trilinear forms factor elementwise:
 * von Karman:      b(eta, chi, phi)|_T = -1/2 (eta^T Br chi) (IV . phi)
   with Br the constant bracket pairing [phi_i, phi_j] and IV the basis
   integrals.
+
+The trilinear forms are reached only through an Assembler: gamma_ns_value,
+gamma_vk_value and gamma_gradient read these load-independent tensors.
 """
 from __future__ import annotations
 
@@ -31,12 +34,10 @@ import scipy.sparse as sparse
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
-from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
-                     local_coefficients, space_of, volume_quadrature)
+from .spaces import (DofMap, SpaceTag, basis_tables, local_coefficients,
+                     space_of, volume_quadrature)
 
-__all__ = [
-    "Assembler", "assembler", "gamma_ns", "gamma_vk",
-]
+__all__ = ["Assembler", "assembler"]
 
 VOLUME_QUAD_DEGREE = 4
 
@@ -199,44 +200,39 @@ class Assembler:
 
     def load(self):
         if self._load is None:
-            tris = np.arange(self.mesh.n_triangles)
-            vals = self.tables.values_at(tris, self.xq)
-            fq = self.problem.f(self.xq)
-            F1 = _scatter_vector(np.einsum("tq,tqk->tk", self.wdx * fq, vals),
-                                 self.dofmap)
+            vals = self.tables.values_at(np.arange(self.mesh.n_triangles), self.xq)
+
+            def scatter(fn):
+                loc = np.einsum("tq,tqk->tk", self.wdx * fn(self.xq), vals)
+                return _scatter_vector(loc, self.dofmap)
+
+            self._load = scatter(self.problem.f)
             if self.problem.n_components == 2:
-                if self.problem.g is not None:
-                    gq = self.problem.g(self.xq)
-                    F2 = _scatter_vector(
-                        np.einsum("tq,tqk->tk", self.wdx * gq, vals), self.dofmap)
-                else:
-                    F2 = np.zeros(self.dofmap.n_free)
-                self._load = np.concatenate([F1, F2])
-            else:
-                self._load = F1
+                g = self.problem.g
+                F2 = np.zeros(self.dofmap.n_free) if g is None else scatter(g)
+                self._load = np.concatenate([self._load, F2])
         return self._load
 
-    def residual(self, U: DiscreteFunction):
+    def residual(self, U):
         """Entries N_h(U; phi_j) of the discrete residual over free test dofs."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
-            return (self.a_matrix() + self.b_matrix()) @ U.coeffs - self.load()
+            return (self.a_matrix() + self.b_matrix()) @ U - self.load()
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
             cu = local_coefficients(self.dofmap, U)
             a_t = np.einsum("ti,ti->t", self.trH, cu)
             su = np.einsum("ti,tik->tk", cu, self.S)
             nl = _scatter_vector(a_t[:, None] * su, self.dofmap)
-            return self.a_matrix() @ U.coeffs - self.load() + nl
+            return self.a_matrix() @ U - self.load() + nl
         # von Karman
-        cu = local_coefficients(self.dofmap, U, 0)
-        cv = local_coefficients(self.dofmap, U, 1)
+        cu, cv = (local_coefficients(self.dofmap, U, c) for c in (0, 1))
         quv = np.einsum("ti,tij,tj->t", cu, self.Br, cv)
         quu = np.einsum("ti,tij,tj->t", cu, self.Br, cu)
         r1 = _scatter_vector(-quv[:, None] * self.IV, self.dofmap)
         r2 = _scatter_vector(0.5 * quu[:, None] * self.IV, self.dofmap)
-        return self.a_matrix() @ U.coeffs - self.load() + np.concatenate([r1, r2])
+        return self.a_matrix() @ U - self.load() + np.concatenate([r1, r2])
 
-    def jacobian(self, U: DiscreteFunction):
+    def jacobian(self, U):
         """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .)."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
@@ -248,8 +244,7 @@ class Assembler:
             loc = (a_t[:, None, None] * np.transpose(self.S, (0, 2, 1))
                    + su[:, :, None] * self.trH[:, None, :])
             return self.a_matrix() + _scatter_matrix(loc, self.dofmap)
-        cu = local_coefficients(self.dofmap, U, 0)
-        cv = local_coefficients(self.dofmap, U, 1)
+        cu, cv = (local_coefficients(self.dofmap, U, c) for c in (0, 1))
         brU = np.einsum("tij,tj->ti", self.Br, cu)
         brV = np.einsum("tij,tj->ti", self.Br, cv)
         J11 = _scatter_matrix(-np.einsum("tk,tj->tkj", self.IV, brV), self.dofmap)
@@ -261,6 +256,8 @@ class Assembler:
     # -- trilinear forms -----------------------------------------------------
 
     def gamma_ns_value(self, eta, chi, phi):
+        """Trilinear Navier-Stokes form
+        sum_T int_T Delta(eta) (chi_y phi_x - chi_x phi_y)."""
         ce = local_coefficients(self.dofmap, eta)
         cc = local_coefficients(self.dofmap, chi)
         cp = local_coefficients(self.dofmap, phi)
@@ -272,6 +269,8 @@ class Assembler:
         return float(-0.5 * np.einsum("t,tk,tk->", q, self.IV, c_phi))
 
     def gamma_vk_value(self, Xi, Theta, Phi):
+        """Coupled von Karman trilinear form on component pairs,
+        b(xi1, theta2, phi1) + b(xi2, theta1, phi1) - b(xi1, theta1, phi2)."""
         dm = self.dofmap
         x1, x2 = (local_coefficients(dm, Xi, c) for c in (0, 1))
         t1, t2 = (local_coefficients(dm, Theta, c) for c in (0, 1))
@@ -326,22 +325,4 @@ class Assembler:
 @lru_cache(maxsize=1)
 def assembler(mesh, dofmap, problem) -> Assembler:
     return Assembler(mesh, dofmap, problem)
-
-
-def _zero_load(pts):
-    return np.zeros(np.shape(pts)[:-1])
-
-
-_NS_PROBE = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY, f=_zero_load)
-_VK_PROBE = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY, f=_zero_load)
-
-
-def gamma_ns(mesh, dofmap, eta, chi, phi, problem=None):
-    """Trilinear Navier-Stokes form sum_T int Delta(eta) (chi_y phi_x - chi_x phi_y)."""
-    return assembler(mesh, dofmap, problem or _NS_PROBE).gamma_ns_value(eta, chi, phi)
-
-
-def gamma_vk(mesh, dofmap, Xi, Theta, Phi, problem=None):
-    """Coupled von Karman trilinear form on component pairs."""
-    return assembler(mesh, dofmap, problem or _VK_PROBE).gamma_vk_value(Xi, Theta, Phi)
 

@@ -22,8 +22,8 @@ from .interpolation import cr_dof_values, morley_dof_values
 from .problems import (ProblemKind, manufactured, ns_unit_load,
                        polynomial_field, registry_names)
 from .reporting import emit_plots, write_records_csv
-from .spaces import (DiscreteFunction, SpaceTag, basis_tables, build_dofmap,
-                     local_coefficients, space_of, volume_quadrature)
+from .spaces import (SpaceTag, basis_tables, build_dofmap, local_coefficients,
+                     space_of, volume_quadrature)
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 1
 
@@ -247,21 +247,19 @@ def _verify_checks(cfg: RunConfig):
                      - np.eye(6)).max()
     yield "morley dof duality", duality, 1e-12
 
-    def rand_fn(n_components=1):
-        return DiscreteFunction(space=SpaceTag.MORLEY, n_components=n_components,
-                                coeffs=rng.standard_normal(n_components * dm.n_free))
-
+    asm = assembly.assembler(mesh, dm, manufactured("ns_poly").problem)
     worst = 0.0
     for _ in range(100):
-        eta, chi = rand_fn(), rand_fn()
-        scale = max(1.0, np.abs(eta.coeffs).max() * np.abs(chi.coeffs).max() ** 2)
-        worst = max(worst, abs(assembly.gamma_ns(mesh, dm, eta, chi, chi)) / scale)
+        eta, chi = rng.standard_normal(dm.n_free), rng.standard_normal(dm.n_free)
+        scale = max(1.0, np.abs(eta).max() * np.abs(chi).max() ** 2)
+        worst = max(worst, abs(asm.gamma_ns_value(eta, chi, chi)) / scale)
     yield "gamma antisymmetry (navier-stokes)", worst, 1e-12
 
-    asm = assembly.assembler(mesh, dm, assembly._VK_PROBE)
+    asm = assembly.assembler(mesh, dm, manufactured("vk_poly").problem)
     worst = 0.0
     for _ in range(100):
-        ce, cc, cp = (local_coefficients(dm, rand_fn()) for _ in range(3))
+        ce, cc, cp = (local_coefficients(dm, rng.standard_normal(dm.n_free))
+                      for _ in range(3))
         worst = max(worst, abs(asm.vk_b_pw(ce, cc, cp) - asm.vk_b_pw(cc, ce, cp)))
     yield "bracket symmetry (von karman)", worst, 1e-12
 
@@ -300,9 +298,7 @@ def _verify_checks(cfg: RunConfig):
         problem = manufactured(name).problem
         space = space_of(problem.kind)
         dmx = build_dofmap(mesh, space)
-        n = dmx.n_free * problem.n_components
-        U = DiscreteFunction(space=space, n_components=problem.n_components,
-                             coeffs=0.1 * rng.standard_normal(n))
+        U = 0.1 * rng.standard_normal(dmx.n_free * problem.n_components)
         J = assembly.assembler(mesh, dmx, problem).jacobian(U).toarray()
         if cfg.corrupt_jacobian and name == "ns_poly":
             J[0, 0] += 1.0e-2 * (1.0 + abs(J[0, 0]))

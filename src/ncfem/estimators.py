@@ -28,9 +28,9 @@ import numpy as np
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
 from .quadrature import quad_edge
-from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
-                     local_coefficients, volume_quadrature)
-from .interpolation import _edge_points, oscillation
+from .spaces import (DofMap, SpaceTag, basis_tables, local_coefficients,
+                     volume_quadrature)
+from .interpolation import edge_points, oscillation
 
 __all__ = [
     "EstimatorReport", "estimate_ns_morley", "estimate_vk_morley",
@@ -84,8 +84,8 @@ def _lap_grad_at_edges(mesh, H, c_loc, tris, pts):
     return lap[tris][:, None, None] * grad
 
 
-def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f) -> EstimatorReport:
-    if dofmap.space is not SpaceTag.MORLEY or u_M.n_components != 1:
+def estimate_ns_morley(mesh, dofmap: DofMap, u_M, f) -> EstimatorReport:
+    if dofmap.space is not SpaceTag.MORLEY or len(u_M) != dofmap.n_free:
         raise ValueError("estimate_ns_morley needs a scalar Morley function")
     geom = geometry(mesh)
     cu = local_coefficients(dofmap, u_M)
@@ -100,7 +100,7 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f) -> Estima
     eta_E_sq = _hessian_jump_term(mesh, geom, H, t_plus, t_minus)
 
     erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
-    pts = _edge_points(mesh, erule)
+    pts = edge_points(mesh, erule)
     w_plus = _lap_grad_at_edges(mesh, H, cu, t_plus, pts)
     w_minus = np.zeros_like(w_plus)
     interior = t_minus >= 0
@@ -122,15 +122,11 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M: DiscreteFunction, f) -> Estima
                                                    + eta_E_sq.sum())))
 
 
-def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
-                       g=None) -> EstimatorReport:
-    if dofmap.space is not SpaceTag.MORLEY or Psi.n_components != 2:
+def estimate_vk_morley(mesh, dofmap: DofMap, Psi, f, g=None) -> EstimatorReport:
+    if dofmap.space is not SpaceTag.MORLEY or len(Psi) != 2 * dofmap.n_free:
         raise ValueError("estimate_vk_morley needs a Morley component pair")
     geom = geometry(mesh)
-    cu = local_coefficients(dofmap, Psi, 0)
-    cv = local_coefficients(dofmap, Psi, 1)
-    Hu = _hessians(mesh, cu)
-    Hv = _hessians(mesh, cv)
+    Hu, Hv = (_hessians(mesh, local_coefficients(dofmap, Psi, c)) for c in (0, 1))
 
     def bracket(Ha, Hb):
         return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
@@ -143,8 +139,7 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi: DiscreteFunction, f,
     fq = f(xq)
     res1 = buv[:, None] + fq
     if g is not None:
-        gq = g(xq)
-        res2 = buu[:, None] - 2.0 * gq
+        res2 = buu[:, None] - 2.0 * g(xq)
     else:
         res2 = np.broadcast_to(buu[:, None], fq.shape)
     eta_K_sq = geom.h_T ** 4 * ((wdx * res1 ** 2).sum(axis=1)
@@ -198,45 +193,41 @@ def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
     return float(np.sqrt(p_sq.sum())), osc1
 
 
-def broken_energy_error(mesh, dofmap, problem, U: DiscreteFunction, exact):
-    """Broken energy error against a manufactured solution: the piecewise H^2
-    seminorm distance for Morley (summed over components), the A-weighted
-    piecewise H^1 distance for CR."""
+def broken_energy_error(mesh, dofmap, problem, U, exact):
+    """Broken energy error against a manufactured solution, exact one Field
+    per component: the piecewise H^2 seminorm distance for Morley (summed
+    over components), the A-weighted piecewise H^1 distance for CR."""
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    fields = exact if isinstance(exact, (tuple, list)) else (exact,)
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:
-        for comp, fld in enumerate(fields):
+        for comp, fld in enumerate(exact):
             H = _hessians(mesh, local_coefficients(dofmap, U, comp))
             diff = fld.hessian(xq) - H[:, None, :, :]
             total += (wdx * np.einsum("tqab,tqab->tq", diff, diff)).sum()
     else:
         grads = basis_tables(mesh, dofmap.space).grads
         gh = np.einsum("tjd,tj->td", grads, local_coefficients(dofmap, U))
-        diff = fields[0].gradient(xq) - gh[:, None, :]
-        if problem is not None and problem.A is not None:
-            Adiff = np.einsum("tqab,tqb->tqa", problem.A(xq), diff)
-        else:
-            Adiff = diff
+        diff = exact[0].gradient(xq) - gh[:, None, :]
+        Adiff = (diff if problem.A is None
+                 else np.einsum("tqab,tqb->tqa", problem.A(xq), diff))
         total += (wdx * np.einsum("tqa,tqa->tq", diff, Adiff)).sum()
     return float(np.sqrt(total))
 
 
-def estimate(mesh, dofmap, problem: ProblemSpec, U: DiscreteFunction,
+def estimate(mesh, dofmap, problem: ProblemSpec, U,
              exact=None) -> EstimatorReport:
     """Problem-dispatching estimate step used by the adaptive loop.
 
     For the CR problem the a priori diagnostic terms (which need the exact
-    solution) stand in as element indicators; without an exact solution the
-    CR indicators are uniform."""
+    solution, one Field per component) stand in as element indicators;
+    without an exact solution the CR indicators are uniform."""
     kind = problem.kind
     if kind is ProblemKind.NAVIER_STOKES_MORLEY:
         return estimate_ns_morley(mesh, dofmap, U, problem.f)
     if kind is ProblemKind.VON_KARMAN_MORLEY:
         return estimate_vk_morley(mesh, dofmap, U, problem.f, problem.g)
     if exact is not None:
-        fields = exact if isinstance(exact, (tuple, list)) else (exact,)
-        p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, fields[0], problem)
+        p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)
         eta_K_sq = p_sq.sum(axis=1) + osc_el
         osc_sq = float(osc1 ** 2)
     else:

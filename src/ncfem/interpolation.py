@@ -15,20 +15,21 @@ import numpy as np
 
 from .mesh import geometry
 from .quadrature import quad_edge
-from .spaces import (DiscreteFunction, DofMap, SpaceTag, basis_tables,
+from .spaces import (DofMap, SpaceTag, basis_tables,
                      function_from_element_values, local_coefficients,
                      volume_quadrature)
 
 __all__ = [
     "morley_interpolate", "cr_interpolate", "morley_dof_values",
     "cr_dof_values", "l2_project", "oscillation", "ElementPolynomials",
-    "transfer_morley",
+    "transfer_morley", "edge_points",
 ]
 
 PROJECTION_DEGREE = 6   # volume rule of l2_project and oscillation
 
 
-def _edge_points(mesh, rule):
+def edge_points(mesh, rule):
+    """Points (ne, nq, 2) of the edge rule on every edge."""
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
@@ -42,33 +43,32 @@ def morley_dof_values(mesh, v, edge_degree: int = 4):
     boundary conditions."""
     geom = geometry(mesh)
     rule = quad_edge(edge_degree)
-    pts = _edge_points(mesh, rule)
+    pts = edge_points(mesh, rule)
     grads = v.gradient(pts)                           # (ne, nq, 2)
     gn = np.einsum("eqd,ed->eq", grads, geom.nu_E)
     return np.concatenate([v.value(mesh.vertices), gn @ rule.weights])
 
 
-def morley_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4
-                       ) -> DiscreteFunction:
-    """Morley interpolation into the clamped space: vertex dofs take the
-    point values, edge dofs the edge means of the normal derivative;
-    constrained boundary dofs are dropped.  Accepts a Field or a tuple of
-    Fields (component pairs)."""
+def morley_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
+    """Coefficient vector of the Morley interpolant in the clamped space:
+    vertex dofs take the point values, edge dofs the edge means of the normal
+    derivative; constrained boundary dofs are dropped.  Accepts a Field or a
+    tuple of Fields (component pairs)."""
     if dofmap.space is not SpaceTag.MORLEY:
         raise ValueError("morley_interpolate needs a Morley dof map")
     fields = v if isinstance(v, (tuple, list)) else (v,)
     rows = [morley_dof_values(mesh, f, edge_degree) for f in fields]
-    return function_from_element_values(dofmap, np.stack(rows), len(fields))
+    return function_from_element_values(dofmap, np.stack(rows))
 
 
 def cr_dof_values(mesh, v, edge_degree: int = 4):
     """Edge means of v over every edge (all CR dof functionals)."""
     rule = quad_edge(edge_degree)
-    return v.value(_edge_points(mesh, rule)) @ rule.weights
+    return v.value(edge_points(mesh, rule)) @ rule.weights
 
 
-def cr_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4) -> DiscreteFunction:
-    """Crouzeix-Raviart interpolation into the clamped space."""
+def cr_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
+    """Crouzeix-Raviart interpolant (its coefficients) in the clamped space."""
     if dofmap.space is not SpaceTag.CROUZEIX_RAVIART:
         raise ValueError("cr_interpolate needs a CR dof map")
     return function_from_element_values(dofmap, cr_dof_values(mesh, v, edge_degree))
@@ -133,16 +133,21 @@ def oscillation(mesh, g, k: int, p: int):
     return per_element, float(np.sqrt(per_element.sum()))
 
 
-def transfer_morley(mesh_c, dofmap_c: DofMap, U: DiscreteFunction,
-                    mesh_f, dofmap_f: DofMap) -> DiscreteFunction:
+def transfer_morley(mesh_c, dofmap_c: DofMap, U, mesh_f, dofmap_f: DofMap):
     """Re-evaluate the Morley dof functionals of a coarse function on a
-    refined mesh (mesh_f must descend from mesh_c, i.e. carry `parent`).
+    refined mesh (mesh_f must descend from mesh_c, i.e. carry `parent`), one
+    component per dofmap_c.n_free coefficients of U.
 
     At points on coarse inter-element edges, where the nonconforming function
     jumps, the trace from the lowest-indexed coarse ancestor among the
     adjacent fine triangles is used; the result is a deterministic Newton
     starting iterate, not an interpolant in any optimal sense.
     """
+    n_c = dofmap_c.n_free
+    n_components = len(U) // n_c if n_c else 0
+    if n_components < 1 or len(U) != n_components * n_c:
+        raise ValueError(f"{len(U)} coefficients are no positive multiple of "
+                         f"the coarse n_free = {n_c}")
     parent = mesh_f.parent
     if parent is None or len(parent) != mesh_f.n_triangles:
         raise ValueError("fine mesh does not carry a parent map onto the coarse mesh")
@@ -167,7 +172,7 @@ def transfer_morley(mesh_c, dofmap_c: DofMap, U: DiscreteFunction,
     mids = 0.5 * (mesh_f.vertices[mesh_f.edges[:, 0]]
                   + mesh_f.vertices[mesh_f.edges[:, 1]])
     rows = []
-    for comp in range(U.n_components):
+    for comp in range(n_components):
         cu = local_coefficients(dofmap_c, U, comp)
         poly = np.einsum("tmj,tj->tm", tab.C, cu)     # monomial coefficients
         vvals = np.einsum("vm,vm->v", poly[vparent],
@@ -175,4 +180,4 @@ def transfer_morley(mesh_c, dofmap_c: DofMap, U: DiscreteFunction,
         gmono = tab.mono_grads_at(eparent, mids)      # (ne, 6, 2)
         gvals = np.einsum("em,emd,ed->e", poly[eparent], gmono, geom_f.nu_E)
         rows.append(np.concatenate([vvals, gvals]))
-    return function_from_element_values(dofmap_f, np.stack(rows), U.n_components)
+    return function_from_element_values(dofmap_f, np.stack(rows))

@@ -89,8 +89,9 @@ def _polyline(ax, pts, color, dash=""):
             f'{extra} points="{coords}"/>')
 
 
-def svg_loglog(series, ref_slope=None, xlabel="n_free", title=""):
-    """series: list of (label, [(x, y), ...]); ref_slope: (slope, label)."""
+def svg_loglog(series, ref_slope):
+    """Log-log plot against n_free; series: non-empty list of (label,
+    [(x, y), ...]); ref_slope: (slope, label) of the dashed reference line."""
     pts_all = [p for _, pts in series for p in pts]
     ax = _LogAxes([p[0] for p in pts_all], [p[1] for p in pts_all])
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -117,20 +118,16 @@ def svg_loglog(series, ref_slope=None, xlabel="n_free", title=""):
         parts.append(_polyline(ax, pts, color))
         parts.append(f'<text x="{_W - _MR - 10}" y="{_MT + 20 + 16 * i}" '
                      f'font-size="12" text-anchor="end" fill="{color}">{label}</text>')
-    if ref_slope is not None and pts_all:
-        slope, label = ref_slope
-        x_a, x_b = min(p[0] for p in pts_all), max(p[0] for p in pts_all)
-        anchor = series[0][1][0]
-        y_a = anchor[1] * (x_a / anchor[0]) ** slope
-        y_b = anchor[1] * (x_b / anchor[0]) ** slope
-        parts.append(_polyline(ax, [(x_a, y_a), (x_b, y_b)], "#888888", dash="4 3"))
-        parts.append(f'<text x="{_W - _MR - 10}" y="{_MT + 20 + 16 * len(series)}" '
-                     f'font-size="12" text-anchor="end" fill="#888888">{label}</text>')
+    slope, label = ref_slope
+    x_a, x_b = min(p[0] for p in pts_all), max(p[0] for p in pts_all)
+    anchor = series[0][1][0]
+    y_a = anchor[1] * (x_a / anchor[0]) ** slope
+    y_b = anchor[1] * (x_b / anchor[0]) ** slope
+    parts.append(_polyline(ax, [(x_a, y_a), (x_b, y_b)], "#888888", dash="4 3"))
+    parts.append(f'<text x="{_W - _MR - 10}" y="{_MT + 20 + 16 * len(series)}" '
+                 f'font-size="12" text-anchor="end" fill="#888888">{label}</text>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_H - 12}" '
-                 f'font-size="13" text-anchor="middle">{xlabel}</text>')
-    if title:
-        parts.append(f'<text x="{(_ML + _W - _MR) / 2:.2f}" y="{_MT - 5}" '
-                     f'font-size="13" text-anchor="middle">{title}</text>')
+                 f'font-size="13" text-anchor="middle">n_free</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -61,7 +61,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import assembler
 from .problems import ProblemKind
-from .spaces import DiscreteFunction, basis_tables, physical_points
+from .spaces import basis_tables, physical_points
 from .quadrature import quad_triangle
 
 __all__ = [
@@ -69,6 +69,9 @@ __all__ = [
     "KantorovichReport", "kantorovich_report", "infsup_constant",
     "gamma_norm_lower_bound", "discrete_embedding_ratio", "fd_jacobian",
 ]
+
+NO_FREE_DOFS = "the mesh has no free dofs: refine it (--base-refinements 1)"
+FD_STEP = 1e-6          # the central-difference step of fd_jacobian
 
 
 def _as_csc(A):
@@ -145,22 +148,20 @@ class NewtonTrace:
 
 def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
                  max_iter: int = 20):
-    """Undamped Newton iteration; stops once the correction energy norm or
-    the residual dual norm drops to tol.  Linear problems converge in one
-    step.  Returns (solution, trace); max_iter exhaustion is reported via
-    trace.converged = False, a singular Jacobian raises."""
+    """Undamped Newton iteration from the coefficient vector U0 (default 0);
+    stops once the correction energy norm or the residual dual norm drops to
+    tol.  Linear problems converge in one step.  Returns (solution, trace);
+    max_iter exhaustion is reported via trace.converged = False, a singular
+    Jacobian raises, and so does a mesh without free dofs."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if dofmap.n_free == 0:
+        raise ValueError(NO_FREE_DOFS)
     asm = assembler(mesh, dofmap, problem)
     n = dofmap.n_free * problem.n_components
-    if U0 is None:
-        U = DiscreteFunction(space=dofmap.space,
-                             n_components=problem.n_components,
-                             coeffs=np.zeros(n))
-    else:
-        if len(U0.coeffs) != n:
-            raise ValueError("initial iterate does not match the dof map")
-        U = U0
+    U = np.zeros(n) if U0 is None else U0
+    if len(U) != n:
+        raise ValueError("initial iterate does not match the dof map")
     G = asm.gram()
     Glu = _gram_factor(G)
 
@@ -180,8 +181,7 @@ def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
         dn = float(np.sqrt(max(d @ (G @ d), 0.0)))
         trace.correction_norms.append(dn)
         trace.iterations += 1
-        U = DiscreteFunction(space=U.space, n_components=U.n_components,
-                             coeffs=U.coeffs + d)
+        U = U + d
         if dn <= tol:
             trace.residual_norms.append(dual(asm.residual(U)))
             trace.converged = True
@@ -208,24 +208,19 @@ def _gamma_power_method(mesh, dofmap, problem):
     Glu = _gram_factor(G)
     n = dofmap.n_free * problem.n_components
 
-    def wrap(u):
-        return [DiscreteFunction(space=dofmap.space,
-                                 n_components=problem.n_components, coeffs=c)
-                for c in u]
-
     def normalized(u):          # (u, G u) with every slot of unit G norm
         Gu = (G @ u.T).T
         norms = np.sqrt(np.einsum("si,si->s", u, Gu))[:, None]
         return u / norms, Gu / norms
 
     u, Gu = normalized(np.random.default_rng(0).standard_normal((3, n)))
-    best = abs(value(*wrap(u)))
+    best = abs(value(*u))
     history = deque(maxlen=GAMMA_HISTORY)      # (F(u), r, G r) per sweep
     for rounds in range(1, GAMMA_MAX_ROUNDS + 1):
         start = best
         F, GF = u.copy(), np.empty_like(u)
         for slot in range(3):
-            w = asm.gamma_gradient(slot, *wrap(F))
+            w = asm.gamma_gradient(slot, *F)
             c = Glu.solve(w)
             cw = c @ w                          # |w|_{G^-1}^2 = |G^-1 w|_G^2
             if cw <= 0:
@@ -243,7 +238,7 @@ def _gamma_power_method(mesh, dofmap, problem):
             a = np.linalg.lstsq(A, np.ones(len(history)), rcond=None)[0]
             if a.sum() > 0:                     # 0 once the residuals vanish
                 x, Gx = normalized((a / a.sum() @ Fs).reshape(3, n))
-                extrapolated = abs(value(*wrap(x)))
+                extrapolated = abs(value(*x))
                 if extrapolated > best:
                     best, u, Gu = extrapolated, x, Gx
                 else:
@@ -301,11 +296,8 @@ class KantorovichReport:
 def kantorovich_report(mesh, dofmap, problem, U0=None):
     """Newton-Kantorovich constants at the state U0 (default 0)."""
     asm = assembler(mesh, dofmap, problem)
-    n = dofmap.n_free * problem.n_components
     if U0 is None:
-        U0 = DiscreteFunction(space=dofmap.space,
-                              n_components=problem.n_components,
-                              coeffs=np.zeros(n))
+        U0 = np.zeros(dofmap.n_free * problem.n_components)
     G = asm.gram()
     J = asm.jacobian(U0)
     beta0 = infsup_constant(J.T, G, G)
@@ -355,9 +347,11 @@ def infsup_constant(B, Gx, Gy):
     shift-invert Lanczos at sigma = 0 with the inverse B^-T Gy B^-1."""
     same_gram = Gy is Gx
     B, Gx, Gy = _as_csc(B), _as_csc(Gx), _as_csc(Gy)
+    n = B.shape[0]
+    if n == 0:
+        raise ValueError(NO_FREE_DOFS)
     Gxlu = _spd_factor(Gx, "Gx")
     Gylu = Gxlu if same_gram else _spd_factor(Gy, "Gy")
-    n = B.shape[0]
     if not B.shape == Gx.shape == Gy.shape == (n, n):
         raise ValueError("infsup_constant needs a square B matching Gx and Gy")
     if n == 1:  # ARPACK needs n >= 2
@@ -377,25 +371,24 @@ def infsup_constant(B, Gx, Gy):
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def fd_jacobian(mesh, dofmap, problem, U: DiscreteFunction, step: float = 1e-6):
-    """Central-difference Jacobian of the residual; the independent oracle
-    for Assembler.jacobian (exact for quadratic residuals up to round-off)."""
+def fd_jacobian(mesh, dofmap, problem, U):
+    """Central-difference Jacobian of the residual at U; the independent
+    oracle for Assembler.jacobian (exact for quadratic residuals up to
+    round-off)."""
     asm = assembler(mesh, dofmap, problem)
-    n = len(U.coeffs)
+    n = len(U)
     out = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
-        e[j] = step
-        rp = asm.residual(DiscreteFunction(U.space, U.n_components, U.coeffs + e))
-        rm = asm.residual(DiscreteFunction(U.space, U.n_components, U.coeffs - e))
-        out[:, j] = (rp - rm) / (2.0 * step)
+        e[j] = FD_STEP
+        out[:, j] = (asm.residual(U + e) - asm.residual(U - e)) / (2.0 * FD_STEP)
     return out
 
 
-def discrete_embedding_ratio(mesh, dofmap, problem=None):
+def discrete_embedding_ratio(mesh, dofmap, problem):
     """Lower bound for the discrete embedding constant max_x sup_v
     |v(x)| / |v|_pw, x over the vertices, edge midpoints and degree-4
-    quadrature points of every element.
+    quadrature points of every element; G is that of the Morley problem.
 
     For a point x with basis values phi_x the inner sup is attained by the
     discrete Green's function v = G^-1 phi_x and equals
@@ -404,12 +397,10 @@ def discrete_embedding_ratio(mesh, dofmap, problem=None):
     max |v| / |v|_pw never falls, and the loop stops once it stops rising.
     It can stop at a local maximum over x: it meets the dense maximum on the
     uniform unit-square meshes and falls up to 12% short on the L-shape."""
-    from .assembly import _NS_PROBE
-
     n = dofmap.n_free
     if n == 0:
         return 0.0
-    asm = assembler(mesh, dofmap, problem or _NS_PROBE)
+    asm = assembler(mesh, dofmap, problem)
     Glu = _gram_factor(asm.gram()[:n, :n])
     tab = basis_tables(mesh, dofmap.space)
     rule = quad_triangle(4)

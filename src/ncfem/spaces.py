@@ -16,6 +16,11 @@ elements sharing an edge see one dof with a consistent sign because both use
 the same global normal.  The CR basis is 1 - 2 lambda_k in the barycentric
 coordinates lambda_k.
 
+A discrete function is its free-dof coefficient vector: a 1-D float array of
+length n_components * n_free, the components concatenated in order (the
+[u-block, v-block] of a von Karman pair); the dof map and the problem give
+its space and its number of components.
+
 Second derivatives are constant per element, and so are CR gradients: the
 tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
 `grads` (nt, 3, 2) on the CR table.  values_at and the Morley grads_at accept
@@ -40,7 +45,7 @@ from .problems import ProblemKind
 from .quadrature import quad_triangle
 
 __all__ = [
-    "SpaceTag", "DofMap", "DiscreteFunction", "build_dofmap", "basis_tables",
+    "SpaceTag", "DofMap", "build_dofmap", "basis_tables",
     "local_coefficients", "function_from_element_values", "space_of",
     "volume_quadrature",
 ]
@@ -59,16 +64,6 @@ class DofMap:
     free_of_dof: np.ndarray      # (n_dofs,) free index or -1
     dof_of_free: np.ndarray      # (n_free,) global dof index
     n_free: int
-
-
-@dataclass(frozen=True, eq=False)
-class DiscreteFunction:
-    space: SpaceTag
-    n_components: int
-    coeffs: np.ndarray  # (n_components * n_free,) free-dof coefficients
-
-    def component(self, i: int, n_free: int) -> np.ndarray:
-        return self.coeffs[i * n_free:(i + 1) * n_free]
 
 
 def space_of(kind: ProblemKind) -> SpaceTag:
@@ -231,19 +226,19 @@ def volume_quadrature(mesh, degree: int):
     return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
 
 
-def local_coefficients(dofmap: DofMap, u: DiscreteFunction, component: int = 0):
-    """Per-element local coefficient vectors (nt, nloc); constrained dofs are 0."""
-    comp = u.component(component, dofmap.n_free)
+def local_coefficients(dofmap: DofMap, u, component: int = 0):
+    """Per-element local coefficient vectors (nt, nloc) of one component of
+    the coefficient vector u; constrained dofs are 0."""
+    n = dofmap.n_free
+    comp = u[component * n:(component + 1) * n]
     fo = dofmap.free_of_dof[dofmap.element_dofs]
     vals = comp[np.clip(fo, 0, None)]
     vals[fo < 0] = 0.0
     return vals
 
 
-def function_from_element_values(dofmap: DofMap, dof_values,
-                                 n_components: int = 1) -> DiscreteFunction:
-    """Assemble a DiscreteFunction from values indexed by global dof."""
+def function_from_element_values(dofmap: DofMap, dof_values) -> np.ndarray:
+    """Coefficient vector of values indexed by global dof, one row per
+    component (or one 1-D row): the free entries of each row, concatenated."""
     dof_values = np.atleast_2d(np.asarray(dof_values, dtype=float))
-    coeffs = dof_values[:, dofmap.dof_of_free].ravel()
-    return DiscreteFunction(space=dofmap.space, n_components=len(dof_values),
-                            coeffs=coeffs)
+    return dof_values[:, dofmap.dof_of_free].ravel()

@@ -4,8 +4,8 @@ import pytest
 from ncfem.afem import afem_loop
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import ns_unit_load
-from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          build_dofmap, local_coefficients)
+from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
+                          local_coefficients)
 
 
 @pytest.fixture(scope="session")
@@ -39,9 +39,7 @@ def graded_lshape():
 
 
 def random_function(dofmap, rng, n_components=1, scale=1.0):
-    return DiscreteFunction(space=dofmap.space, n_components=n_components,
-                            coeffs=scale * rng.standard_normal(
-                                n_components * dofmap.n_free))
+    return scale * rng.standard_normal(n_components * dofmap.n_free)
 
 
 def evaluate(mesh, dofmap, u, triangle, point, derivative="value"):

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import morley_dofmap, random_function
 from ncfem.afem import afem_loop, corner_fraction, uniform_study
-from ncfem.assembly import Assembler, assembler, gamma_ns
+from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (cr_apriori_terms, estimate_ns_morley,
                               estimate_vk_morley)
 from ncfem.interpolation import (cr_dof_values, morley_dof_values,
@@ -23,8 +23,8 @@ from ncfem.quadrature import (quad_triangle,
                               reference_triangle_monomial_integral)
 from ncfem.solve import (discrete_embedding_ratio, fd_jacobian,
                          infsup_constant, kantorovich_report)
-from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          build_dofmap, local_coefficients, physical_points)
+from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
+                          local_coefficients, physical_points)
 
 RATE_WINDOW = (0.85, 1.15)
 EFFECTIVITY_FACTOR = 3.0
@@ -156,8 +156,8 @@ def test_criterion_5_effectivity(ns_study, vk_study):
     mesh = refine(builtin_domain("unit_square"), 1)
     dm = morley_dofmap(mesh)
     zf = lambda p: np.zeros(np.shape(p)[:-1])
-    z1 = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    z2 = DiscreteFunction(SpaceTag.MORLEY, 2, np.zeros(2 * dm.n_free))
+    z1 = np.zeros(dm.n_free)
+    z2 = np.zeros(2 * dm.n_free)
     rep1 = estimate_ns_morley(mesh, dm, z1, zf)
     rep2 = estimate_vk_morley(mesh, dm, z2, zf)
     zero_ok = rep1.eta_total == 0.0 and rep2.eta_total == 0.0
@@ -201,11 +201,14 @@ def test_criterion_7_identity_suite():
                   - np.eye(6)).max()
     checks.append(("morley dof duality", dual, 1e-12))
 
+    ns_probe = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
+                           f=lambda p: np.zeros(np.shape(p)[:-1]))
+    asm = Assembler(mesh, dm, ns_probe)
     worst = 0.0
     for _ in range(100):
         eta = random_function(dm, rng)
         chi = random_function(dm, rng)
-        worst = max(worst, abs(gamma_ns(mesh, dm, eta, chi, chi)))
+        worst = max(worst, abs(asm.gamma_ns_value(eta, chi, chi)))
     checks.append(("gamma antisymmetry", worst, 1e-12))
 
     vk_probe = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
@@ -309,10 +312,11 @@ def test_criterion_9_afem_lshape():
 
 def test_criterion_10_discrete_embedding():
     mesh = refine(builtin_domain("unit_square"), 1)
+    problem = ns_unit_load()
     ratios = []
     for _ in range(4):
         dm = morley_dofmap(mesh)
-        ratios.append(discrete_embedding_ratio(mesh, dm))
+        ratios.append(discrete_embedding_ratio(mesh, dm, problem))
         mesh = uniform_refine(mesh)
     ok = max(ratios) <= 1.5 * ratios[0]
     report(10, ok, "sup/energy ratios per level "

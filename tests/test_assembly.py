@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import cr_dofmap, morley_dofmap, random_function
-from ncfem.assembly import (Assembler, _scatter_vector, assembler, gamma_ns,
-                            gamma_vk)
+from ncfem.assembly import Assembler, _scatter_vector, assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
-from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          build_dofmap, local_coefficients,
-                          volume_quadrature)
+from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
+                          local_coefficients, volume_quadrature)
 from ncfem.interpolation import morley_interpolate
 
 
@@ -76,10 +74,11 @@ def test_indefinite_symmetric_part(square32):
 def test_gamma_ns_antisymmetry(square8):
     rng = np.random.default_rng(1)
     dm = morley_dofmap(square8)
+    value = assembler(square8, dm, NS).gamma_ns_value
     for _ in range(100):
         eta, chi = random_function(dm, rng), random_function(dm, rng)
-        scale = max(1.0, abs(gamma_ns(square8, dm, eta, eta, chi)))
-        assert abs(gamma_ns(square8, dm, eta, chi, chi)) < 1e-12 * scale
+        scale = max(1.0, abs(value(eta, eta, chi)))
+        assert abs(value(eta, chi, chi)) < 1e-12 * scale
 
 
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
@@ -136,11 +135,12 @@ def test_gamma_ns_skew_in_last_two_slots(square8):
     rng = np.random.default_rng(2)
     dm = morley_dofmap(square8)
     eta, chi, phi = (random_function(dm, rng) for _ in range(3))
-    assert gamma_ns(square8, dm, eta, chi, phi) == pytest.approx(
-        -gamma_ns(square8, dm, eta, phi, chi), abs=1e-12)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
-    assert gamma_ns(square8, dm, zero, chi, phi) == 0.0
-    assert gamma_ns(square8, dm, eta, zero, phi) == 0.0
+    value = assembler(square8, dm, NS).gamma_ns_value
+    assert value(eta, chi, phi) == pytest.approx(
+        -value(eta, phi, chi), abs=1e-12)
+    zero = np.zeros(dm.n_free)
+    assert value(zero, chi, phi) == 0.0
+    assert value(eta, zero, phi) == 0.0
 
 
 def test_vk_bracket_symmetry(square8):
@@ -179,18 +179,15 @@ def test_gamma_vk_structure(square8):
     Theta = random_function(dm, rng, n_components=2)
     # zero second components: only the first-equation couplings survive
     half = dm.n_free
-    Xi0 = DiscreteFunction(SpaceTag.MORLEY, 2,
-                           np.concatenate([Xi.coeffs[:half], np.zeros(half)]))
-    Phi2 = DiscreteFunction(SpaceTag.MORLEY, 2,
-                            np.concatenate([np.zeros(half),
-                                            rng.standard_normal(half)]))
+    Xi0 = np.concatenate([Xi[:half], np.zeros(half)])
+    Phi2 = np.concatenate([np.zeros(half), rng.standard_normal(half)])
     asm = Assembler(square8, dm, VK)
     from ncfem.spaces import local_coefficients
     x1 = local_coefficients(dm, Xi0, 0)
     t1 = local_coefficients(dm, Theta, 0)
     p2 = local_coefficients(dm, Phi2, 1)
     expected = -asm.vk_b_pw(x1, t1, p2)
-    assert gamma_vk(square8, dm, Xi0, Theta, Phi2) == pytest.approx(
+    assert asm.gamma_vk_value(Xi0, Theta, Phi2) == pytest.approx(
         expected, abs=1e-12)
 
 
@@ -206,7 +203,7 @@ def test_gamma_gradient_matches_value(square32, problem, slot):
     asm = Assembler(square32, dm, problem)
     value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)(*args)
     w = asm.gamma_gradient(slot, *args)
-    assert w @ args[slot].coeffs == pytest.approx(value, rel=1e-12)
+    assert w @ args[slot] == pytest.approx(value, rel=1e-12)
     assert abs(value) > 1e-3 * np.linalg.norm(w)
 
 
@@ -276,7 +273,7 @@ def test_gamma_gradient_gathers_only_what_the_slot_reads(square32, problem,
 
 def test_residual_zero_state_zero_load(square8):
     dm = morley_dofmap(square8)
-    U = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    U = np.zeros(dm.n_free)
     assert np.abs(assembler(square8, dm, NS).residual(U)).max() == 0.0
 
 
@@ -286,7 +283,7 @@ def test_residual_vanishes_at_discrete_solution(square8):
     asm = assembler(square8, dm, problem)
     A = (asm.a_matrix() + asm.b_matrix()).tocsc()
     F = asm.load()
-    u = DiscreteFunction(SpaceTag.CROUZEIX_RAVIART, 1, sparse_solve(A, F))
+    u = sparse_solve(A, F)
     r = asm.residual(u)
     assert np.abs(r).max() < 1e-10 * (1 + np.abs(F).max())
 
@@ -325,7 +322,7 @@ def test_jacobian_matches_finite_differences(name, square8):
 
 def test_jacobian_at_zero_is_a_pw(square8):
     dm = morley_dofmap(square8)
-    U0 = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    U0 = np.zeros(dm.n_free)
     J = assembler(square8, dm, NS).jacobian(U0)
     A = assembler(square8, dm, NS).a_matrix()
     assert np.abs((J - A).toarray()).max() < 1e-14
@@ -335,8 +332,8 @@ def test_jacobian_affine_in_state(square8):
     rng = np.random.default_rng(6)
     dm = morley_dofmap(square8)
     U1, U2 = random_function(dm, rng), random_function(dm, rng)
-    U12 = DiscreteFunction(SpaceTag.MORLEY, 1, U1.coeffs + U2.coeffs)
-    U0 = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    U12 = U1 + U2
+    U0 = np.zeros(dm.n_free)
     asm = assembler(square8, dm, NS)
     combo = (asm.jacobian(U12) - asm.jacobian(U1) - asm.jacobian(U2)
              + asm.jacobian(U0))

@@ -287,6 +287,37 @@ def test_cli_solve_reads_mesh_file(tmp_path, capsys):
     assert code == 0
 
 
+ONE_TRIANGLE = "3 1\n0 0\n1 0\n0 1\n0 1 2\n"
+
+
+@pytest.mark.parametrize("command, problem", [
+    ("study", "ns_poly"), ("afem", "ns_unit_load"), ("solve", "vk_poly"),
+    ("solve", "cr_sine"), ("infsup", "cr_sine"),
+])
+def test_cli_mesh_without_free_dofs_is_usage_error(command, problem, tmp_path,
+                                                  capsys):
+    # every dof of a single triangle lies on the boundary
+    path = tmp_path / "tri.msh"
+    path.write_text(ONE_TRIANGLE)
+    code = main([command, "--problem", problem, "--domain", str(path),
+                 "--levels", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no free dofs" in err and "--base-refinements 1" in err
+    assert "Traceback" not in err
+
+
+def test_cli_study_on_a_refined_single_triangle(tmp_path):
+    path = tmp_path / "tri.msh"
+    path.write_text(ONE_TRIANGLE)
+    out = tmp_path / "out"
+    assert main(["study", "--problem", "ns_poly", "--domain", str(path),
+                 "--levels", "2", "--base-refinements", "1",
+                 "--out", str(out)]) == 0
+    records = read_records_csv(out / "study_ns_poly.csv")
+    assert [r.n_free for r in records] == [3, 21]
+
+
 # The adaptive run of scripts/afem_lshape.py up to 4000 free dofs, as the
 # list-based adjacency tables produced it: marking and refinement must keep
 # every mesh, and so every level, bitwise the same.

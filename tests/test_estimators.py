@@ -9,13 +9,12 @@ from ncfem.estimators import (EstimatorReport, _edge_sides, _hessians,
                               _lap_grad_at_edges, broken_energy_error,
                               cr_apriori_terms, estimate_ns_morley,
                               estimate_vk_morley)
-from ncfem.interpolation import _edge_points
+from ncfem.interpolation import edge_points
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, manufactured
 from ncfem.quadrature import quad_edge
 from ncfem.solve import newton_solve
-from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          local_coefficients)
+from ncfem.spaces import SpaceTag, basis_tables, local_coefficients
 
 
 def const_field(c):
@@ -24,7 +23,7 @@ def const_field(c):
 
 def test_ns_zero_consistency(square8):
     dm = morley_dofmap(square8)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    zero = np.zeros(dm.n_free)
     rep = estimate_ns_morley(square8, dm, zero, const_field(0.0).value)
     assert rep.eta_total == 0.0
     assert rep.eta_K_sq.max() == 0.0 and rep.eta_E_sq.max() == 0.0
@@ -34,7 +33,7 @@ def test_ns_zero_consistency(square8):
 
 def test_ns_pure_data_term(square8):
     dm = morley_dofmap(square8)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    zero = np.zeros(dm.n_free)
     rep = estimate_ns_morley(square8, dm, zero, const_field(1.0).value)
     g = geometry(square8)
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
@@ -45,7 +44,7 @@ def test_ns_pure_data_term(square8):
 
 def test_vk_zero_and_data_cases(square8):
     dm = morley_dofmap(square8)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 2, np.zeros(2 * dm.n_free))
+    zero = np.zeros(2 * dm.n_free)
     rep0 = estimate_vk_morley(square8, dm, zero, const_field(0.0).value)
     assert rep0.eta_total == 0.0
     rep1 = estimate_vk_morley(square8, dm, zero, const_field(1.0).value)
@@ -56,7 +55,7 @@ def test_vk_zero_and_data_cases(square8):
 
 def test_vk_second_equation_verification_load(square8):
     dm = morley_dofmap(square8)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 2, np.zeros(2 * dm.n_free))
+    zero = np.zeros(2 * dm.n_free)
     rep = estimate_vk_morley(square8, dm, zero, const_field(0.0).value,
                              g=const_field(1.0).value)
     g = geometry(square8)
@@ -88,7 +87,7 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
     cu = local_coefficients(dm, u)
     H = _hessians(m, cu)
     lap = H[:, 0, 0] + H[:, 1, 1]
-    pts = _edge_points(m, quad_edge(4))
+    pts = edge_points(m, quad_edge(4))
     t_plus, t_minus = _edge_sides(m)
     interior = t_minus >= 0
     tab = basis_tables(m, SpaceTag.MORLEY)
@@ -115,12 +114,11 @@ def test_estimator_decay_under_refinement():
 def test_estimators_reject_space_mismatch(square8):
     from conftest import cr_dofmap as _crdm
     dm_cr = _crdm(square8)
-    zero_cr = DiscreteFunction(SpaceTag.CROUZEIX_RAVIART, 1,
-                               np.zeros(dm_cr.n_free))
+    zero_cr = np.zeros(dm_cr.n_free)
     with pytest.raises(ValueError, match="Morley"):
         estimate_ns_morley(square8, dm_cr, zero_cr, const_field(0.0).value)
     dm = morley_dofmap(square8)
-    scalar = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    scalar = np.zeros(dm.n_free)
     with pytest.raises(ValueError, match="pair"):
         estimate_vk_morley(square8, dm, scalar, const_field(0.0).value)
     man = manufactured("ns_poly")

@@ -33,7 +33,7 @@ def test_morley_interpolate_zero(square8):
     zero = Field(value=lambda p: np.zeros(np.shape(p)[:-1]),
                  gradient=lambda p: np.zeros(np.shape(p)))
     u = morley_interpolate(square8, dm, zero)
-    assert np.abs(u.coeffs).max() == 0.0
+    assert np.abs(u).max() == 0.0
 
 
 def test_morley_reproduces_p2_dofs(square8):
@@ -129,7 +129,7 @@ def test_cr_interpolates_constant(square8):
     one = Field(value=lambda p: np.ones(np.shape(p)[:-1]))
     u = cr_interpolate(square8, dm, one)
     # all free (interior-edge) dofs carry the constant value
-    assert np.allclose(u.coeffs, 1.0, atol=1e-14)
+    assert np.allclose(u, 1.0, atol=1e-14)
 
 
 def test_l2_project_reproduces_polynomials(square8):
@@ -209,7 +209,7 @@ def test_transfer_preserves_shared_vertex_dofs(square32):
         t_c = next(t for t in range(square32.n_triangles)
                    if z in square32.triangles[t])
         expect = evaluate(square32, dm_c, u, t_c, square32.vertices[z])
-        got = v.coeffs[dm_f.free_of_dof[zf]]
+        got = v[dm_f.free_of_dof[zf]]
         assert got == pytest.approx(expect, abs=1e-11)
 
 
@@ -218,6 +218,31 @@ def test_transfer_requires_parent(square32):
     u = random_function(dm, RNG)
     with pytest.raises(ValueError, match="parent"):
         transfer_morley(square32, dm, u, square32, dm)
+
+
+def test_transfer_of_a_pair_stacks_the_scalar_transfers(square32):
+    # a von Karman pair is its two components concatenated, and each one
+    # moves on its own
+    dm_c = morley_dofmap(square32)
+    U = random_function(dm_c, np.random.default_rng(4), n_components=2)
+    fine = uniform_refine(square32)
+    dm_f = morley_dofmap(fine)
+    n = dm_c.n_free
+    pair = transfer_morley(square32, dm_c, U, fine, dm_f)
+    stacked = np.concatenate([transfer_morley(square32, dm_c, U[:n], fine, dm_f),
+                              transfer_morley(square32, dm_c, U[n:], fine, dm_f)])
+    assert len(pair) == 2 * dm_f.n_free
+    assert np.array_equal(pair, stacked)
+
+
+@pytest.mark.parametrize("length", [0, 1, 8, 10, 17])
+def test_transfer_rejects_a_length_off_the_coarse_dofs(square8, length):
+    dm_c = morley_dofmap(square8)
+    assert dm_c.n_free == 9
+    fine = uniform_refine(square8)
+    with pytest.raises(ValueError, match="positive multiple"):
+        transfer_morley(square8, dm_c, np.zeros(length), fine,
+                        morley_dofmap(fine))
 
 
 def test_transfer_keeps_interpolation_error_order(square8):

@@ -37,3 +37,35 @@ def test_no_unoptimized_einsum_over_three_operands():
                     and not any(k.arg == "optimize" for k in node.keywords)):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"unoptimized np.einsum over > 3 operands: {offenders}"
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reaches_private_names_of_another():
+    """No ncfem module imports or reads a _private name of another ncfem
+    module: what a second module needs is public, and a private helper can
+    change without looking beyond its own file."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()       # names bound to ncfem modules in this file
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("ncfem")):
+                for alias in node.names:
+                    if _is_private(alias.name):
+                        offenders.append(f"{path.name}:{node.lineno} {alias.name}")
+                    elif node.module in (None, "ncfem"):   # from . import mesh
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.name.startswith("ncfem.") and alias.asname)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                offenders.append(f"{path.name}:{node.lineno} "
+                                 f"{node.value.id}.{node.attr}")
+    assert not offenders, f"private names of other ncfem modules: {offenders}"

@@ -17,8 +17,7 @@ from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, _equilibrate,
                          discrete_embedding_ratio,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
-from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          local_coefficients)
+from ncfem.spaces import SpaceTag, basis_tables, local_coefficients
 from ncfem.quadrature import quad_triangle
 
 
@@ -176,7 +175,7 @@ def test_sparse_solve_matches_plain_spsolve_bitwise_on_cr():
     of two must not change a bit; any other scaling would."""
     mesh = refine(builtin_domain("unit_square"), 4)
     dm = cr_dofmap(mesh)
-    U = DiscreteFunction(dm.space, 1, np.zeros(dm.n_free))
+    U = np.zeros(dm.n_free)
     J = assembler(mesh, dm, manufactured("cr_sine").problem).jacobian(U).tocsc()
     assert not np.all(_equilibrate(J)[1] == 1.0)
     b = np.random.default_rng(0).standard_normal(J.shape[0])
@@ -250,7 +249,7 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
     dm = morley_dofmap(square32)
     U, _ = newton_solve(square32, dm, man.problem)
     kantorovich_report(square32, dm, man.problem, U)
-    discrete_embedding_ratio(square32, dm)
+    discrete_embedding_ratio(square32, dm, man.problem)
     asm = assembler(square32, cr_dofmap(square32), manufactured("cr_sine").problem)
     infsup_constant((asm.a_matrix() + asm.b_matrix()).T, asm.gram(), asm.gram())
     assert spla.calls["splu"] >= 4
@@ -307,7 +306,7 @@ def test_newton_fixed_point(square8):
     U2, trace2 = newton_solve(square8, dm, man.problem, U0=U)
     assert trace2.converged
     assert trace2.iterations == 0
-    assert np.array_equal(U2.coeffs, U.coeffs)
+    assert np.array_equal(U2, U)
 
 
 def test_newton_from_interpolant_converges_quickly():
@@ -328,6 +327,22 @@ def test_newton_max_iter_reports_failure(square8):
     assert trace.iterations == 0
 
 
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+def test_newton_rejects_a_mesh_without_free_dofs(name):
+    tri = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    problem = manufactured(name).problem
+    dm = (cr_dofmap if name == "cr_sine" else morley_dofmap)(tri)
+    assert dm.n_free == 0
+    with pytest.raises(ValueError, match="no free dofs"):
+        newton_solve(tri, dm, problem)
+
+
+def test_infsup_rejects_empty_matrices():
+    empty = sp.csr_matrix((0, 0))
+    with pytest.raises(ValueError, match="no free dofs"):
+        infsup_constant(empty, empty, empty)
+
+
 def test_newton_rejects_bad_tol(square8):
     with pytest.raises(ValueError):
         newton_solve(square8, morley_dofmap(square8),
@@ -345,7 +360,7 @@ def test_kantorovich_linear_degenerate(square8):
 
 def test_kantorovich_beta0_of_energy_operator(square8):
     dm = morley_dofmap(square8)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    zero = np.zeros(dm.n_free)
     rep = kantorovich_report(square8, dm, NS, zero)
     assert rep.beta0 == pytest.approx(1.0, abs=1e-8)
 
@@ -380,7 +395,7 @@ def _dense_gamma_tensor(mesh, dm, problem):
     def unit(i):
         c = np.zeros(n)
         c[i] = 1.0
-        return DiscreteFunction(SpaceTag.MORLEY, problem.n_components, c)
+        return c
     zero = unit(0)
     T = np.array([[asm.gamma_gradient(2, unit(i), unit(j), zero)
                    for j in range(n)] for i in range(n)])
@@ -421,7 +436,7 @@ def test_gamma_norm_estimate_at_least_sampled_floor(name, n):
 
 def test_gamma_rounds_report_the_cap(square8, monkeypatch):
     monkeypatch.setattr("ncfem.solve.GAMMA_MAX_ROUNDS", 2)
-    zero = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(9))
+    zero = np.zeros(9)
     rep = kantorovich_report(square8, morley_dofmap(square8), NS, zero)
     assert rep.gamma_rounds == 2
 
@@ -435,18 +450,14 @@ def _gamma_power_method_reference(mesh, dm, problem):
     G = asm.gram()
     Glu = _gram_factor(G)
     n = dm.n_free * problem.n_components
-
-    def wrap(c):
-        return DiscreteFunction(SpaceTag.MORLEY, problem.n_components, c)
-
-    triple = [wrap(c / np.sqrt(c @ (G @ c)))
+    triple = [c / np.sqrt(c @ (G @ c))
               for c in np.random.default_rng(0).standard_normal((3, n))]
     best = abs(value(*triple))
     for rounds in range(1, GAMMA_MAX_ROUNDS + 1):
         for slot in range(3):
             w = asm.gamma_gradient(slot, *triple)
             c = Glu.solve(w)
-            triple[slot] = wrap(c / np.sqrt(c @ w))
+            triple[slot] = c / np.sqrt(c @ w)
         new = abs(value(*triple))
         gain, best = new - best, max(best, new)
         if gain <= GAMMA_RTOL * new:
@@ -472,9 +483,7 @@ def test_gamma_extrapolation_beats_plain_power_method(mesh, problem, square32,
     value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)
     G = asm.gram()
     assert np.allclose([c @ (G @ c) for c in triple], 1.0, rtol=1e-12, atol=0)
-    at_triple = abs(value(*(DiscreteFunction(SpaceTag.MORLEY,
-                                             problem.n_components, c)
-                            for c in triple)))
+    at_triple = abs(value(*triple))
     assert est == pytest.approx(at_triple, rel=1e-12, abs=0)
 
 
@@ -596,7 +605,7 @@ def test_kantorovich_beta0_matches_dense_svd(name, n):
     mesh = refine(builtin_domain("unit_square"), 4)
     dm = morley_dofmap(mesh)
     U0 = morley_interpolate(mesh, dm, man.exact)
-    assert len(U0.coeffs) == n
+    assert len(U0) == n
     asm = assembler(mesh, dm, man.problem)
     J, G = asm.jacobian(U0).toarray(), asm.gram().toarray()
     L = scipy.linalg.cholesky(G, lower=True)
@@ -609,7 +618,7 @@ def test_kantorovich_beta0_matches_dense_svd(name, n):
 
 def test_embedding_ratio_positive_and_finite(square32):
     dm = morley_dofmap(square32)
-    r = discrete_embedding_ratio(square32, dm)
+    r = discrete_embedding_ratio(square32, dm, NS)
     assert 0.0 < r < 10.0
 
 
@@ -623,8 +632,7 @@ def _dense_embedding_constant(mesh, dm):
     V = basis_tables(mesh, SpaceTag.MORLEY).values_at(
         np.arange(mesh.n_triangles), pts)
     # phi_x as a dense vector over free dofs, by the local coefficients of e_i
-    loc = np.stack([local_coefficients(
-        dm, DiscreteFunction(SpaceTag.MORLEY, 1, e)) for e in np.eye(dm.n_free)])
+    loc = np.stack([local_coefficients(dm, e) for e in np.eye(dm.n_free)])
     Phi = np.einsum("tqj,itj->tqi", V, loc).reshape(-1, dm.n_free)
     return np.sqrt(np.einsum("pi,ij,pj->p", Phi, Ginv, Phi).max())
 
@@ -635,7 +643,7 @@ def test_embedding_ratio_matches_dense_max(levels):
     mesh = refine(builtin_domain("unit_square"), levels)
     dm = morley_dofmap(mesh)
     assert dm.n_free == {0: 1, 1: 9, 2: 49, 3: 225}[levels]
-    assert discrete_embedding_ratio(mesh, dm) == pytest.approx(
+    assert discrete_embedding_ratio(mesh, dm, NS) == pytest.approx(
         _dense_embedding_constant(mesh, dm), rel=1e-10)
 
 
@@ -644,24 +652,24 @@ def test_embedding_ratio_is_a_lower_bound_on_lshape():
     # value is the ratio of an actual function, so never above the maximum
     mesh = refine(builtin_domain("l_shape"), 2)
     dm = morley_dofmap(mesh)
-    r = discrete_embedding_ratio(mesh, dm)
+    r = discrete_embedding_ratio(mesh, dm, NS)
     assert 0.0 < r <= _dense_embedding_constant(mesh, dm) * (1 + 1e-12)
 
 
 def test_embedding_ratio_without_free_dofs_is_zero():
     tri = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    assert discrete_embedding_ratio(tri, morley_dofmap(tri)) == 0.0
+    assert discrete_embedding_ratio(tri, morley_dofmap(tri), NS) == 0.0
 
 
 def test_diagnostics_bitwise_repeat(square32):
     dm = morley_dofmap(square32)
     first = [gamma_norm_lower_bound(square32, dm, NS),
              gamma_norm_lower_bound(square32, dm, VK),
-             discrete_embedding_ratio(square32, dm)]
+             discrete_embedding_ratio(square32, dm, NS)]
     # fresh assemblers and unrelated draws from the global generator in
     # between must not change a bit
     assembler.cache_clear()
     np.random.standard_normal(50)
     assert [gamma_norm_lower_bound(square32, dm, NS),
             gamma_norm_lower_bound(square32, dm, VK),
-            discrete_embedding_ratio(square32, dm)] == first
+            discrete_embedding_ratio(square32, dm, NS)] == first

@@ -4,8 +4,8 @@ import pytest
 from conftest import cr_dofmap, evaluate, morley_dofmap, random_function
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
-from ncfem.spaces import (DiscreteFunction, SpaceTag, basis_tables,
-                          local_coefficients, physical_points)
+from ncfem.spaces import (SpaceTag, basis_tables, local_coefficients,
+                          physical_points)
 
 
 def test_dof_counts_bisected_square():
@@ -55,7 +55,7 @@ def test_morley_dof_duality_every_element(square32, lshape):
 
 def test_evaluate_zero_function(square8):
     dm = morley_dofmap(square8)
-    u = DiscreteFunction(SpaceTag.MORLEY, 1, np.zeros(dm.n_free))
+    u = np.zeros(dm.n_free)
     pt = square8.vertices[square8.triangles[0]].mean(axis=0)
     assert evaluate(square8, dm, u, 0, pt) == 0.0
     assert np.allclose(evaluate(square8, dm, u, 0, pt, "gradient"), 0.0)
@@ -67,7 +67,7 @@ def test_morley_vertex_dof_continuity(square8):
     z = interior[0]
     coeffs = np.zeros(dm.n_free)
     coeffs[dm.free_of_dof[z]] = 1.0
-    u = DiscreteFunction(SpaceTag.MORLEY, 1, coeffs)
+    u = coeffs
     adjacent = [t for t in range(square8.n_triangles)
                 if z in square8.triangles[t]]
     assert len(adjacent) >= 3
