@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import assembler
 from .estimators import EstimatorReport, broken_energy_error, estimate
 from .interpolation import transfer_morley
-from .mesh import bisect, geometry, uniform_refine
+from .mesh import bisect, uniform_refine
 from .problems import ProblemSpec
 from .solve import newton_solve
-from .spaces import SpaceTag, build_dofmap, space_of
+from .spaces import SpaceTag
 
 __all__ = [
     "ConvergenceRecord", "NewtonDivergence", "dorfler_mark", "afem_loop",
@@ -89,36 +90,38 @@ class AfemResult:
     records: list
     meshes: list
     solutions: list
-    dofmaps: list
     traces: list
 
 
 def _run_levels(problem, mesh0, refine_step, q_log, tol, exact) -> AfemResult:
     """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh.
 
-    Each level starts Newton from the previous solution carried to the new
-    mesh (Morley spaces; the linear CR problem restarts from zero).
+    Each level is one Assembler, built once per mesh and handed to Newton,
+    the estimators and the transfer.  Newton starts from the previous
+    solution carried to the new mesh by the previous level's tables (Morley
+    spaces; the linear CR problem restarts from zero), and the previous level
+    is let go before Newton factors anything on the new one.
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by."""
-    res = AfemResult(records=[], meshes=[], solutions=[], dofmaps=[],
-                     traces=[])
-    mesh = mesh0
+    res = AfemResult(records=[], meshes=[], solutions=[], traces=[])
+    mesh, coarse = mesh0, None
     while mesh is not None:
-        dofmap = build_dofmap(mesh, space_of(problem.kind))
+        asm = assembler(mesh, problem)
         U0 = None
-        if res.records and dofmap.space is SpaceTag.MORLEY:
-            U0 = transfer_morley(res.meshes[-1], res.dofmaps[-1],
-                                 res.solutions[-1], mesh, dofmap)
-        U, trace = newton_solve(mesh, dofmap, problem, U0=U0, tol=tol)
+        if coarse is not None and asm.dofmap.space is SpaceTag.MORLEY:
+            U0 = transfer_morley(coarse, res.solutions[-1], asm)
+        coarse = None
+        U, trace = newton_solve(asm, U0=U0, tol=tol)
         if not trace.converged:
             raise NewtonDivergence(
                 f"Newton did not converge within {len(trace.residual_norms)} "
-                f"iterations at n_free = {dofmap.n_free}", res.records)
-        report = estimate(mesh, dofmap, problem, U, exact=exact)
-        err = (broken_energy_error(mesh, dofmap, problem, U, exact)
+                f"iterations at n_free = {asm.dofmap.n_free}", res.records)
+        report = estimate(asm, U, exact=exact)
+        err = (broken_energy_error(asm, U, exact)
                if exact is not None else None)
-        rec = ConvergenceRecord(level=len(res.records), n_free=dofmap.n_free,
-                                h_max=geometry(mesh).h_max, error_pw=err,
+        rec = ConvergenceRecord(level=len(res.records),
+                                n_free=asm.dofmap.n_free,
+                                h_max=asm.geom.h_max, error_pw=err,
                                 eta_total=report.eta_total,
                                 newton_iters=trace.iterations)
         if res.records:
@@ -129,9 +132,8 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact) -> AfemResult:
         res.records.append(rec)
         res.meshes.append(mesh)
         res.solutions.append(U)
-        res.dofmaps.append(dofmap)
         res.traces.append(trace)
-        mesh = refine_step(rec, mesh, report)
+        mesh, coarse = refine_step(rec, mesh, report), asm
     return res
 
 

@@ -22,8 +22,12 @@ For the Morley space the trilinear forms factor elementwise:
   with Br the constant bracket pairing [phi_i, phi_j] and IV the basis
   integrals.
 
-The trilinear forms are reached only through an Assembler: gamma_ns_value,
-gamma_vk_value and gamma_gradient read these load-independent tensors.
+An Assembler is one level: a mesh, a problem, its dof map and basis tables,
+and every operator on them.  The level driver and the CLI build it once per
+mesh and hand it to the solvers, estimators and transfers, which read
+asm.dofmap, asm.tables, asm.geom and asm.problem.  The trilinear forms are
+reached only through it: gamma_ns_value, gamma_vk_value and gamma_gradient
+read these load-independent tensors.
 """
 from __future__ import annotations
 
@@ -34,8 +38,8 @@ import scipy.sparse as sparse
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
-from .spaces import (DofMap, SpaceTag, basis_tables, local_coefficients,
-                     space_of, volume_quadrature)
+from .spaces import (DofMap, SpaceTag, basis_tables, build_dofmap,
+                     local_coefficients, space_of, volume_quadrature)
 
 __all__ = ["Assembler", "assembler"]
 
@@ -83,24 +87,23 @@ def _check_spd_bounds(A_vals, bounds):
 
 
 class Assembler:
-    """Element tensors and assembled operators for one (mesh, dofmap, problem).
+    """One level: the problem's dof map, basis tables, element tensors and
+    assembled operators on one mesh.
 
     Instances cache everything that does not depend on the state U, so Newton
     iterations only pay for the state-dependent contractions.
     """
 
-    def __init__(self, mesh, dofmap: DofMap, problem: ProblemSpec):
-        if dofmap.space is not space_of(problem.kind):
-            raise ValueError(f"dofmap space {dofmap.space} does not match "
-                             f"problem kind {problem.kind}")
+    def __init__(self, mesh, problem: ProblemSpec):
+        space = space_of(problem.kind)
         self.mesh = mesh
-        self.dofmap = dofmap
         self.problem = problem
+        self.dofmap = build_dofmap(mesh, space)
         self.geom = geometry(mesh)
-        self.tables = basis_tables(mesh, dofmap.space)
+        self.tables = basis_tables(mesh, space)
         self.xq, self.wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
 
-        if dofmap.space is SpaceTag.MORLEY:
+        if space is SpaceTag.MORLEY:
             self._init_morley()
         else:
             self._init_cr()
@@ -321,8 +324,8 @@ class Assembler:
         return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
 
 
-# one entry: a level's lookups are consecutive, and finished levels are freed
+# one entry, the last level built: each level is built once and handed down
 @lru_cache(maxsize=1)
-def assembler(mesh, dofmap, problem) -> Assembler:
-    return Assembler(mesh, dofmap, problem)
+def assembler(mesh, problem) -> Assembler:
+    return Assembler(mesh, problem)
 

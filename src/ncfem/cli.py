@@ -22,8 +22,7 @@ from .interpolation import cr_dof_values, morley_dof_values
 from .problems import (ProblemKind, manufactured, ns_unit_load,
                        polynomial_field, registry_names)
 from .reporting import emit_plots, write_records_csv
-from .spaces import (SpaceTag, basis_tables, build_dofmap, local_coefficients,
-                     space_of, volume_quadrature)
+from .spaces import local_coefficients, volume_quadrature
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 1
 
@@ -42,7 +41,6 @@ class RunConfig:
     output_dir: str = "out"
     seed: int = 0
     base_refinements: int = 0
-    corrupt_jacobian: bool = False  # verify-only test hook
 
     def validate(self):
         if self.levels < 1:
@@ -57,21 +55,13 @@ class RunConfig:
             raise ValueError("tol must be positive")
 
 
-def _parse_bool(s):
-    if s.lower() in ("1", "true", "yes"):
-        return True
-    if s.lower() in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected one of 1/true/yes/0/false/no, got {s!r}")
-
-
 def _parse_config_file(path) -> dict:
     """Keys and cast values of a config file; each value is validated on its
     own, so an error names the path and line.  The subcommand is no key."""
     values = {}
     field_types = {f.name: f.type for f in fields(RunConfig)
                    if f.name != "command"}
-    casts = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+    casts = {"int": int, "float": float, "str": str}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -171,20 +161,21 @@ def _cmd_solve(cfg: RunConfig):
     problem, exact = _resolve_problem(cfg.problem)
     mesh = meshmod.refine(_resolve_domain(cfg.domain),
                           cfg.base_refinements + cfg.levels - 1)
-    dofmap = build_dofmap(mesh, space_of(problem.kind))
-    U, trace = solvemod.newton_solve(mesh, dofmap, problem, tol=cfg.tol)
+    asm = assembly.assembler(mesh, problem)
+    U, trace = solvemod.newton_solve(asm, tol=cfg.tol)
     if not trace.converged:
         print("error: Newton did not converge", file=sys.stderr)
         return NUMERICAL_ERROR
-    print(f"problem {cfg.problem} on {cfg.domain}: n_free = {dofmap.n_free}, "
+    print(f"problem {cfg.problem} on {cfg.domain}: "
+          f"n_free = {asm.dofmap.n_free}, "
           f"newton_iters = {trace.iterations}, "
           f"residual = {trace.residual_norms[-1]:.3e}")
-    report = estimate(mesh, dofmap, problem, U, exact=exact)
+    report = estimate(asm, U, exact=exact)
     print(f"eta_total = {report.eta_total:.6e}")
     if exact is not None:
-        err = broken_energy_error(mesh, dofmap, problem, U, exact)
+        err = broken_energy_error(asm, U, exact)
         print(f"error_pw = {err:.6e}")
-    kant = solvemod.kantorovich_report(mesh, dofmap, problem, U)
+    kant = solvemod.kantorovich_report(asm, U)
     print(f"kantorovich: beta0 = {kant.beta0:.4e}, delta = {kant.delta:.3e}, "
           f"h = {kant.h:.3e}, condition_met = {kant.condition_met}, "
           f"gamma_rounds = {kant.gamma_rounds}")
@@ -200,13 +191,11 @@ def _cmd_infsup(cfg: RunConfig):
     print(f"{'lvl':>3} {'n_free':>8} {'beta_h':>12}")
     rows = []
     for level in range(cfg.levels):
-        dofmap = build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
-        asm = assembly.assembler(mesh, dofmap, problem)
+        asm = assembly.assembler(mesh, problem)
         B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
-        G = asm.gram()
-        beta = solvemod.infsup_constant(B, G, G)
-        rows.append((level, dofmap.n_free, beta))
-        print(f"{level:>3} {dofmap.n_free:>8} {beta:>12.6e}")
+        beta = solvemod.infsup_constant(B, asm.gram())
+        rows.append((level, asm.dofmap.n_free, beta))
+        print(f"{level:>3} {asm.dofmap.n_free:>8} {beta:>12.6e}")
         if level + 1 < cfg.levels:
             mesh = meshmod.uniform_refine(mesh)
     out = Path(cfg.output_dir)
@@ -241,13 +230,12 @@ def _verify_checks(cfg: RunConfig):
                 worst_q = max(worst_q, abs(val - reference_triangle_monomial_integral(p, q)))
     yield "quadrature exactness", worst_q, 1e-12
 
-    dm = build_dofmap(mesh, SpaceTag.MORLEY)
-    tab = basis_tables(mesh, SpaceTag.MORLEY)
+    asm = assembly.assembler(mesh, manufactured("ns_poly").problem)
+    dm, tab = asm.dofmap, asm.tables
     duality = np.abs(np.einsum("tim,tmj->tij", tab.dof_matrix, tab.C)
                      - np.eye(6)).max()
     yield "morley dof duality", duality, 1e-12
 
-    asm = assembly.assembler(mesh, dm, manufactured("ns_poly").problem)
     worst = 0.0
     for _ in range(100):
         eta, chi = rng.standard_normal(dm.n_free), rng.standard_normal(dm.n_free)
@@ -255,7 +243,7 @@ def _verify_checks(cfg: RunConfig):
         worst = max(worst, abs(asm.gamma_ns_value(eta, chi, chi)) / scale)
     yield "gamma antisymmetry (navier-stokes)", worst, 1e-12
 
-    asm = assembly.assembler(mesh, dm, manufactured("vk_poly").problem)
+    asm = assembly.assembler(mesh, manufactured("vk_poly").problem)
     worst = 0.0
     for _ in range(100):
         ce, cc, cp = (local_coefficients(dm, rng.standard_normal(dm.n_free))
@@ -282,8 +270,8 @@ def _verify_checks(cfg: RunConfig):
         worst = max(worst, np.abs(Him - mean).max())
     yield "morley commuting identity D2 I_M = Pi0 D2", worst, 1e-10
 
-    dm_cr = build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
-    tab_cr = basis_tables(mesh, SpaceTag.CROUZEIX_RAVIART)
+    asm_cr = assembly.assembler(mesh, manufactured("cr_sine").problem)
+    dm_cr, tab_cr = asm_cr.dofmap, asm_cr.tables
     worst = 0.0
     for _ in range(20):
         fld = random_poly(4)
@@ -296,13 +284,10 @@ def _verify_checks(cfg: RunConfig):
     # jacobian against central finite differences of the residual
     for name in ("cr_sine", "ns_poly", "vk_poly"):
         problem = manufactured(name).problem
-        space = space_of(problem.kind)
-        dmx = build_dofmap(mesh, space)
-        U = 0.1 * rng.standard_normal(dmx.n_free * problem.n_components)
-        J = assembly.assembler(mesh, dmx, problem).jacobian(U).toarray()
-        if cfg.corrupt_jacobian and name == "ns_poly":
-            J[0, 0] += 1.0e-2 * (1.0 + abs(J[0, 0]))
-        fd = solvemod.fd_jacobian(mesh, dmx, problem, U)
+        asm = assembly.assembler(mesh, problem)
+        U = 0.1 * rng.standard_normal(asm.dofmap.n_free * problem.n_components)
+        J = asm.jacobian(U).toarray()
+        fd = solvemod.fd_jacobian(asm, U)
         defect = np.abs(J - fd).max() / max(1.0, np.abs(fd).max())
         yield f"jacobian vs finite differences ({name})", defect, 1e-6
 
@@ -341,10 +326,6 @@ def build_parser():
         p.add_argument("--out", dest="output_dir")
         p.add_argument("--seed", type=int)
         p.add_argument("--base-refinements", type=int, dest="base_refinements")
-        if name == "verify":
-            p.add_argument("--corrupt-jacobian", action="store_true",
-                           dest="corrupt_jacobian",
-                           help="test hook: perturb one Jacobian entry")
     return parser
 
 

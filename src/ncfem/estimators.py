@@ -18,6 +18,9 @@ equation (g = 0 recovers the plain plate system):
 
 Jumps and averages on boundary edges are the traces themselves.  All sums
 run over all edges.
+
+Every estimator takes the level's Assembler (see assembly) and reads the
+mesh, dof map, basis tables and data from it.
 """
 from __future__ import annotations
 
@@ -28,8 +31,7 @@ import numpy as np
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
 from .quadrature import quad_edge
-from .spaces import (DofMap, SpaceTag, basis_tables, local_coefficients,
-                     volume_quadrature)
+from .spaces import SpaceTag, local_coefficients, volume_quadrature
 from .interpolation import edge_points, oscillation
 
 __all__ = [
@@ -57,12 +59,11 @@ def _edge_sides(mesh):
     return mesh.triangles_of_edge[:, 0], mesh.triangles_of_edge[:, 1]
 
 
-def _hessians(mesh, c_loc):
-    hess = basis_tables(mesh, SpaceTag.MORLEY).hess
-    return np.einsum("tjab,tj->tab", hess, c_loc)
+def _hessians(tab, c_loc):
+    return np.einsum("tjab,tj->tab", tab.hess, c_loc)
 
 
-def _hessian_jump_term(mesh, geom, H, t_plus, t_minus):
+def _hessian_jump_term(geom, H, t_plus, t_minus):
     """h_E || [D^2 u]_E tau_E ||^2_{L2(E)} per edge, exact for constants."""
     jump = H[t_plus].copy()
     interior = t_minus >= 0
@@ -71,12 +72,12 @@ def _hessian_jump_term(mesh, geom, H, t_plus, t_minus):
     return geom.h_E ** 2 * np.einsum("ea,ea->e", vec, vec)
 
 
-def _lap_grad_at_edges(mesh, H, c_loc, tris, pts):
-    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); H and
-    c_loc are the per-element hessians and local coefficients of u.  grad u
-    is affine on each element: g_T + H_T (x - c_T), with g_T its value at the
-    centroid c_T read off the linear monomial coefficients."""
-    tab = basis_tables(mesh, SpaceTag.MORLEY)
+def _lap_grad_at_edges(tab, H, c_loc, tris, pts):
+    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); tab is
+    the Morley table, H and c_loc are the per-element hessians and local
+    coefficients of u.  grad u is affine on each element: g_T + H_T (x - c_T),
+    with g_T its value at the centroid c_T read off the linear monomial
+    coefficients."""
     lap = H[:, 0, 0] + H[:, 1, 1]
     g = (tab.C[tris, 1:3, :] @ c_loc[tris, :, None]) / tab.scale[tris, None, None]
     # H is symmetric, so (x - c) @ H is H (x - c)
@@ -84,27 +85,30 @@ def _lap_grad_at_edges(mesh, H, c_loc, tris, pts):
     return lap[tris][:, None, None] * grad
 
 
-def estimate_ns_morley(mesh, dofmap: DofMap, u_M, f) -> EstimatorReport:
+def estimate_ns_morley(asm, u_M) -> EstimatorReport:
+    """The Navier-Stokes estimator of the Morley function u_M on the level
+    asm, with the load f of its problem."""
+    mesh, dofmap, geom, tab = asm.mesh, asm.dofmap, asm.geom, asm.tables
     if dofmap.space is not SpaceTag.MORLEY or len(u_M) != dofmap.n_free:
         raise ValueError("estimate_ns_morley needs a scalar Morley function")
-    geom = geometry(mesh)
     cu = local_coefficients(dofmap, u_M)
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
+    f = asm.problem.f
     fq = f(xq)
     # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
     eta_K_sq = geom.h_T ** 4 * (wdx * fq ** 2).sum(axis=1)
 
     t_plus, t_minus = _edge_sides(mesh)
-    H = _hessians(mesh, cu)
-    eta_E_sq = _hessian_jump_term(mesh, geom, H, t_plus, t_minus)
+    H = _hessians(tab, cu)
+    eta_E_sq = _hessian_jump_term(geom, H, t_plus, t_minus)
 
     erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
     pts = edge_points(mesh, erule)
-    w_plus = _lap_grad_at_edges(mesh, H, cu, t_plus, pts)
+    w_plus = _lap_grad_at_edges(tab, H, cu, t_plus, pts)
     w_minus = np.zeros_like(w_plus)
     interior = t_minus >= 0
-    w_minus[interior] = _lap_grad_at_edges(mesh, H, cu, t_minus[interior],
+    w_minus[interior] = _lap_grad_at_edges(tab, H, cu, t_minus[interior],
                                            pts[interior])
     jump = w_plus - w_minus
     avg = np.where(interior[:, None, None], 0.5 * (w_plus + w_minus), w_plus)
@@ -122,11 +126,15 @@ def estimate_ns_morley(mesh, dofmap: DofMap, u_M, f) -> EstimatorReport:
                                                    + eta_E_sq.sum())))
 
 
-def estimate_vk_morley(mesh, dofmap: DofMap, Psi, f, g=None) -> EstimatorReport:
+def estimate_vk_morley(asm, Psi) -> EstimatorReport:
+    """The von Karman estimator of the Morley pair Psi on the level asm, with
+    the loads f and g (None: the plain plate system) of its problem."""
+    mesh, dofmap, geom = asm.mesh, asm.dofmap, asm.geom
     if dofmap.space is not SpaceTag.MORLEY or len(Psi) != 2 * dofmap.n_free:
         raise ValueError("estimate_vk_morley needs a Morley component pair")
-    geom = geometry(mesh)
-    Hu, Hv = (_hessians(mesh, local_coefficients(dofmap, Psi, c)) for c in (0, 1))
+    f, g = asm.problem.f, asm.problem.g
+    Hu, Hv = (_hessians(asm.tables, local_coefficients(dofmap, Psi, c))
+              for c in (0, 1))
 
     def bracket(Ha, Hb):
         return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
@@ -146,8 +154,8 @@ def estimate_vk_morley(mesh, dofmap: DofMap, Psi, f, g=None) -> EstimatorReport:
                                 + (wdx * res2 ** 2).sum(axis=1))
 
     t_plus, t_minus = _edge_sides(mesh)
-    eta_E_sq = (_hessian_jump_term(mesh, geom, Hu, t_plus, t_minus)
-                + _hessian_jump_term(mesh, geom, Hv, t_plus, t_minus))
+    eta_E_sq = (_hessian_jump_term(geom, Hu, t_plus, t_minus)
+                + _hessian_jump_term(geom, Hv, t_plus, t_minus))
 
     _, osc_f = oscillation(mesh, f, k=MORLEY_OSC_K, p=2)
     osc_sq = osc_f ** 2
@@ -193,45 +201,46 @@ def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
     return float(np.sqrt(p_sq.sum())), osc1
 
 
-def broken_energy_error(mesh, dofmap, problem, U, exact):
-    """Broken energy error against a manufactured solution, exact one Field
-    per component: the piecewise H^2 seminorm distance for Morley (summed
-    over components), the A-weighted piecewise H^1 distance for CR."""
-    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
+def broken_energy_error(asm, U, exact):
+    """Broken energy error of U on the level asm against a manufactured
+    solution, exact one Field per component: the piecewise H^2 seminorm
+    distance for Morley (summed over components), the A-weighted piecewise
+    H^1 distance for CR."""
+    dofmap, A = asm.dofmap, asm.problem.A
+    xq, wdx = volume_quadrature(asm.mesh, ESTIMATOR_VOLUME_DEGREE)
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:
         for comp, fld in enumerate(exact):
-            H = _hessians(mesh, local_coefficients(dofmap, U, comp))
+            H = _hessians(asm.tables, local_coefficients(dofmap, U, comp))
             diff = fld.hessian(xq) - H[:, None, :, :]
             total += (wdx * np.einsum("tqab,tqab->tq", diff, diff)).sum()
     else:
-        grads = basis_tables(mesh, dofmap.space).grads
-        gh = np.einsum("tjd,tj->td", grads, local_coefficients(dofmap, U))
+        gh = np.einsum("tjd,tj->td", asm.tables.grads,
+                       local_coefficients(dofmap, U))
         diff = exact[0].gradient(xq) - gh[:, None, :]
-        Adiff = (diff if problem.A is None
-                 else np.einsum("tqab,tqb->tqa", problem.A(xq), diff))
+        Adiff = diff if A is None else np.einsum("tqab,tqb->tqa", A(xq), diff)
         total += (wdx * np.einsum("tqa,tqa->tq", diff, Adiff)).sum()
     return float(np.sqrt(total))
 
 
-def estimate(mesh, dofmap, problem: ProblemSpec, U,
-             exact=None) -> EstimatorReport:
-    """Problem-dispatching estimate step used by the adaptive loop.
+def estimate(asm, U, exact=None) -> EstimatorReport:
+    """Problem-dispatching estimate step of the level driver, for U on the
+    level asm.
 
     For the CR problem the a priori diagnostic terms (which need the exact
     solution, one Field per component) stand in as element indicators;
     without an exact solution the CR indicators are uniform."""
-    kind = problem.kind
-    if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-        return estimate_ns_morley(mesh, dofmap, U, problem.f)
-    if kind is ProblemKind.VON_KARMAN_MORLEY:
-        return estimate_vk_morley(mesh, dofmap, U, problem.f, problem.g)
+    mesh, problem = asm.mesh, asm.problem
+    if problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
+        return estimate_ns_morley(asm, U)
+    if problem.kind is ProblemKind.VON_KARMAN_MORLEY:
+        return estimate_vk_morley(asm, U)
     if exact is not None:
         p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)
         eta_K_sq = p_sq.sum(axis=1) + osc_el
         osc_sq = float(osc1 ** 2)
     else:
-        eta_K_sq = geometry(mesh).area.copy()
+        eta_K_sq = asm.geom.area.copy()
         osc_sq = 0.0
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=np.zeros(mesh.n_edges),
                            avg_term_S_sq=0.0, osc_sq=osc_sq,

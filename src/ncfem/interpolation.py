@@ -6,6 +6,9 @@ a higher `edge_degree` where an identity is to hold to round-off (the
 commuting identities D^2_pw I_M = Pi_0 D^2 and grad_pw I_CR = Pi_0 grad
 require exact edge means).  Oscillations of general data use degree-6 volume
 quadrature to resolve (I - Pi_k) honestly.
+
+transfer_morley moves a solution between two levels, each given by its
+Assembler (see assembly), and reads the coarse basis tables from it.
 """
 from __future__ import annotations
 
@@ -15,9 +18,8 @@ import numpy as np
 
 from .mesh import geometry
 from .quadrature import quad_edge
-from .spaces import (DofMap, SpaceTag, basis_tables,
-                     function_from_element_values, local_coefficients,
-                     volume_quadrature)
+from .spaces import (DofMap, SpaceTag, function_from_element_values,
+                     local_coefficients, volume_quadrature)
 
 __all__ = [
     "morley_interpolate", "cr_interpolate", "morley_dof_values",
@@ -133,16 +135,20 @@ def oscillation(mesh, g, k: int, p: int):
     return per_element, float(np.sqrt(per_element.sum()))
 
 
-def transfer_morley(mesh_c, dofmap_c: DofMap, U, mesh_f, dofmap_f: DofMap):
-    """Re-evaluate the Morley dof functionals of a coarse function on a
-    refined mesh (mesh_f must descend from mesh_c, i.e. carry `parent`), one
-    component per dofmap_c.n_free coefficients of U.
+def transfer_morley(asm_c, U, asm_f):
+    """Re-evaluate the Morley dof functionals of a function on the coarse
+    level asm_c on the fine level asm_f (whose mesh must descend from the
+    coarse one, i.e. carry `parent`), one component per coarse n_free
+    coefficients of U.
 
     At points on coarse inter-element edges, where the nonconforming function
     jumps, the trace from the lowest-indexed coarse ancestor among the
     adjacent fine triangles is used; the result is a deterministic Newton
     starting iterate, not an interpolant in any optimal sense.
     """
+    mesh_c, dofmap_c, mesh_f = asm_c.mesh, asm_c.dofmap, asm_f.mesh
+    if {dofmap_c.space, asm_f.dofmap.space} != {SpaceTag.MORLEY}:
+        raise ValueError("transfer_morley needs two Morley levels")
     n_c = dofmap_c.n_free
     n_components = len(U) // n_c if n_c else 0
     if n_components < 1 or len(U) != n_components * n_c:
@@ -160,8 +166,7 @@ def transfer_morley(mesh_c, dofmap_c: DofMap, U, mesh_f, dofmap_f: DofMap):
     lam = np.linalg.solve(M, (cent - pc[:, 0])[..., None])[..., 0]
     if (lam.min() < -1e-10) or ((lam.sum(axis=1)).max() > 1 + 1e-10):
         raise ValueError("parent map does not nest in the coarse mesh")
-    tab = basis_tables(mesh_c, SpaceTag.MORLEY)
-    geom_f = geometry(mesh_f)
+    tab, nu_f = asm_c.tables, asm_f.geom.nu_E
 
     # lowest coarse ancestor seen from each fine vertex / fine edge
     vparent = np.full(mesh_f.n_vertices, mesh_c.n_triangles, dtype=np.int64)
@@ -178,6 +183,6 @@ def transfer_morley(mesh_c, dofmap_c: DofMap, U, mesh_f, dofmap_f: DofMap):
         vvals = np.einsum("vm,vm->v", poly[vparent],
                           tab.monomials_at(vparent, mesh_f.vertices))
         gmono = tab.mono_grads_at(eparent, mids)      # (ne, 6, 2)
-        gvals = np.einsum("em,emd,ed->e", poly[eparent], gmono, geom_f.nu_E)
+        gvals = np.einsum("em,emd,ed->e", poly[eparent], gmono, nu_f)
         rows.append(np.concatenate([vvals, gvals]))
-    return function_from_element_values(dofmap_f, np.stack(rows))
+    return function_from_element_values(asm_f.dofmap, np.stack(rows))

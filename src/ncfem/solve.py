@@ -6,7 +6,7 @@ are measured in the G-dual norm sqrt(r^T G^-1 r) and corrections in
 sqrt(d^T G d).  G is SPD, so every factorization of it (_gram_factor) is
 SuperLU without pivoting (perm_r == perm_c).  newton_solve factors G once and
 reuses the factor for every residual norm; each Newton step solves with the
-Jacobian through sparse_solve.
+Jacobian through sparse_solve.  A routine on one level takes its Assembler.
 
 Every splu here (_splu: G, and B in infsup_constant) orders the columns by
 minimum degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989),
@@ -45,7 +45,7 @@ maximum, so condition_met (4 delta |Gamma| < beta0) is advisory and never
 gates a solve.  Newton damping is intentionally absent; divergence is
 reported, not masked.
 
-beta0 = infsup_constant(J^T, G, G) and the discrete inf-sup constant share one
+beta0 = infsup_constant(J^T, G) and the discrete inf-sup constant share one
 routine: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
 fixed start vector; non-convergence raises ArpackNoConvergence (RuntimeError).
 """
@@ -59,9 +59,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .assembly import assembler
 from .problems import ProblemKind
-from .spaces import basis_tables, physical_points
+from .spaces import physical_points
 from .quadrature import quad_triangle
 
 __all__ = [
@@ -146,22 +145,26 @@ class NewtonTrace:
     gram_fill: float = 0.0      # stored nnz of the G factor / nnz(G)
 
 
-def newton_solve(mesh, dofmap, problem, U0=None, tol: float = 1e-10,
-                 max_iter: int = 20):
-    """Undamped Newton iteration from the coefficient vector U0 (default 0);
-    stops once the correction energy norm or the residual dual norm drops to
-    tol.  Linear problems converge in one step.  Returns (solution, trace);
+def _initial_iterate(asm, U0):
+    """U0 (default: the level's zero state), checked against the dof map."""
+    n = asm.dofmap.n_free * asm.problem.n_components
+    U = np.zeros(n) if U0 is None else U0
+    if len(U) != n:
+        raise ValueError("initial iterate does not match the dof map")
+    return U
+
+
+def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
+    """Undamped Newton iteration on the level asm from U0 (default 0); stops
+    once the correction energy norm or the residual dual norm drops to tol.
+    Linear problems converge in one step.  Returns (solution, trace);
     max_iter exhaustion is reported via trace.converged = False, a singular
     Jacobian raises, and so does a mesh without free dofs."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if dofmap.n_free == 0:
+    if asm.dofmap.n_free == 0:
         raise ValueError(NO_FREE_DOFS)
-    asm = assembler(mesh, dofmap, problem)
-    n = dofmap.n_free * problem.n_components
-    U = np.zeros(n) if U0 is None else U0
-    if len(U) != n:
-        raise ValueError("initial iterate does not match the dof map")
+    U = _initial_iterate(asm, U0)
     G = asm.gram()
     Glu = _gram_factor(G)
 
@@ -194,19 +197,18 @@ GAMMA_MAX_ROUNDS = 100
 GAMMA_HISTORY = 5       # sweep residuals the extrapolation mixes
 
 
-def _gamma_power_method(mesh, dofmap, problem):
+def _gamma_power_method(asm):
     """gamma_norm_lower_bound's (estimate, rounds) and the triple, a (3, n)
     array of G-normalized slot coefficients, whose |Gamma| the estimate is;
     (0.0, 0, None) for the CR problem."""
-    kind = problem.kind
+    kind = asm.problem.kind
     if kind is ProblemKind.SECOND_ORDER_CR:
         return 0.0, 0, None
-    asm = assembler(mesh, dofmap, problem)
     value = (asm.gamma_ns_value if kind is ProblemKind.NAVIER_STOKES_MORLEY
              else asm.gamma_vk_value)
     G = asm.gram()
     Glu = _gram_factor(G)
-    n = dofmap.n_free * problem.n_components
+    n = asm.dofmap.n_free * asm.problem.n_components
 
     def normalized(u):          # (u, G u) with every slot of unit G norm
         Gu = (G @ u.T).T
@@ -248,8 +250,8 @@ def _gamma_power_method(mesh, dofmap, problem):
     return float(best), rounds, u
 
 
-def gamma_norm_lower_bound(mesh, dofmap, problem):
-    """Lower bound for the trilinear form norm
+def gamma_norm_lower_bound(asm):
+    """Lower bound for the trilinear form norm of the level asm,
     sup |Gamma(x, y, z)| / (|x| |y| |z|) in energy norms, and the rounds used.
 
     Higher-order power method from one fixed triple u, with safeguarded
@@ -274,7 +276,7 @@ def gamma_norm_lower_bound(mesh, dofmap, problem):
     vanishes, as every gradient does with one free dof: Gamma is then 0
     along the other two slots, and the rounds returned count the round that
     stopped.  Returns (estimate, rounds); (0.0, 0) for the CR problem."""
-    estimate, rounds, _ = _gamma_power_method(mesh, dofmap, problem)
+    estimate, rounds, _ = _gamma_power_method(asm)
     return estimate, rounds
 
 
@@ -293,19 +295,17 @@ class KantorovichReport:
                                 # first-round gradient vanishes
 
 
-def kantorovich_report(mesh, dofmap, problem, U0=None):
-    """Newton-Kantorovich constants at the state U0 (default 0)."""
-    asm = assembler(mesh, dofmap, problem)
-    if U0 is None:
-        U0 = np.zeros(dofmap.n_free * problem.n_components)
+def kantorovich_report(asm, U0=None):
+    """Newton-Kantorovich constants of the level asm at U0 (default 0)."""
+    U0 = _initial_iterate(asm, U0)
     G = asm.gram()
     J = asm.jacobian(U0)
-    beta0 = infsup_constant(J.T, G, G)
+    beta0 = infsup_constant(J.T, G)
     if beta0 <= 0:
         raise RuntimeError("singular Jacobian: beta0 = 0")
     d = sparse_solve(J, -asm.residual(U0))
     delta = float(np.sqrt(max(d @ (G @ d), 0.0)))
-    gamma_est, rounds = gamma_norm_lower_bound(mesh, dofmap, problem)
+    gamma_est, rounds = gamma_norm_lower_bound(asm)
     m = 2.0 * gamma_est / beta0
     h = delta * m
     if m == 0.0:    # no trilinear form
@@ -338,44 +338,41 @@ def _spd_factor(M, name):
     return lu
 
 
-def infsup_constant(B, Gx, Gy):
+def infsup_constant(B, G):
     """Smallest generalized singular value
 
-        beta = inf_x sup_y (x^T B y) / sqrt(x^T Gx x * y^T Gy y)
+        beta = inf_x sup_y (x^T B y) / sqrt(x^T G x * y^T G y)
 
-    of a square B: sqrt(lambda_min) of the pencil (B Gy^-1 B^T, Gx), found by
-    shift-invert Lanczos at sigma = 0 with the inverse B^-T Gy B^-1."""
-    same_gram = Gy is Gx
-    B, Gx, Gy = _as_csc(B), _as_csc(Gx), _as_csc(Gy)
+    of a square B: sqrt(lambda_min) of the pencil (B G^-1 B^T, G), found by
+    shift-invert Lanczos at sigma = 0 with the inverse B^-T G B^-1."""
+    B, G = _as_csc(B), _as_csc(G)
     n = B.shape[0]
     if n == 0:
         raise ValueError(NO_FREE_DOFS)
-    Gxlu = _spd_factor(Gx, "Gx")
-    Gylu = Gxlu if same_gram else _spd_factor(Gy, "Gy")
-    if not B.shape == Gx.shape == Gy.shape == (n, n):
-        raise ValueError("infsup_constant needs a square B matching Gx and Gy")
+    Glu = _spd_factor(G, "G")
+    if not B.shape == G.shape == (n, n):
+        raise ValueError("infsup_constant needs a square B matching G")
     if n == 1:  # ARPACK needs n >= 2
-        return float(abs(B[0, 0]) / np.sqrt(Gx[0, 0] * Gy[0, 0]))
+        return float(abs(B[0, 0]) / G[0, 0])
     Bs, e = _equilibrate(B)     # B^-1 = E Bs^-1 E, as in sparse_solve
     Blu = _splu(Bs)
     # shift-invert mode applies only OPinv and M; A states the pencil
     A = spla.LinearOperator((n, n), dtype=float,
-                            matvec=lambda x: B @ Gylu.solve(B.T @ x))
+                            matvec=lambda x: B @ Glu.solve(B.T @ x))
     OPinv = spla.LinearOperator(
         (n, n), dtype=float,
-        matvec=lambda x: e * Blu.solve(e * (Gy @ (e * Blu.solve(e * x))),
+        matvec=lambda x: e * Blu.solve(e * (G @ (e * Blu.solve(e * x))),
                                        trans="T"))
     v0 = np.random.default_rng(0).standard_normal(n)
-    lam = spla.eigsh(A, k=1, M=Gx, sigma=0.0, OPinv=OPinv, v0=v0,
+    lam = spla.eigsh(A, k=1, M=G, sigma=0.0, OPinv=OPinv, v0=v0,
                      return_eigenvectors=False)[0]
     return float(np.sqrt(max(lam, 0.0)))
 
 
-def fd_jacobian(mesh, dofmap, problem, U):
-    """Central-difference Jacobian of the residual at U; the independent
-    oracle for Assembler.jacobian (exact for quadratic residuals up to
-    round-off)."""
-    asm = assembler(mesh, dofmap, problem)
+def fd_jacobian(asm, U):
+    """Central-difference Jacobian of the level's residual at U; the
+    independent oracle for Assembler.jacobian (exact for quadratic residuals
+    up to round-off)."""
     n = len(U)
     out = np.empty((n, n))
     for j in range(n):
@@ -385,10 +382,11 @@ def fd_jacobian(mesh, dofmap, problem, U):
     return out
 
 
-def discrete_embedding_ratio(mesh, dofmap, problem):
+def discrete_embedding_ratio(asm):
     """Lower bound for the discrete embedding constant max_x sup_v
     |v(x)| / |v|_pw, x over the vertices, edge midpoints and degree-4
-    quadrature points of every element; G is that of the Morley problem.
+    quadrature points of every element of the Morley level asm; G is that of
+    its problem.
 
     For a point x with basis values phi_x the inner sup is attained by the
     discrete Green's function v = G^-1 phi_x and equals
@@ -397,19 +395,18 @@ def discrete_embedding_ratio(mesh, dofmap, problem):
     max |v| / |v|_pw never falls, and the loop stops once it stops rising.
     It can stop at a local maximum over x: it meets the dense maximum on the
     uniform unit-square meshes and falls up to 12% short on the L-shape."""
+    mesh, dofmap = asm.mesh, asm.dofmap
     n = dofmap.n_free
     if n == 0:
         return 0.0
-    asm = assembler(mesh, dofmap, problem)
     Glu = _gram_factor(asm.gram()[:n, :n])
-    tab = basis_tables(mesh, dofmap.space)
     rule = quad_triangle(4)
     bary = np.vstack([np.eye(3), 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0)),
                       rule.points])
     pts = physical_points(mesh, bary)
     tris = np.arange(mesh.n_triangles)
     fo = dofmap.free_of_dof[dofmap.element_dofs]     # (nt, nloc), -1 if fixed
-    V = tab.values_at(tris, pts) * (fo >= 0)[:, None, :]   # (nt, nq, nloc)
+    V = asm.tables.values_at(tris, pts) * (fo >= 0)[:, None, :]   # (nt, nq, nloc)
     nq = pts.shape[1]
     # start where some free phi_i(x) != 0 (on the unrefined square the only
     # free function vanishes at the centroid)

@@ -35,7 +35,8 @@ def graded_lshape():
     problem = ns_unit_load()
     res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000)
     assert res.records[-1].n_free == 1249
-    return problem, res.meshes[-1], res.dofmaps[-1], res.solutions[-1]
+    mesh = res.meshes[-1]
+    return problem, mesh, morley_dofmap(mesh), res.solutions[-1]
 
 
 def random_function(dofmap, rng, n_components=1, scale=1.0):

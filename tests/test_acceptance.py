@@ -23,8 +23,7 @@ from ncfem.quadrature import (quad_triangle,
                               reference_triangle_monomial_integral)
 from ncfem.solve import (discrete_embedding_ratio, fd_jacobian,
                          infsup_constant, kantorovich_report)
-from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
-                          local_coefficients, physical_points)
+from ncfem.spaces import local_coefficients, physical_points
 
 RATE_WINDOW = (0.85, 1.15)
 EFFECTIVITY_FACTOR = 3.0
@@ -120,11 +119,10 @@ def _kantorovich_h_values(study, problem):
         h_max = geometry(res.meshes[lvl]).h_max
         if h_max > 0.125 + 1e-12:
             continue
-        U0 = transfer_morley(res.meshes[lvl - 1], res.dofmaps[lvl - 1],
-                             res.solutions[lvl - 1],
-                             res.meshes[lvl], res.dofmaps[lvl])
-        rep = kantorovich_report(res.meshes[lvl], res.dofmaps[lvl],
-                                 problem, U0)
+        coarse = Assembler(res.meshes[lvl - 1], problem)
+        fine = Assembler(res.meshes[lvl], problem)
+        U0 = transfer_morley(coarse, res.solutions[lvl - 1], fine)
+        rep = kantorovich_report(fine, U0)
         hs.append((lvl, rep.h, rep.condition_met))
     return hs
 
@@ -158,8 +156,12 @@ def test_criterion_5_effectivity(ns_study, vk_study):
     zf = lambda p: np.zeros(np.shape(p)[:-1])
     z1 = np.zeros(dm.n_free)
     z2 = np.zeros(2 * dm.n_free)
-    rep1 = estimate_ns_morley(mesh, dm, z1, zf)
-    rep2 = estimate_vk_morley(mesh, dm, z2, zf)
+    rep1 = estimate_ns_morley(
+        Assembler(mesh, ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
+                                    f=zf)), z1)
+    rep2 = estimate_vk_morley(
+        Assembler(mesh, ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
+                                    f=zf)), z2)
     zero_ok = rep1.eta_total == 0.0 and rep2.eta_total == 0.0
     ok &= zero_ok
     report(5, ok, "; ".join(details) + f" (< {EFFECTIVITY_FACTOR}); "
@@ -170,8 +172,8 @@ def test_criterion_6_average_term_decay(ns_study):
     man = ns_study["man"]
     res = ns_study["result"]
     S = []
-    for mesh, dm, U in zip(res.meshes, res.dofmaps, res.solutions):
-        rep = estimate_ns_morley(mesh, dm, U, man.problem.f)
+    for mesh, U in zip(res.meshes, res.solutions):
+        rep = estimate_ns_morley(Assembler(mesh, man.problem), U)
         S.append(np.sqrt(rep.avg_term_S_sq))
     rates = [np.log2(a / b) for a, b in zip(S[1:], S[2:])]
     ok = all(r >= 0.85 for r in rates)
@@ -195,15 +197,14 @@ def test_criterion_7_identity_suite():
                     val - reference_triangle_monomial_integral(p, q)))
     checks.append(("quadrature exactness", rule_defect, 1e-12))
 
-    dm = morley_dofmap(mesh)
-    tab = basis_tables(mesh, SpaceTag.MORLEY)
+    ns_probe = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
+                           f=lambda p: np.zeros(np.shape(p)[:-1]))
+    asm = Assembler(mesh, ns_probe)
+    dm, tab = asm.dofmap, asm.tables
     dual = np.abs(np.einsum("tim,tmj->tij", tab.dof_matrix, tab.C)
                   - np.eye(6)).max()
     checks.append(("morley dof duality", dual, 1e-12))
 
-    ns_probe = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
-                           f=lambda p: np.zeros(np.shape(p)[:-1]))
-    asm = Assembler(mesh, dm, ns_probe)
     worst = 0.0
     for _ in range(100):
         eta = random_function(dm, rng)
@@ -213,7 +214,7 @@ def test_criterion_7_identity_suite():
 
     vk_probe = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
                            f=lambda p: np.zeros(np.shape(p)[:-1]))
-    asm = Assembler(mesh, dm, vk_probe)
+    asm = Assembler(mesh, vk_probe)
     worst = 0.0
     for _ in range(100):
         ce, cc, cp = (local_coefficients(dm, random_function(dm, rng))
@@ -234,8 +235,8 @@ def test_criterion_7_identity_suite():
     xq = physical_points(mesh, rule.points)
     wdx = 2.0 * geom.area[:, None] * rule.weights
     worst_m, worst_c = 0.0, 0.0
-    dm_cr = build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
-    tab_cr = basis_tables(mesh, SpaceTag.CROUZEIX_RAVIART)
+    asm_cr = Assembler(mesh, manufactured("cr_sine").problem)
+    dm_cr, tab_cr = asm_cr.dofmap, asm_cr.tables
     for _ in range(20):
         fld = random_poly(4)
         loc = morley_dof_values(mesh, fld)[dm.element_dofs]
@@ -252,14 +253,11 @@ def test_criterion_7_identity_suite():
     worst = 0.0
     for name in ("cr_sine", "ns_poly", "vk_poly"):
         problem = manufactured(name).problem
-        space = (SpaceTag.CROUZEIX_RAVIART
-                 if problem.kind is ProblemKind.SECOND_ORDER_CR
-                 else SpaceTag.MORLEY)
-        dmx = build_dofmap(mesh, space)
-        U = random_function(dmx, rng, n_components=problem.n_components,
-                            scale=0.2)
-        J = assembler(mesh, dmx, problem).jacobian(U).toarray()
-        fd = fd_jacobian(mesh, dmx, problem, U)
+        asm = assembler(mesh, problem)
+        U = random_function(asm.dofmap, rng,
+                            n_components=problem.n_components, scale=0.2)
+        J = asm.jacobian(U).toarray()
+        fd = fd_jacobian(asm, U)
         worst = max(worst, np.abs(J - fd).max() / max(1.0, np.abs(fd).max()))
     checks.append(("jacobian vs finite differences", worst, 1e-6))
 
@@ -272,16 +270,14 @@ def test_criterion_8_infsup_plateau():
     import scipy.sparse as sp
 
     G6 = sp.identity(6, format="csr")
-    trivial = infsup_constant(G6, G6, G6)
+    trivial = infsup_constant(G6, G6)
     man = manufactured("cr_sine")
     mesh = refine(builtin_domain("unit_square"), 3)
     betas = []
     for _ in range(4):
-        dm = build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
-        asm = assembler(mesh, dm, man.problem)
+        asm = assembler(mesh, man.problem)
         B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
-        G = asm.gram()
-        betas.append(infsup_constant(B, G, G))
+        betas.append(infsup_constant(B, asm.gram()))
         mesh = uniform_refine(mesh)
     plateau = min(betas[-2:]) >= 0.9 * betas[-1]
     ok = (abs(trivial - 1.0) <= 1e-8 and all(b > 0 for b in betas) and plateau)
@@ -315,8 +311,7 @@ def test_criterion_10_discrete_embedding():
     problem = ns_unit_load()
     ratios = []
     for _ in range(4):
-        dm = morley_dofmap(mesh)
-        ratios.append(discrete_embedding_ratio(mesh, dm, problem))
+        ratios.append(discrete_embedding_ratio(assembler(mesh, problem)))
         mesh = uniform_refine(mesh)
     ok = max(ratios) <= 1.5 * ratios[0]
     report(10, ok, "sup/energy ratios per level "

@@ -96,6 +96,26 @@ def test_finished_levels_are_not_cached():
     assert (tab.misses, tab.currsize) == (3, 1)
 
 
+@pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])
+def test_each_level_builds_its_assembler_and_tables_once(driver):
+    # the level driver hands each level's Assembler to Newton, the
+    # estimators and the transfer: none of them looks a level up again
+    assembler.cache_clear()
+    basis_tables.cache_clear()
+    if driver == "uniform_study":
+        man = manufactured("ns_poly")
+        res = uniform_study(man.problem, builtin_domain("unit_square"), 3,
+                            exact=man.exact)
+    else:
+        # 5, 13 and 17 free dofs: the third level passes 15
+        res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
+                        max_free_dofs=15)
+    assert len(res.records) == 3
+    for cached in (assembler, basis_tables):
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (3, 0)
+
+
 def test_corner_fraction_geometry():
     m = builtin_domain("l_shape")
     assert corner_fraction(m, (0.0, 0.0), 0.1) == 1.0  # all coarse triangles touch

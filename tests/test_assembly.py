@@ -6,8 +6,7 @@ from ncfem.assembly import Assembler, _scatter_vector, assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
-from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
-                          local_coefficients, volume_quadrature)
+from ncfem.spaces import local_coefficients, volume_quadrature
 from ncfem.interpolation import morley_interpolate
 
 
@@ -33,7 +32,7 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
     rng = np.random.default_rng(0)
     for mesh in (square8, square32, lshape):
         dm = morley_dofmap(mesh)
-        A = assembler(mesh, dm, NS).a_matrix()
+        A = assembler(mesh, NS).a_matrix()
         dense = A.toarray()
         assert np.abs(dense - dense.T).max() < 1e-12
         assert np.linalg.eigvalsh(dense).min() > 0
@@ -44,28 +43,25 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
 
 def test_cr_stiffness_closed_form_reference_triangle():
     m = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    dm = cr_dofmap(m)
-    asm = Assembler(m, dm, cr_problem())
+    asm = Assembler(m, cr_problem())
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
     assert np.allclose(asm.a_loc[0], expected, atol=1e-13)
 
 
 def test_b_pw_zero_and_mass(square8):
-    dm = cr_dofmap(square8)
-    B0 = assembler(square8, dm, cr_problem()).b_matrix()
+    B0 = assembler(square8, cr_problem()).b_matrix()
     assert B0.nnz == 0 or np.abs(B0.toarray()).max() == 0.0
 
     one = lambda pts: np.ones(np.shape(pts)[:-1])
-    M = assembler(square8, dm, cr_problem(gamma=one)).b_matrix().toarray()
+    M = assembler(square8, cr_problem(gamma=one)).b_matrix().toarray()
     assert np.abs(M - M.T).max() < 1e-12
     assert np.linalg.eigvalsh(M).min() > 0
 
 
 def test_indefinite_symmetric_part(square32):
     mesh = refine(square32, 1)  # 128 triangles
-    dm = cr_dofmap(mesh)
     problem = manufactured("cr_sine").problem
-    asm = assembler(mesh, dm, problem)
+    asm = assembler(mesh, problem)
     M = (asm.a_matrix() + asm.b_matrix()).toarray()
     sym = 0.5 * (M + M.T)
     assert np.linalg.eigvalsh(sym).min() < 0
@@ -74,7 +70,7 @@ def test_indefinite_symmetric_part(square32):
 def test_gamma_ns_antisymmetry(square8):
     rng = np.random.default_rng(1)
     dm = morley_dofmap(square8)
-    value = assembler(square8, dm, NS).gamma_ns_value
+    value = assembler(square8, NS).gamma_ns_value
     for _ in range(100):
         eta, chi = random_function(dm, rng), random_function(dm, rng)
         scale = max(1.0, abs(value(eta, eta, chi)))
@@ -87,8 +83,8 @@ def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     against the degree-4 rule (exact for the quadratic integrand) applied to
     grads_at, and a_loc against the hessian pairing."""
     m = lshape if mesh == "lshape" else graded_lshape[1]
-    asm = Assembler(m, morley_dofmap(m), NS)
-    tab = basis_tables(m, SpaceTag.MORLEY)
+    asm = Assembler(m, NS)
+    tab = asm.tables
     xq, wdx = volume_quadrature(m, 4)
     g = tab.grads_at(np.arange(m.n_triangles), xq)        # (nt, nq, 6, 2)
     gx, gy = g[..., 0], g[..., 1]
@@ -111,9 +107,8 @@ def test_gamma_ns_value_matches_quadrature(mesh, lshape, graded_lshape):
     sum cancels (sum_T |Gamma_T| reaches 1300 |Gamma|), so the tolerance is
     relative to sum_T |Gamma_T|."""
     m = refine(lshape, 1) if mesh == "lshape" else graded_lshape[1]
-    dm = morley_dofmap(m)
-    asm = Assembler(m, dm, NS)
-    tab = basis_tables(m, SpaceTag.MORLEY)
+    asm = Assembler(m, NS)
+    dm, tab = asm.dofmap, asm.tables
     xq, wdx = volume_quadrature(m, 4)
     g = tab.grads_at(np.arange(m.n_triangles), xq)        # (nt, nq, 6, 2)
     lap = tab.hess[:, :, 0, 0] + tab.hess[:, :, 1, 1]     # (nt, 6)
@@ -135,7 +130,7 @@ def test_gamma_ns_skew_in_last_two_slots(square8):
     rng = np.random.default_rng(2)
     dm = morley_dofmap(square8)
     eta, chi, phi = (random_function(dm, rng) for _ in range(3))
-    value = assembler(square8, dm, NS).gamma_ns_value
+    value = assembler(square8, NS).gamma_ns_value
     assert value(eta, chi, phi) == pytest.approx(
         -value(eta, phi, chi), abs=1e-12)
     zero = np.zeros(dm.n_free)
@@ -146,7 +141,7 @@ def test_gamma_ns_skew_in_last_two_slots(square8):
 def test_vk_bracket_symmetry(square8):
     rng = np.random.default_rng(3)
     dm = morley_dofmap(square8)
-    asm = Assembler(square8, dm, VK)
+    asm = Assembler(square8, VK)
     from ncfem.spaces import local_coefficients
 
     for _ in range(100):
@@ -168,7 +163,7 @@ def test_vk_bracket_constant_hessian_value():
     c = np.zeros((3, 3))
     c[2, 0], c[1, 1], c[0, 2] = 1.0, 3.0, -1.0
     cu = morley_dof_values(m, polynomial_field(c))[dm.element_dofs]
-    vals = np.einsum("ti,tij,tj->t", cu, Assembler(m, dm, VK).Br, cu)
+    vals = np.einsum("ti,tij,tj->t", cu, Assembler(m, VK).Br, cu)
     assert np.allclose(vals, 2 * (-13.0), atol=1e-10)
 
 
@@ -181,7 +176,7 @@ def test_gamma_vk_structure(square8):
     half = dm.n_free
     Xi0 = np.concatenate([Xi[:half], np.zeros(half)])
     Phi2 = np.concatenate([np.zeros(half), rng.standard_normal(half)])
-    asm = Assembler(square8, dm, VK)
+    asm = Assembler(square8, VK)
     from ncfem.spaces import local_coefficients
     x1 = local_coefficients(dm, Xi0, 0)
     t1 = local_coefficients(dm, Theta, 0)
@@ -200,7 +195,7 @@ def test_gamma_gradient_matches_value(square32, problem, slot):
     dm = morley_dofmap(square32)
     args = [random_function(dm, rng, n_components=problem.n_components)
             for _ in range(3)]
-    asm = Assembler(square32, dm, problem)
+    asm = Assembler(square32, problem)
     value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)(*args)
     w = asm.gamma_gradient(slot, *args)
     assert w @ args[slot] == pytest.approx(value, rel=1e-12)
@@ -250,7 +245,7 @@ def test_gamma_gradient_gathers_only_what_the_slot_reads(square32, problem,
     # components each
     rng = np.random.default_rng(7)
     dm = morley_dofmap(square32)
-    asm = Assembler(square32, dm, problem)
+    asm = Assembler(square32, problem)
     calls = []
 
     def spy(*args):
@@ -274,13 +269,12 @@ def test_gamma_gradient_gathers_only_what_the_slot_reads(square32, problem,
 def test_residual_zero_state_zero_load(square8):
     dm = morley_dofmap(square8)
     U = np.zeros(dm.n_free)
-    assert np.abs(assembler(square8, dm, NS).residual(U)).max() == 0.0
+    assert np.abs(assembler(square8, NS).residual(U)).max() == 0.0
 
 
 def test_residual_vanishes_at_discrete_solution(square8):
     problem = manufactured("cr_sine").problem
-    dm = cr_dofmap(square8)
-    asm = assembler(square8, dm, problem)
+    asm = assembler(square8, problem)
     A = (asm.a_matrix() + asm.b_matrix()).tocsc()
     F = asm.load()
     u = sparse_solve(A, F)
@@ -295,7 +289,7 @@ def test_residual_dual_norm_rate_at_interpolant():
     for _ in range(4):
         dm = morley_dofmap(mesh)
         U = morley_interpolate(mesh, dm, man.exact[0], edge_degree=10)
-        asm = assembler(mesh, dm, man.problem)
+        asm = assembler(mesh, man.problem)
         r = asm.residual(U)
         norms.append(np.sqrt(r @ _gram_factor(asm.gram()).solve(r)))
         mesh = refine(mesh, 1)
@@ -306,16 +300,14 @@ def test_residual_dual_norm_rate_at_interpolant():
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly", "vk_poly"])
 def test_jacobian_matches_finite_differences(name, square8):
     problem = manufactured(name).problem
-    space = (SpaceTag.CROUZEIX_RAVIART
-             if problem.kind is ProblemKind.SECOND_ORDER_CR else SpaceTag.MORLEY)
-    dm = build_dofmap(square8, space)
+    asm = assembler(square8, problem)
     rng = np.random.default_rng(5)
     worst = 0.0
     for _ in range(20):
-        U = random_function(dm, rng, n_components=problem.n_components,
-                            scale=0.3)
-        J = assembler(square8, dm, problem).jacobian(U).toarray()
-        fd = fd_jacobian(square8, dm, problem, U)
+        U = random_function(asm.dofmap, rng,
+                            n_components=problem.n_components, scale=0.3)
+        J = asm.jacobian(U).toarray()
+        fd = fd_jacobian(asm, U)
         worst = max(worst, np.abs(J - fd).max() / max(1.0, np.abs(fd).max()))
     assert worst < 1e-6
 
@@ -323,8 +315,8 @@ def test_jacobian_matches_finite_differences(name, square8):
 def test_jacobian_at_zero_is_a_pw(square8):
     dm = morley_dofmap(square8)
     U0 = np.zeros(dm.n_free)
-    J = assembler(square8, dm, NS).jacobian(U0)
-    A = assembler(square8, dm, NS).a_matrix()
+    J = assembler(square8, NS).jacobian(U0)
+    A = assembler(square8, NS).a_matrix()
     assert np.abs((J - A).toarray()).max() < 1e-14
 
 
@@ -334,7 +326,7 @@ def test_jacobian_affine_in_state(square8):
     U1, U2 = random_function(dm, rng), random_function(dm, rng)
     U12 = U1 + U2
     U0 = np.zeros(dm.n_free)
-    asm = assembler(square8, dm, NS)
+    asm = assembler(square8, NS)
     combo = (asm.jacobian(U12) - asm.jacobian(U1) - asm.jacobian(U2)
              + asm.jacobian(U0))
     assert np.abs(combo.toarray()).max() < 1e-12
@@ -344,7 +336,7 @@ def test_cr_jacobian_independent_of_state(square8):
     problem = manufactured("cr_sine").problem
     dm = cr_dofmap(square8)
     rng = np.random.default_rng(7)
-    asm = assembler(square8, dm, problem)
+    asm = assembler(square8, problem)
     J1 = asm.jacobian(random_function(dm, rng))
     J2 = asm.jacobian(random_function(dm, rng))
     assert np.abs((J1 - J2).toarray()).max() == 0.0
@@ -360,7 +352,7 @@ def test_spd_bounds_spot_check(square8):
     problem = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR, f=zero_load,
                           A=bad_A, lambda_bounds=(1.0, 2.0))
     with pytest.raises(ValueError, match="bounds"):
-        Assembler(square8, cr_dofmap(square8), problem)
+        Assembler(square8, problem)
 
 
 def test_piecewise_constant_coefficient_sampling(square8):
@@ -376,11 +368,8 @@ def test_piecewise_constant_coefficient_sampling(square8):
 
     p = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR, f=zero_load, A=ident,
                     gamma=gamma, piecewise_constant=True)
-    dm = cr_dofmap(square8)
-    M = assembler(square8, dm, p).b_matrix().toarray()
+    M = assembler(square8, p).b_matrix().toarray()
     # mass matrix with elementwise-constant weight: compare against manual sum
-    from ncfem.assembly import Assembler as _A
-    asm = _A(square8, dm, p)
     cent = square8.vertices[square8.triangles].mean(axis=1)
     w = gamma(cent)
     assert set(np.round(np.unique(w), 12)) == {2.0, 3.0}

@@ -5,26 +5,35 @@ from hypothesis import strategies as st
 
 from conftest import morley_dofmap, random_function
 from ncfem.afem import dorfler_mark
+from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (EstimatorReport, _edge_sides, _hessians,
                               _lap_grad_at_edges, broken_energy_error,
                               cr_apriori_terms, estimate_ns_morley,
                               estimate_vk_morley)
 from ncfem.interpolation import edge_points
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
-from ncfem.problems import Field, manufactured
+from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_edge
 from ncfem.solve import newton_solve
-from ncfem.spaces import SpaceTag, basis_tables, local_coefficients
+from ncfem.spaces import local_coefficients
 
 
 def const_field(c):
     return Field(value=lambda p: np.full(np.shape(p)[:-1], float(c)))
 
 
+def level(mesh, kind, f, g=None):
+    """The level of a Morley problem with loads f (and g) on mesh."""
+    return Assembler(mesh, ProblemSpec(kind=kind, f=f, g=g))
+
+
+NS, VK = ProblemKind.NAVIER_STOKES_MORLEY, ProblemKind.VON_KARMAN_MORLEY
+
+
 def test_ns_zero_consistency(square8):
-    dm = morley_dofmap(square8)
-    zero = np.zeros(dm.n_free)
-    rep = estimate_ns_morley(square8, dm, zero, const_field(0.0).value)
+    asm = level(square8, NS, const_field(0.0).value)
+    zero = np.zeros(asm.dofmap.n_free)
+    rep = estimate_ns_morley(asm, zero)
     assert rep.eta_total == 0.0
     assert rep.eta_K_sq.max() == 0.0 and rep.eta_E_sq.max() == 0.0
     assert rep.avg_term_S_sq == 0.0
@@ -32,9 +41,9 @@ def test_ns_zero_consistency(square8):
 
 
 def test_ns_pure_data_term(square8):
-    dm = morley_dofmap(square8)
-    zero = np.zeros(dm.n_free)
-    rep = estimate_ns_morley(square8, dm, zero, const_field(1.0).value)
+    asm = level(square8, NS, const_field(1.0).value)
+    zero = np.zeros(asm.dofmap.n_free)
+    rep = estimate_ns_morley(asm, zero)
     g = geometry(square8)
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
     assert rep.eta_E_sq.max() == 0.0
@@ -43,31 +52,28 @@ def test_ns_pure_data_term(square8):
 
 
 def test_vk_zero_and_data_cases(square8):
-    dm = morley_dofmap(square8)
-    zero = np.zeros(2 * dm.n_free)
-    rep0 = estimate_vk_morley(square8, dm, zero, const_field(0.0).value)
+    zero = np.zeros(2 * morley_dofmap(square8).n_free)
+    rep0 = estimate_vk_morley(level(square8, VK, const_field(0.0).value), zero)
     assert rep0.eta_total == 0.0
-    rep1 = estimate_vk_morley(square8, dm, zero, const_field(1.0).value)
+    rep1 = estimate_vk_morley(level(square8, VK, const_field(1.0).value), zero)
     g = geometry(square8)
     assert np.allclose(rep1.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
     assert rep1.eta_E_sq.max() == 0.0
 
 
 def test_vk_second_equation_verification_load(square8):
-    dm = morley_dofmap(square8)
-    zero = np.zeros(2 * dm.n_free)
-    rep = estimate_vk_morley(square8, dm, zero, const_field(0.0).value,
-                             g=const_field(1.0).value)
+    asm = level(square8, VK, const_field(0.0).value, g=const_field(1.0).value)
+    zero = np.zeros(2 * asm.dofmap.n_free)
+    rep = estimate_vk_morley(asm, zero)
     g = geometry(square8)
     # residual of the second equation is [u,u] - 2g = -2
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * 4.0 * g.area, rtol=1e-12)
 
 
 def test_ns_estimator_report_consistency(square32):
-    man = manufactured("ns_poly")
-    dm = morley_dofmap(square32)
-    U, _ = newton_solve(square32, dm, man.problem)
-    rep = estimate_ns_morley(square32, dm, U, man.problem.f)
+    asm = assembler(square32, manufactured("ns_poly").problem)
+    U, _ = newton_solve(asm)
+    rep = estimate_ns_morley(asm, U)
     assert (rep.eta_K_sq >= 0).all() and (rep.eta_E_sq >= 0).all()
     assert rep.eta_total == pytest.approx(
         np.sqrt(rep.eta_K_sq.sum() + rep.eta_E_sq.sum()), rel=1e-12)
@@ -84,15 +90,15 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
         u = random_function(dm, np.random.default_rng(1))
     else:
         _, m, dm, u = graded_lshape
+    tab = Assembler(m, manufactured("ns_poly").problem).tables
     cu = local_coefficients(dm, u)
-    H = _hessians(m, cu)
+    H = _hessians(tab, cu)
     lap = H[:, 0, 0] + H[:, 1, 1]
     pts = edge_points(m, quad_edge(4))
     t_plus, t_minus = _edge_sides(m)
     interior = t_minus >= 0
-    tab = basis_tables(m, SpaceTag.MORLEY)
     for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
-        got = _lap_grad_at_edges(m, H, cu, tris, x)
+        got = _lap_grad_at_edges(tab, H, cu, tris, x)
         g = np.einsum("eqjd,ej->eqd", tab.grads_at(tris, x), cu[tris])
         want = lap[tris][:, None, None] * g
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -103,24 +109,23 @@ def test_estimator_decay_under_refinement():
     mesh = refine(builtin_domain("unit_square"), 1)
     totals = []
     for _ in range(4):
-        dm = morley_dofmap(mesh)
-        U, _ = newton_solve(mesh, dm, man.problem)
-        totals.append(estimate_ns_morley(mesh, dm, U, man.problem.f).eta_total)
+        asm = assembler(mesh, man.problem)
+        U, _ = newton_solve(asm)
+        totals.append(estimate_ns_morley(asm, U).eta_total)
         mesh = uniform_refine(mesh)
     rate = np.log2(totals[-2] / totals[-1])
     assert 0.8 < rate < 2.2
 
 
 def test_estimators_reject_space_mismatch(square8):
-    from conftest import cr_dofmap as _crdm
-    dm_cr = _crdm(square8)
-    zero_cr = np.zeros(dm_cr.n_free)
+    asm_cr = Assembler(square8, manufactured("cr_sine").problem)
+    zero_cr = np.zeros(asm_cr.dofmap.n_free)
     with pytest.raises(ValueError, match="Morley"):
-        estimate_ns_morley(square8, dm_cr, zero_cr, const_field(0.0).value)
-    dm = morley_dofmap(square8)
-    scalar = np.zeros(dm.n_free)
+        estimate_ns_morley(asm_cr, zero_cr)
+    asm = level(square8, VK, const_field(0.0).value)
+    scalar = np.zeros(asm.dofmap.n_free)
     with pytest.raises(ValueError, match="pair"):
-        estimate_vk_morley(square8, dm, scalar, const_field(0.0).value)
+        estimate_vk_morley(asm, scalar)
     man = manufactured("ns_poly")
     with pytest.raises(ValueError, match="CR"):
         cr_apriori_terms(square8, man.exact[0], man.problem)
@@ -167,10 +172,9 @@ def test_cr_apriori_decay():
 def test_broken_energy_error_zero_for_exact_interpolated():
     # against itself the error must vanish: compare discrete vs discrete
     man = manufactured("ns_poly")
-    mesh = refine(builtin_domain("unit_square"), 1)
-    dm = morley_dofmap(mesh)
-    U, _ = newton_solve(mesh, dm, man.problem)
-    err = broken_energy_error(mesh, dm, man.problem, U, man.exact)
+    asm = assembler(refine(builtin_domain("unit_square"), 1), man.problem)
+    U, _ = newton_solve(asm)
+    err = broken_energy_error(asm, U, man.exact)
     assert err > 0.0
 
 

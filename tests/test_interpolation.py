@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (cr_dofmap, evaluate, mean_gradient_by_parts,
                       mean_hessian_by_parts, morley_dofmap, random_function)
+from ncfem.assembly import Assembler
 from ncfem.interpolation import (cr_dof_values, cr_interpolate, l2_project,
                                  morley_dof_values, morley_interpolate,
                                  oscillation, transfer_morley)
@@ -195,12 +196,19 @@ def test_oscillation_validates_power(square8):
         oscillation(square8, random_poly(2).value, k=0, p=3)
 
 
+def morley_level(mesh):
+    """A level of the Navier-Stokes problem (any Morley problem would do)."""
+    return Assembler(mesh, manufactured("ns_poly").problem)
+
+
 def test_transfer_preserves_shared_vertex_dofs(square32):
-    dm_c = morley_dofmap(square32)
+    coarse = morley_level(square32)
+    dm_c = coarse.dofmap
     u = random_function(dm_c, RNG)
     fine = uniform_refine(square32)
-    dm_f = morley_dofmap(fine)
-    v = transfer_morley(square32, dm_c, u, fine, dm_f)
+    level_f = morley_level(fine)
+    dm_f = level_f.dofmap
+    v = transfer_morley(coarse, u, level_f)
     # coarse interior vertices keep their values (Morley is continuous there)
     for z in square32.interior_vertices()[:10]:
         zf = int(np.flatnonzero(np.all(np.isclose(fine.vertices,
@@ -214,35 +222,42 @@ def test_transfer_preserves_shared_vertex_dofs(square32):
 
 
 def test_transfer_requires_parent(square32):
-    dm = morley_dofmap(square32)
-    u = random_function(dm, RNG)
+    level = morley_level(square32)
+    u = random_function(level.dofmap, RNG)
     with pytest.raises(ValueError, match="parent"):
-        transfer_morley(square32, dm, u, square32, dm)
+        transfer_morley(level, u, level)
 
 
 def test_transfer_of_a_pair_stacks_the_scalar_transfers(square32):
     # a von Karman pair is its two components concatenated, and each one
     # moves on its own
-    dm_c = morley_dofmap(square32)
-    U = random_function(dm_c, np.random.default_rng(4), n_components=2)
-    fine = uniform_refine(square32)
-    dm_f = morley_dofmap(fine)
-    n = dm_c.n_free
-    pair = transfer_morley(square32, dm_c, U, fine, dm_f)
-    stacked = np.concatenate([transfer_morley(square32, dm_c, U[:n], fine, dm_f),
-                              transfer_morley(square32, dm_c, U[n:], fine, dm_f)])
-    assert len(pair) == 2 * dm_f.n_free
+    coarse = morley_level(square32)
+    U = random_function(coarse.dofmap, np.random.default_rng(4), n_components=2)
+    fine = morley_level(uniform_refine(square32))
+    n = coarse.dofmap.n_free
+    pair = transfer_morley(coarse, U, fine)
+    stacked = np.concatenate([transfer_morley(coarse, U[:n], fine),
+                              transfer_morley(coarse, U[n:], fine)])
+    assert len(pair) == 2 * fine.dofmap.n_free
     assert np.array_equal(pair, stacked)
 
 
 @pytest.mark.parametrize("length", [0, 1, 8, 10, 17])
 def test_transfer_rejects_a_length_off_the_coarse_dofs(square8, length):
-    dm_c = morley_dofmap(square8)
-    assert dm_c.n_free == 9
-    fine = uniform_refine(square8)
+    coarse = morley_level(square8)
+    assert coarse.dofmap.n_free == 9
+    fine = morley_level(uniform_refine(square8))
     with pytest.raises(ValueError, match="positive multiple"):
-        transfer_morley(square8, dm_c, np.zeros(length), fine,
-                        morley_dofmap(fine))
+        transfer_morley(coarse, np.zeros(length), fine)
+
+
+def test_transfer_rejects_a_cr_level(square8):
+    # a CR fine level would take the Morley dof values of the wrong mesh
+    # entities without an error
+    coarse = morley_level(square8)
+    fine = Assembler(uniform_refine(square8), manufactured("cr_sine").problem)
+    with pytest.raises(ValueError, match="two Morley levels"):
+        transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine)
 
 
 def test_transfer_keeps_interpolation_error_order(square8):
@@ -253,13 +268,13 @@ def test_transfer_keeps_interpolation_error_order(square8):
     from ncfem.problems import ProblemKind, ProblemSpec
 
     man = manufactured("ns_poly")
-    dm_c = morley_dofmap(square8)
-    u_c = morley_interpolate(square8, dm_c, man.exact[0], edge_degree=10)
-    fine = uniform_refine(square8)
-    dm_f = morley_dofmap(fine)
-    moved = transfer_morley(square8, dm_c, u_c, fine, dm_f)
     probe = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
                         f=lambda p: np.zeros(np.shape(p)[:-1]))
-    err_coarse = broken_energy_error(square8, dm_c, probe, u_c, man.exact)
-    err_moved = broken_energy_error(fine, dm_f, probe, moved, man.exact)
+    coarse = Assembler(square8, probe)
+    u_c = morley_interpolate(square8, coarse.dofmap, man.exact[0],
+                             edge_degree=10)
+    fine = Assembler(uniform_refine(square8), probe)
+    moved = transfer_morley(coarse, u_c, fine)
+    err_coarse = broken_energy_error(coarse, u_c, man.exact)
+    err_moved = broken_energy_error(fine, moved, man.exact)
     assert err_moved <= 2.5 * err_coarse

@@ -69,3 +69,30 @@ def test_no_module_reaches_private_names_of_another():
                 offenders.append(f"{path.name}:{node.lineno} "
                                  f"{node.value.id}.{node.attr}")
     assert not offenders, f"private names of other ncfem modules: {offenders}"
+
+
+# who may call each level builder: an Assembler is one level, built once per
+# mesh by the level driver or a CLI command and handed down from there
+LEVEL_OWNERS = {"afem.py", "cli.py"}
+LEVEL_BUILDERS = {
+    "assembler": LEVEL_OWNERS,
+    "Assembler": LEVEL_OWNERS | {"assembly.py"},   # assembler() calls it
+    "basis_tables": {"assembly.py"},
+    "build_dofmap": {"assembly.py"},
+}
+
+
+def test_only_the_level_owners_build_a_level():
+    """Solvers, estimators and transfers take the level's Assembler and read
+    its dof map and tables; they never look a level up or rebuild it."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in LEVEL_BUILDERS and path.name not in LEVEL_BUILDERS[name]:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, f"level built outside its owners: {offenders}"

@@ -6,7 +6,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from conftest import cr_dofmap, morley_dofmap
 from ncfem.assembly import assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
@@ -17,7 +16,7 @@ from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, _equilibrate,
                          discrete_embedding_ratio,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
-from ncfem.spaces import SpaceTag, basis_tables, local_coefficients
+from ncfem.spaces import local_coefficients
 from ncfem.quadrature import quad_triangle
 
 
@@ -62,14 +61,12 @@ def test_gram_factor_singular_raises():
         _gram_factor(G)
 
 
-GRAMS = {"ns": (NS, morley_dofmap), "vk": (VK, morley_dofmap),
-         "cr": (manufactured("cr_sine").problem, cr_dofmap)}
+GRAMS = {"ns": NS, "vk": VK, "cr": manufactured("cr_sine").problem}
 
 
 @pytest.mark.parametrize("name", sorted(GRAMS))
 def test_gram_factor_keeps_column_order_and_solves(square32, name):
-    problem, dofmap = GRAMS[name]
-    G = assembler(square32, dofmap(square32), problem).gram()
+    G = assembler(square32, GRAMS[name]).gram()
     lu = _gram_factor(G)
     assert np.array_equal(lu.perm_r, lu.perm_c)
     b = np.random.default_rng(0).standard_normal(G.shape[0])
@@ -79,7 +76,7 @@ def test_gram_factor_keeps_column_order_and_solves(square32, name):
 
 def test_gram_factor_fills_less_than_partial_pivoting():
     mesh = refine(builtin_domain("unit_square"), 3)
-    G = assembler(mesh, morley_dofmap(mesh), NS).gram()
+    G = assembler(mesh, NS).gram()
     lu, pivoted = _gram_factor(G), scipy.sparse.linalg.splu(G.tocsc())
     assert lu.L.nnz + lu.U.nnz < pivoted.L.nnz + pivoted.U.nnz
 
@@ -116,8 +113,8 @@ class SplaSpy:
 @pytest.fixture(scope="module")
 def graded_ns(graded_lshape):
     """Jacobian and Gram of ns_unit_load on the graded L-shape."""
-    problem, mesh, dofmap, U = graded_lshape
-    asm = assembler(mesh, dofmap, problem)
+    problem, mesh, _, U = graded_lshape
+    asm = assembler(mesh, problem)
     return asm.jacobian(U).tocsc(), asm.gram()
 
 
@@ -174,9 +171,9 @@ def test_sparse_solve_matches_plain_spsolve_bitwise_on_cr():
     """Pivots stay on the diagonal of this J unscaled, so scaling by powers
     of two must not change a bit; any other scaling would."""
     mesh = refine(builtin_domain("unit_square"), 4)
-    dm = cr_dofmap(mesh)
-    U = np.zeros(dm.n_free)
-    J = assembler(mesh, dm, manufactured("cr_sine").problem).jacobian(U).tocsc()
+    asm = assembler(mesh, manufactured("cr_sine").problem)
+    U = np.zeros(asm.dofmap.n_free)
+    J = asm.jacobian(U).tocsc()
     assert not np.all(_equilibrate(J)[1] == 1.0)
     b = np.random.default_rng(0).standard_normal(J.shape[0])
     assert np.array_equal(sparse_solve(J, b),
@@ -198,7 +195,7 @@ def test_infsup_factors_the_equilibrated_b(graded_ns, monkeypatch):
     J, G = graded_ns
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    infsup_constant(J.T, G, G)
+    infsup_constant(J.T, G)
     [b_factor] = [args[0] for args, kwargs in spla.args["splu"]
                   if "diag_pivot_thresh" not in kwargs]
     assert_equilibrated(b_factor)
@@ -231,7 +228,7 @@ def test_gram_and_b_factors_solve_like_spsolve(graded_ns, monkeypatch):
     assert_solves(_gram_factor(G).solve(b), G)
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    infsup_constant(J.T, G, G)
+    infsup_constant(J.T, G)
     [(Bs, Blu)] = [(args[0], lu) for (args, kwargs), lu
                    in zip(spla.args["splu"], spla.results["splu"])
                    if "diag_pivot_thresh" not in kwargs]
@@ -245,13 +242,12 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
     splu must keep the symmetric order and relax=1."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    man = manufactured("ns_poly")
-    dm = morley_dofmap(square32)
-    U, _ = newton_solve(square32, dm, man.problem)
-    kantorovich_report(square32, dm, man.problem, U)
-    discrete_embedding_ratio(square32, dm, man.problem)
-    asm = assembler(square32, cr_dofmap(square32), manufactured("cr_sine").problem)
-    infsup_constant((asm.a_matrix() + asm.b_matrix()).T, asm.gram(), asm.gram())
+    asm = assembler(square32, manufactured("ns_poly").problem)
+    U, _ = newton_solve(asm)
+    kantorovich_report(asm, U)
+    discrete_embedding_ratio(asm)
+    asm = assembler(square32, manufactured("cr_sine").problem)
+    infsup_constant((asm.a_matrix() + asm.b_matrix()).T, asm.gram())
     assert spla.calls["splu"] >= 4
     for _, kwargs in spla.args["splu"]:
         assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
@@ -263,9 +259,7 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
                                                            monkeypatch):
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    problem = manufactured(name).problem
-    dofmap = cr_dofmap if name == "cr_sine" else morley_dofmap
-    _, trace = newton_solve(square32, dofmap(square32), problem)
+    _, trace = newton_solve(assembler(square32, manufactured(name).problem))
     assert trace.converged and trace.iterations >= 1
     assert spla.calls == {"splu": 1, "spsolve": trace.iterations}
 
@@ -273,11 +267,10 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
 @pytest.mark.parametrize("name", ["ns_poly", "cr_sine"])
 def test_newton_trace_gram_fill_repeats_bitwise(square32, name):
     problem = manufactured(name).problem
-    dofmap = cr_dofmap if name == "cr_sine" else morley_dofmap
-    G = assembler(square32, dofmap(square32), problem).gram()
-    first = newton_solve(square32, dofmap(square32), problem)[1].gram_fill
+    G = assembler(square32, problem).gram()
+    first = newton_solve(assembler(square32, problem))[1].gram_fill
     assembler.cache_clear()
-    assert newton_solve(square32, dofmap(square32), problem)[1].gram_fill == first
+    assert newton_solve(assembler(square32, problem))[1].gram_fill == first
     assert first == _gram_factor(G).nnz / G.nnz
     assert first >= 1.0
 
@@ -285,25 +278,21 @@ def test_newton_trace_gram_fill_repeats_bitwise(square32, name):
 def test_kantorovich_report_factors_and_solves(square8, monkeypatch):
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    man = manufactured("ns_poly")
-    kantorovich_report(square8, morley_dofmap(square8), man.problem)
+    kantorovich_report(assembler(square8, manufactured("ns_poly").problem))
     assert spla.calls["splu"] >= 1 and spla.calls["spsolve"] >= 1
 
 
 def test_newton_linear_problem_one_iteration(square8):
-    problem = manufactured("cr_sine").problem
-    dm = cr_dofmap(square8)
-    U, trace = newton_solve(square8, dm, problem)
+    U, trace = newton_solve(assembler(square8, manufactured("cr_sine").problem))
     assert trace.converged
     assert trace.iterations == 1
 
 
 def test_newton_fixed_point(square8):
-    man = manufactured("ns_poly")
-    dm = morley_dofmap(square8)
-    U, trace = newton_solve(square8, dm, man.problem)
+    asm = assembler(square8, manufactured("ns_poly").problem)
+    U, trace = newton_solve(asm)
     assert trace.converged
-    U2, trace2 = newton_solve(square8, dm, man.problem, U0=U)
+    U2, trace2 = newton_solve(asm, U0=U)
     assert trace2.converged
     assert trace2.iterations == 0
     assert np.array_equal(U2, U)
@@ -312,17 +301,16 @@ def test_newton_fixed_point(square8):
 def test_newton_from_interpolant_converges_quickly():
     man = manufactured("ns_poly")
     mesh = refine(builtin_domain("unit_square"), 3)  # h_max = sqrt(2)/8
-    dm = morley_dofmap(mesh)
-    U0 = morley_interpolate(mesh, dm, man.exact[0])
-    U, trace = newton_solve(mesh, dm, man.problem, U0=U0, tol=1e-10)
+    asm = assembler(mesh, man.problem)
+    U0 = morley_interpolate(mesh, asm.dofmap, man.exact[0])
+    U, trace = newton_solve(asm, U0=U0, tol=1e-10)
     assert trace.converged
     assert trace.iterations <= 6
 
 
 def test_newton_max_iter_reports_failure(square8):
-    man = manufactured("ns_poly")
-    dm = morley_dofmap(square8)
-    _, trace = newton_solve(square8, dm, man.problem, max_iter=0)
+    asm = assembler(square8, manufactured("ns_poly").problem)
+    _, trace = newton_solve(asm, max_iter=0)
     assert not trace.converged
     assert trace.iterations == 0
 
@@ -330,28 +318,37 @@ def test_newton_max_iter_reports_failure(square8):
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_newton_rejects_a_mesh_without_free_dofs(name):
     tri = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    problem = manufactured(name).problem
-    dm = (cr_dofmap if name == "cr_sine" else morley_dofmap)(tri)
-    assert dm.n_free == 0
+    asm = assembler(tri, manufactured(name).problem)
+    assert asm.dofmap.n_free == 0
     with pytest.raises(ValueError, match="no free dofs"):
-        newton_solve(tri, dm, problem)
+        newton_solve(asm)
 
 
 def test_infsup_rejects_empty_matrices():
     empty = sp.csr_matrix((0, 0))
     with pytest.raises(ValueError, match="no free dofs"):
-        infsup_constant(empty, empty, empty)
+        infsup_constant(empty, empty)
 
 
 def test_newton_rejects_bad_tol(square8):
     with pytest.raises(ValueError):
-        newton_solve(square8, morley_dofmap(square8),
-                     manufactured("ns_poly").problem, tol=0.0)
+        newton_solve(assembler(square8, manufactured("ns_poly").problem),
+                     tol=0.0)
+
+
+@pytest.mark.parametrize("length", [98, 48])
+def test_kantorovich_rejects_a_state_off_the_dof_map(square32, length):
+    # a 49-dof ns level: twice the length, and one coefficient short
+    asm = assembler(square32, manufactured("ns_poly").problem)
+    assert asm.dofmap.n_free == 49
+    with pytest.raises(ValueError,
+                       match="initial iterate does not match the dof map"):
+        kantorovich_report(asm, np.zeros(length))
 
 
 def test_kantorovich_linear_degenerate(square8):
-    problem = manufactured("cr_sine").problem
-    rep = kantorovich_report(square8, cr_dofmap(square8), problem)
+    rep = kantorovich_report(assembler(square8,
+                                       manufactured("cr_sine").problem))
     assert rep.gamma_norm_estimate == 0.0 and rep.gamma_rounds == 0
     assert rep.m == 0.0 and rep.h == 0.0 and rep.r_minus == 0.0
     assert rep.rho == np.inf
@@ -359,18 +356,18 @@ def test_kantorovich_linear_degenerate(square8):
 
 
 def test_kantorovich_beta0_of_energy_operator(square8):
-    dm = morley_dofmap(square8)
-    zero = np.zeros(dm.n_free)
-    rep = kantorovich_report(square8, dm, NS, zero)
+    asm = assembler(square8, NS)
+    zero = np.zeros(asm.dofmap.n_free)
+    rep = kantorovich_report(asm, zero)
     assert rep.beta0 == pytest.approx(1.0, abs=1e-8)
 
 
 def test_kantorovich_ns_manufactured_fine_mesh():
     man = manufactured("ns_poly")
     mesh = refine(builtin_domain("unit_square"), 3)
-    dm = morley_dofmap(mesh)
-    U0 = morley_interpolate(mesh, dm, man.exact[0])
-    rep = kantorovich_report(mesh, dm, man.problem, U0)
+    asm = assembler(mesh, man.problem)
+    U0 = morley_interpolate(mesh, asm.dofmap, man.exact[0])
+    rep = kantorovich_report(asm, U0)
     assert 1 <= rep.gamma_rounds <= GAMMA_MAX_ROUNDS
     assert rep.h < 0.5
     assert rep.condition_met
@@ -387,10 +384,9 @@ def test_kantorovich_r_minus_nonnegative_identity():
         assert r_minus >= -1e-15
 
 
-def _dense_gamma_tensor(mesh, dm, problem):
+def _dense_gamma_tensor(asm):
     """T[i, j, k] = Gamma(e_i, e_j, e_k) and the Gram matrix, densely."""
-    asm = assembler(mesh, dm, problem)
-    n = dm.n_free * problem.n_components
+    n = asm.dofmap.n_free * asm.problem.n_components
 
     def unit(i):
         c = np.zeros(n)
@@ -406,11 +402,11 @@ def _dense_gamma_tensor(mesh, dm, problem):
 def test_gamma_norm_estimate_below_dense_frobenius_bound(square8, problem):
     # |Gamma| is the spectral norm of the G-orthonormalized tensor, which
     # the Frobenius norm bounds from above
-    dm = morley_dofmap(square8)
-    T, G = _dense_gamma_tensor(square8, dm, problem)
+    asm = assembler(square8, problem)
+    T, G = _dense_gamma_tensor(asm)
     Linv = scipy.linalg.inv(scipy.linalg.cholesky(G, lower=True))
     Tn = np.einsum("ai,bj,ck,ijk->abc", Linv, Linv, Linv, T)
-    est, rounds = gamma_norm_lower_bound(square8, dm, problem)
+    est, rounds = gamma_norm_lower_bound(asm)
     assert 1 <= rounds <= GAMMA_MAX_ROUNDS
     assert 0.0 < est <= np.linalg.norm(Tn.ravel())
 
@@ -428,28 +424,27 @@ SAMPLED_GAMMA = {
 @pytest.mark.parametrize("name, n", sorted(SAMPLED_GAMMA))
 def test_gamma_norm_estimate_at_least_sampled_floor(name, n):
     mesh = refine(builtin_domain("unit_square"), {9: 1, 49: 2, 225: 3, 961: 4}[n])
-    dm = morley_dofmap(mesh)
-    assert dm.n_free == n
-    est, _ = gamma_norm_lower_bound(mesh, dm, {"ns": NS, "vk": VK}[name])
+    asm = assembler(mesh, {"ns": NS, "vk": VK}[name])
+    assert asm.dofmap.n_free == n
+    est, _ = gamma_norm_lower_bound(asm)
     assert est >= SAMPLED_GAMMA[name, n]
 
 
 def test_gamma_rounds_report_the_cap(square8, monkeypatch):
     monkeypatch.setattr("ncfem.solve.GAMMA_MAX_ROUNDS", 2)
     zero = np.zeros(9)
-    rep = kantorovich_report(square8, morley_dofmap(square8), NS, zero)
+    rep = kantorovich_report(assembler(square8, NS), zero)
     assert rep.gamma_rounds == 2
 
 
-def _gamma_power_method_reference(mesh, dm, problem):
+def _gamma_power_method_reference(asm):
     """The plain power method, without extrapolation, with Gamma evaluated
     at the whole triple after every round."""
-    asm = assembler(mesh, dm, problem)
-    value = (asm.gamma_ns_value if problem.kind is NS.kind
+    value = (asm.gamma_ns_value if asm.problem.kind is NS.kind
              else asm.gamma_vk_value)
     G = asm.gram()
     Glu = _gram_factor(G)
-    n = dm.n_free * problem.n_components
+    n = asm.dofmap.n_free * asm.problem.n_components
     triple = [c / np.sqrt(c @ (G @ c))
               for c in np.random.default_rng(0).standard_normal((3, n))]
     best = abs(value(*triple))
@@ -473,13 +468,12 @@ def test_gamma_extrapolation_beats_plain_power_method(mesh, problem, square32,
     # so the estimate is |Gamma| at the triple returned, never below the
     # plain method's, and reached in no more rounds
     m = square32 if mesh == "square32" else graded_lshape[1]
-    dm = morley_dofmap(m)
-    ref, ref_rounds = _gamma_power_method_reference(m, dm, problem)
-    est, rounds, triple = _gamma_power_method(m, dm, problem)
-    assert (est, rounds) == gamma_norm_lower_bound(m, dm, problem)
+    asm = assembler(m, problem)
+    ref, ref_rounds = _gamma_power_method_reference(asm)
+    est, rounds, triple = _gamma_power_method(asm)
+    assert (est, rounds) == gamma_norm_lower_bound(asm)
     assert est >= ref
     assert rounds <= ref_rounds
-    asm = assembler(m, dm, problem)
     value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)
     G = asm.gram()
     assert np.allclose([c @ (G @ c) for c in triple], 1.0, rtol=1e-12, atol=0)
@@ -501,9 +495,9 @@ LONG_RUN_GAMMA = {"ns": 0.016348209799290386, "vk": 0.043190810724343005}
 @pytest.mark.parametrize("name", sorted(LONG_RUN_GAMMA))
 def test_gamma_estimate_reaches_long_run_value(name):
     mesh = refine(builtin_domain("unit_square"), 4)
-    dm = morley_dofmap(mesh)
-    assert dm.n_free == 961
-    est, _ = gamma_norm_lower_bound(mesh, dm, {"ns": NS, "vk": VK}[name])
+    asm = assembler(mesh, {"ns": NS, "vk": VK}[name])
+    assert asm.dofmap.n_free == 961
+    est, _ = gamma_norm_lower_bound(asm)
     assert est == pytest.approx(LONG_RUN_GAMMA[name], rel=1e-5, abs=0)
 
 
@@ -513,9 +507,9 @@ def test_gamma_rounds_at_diagnostics_sizes(name, levels, n):
     # the solves `ncfem solve --problem ns_poly --levels 6` and `--problem
     # vk_poly --levels 5` report on; the plain method took 99 and 73 rounds
     mesh = refine(builtin_domain("unit_square"), levels - 1)
-    dm = morley_dofmap(mesh)
-    assert dm.n_free == n
-    _, rounds = gamma_norm_lower_bound(mesh, dm, manufactured(name).problem)
+    asm = assembler(mesh, manufactured(name).problem)
+    assert asm.dofmap.n_free == n
+    _, rounds = gamma_norm_lower_bound(asm)
     assert rounds <= 30
 
 
@@ -524,113 +518,106 @@ def test_gamma_vanishing_gradient_stops_the_power_method(square2, problem):
     # one free dof (the unrefined square): S is antisymmetric, so every ns
     # gradient is 0, and so is every vk gradient; the method stops in its
     # first round instead of dividing 0 by 0
-    dm = morley_dofmap(square2)
-    assert dm.n_free == 1
+    asm = assembler(square2, problem)
+    assert asm.dofmap.n_free == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert gamma_norm_lower_bound(square2, dm, problem) == (0.0, 1)
+        assert gamma_norm_lower_bound(asm) == (0.0, 1)
 
 
 def test_infsup_trivial_identity():
     G = sp.identity(6, format="csr")
-    assert infsup_constant(G, G, G) == pytest.approx(1.0, abs=1e-8)
+    assert infsup_constant(G, G) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_infsup_diag_epsilon():
     B = sp.diags([1.0, 1e-4]).tocsr()
     I2 = sp.identity(2, format="csr")
-    assert infsup_constant(B, I2, I2) == pytest.approx(1e-4, rel=1e-8)
+    assert infsup_constant(B, I2) == pytest.approx(1e-4, rel=1e-8)
 
 
 def test_infsup_rejects_nonsymmetric_gram():
     B = sp.identity(2, format="csr")
     G = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="symmetric"):
-        infsup_constant(B, G, G)
+        infsup_constant(B, G)
 
 
 def test_infsup_rejects_indefinite_gram():
     B = sp.identity(2, format="csr")
     G = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="positive definite"):
-        infsup_constant(B, B, G)
+        infsup_constant(B, G)
     # zero diagonal: the LU needs a row swap, after which diag(U) = (1, 1)
     G = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="positive definite"):
-        infsup_constant(B, B, G)
+        infsup_constant(B, G)
 
 
 def test_infsup_basis_change_invariance(square32):
-    problem = manufactured("cr_sine").problem
-    dm = cr_dofmap(square32)
-    asm = assembler(square32, dm, problem)
+    asm = assembler(square32, manufactured("cr_sine").problem)
     B = (asm.a_matrix() + asm.b_matrix()).T.toarray()
     G = asm.gram().toarray()
-    beta = infsup_constant(B, G, G)
+    beta = infsup_constant(B, G)
     rng = np.random.default_rng(8)
     n = B.shape[0]
     T = np.eye(n) + 0.1 * rng.standard_normal((n, n))
-    beta2 = infsup_constant(T.T @ B, T.T @ G @ T, G)
+    # x = T x' and y = T y' change both bases; beta must not move
+    beta2 = infsup_constant(T.T @ B @ T, T.T @ G @ T)
     assert beta2 == pytest.approx(beta, abs=1e-8)
 
 
 def test_infsup_iterative_path_matches_dense(square32):
-    problem = manufactured("cr_sine").problem
-    dm = cr_dofmap(square32)
-    asm = assembler(square32, dm, problem)
+    asm = assembler(square32, manufactured("cr_sine").problem)
     B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
     G = asm.gram()
     Bd, Gd = B.toarray(), G.toarray()
     A = Bd @ scipy.linalg.solve(Gd, Bd.T, assume_a="pos")
     lam = scipy.linalg.eigh(A, Gd, eigvals_only=True, subset_by_index=(0, 0))
-    assert infsup_constant(B, G, G) == pytest.approx(np.sqrt(lam[0]), rel=1e-8)
+    assert infsup_constant(B, G) == pytest.approx(np.sqrt(lam[0]), rel=1e-8)
 
 
 def test_infsup_bitwise_deterministic(square32):
-    problem = manufactured("cr_sine").problem
-    dm = cr_dofmap(square32)
-    asm = assembler(square32, dm, problem)
+    asm = assembler(square32, manufactured("cr_sine").problem)
     B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
     G = asm.gram()
-    first = infsup_constant(B, G, G)
-    assert infsup_constant(B, G, G) == first
+    first = infsup_constant(B, G)
+    assert infsup_constant(B, G) == first
     # an unrelated ARPACK call in between must not shift the start vector
     scipy.sparse.linalg.eigsh(sp.diags(np.arange(1.0, 41.0)), k=2)
-    assert infsup_constant(B, G, G) == first
+    assert infsup_constant(B, G) == first
 
 
 @pytest.mark.parametrize("name, n", [("ns_poly", 961), ("vk_poly", 1922)])
 def test_kantorovich_beta0_matches_dense_svd(name, n):
     man = manufactured(name)
     mesh = refine(builtin_domain("unit_square"), 4)
-    dm = morley_dofmap(mesh)
-    U0 = morley_interpolate(mesh, dm, man.exact)
+    asm = assembler(mesh, man.problem)
+    U0 = morley_interpolate(mesh, asm.dofmap, man.exact)
     assert len(U0) == n
-    asm = assembler(mesh, dm, man.problem)
     J, G = asm.jacobian(U0).toarray(), asm.gram().toarray()
     L = scipy.linalg.cholesky(G, lower=True)
     K = scipy.linalg.solve_triangular(L, J, lower=True)
     K = scipy.linalg.solve_triangular(L, K.T, lower=True).T
     dense = scipy.linalg.svdvals(K)[-1]
-    rep = kantorovich_report(mesh, dm, man.problem, U0)
+    rep = kantorovich_report(asm, U0)
     assert rep.beta0 == pytest.approx(dense, rel=1e-8)
 
 
 def test_embedding_ratio_positive_and_finite(square32):
-    dm = morley_dofmap(square32)
-    r = discrete_embedding_ratio(square32, dm, NS)
+    r = discrete_embedding_ratio(assembler(square32, NS))
     assert 0.0 < r < 10.0
 
 
-def _dense_embedding_constant(mesh, dm):
+def _dense_embedding_constant(asm):
     """max over the point set of sqrt(phi_x^T G^-1 phi_x), with G^-1 dense."""
-    Ginv = np.linalg.inv(assembler(mesh, dm, NS).gram().toarray())
+    mesh, dm = asm.mesh, asm.dofmap
+    Ginv = np.linalg.inv(asm.gram().toarray())
     eye = np.eye(3)
     bary = np.vstack([eye, 0.5 * (eye + np.roll(eye, 1, axis=0)),
                       quad_triangle(4).points])
     pts = np.einsum("qk,tkd->tqd", bary, mesh.vertices[mesh.triangles])
-    V = basis_tables(mesh, SpaceTag.MORLEY).values_at(
-        np.arange(mesh.n_triangles), pts)
+    V = asm.tables.values_at(np.arange(mesh.n_triangles), pts)
     # phi_x as a dense vector over free dofs, by the local coefficients of e_i
     loc = np.stack([local_coefficients(dm, e) for e in np.eye(dm.n_free)])
     Phi = np.einsum("tqj,itj->tqi", V, loc).reshape(-1, dm.n_free)
@@ -640,36 +627,34 @@ def _dense_embedding_constant(mesh, dm):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("levels", [0, 1, 2, 3])
 def test_embedding_ratio_matches_dense_max(levels):
-    mesh = refine(builtin_domain("unit_square"), levels)
-    dm = morley_dofmap(mesh)
-    assert dm.n_free == {0: 1, 1: 9, 2: 49, 3: 225}[levels]
-    assert discrete_embedding_ratio(mesh, dm, NS) == pytest.approx(
-        _dense_embedding_constant(mesh, dm), rel=1e-10)
+    asm = assembler(refine(builtin_domain("unit_square"), levels), NS)
+    assert asm.dofmap.n_free == {0: 1, 1: 9, 2: 49, 3: 225}[levels]
+    assert discrete_embedding_ratio(asm) == pytest.approx(
+        _dense_embedding_constant(asm), rel=1e-10)
 
 
 def test_embedding_ratio_is_a_lower_bound_on_lshape():
     # the alternation may stop at a local maximum over the points, but its
     # value is the ratio of an actual function, so never above the maximum
-    mesh = refine(builtin_domain("l_shape"), 2)
-    dm = morley_dofmap(mesh)
-    r = discrete_embedding_ratio(mesh, dm, NS)
-    assert 0.0 < r <= _dense_embedding_constant(mesh, dm) * (1 + 1e-12)
+    asm = assembler(refine(builtin_domain("l_shape"), 2), NS)
+    r = discrete_embedding_ratio(asm)
+    assert 0.0 < r <= _dense_embedding_constant(asm) * (1 + 1e-12)
 
 
 def test_embedding_ratio_without_free_dofs_is_zero():
     tri = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    assert discrete_embedding_ratio(tri, morley_dofmap(tri), NS) == 0.0
+    assert discrete_embedding_ratio(assembler(tri, NS)) == 0.0
 
 
 def test_diagnostics_bitwise_repeat(square32):
-    dm = morley_dofmap(square32)
-    first = [gamma_norm_lower_bound(square32, dm, NS),
-             gamma_norm_lower_bound(square32, dm, VK),
-             discrete_embedding_ratio(square32, dm, NS)]
+    def diagnostics():
+        return [gamma_norm_lower_bound(assembler(square32, NS)),
+                gamma_norm_lower_bound(assembler(square32, VK)),
+                discrete_embedding_ratio(assembler(square32, NS))]
+
+    first = diagnostics()
     # fresh assemblers and unrelated draws from the global generator in
     # between must not change a bit
     assembler.cache_clear()
     np.random.standard_normal(50)
-    assert [gamma_norm_lower_bound(square32, dm, NS),
-            gamma_norm_lower_bound(square32, dm, VK),
-            discrete_embedding_ratio(square32, dm, NS)] == first
+    assert diagnostics() == first
