@@ -169,7 +169,9 @@ def _cmd_solve(cfg: RunConfig):
     print(f"problem {cfg.problem} on {cfg.domain}: "
           f"n_free = {asm.dofmap.n_free}, "
           f"newton_iters = {trace.iterations}, "
-          f"residual = {trace.residual_norms[-1]:.3e}")
+          f"residual = {trace.residual_norms[-1]:.3e}, "
+          f"krylov_iters = {sum(trace.krylov_iterations)}, "
+          f"fallbacks = {trace.direct_fallbacks}")
     report = estimate(asm, U, exact=exact)
     print(f"eta_total = {report.eta_total:.6e}")
     if exact is not None:

@@ -4,9 +4,22 @@ All norms here are energy norms: the Gram matrix G is the assembled piecewise
 energy form (broken H^2 for Morley, A-weighted broken H^1 for CR), residuals
 are measured in the G-dual norm sqrt(r^T G^-1 r) and corrections in
 sqrt(d^T G d).  G is SPD, so every factorization of it (_gram_factor) is
-SuperLU without pivoting (perm_r == perm_c).  newton_solve factors G once and
-reuses the factor for every residual norm; each Newton step solves with the
-Jacobian through sparse_solve.  A routine on one level takes its Assembler.
+SuperLU without pivoting (perm_r == perm_c).  A routine on one level takes
+its Assembler.
+
+newton_solve factors G once and reuses the factor for every residual norm and
+as the preconditioner of every Newton step after the first.  J is a compact
+perturbation of the energy operator, so G^-1 J is the identity plus a compact
+term, and GMRES on it needs a number of iterations that does not grow with
+the mesh (Kirby, SIAM Rev. 2010).  _gram_gmres runs it in the G inner product
+(Pestana and Wathen, JCAM 2013), so that it stops on the dual norm the Newton
+loop tests, not on a Euclidean norm, which would mis-weigh the Morley vertex
+values against the normal derivatives.  A step only has to keep the next
+residual under tol, so its target is tol / 100: from the second step on that
+is a relative reduction of 1e-2 to 5e-9, which takes 1-3 iterations.  The
+first step would need 3e-10 to 3e-12, at the round-off floor of the Krylov
+residual, so it stays a direct solve through sparse_solve, as does any later
+step whose GMRES misses its target within KRYLOV_MAX iterations.
 
 Every splu here (_splu: G, and B in infsup_constant) orders the columns by
 minimum degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989),
@@ -16,9 +29,11 @@ supernodes (Demmel et al., SIMAX 1999) merge small subtrees of the
 elimination tree into dense blocks; under this ordering they store explicit
 zeros.  On the final G of the afem L-shape run (60421 dofs) the default relax
 stores 49 nnz(G) and factors in 4.9-6.3 s, relax=1 stores 4.4 nnz(G) in
-0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  The Jacobian alone
-stays on COLAMD: sparse_solve calls spla.spsolve, which takes no relax
-option, and the benchmark in perfbench/ requires its span on every workload.
+0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  The direct Jacobian
+solve alone stays on COLAMD: sparse_solve calls spla.spsolve, which takes no
+relax option, and the benchmark in perfbench/ requires its span on every
+workload.  With the later Newton steps on GMRES, it factors J once per
+Newton solve.
 
 J is not symmetric, so its factor keeps partial pivoting.  But J is a compact
 perturbation of the energy operator, and the Morley diagonal mixes vertex
@@ -136,6 +151,48 @@ def _gram_factor(G):
     return _splu(_as_csc(G), diag_pivot_thresh=0.0)
 
 
+KRYLOV_MAX = 40         # GMRES iterations before a Newton step falls back
+
+
+def _gram_gmres(J, b, Glu, target):
+    """(d, k): a d with |b - J d|_{G^-1} <= target, from k iterations of GMRES
+    on G^-1 J in the G inner product (Pestana and Wathen, JCAM 2013), started
+    from 0 without restart; Glu is the factor of G.  None if KRYLOV_MAX
+    iterations do not reach target, or if the true residual misses it.
+
+    The basis V is G-orthonormal and G V is carried next to it: G v_{k+1} is
+    the Gram-Schmidt remainder of J v_k, so an iteration costs one J product
+    and one G solve, and no G product.  The Hessenberg least-squares residual
+    is then |G^-1 (b - J d)|_G = |b - J d|_{G^-1}, the dual norm that
+    newton_solve tests; one more G solve confirms it at the end."""
+    z = Glu.solve(b)
+    beta = np.sqrt(max(z @ b, 0.0))
+    V, GV = [z / beta], [b / beta]
+    H = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
+    for k in range(KRYLOV_MAX):
+        w = J @ V[k]
+        z = Glu.solve(w)
+        for i in range(k + 1):          # modified Gram-Schmidt, G inner product
+            H[i, k] = z @ GV[i]
+            z -= H[i, k] * V[i]
+            w -= H[i, k] * GV[i]
+        H[k + 1, k] = h = np.sqrt(max(z @ w, 0.0))
+        Hk, e = H[:k + 2, :k + 1], np.zeros(k + 2)
+        e[0] = beta
+        y = np.linalg.lstsq(Hk, e, rcond=None)[0]     # min |beta e_1 - Hk y|
+        if np.linalg.norm(Hk @ y - e) <= target or h == 0:
+            break
+        V.append(z / h)
+        GV.append(w / h)
+    else:
+        return None
+    d = y @ np.array(V)
+    r = b - J @ d
+    if r @ Glu.solve(r) > target ** 2:
+        return None
+    return d, k + 1
+
+
 @dataclass
 class NewtonTrace:
     residual_norms: list = field(default_factory=list)   # per visited iterate
@@ -143,6 +200,8 @@ class NewtonTrace:
     converged: bool = False
     iterations: int = 0
     gram_fill: float = 0.0      # stored nnz of the G factor / nnz(G)
+    krylov_iterations: list = field(default_factory=list)  # per Krylov step
+    direct_fallbacks: int = 0   # later steps that fell back to sparse_solve
 
 
 def _initial_iterate(asm, U0):
@@ -157,6 +216,11 @@ def _initial_iterate(asm, U0):
 def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     """Undamped Newton iteration on the level asm from U0 (default 0); stops
     once the correction energy norm or the residual dual norm drops to tol.
+    The first step solves with J directly (sparse_solve); every later step
+    takes the G-preconditioned GMRES correction of _gram_gmres, whose linear
+    residual is at most tol / 100 in the dual norm, and falls back to
+    sparse_solve if GMRES misses that.  trace.krylov_iterations has one
+    entry per GMRES step and trace.direct_fallbacks counts the fallbacks.
     Linear problems converge in one step.  Returns (solution, trace);
     max_iter exhaustion is reported via trace.converged = False, a singular
     Jacobian raises, and so does a mesh without free dofs."""
@@ -180,7 +244,13 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
             trace.converged = True
             break
         J = asm.jacobian(U)
-        d = sparse_solve(J, -r)
+        step = _gram_gmres(J, -r, Glu, tol / 100) if trace.iterations else None
+        if step is not None:
+            d, k = step
+            trace.krylov_iterations.append(k)
+        else:
+            trace.direct_fallbacks += int(trace.iterations > 0)
+            d = sparse_solve(J, -r)
         dn = float(np.sqrt(max(d @ (G @ d), 0.0)))
         trace.correction_norms.append(dn)
         trace.iterations += 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -356,21 +358,29 @@ def test_spd_bounds_spot_check(square8):
 
 
 def test_piecewise_constant_coefficient_sampling(square8):
-    # discontinuous along mesh lines: centroid sampling must not smear it
+    # the jump line x = 0.3 cuts triangles: centroid sampling gives each
+    # triangle one weight, quadrature-point sampling mixes both
     def gamma(pts):
-        pts = np.asarray(pts)
-        return np.where(pts[..., 0] + pts[..., 1] < 1.0, 2.0, 3.0)
+        return np.where(np.asarray(pts)[..., 0] < 0.3, 2.0, 3.0)
 
     def ident(pts):
         out = np.zeros(np.shape(pts)[:-1] + (2, 2))
         out[..., 0, 0] = out[..., 1, 1] = 1.0
         return out
 
+    xs = square8.vertices[square8.triangles][..., 0]
+    assert ((xs.min(axis=1) < 0.3) & (xs.max(axis=1) > 0.3)).any()
     p = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR, f=zero_load, A=ident,
                     gamma=gamma, piecewise_constant=True)
-    M = assembler(square8, p).b_matrix().toarray()
-    # mass matrix with elementwise-constant weight: compare against manual sum
-    cent = square8.vertices[square8.triangles].mean(axis=1)
-    w = gamma(cent)
-    assert set(np.round(np.unique(w), 12)) == {2.0, 3.0}
-    assert np.abs(M - M.T).max() < 1e-12
+    asm = Assembler(square8, p)
+    M = asm.b_matrix().toarray()
+    # the CR local mass is |T|/3 I, so M is diagonal with entries
+    # sum_T w_T |T| / 3 over the triangles of each free edge
+    w = gamma(square8.vertices[square8.triangles].mean(axis=1))
+    assert set(np.unique(w)) == {2.0, 3.0}
+    fo = asm.dofmap.free_of_dof[asm.dofmap.element_dofs]   # -1 if fixed
+    diag = np.zeros(asm.dofmap.n_free + 1)                  # last slot: fixed
+    np.add.at(diag, fo, (w * asm.geom.area / 3.0)[:, None])
+    assert np.allclose(M, np.diag(diag[:-1]), rtol=1e-13, atol=1e-15)
+    smeared = Assembler(square8, replace(p, piecewise_constant=False))
+    assert np.abs(smeared.b_matrix().toarray() - M).max() > 1e-3

@@ -96,3 +96,44 @@ def test_only_the_level_owners_build_a_level():
             if name in LEVEL_BUILDERS and path.name not in LEVEL_BUILDERS[name]:
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert not offenders, f"level built outside its owners: {offenders}"
+
+
+SCIPY_KRYLOV = {"gmres", "lgmres", "bicgstab"}
+
+
+def _calls_by_function(tree):
+    """(enclosing function name or None, Call node) for every call."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    yield owner, child
+                yield from visit(child, owner)
+    return visit(tree, None)
+
+
+def test_one_entry_point_per_linear_solve_path():
+    """Direct Jacobian solves go through solve.sparse_solve, the only caller
+    of spla.spsolve, and Krylov solves through solve._gram_gmres: no module
+    uses scipy's gmres, lgmres or bicgstab, whose stopping tests take
+    Euclidean norms of the unpreconditioned residual."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for owner, node in _calls_by_function(tree):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "spsolve" and (path.name, owner) != ("solve.py",
+                                                            "sparse_solve"):
+                offenders.append(f"{path.name}:{node.lineno} spsolve in {owner}")
+        for node in ast.walk(tree):
+            used = ({node.attr} if isinstance(node, ast.Attribute)
+                    else {node.id} if isinstance(node, ast.Name)
+                    else {a.name for a in node.names}
+                    if isinstance(node, ast.ImportFrom) else set())
+            for name in used & SCIPY_KRYLOV:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, f"linear solves off their entry points: {offenders}"

@@ -6,13 +6,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from ncfem.assembly import assembler
+from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.interpolation import morley_interpolate
 import ncfem.solve
-from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, _equilibrate,
-                         _gamma_power_method, _gram_factor,
+from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, KRYLOV_MAX,
+                         _equilibrate, _gamma_power_method, _gram_factor,
+                         _gram_gmres,
                          discrete_embedding_ratio,
                          gamma_norm_lower_bound, infsup_constant,
                          kantorovich_report, newton_solve, sparse_solve)
@@ -257,11 +258,60 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
                                                            monkeypatch):
+    """Each step makes one linear solve: the first with J directly, every
+    later one by GMRES on the G factor, unless it falls back to a direct
+    solve.  So J is factored once per Newton solve, plus once per fallback."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     _, trace = newton_solve(assembler(square32, manufactured(name).problem))
     assert trace.converged and trace.iterations >= 1
-    assert spla.calls == {"splu": 1, "spsolve": trace.iterations}
+    assert spla.calls == {"splu": 1, "spsolve": 1 + trace.direct_fallbacks}
+    assert (len(trace.krylov_iterations) + trace.direct_fallbacks
+            == trace.iterations - 1)
+    if name == "cr_sine":
+        assert trace.iterations == 1
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
+    """At a state of energy norm 30 (beta0 0.84 for ns, 0.46 for vk), the
+    correction's linear residual meets the target in the G-dual norm, and its
+    energy error against the dense solve is at most residual / beta0."""
+    asm = assembler(square32, manufactured(name).problem)
+    G = asm.gram()
+    x = np.random.default_rng(0).standard_normal(G.shape[0])
+    U = 30.0 * x / np.sqrt(x @ (G @ x))
+    J, r = asm.jacobian(U), asm.residual(U)
+    Glu = _gram_factor(G)
+
+    def dual(v):
+        return np.sqrt(v @ Glu.solve(v))
+
+    target = 1e-8 * dual(r)
+    d, k = _gram_gmres(J, -r, Glu, target)
+    residual = dual(J @ d + r)
+    assert 1 <= k <= KRYLOV_MAX and residual <= target
+    e = d - np.linalg.solve(J.toarray(), -r)
+    assert np.sqrt(e @ (G @ e)) <= residual / infsup_constant(J.T, G)
+
+
+def test_newton_falls_back_to_the_direct_solve(square32, monkeypatch):
+    asm = assembler(square32, manufactured("vk_poly").problem)
+    _, krylov = newton_solve(asm)
+    monkeypatch.setattr(ncfem.solve, "KRYLOV_MAX", 1)
+    _, direct = newton_solve(asm)
+    assert max(krylov.krylov_iterations) > 1 and krylov.direct_fallbacks == 0
+    assert direct.direct_fallbacks >= 1 and direct.converged
+    assert direct.iterations == krylov.iterations
+
+
+def test_newton_with_krylov_steps_repeats_bitwise():
+    problem = manufactured("vk_poly").problem
+    mesh = refine(builtin_domain("unit_square"), 4)
+    (U1, t1), (U2, t2) = (newton_solve(Assembler(mesh, problem))
+                          for _ in range(2))
+    assert t1.krylov_iterations and t1 == t2
+    assert np.array_equal(U1, U2)
 
 
 @pytest.mark.parametrize("name", ["ns_poly", "cr_sine"])
