@@ -22,12 +22,14 @@ For the Morley space the trilinear forms factor elementwise:
   with Br the constant bracket pairing [phi_i, phi_j] and IV the basis
   integrals.
 
+Each Gamma is written out once, in Assembler.gamma_gradient; the residual
+a_pw(U, .) + Gamma(U, U, .) - F and gamma_ns_value / gamma_vk_value contract
+its slot-2 vector, and only it and the Jacobian read the tensors above.
+
 An Assembler is one level: a mesh, a problem, its dof map and basis tables,
 and every operator on them.  The level driver and the CLI build it once per
 mesh and hand it to the solvers, estimators and transfers, which read
-asm.dofmap, asm.tables, asm.geom and asm.problem.  The trilinear forms are
-reached only through it: gamma_ns_value, gamma_vk_value and gamma_gradient
-read these load-independent tensors.
+asm.dofmap, asm.tables, asm.geom and asm.problem.
 """
 from __future__ import annotations
 
@@ -217,23 +219,11 @@ class Assembler:
         return self._load
 
     def residual(self, U):
-        """Entries N_h(U; phi_j) of the discrete residual over free test dofs."""
-        kind = self.problem.kind
-        if kind is ProblemKind.SECOND_ORDER_CR:
+        """Entries N_h(U; phi_j) = a_pw(U, phi_j) + Gamma(U, U, phi_j) - F(phi_j)
+        of the discrete residual over free test dofs (a_pw + b_pw for CR)."""
+        if self.problem.kind is ProblemKind.SECOND_ORDER_CR:
             return (self.a_matrix() + self.b_matrix()) @ U - self.load()
-        if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-            cu = local_coefficients(self.dofmap, U)
-            a_t = np.einsum("ti,ti->t", self.trH, cu)
-            su = np.einsum("ti,tik->tk", cu, self.S)
-            nl = _scatter_vector(a_t[:, None] * su, self.dofmap)
-            return self.a_matrix() @ U - self.load() + nl
-        # von Karman
-        cu, cv = (local_coefficients(self.dofmap, U, c) for c in (0, 1))
-        quv = np.einsum("ti,tij,tj->t", cu, self.Br, cv)
-        quu = np.einsum("ti,tij,tj->t", cu, self.Br, cu)
-        r1 = _scatter_vector(-quv[:, None] * self.IV, self.dofmap)
-        r2 = _scatter_vector(0.5 * quu[:, None] * self.IV, self.dofmap)
-        return self.a_matrix() @ U - self.load() + np.concatenate([r1, r2])
+        return self.a_matrix() @ U - self.load() + self.gamma_gradient(2, U, U, None)
 
     def jacobian(self, U):
         """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .)."""
@@ -261,25 +251,12 @@ class Assembler:
     def gamma_ns_value(self, eta, chi, phi):
         """Trilinear Navier-Stokes form
         sum_T int_T Delta(eta) (chi_y phi_x - chi_x phi_y)."""
-        ce = local_coefficients(self.dofmap, eta)
-        cc = local_coefficients(self.dofmap, chi)
-        cp = local_coefficients(self.dofmap, phi)
-        a = (self.trH * ce).sum(1)                     # Delta(eta) on each T
-        return float((a * ((cc[:, None, :] @ self.S)[:, 0] * cp).sum(1)).sum())
-
-    def vk_b_pw(self, c_eta, c_chi, c_phi):
-        q = np.einsum("ti,tij,tj->t", c_eta, self.Br, c_chi)
-        return float(-0.5 * np.einsum("t,tk,tk->", q, self.IV, c_phi))
+        return float(self.gamma_gradient(2, eta, chi, None) @ phi)
 
     def gamma_vk_value(self, Xi, Theta, Phi):
         """Coupled von Karman trilinear form on component pairs,
         b(xi1, theta2, phi1) + b(xi2, theta1, phi1) - b(xi1, theta1, phi2)."""
-        dm = self.dofmap
-        x1, x2 = (local_coefficients(dm, Xi, c) for c in (0, 1))
-        t1, t2 = (local_coefficients(dm, Theta, c) for c in (0, 1))
-        p1, p2 = (local_coefficients(dm, Phi, c) for c in (0, 1))
-        return (self.vk_b_pw(x1, t2, p1) + self.vk_b_pw(x2, t1, p1)
-                - self.vk_b_pw(x1, t1, p2))
+        return float(self.gamma_gradient(2, Xi, Theta, None) @ Phi)
 
     def gamma_gradient(self, slot, x, y, z):
         """Dual vector w with w_i = Gamma(..., phi_i, ...), the basis function
@@ -317,7 +294,8 @@ class Assembler:
             x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
             y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
             q12 = np.einsum("ti,tij,tj->t", x1, self.Br, y2)
-            q21 = np.einsum("ti,tij,tj->t", x2, self.Br, y1)
+            # = x2^T Br y1 (Br symmetric bitwise), and q12 + q21 = 2 q12 at x = y
+            q21 = np.einsum("ti,tij,tj->t", y1, self.Br, x2)
             q11 = np.einsum("ti,tij,tj->t", x1, self.Br, y1)
             g1 = -0.5 * (q12 + q21)[:, None] * self.IV
             g2 = 0.5 * q11[:, None] * self.IV

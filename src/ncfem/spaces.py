@@ -60,8 +60,7 @@ class SpaceTag(Enum):
 class DofMap:
     space: SpaceTag
     element_dofs: np.ndarray     # (nt, nloc) global dof indices
-    is_boundary_dof: np.ndarray  # (n_dofs,) bool, True = constrained to zero
-    free_of_dof: np.ndarray      # (n_dofs,) free index or -1
+    free_of_dof: np.ndarray      # (n_dofs,) free index, -1 = constrained to zero
     dof_of_free: np.ndarray      # (n_free,) global dof index
     n_free: int
 
@@ -81,15 +80,14 @@ def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
         is_bdry = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge])
     elif space is SpaceTag.CROUZEIX_RAVIART:
         element_dofs = mesh.edge_of_triangle.copy()
-        is_bdry = mesh.boundary_edge.copy()
+        is_bdry = mesh.boundary_edge
     else:
         raise ValueError(f"unknown space {space}")
 
     free_of_dof = np.full(len(is_bdry), -1, dtype=np.int64)
     dof_of_free = np.flatnonzero(~is_bdry)
     free_of_dof[dof_of_free] = np.arange(len(dof_of_free))
-    return DofMap(space=space, element_dofs=element_dofs,
-                  is_boundary_dof=is_bdry, free_of_dof=free_of_dof,
+    return DofMap(space=space, element_dofs=element_dofs, free_of_dof=free_of_dof,
                   dof_of_free=dof_of_free, n_free=len(dof_of_free))
 
 

@@ -20,6 +20,28 @@ NS = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY, f=zero_load)
 VK = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY, f=zero_load)
 
 
+def vk_b(asm, c_eta, c_chi, c_phi):
+    """The von Karman form b(eta, chi, phi) = -1/2 sum_T (eta^T Br chi)(IV . phi)
+    on local coefficients, written out apart from Assembler.gamma_gradient."""
+    q = np.einsum("ti,tij,tj->t", c_eta, asm.Br, c_chi)
+    return float(-0.5 * np.einsum("t,tk,tk->", q, asm.IV, c_phi))
+
+
+def gamma_oracle(asm, x, y, z):
+    """Gamma(x, y, z) summed elementwise from the factored element tensors:
+    (tr H . x)(y^T S z) for Navier-Stokes, and for von Karman
+    b(x1, y2, z1) + b(x2, y1, z1) - b(x1, y1, z2) from vk_b."""
+    dm = asm.dofmap
+    if asm.problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
+        cx, cy, cz = (local_coefficients(dm, u) for u in (x, y, z))
+        return float(((asm.trH * cx).sum(1)
+                      * np.einsum("ti,tik,tk->t", cy, asm.S, cz)).sum())
+    x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
+    y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
+    z1, z2 = (local_coefficients(dm, z, c) for c in (0, 1))
+    return vk_b(asm, x1, y2, z1) + vk_b(asm, x2, y1, z1) - vk_b(asm, x1, y1, z2)
+
+
 def cr_problem(b=None, gamma=None):
     def ident(pts):
         out = np.zeros(np.shape(pts)[:-1] + (2, 2))
@@ -144,13 +166,12 @@ def test_vk_bracket_symmetry(square8):
     rng = np.random.default_rng(3)
     dm = morley_dofmap(square8)
     asm = Assembler(square8, VK)
-    from ncfem.spaces import local_coefficients
 
     for _ in range(100):
         ce, cc, cp = (local_coefficients(dm, random_function(dm, rng))
                       for _ in range(3))
-        assert asm.vk_b_pw(ce, cc, cp) == pytest.approx(
-            asm.vk_b_pw(cc, ce, cp), abs=1e-12)
+        assert vk_b(asm, ce, cc, cp) == pytest.approx(
+            vk_b(asm, cc, ce, cp), abs=1e-12)
 
 
 def test_vk_bracket_constant_hessian_value():
@@ -179,11 +200,10 @@ def test_gamma_vk_structure(square8):
     Xi0 = np.concatenate([Xi[:half], np.zeros(half)])
     Phi2 = np.concatenate([np.zeros(half), rng.standard_normal(half)])
     asm = Assembler(square8, VK)
-    from ncfem.spaces import local_coefficients
     x1 = local_coefficients(dm, Xi0, 0)
     t1 = local_coefficients(dm, Theta, 0)
     p2 = local_coefficients(dm, Phi2, 1)
-    expected = -asm.vk_b_pw(x1, t1, p2)
+    expected = -vk_b(asm, x1, t1, p2)
     assert asm.gamma_vk_value(Xi0, Theta, Phi2) == pytest.approx(
         expected, abs=1e-12)
 
@@ -192,13 +212,14 @@ def test_gamma_vk_structure(square8):
 @pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
 def test_gamma_gradient_matches_value(square32, problem, slot):
     # Gamma is linear in each slot, so its gradient there, dotted with that
-    # slot's coefficients, gives Gamma back
+    # slot's coefficients, gives Gamma back; the written-out form is the
+    # oracle, since the value methods contract the slot-2 gradient
     rng = np.random.default_rng(slot)
     dm = morley_dofmap(square32)
     args = [random_function(dm, rng, n_components=problem.n_components)
             for _ in range(3)]
     asm = Assembler(square32, problem)
-    value = (asm.gamma_ns_value if problem is NS else asm.gamma_vk_value)(*args)
+    value = gamma_oracle(asm, *args)
     w = asm.gamma_gradient(slot, *args)
     assert w @ args[slot] == pytest.approx(value, rel=1e-12)
     assert abs(value) > 1e-3 * np.linalg.norm(w)
@@ -232,7 +253,7 @@ def _gamma_gradient_gathering_all(asm, slot, x, y, z):
         x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
         y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
         q12 = np.einsum("ti,tij,tj->t", x1, asm.Br, y2)
-        q21 = np.einsum("ti,tij,tj->t", x2, asm.Br, y1)
+        q21 = np.einsum("ti,tij,tj->t", y1, asm.Br, x2)
         q11 = np.einsum("ti,tij,tj->t", x1, asm.Br, y1)
         g1 = -0.5 * (q12 + q21)[:, None] * asm.IV
         g2 = 0.5 * q11[:, None] * asm.IV
@@ -312,6 +333,22 @@ def test_jacobian_matches_finite_differences(name, square8):
         fd = fd_jacobian(asm, U)
         worst = max(worst, np.abs(J - fd).max() / max(1.0, np.abs(fd).max()))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+def test_jacobian_differentiates_the_one_gamma(name, square32):
+    # the residual is a_pw(U, .) + Gamma(U, U, .) - F with Gamma the slot-2
+    # gradient, so J(U) d = a_pw(d, .) + Gamma(d, U, .) + Gamma(U, d, .)
+    problem = manufactured(name).problem
+    asm = Assembler(square32, problem)
+    rng = np.random.default_rng(8)
+    U, d = (random_function(asm.dofmap, rng, n_components=problem.n_components)
+            for _ in range(2))
+    nonlinear = asm.gamma_gradient(2, d, U, None) + asm.gamma_gradient(2, U, d, None)
+    Jd = asm.jacobian(U) @ d
+    assert np.linalg.norm(Jd - asm.a_matrix() @ d - nonlinear) <= (
+        1e-12 * np.linalg.norm(Jd))
+    assert np.linalg.norm(nonlinear) > 1e-3 * np.linalg.norm(Jd)
 
 
 def test_jacobian_at_zero_is_a_pw(square8):

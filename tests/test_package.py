@@ -137,3 +137,30 @@ def test_one_entry_point_per_linear_solve_path():
             for name in used & SCIPY_KRYLOV:
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert not offenders, f"linear solves off their entry points: {offenders}"
+
+
+# the element tensors of Gamma (Navier-Stokes S and tr H, von Karman Br and
+# IV) and the Assembler methods that may read them
+GAMMA_TENSORS = {"S", "trH", "Br", "IV"}
+GAMMA_READERS = {"_init_morley", "gamma_gradient", "jacobian"}
+
+
+def test_one_gamma_kernel_per_problem():
+    """Each Gamma is written out once, in Assembler.gamma_gradient; the
+    residual and gamma_ns_value / gamma_vk_value contract it, and only the
+    Jacobian, which needs element matrices, reads the tensors besides."""
+    tree = ast.parse((Path(ncfem.__file__).parent / "assembly.py").read_text())
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "Assembler"]
+    offenders = []
+    for method in cls.body:
+        if (not isinstance(method, ast.FunctionDef)
+                or method.name in GAMMA_READERS):
+            continue
+        for node in ast.walk(method):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"
+                    and node.attr in GAMMA_TENSORS):
+                offenders.append(f"assembly.py:{node.lineno} self.{node.attr} "
+                                 f"in {method.name}")
+    assert not offenders, f"Gamma written out outside gamma_gradient: {offenders}"
