@@ -87,13 +87,16 @@ def _rate(prev, cur, q_log):
 
 @dataclass
 class AfemResult:
+    """Per level: the record, the solution coefficients and the Newton trace.
+    No mesh is kept; a caller that needs one per level reads it through the
+    drivers' on_level callback."""
     records: list
-    meshes: list
     solutions: list
     traces: list
 
 
-def _run_levels(problem, mesh0, refine_step, q_log, tol, exact) -> AfemResult:
+def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
+                on_level=None) -> AfemResult:
     """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh.
 
     Each level is one Assembler, built once per mesh and handed to Newton,
@@ -102,8 +105,10 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact) -> AfemResult:
     spaces; the linear CR problem restarts from zero), and the previous level
     is let go before Newton factors anything on the new one.
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
-    q_log(prev_record, record) is the log2 ratio that the rates divide by."""
-    res = AfemResult(records=[], meshes=[], solutions=[], traces=[])
+    q_log(prev_record, record) is the log2 ratio that the rates divide by.
+    on_level(asm, U, record), if given, is called once per level after its
+    record is made; whatever it keeps of asm stays alive."""
+    res = AfemResult(records=[], solutions=[], traces=[])
     mesh, coarse = mesh0, None
     while mesh is not None:
         asm = assembler(mesh, problem)
@@ -130,17 +135,19 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact) -> AfemResult:
             rec.rate_error = _rate(prev.error_pw, err, q)
             rec.rate_eta = _rate(prev.eta_total, rec.eta_total, q)
         res.records.append(rec)
-        res.meshes.append(mesh)
         res.solutions.append(U)
         res.traces.append(trace)
+        if on_level is not None:
+            on_level(asm, U, rec)
         mesh, coarse = refine_step(rec, mesh, report), asm
     return res
 
 
 def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
-              tol: float = 1e-10, exact=None) -> AfemResult:
+              tol: float = 1e-10, exact=None, on_level=None) -> AfemResult:
     """Adaptive loop with Doerfler marking and bisection; stops once n_free
-    exceeds max_free_dofs or nothing is marked."""
+    exceeds max_free_dofs or nothing is marked.  on_level(asm, U, record)
+    is called once per level (see _run_levels)."""
     _check_theta(theta)
 
     def mark_and_bisect(rec, mesh, report):
@@ -151,20 +158,22 @@ def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
 
     return _run_levels(
         problem, mesh0, mark_and_bisect,
-        lambda prev, rec: 0.5 * math.log2(rec.n_free / prev.n_free), tol, exact)
+        lambda prev, rec: 0.5 * math.log2(rec.n_free / prev.n_free), tol, exact,
+        on_level)
 
 
 def uniform_study(problem: ProblemSpec, mesh0, levels: int,
-                  tol: float = 1e-10, exact=None) -> AfemResult:
+                  tol: float = 1e-10, exact=None, on_level=None) -> AfemResult:
     """Uniform-refinement convergence study over `levels` meshes (level 0 is
-    mesh0)."""
+    mesh0); on_level as in afem_loop."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     return _run_levels(
         problem, mesh0,
         lambda rec, mesh, report: (uniform_refine(mesh)
                                    if rec.level + 1 < levels else None),
-        lambda prev, rec: math.log2(prev.h_max / rec.h_max), tol, exact)
+        lambda prev, rec: math.log2(prev.h_max / rec.h_max), tol, exact,
+        on_level)
 
 
 def corner_fraction(mesh, center=(0.0, 0.0), radius: float = 0.1):

@@ -50,14 +50,16 @@ VOLUME_QUAD_DEGREE = 4
 
 def _scatter_matrix(loc, dofmap: DofMap):
     """Assemble local matrices loc (nt, a, b), convention [test, trial]."""
-    fo = dofmap.free_of_dof[dofmap.element_dofs]
+    # int32 indices, masked once from broadcast views: the COO transients
+    # are the largest arrays alive right before a Jacobian is factored
+    fo = dofmap.free_of_dof[dofmap.element_dofs].astype(np.int32)
     nt, nloc = fo.shape
-    rows = np.repeat(fo[:, :, None], nloc, axis=2).ravel()
-    cols = np.repeat(fo[:, None, :], nloc, axis=1).ravel()
-    vals = loc.ravel()
-    keep = (rows >= 0) & (cols >= 0)
+    rows = np.broadcast_to(fo[:, :, None], (nt, nloc, nloc))
+    cols = np.broadcast_to(fo[:, None, :], (nt, nloc, nloc))
+    free = fo >= 0
+    keep = free[:, :, None] & free[:, None, :]
     n = dofmap.n_free
-    mat = sparse.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    mat = sparse.coo_matrix((loc[keep], (rows[keep], cols[keep])), shape=(n, n))
     out = mat.tocsr()
     out.sum_duplicates()
     out.sort_indices()
@@ -92,8 +94,11 @@ class Assembler:
     """One level: the problem's dof map, basis tables, element tensors and
     assembled operators on one mesh.
 
-    Instances cache everything that does not depend on the state U, so Newton
-    iterations only pay for the state-dependent contractions.
+    Building one assembles every operator that does not depend on the state
+    U (G, the load, and b_pw for CR), so Newton iterations only pay for the
+    state-dependent contractions.  It keeps those and the element tensors of
+    Gamma (S and trH, or Br and IV), which the Jacobian reads; the energy
+    element matrices and the quadrature points go once G exists.
     """
 
     def __init__(self, mesh, problem: ProblemSpec):
@@ -103,24 +108,28 @@ class Assembler:
         self.dofmap = build_dofmap(mesh, space)
         self.geom = geometry(mesh)
         self.tables = basis_tables(mesh, space)
-        self.xq, self.wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
-
-        if space is SpaceTag.MORLEY:
-            self._init_morley()
-        else:
-            self._init_cr()
-        self._a_csr = None
+        xq, wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
+        vals = self.tables.values_at(np.arange(mesh.n_triangles), xq)
         self._b_csr = None
-        self._load = None
+        if space is SpaceTag.MORLEY:
+            a_loc = self._init_morley(wdx, vals)
+        else:
+            a_loc, b_loc = self._init_cr(xq, wdx, vals)
+            self._b_csr = _scatter_matrix(b_loc, self.dofmap)
+        single = _scatter_matrix(a_loc, self.dofmap)
+        if problem.n_components == 2:
+            single = sparse.block_diag([single, single]).tocsr()
+        self._a_csr = single
+        self._load = self._assemble_load(xq, wdx, vals)
 
     # -- element tensors ----------------------------------------------------
 
-    def _init_morley(self):
+    def _init_morley(self, wdx, vals):
+        """Sets the Gamma tensors; returns the energy element matrices."""
         tab = self.tables
         hess = tab.hess                                       # (nt, 6, 2, 2)
         area = self.geom.area[:, None, None]
         h4 = hess.reshape(-1, 6, 4)
-        self.a_loc = area * (h4 @ np.swapaxes(h4, 1, 2))
         self.trH = hess[:, :, 0, 0] + hess[:, :, 1, 1]        # (nt, 6)
         kind = self.problem.kind
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
@@ -138,15 +147,16 @@ class Assembler:
             self.Br = (np.einsum("ti,tj->tij", hxx, hyy)
                        + np.einsum("ti,tj->tij", hyy, hxx)
                        - 2.0 * np.einsum("ti,tj->tij", hxy, hxy))
-            tris = np.arange(self.mesh.n_triangles)
-            vals = self.tables.values_at(tris, self.xq)       # (nt, nq, 6)
-            self.IV = np.einsum("tq,tqk->tk", self.wdx, vals)
+            self.IV = np.einsum("tq,tqk->tk", wdx, vals)
+        return area * (h4 @ np.swapaxes(h4, 1, 2))
 
-    def _init_cr(self):
+    def _init_cr(self, xq, wdx, rule_vals):
+        """Element matrices of the energy form and of b_pw, by matmuls over
+        the quadrature points."""
         p = self.problem
-        nt, nq = self.xq.shape[:2]
-        tris = np.arange(nt)
+        nt, nq = xq.shape[:2]
         grads = self.tables.grads                              # (nt, 3, 2)
+        gradsT = np.swapaxes(grads, 1, 2)
 
         def coeff(fn, trailing):
             # sampled at quadrature points, or at centroids only for
@@ -157,46 +167,51 @@ class Assembler:
                 vals = fn(self.mesh.vertices[self.mesh.triangles].mean(axis=1))
                 vals = vals[:, None, ...]
             else:
-                vals = fn(self.xq)
+                vals = fn(xq)
             return np.broadcast_to(vals, (nt, nq) + trailing)
 
         A_vals = coeff(p.A, (2, 2))
         if A_vals is not None:
             _check_spd_bounds(A_vals, p.lambda_bounds)
-            Ag = np.einsum("tqab,tjb->tqja", A_vals, grads)
+            # A enters the constant gradients only through its weighted sum
+            A_bar = (wdx[:, None, :] @ A_vals.reshape(nt, nq, 4)).reshape(nt, 2, 2)
+            a_loc = grads @ A_bar @ gradsT
         else:
-            Ag = np.broadcast_to(grads[:, None, :, :], (nt, nq, 3, 2))
-        self.a_loc = np.einsum("tq,tqia,tja->tij", self.wdx, Ag, grads)
+            a_loc = wdx.sum(axis=1)[:, None, None] * (grads @ gradsT)
 
-        rule_vals = self.tables.values_at(tris, self.xq)       # (nt, nq, 3)
         b_vals = coeff(p.b, (2,))
         g_vals = coeff(p.gamma, ())
-        loc = np.zeros_like(self.a_loc)
+        b_loc = np.zeros_like(a_loc)
         if b_vals is not None:
-            bg = np.einsum("tqa,tia->tqi", b_vals, grads)
-            loc += np.einsum("tq,tqj,tqi->tij", self.wdx, rule_vals, bg)
+            bg = b_vals @ gradsT                               # (nt, nq, 3)
+            b_loc += np.swapaxes(bg, 1, 2) @ (wdx[:, :, None] * rule_vals)
         if g_vals is not None:
-            loc += np.einsum("tq,tqj,tqi->tij", self.wdx * g_vals,
-                             rule_vals, rule_vals)
-        self.b_loc = loc
+            wg_vals = (wdx * g_vals)[:, :, None] * rule_vals
+            b_loc += np.swapaxes(wg_vals, 1, 2) @ rule_vals
+        return a_loc, b_loc
+
+    def _assemble_load(self, xq, wdx, vals):
+        def scatter(fn):
+            loc = np.einsum("tq,tqk->tk", wdx * fn(xq), vals)
+            return _scatter_vector(loc, self.dofmap)
+
+        load = scatter(self.problem.f)
+        if self.problem.n_components == 2:
+            g = self.problem.g
+            F2 = np.zeros(self.dofmap.n_free) if g is None else scatter(g)
+            load = np.concatenate([load, F2])
+        return load
 
     # -- assembled operators -------------------------------------------------
 
     def a_matrix(self):
         """Piecewise energy form: sum_T (D^2 ., D^2 .) for Morley,
         sum_T (A grad ., grad .) for CR; block diagonal for pairs."""
-        if self._a_csr is None:
-            single = _scatter_matrix(self.a_loc, self.dofmap)
-            if self.problem.n_components == 2:
-                single = sparse.block_diag([single, single]).tocsr()
-            self._a_csr = single
         return self._a_csr
 
     def b_matrix(self):
         if self.problem.kind is not ProblemKind.SECOND_ORDER_CR:
             raise ValueError("b_pw matrix is defined for the CR problem only")
-        if self._b_csr is None:
-            self._b_csr = _scatter_matrix(self.b_loc, self.dofmap)
         return self._b_csr
 
     def gram(self):
@@ -204,18 +219,6 @@ class Assembler:
         return self.a_matrix()
 
     def load(self):
-        if self._load is None:
-            vals = self.tables.values_at(np.arange(self.mesh.n_triangles), self.xq)
-
-            def scatter(fn):
-                loc = np.einsum("tq,tqk->tk", self.wdx * fn(self.xq), vals)
-                return _scatter_vector(loc, self.dofmap)
-
-            self._load = scatter(self.problem.f)
-            if self.problem.n_components == 2:
-                g = self.problem.g
-                F2 = np.zeros(self.dofmap.n_free) if g is None else scatter(g)
-                self._load = np.concatenate([self._load, F2])
         return self._load
 
     def residual(self, U):

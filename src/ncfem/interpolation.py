@@ -109,7 +109,7 @@ def _project(mesh, xq, wdx, gq, k: int) -> ElementPolynomials:
         loc = (xq - center[:, None, :]) / scale[:, None, None]
         mono = np.stack([np.ones_like(loc[..., 0]), loc[..., 0], loc[..., 1]],
                         axis=-1)                      # (nt, nq, 3)
-        M = np.einsum("tq,tqi,tqj->tij", wdx, mono, mono)
+        M = np.swapaxes(wdx[..., None] * mono, 1, 2) @ mono
         rhs = np.einsum("tq,tqi->ti", wdx * gq, mono)
         coeffs = np.linalg.solve(M, rhs[..., None])[..., 0]
     return ElementPolynomials(coeffs=coeffs, center=center, scale=scale, degree=k)

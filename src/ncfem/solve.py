@@ -16,10 +16,13 @@ the mesh (Kirby, SIAM Rev. 2010).  _gram_gmres runs it in the G inner product
 loop tests, not on a Euclidean norm, which would mis-weigh the Morley vertex
 values against the normal derivatives.  A step only has to keep the next
 residual under tol, so its target is tol / 100: from the second step on that
-is a relative reduction of 1e-2 to 5e-9, which takes 1-3 iterations.  The
-first step would need 3e-10 to 3e-12, at the round-off floor of the Krylov
-residual, so it stays a direct solve through sparse_solve, as does any later
-step whose GMRES misses its target within KRYLOV_MAX iterations.
+is a relative reduction of 1e-2 to 5e-9, which takes 1-3 iterations.  On
+the first step it is 3e-10 to 3e-12, and GMRES meets even that in 3-4
+iterations with no fallback on the afem and study levels.  The first step
+stays a direct solve through sparse_solve only because the benchmark in
+perfbench/ requires the solve.spsolve span on every workload (ROADMAP items
+1-2).  A later step whose GMRES misses its target within KRYLOV_MAX
+iterations falls back to sparse_solve too.
 
 Every splu here (_splu: G, and B in infsup_constant) orders the columns by
 minimum degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989),
@@ -216,7 +219,8 @@ def _initial_iterate(asm, U0):
 def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     """Undamped Newton iteration on the level asm from U0 (default 0); stops
     once the correction energy norm or the residual dual norm drops to tol.
-    The first step solves with J directly (sparse_solve); every later step
+    The first step solves with J directly (sparse_solve: GMRES would do, but
+    the benchmark requires the solve.spsolve span); every later step
     takes the G-preconditioned GMRES correction of _gram_gmres, whose linear
     residual is at most tol / 100 in the dual norm, and falls back to
     sparse_solve if GMRES misses that.  trace.krylov_iterations has one

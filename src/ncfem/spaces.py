@@ -10,8 +10,10 @@ CR       : one value per edge midpoint; boundary edges constrained to zero.
 The Morley basis is built per physical element by inverting the 6x6 matrix
 that pairs centered, h-scaled quadratic monomials with the six dof
 functionals (3 vertex evaluations, 3 edge-mean normal derivatives taken
-against the global edge normal).  The normal-derivative dof is not
-affine-equivariant, so no reference-element mapping is attempted; the two
+against the global edge normal).  morley_dof_matrix builds that matrix D;
+the tables keep only its inverse C, so the duality D C = I is checked
+against a fresh D.  The normal-derivative dof is not affine-equivariant, so
+no reference-element mapping is attempted; the two
 elements sharing an edge see one dof with a consistent sign because both use
 the same global normal.  The CR basis is 1 - 2 lambda_k in the barycentric
 coordinates lambda_k.
@@ -45,7 +47,7 @@ from .problems import ProblemKind
 from .quadrature import quad_triangle
 
 __all__ = [
-    "SpaceTag", "DofMap", "build_dofmap", "basis_tables",
+    "SpaceTag", "DofMap", "build_dofmap", "basis_tables", "morley_dof_matrix",
     "local_coefficients", "function_from_element_values", "space_of",
     "volume_quadrature",
 ]
@@ -120,36 +122,43 @@ def _per_element(arr, pts_ndim):
     return arr[:, None, ...] if pts_ndim == 3 else arr
 
 
+def morley_dof_matrix(mesh):
+    """Per-element Morley dof matrices D (nt, 6, 6): D[t, i, m] is the i-th
+    dof functional (3 vertex values, then 3 edge-mean normal derivatives
+    against the global edge normal) of the m-th local monomial on element t;
+    the basis coefficients are its inverse."""
+    geom = geometry(mesh)
+    p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
+    center = p.mean(axis=1)
+    scale = geom.h_T
+    D = np.empty((mesh.n_triangles, 6, 6))
+    loc_v = (p - center[:, None, :]) / scale[:, None, None]
+    D[:, 0:3, :] = _mono_values(loc_v)
+    for k in range(3):
+        va = p[:, (k + 1) % 3]
+        vb = p[:, (k + 2) % 3]
+        mid = 0.5 * (va + vb)
+        loc_m = (mid - center) / scale[:, None]
+        grads = _mono_grads(loc_m) / scale[:, None, None]  # (nt, 6, 2)
+        nu = geom.nu_E[mesh.edge_of_triangle[:, k]]
+        D[:, 3 + k, :] = np.einsum("tmd,td->tm", grads, nu)
+    return D
+
+
 class _MorleyTables:
     """Per-element Morley basis coefficients against the local monomials."""
 
     def __init__(self, mesh):
-        geom = geometry(mesh)
-        p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-        self.center = p.mean(axis=1)
-        self.scale = geom.h_T
-        nt = mesh.n_triangles
-
-        D = np.empty((nt, 6, 6))
-        loc_v = (p - self.center[:, None, :]) / self.scale[:, None, None]
-        D[:, 0:3, :] = _mono_values(loc_v)
-        for k in range(3):
-            va = p[:, (k + 1) % 3]
-            vb = p[:, (k + 2) % 3]
-            mid = 0.5 * (va + vb)
-            loc_m = (mid - self.center) / self.scale[:, None]
-            grads = _mono_grads(loc_m) / self.scale[:, None, None]  # (nt, 6, 2)
-            nu = geom.nu_E[mesh.edge_of_triangle[:, k]]
-            D[:, 3 + k, :] = np.einsum("tmd,td->tm", grads, nu)
+        self.center = mesh.vertices[mesh.triangles].mean(axis=1)
+        self.scale = geometry(mesh).h_T
         try:
-            self.C = np.linalg.inv(D)
+            self.C = np.linalg.inv(morley_dof_matrix(mesh))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "singular Morley dof matrix (degenerate triangle)") from exc
         # constant per-element hessians of the 6 basis functions
         hess = np.einsum("tmj,mab->tjab", self.C, _MONO_HESS)
         self.hess = hess / (self.scale ** 2)[:, None, None, None]
-        self.dof_matrix = D
 
     def _local(self, tris, pts):
         c = _per_element(self.center[tris], pts.ndim)
@@ -190,9 +199,11 @@ class _CRTables:
         self.verts = p
 
     def _bary(self, tris, pts):
-        v0 = _per_element(self.verts[tris, 0], pts.ndim)
-        g = _per_element(self.grad_lambda[tris], pts.ndim)
-        lam12 = np.einsum("...kd,...d->...k", g[..., 1:, :], pts - v0)
+        d = pts - _per_element(self.verts[tris, 0], pts.ndim)
+        gT = np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2)   # (n, 2, 2)
+        # (pts - v0) @ g^T: one small matmul per element (per point when paired)
+        lam12 = (d if pts.ndim == 3 else d[:, None, :]) @ gT
+        lam12 = lam12.reshape(d.shape)
         lam0 = 1.0 - lam12.sum(axis=-1)
         return np.concatenate([lam0[..., None], lam12], axis=-1)
 

@@ -33,9 +33,11 @@ def graded_lshape():
     """Last level (1249 free dofs) of an adaptive NVB run of ns_unit_load on
     the L-shape: (problem, mesh, dofmap, solution)."""
     problem = ns_unit_load()
-    res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000)
+    meshes = []
+    res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000,
+                    on_level=lambda asm, U, record: meshes.append(asm.mesh))
     assert res.records[-1].n_free == 1249
-    mesh = res.meshes[-1]
+    mesh = meshes[-1]
     return problem, mesh, morley_dofmap(mesh), res.solutions[-1]
 
 

@@ -9,25 +9,25 @@ import time
 import numpy as np
 import pytest
 
-from conftest import morley_dofmap, random_function
+from conftest import morley_dofmap
 from ncfem.afem import afem_loop, corner_fraction, uniform_study
 from ncfem.assembly import Assembler, assembler
+from ncfem.cli import RunConfig, _verify_checks
 from ncfem.estimators import (cr_apriori_terms, estimate_ns_morley,
                               estimate_vk_morley)
-from ncfem.interpolation import (cr_dof_values, morley_dof_values,
-                                 transfer_morley)
+from ncfem.interpolation import transfer_morley
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
-from ncfem.problems import (ProblemKind, ProblemSpec, manufactured,
-                            ns_unit_load, polynomial_field)
-from ncfem.quadrature import (quad_triangle,
-                              reference_triangle_monomial_integral)
-from ncfem.solve import (discrete_embedding_ratio, fd_jacobian,
-                         infsup_constant, kantorovich_report)
-from ncfem.spaces import physical_points
+from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
+from ncfem.solve import (discrete_embedding_ratio, infsup_constant,
+                         kantorovich_report)
 
 RATE_WINDOW = (0.85, 1.15)
 EFFECTIVITY_FACTOR = 3.0
 QUAD_RATIO_BOUND = 50.0   # observed <= 0.05 on all levels; rounded up hard
+IDENTITY_CHECKS = ("quadrature exactness", "morley dof duality",
+                   "gamma antisymmetry", "bracket symmetry",
+                   "morley commuting identity", "cr commuting identity",
+                   "jacobian vs finite differences")
 
 
 def report(criterion, ok, detail):
@@ -35,32 +35,30 @@ def report(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
+def _study(name, mesh0, levels):
+    """A uniform study with its meshes, which the level driver does not keep."""
+    man = manufactured(name)
+    meshes = []
+    t0 = time.perf_counter()
+    result = uniform_study(man.problem, mesh0, levels, exact=man.exact,
+                           on_level=lambda asm, U, rec: meshes.append(asm.mesh))
+    return {"man": man, "records": result.records, "result": result,
+            "meshes": meshes, "elapsed": time.perf_counter() - t0}
+
+
 @pytest.fixture(scope="module")
 def ns_study():
-    man = manufactured("ns_poly")
-    mesh0 = refine(builtin_domain("unit_square"), 1)
-    t0 = time.perf_counter()
-    result = uniform_study(man.problem, mesh0, 6, exact=man.exact)
-    return {"man": man, "records": result.records, "result": result,
-            "elapsed": time.perf_counter() - t0}
+    return _study("ns_poly", refine(builtin_domain("unit_square"), 1), 6)
 
 
 @pytest.fixture(scope="module")
 def vk_study():
-    man = manufactured("vk_poly")
-    mesh0 = refine(builtin_domain("unit_square"), 1)
-    t0 = time.perf_counter()
-    result = uniform_study(man.problem, mesh0, 6, exact=man.exact)
-    return {"man": man, "records": result.records, "result": result,
-            "elapsed": time.perf_counter() - t0}
+    return _study("vk_poly", refine(builtin_domain("unit_square"), 1), 6)
 
 
 @pytest.fixture(scope="module")
 def cr_study():
-    man = manufactured("cr_sine")
-    result = uniform_study(man.problem, builtin_domain("unit_square"), 8,
-                           exact=man.exact)
-    return {"man": man, "records": result.records, "result": result}
+    return _study("cr_sine", builtin_domain("unit_square"), 8)
 
 
 def test_criterion_1_ns_convergence(ns_study):
@@ -88,7 +86,7 @@ def test_criterion_3_cr_convergence(cr_study):
     man = cr_study["man"]
     rate = records[-1].rate_error
     terms = [cr_apriori_terms(m, man.exact[0], man.problem)
-             for m in cr_study["result"].meshes[-2:]]
+             for m in cr_study["meshes"][-2:]]
     p_rate = np.log2(terms[0][0] / terms[1][0])
     osc_rate = np.log2(terms[0][1] / terms[1][1])
     ok = (RATE_WINDOW[0] <= rate <= RATE_WINDOW[1]
@@ -113,14 +111,14 @@ def _newton_checks(study, label):
 
 
 def _kantorovich_h_values(study, problem):
-    res = study["result"]
+    res, meshes = study["result"], study["meshes"]
     hs = []
-    for lvl in range(1, len(res.meshes)):
-        h_max = geometry(res.meshes[lvl]).h_max
+    for lvl in range(1, len(meshes)):
+        h_max = geometry(meshes[lvl]).h_max
         if h_max > 0.125 + 1e-12:
             continue
-        coarse = Assembler(res.meshes[lvl - 1], problem)
-        fine = Assembler(res.meshes[lvl], problem)
+        coarse = Assembler(meshes[lvl - 1], problem)
+        fine = Assembler(meshes[lvl], problem)
         U0 = transfer_morley(coarse, res.solutions[lvl - 1], fine)
         rep = kantorovich_report(fine, U0)
         hs.append((lvl, rep.h, rep.condition_met))
@@ -172,7 +170,7 @@ def test_criterion_6_average_term_decay(ns_study):
     man = ns_study["man"]
     res = ns_study["result"]
     S = []
-    for mesh, U in zip(res.meshes, res.solutions):
+    for mesh, U in zip(ns_study["meshes"], res.solutions):
         rep = estimate_ns_morley(Assembler(mesh, man.problem), U)
         S.append(np.sqrt(rep.avg_term_S_sq))
     rates = [np.log2(a / b) for a, b in zip(S[1:], S[2:])]
@@ -182,89 +180,13 @@ def test_criterion_6_average_term_decay(ns_study):
 
 
 def test_criterion_7_identity_suite():
-    rng = np.random.default_rng(0)
-    mesh = refine(builtin_domain("unit_square"), 1)
-    checks = []
-
-    rule_defect = 0.0
-    for degree in range(1, 7):
-        rule = quad_triangle(degree)
-        x, y = rule.points[:, 1], rule.points[:, 2]
-        for p in range(rule.exact_degree + 1):
-            for q in range(rule.exact_degree + 1 - p):
-                val = (rule.weights * x ** p * y ** q).sum()
-                rule_defect = max(rule_defect, abs(
-                    val - reference_triangle_monomial_integral(p, q)))
-    checks.append(("quadrature exactness", rule_defect, 1e-12))
-
-    ns_probe = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
-                           f=lambda p: np.zeros(np.shape(p)[:-1]))
-    asm = Assembler(mesh, ns_probe)
-    dm, tab = asm.dofmap, asm.tables
-    dual = np.abs(np.einsum("tim,tmj->tij", tab.dof_matrix, tab.C)
-                  - np.eye(6)).max()
-    checks.append(("morley dof duality", dual, 1e-12))
-
-    worst = 0.0
-    for _ in range(100):
-        eta = random_function(dm, rng)
-        chi = random_function(dm, rng)
-        worst = max(worst, abs(asm.gamma_ns_value(eta, chi, chi)))
-    checks.append(("gamma antisymmetry", worst, 1e-12))
-
-    vk_probe = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
-                           f=lambda p: np.zeros(np.shape(p)[:-1]))
-    asm = Assembler(mesh, vk_probe)
-    zero = np.zeros(dm.n_free)
-
-    def bracket(e, c, p):       # b(e, c, p) = Gamma((e, 0), (0, c), (p, 0))
-        return asm.gamma_vk_value(np.r_[e, zero], np.r_[zero, c], np.r_[p, zero])
-
-    worst = 0.0
-    for _ in range(100):
-        e, c, p = (random_function(dm, rng) for _ in range(3))
-        worst = max(worst, abs(bracket(e, c, p) - bracket(c, e, p)))
-    checks.append(("bracket symmetry", worst, 1e-12))
-
-    def random_poly(max_deg):
-        c = np.zeros((max_deg + 1, max_deg + 1))
-        for i in range(max_deg + 1):
-            for j in range(max_deg + 1 - i):
-                c[i, j] = rng.standard_normal()
-        return polynomial_field(c)
-
-    geom = geometry(mesh)
-    rule = quad_triangle(4)
-    xq = physical_points(mesh, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
-    worst_m, worst_c = 0.0, 0.0
-    asm_cr = Assembler(mesh, manufactured("cr_sine").problem)
-    dm_cr, tab_cr = asm_cr.dofmap, asm_cr.tables
-    for _ in range(20):
-        fld = random_poly(4)
-        loc = morley_dof_values(mesh, fld)[dm.element_dofs]
-        H = np.einsum("tjab,tj->tab", tab.hess, loc)
-        mean = np.einsum("tq,tqab->tab", wdx, fld.hessian(xq)) / geom.area[:, None, None]
-        worst_m = max(worst_m, np.abs(H - mean).max())
-        locc = cr_dof_values(mesh, fld)[dm_cr.element_dofs]
-        gh = np.einsum("tjd,tj->td", tab_cr.grads, locc)
-        meang = np.einsum("tq,tqd->td", wdx, fld.gradient(xq)) / geom.area[:, None]
-        worst_c = max(worst_c, np.abs(gh - meang).max())
-    checks.append(("morley commuting identity", worst_m, 1e-10))
-    checks.append(("cr commuting identity", worst_c, 1e-10))
-
-    worst = 0.0
-    for name in ("cr_sine", "ns_poly", "vk_poly"):
-        problem = manufactured(name).problem
-        asm = assembler(mesh, problem)
-        U = random_function(asm.dofmap, rng,
-                            n_components=problem.n_components, scale=0.2)
-        J = asm.jacobian(U).toarray()
-        fd = fd_jacobian(asm, U)
-        worst = max(worst, np.abs(J - fd).max() / max(1.0, np.abs(fd).max()))
-    checks.append(("jacobian vs finite differences", worst, 1e-6))
-
-    ok = all(defect <= tol for _, defect, tol in checks)
+    """The `verify` identity suite (quadrature exactness, Morley dof duality,
+    both Gamma symmetries, the commuting identities, the Jacobians against
+    finite differences), each defect against its threshold."""
+    checks = list(_verify_checks(RunConfig(command="verify")))
+    covered = all(any(n.startswith(kind) for n, _, _ in checks)
+                  for kind in IDENTITY_CHECKS)
+    ok = covered and all(d <= t for _, d, t in checks)
     detail = "; ".join(f"{n} {d:.2e}<= {t:.0e}" for n, d, t in checks)
     report(7, ok, detail)
 
@@ -290,13 +212,15 @@ def test_criterion_8_infsup_plateau():
 
 
 def test_criterion_9_afem_lshape():
+    fracs = []
     t0 = time.perf_counter()
     result = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
-                       max_free_dofs=10_000)
+                       max_free_dofs=10_000,
+                       on_level=lambda asm, U, rec: fracs.append(
+                           corner_fraction(asm.mesh)))
     elapsed = time.perf_counter() - t0
     etas = [r.eta_total for r in result.records]
     decreasing = all(b < a for a, b in zip(etas[1:], etas[2:]))
-    fracs = [corner_fraction(m) for m in result.meshes]
     # triangles are huge on the first levels, so every element touches the
     # disc; density growth shows as the tail rising clearly above the minimum
     concentrates = fracs[-1] >= 1.5 * min(fracs) and fracs[-1] > fracs[

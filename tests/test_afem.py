@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import patch_newton
@@ -114,6 +117,31 @@ def test_each_level_builds_its_assembler_and_tables_once(driver):
     for cached in (assembler, basis_tables):
         info = cached.cache_info()
         assert (info.misses, info.hits) == (3, 0)
+
+
+@pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])
+def test_finished_levels_are_let_go(driver):
+    """The drivers keep no mesh: on_level sees each level once, and after the
+    run only the last level's mesh is alive (the one-entry assembler cache
+    pins it)."""
+    seen = []
+
+    def on_level(asm, U, record):
+        seen.append((weakref.ref(asm.mesh), U, record))
+        assert record.n_free == asm.dofmap.n_free
+
+    if driver == "uniform_study":
+        man = manufactured("ns_poly")
+        res = uniform_study(man.problem, builtin_domain("unit_square"), 3,
+                            exact=man.exact, on_level=on_level)
+    else:
+        # 5, 13 and 17 free dofs: the third level passes 15
+        res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
+                        max_free_dofs=15, on_level=on_level)
+    gc.collect()
+    assert [rec for _, _, rec in seen] == res.records
+    assert all(U is V for (_, U, _), V in zip(seen, res.solutions))
+    assert [ref() is not None for ref, _, _ in seen] == [False, False, True]
 
 
 def test_corner_fraction_geometry():

@@ -2,9 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from conftest import cr_dofmap, morley_dofmap, random_function
-from ncfem.assembly import Assembler, _scatter_vector, assembler
+from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
+                            assembler)
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
@@ -68,8 +70,10 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
 def test_cr_stiffness_closed_form_reference_triangle():
     m = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     asm = Assembler(m, cr_problem())
+    xq, wdx = volume_quadrature(m, 4)
+    a_loc, _ = asm._init_cr(xq, wdx, asm.tables.values_at(np.arange(1), xq))
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
-    assert np.allclose(asm.a_loc[0], expected, atol=1e-13)
+    assert np.allclose(a_loc[0], expected, atol=1e-13)
 
 
 def test_b_pw_zero_and_mass(square8):
@@ -105,7 +109,8 @@ def test_gamma_ns_antisymmetry(square8):
 def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     """S from the centroid gradients and the second moment of each element
     against the degree-4 rule (exact for the quadratic integrand) applied to
-    grads_at, and a_loc against the hessian pairing."""
+    grads_at, and the energy element matrices of _init_morley against the
+    hessian pairing."""
     m = lshape if mesh == "lshape" else graded_lshape[1]
     asm = Assembler(m, NS)
     tab = asm.tables
@@ -117,9 +122,10 @@ def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     scale = np.abs(S).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(asm.S - S) <= 1e-12 * scale)
     assert np.array_equal(asm.S, -np.transpose(asm.S, (0, 2, 1)))
+    a_loc = asm._init_morley(wdx, tab.values_at(np.arange(m.n_triangles), xq))
     a = np.einsum("t,tiab,tjab->tij", asm.geom.area, tab.hess, tab.hess)
     scale = np.abs(a).max(axis=(1, 2), keepdims=True)
-    assert np.all(np.abs(asm.a_loc - a) <= 1e-12 * scale)
+    assert np.all(np.abs(a_loc - a) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
@@ -421,3 +427,70 @@ def test_piecewise_constant_coefficient_sampling(square8):
     assert np.allclose(M, np.diag(diag[:-1]), rtol=1e-13, atol=1e-15)
     smeared = Assembler(square8, replace(p, piecewise_constant=False))
     assert np.abs(smeared.b_matrix().toarray() - M).max() > 1e-3
+
+
+def _ndarray_bytes(root, skip):
+    """Bytes of the distinct ndarray buffers reachable from root through
+    instance attributes, containers and sparse matrices, never through skip
+    or a callable."""
+    seen, buffers, total, stack = set(), set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if obj is skip or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            if id(base) not in buffers:
+                buffers.add(id(base))
+                total += base.nbytes
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif hasattr(obj, "__dict__") and not callable(obj):
+            stack.extend(vars(obj).values())
+    return total
+
+
+# ndarray bytes per triangle that one level may hold besides its mesh, on
+# refine(l_shape, 5): 10% above 1426 (ns), 1612 (vk) and 528 (CR) measured
+# with G, the load and b_pw built.  Keeping the energy element matrices or
+# the Morley dof matrices breaks each budget (2146, 2332 and 816 with both
+# and the quadrature points)
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1568, "vk_poly": 1773, "cr_sine": 580}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
+def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
+    mesh = refine(lshape, 5)
+    problem = manufactured(name).problem
+    asm = Assembler(mesh, problem)
+    asm.a_matrix(), asm.load()
+    if problem.kind is ProblemKind.SECOND_ORDER_CR:
+        asm.b_matrix()
+    per_triangle = _ndarray_bytes(asm, asm.mesh) / mesh.n_triangles
+    assert per_triangle <= LEVEL_BYTES_PER_TRIANGLE[name]
+
+
+@pytest.mark.parametrize("name", ["cr_sine", "ns_poly"])
+def test_scatter_matrix_matches_the_int64_assembly(name, square32):
+    """The int32 scatter gives bitwise the CSR of a plain int64 COO build."""
+    asm = Assembler(refine(square32, 1), manufactured(name).problem)
+    dm = asm.dofmap
+    nloc = dm.element_dofs.shape[1]
+    loc = np.random.default_rng(3).standard_normal((len(dm.element_dofs),
+                                                    nloc, nloc))
+    fo = dm.free_of_dof[dm.element_dofs]
+    rows = np.repeat(fo[:, :, None], nloc, axis=2).ravel()
+    cols = np.repeat(fo[:, None, :], nloc, axis=1).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    ref = sparse.coo_matrix((loc.ravel()[keep], (rows[keep], cols[keep])),
+                            shape=(dm.n_free, dm.n_free)).tocsr()
+    ref.sum_duplicates()
+    ref.sort_indices()
+    out = _scatter_matrix(loc, dm)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(out, attr), getattr(ref, attr))

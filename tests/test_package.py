@@ -164,3 +164,45 @@ def test_one_gamma_kernel_per_problem():
                 offenders.append(f"assembly.py:{node.lineno} self.{node.attr} "
                                  f"in {method.name}")
     assert not offenders, f"Gamma written out outside gamma_gradient: {offenders}"
+
+
+# the only functools caches in src/ncfem, by (file, function).  A module cache
+# pins what it returns for as long as the process lives, so none may hold a
+# level.  assembler and basis_tables (one entry each) go with ROADMAP item 3,
+# once item 1 drops the benchmark's CACHED hit-ratio spans; problems._build
+# holds small problem specs that set-up reuses.
+ALLOWED_CACHES = {("assembly.py", "assembler"), ("spaces.py", "basis_tables"),
+                  ("problems.py", "_build")}
+CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
+
+
+def _cache_name(node):
+    """The functools cache that node names (lru_cache, functools.cache,
+    lru_cache(maxsize=1), ...), or None."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name) and node.id in CACHE_NAMES - {"cache"}:
+        return node.id
+    if (isinstance(node, ast.Attribute) and node.attr in CACHE_NAMES
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+        return node.attr
+    return None
+
+
+def test_no_new_module_cache_pins_a_level():
+    """functools caches decorate only the functions in ALLOWED_CACHES, and
+    no module applies one any other way."""
+    allowed_nodes, found, offenders = set(), set(), []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _cache_name(dec) is not None:
+                        found.add((path.name, node.name))
+                        allowed_nodes.update(id(n) for n in ast.walk(dec))
+        for node in ast.walk(tree):
+            if id(node) not in allowed_nodes and _cache_name(node) is not None:
+                offenders.append(f"{path.name}:{node.lineno}")
+    offenders += [f"{f}: {name}" for f, name in sorted(found - ALLOWED_CACHES)]
+    assert not offenders, f"module caches off the allowed list: {offenders}"
