@@ -11,14 +11,13 @@ from .spaces import SpaceTag, DofMap, build_dofmap
 from .problems import (ProblemKind, ProblemSpec, Field, manufactured,
                        registry_names, ns_unit_load, polynomial_field)
 from .assembly import Assembler, assembler
-from .interpolation import (morley_interpolate, cr_interpolate, l2_project,
-                            oscillation, transfer_morley)
+from .interpolation import (morley_interpolate, cr_interpolate, oscillation,
+                            transfer_morley)
 from .solve import (sparse_solve, newton_solve, NewtonTrace,
                     KantorovichReport, kantorovich_report, infsup_constant,
                     gamma_norm_lower_bound, discrete_embedding_ratio,
                     fd_jacobian)
-from .estimators import (EstimatorReport, estimate_ns_morley,
-                         estimate_vk_morley, cr_apriori_terms,
+from .estimators import (EstimatorReport, cr_apriori_terms,
                          broken_energy_error)
 from .afem import (ConvergenceRecord, dorfler_mark, afem_loop, AfemResult,
                    uniform_study, corner_fraction, NewtonDivergence)

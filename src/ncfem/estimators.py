@@ -19,8 +19,12 @@ equation (g = 0 recovers the plain plate system):
 Jumps and averages on boundary edges are the traces themselves.  All sums
 run over all edges.
 
-Every estimator takes the level's Assembler (see assembly) and reads the
-mesh, dof map, basis tables and data from it.
+Both are one estimator, reached through `estimate`: the Hessian jumps are
+summed over the components, and osc_sq sums osc_0(.)^2 with p = 2 over the
+loads that are set (f, then g).  Only the volume residuals and the
+Navier-Stokes flux terms depend on the problem.  `estimate` takes the level's
+Assembler (see assembly) and reads the mesh, dof map, basis tables and data
+from it.
 """
 from __future__ import annotations
 
@@ -35,13 +39,12 @@ from .spaces import SpaceTag, local_coefficients, volume_quadrature
 from .interpolation import edge_points, oscillation
 
 __all__ = [
-    "EstimatorReport", "estimate_ns_morley", "estimate_vk_morley",
-    "cr_apriori_terms", "broken_energy_error", "estimate",
+    "EstimatorReport", "cr_apriori_terms", "broken_energy_error", "estimate",
 ]
 
 ESTIMATOR_VOLUME_DEGREE = 6
 ESTIMATOR_EDGE_DEGREE = 4
-MORLEY_OSC_K = 0    # the Morley estimators report osc_0(f)
+MORLEY_OSC_K = 0    # the Morley estimator reports osc_0 of its loads
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,12 +54,6 @@ class EstimatorReport:
     avg_term_S_sq: float      # NS only: the separately-tracked average term
     osc_sq: float             # oscillation of the data, k and p per problem
     eta_total: float          # sqrt(sum eta_K^2 + sum eta_E^2)
-
-
-def _edge_sides(mesh):
-    """(t_plus, t_minus) per edge; t_minus = -1 on boundary edges.  t_plus is
-    the lower-indexed adjacent triangle, fixing the sign of jumps."""
-    return mesh.triangles_of_edge[:, 0], mesh.triangles_of_edge[:, 1]
 
 
 def _hessians(tab, c_loc):
@@ -85,85 +82,61 @@ def _lap_grad_at_edges(tab, H, c_loc, tris, pts):
     return lap[tris][:, None, None] * grad
 
 
-def estimate_ns_morley(asm, u_M) -> EstimatorReport:
-    """The Navier-Stokes estimator of the Morley function u_M on the level
-    asm, with the load f of its problem."""
+def _estimate_morley(asm, U) -> EstimatorReport:
+    """The residual estimator of the Morley function U on the level asm, with
+    the loads f and g (None: unset) of its problem: one component u_M for
+    Navier-Stokes, the pair (u, v) for von Karman."""
     mesh, dofmap, geom, tab = asm.mesh, asm.dofmap, asm.geom, asm.tables
-    if dofmap.space is not SpaceTag.MORLEY or len(u_M) != dofmap.n_free:
-        raise ValueError("estimate_ns_morley needs a scalar Morley function")
-    cu = local_coefficients(dofmap, u_M)
+    problem = asm.problem
+    ns = problem.kind is ProblemKind.NAVIER_STOKES_MORLEY
+    n_components = 1 if ns else 2
+    if len(U) != n_components * dofmap.n_free:
+        raise ValueError(f"{len(U)} coefficients are not {n_components} "
+                         f"Morley component(s) of n_free = {dofmap.n_free}")
+    cs = [local_coefficients(dofmap, U, c) for c in range(n_components)]
+    Hs = [_hessians(tab, c_loc) for c_loc in cs]
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    f = asm.problem.f
-    fq = f(xq)
-    # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
-    eta_K_sq = geom.h_T ** 4 * (wdx * fq ** 2).sum(axis=1)
-
-    t_plus, t_minus = _edge_sides(mesh)
-    H = _hessians(tab, cu)
-    eta_E_sq = _hessian_jump_term(geom, H, t_plus, t_minus)
-
-    erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
-    pts = edge_points(mesh, erule)
-    w_plus = _lap_grad_at_edges(tab, H, cu, t_plus, pts)
-    w_minus = np.zeros_like(w_plus)
-    interior = t_minus >= 0
-    w_minus[interior] = _lap_grad_at_edges(tab, H, cu, t_minus[interior],
-                                           pts[interior])
-    jump = w_plus - w_minus
-    avg = np.where(interior[:, None, None], 0.5 * (w_plus + w_minus), w_plus)
-    jt = np.einsum("eqd,ed->eq", jump, geom.tau_E)
-    at = np.einsum("eqd,ed->eq", avg, geom.tau_E)
-    jump_sq = geom.h_E ** 3 * (geom.h_E * (jt ** 2 @ erule.weights))
-    avg_sq = geom.h_E ** 3 * (geom.h_E * (at ** 2 @ erule.weights))
-    eta_E_sq = eta_E_sq + jump_sq + avg_sq
-
-    _, osc = oscillation(mesh, f, k=MORLEY_OSC_K, p=2)
-    return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=eta_E_sq,
-                           avg_term_S_sq=float(avg_sq.sum()),
-                           osc_sq=float(osc ** 2),
-                           eta_total=float(np.sqrt(eta_K_sq.sum()
-                                                   + eta_E_sq.sum())))
-
-
-def estimate_vk_morley(asm, Psi) -> EstimatorReport:
-    """The von Karman estimator of the Morley pair Psi on the level asm, with
-    the loads f and g (None: the plain plate system) of its problem."""
-    mesh, dofmap, geom = asm.mesh, asm.dofmap, asm.geom
-    if dofmap.space is not SpaceTag.MORLEY or len(Psi) != 2 * dofmap.n_free:
-        raise ValueError("estimate_vk_morley needs a Morley component pair")
-    f, g = asm.problem.f, asm.problem.g
-    Hu, Hv = (_hessians(asm.tables, local_coefficients(dofmap, Psi, c))
-              for c in (0, 1))
-
-    def bracket(Ha, Hb):
-        return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
-                - 2.0 * Ha[:, 0, 1] * Hb[:, 0, 1])
-
-    buv = bracket(Hu, Hv)
-    buu = bracket(Hu, Hu)
-
-    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    fq = f(xq)
-    res1 = buv[:, None] + fq
-    if g is not None:
-        res2 = buu[:, None] - 2.0 * g(xq)
+    fq = problem.f(xq)
+    t_plus, t_minus = mesh.triangles_of_edge.T    # t_minus < 0: boundary
+    eta_E_sq = sum(_hessian_jump_term(geom, H, t_plus, t_minus) for H in Hs)
+    avg_term_S_sq = 0.0
+    if ns:
+        # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
+        residuals = (fq,)
+        erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
+        pts = edge_points(mesh, erule)
+        w_plus = _lap_grad_at_edges(tab, Hs[0], cs[0], t_plus, pts)
+        w_minus = np.zeros_like(w_plus)
+        interior = t_minus >= 0
+        w_minus[interior] = _lap_grad_at_edges(tab, Hs[0], cs[0],
+                                               t_minus[interior], pts[interior])
+        avg = np.where(interior[:, None, None], 0.5 * (w_plus + w_minus),
+                       w_plus)
+        tangential = (np.einsum("eqd,ed->eq", w, geom.tau_E)
+                      for w in (w_plus - w_minus, avg))
+        jump_sq, avg_sq = (geom.h_E ** 3 * (geom.h_E * (t ** 2 @ erule.weights))
+                           for t in tangential)
+        eta_E_sq = eta_E_sq + jump_sq + avg_sq
+        avg_term_S_sq = float(avg_sq.sum())
     else:
-        res2 = np.broadcast_to(buu[:, None], fq.shape)
-    eta_K_sq = geom.h_T ** 4 * ((wdx * res1 ** 2).sum(axis=1)
-                                + (wdx * res2 ** 2).sum(axis=1))
+        Hu, Hv = Hs
 
-    t_plus, t_minus = _edge_sides(mesh)
-    eta_E_sq = (_hessian_jump_term(geom, Hu, t_plus, t_minus)
-                + _hessian_jump_term(geom, Hv, t_plus, t_minus))
+        def bracket(Ha, Hb):
+            return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
+                    - 2.0 * Ha[:, 0, 1] * Hb[:, 0, 1])
 
-    _, osc_f = oscillation(mesh, f, k=MORLEY_OSC_K, p=2)
-    osc_sq = osc_f ** 2
-    if g is not None:
-        _, osc_g = oscillation(mesh, g, k=MORLEY_OSC_K, p=2)
-        osc_sq += osc_g ** 2
+        res2 = bracket(Hu, Hu)[:, None]
+        if problem.g is not None:
+            res2 = res2 - 2.0 * problem.g(xq)
+        residuals = (bracket(Hu, Hv)[:, None] + fq, res2)
+    eta_K_sq = geom.h_T ** 4 * sum((wdx * r ** 2).sum(axis=1)
+                                   for r in residuals)
+
+    osc_sq = sum((oscillation(mesh, load, k=MORLEY_OSC_K, p=2)[1] ** 2
+                  for load in (problem.f, problem.g) if load is not None), 0.0)
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=eta_E_sq,
-                           avg_term_S_sq=0.0, osc_sq=float(osc_sq),
+                           avg_term_S_sq=avg_term_S_sq, osc_sq=osc_sq,
                            eta_total=float(np.sqrt(eta_K_sq.sum()
                                                    + eta_E_sq.sum())))
 
@@ -225,16 +198,14 @@ def broken_energy_error(asm, U, exact):
 
 def estimate(asm, U, exact=None) -> EstimatorReport:
     """Problem-dispatching estimate step of the level driver, for U on the
-    level asm.
+    level asm: the residual estimator for both Morley problems.
 
     For the CR problem the a priori diagnostic terms (which need the exact
     solution, one Field per component) stand in as element indicators;
     without an exact solution the CR indicators are uniform."""
     mesh, problem = asm.mesh, asm.problem
-    if problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
-        return estimate_ns_morley(asm, U)
-    if problem.kind is ProblemKind.VON_KARMAN_MORLEY:
-        return estimate_vk_morley(asm, U)
+    if problem.kind is not ProblemKind.SECOND_ORDER_CR:
+        return _estimate_morley(asm, U)
     if exact is not None:
         p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)
         eta_K_sq = p_sq.sum(axis=1) + osc_el

@@ -1,18 +1,17 @@
-"""Interpolation operators, elementwise L2 projections and oscillations.
+"""Interpolation operators, data oscillations and level-to-level transfer.
 
 Edge means default to degree-4 Gauss rules; that is exact for the cubic edge
 traces arising from quartic fields and below.  Non-polynomial inputs can pass
 a higher `edge_degree` where an identity is to hold to round-off (the
 commuting identities D^2_pw I_M = Pi_0 D^2 and grad_pw I_CR = Pi_0 grad
 require exact edge means).  Oscillations of general data use degree-6 volume
-quadrature to resolve (I - Pi_k) honestly.
+quadrature to resolve (I - Pi_k) honestly; Pi_k g is fitted and subtracted
+at those same points.
 
 transfer_morley moves a solution between two levels, each given by its
 Assembler (see assembly), and reads the coarse basis tables from it.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,10 @@ from .spaces import (DofMap, SpaceTag, function_from_element_values,
 
 __all__ = [
     "morley_interpolate", "cr_interpolate", "morley_dof_values",
-    "cr_dof_values", "l2_project", "oscillation", "ElementPolynomials",
-    "transfer_morley", "edge_points",
+    "cr_dof_values", "oscillation", "transfer_morley", "edge_points",
 ]
 
-PROJECTION_DEGREE = 6   # volume rule of l2_project and oscillation
+OSCILLATION_DEGREE = 6   # volume rule of oscillation
 
 
 def edge_points(mesh, rule):
@@ -76,62 +74,31 @@ def cr_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
     return function_from_element_values(dofmap, cr_dof_values(mesh, v, edge_degree))
 
 
-@dataclass(frozen=True, eq=False)
-class ElementPolynomials:
-    """Per-element polynomials sum_m coeffs[t, m] * mono_m((x - center) / scale),
-    monomials 1, xi, eta (degree k <= 1)."""
-    coeffs: np.ndarray   # (nt, 1) or (nt, 3)
-    center: np.ndarray   # (nt, 2)
-    scale: np.ndarray    # (nt,)
-    degree: int
-
-    def evaluate(self, tris, pts):
-        loc = (pts - self.center[tris][:, None, :]) / self.scale[tris][:, None, None]
-        c = self.coeffs[tris]
-        out = np.broadcast_to(c[:, None, 0], loc.shape[:-1]).copy()
-        if self.degree >= 1:
-            out += c[:, None, 1] * loc[..., 0] + c[:, None, 2] * loc[..., 1]
-        return out
-
-
-def _project(mesh, xq, wdx, gq, k: int) -> ElementPolynomials:
-    """Elementwise L2 projection onto P_k of g sampled as gq on the rule
-    (xq, wdx)."""
-    if k not in (0, 1):
-        raise ValueError("l2_project supports k in {0, 1}")
-    geom = geometry(mesh)
-    center = mesh.vertices[mesh.triangles].mean(axis=1)
-    scale = geom.h_T
-    if k == 0:
-        mean = (wdx * gq).sum(axis=1) / geom.area
-        coeffs = mean[:, None]
-    else:
-        loc = (xq - center[:, None, :]) / scale[:, None, None]
-        mono = np.stack([np.ones_like(loc[..., 0]), loc[..., 0], loc[..., 1]],
-                        axis=-1)                      # (nt, nq, 3)
-        M = np.swapaxes(wdx[..., None] * mono, 1, 2) @ mono
-        rhs = np.einsum("tq,tqi->ti", wdx * gq, mono)
-        coeffs = np.linalg.solve(M, rhs[..., None])[..., 0]
-    return ElementPolynomials(coeffs=coeffs, center=center, scale=scale, degree=k)
-
-
-def l2_project(mesh, g, k: int) -> ElementPolynomials:
-    """Elementwise L2-orthogonal projection of g onto P_k, k in {0, 1}."""
-    xq, wdx = volume_quadrature(mesh, PROJECTION_DEGREE)
-    return _project(mesh, xq, wdx, g(xq), k)
-
-
 def oscillation(mesh, g, k: int, p: int):
     """Oscillation osc_k(g)^2 per element and its square-rooted total,
     osc_k(g) = || h^p (I - Pi_k) g ||, p = 1 for second-order and p = 2 for
-    fourth-order problems."""
+    fourth-order problems.  Pi_k, k in {0, 1}, is the elementwise L2
+    projection onto P_k: the weighted mean, or the weighted least-squares
+    fit in the monomials 1, xi, eta of (x - c_T) / h_T."""
+    if k not in (0, 1):
+        raise ValueError("oscillation degree k must be 0 or 1")
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
-    xq, wdx = volume_quadrature(mesh, PROJECTION_DEGREE)
+    geom = geometry(mesh)
+    xq, wdx = volume_quadrature(mesh, OSCILLATION_DEGREE)
     gq = g(xq)
-    proj = _project(mesh, xq, wdx, gq, k)
-    diff = gq - proj.evaluate(np.arange(mesh.n_triangles), xq)
-    per_element = geometry(mesh).h_T ** (2 * p) * (wdx * diff ** 2).sum(axis=1)
+    if k == 0:
+        fit = ((wdx * gq).sum(axis=1) / geom.area)[:, None]
+    else:
+        center = mesh.vertices[mesh.triangles].mean(axis=1)
+        xi, eta = np.moveaxis((xq - center[:, None, :])
+                              / geom.h_T[:, None, None], -1, 0)
+        mono = np.stack([np.ones_like(xi), xi, eta], axis=-1)   # (nt, nq, 3)
+        M = np.swapaxes(wdx[..., None] * mono, 1, 2) @ mono
+        rhs = np.einsum("tq,tqi->ti", wdx * gq, mono)
+        c = np.linalg.solve(M, rhs[..., None])                  # (nt, 3, 1)
+        fit = c[:, 0] + (c[:, 1] * xi + c[:, 2] * eta)
+    per_element = geom.h_T ** (2 * p) * (wdx * (gq - fit) ** 2).sum(axis=1)
     return per_element, float(np.sqrt(per_element.sum()))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
-    "Triangulation", "MeshGeometry", "build_from_arrays", "bisect",
+    "Triangulation", "MeshGeometry", "build_from_arrays", "bisect", "refine",
     "uniform_refine", "geometry", "builtin_domain", "read_mesh", "write_mesh",
 ]
 

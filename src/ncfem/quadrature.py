@@ -15,6 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+__all__ = ["QuadRule", "quad_triangle", "quad_edge",
+           "reference_triangle_monomial_integral"]
+
 
 @dataclass(frozen=True, eq=False)
 class QuadRule:

@@ -49,7 +49,7 @@ from .quadrature import quad_triangle
 __all__ = [
     "SpaceTag", "DofMap", "build_dofmap", "basis_tables", "morley_dof_matrix",
     "local_coefficients", "function_from_element_values", "space_of",
-    "volume_quadrature",
+    "volume_quadrature", "physical_points",
 ]
 
 

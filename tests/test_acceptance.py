@@ -13,8 +13,7 @@ from conftest import morley_dofmap
 from ncfem.afem import afem_loop, corner_fraction, uniform_study
 from ncfem.assembly import Assembler, assembler
 from ncfem.cli import RunConfig, _verify_checks
-from ncfem.estimators import (cr_apriori_terms, estimate_ns_morley,
-                              estimate_vk_morley)
+from ncfem.estimators import cr_apriori_terms, estimate
 from ncfem.interpolation import transfer_morley
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
@@ -154,10 +153,10 @@ def test_criterion_5_effectivity(ns_study, vk_study):
     zf = lambda p: np.zeros(np.shape(p)[:-1])
     z1 = np.zeros(dm.n_free)
     z2 = np.zeros(2 * dm.n_free)
-    rep1 = estimate_ns_morley(
+    rep1 = estimate(
         Assembler(mesh, ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
                                     f=zf)), z1)
-    rep2 = estimate_vk_morley(
+    rep2 = estimate(
         Assembler(mesh, ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
                                     f=zf)), z2)
     zero_ok = rep1.eta_total == 0.0 and rep2.eta_total == 0.0
@@ -171,7 +170,7 @@ def test_criterion_6_average_term_decay(ns_study):
     res = ns_study["result"]
     S = []
     for mesh, U in zip(ns_study["meshes"], res.solutions):
-        rep = estimate_ns_morley(Assembler(mesh, man.problem), U)
+        rep = estimate(Assembler(mesh, man.problem), U)
         S.append(np.sqrt(rep.avg_term_S_sq))
     rates = [np.log2(a / b) for a, b in zip(S[1:], S[2:])]
     ok = all(r >= 0.85 for r in rates)

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from conftest import morley_dofmap, random_function
 from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
-from ncfem.estimators import (EstimatorReport, _edge_sides, _hessians,
-                              _lap_grad_at_edges, broken_energy_error,
-                              cr_apriori_terms, estimate_ns_morley,
-                              estimate_vk_morley)
-from ncfem.interpolation import edge_points
+from ncfem.estimators import (EstimatorReport, _hessians, _lap_grad_at_edges,
+                              broken_energy_error, cr_apriori_terms, estimate)
+from ncfem.interpolation import edge_points, oscillation
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_edge
@@ -33,7 +31,7 @@ NS, VK = ProblemKind.NAVIER_STOKES_MORLEY, ProblemKind.VON_KARMAN_MORLEY
 def test_ns_zero_consistency(square8):
     asm = level(square8, NS, const_field(0.0).value)
     zero = np.zeros(asm.dofmap.n_free)
-    rep = estimate_ns_morley(asm, zero)
+    rep = estimate(asm, zero)
     assert rep.eta_total == 0.0
     assert rep.eta_K_sq.max() == 0.0 and rep.eta_E_sq.max() == 0.0
     assert rep.avg_term_S_sq == 0.0
@@ -43,7 +41,7 @@ def test_ns_zero_consistency(square8):
 def test_ns_pure_data_term(square8):
     asm = level(square8, NS, const_field(1.0).value)
     zero = np.zeros(asm.dofmap.n_free)
-    rep = estimate_ns_morley(asm, zero)
+    rep = estimate(asm, zero)
     g = geometry(square8)
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
     assert rep.eta_E_sq.max() == 0.0
@@ -53,9 +51,9 @@ def test_ns_pure_data_term(square8):
 
 def test_vk_zero_and_data_cases(square8):
     zero = np.zeros(2 * morley_dofmap(square8).n_free)
-    rep0 = estimate_vk_morley(level(square8, VK, const_field(0.0).value), zero)
+    rep0 = estimate(level(square8, VK, const_field(0.0).value), zero)
     assert rep0.eta_total == 0.0
-    rep1 = estimate_vk_morley(level(square8, VK, const_field(1.0).value), zero)
+    rep1 = estimate(level(square8, VK, const_field(1.0).value), zero)
     g = geometry(square8)
     assert np.allclose(rep1.eta_K_sq, g.h_T ** 4 * g.area, rtol=1e-12)
     assert rep1.eta_E_sq.max() == 0.0
@@ -64,7 +62,7 @@ def test_vk_zero_and_data_cases(square8):
 def test_vk_second_equation_verification_load(square8):
     asm = level(square8, VK, const_field(0.0).value, g=const_field(1.0).value)
     zero = np.zeros(2 * asm.dofmap.n_free)
-    rep = estimate_vk_morley(asm, zero)
+    rep = estimate(asm, zero)
     g = geometry(square8)
     # residual of the second equation is [u,u] - 2g = -2
     assert np.allclose(rep.eta_K_sq, g.h_T ** 4 * 4.0 * g.area, rtol=1e-12)
@@ -73,7 +71,7 @@ def test_vk_second_equation_verification_load(square8):
 def test_ns_estimator_report_consistency(square32):
     asm = assembler(square32, manufactured("ns_poly").problem)
     U, _ = newton_solve(asm)
-    rep = estimate_ns_morley(asm, U)
+    rep = estimate(asm, U)
     assert (rep.eta_K_sq >= 0).all() and (rep.eta_E_sq >= 0).all()
     assert rep.eta_total == pytest.approx(
         np.sqrt(rep.eta_K_sq.sum() + rep.eta_E_sq.sum()), rel=1e-12)
@@ -95,7 +93,7 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
     H = _hessians(tab, cu)
     lap = H[:, 0, 0] + H[:, 1, 1]
     pts = edge_points(m, quad_edge(4))
-    t_plus, t_minus = _edge_sides(m)
+    t_plus, t_minus = m.triangles_of_edge.T
     interior = t_minus >= 0
     for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
         got = _lap_grad_at_edges(tab, H, cu, tris, x)
@@ -111,24 +109,52 @@ def test_estimator_decay_under_refinement():
     for _ in range(4):
         asm = assembler(mesh, man.problem)
         U, _ = newton_solve(asm)
-        totals.append(estimate_ns_morley(asm, U).eta_total)
+        totals.append(estimate(asm, U).eta_total)
         mesh = uniform_refine(mesh)
     rate = np.log2(totals[-2] / totals[-1])
     assert 0.8 < rate < 2.2
 
 
 def test_estimators_reject_space_mismatch(square8):
-    asm_cr = Assembler(square8, manufactured("cr_sine").problem)
-    zero_cr = np.zeros(asm_cr.dofmap.n_free)
-    with pytest.raises(ValueError, match="Morley"):
-        estimate_ns_morley(asm_cr, zero_cr)
     asm = level(square8, VK, const_field(0.0).value)
     scalar = np.zeros(asm.dofmap.n_free)
-    with pytest.raises(ValueError, match="pair"):
-        estimate_vk_morley(asm, scalar)
+    with pytest.raises(ValueError, match="2 Morley component"):
+        estimate(asm, scalar)
     man = manufactured("ns_poly")
     with pytest.raises(ValueError, match="CR"):
         cr_apriori_terms(square8, man.exact[0], man.problem)
+
+
+def test_vk_edge_indicators_sum_over_components(lshape):
+    """The Hessian jumps of the pair (u, v) are those of (u, 0) plus those of
+    (0, v): the edge term adds one jump term per component, and each
+    component counts alike."""
+    asm = level(lshape, VK, const_field(1.0).value)
+    rng = np.random.default_rng(7)
+    n = asm.dofmap.n_free
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    zero = np.zeros(n)
+    both = estimate(asm, np.concatenate([u, v])).eta_E_sq
+    only_u = estimate(asm, np.concatenate([u, zero])).eta_E_sq
+    only_v = estimate(asm, np.concatenate([zero, v])).eta_E_sq
+    assert np.array_equal(both, only_u + only_v)
+    assert only_v.max() > 0.0
+    v_first = estimate(asm, np.concatenate([v, zero])).eta_E_sq
+    assert np.array_equal(only_v, v_first)
+
+
+def test_vk_oscillation_sums_both_loads(square8):
+    """With the second load g set, osc_sq is osc_0(f)^2 + osc_0(g)^2 (p = 2);
+    without it, osc_0(f)^2 alone."""
+    f = lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1]
+    g = lambda p: np.exp(p[..., 0] - 2.0 * p[..., 1])
+    zero = np.zeros(2 * morley_dofmap(square8).n_free)
+    osc_f = oscillation(square8, f, k=0, p=2)[1]
+    osc_g = oscillation(square8, g, k=0, p=2)[1]
+    assert osc_f > 0.0 and osc_g > 0.0
+    rep = estimate(level(square8, VK, f, g=g), zero)
+    assert rep.osc_sq == osc_f ** 2 + osc_g ** 2
+    assert estimate(level(square8, VK, f), zero).osc_sq == osc_f ** 2
 
 
 def test_cr_apriori_terms_zero_cases(square8):

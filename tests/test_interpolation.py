@@ -4,7 +4,7 @@ import pytest
 from conftest import (cr_dofmap, evaluate, mean_gradient_by_parts,
                       mean_hessian_by_parts, morley_dofmap, random_function)
 from ncfem.assembly import Assembler
-from ncfem.interpolation import (cr_dof_values, cr_interpolate, l2_project,
+from ncfem.interpolation import (cr_dof_values, cr_interpolate,
                                  morley_dof_values, morley_interpolate,
                                  oscillation, transfer_morley)
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
@@ -133,51 +133,67 @@ def test_cr_interpolates_constant(square8):
     assert np.allclose(u, 1.0, atol=1e-14)
 
 
-def test_l2_project_reproduces_polynomials(square8):
-    tris = np.arange(square8.n_triangles)
-    rule = quad_triangle(4)
-    xq = physical_points(square8, rule.points)
-    for k in range(2):
-        fld = random_poly(k)
-        proj = l2_project(square8, fld.value, k)
-        vals = proj.evaluate(tris, xq)
-        assert np.abs(vals - fld.value(xq)).max() < 1e-12
+def degree6_rule(mesh):
+    """The points and weights dx of the degree-6 rule of oscillation."""
+    rule = quad_triangle(6)
+    xq = physical_points(mesh, rule.points)
+    return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
 
 
-def test_l2_project_k0_is_element_mean(square8):
+def test_oscillation_k0_is_element_variance(square8):
+    """osc_0 per element is h^(2p) times the rule's weighted variance of g
+    about its element mean."""
     fld = random_poly(3)
-    proj = l2_project(square8, fld.value, 0)
+    xq, wdx = degree6_rule(square8)
     geom = geometry(square8)
-    rule = quad_triangle(6)
-    xq = physical_points(square8, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
-    mean = (wdx * fld.value(xq)).sum(axis=1) / geom.area
-    assert np.allclose(proj.coeffs[:, 0], mean, atol=1e-13)
+    gq = fld.value(xq)
+    mean = (wdx * gq).sum(axis=1) / geom.area
+    var = (wdx * gq ** 2).sum(axis=1) - geom.area * mean ** 2
+    for p in (1, 2):
+        per_element, _ = oscillation(square8, fld.value, 0, p)
+        assert np.allclose(per_element, geom.h_T ** (2 * p) * var,
+                           rtol=1e-9, atol=1e-15)
 
 
-def test_l2_project_orthogonality(square8):
+def test_oscillation_k1_is_minimal(square8):
+    """osc_1(g) per element is the norm h^2 || g - q ||^2 against the weighted
+    least-squares P_1 fit q on the rule's points, and no larger than the same
+    norm against a perturbed P_1 fit."""
     fld = random_poly(4)
-    proj = l2_project(square8, fld.value, 1)
-    geom = geometry(square8)
-    rule = quad_triangle(6)
-    xq = physical_points(square8, rule.points)
-    wdx = 2.0 * geom.area[:, None] * rule.weights
-    tris = np.arange(square8.n_triangles)
-    resid = fld.value(xq) - proj.evaluate(tris, xq)
+    per_element, _ = oscillation(square8, fld.value, 1, 1)
+    xq, wdx = degree6_rule(square8)
+    gq = fld.value(xq)
     center = square8.vertices[square8.triangles].mean(axis=1)
-    for mono in (np.ones_like(xq[..., 0]),
-                 xq[..., 0] - center[:, None, 0],
-                 xq[..., 1] - center[:, None, 1]):
-        assert np.abs((wdx * resid * mono).sum(axis=1)).max() < 1e-12
+    mono = np.concatenate([np.ones_like(gq)[..., None],
+                           xq - center[:, None, :]], axis=-1)   # (nt, nq, 3)
+    sw = np.sqrt(wdx)
+    best = np.stack([np.linalg.lstsq(sw[t, :, None] * mono[t], sw[t] * gq[t],
+                                     rcond=None)[0]
+                     for t in range(square8.n_triangles)])
+
+    def norm(coeffs):
+        fit = np.einsum("tqi,ti->tq", mono, coeffs)
+        return geometry(square8).h_T ** 2 * (wdx * (gq - fit) ** 2).sum(axis=1)
+
+    assert np.allclose(per_element, norm(best), rtol=1e-9, atol=1e-15)
+    rng = np.random.default_rng(4)
+    for scale in (1e-4, 1e-2, 1.0):
+        perturbed = best + scale * rng.standard_normal(best.shape)
+        assert (per_element < norm(perturbed)).all()
 
 
 def test_oscillation_vanishes_on_polynomial_data(square8):
+    """P_k data has zero osc_k, per element, for k = 0 and k = 1."""
     const = Field(value=lambda p: 3.0 * np.ones(np.shape(p)[:-1]))
     _, total0 = oscillation(square8, const.value, k=0, p=2)
     assert total0 < 1e-13
     lin = polynomial_field([[1.0, 2.0], [-3.0, 0.0]])
     _, total1 = oscillation(square8, lin.value, k=1, p=1)
     assert total1 < 1e-13
+    for k in range(2):
+        for p in (1, 2):
+            per_element, total = oscillation(square8, random_poly(k).value, k, p)
+            assert per_element.max() < 1e-26 and total < 1e-13
 
 
 def test_oscillation_rate():

@@ -43,32 +43,57 @@ def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
+def _cross_module_names(tree):
+    """(line, source module, name) for each name an ncfem module takes from
+    another: `from .x import y` gives ("x", "y"), and so does a read m.y of a
+    module alias bound by `from . import x as m` or `import ncfem.x as m`;
+    the binding `from . import x` itself gives ("", "x")."""
+    modules, refs = {}, []      # names bound to ncfem modules in this file
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("ncfem")):
+            source = (node.module or "").removeprefix("ncfem").lstrip(".")
+            for alias in node.names:
+                refs.append((node.lineno, source, alias.name))
+                if not source:                         # from . import mesh
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            modules.update((alias.asname, alias.name.removeprefix("ncfem."))
+                           for alias in node.names
+                           if alias.name.startswith("ncfem.") and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            refs.append((node.lineno, modules[node.value.id], node.attr))
+    return refs
+
+
+def _package_sources():
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        yield path.name, _cross_module_names(ast.parse(path.read_text()))
+
+
 def test_no_module_reaches_private_names_of_another():
     """No ncfem module imports or reads a _private name of another ncfem
     module: what a second module needs is public, and a private helper can
     change without looking beyond its own file."""
-    offenders = []
-    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        modules = set()       # names bound to ncfem modules in this file
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (
-                    node.level > 0 or (node.module or "").startswith("ncfem")):
-                for alias in node.names:
-                    if _is_private(alias.name):
-                        offenders.append(f"{path.name}:{node.lineno} {alias.name}")
-                    elif node.module in (None, "ncfem"):   # from . import mesh
-                        modules.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
-                modules.update(alias.asname for alias in node.names
-                               if alias.name.startswith("ncfem.") and alias.asname)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Attribute) and _is_private(node.attr)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in modules):
-                offenders.append(f"{path.name}:{node.lineno} "
-                                 f"{node.value.id}.{node.attr}")
+    offenders = [f"{name}:{line} {source}.{attr}"
+                 for name, refs in _package_sources()
+                 for line, source, attr in refs if _is_private(attr)]
     assert not offenders, f"private names of other ncfem modules: {offenders}"
+
+
+def test_every_name_taken_from_another_module_is_exported():
+    """Each name that one ncfem module imports or reads from another, and
+    each name that ncfem/__init__.py re-exports, is in the source module's
+    __all__, so __all__ lists all that the package uses of a module."""
+    offenders = []
+    for name, refs in _package_sources():
+        for line, source, attr in refs:
+            if source and attr not in getattr(
+                    importlib.import_module(f"ncfem.{source}"), "__all__", ()):
+                offenders.append(f"{name}:{line} {source}.{attr}")
+    assert not offenders, f"names missing from their __all__: {offenders}"
 
 
 # who may call each level builder: an Assembler is one level, built once per
