@@ -182,18 +182,22 @@ def test_oscillation_k1_is_minimal(square8):
         assert (per_element < norm(perturbed)).all()
 
 
+def test_l2_project_reproduces_polynomials(square8):
+    """The elementwise L2 projection Pi_k of oscillation reproduces random
+    P_k data, k = 0, 1: osc_k is zero on every element, for p = 1 and 2."""
+    for k in range(2):
+        for p in (1, 2):
+            per_element, total = oscillation(square8, random_poly(k).value, k, p)
+            assert per_element.max() < 1e-26 and total < 1e-13
+
+
 def test_oscillation_vanishes_on_polynomial_data(square8):
-    """P_k data has zero osc_k, per element, for k = 0 and k = 1."""
     const = Field(value=lambda p: 3.0 * np.ones(np.shape(p)[:-1]))
     _, total0 = oscillation(square8, const.value, k=0, p=2)
     assert total0 < 1e-13
     lin = polynomial_field([[1.0, 2.0], [-3.0, 0.0]])
     _, total1 = oscillation(square8, lin.value, k=1, p=1)
     assert total1 < 1e-13
-    for k in range(2):
-        for p in (1, 2):
-            per_element, total = oscillation(square8, random_poly(k).value, k, p)
-            assert per_element.max() < 1e-26 and total < 1e-13
 
 
 def test_oscillation_rate():
