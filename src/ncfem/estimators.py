@@ -89,11 +89,7 @@ def _estimate_morley(asm, U) -> EstimatorReport:
     mesh, dofmap, geom, tab = asm.mesh, asm.dofmap, asm.geom, asm.tables
     problem = asm.problem
     ns = problem.kind is ProblemKind.NAVIER_STOKES_MORLEY
-    n_components = 1 if ns else 2
-    if len(U) != n_components * dofmap.n_free:
-        raise ValueError(f"{len(U)} coefficients are not {n_components} "
-                         f"Morley component(s) of n_free = {dofmap.n_free}")
-    cs = [local_coefficients(dofmap, U, c) for c in range(n_components)]
+    cs = [local_coefficients(dofmap, U, c) for c in range(problem.n_components)]
     Hs = [_hessians(tab, c_loc) for c_loc in cs]
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
@@ -201,10 +197,15 @@ def estimate(asm, U, exact=None) -> EstimatorReport:
     level asm: the residual estimator for both Morley problems.
 
     For the CR problem the a priori diagnostic terms (which need the exact
-    solution, one Field per component) stand in as element indicators;
+    solution, one Field per component) stand in as element indicators, by
+    design: they never read U, which is only checked against the dof map;
     without an exact solution the CR indicators are uniform."""
-    mesh, problem = asm.mesh, asm.problem
-    if problem.kind is not ProblemKind.SECOND_ORDER_CR:
+    mesh, problem, n_free = asm.mesh, asm.problem, asm.dofmap.n_free
+    cr = problem.kind is ProblemKind.SECOND_ORDER_CR
+    if len(U) != problem.n_components * n_free:
+        raise ValueError(f"{len(U)} coefficients are not {problem.n_components} "
+                         f"{'CR' if cr else 'Morley'} component(s) of n_free = {n_free}")
+    if not cr:
         return _estimate_morley(asm, U)
     if exact is not None:
         p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)

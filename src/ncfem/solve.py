@@ -24,7 +24,7 @@ perfbench/ requires the solve.spsolve span on every workload (ROADMAP items
 1-2).  A later step whose GMRES misses its target within KRYLOV_MAX
 iterations falls back to sparse_solve too.
 
-Every splu here (_splu: G, and B in infsup_constant) orders the columns by
+Every splu here (_splu: G, and B in _infsup) orders the columns by
 minimum degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989),
 which fits these pattern-symmetric matrices better than COLAMD, which orders
 A^T A, and keeps SuperLU's supernodes unrelaxed (relax=1).  Relaxed
@@ -32,18 +32,16 @@ supernodes (Demmel et al., SIMAX 1999) merge small subtrees of the
 elimination tree into dense blocks; under this ordering they store explicit
 zeros.  On the final G of the afem L-shape run (60421 dofs) the default relax
 stores 49 nnz(G) and factors in 4.9-6.3 s, relax=1 stores 4.4 nnz(G) in
-0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  The direct Jacobian
-solve alone stays on COLAMD: sparse_solve calls spla.spsolve, which takes no
-relax option, and the benchmark in perfbench/ requires its span on every
-workload.  With the later Newton steps on GMRES, it factors J once per
-Newton solve.
+0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  Newton's direct step
+alone stays on COLAMD: sparse_solve calls spla.spsolve, which takes no relax
+option, and the benchmark in perfbench/ requires its span on every workload.
 
 J is not symmetric, so its factor keeps partial pivoting.  But J is a compact
 perturbation of the energy operator, and the Morley diagonal mixes vertex
 values and edge normal derivatives, whose entries differ by about h^-2 (more
 on graded meshes); unscaled, partial pivoting leaves the diagonal in about
 half the columns and raises the fill by some 70%.  So every nonsymmetric
-factorization (sparse_solve, and B in infsup_constant) first equilibrates
+factorization (sparse_solve, and B in _infsup) first equilibrates
 symmetrically by powers of two (_equilibrate; Duff and Koster, SIMAX 2001),
 which makes every nonzero |a_ii| lie in [1/2, 2) and adds no rounding error.
 
@@ -63,9 +61,10 @@ maximum, so condition_met (4 delta |Gamma| < beta0) is advisory and never
 gates a solve.  Newton damping is intentionally absent; divergence is
 reported, not masked.
 
-beta0 = infsup_constant(J^T, G) and the discrete inf-sup constant share one
-routine: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
-fixed start vector; non-convergence raises ArpackNoConvergence (RuntimeError).
+beta0 = infsup_constant(J^T, G) and the discrete inf-sup constant share
+_infsup: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
+fixed start vector on one factor of the equilibrated B, which also gives the
+report's delta; non-convergence raises ArpackNoConvergence (RuntimeError).
 """
 from __future__ import annotations
 
@@ -111,6 +110,22 @@ def _equilibrate(A):
     return As, d
 
 
+def _checked(A, rhs, x, solve):
+    """x = solve(rhs), a direct solve of A x = rhs, if it passes the residual
+    check; else one refinement step x + solve(rhs - A x), or RuntimeError."""
+    if not np.isfinite(x).all():
+        raise RuntimeError("matrix is numerically singular")
+    tol = 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0))
+    resid = rhs - A @ x
+    if np.abs(resid).max(initial=0.0) > tol:
+        x = x + solve(resid)
+        resid = rhs - A @ x
+        if np.abs(resid).max(initial=0.0) > tol:
+            raise RuntimeError("sparse solve failed the residual check "
+                               f"({np.abs(resid).max():.3e} > {tol:.3e})")
+    return x
+
+
 def sparse_solve(A, rhs):
     """Direct sparse solve x = d * (D A D)^-1 (d * rhs) with the power-of-two
     equilibration d of _equilibrate, so that partial pivoting keeps the
@@ -127,17 +142,7 @@ def sparse_solve(A, rhs):
             x = d * spla.spsolve(As, d * rhs)
         except (spla.MatrixRankWarning, RuntimeError) as exc:
             raise RuntimeError("matrix is numerically singular") from exc
-    if not np.isfinite(x).all():
-        raise RuntimeError("matrix is numerically singular")
-    tol = 1e-10 * (1.0 + np.abs(rhs).max(initial=0.0))
-    resid = rhs - A @ x
-    if np.abs(resid).max(initial=0.0) > tol:
-        x = x + d * spla.spsolve(As, d * resid)
-        resid = rhs - A @ x
-        if np.abs(resid).max(initial=0.0) > tol:
-            raise RuntimeError("sparse solve failed the residual check "
-                               f"({np.abs(resid).max():.3e} > {tol:.3e})")
-    return x
+    return _checked(A, rhs, x, lambda b: d * spla.spsolve(As, d * b))
 
 
 def _splu(A, **options):
@@ -370,14 +375,18 @@ class KantorovichReport:
 
 
 def kantorovich_report(asm, U0=None):
-    """Newton-Kantorovich constants of the level asm at U0 (default 0)."""
+    """Newton-Kantorovich constants of the level asm at U0 (default 0):
+    beta0 = infsup_constant(J^T, G) without its SPD test of G, and delta =
+    |J^-1 r|_G from the same factor of J^T, checked as by sparse_solve."""
     U0 = _initial_iterate(asm, U0)
     G = asm.gram()
     J = asm.jacobian(U0)
-    beta0 = infsup_constant(J.T, G)
+    beta0, solve = _infsup(J.T, G)
     if beta0 <= 0:
         raise RuntimeError("singular Jacobian: beta0 = 0")
-    d = sparse_solve(J, -asm.residual(U0))
+    rhs = -asm.residual(U0)
+    d = _checked(J, rhs, solve(rhs), solve)
+    del solve
     delta = float(np.sqrt(max(d @ (G @ d), 0.0)))
     gamma_est, rounds = gamma_norm_lower_bound(asm)
     m = 2.0 * gamma_est / beta0
@@ -386,8 +395,7 @@ def kantorovich_report(asm, U0=None):
         r_minus, rho = 0.0, np.inf
     elif h <= 0.5:
         root = np.sqrt(1.0 - 2.0 * h)
-        r_minus = (1.0 - root) / m - delta
-        rho = (1.0 + root) / m
+        r_minus, rho = (1.0 - root) / m - delta, (1.0 + root) / m
     else:
         r_minus = rho = np.nan
     return KantorovichReport(beta0=beta0, delta=delta,
@@ -397,19 +405,24 @@ def kantorovich_report(asm, U0=None):
                              gamma_rounds=rounds)
 
 
-def _spd_factor(M, name):
-    """_gram_factor of a sparse M; ValueError unless M is SPD.  Without
-    pivoting an SPD M keeps perm_r == perm_c, and by Sylvester's law of
-    inertia it is SPD iff every pivot in diag(U) is positive."""
-    if abs(M - M.T).max() > 1e-10 * max(abs(M).max(), 1.0):
-        raise ValueError(f"{name} is not symmetric")
-    try:
-        lu = _gram_factor(M)
-    except RuntimeError as exc:
-        raise ValueError(f"{name} is not positive definite") from exc
-    if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
-        raise ValueError(f"{name} is not positive definite")
-    return lu
+def _infsup(B, G):
+    """(beta, solve) for infsup_constant's checked B and G, both from one
+    factor of the equilibrated B: solve(x) = B^-T x."""
+    n = B.shape[0]
+    Bs, e = _equilibrate(B)     # B^-1 = E Bs^-1 E, as in sparse_solve
+    Blu = _splu(Bs)
+
+    def solve(x):
+        return e * Blu.solve(e * x, trans="T")
+    if n == 1:  # ARPACK needs n >= 2
+        return float(abs(B[0, 0]) / G[0, 0]), solve
+    OPinv = spla.LinearOperator((n, n), dtype=float,
+                                matvec=lambda x: solve(G @ (e * Blu.solve(e * x))))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    # shift-invert mode applies only OPinv and M; of A (Bs) it reads the dtype
+    lam = spla.eigsh(Bs, k=1, M=G, sigma=0.0, OPinv=OPinv, v0=v0,
+                     return_eigenvectors=False)[0]
+    return float(np.sqrt(max(lam, 0.0))), solve
 
 
 def infsup_constant(B, G):
@@ -418,42 +431,34 @@ def infsup_constant(B, G):
         beta = inf_x sup_y (x^T B y) / sqrt(x^T G x * y^T G y)
 
     of a square B: sqrt(lambda_min) of the pencil (B G^-1 B^T, G), found by
-    shift-invert Lanczos at sigma = 0 with the inverse B^-T G B^-1."""
+    shift-invert Lanczos at sigma = 0 with the inverse B^-T G B^-1 (_infsup).
+    G is factored only to test it: unpivoted, an SPD G keeps perm_r == perm_c
+    and, by Sylvester's law of inertia, positive pivots; else ValueError."""
     B, G = _as_csc(B), _as_csc(G)
     n = B.shape[0]
     if n == 0:
         raise ValueError(NO_FREE_DOFS)
-    Glu = _spd_factor(G, "G")
+    if abs(G - G.T).max() > 1e-10 * max(abs(G).max(), 1.0):
+        raise ValueError("G is not symmetric")
+    try:
+        lu = _gram_factor(G)
+    except RuntimeError as exc:
+        raise ValueError("G is not positive definite") from exc
+    if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
+        raise ValueError("G is not positive definite")
     if not B.shape == G.shape == (n, n):
         raise ValueError("infsup_constant needs a square B matching G")
-    if n == 1:  # ARPACK needs n >= 2
+    if n == 1:  # no factor of B
         return float(abs(B[0, 0]) / G[0, 0])
-    Bs, e = _equilibrate(B)     # B^-1 = E Bs^-1 E, as in sparse_solve
-    Blu = _splu(Bs)
-    # shift-invert mode applies only OPinv and M; A states the pencil
-    A = spla.LinearOperator((n, n), dtype=float,
-                            matvec=lambda x: B @ Glu.solve(B.T @ x))
-    OPinv = spla.LinearOperator(
-        (n, n), dtype=float,
-        matvec=lambda x: e * Blu.solve(e * (G @ (e * Blu.solve(e * x))),
-                                       trans="T"))
-    v0 = np.random.default_rng(0).standard_normal(n)
-    lam = spla.eigsh(A, k=1, M=G, sigma=0.0, OPinv=OPinv, v0=v0,
-                     return_eigenvectors=False)[0]
-    return float(np.sqrt(max(lam, 0.0)))
+    return _infsup(B, G)[0]
 
 
 def fd_jacobian(asm, U):
     """Central-difference Jacobian of the level's residual at U; the
     independent oracle for Assembler.jacobian (exact for quadratic residuals
     up to round-off)."""
-    n = len(U)
-    out = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = FD_STEP
-        out[:, j] = (asm.residual(U + e) - asm.residual(U - e)) / (2.0 * FD_STEP)
-    return out
+    return np.column_stack([(asm.residual(U + e) - asm.residual(U - e))
+                            / (2.0 * FD_STEP) for e in FD_STEP * np.eye(len(U))])
 
 
 def discrete_embedding_ratio(asm):

@@ -120,6 +120,12 @@ def test_estimators_reject_space_mismatch(square8):
     scalar = np.zeros(asm.dofmap.n_free)
     with pytest.raises(ValueError, match="2 Morley component"):
         estimate(asm, scalar)
+    # the CR indicators never read U, but its length must fit the dof map
+    cr = Assembler(refine(builtin_domain("unit_square"), 2),
+                   manufactured("cr_sine").problem)
+    assert cr.dofmap.n_free == 40
+    with pytest.raises(ValueError, match="1 CR component"):
+        estimate(cr, np.zeros(3))
     man = manufactured("ns_poly")
     with pytest.raises(ValueError, match="CR"):
         cr_apriori_terms(square8, man.exact[0], man.problem)

@@ -164,6 +164,27 @@ def test_one_entry_point_per_linear_solve_path():
     assert not offenders, f"linear solves off their entry points: {offenders}"
 
 
+# the callers each private factorization helper of solve.py may have, so
+# that the minimum-degree order, relax=1 and the power-of-two scaling each
+# keep one entry point
+FACTOR_CALLERS = {"splu": {"_splu"}, "_equilibrate": {"sparse_solve", "_infsup"}}
+
+
+def test_one_entry_point_per_factorization():
+    """spla.splu is called only inside solve._splu, and solve._equilibrate
+    only by sparse_solve and the inf-sup routine _infsup."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for owner, node in _calls_by_function(ast.parse(path.read_text())):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in FACTOR_CALLERS and not (
+                    path.name == "solve.py" and owner in FACTOR_CALLERS[name]):
+                offenders.append(f"{path.name}:{node.lineno} {name} in {owner}")
+    assert not offenders, f"factorizations off their entry points: {offenders}"
+
+
 # the element tensors of Gamma (Navier-Stokes S and tr H, von Karman Br and
 # IV) and the Assembler methods that may read them
 GAMMA_TENSORS = {"S", "trH", "Br", "IV"}

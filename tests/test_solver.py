@@ -9,7 +9,7 @@ import scipy.sparse.linalg
 from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
-from ncfem.interpolation import morley_interpolate
+from ncfem.interpolation import cr_interpolate, morley_interpolate
 import ncfem.solve
 from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, KRYLOV_MAX,
                          _equilibrate, _gamma_power_method, _gram_factor,
@@ -325,11 +325,70 @@ def test_newton_trace_gram_fill_repeats_bitwise(square32, name):
     assert first >= 1.0
 
 
-def test_kantorovich_report_factors_and_solves(square8, monkeypatch):
-    spla = SplaSpy()
-    monkeypatch.setattr(ncfem.solve, "spla", spla)
-    kantorovich_report(assembler(square8, manufactured("ns_poly").problem))
-    assert spla.calls["splu"] >= 1 and spla.calls["spsolve"] >= 1
+def test_kantorovich_report_factors_and_solves(square32, monkeypatch):
+    """One factor of the equilibrated J^T gives beta0 and delta; the power
+    method factors G, which the CR problem skips, and nothing validates G."""
+    for name, splu in [("ns_poly", 2), ("vk_poly", 2), ("cr_sine", 1)]:
+        spla = SplaSpy()
+        monkeypatch.setattr(ncfem.solve, "spla", spla)
+        kantorovich_report(assembler(square32, manufactured(name).problem))
+        assert spla.calls == {"splu": splu, "spsolve": 0}, name
+        [j_factor] = [args[0] for args, kwargs in spla.args["splu"]
+                      if "diag_pivot_thresh" not in kwargs]
+        assert_equilibrated(j_factor)
+
+
+def interpolant(asm, man):
+    interpolate = (cr_interpolate if man.problem.kind is ProblemKind.SECOND_ORDER_CR
+                   else morley_interpolate)
+    return np.concatenate([interpolate(asm.mesh, asm.dofmap, v)
+                           for v in man.exact])
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+@pytest.mark.parametrize("at", ["zero", "interpolant"])
+def test_kantorovich_report_matches_its_parts(square32, name, at):
+    """beta0 and |Gamma| are bitwise those of infsup_constant and
+    gamma_norm_lower_bound; delta solves with the J^T factor instead of
+    sparse_solve's COLAMD factor of J, so it agrees to round-off."""
+    man = manufactured(name)
+    asm = assembler(square32, man.problem)
+    U = (np.zeros(asm.dofmap.n_free * man.problem.n_components) if at == "zero"
+         else interpolant(asm, man))
+    rep = kantorovich_report(asm, U)
+    G, J = asm.gram(), asm.jacobian(U)
+    assert rep.beta0 == infsup_constant(J.T, G)
+    assert (rep.gamma_norm_estimate, rep.gamma_rounds) == \
+        gamma_norm_lower_bound(asm)
+    d = sparse_solve(J, -asm.residual(U))
+    delta = np.sqrt(d @ G @ d)
+    assert delta > 0 and abs(rep.delta - delta) <= 1e-12 * delta
+
+
+@pytest.mark.parametrize("first_only", [True, False])
+def test_kantorovich_delta_refines_once(square32, first_only, monkeypatch):
+    """A J solve off by 1e-3 fails the residual check: the report refines
+    once through the same factor, as sparse_solve does, and raises if that
+    fails too."""
+    asm = assembler(square32, manufactured("ns_poly").problem)
+    infsup, rhs = ncfem.solve._infsup, []
+
+    def perturbed(B, G):
+        beta, solve = infsup(B, G)
+
+        def off(b):
+            rhs.append(b)
+            return solve(b) + (1e-3 if len(rhs) == 1 or not first_only else 0.0)
+        return beta, off
+    monkeypatch.setattr(ncfem.solve, "_infsup", perturbed)
+    if first_only:
+        rep = kantorovich_report(asm)
+        d = sparse_solve(asm.jacobian(np.zeros(len(rhs[0]))), rhs[0])
+        assert abs(rep.delta - np.sqrt(d @ asm.gram() @ d)) <= 1e-10 * rep.delta
+    else:
+        with pytest.raises(RuntimeError, match="residual check"):
+            kantorovich_report(asm)
+    assert len(rhs) == 2 and not np.array_equal(rhs[0], rhs[1])
 
 
 def test_newton_linear_problem_one_iteration(square8):
