@@ -21,10 +21,11 @@ run over all edges.
 
 Both are one estimator, reached through `estimate`: the Hessian jumps are
 summed over the components, and osc_sq sums osc_0(.)^2 with p = 2 over the
-loads that are set (f, then g).  Only the volume residuals and the
-Navier-Stokes flux terms depend on the problem.  `estimate` takes the level's
-Assembler (see assembly) and reads the mesh, dof map, basis tables and data
-from it.
+loads that are set (f, then g), each sampled once on the degree-6 points
+that the volume residuals and `oscillation` share.  Only the volume residuals
+and the Navier-Stokes flux terms depend on the problem.  `estimate` takes the
+level's Assembler (see assembly) and reads the mesh, dof map, basis tables
+and data from it.
 """
 from __future__ import annotations
 
@@ -36,13 +37,13 @@ from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
 from .quadrature import quad_edge
 from .spaces import SpaceTag, local_coefficients, volume_quadrature
-from .interpolation import edge_points, oscillation
+from .interpolation import OSCILLATION_DEGREE, edge_points, oscillation
 
 __all__ = [
     "EstimatorReport", "cr_apriori_terms", "broken_energy_error", "estimate",
 ]
 
-ESTIMATOR_VOLUME_DEGREE = 6
+ESTIMATOR_VOLUME_DEGREE = OSCILLATION_DEGREE  # loads are sampled once for both
 ESTIMATOR_EDGE_DEGREE = 4
 MORLEY_OSC_K = 0    # the Morley estimator reports osc_0 of its loads
 
@@ -93,7 +94,8 @@ def _estimate_morley(asm, U) -> EstimatorReport:
     Hs = [_hessians(tab, c_loc) for c_loc in cs]
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    fq = problem.f(xq)
+    loads = [load(xq) for load in (problem.f, problem.g) if load is not None]
+    fq = loads[0]
     t_plus, t_minus = mesh.triangles_of_edge.T    # t_minus < 0: boundary
     eta_E_sq = sum(_hessian_jump_term(geom, H, t_plus, t_minus) for H in Hs)
     avg_term_S_sq = 0.0
@@ -124,13 +126,13 @@ def _estimate_morley(asm, U) -> EstimatorReport:
 
         res2 = bracket(Hu, Hu)[:, None]
         if problem.g is not None:
-            res2 = res2 - 2.0 * problem.g(xq)
+            res2 = res2 - 2.0 * loads[1]
         residuals = (bracket(Hu, Hv)[:, None] + fq, res2)
     eta_K_sq = geom.h_T ** 4 * sum((wdx * r ** 2).sum(axis=1)
                                    for r in residuals)
 
     osc_sq = sum((oscillation(mesh, load, k=MORLEY_OSC_K, p=2)[1] ** 2
-                  for load in (problem.f, problem.g) if load is not None), 0.0)
+                  for load in loads), 0.0)
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=eta_E_sq,
                            avg_term_S_sq=avg_term_S_sq, osc_sq=osc_sq,
                            eta_total=float(np.sqrt(eta_K_sq.sum()
@@ -150,13 +152,9 @@ def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec):
         p = p + val[..., None] * problem.b(xq)
     mean = (wdx[..., None] * p).sum(axis=1) / geom.area[:, None]
     diff = p - mean[:, None, :]
-
-    def data(pts):
-        out = problem.f(pts)
-        if problem.gamma is not None:
-            out = out - problem.gamma(pts) * u_exact.value(pts)
-        return out
-
+    data = problem.f(xq)
+    if problem.gamma is not None:
+        data = data - problem.gamma(xq) * val
     osc_el, osc1 = oscillation(mesh, data, k=1, p=1)
     return wdx * np.einsum("tqa,tqa->tq", diff, diff), osc_el, osc1
 

@@ -22,10 +22,11 @@ from .spaces import (DofMap, SpaceTag, function_from_element_values,
 
 __all__ = [
     "morley_interpolate", "cr_interpolate", "morley_dof_values",
-    "cr_dof_values", "oscillation", "transfer_morley", "edge_points",
+    "cr_dof_values", "oscillation", "OSCILLATION_DEGREE", "transfer_morley",
+    "edge_points",
 ]
 
-OSCILLATION_DEGREE = 6   # volume rule of oscillation
+OSCILLATION_DEGREE = 6   # volume rule that oscillation's samples lie on
 
 
 def edge_points(mesh, rule):
@@ -74,10 +75,12 @@ def cr_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
     return function_from_element_values(dofmap, cr_dof_values(mesh, v, edge_degree))
 
 
-def oscillation(mesh, g, k: int, p: int):
+def oscillation(mesh, gq, k: int, p: int):
     """Oscillation osc_k(g)^2 per element and its square-rooted total,
     osc_k(g) = || h^p (I - Pi_k) g ||, p = 1 for second-order and p = 2 for
-    fourth-order problems.  Pi_k, k in {0, 1}, is the elementwise L2
+    fourth-order problems, from the samples gq (nt, nq) of g at the points of
+    volume_quadrature(mesh, OSCILLATION_DEGREE), which the caller has
+    already sampled its data on.  Pi_k, k in {0, 1}, is the elementwise L2
     projection onto P_k: the weighted mean, or the weighted least-squares
     fit in the monomials 1, xi, eta of (x - c_T) / h_T."""
     if k not in (0, 1):
@@ -86,7 +89,9 @@ def oscillation(mesh, g, k: int, p: int):
         raise ValueError("oscillation power p must be 1 or 2")
     geom = geometry(mesh)
     xq, wdx = volume_quadrature(mesh, OSCILLATION_DEGREE)
-    gq = g(xq)
+    if np.shape(gq) != wdx.shape:
+        raise ValueError(f"oscillation needs samples of shape {wdx.shape}, "
+                         f"not {np.shape(gq)}")
     if k == 0:
         fit = ((wdx * gq).sum(axis=1) / geom.area)[:, None]
     else:

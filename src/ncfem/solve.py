@@ -8,15 +8,18 @@ SuperLU without pivoting (perm_r == perm_c).  A routine on one level takes
 its Assembler.
 
 newton_solve factors G once and reuses the factor for every residual norm and
-as the preconditioner of every Newton step after the first.  J is a compact
-perturbation of the energy operator, so G^-1 J is the identity plus a compact
-term, and GMRES on it needs a number of iterations that does not grow with
-the mesh (Kirby, SIAM Rev. 2010).  _gram_gmres runs it in the G inner product
-(Pestana and Wathen, JCAM 2013), so that it stops on the dual norm the Newton
-loop tests, not on a Euclidean norm, which would mis-weigh the Morley vertex
-values against the normal derivatives.  A step only has to keep the next
-residual under tol, so its target is tol / 100: from the second step on that
-is a relative reduction of 1e-2 to 5e-9, which takes 1-3 iterations.  On
+as the preconditioner of every Newton step after the first.  It factors G
+only after that first step, a direct solve with J whose LU is gone by then,
+so the two factors are never alive together; a start that already meets tol
+pays for one discarded direct solve.  J is a compact perturbation of the
+energy operator, so G^-1 J is the identity plus a compact term, and GMRES on
+it needs a number of iterations that does not grow with the mesh (Kirby,
+SIAM Rev. 2010).  _gram_gmres runs it in the G inner product (Pestana and
+Wathen, JCAM 2013), so that it stops on the dual norm the Newton loop tests,
+not on a Euclidean norm, which would mis-weigh the Morley vertex values
+against the normal derivatives.  A step only has to keep the next residual
+under tol, so its target is tol / 100: from the second step on that is a
+relative reduction of 1e-2 to 5e-9, which takes 1-3 iterations.  On
 the first step it is 3e-10 to 3e-12, and GMRES meets even that in 3-4
 iterations with no fallback on the afem and study levels.  The first step
 stays a direct solve through sparse_solve only because the benchmark in
@@ -35,6 +38,9 @@ stores 49 nnz(G) and factors in 4.9-6.3 s, relax=1 stores 4.4 nnz(G) in
 0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  Newton's direct step
 alone stays on COLAMD: sparse_solve calls spla.spsolve, which takes no relax
 option, and the benchmark in perfbench/ requires its span on every workload.
+Without relax=1 the symmetric order does not pay there: on the final afem J,
+spsolve with permc_spec="MMD_AT_PLUS_A" took 17.2 s (fill 49.7) against
+1.05 s for COLAMD (fill 15.5), and "MMD_ATA" 1.13 s.
 
 J is not symmetric, so its factor keeps partial pivoting.  But J is a compact
 perturbation of the energy operator, and the Morley diagonal mixes vertex
@@ -51,15 +57,16 @@ The Kantorovich report computes
   m      = 2 * gamma_norm_estimate / beta0   (curvature / stability ratio),
   h      = delta * m,
 and the radii r_minus = (1 - sqrt(1 - 2h)) / m - delta (around the first
-iterate) and rho = (1 + sqrt(1 - 2h)) / m (uniqueness radius).  The trilinear
-form norm is not computable in closed form; gamma_norm_estimate is the lower
-bound that the higher-order power method (De Lathauwer, De Moor and
-Vandewalle, SIMAX 2000) reaches from one fixed start, its sweeps extrapolated
-by safeguarded Anderson mixing (Walker and Ni, SINUM 2011).  It is |Gamma| at
-a triple the method visited, and it can stop at a stationary point below the
-maximum, so condition_met (4 delta |Gamma| < beta0) is advisory and never
-gates a solve.  Newton damping is intentionally absent; divergence is
-reported, not masked.
+iterate), computed as delta 2h / (1 + sqrt(1 - 2h))^2 because the difference
+cancels for small h, and rho = (1 + sqrt(1 - 2h)) / m (uniqueness radius).
+The trilinear form norm is not computable in closed form; gamma_norm_estimate
+is the lower bound that the higher-order power method (De Lathauwer, De Moor
+and Vandewalle, SIMAX 2000) reaches from one fixed start, its sweeps
+extrapolated by safeguarded Anderson mixing (Walker and Ni, SINUM 2011).
+It is |Gamma| at a triple the method visited, and it can stop at a
+stationary point below the maximum, so condition_met (4 delta |Gamma| <
+beta0) is advisory and never gates a solve.  Newton damping is intentionally
+absent; divergence is reported, not masked.
 
 beta0 = infsup_constant(J^T, G) and the discrete inf-sup constant share
 _infsup: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
@@ -225,7 +232,10 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     """Undamped Newton iteration on the level asm from U0 (default 0); stops
     once the correction energy norm or the residual dual norm drops to tol.
     The first step solves with J directly (sparse_solve: GMRES would do, but
-    the benchmark requires the solve.spsolve span); every later step
+    the benchmark requires the solve.spsolve span), and it is taken before G
+    is factored and before the residual test, so that the LU of J is gone
+    when the G factor is made; a U0 that already meets tol costs that one
+    discarded solve, and max_iter = 0 makes no solve.  Every later step
     takes the G-preconditioned GMRES correction of _gram_gmres, whose linear
     residual is at most tol / 100 in the dual norm, and falls back to
     sparse_solve if GMRES misses that.  trace.krylov_iterations has one
@@ -239,27 +249,32 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
         raise ValueError(NO_FREE_DOFS)
     U = _initial_iterate(asm, U0)
     G = asm.gram()
-    Glu = _gram_factor(G)
+    Glu = None
 
     def dual(r):
         return float(np.sqrt(max(r @ Glu.solve(r), 0.0)))
 
-    trace = NewtonTrace(gram_fill=Glu.nnz / G.nnz)
+    trace = NewtonTrace()
     for _ in range(max_iter):
         r = asm.residual(U)
+        if Glu is None:     # J and its LU are gone before G is factored
+            d = sparse_solve(asm.jacobian(U), -r)
+            Glu = _gram_factor(G)
+            trace.gram_fill = Glu.nnz / G.nnz
         rn = dual(r)
         trace.residual_norms.append(rn)
         if rn <= tol:
             trace.converged = True
             break
-        J = asm.jacobian(U)
-        step = _gram_gmres(J, -r, Glu, tol / 100) if trace.iterations else None
-        if step is not None:
-            d, k = step
-            trace.krylov_iterations.append(k)
-        else:
-            trace.direct_fallbacks += int(trace.iterations > 0)
-            d = sparse_solve(J, -r)
+        if trace.iterations:
+            J = asm.jacobian(U)
+            step = _gram_gmres(J, -r, Glu, tol / 100)
+            if step is None:
+                trace.direct_fallbacks += 1
+                d = sparse_solve(J, -r)
+            else:
+                d, k = step
+                trace.krylov_iterations.append(k)
         dn = float(np.sqrt(max(d @ (G @ d), 0.0)))
         trace.correction_norms.append(dn)
         trace.iterations += 1
@@ -395,7 +410,8 @@ def kantorovich_report(asm, U0=None):
         r_minus, rho = 0.0, np.inf
     elif h <= 0.5:
         root = np.sqrt(1.0 - 2.0 * h)
-        r_minus, rho = (1.0 - root) / m - delta, (1.0 + root) / m
+        r_minus = delta * 2.0 * h / (1.0 + root) ** 2   # no cancellation
+        rho = (1.0 + root) / m
     else:
         r_minus = rho = np.nan
     return KantorovichReport(beta0=beta0, delta=delta,
@@ -446,6 +462,7 @@ def infsup_constant(B, G):
         raise ValueError("G is not positive definite") from exc
     if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
         raise ValueError("G is not positive definite")
+    del lu                      # not alive next to the factor of B
     if not B.shape == G.shape == (n, n):
         raise ValueError("infsup_constant needs a square B matching G")
     if n == 1:  # no factor of B

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +10,12 @@ from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (EstimatorReport, _hessians, _lap_grad_at_edges,
                               broken_energy_error, cr_apriori_terms, estimate)
-from ncfem.interpolation import edge_points, oscillation
+from ncfem.interpolation import OSCILLATION_DEGREE, edge_points, oscillation
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_edge
 from ncfem.solve import newton_solve
-from ncfem.spaces import local_coefficients
+from ncfem.spaces import local_coefficients, volume_quadrature
 
 
 def const_field(c):
@@ -155,19 +157,56 @@ def test_vk_oscillation_sums_both_loads(square8):
     f = lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1]
     g = lambda p: np.exp(p[..., 0] - 2.0 * p[..., 1])
     zero = np.zeros(2 * morley_dofmap(square8).n_free)
-    osc_f = oscillation(square8, f, k=0, p=2)[1]
-    osc_g = oscillation(square8, g, k=0, p=2)[1]
+    xq, _ = volume_quadrature(square8, OSCILLATION_DEGREE)
+    osc_f = oscillation(square8, f(xq), k=0, p=2)[1]
+    osc_g = oscillation(square8, g(xq), k=0, p=2)[1]
     assert osc_f > 0.0 and osc_g > 0.0
     rep = estimate(level(square8, VK, f, g=g), zero)
     assert rep.osc_sq == osc_f ** 2 + osc_g ** 2
     assert estimate(level(square8, VK, f), zero).osc_sq == osc_f ** 2
 
 
+class Sampled:
+    """A load that counts the point sets it is sampled on."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, pts):
+        self.calls += 1
+        return self.fn(pts)
+
+
+@pytest.mark.parametrize("kind", [NS, VK], ids=["ns", "vk"])
+def test_morley_estimate_samples_each_load_once(square8, kind):
+    """The volume residuals and the oscillation read one sampling of each
+    load."""
+    f, g = (Sampled(lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1]),
+            Sampled(lambda p: np.exp(p[..., 0] - 2.0 * p[..., 1])))
+    asm = level(square8, kind, f, g=g)
+    U = random_function(asm.dofmap, np.random.default_rng(3),
+                        n_components=asm.problem.n_components)
+    f.calls = g.calls = 0
+    estimate(asm, U)
+    assert (f.calls, g.calls) == (1, 1)
+
+
+def test_cr_apriori_terms_sample_the_data_once(square8):
+    """osc_1(f - gamma u) reads the samples of f, gamma and u that the flux
+    term already took."""
+    man = manufactured("cr_sine")
+    u = man.exact[0]
+    value = Sampled(u.value)
+    prob = dataclasses.replace(man.problem, f=Sampled(man.problem.f),
+                               gamma=Sampled(man.problem.gamma))
+    cr_apriori_terms(square8, dataclasses.replace(u, value=value), prob)
+    assert (prob.f.calls, prob.gamma.calls, value.calls) == (1, 1, 1)
+
+
 def test_cr_apriori_terms_zero_cases(square8):
     man = manufactured("cr_sine")
     zero = Field(value=lambda p: np.zeros(np.shape(p)[:-1]),
                  gradient=lambda p: np.zeros(np.shape(p)))
-    import dataclasses
     prob0 = dataclasses.replace(man.problem,
                                 f=lambda p: np.zeros(np.shape(p)[:-1]),
                                 gamma=None, b=None)
@@ -178,8 +217,6 @@ def test_cr_apriori_terms_zero_cases(square8):
 
 def test_cr_apriori_constant_flux(square8):
     # u with constant A grad(u) + u b: u linear, b = 0 -> first term vanishes
-    import dataclasses
-
     from ncfem.problems import polynomial_field
     man = manufactured("cr_sine")
     prob = dataclasses.replace(man.problem, b=None)

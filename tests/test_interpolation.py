@@ -140,6 +140,11 @@ def degree6_rule(mesh):
     return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
 
 
+def osc(mesh, g, k, p):
+    """oscillation of the function g, sampled on the degree-6 rule."""
+    return oscillation(mesh, g(degree6_rule(mesh)[0]), k, p)
+
+
 def test_oscillation_k0_is_element_variance(square8):
     """osc_0 per element is h^(2p) times the rule's weighted variance of g
     about its element mean."""
@@ -150,7 +155,7 @@ def test_oscillation_k0_is_element_variance(square8):
     mean = (wdx * gq).sum(axis=1) / geom.area
     var = (wdx * gq ** 2).sum(axis=1) - geom.area * mean ** 2
     for p in (1, 2):
-        per_element, _ = oscillation(square8, fld.value, 0, p)
+        per_element, _ = osc(square8, fld.value, 0, p)
         assert np.allclose(per_element, geom.h_T ** (2 * p) * var,
                            rtol=1e-9, atol=1e-15)
 
@@ -160,7 +165,7 @@ def test_oscillation_k1_is_minimal(square8):
     least-squares P_1 fit q on the rule's points, and no larger than the same
     norm against a perturbed P_1 fit."""
     fld = random_poly(4)
-    per_element, _ = oscillation(square8, fld.value, 1, 1)
+    per_element, _ = osc(square8, fld.value, 1, 1)
     xq, wdx = degree6_rule(square8)
     gq = fld.value(xq)
     center = square8.vertices[square8.triangles].mean(axis=1)
@@ -187,16 +192,16 @@ def test_l2_project_reproduces_polynomials(square8):
     P_k data, k = 0, 1: osc_k is zero on every element, for p = 1 and 2."""
     for k in range(2):
         for p in (1, 2):
-            per_element, total = oscillation(square8, random_poly(k).value, k, p)
+            per_element, total = osc(square8, random_poly(k).value, k, p)
             assert per_element.max() < 1e-26 and total < 1e-13
 
 
 def test_oscillation_vanishes_on_polynomial_data(square8):
     const = Field(value=lambda p: 3.0 * np.ones(np.shape(p)[:-1]))
-    _, total0 = oscillation(square8, const.value, k=0, p=2)
+    _, total0 = osc(square8, const.value, k=0, p=2)
     assert total0 < 1e-13
     lin = polynomial_field([[1.0, 2.0], [-3.0, 0.0]])
-    _, total1 = oscillation(square8, lin.value, k=1, p=1)
+    _, total1 = osc(square8, lin.value, k=1, p=1)
     assert total1 < 1e-13
 
 
@@ -205,7 +210,7 @@ def test_oscillation_rate():
     mesh = builtin_domain("unit_square")
     totals = []
     for _ in range(4):
-        totals.append(oscillation(mesh, fld.value, k=0, p=1)[1])
+        totals.append(osc(mesh, fld.value, k=0, p=1)[1])
         mesh = uniform_refine(mesh)
     rates = [np.log2(a / b) for a, b in zip(totals, totals[1:])]
     assert rates[-1] == pytest.approx(2.0, abs=0.25)
@@ -213,7 +218,16 @@ def test_oscillation_rate():
 
 def test_oscillation_validates_power(square8):
     with pytest.raises(ValueError):
-        oscillation(square8, random_poly(2).value, k=0, p=3)
+        osc(square8, random_poly(2).value, k=0, p=3)
+
+
+def test_oscillation_rejects_samples_off_its_rule(square8):
+    """The samples must lie on the degree-6 rule: one per point per element."""
+    xq, _ = degree6_rule(square8)
+    with pytest.raises(ValueError, match="samples of shape"):
+        oscillation(square8, np.ones(xq.shape[:-1])[:, :-1], k=0, p=2)
+    with pytest.raises(ValueError, match="samples of shape"):
+        oscillation(square8, 1.0, k=0, p=2)
 
 
 def morley_level(mesh):

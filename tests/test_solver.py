@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -85,11 +86,13 @@ def test_gram_factor_fills_less_than_partial_pivoting():
 class SplaSpy:
     """Stands in for scipy.sparse.linalg inside ncfem.solve, as the
     benchmark's tracer does, and records the calls its spans see and what
-    they return; `perturb` is added to the first spsolve solution."""
+    they return, per name and in one ordered log of (name, args); `perturb`
+    is added to the first spsolve solution."""
 
     def __init__(self, perturb=0.0):
         self.args = {"splu": [], "spsolve": []}
         self.results = {"splu": [], "spsolve": []}
+        self.log = []
         self.perturb = perturb
 
     @property
@@ -103,6 +106,7 @@ class SplaSpy:
 
         def recorded(*args, **kwargs):
             self.args[name].append((args, kwargs))
+            self.log.append((name, args))
             out = fn(*args, **kwargs)
             if name == "spsolve" and len(self.args[name]) == 1:
                 out = out + self.perturb
@@ -272,6 +276,17 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
         assert trace.iterations == 1
 
 
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+def test_newton_solves_with_j_before_it_factors_g(square32, name, monkeypatch):
+    """The direct first step comes before the one G factor, so the LU of J
+    and the factor of G are never alive together."""
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    newton_solve(assembler(square32, manufactured(name).problem))
+    names = [call for call, _ in spla.log]
+    assert names[:2] == ["spsolve", "splu"] and names.count("splu") == 1
+
+
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
 def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
     """At a state of energy norm 30 (beta0 0.84 for ns, 0.46 for vk), the
@@ -397,14 +412,18 @@ def test_newton_linear_problem_one_iteration(square8):
     assert trace.iterations == 1
 
 
-def test_newton_fixed_point(square8):
+def test_newton_fixed_point(square8, monkeypatch):
     asm = assembler(square8, manufactured("ns_poly").problem)
     U, trace = newton_solve(asm)
     assert trace.converged
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
     U2, trace2 = newton_solve(asm, U0=U)
     assert trace2.converged
     assert trace2.iterations == 0
     assert np.array_equal(U2, U)
+    # the direct first step is taken before the residual test, then dropped
+    assert spla.calls == {"splu": 1, "spsolve": 1}
 
 
 def test_newton_from_interpolant_converges_quickly():
@@ -422,6 +441,16 @@ def test_newton_max_iter_reports_failure(square8):
     _, trace = newton_solve(asm, max_iter=0)
     assert not trace.converged
     assert trace.iterations == 0
+
+
+def test_newton_without_iterations_makes_no_solve(square8, monkeypatch):
+    asm = assembler(square8, manufactured("ns_poly").problem)
+    U0 = np.ones(asm.dofmap.n_free)
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    U, trace = newton_solve(asm, U0=U0, max_iter=0)
+    assert spla.calls == {"splu": 0, "spsolve": 0}
+    assert trace.residual_norms == [] and np.array_equal(U, U0)
 
 
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
@@ -481,6 +510,19 @@ def test_kantorovich_ns_manufactured_fine_mesh():
     assert rep.h < 0.5
     assert rep.condition_met
     assert 0.0 <= rep.r_minus <= rep.rho
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+def test_kantorovich_r_minus_at_a_newton_solution(square32, name):
+    """At a Newton solution h is at round-off, and r_minus = (1 - sqrt(1 -
+    2h)) / m - delta = delta 2h / (1 + sqrt(1 - 2h))^2, about delta h / 2,
+    must not cancel to round-off in delta."""
+    asm = assembler(square32, manufactured(name).problem)
+    rep = kantorovich_report(asm, newton_solve(asm)[0])
+    assert 0.0 < rep.h < 1e-8
+    closed = rep.delta * 2.0 * rep.h / (1.0 + np.sqrt(1.0 - 2.0 * rep.h)) ** 2
+    assert rep.r_minus == pytest.approx(closed, rel=1e-12, abs=0.0)
+    assert rep.delta * rep.h / 2 <= rep.r_minus <= 2 * rep.delta * rep.h
 
 
 def test_kantorovich_r_minus_nonnegative_identity():
@@ -661,6 +703,38 @@ def test_infsup_rejects_indefinite_gram():
     G = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ValueError, match="positive definite"):
         infsup_constant(B, G)
+
+
+def test_infsup_releases_the_gram_check_before_factoring_b(square32,
+                                                          monkeypatch):
+    """The factor that validates G is gone before _infsup factors B, and the
+    value is bitwise unchanged."""
+    asm = assembler(square32, manufactured("cr_sine").problem)
+    B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+    G = asm.gram()
+    expected = infsup_constant(B, G)
+    gram_factor, infsup = ncfem.solve._gram_factor, ncfem.solve._infsup
+    refs, dead = [], []
+
+    class Factor:           # a SuperLU object takes no weak reference
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def tracked(G):
+        factor = Factor(gram_factor(G))
+        refs.append(weakref.ref(factor))
+        return factor
+
+    def checked(B, G):
+        dead.extend(ref() is None for ref in refs)
+        return infsup(B, G)
+    monkeypatch.setattr(ncfem.solve, "_gram_factor", tracked)
+    monkeypatch.setattr(ncfem.solve, "_infsup", checked)
+    assert infsup_constant(B, G) == expected
+    assert dead == [True]
 
 
 def test_infsup_basis_change_invariance(square32):
