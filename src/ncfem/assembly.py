@@ -136,8 +136,10 @@ class Assembler:
             # grad phi_j = g_j + H_j (x - c) is affine and int_T (x - c) = 0,
             # so int_T phi_j,y phi_k,x = |T| g_j,y g_k,x + (H_j M H_k)_yx
             # with M the second moment of T about its centroid c
-            g = tab.C[:, 1:3, :] / tab.scale[:, None, None]    # (nt, 2, 6)
-            d = self.mesh.vertices[self.mesh.triangles] - tab.center[:, None, :]
+            p = self.mesh.vertices[self.mesh.triangles]
+            c = p.mean(axis=1)
+            g = np.swapaxes(tab.grads_at(np.arange(len(c)), c), 1, 2)  # (nt, 2, 6)
+            d = p - c[:, None, :]
             M = (area / 12.0) * (np.swapaxes(d, 1, 2) @ d)    # (nt, 2, 2)
             P = (area * (g[:, 1, :, None] * g[:, 0, None, :])
                  + hess[:, :, 1, :] @ M @ np.swapaxes(hess[:, :, :, 0], 1, 2))

@@ -70,16 +70,14 @@ def _hessian_jump_term(geom, H, t_plus, t_minus):
     return geom.h_E ** 2 * np.einsum("ea,ea->e", vec, vec)
 
 
-def _lap_grad_at_edges(tab, H, c_loc, tris, pts):
-    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); tab is
-    the Morley table, H and c_loc are the per-element hessians and local
-    coefficients of u.  grad u is affine on each element: g_T + H_T (x - c_T),
-    with g_T its value at the centroid c_T read off the linear monomial
-    coefficients."""
+def _lap_grad_at_edges(H, g, cent, tris, pts):
+    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); H are
+    the per-element hessians of u and g (nt, 2) its gradients at the
+    centroids cent (nt, 2).  grad u is affine on each element:
+    g_T + H_T (x - c_T)."""
     lap = H[:, 0, 0] + H[:, 1, 1]
-    g = (tab.C[tris, 1:3, :] @ c_loc[tris, :, None]) / tab.scale[tris, None, None]
     # H is symmetric, so (x - c) @ H is H (x - c)
-    grad = np.swapaxes(g, 1, 2) + (pts - tab.center[tris, None, :]) @ H[tris]
+    grad = g[tris, None, :] + (pts - cent[tris, None, :]) @ H[tris]
     return lap[tris][:, None, None] * grad
 
 
@@ -104,10 +102,13 @@ def _estimate_morley(asm, U) -> EstimatorReport:
         residuals = (fq,)
         erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
         pts = edge_points(mesh, erule)
-        w_plus = _lap_grad_at_edges(tab, Hs[0], cs[0], t_plus, pts)
+        cent = mesh.vertices[mesh.triangles].mean(axis=1)
+        g = np.einsum("tjd,tj->td",
+                      tab.grads_at(np.arange(mesh.n_triangles), cent), cs[0])
+        w_plus = _lap_grad_at_edges(Hs[0], g, cent, t_plus, pts)
         w_minus = np.zeros_like(w_plus)
         interior = t_minus >= 0
-        w_minus[interior] = _lap_grad_at_edges(tab, Hs[0], cs[0],
+        w_minus[interior] = _lap_grad_at_edges(Hs[0], g, cent,
                                                t_minus[interior], pts[interior])
         avg = np.where(interior[:, None, None], 0.5 * (w_plus + w_minus),
                        w_plus)
@@ -196,8 +197,9 @@ def estimate(asm, U, exact=None) -> EstimatorReport:
 
     For the CR problem the a priori diagnostic terms (which need the exact
     solution, one Field per component) stand in as element indicators, by
-    design: they never read U, which is only checked against the dof map;
-    without an exact solution the CR indicators are uniform."""
+    design: they never read U, which is only checked against the dof map.
+    Without an exact solution there is nothing to estimate a CR level by,
+    and a ValueError is raised."""
     mesh, problem, n_free = asm.mesh, asm.problem, asm.dofmap.n_free
     cr = problem.kind is ProblemKind.SECOND_ORDER_CR
     if len(U) != problem.n_components * n_free:
@@ -205,13 +207,11 @@ def estimate(asm, U, exact=None) -> EstimatorReport:
                          f"{'CR' if cr else 'Morley'} component(s) of n_free = {n_free}")
     if not cr:
         return _estimate_morley(asm, U)
-    if exact is not None:
-        p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)
-        eta_K_sq = p_sq.sum(axis=1) + osc_el
-        osc_sq = float(osc1 ** 2)
-    else:
-        eta_K_sq = asm.geom.area.copy()
-        osc_sq = 0.0
+    if exact is None:
+        raise ValueError("a CR level is estimated by the a priori terms of "
+                         "its exact solution, and none was given")
+    p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)
+    eta_K_sq = p_sq.sum(axis=1) + osc_el
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=np.zeros(mesh.n_edges),
-                           avg_term_S_sq=0.0, osc_sq=osc_sq,
+                           avg_term_S_sq=0.0, osc_sq=float(osc1 ** 2),
                            eta_total=float(np.sqrt(eta_K_sq.sum())))

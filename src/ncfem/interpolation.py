@@ -131,14 +131,11 @@ def transfer_morley(asm_c, U, asm_f):
         raise ValueError("fine mesh does not carry a parent map onto the coarse mesh")
     if parent.max(initial=-1) >= mesh_c.n_triangles:
         raise ValueError("parent map does not match the coarse mesh")
-    # geometric containment guards against a parent map onto a different mesh
-    pc = mesh_c.vertices[mesh_c.triangles[parent]]
-    cent = mesh_f.vertices[mesh_f.triangles].mean(axis=1)
-    M = np.stack([pc[:, 1] - pc[:, 0], pc[:, 2] - pc[:, 0]], axis=-1)
-    lam = np.linalg.solve(M, (cent - pc[:, 0])[..., None])[..., 0]
-    if (lam.min() < -1e-10) or ((lam.sum(axis=1)).max() > 1 + 1e-10):
-        raise ValueError("parent map does not nest in the coarse mesh")
     tab, nu_f = asm_c.tables, asm_f.geom.nu_E
+    # geometric containment guards against a parent map onto a different mesh
+    cent = mesh_f.vertices[mesh_f.triangles].mean(axis=1)
+    if tab.bary_at(parent, cent).min() < -1e-10:
+        raise ValueError("parent map does not nest in the coarse mesh")
 
     # lowest coarse ancestor seen from each fine vertex / fine edge
     vparent = np.full(mesh_f.n_vertices, mesh_c.n_triangles, dtype=np.int64)
@@ -148,13 +145,17 @@ def transfer_morley(asm_c, U, asm_f):
 
     mids = 0.5 * (mesh_f.vertices[mesh_f.edges[:, 0]]
                   + mesh_f.vertices[mesh_f.edges[:, 1]])
+    lam_v = tab.bary_at(vparent, mesh_f.vertices)             # (nv, 3)
+    lam_e = tab.bary_at(eparent, mids)                        # (ne, 3)
+    dn = (tab.grad_lambda[eparent] @ nu_f[:, :, None])[..., 0]  # grad lambda . nu
     rows = []
     for comp in range(n_components):
-        cu = local_coefficients(dofmap_c, U, comp)
-        poly = np.einsum("tmj,tj->tm", tab.C, cu)     # monomial coefficients
-        vvals = np.einsum("vm,vm->v", poly[vparent],
-                          tab.monomials_at(vparent, mesh_f.vertices))
-        gmono = tab.mono_grads_at(eparent, mids)      # (ne, 6, 2)
-        gvals = np.einsum("em,emd,ed->e", poly[eparent], gmono, nu_f)
+        # u = lambda . c_v + lambda (1 - lambda) . w on each coarse element,
+        # so grad u = sum_i (c_v,i + (1 - 2 lambda_i) w_i) grad lambda_i
+        cv, w = tab.barycentric_form(local_coefficients(dofmap_c, U, comp))
+        vvals = np.einsum("vi,vi->v", lam_v,
+                          cv[vparent] + (1.0 - lam_v) * w[vparent])
+        gvals = np.einsum("ei,ei->e", dn,
+                          cv[eparent] + (1.0 - 2.0 * lam_e) * w[eparent])
         rows.append(np.concatenate([vvals, gvals]))
     return function_from_element_values(asm_f.dofmap, np.stack(rows))

@@ -7,16 +7,19 @@ Morley   : one value per vertex plus one mean normal derivative per edge;
            (homogeneous clamped conditions).
 CR       : one value per edge midpoint; boundary edges constrained to zero.
 
-The Morley basis is built per physical element by inverting the 6x6 matrix
-that pairs centered, h-scaled quadratic monomials with the six dof
-functionals (3 vertex evaluations, 3 edge-mean normal derivatives taken
-against the global edge normal).  morley_dof_matrix builds that matrix D;
-the tables keep only its inverse C, so the duality D C = I is checked
-against a fresh D.  The normal-derivative dof is not affine-equivariant, so
-no reference-element mapping is attempted; the two
-elements sharing an edge see one dof with a consistent sign because both use
-the same global normal.  The CR basis is 1 - 2 lambda_k in the barycentric
-coordinates lambda_k.
+Both bases are closed forms in the barycentric coordinates lambda_i of each
+element (Ciarlet, 1978; Wang and Xu, Numer. Math. 103, 2006), so no dof
+matrix is built or inverted.  CR: 1 - 2 lambda_k.  Morley, with edge m
+opposite vertex m, nu_m its global normal, B_im = grad lambda_i . nu_m and
+a_m = B_mm:
+    edge function    psi_m = lambda_m (1 - lambda_m) / a_m,
+    vertex function  phi_i = lambda_i - sum_m B_im psi_m.
+psi_m vanishes at the vertices, and its normal derivative has mean 1 on
+edge m and 0 on the other two, where 1 - 2 lambda_m has mean zero; the sum
+in phi_i cancels the normal-derivative means of lambda_i.  Both elements
+sharing an edge see one dof with a consistent sign because both use the same
+global normal.  Gradients (1 - 2 lambda_m) grad lambda_m / a_m and hessians
+-2 grad lambda_m (x) grad lambda_m / a_m combine through B in the same way.
 
 A discrete function is its free-dof coefficient vector: a 1-D float array of
 length n_components * n_free, the components concatenated in order (the
@@ -25,14 +28,13 @@ its space and its number of components.
 
 Second derivatives are constant per element, and so are CR gradients: the
 tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
-`grads` (nt, 3, 2) on the CR table.  values_at and the Morley grads_at accept
-either paired input (tris (n,), pts (n, 2)) or one point set per element
-(tris (nt,), pts (nt, nq, 2)).  The Morley values_at and grads_at are batched
-matmuls of the monomial values (..., 1, 6) and gradients (..., 6, 2) against
-the per-element coefficient matrices C (nt, 6, 6).  Morley gradients are
-affine, grad u(x) = g_T + H_T (x - center), so kernels that need one
-function's gradient or a pairing of basis gradients can start from the
-centroid gradients C[:, 1:3, :] / h and the hessians instead of a table.
+`grads` (nt, 3, 2) on the CR table.  bary_at, values_at and the Morley
+grads_at accept either paired input (tris (n,), pts (n, 2)) or one point set
+per element (tris (nt,), pts (nt, nq, 2)).  Morley gradients are affine,
+grad u(x) = g_T + H_T (x - c_T), so kernels that need one function's
+gradient or a pairing of basis gradients can start from grads_at at the
+centroids c_T and the hessians instead of a table; barycentric_form folds a
+function's six local coefficients once for evaluation at many points.
 """
 from __future__ import annotations
 
@@ -47,9 +49,9 @@ from .problems import ProblemKind
 from .quadrature import quad_triangle
 
 __all__ = [
-    "SpaceTag", "DofMap", "build_dofmap", "basis_tables", "morley_dof_matrix",
-    "local_coefficients", "function_from_element_values", "space_of",
-    "volume_quadrature", "physical_points",
+    "SpaceTag", "DofMap", "build_dofmap", "basis_tables", "local_coefficients",
+    "function_from_element_values", "space_of", "volume_quadrature",
+    "physical_points",
 ]
 
 
@@ -93,122 +95,89 @@ def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
                   dof_of_free=dof_of_free, n_free=len(dof_of_free))
 
 
-# ---------------------------------------------------------------------------
-# quadratic monomial helpers (local frame xi = (x - center) / h)
-
-_MONO_HESS = np.zeros((6, 2, 2))
-_MONO_HESS[3] = [[2.0, 0.0], [0.0, 0.0]]
-_MONO_HESS[4] = [[0.0, 1.0], [1.0, 0.0]]
-_MONO_HESS[5] = [[0.0, 0.0], [0.0, 2.0]]
-
-
-def _mono_values(xi):
-    """Monomials 1, a, b, a^2, ab, b^2 at local points (..., 2)."""
-    a, b = xi[..., 0], xi[..., 1]
-    return np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
-
-
-def _mono_grads(xi):
-    a, b = xi[..., 0], xi[..., 1]
-    zero = np.zeros_like(a)
-    one = np.ones_like(a)
-    gx = np.stack([zero, one, zero, 2 * a, b, zero], axis=-1)
-    gy = np.stack([zero, zero, one, zero, a, 2 * b], axis=-1)
-    return np.stack([gx, gy], axis=-1)  # (..., 6, 2)
-
-
 def _per_element(arr, pts_ndim):
     """Insert a broadcast axis for per-element point sets (pts of ndim 3)."""
     return arr[:, None, ...] if pts_ndim == 3 else arr
 
 
-def morley_dof_matrix(mesh):
-    """Per-element Morley dof matrices D (nt, 6, 6): D[t, i, m] is the i-th
-    dof functional (3 vertex values, then 3 edge-mean normal derivatives
-    against the global edge normal) of the m-th local monomial on element t;
-    the basis coefficients are its inverse."""
-    geom = geometry(mesh)
-    p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    center = p.mean(axis=1)
-    scale = geom.h_T
-    D = np.empty((mesh.n_triangles, 6, 6))
-    loc_v = (p - center[:, None, :]) / scale[:, None, None]
-    D[:, 0:3, :] = _mono_values(loc_v)
-    for k in range(3):
-        va = p[:, (k + 1) % 3]
-        vb = p[:, (k + 2) % 3]
-        mid = 0.5 * (va + vb)
-        loc_m = (mid - center) / scale[:, None]
-        grads = _mono_grads(loc_m) / scale[:, None, None]  # (nt, 6, 2)
-        nu = geom.nu_E[mesh.edge_of_triangle[:, k]]
-        D[:, 3 + k, :] = np.einsum("tmd,td->tm", grads, nu)
-    return D
+def _rowmul(x, M):
+    """Rows x (n, k) or (n, nq, k) times the matrices M (n, k, l): one small
+    matmul per element, or per point when paired."""
+    out = (x if x.ndim == 3 else x[:, None, :]) @ M
+    return out.reshape(x.shape[:-1] + M.shape[-1:])
 
 
-class _MorleyTables:
-    """Per-element Morley basis coefficients against the local monomials."""
-
-    def __init__(self, mesh):
-        self.center = mesh.vertices[mesh.triangles].mean(axis=1)
-        self.scale = geometry(mesh).h_T
-        try:
-            self.C = np.linalg.inv(morley_dof_matrix(mesh))
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "singular Morley dof matrix (degenerate triangle)") from exc
-        # constant per-element hessians of the 6 basis functions
-        hess = np.einsum("tmj,mab->tjab", self.C, _MONO_HESS)
-        self.hess = hess / (self.scale ** 2)[:, None, None, None]
-
-    def _local(self, tris, pts):
-        c = _per_element(self.center[tris], pts.ndim)
-        s = _per_element(self.scale[tris], pts.ndim)
-        return (pts - c) / s[..., None]
-
-    def monomials_at(self, tris, pts):
-        return _mono_values(self._local(tris, pts))
-
-    def mono_grads_at(self, tris, pts):
-        s = _per_element(self.scale[tris], pts.ndim)
-        return _mono_grads(self._local(tris, pts)) / s[..., None, None]
-
-    def values_at(self, tris, pts):
-        m = self.monomials_at(tris, pts)
-        C = _per_element(self.C[tris], pts.ndim)
-        return (m[..., None, :] @ C)[..., 0, :]
-
-    def grads_at(self, tris, pts):
-        g = self.mono_grads_at(tris, pts)
-        C = _per_element(self.C[tris], pts.ndim)
-        return np.swapaxes(C, -1, -2) @ g
-
-
-class _CRTables:
-    """CR basis 1 - 2*lambda from the barycentric coordinates lambda."""
+class _Barycentric:
+    """The barycentric coordinates lambda of every element: their constant
+    gradients and the first vertex, from which lambda_1, lambda_2 are read."""
 
     def __init__(self, mesh):
         p = mesh.vertices[mesh.triangles]
-        nt = mesh.n_triangles
-        mats = np.empty((nt, 3, 3))
+        mats = np.empty((mesh.n_triangles, 3, 3))
         mats[:, :, 0] = 1.0
         mats[:, :, 1:] = p
         inv = np.linalg.inv(mats)
         # lambda_k(x) = inv[0, k] + inv[1, k] x + inv[2, k] y
         self.grad_lambda = np.transpose(inv[:, 1:, :], (0, 2, 1))  # (nt, 3, 2)
-        self.grads = -2.0 * self.grad_lambda    # constant basis gradients
-        self.verts = p
+        self.v0 = mesh.vertices[mesh.triangles[:, 0]]
 
-    def _bary(self, tris, pts):
-        d = pts - _per_element(self.verts[tris, 0], pts.ndim)
-        gT = np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2)   # (n, 2, 2)
-        # (pts - v0) @ g^T: one small matmul per element (per point when paired)
-        lam12 = (d if pts.ndim == 3 else d[:, None, :]) @ gT
-        lam12 = lam12.reshape(d.shape)
+    def bary_at(self, tris, pts):
+        """lambda (..., 3) at paired or per-element points (see module doc)."""
+        d = pts - _per_element(self.v0[tris], pts.ndim)
+        lam12 = _rowmul(d, np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2))
         lam0 = 1.0 - lam12.sum(axis=-1)
         return np.concatenate([lam0[..., None], lam12], axis=-1)
 
+
+class _MorleyTables(_Barycentric):
+    """Morley basis in closed form: B[t, i, m] = grad lambda_i . nu_m, with
+    a_m = B[t, m, m], and the constant basis hessians."""
+
+    def __init__(self, mesh):
+        super().__init__(mesh)
+        gl = self.grad_lambda
+        nu = geometry(mesh).nu_E[mesh.edge_of_triangle]        # (nt, 3, 2)
+        self.B = gl @ np.swapaxes(nu, 1, 2)                     # (nt, 3, 3)
+        # D^2 psi_m = -2 grad lambda_m (x) grad lambda_m / a_m
+        hpsi = ((-2.0 / self._a(slice(None)))[:, :, None, None]
+                * (gl[:, :, :, None] * gl[:, :, None, :]))
+        hphi = -np.einsum("tim,tmab->tiab", self.B, hpsi)
+        self.hess = np.concatenate([hphi, hpsi], axis=1)       # (nt, 6, 2, 2)
+
+    def _a(self, tris):
+        return np.diagonal(self.B, axis1=1, axis2=2)[tris]
+
     def values_at(self, tris, pts):
-        lam = self._bary(tris, pts)
+        lam = self.bary_at(tris, pts)
+        psi = lam * (1.0 - lam) / _per_element(self._a(tris), pts.ndim)
+        phi = lam - _rowmul(psi, np.swapaxes(self.B[tris], 1, 2))
+        return np.concatenate([phi, psi], axis=-1)
+
+    def grads_at(self, tris, pts):
+        lam = self.bary_at(tris, pts)
+        s = (1.0 - 2.0 * lam) / _per_element(self._a(tris), pts.ndim)
+        gl = _per_element(self.grad_lambda[tris], pts.ndim)    # (..., 3, 2)
+        gpsi = s[..., None] * gl
+        gphi = gl - _per_element(self.B[tris], pts.ndim) @ gpsi
+        return np.concatenate([gphi, gpsi], axis=-2)
+
+    def barycentric_form(self, c):
+        """The functions with local coefficients c (nt, 6) as
+        u = lambda . c_v + lambda (1 - lambda) . w: returns (c_v, w), each
+        (nt, 3), with w_m = (c_{e,m} - sum_i B_im c_{v,i}) / a_m."""
+        cv = c[:, :3]
+        return cv, (c[:, 3:] - _rowmul(cv, self.B)) / self._a(slice(None))
+
+
+class _CRTables(_Barycentric):
+    """CR basis 1 - 2*lambda from the barycentric coordinates lambda."""
+
+    def __init__(self, mesh):
+        super().__init__(mesh)
+        self.grads = -2.0 * self.grad_lambda    # constant basis gradients
+
+    def values_at(self, tris, pts):
+        lam = self.bary_at(tris, pts)
         return 1.0 - 2.0 * lam
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncfem.afem import afem_loop
-from ncfem.mesh import builtin_domain, refine
+from ncfem.mesh import builtin_domain, geometry, refine
 from ncfem.problems import ns_unit_load
 from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
                           local_coefficients)
@@ -39,6 +39,72 @@ def graded_lshape():
     assert res.records[-1].n_free == 1249
     mesh = meshes[-1]
     return problem, mesh, morley_dofmap(mesh), res.solutions[-1]
+
+
+# ---------------------------------------------------------------------------
+# the Morley basis by inverting the monomial dof matrix: an oracle that shares
+# nothing with the closed form in ncfem.spaces but the global edge normals
+
+_MONO_HESS = np.zeros((6, 2, 2))
+_MONO_HESS[3] = [[2.0, 0.0], [0.0, 0.0]]
+_MONO_HESS[4] = [[0.0, 1.0], [1.0, 0.0]]
+_MONO_HESS[5] = [[0.0, 0.0], [0.0, 2.0]]
+
+
+def _mono_values(xi):
+    """Monomials 1, a, b, a^2, ab, b^2 at local points (..., 2)."""
+    a, b = xi[..., 0], xi[..., 1]
+    return np.stack([np.ones_like(a), a, b, a * a, a * b, b * b], axis=-1)
+
+
+def _mono_grads(xi):
+    a, b = xi[..., 0], xi[..., 1]
+    zero, one = np.zeros_like(a), np.ones_like(a)
+    gx = np.stack([zero, one, zero, 2 * a, b, zero], axis=-1)
+    gy = np.stack([zero, zero, one, zero, a, 2 * b], axis=-1)
+    return np.stack([gx, gy], axis=-1)  # (..., 6, 2)
+
+
+class MorleyByInverse:
+    """Per-element Morley basis as C = inv(D), with D[t, i, m] the i-th dof
+    functional (3 vertex values, then 3 edge-mean normal derivatives against
+    the global edge normal, edge k opposite vertex k) of the m-th monomial
+    in the local frame (x - center) / h_T.  values_at / grads_at take paired
+    points (n, 2) or one point set per element (nt, nq, 2)."""
+
+    def __init__(self, mesh):
+        p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
+        self.center = p.mean(axis=1)
+        self.scale = geometry(mesh).h_T
+        D = np.empty((mesh.n_triangles, 6, 6))
+        D[:, 0:3, :] = _mono_values(self._local(slice(None), p))
+        for k in range(3):
+            mid = 0.5 * (p[:, (k + 1) % 3] + p[:, (k + 2) % 3])
+            grads = _mono_grads(self._local(slice(None), mid))
+            nu = geometry(mesh).nu_E[mesh.edge_of_triangle[:, k]]
+            D[:, 3 + k, :] = np.einsum("tmd,td->tm", grads, nu) / self.scale[:, None]
+        self.D = D
+        self.C = np.linalg.inv(D)
+        self.hess = (np.einsum("tmj,mab->tjab", self.C, _MONO_HESS)
+                     / (self.scale ** 2)[:, None, None, None])
+
+    def _local(self, tris, pts):
+        c, s = self.center[tris], self.scale[tris]
+        if pts.ndim == 3:
+            c, s = c[:, None], s[:, None]
+        return (pts - c) / s[..., None]
+
+    def _C(self, tris, pts):
+        return self.C[tris][:, None] if pts.ndim == 3 else self.C[tris]
+
+    def values_at(self, tris, pts):
+        m = _mono_values(self._local(tris, pts))
+        return (m[..., None, :] @ self._C(tris, pts))[..., 0, :]
+
+    def grads_at(self, tris, pts):
+        s = self.scale[tris][:, None] if pts.ndim == 3 else self.scale[tris]
+        g = _mono_grads(self._local(tris, pts)) / s[..., None, None]
+        return np.swapaxes(self._C(tris, pts), -1, -2) @ g
 
 
 def random_function(dofmap, rng, n_components=1, scale=1.0):

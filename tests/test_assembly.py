@@ -456,11 +456,12 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 10% above 1426 (ns), 1612 (vk) and 528 (CR) measured
-# with G, the load and b_pw built.  Keeping the energy element matrices or
-# the Morley dof matrices breaks each budget (2146, 2332 and 816 with both
-# and the quadrature points)
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1568, "vk_poly": 1773, "cr_sine": 580}
+# refine(l_shape, 5): 3.5-5% above 1282 (ns), 1468 (vk) and 496 (CR)
+# measured with G, the load and b_pw built.  The closed-form basis tables
+# hold grad lambda, the first vertices, B and the hessians; the monomial
+# coefficients of a dof-matrix inverse (1426, 1612 and 528 with them) break
+# each budget, and so does keeping the energy element matrices
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1330, "vk_poly": 1520, "cr_sine": 520}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))

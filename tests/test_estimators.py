@@ -97,8 +97,11 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
     pts = edge_points(m, quad_edge(4))
     t_plus, t_minus = m.triangles_of_edge.T
     interior = t_minus >= 0
+    cent = m.vertices[m.triangles].mean(axis=1)
+    g_cent = np.einsum("tjd,tj->td",
+                       tab.grads_at(np.arange(m.n_triangles), cent), cu)
     for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
-        got = _lap_grad_at_edges(tab, H, cu, tris, x)
+        got = _lap_grad_at_edges(H, g_cent, cent, tris, x)
         g = np.einsum("eqjd,ej->eqd", tab.grads_at(tris, x), cu[tris])
         want = lap[tris][:, None, None] * g
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -131,6 +134,18 @@ def test_estimators_reject_space_mismatch(square8):
     man = manufactured("ns_poly")
     with pytest.raises(ValueError, match="CR"):
         cr_apriori_terms(square8, man.exact[0], man.problem)
+
+
+def test_cr_estimate_needs_the_exact_solution():
+    """A CR level is estimated by its exact solution's a priori terms; without
+    one there is nothing to estimate by, so no indicators come back."""
+    man = manufactured("cr_sine")
+    cr = Assembler(refine(builtin_domain("unit_square"), 2), man.problem)
+    assert cr.dofmap.n_free == 40
+    U = np.zeros(cr.dofmap.n_free)
+    with pytest.raises(ValueError, match="exact solution"):
+        estimate(cr, U)
+    assert estimate(cr, U, exact=man.exact).eta_total > 0.0
 
 
 def test_vk_edge_indicators_sum_over_components(lshape):

@@ -262,6 +262,24 @@ def test_transfer_requires_parent(square32):
         transfer_morley(level, u, level)
 
 
+def test_transfer_rejects_a_parent_map_onto_a_larger_mesh(square8, square32):
+    # the fine mesh's parents index the 32 triangles of square32, not square8
+    coarse = morley_level(square8)
+    fine = morley_level(uniform_refine(square32))
+    with pytest.raises(ValueError, match="does not match the coarse mesh"):
+        transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine)
+
+
+def test_transfer_rejects_a_parent_map_that_does_not_nest(square8, square32):
+    # the parents of a refined square8 are valid indices into square32, but
+    # the fine triangles do not lie in the square32 triangles they name
+    coarse = morley_level(square32)
+    fine = morley_level(uniform_refine(square8))
+    assert fine.mesh.parent.max() < square32.n_triangles
+    with pytest.raises(ValueError, match="does not nest"):
+        transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine)
+
+
 def test_transfer_of_a_pair_stacks_the_scalar_transfers(square32):
     # a von Karman pair is its two components concatenated, and each one
     # moves on its own

@@ -252,3 +252,32 @@ def test_no_new_module_cache_pins_a_level():
                 offenders.append(f"{path.name}:{node.lineno}")
     offenders += [f"{f}: {name}" for f, name in sorted(found - ALLOWED_CACHES)]
     assert not offenders, f"module caches off the allowed list: {offenders}"
+
+
+# the only dense inverses and solves in src/ncfem, by (file, outermost class
+# or function): the 3 x 3 barycentric matrices of the basis tables, the 3 x 3
+# least-squares fits of osc_1, and the 2 x 2 point-in-triangle test
+DENSE_SOLVERS = {"inv", "solve"}
+DENSE_SOLVE_OWNERS = {("spaces.py", "_Barycentric"),
+                      ("interpolation.py", "oscillation"),
+                      ("afem.py", "corner_fraction")}
+
+
+def test_dense_inverses_stay_in_their_owners():
+    """np.linalg.inv and np.linalg.solve appear only in DENSE_SOLVE_OWNERS,
+    so no per-element dof-matrix inverse comes back: the Morley basis is a
+    closed form in the barycentric coordinates."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute)
+                        and node.attr in DENSE_SOLVERS
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "linalg"
+                        and (path.name, owner) not in DENSE_SOLVE_OWNERS):
+                    offenders.append(f"{path.name}:{node.lineno} "
+                                     f"linalg.{node.attr} in {owner}")
+    assert not offenders, f"dense inverses off their owners: {offenders}"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import cr_dofmap, evaluate, morley_dofmap, random_function
+from conftest import (MorleyByInverse, cr_dofmap, evaluate, morley_dofmap,
+                      random_function)
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, local_coefficients,
-                          morley_dof_matrix, physical_points)
+                          physical_points)
 
 
 def test_dof_counts_bisected_square():
@@ -46,11 +47,45 @@ def test_cr_basis_kronecker(square8):
 
 
 def test_morley_dof_duality_every_element(square32, lshape):
+    """The six functionals of the closed-form basis: values at the vertices,
+    and normal derivatives against nu_E at the edge midpoints, which are the
+    edge means since the gradients are affine."""
     for m in (square32, lshape):
         tab = basis_tables(m, SpaceTag.MORLEY)
-        defect = np.abs(np.einsum("tim,tmj->tij", morley_dof_matrix(m), tab.C)
-                        - np.eye(6)).max()
-        assert defect < 1e-12
+        tris = np.arange(m.n_triangles)
+        p = m.vertices[m.triangles]
+        mids = np.stack([0.5 * (p[:, (k + 1) % 3] + p[:, (k + 2) % 3])
+                         for k in range(3)], axis=1)
+        nu = geometry(m).nu_E[m.edge_of_triangle]
+        dn = np.einsum("tkjd,tkd->tkj", tab.grads_at(tris, mids), nu)
+        functionals = np.concatenate([tab.values_at(tris, p), dn], axis=1)
+        assert np.abs(functionals - np.eye(6)).max() < 1e-12
+
+
+@pytest.mark.parametrize("mesh", ["square32", "lshape", "graded_lshape"])
+def test_morley_closed_form_matches_the_dof_matrix_inverse(mesh, request):
+    """values_at, grads_at (paired and per-element input) and hess equal the
+    basis C = inv(D) of the monomial dof matrix to 1e-12 relative."""
+    m = request.getfixturevalue(mesh)
+    m = m[1] if mesh == "graded_lshape" else m
+    tab, ref = basis_tables(m, SpaceTag.MORLEY), MorleyByInverse(m)
+    assert np.abs(np.einsum("tim,tmj->tij", ref.D, ref.C) - np.eye(6)).max() < 1e-12
+    tris = np.arange(m.n_triangles)
+    rng = np.random.default_rng(2)
+    pts = physical_points(m, rng.dirichlet(np.ones(3), size=5))     # (nt, 5, 2)
+    ptris = np.repeat(tris, 2)
+    ppts = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), size=len(ptris)),
+                     m.vertices[m.triangles[ptris]])                 # (n, 2)
+
+    def close(got, want):
+        scale = np.abs(want).max(axis=tuple(range(1, want.ndim)))
+        extra = (None,) * (want.ndim - 1)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale[(slice(None),) + extra])
+
+    for t, x in ((tris, pts), (ptris, ppts)):
+        close(tab.values_at(t, x), ref.values_at(t, x))
+        close(tab.grads_at(t, x), ref.grads_at(t, x))
+    close(tab.hess, ref.hess)
 
 
 def test_evaluate_zero_function(square8):
