@@ -25,7 +25,7 @@ from .interpolation import transfer_morley
 from .mesh import bisect, uniform_refine
 from .problems import ProblemSpec
 from .solve import newton_solve
-from .spaces import SpaceTag
+from .spaces import SpaceTag, space_of
 
 __all__ = [
     "ConvergenceRecord", "NewtonDivergence", "dorfler_mark", "afem_loop",
@@ -147,8 +147,13 @@ def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
               tol: float = 1e-10, exact=None, on_level=None) -> AfemResult:
     """Adaptive loop with Doerfler marking and bisection; stops once n_free
     exceeds max_free_dofs or nothing is marked.  on_level(asm, U, record)
-    is called once per level (see _run_levels)."""
+    is called once per level (see _run_levels).  Morley problems only: the
+    CR indicators are a priori terms of the exact solution that never read
+    the discrete one, so nothing would drive the marking."""
     _check_theta(theta)
+    if space_of(problem.kind) is not SpaceTag.MORLEY:
+        raise ValueError("afem needs a Morley problem: the CR indicators do "
+                         "not read the discrete solution")
 
     def mark_and_bisect(rec, mesh, report):
         if rec.n_free > max_free_dofs:
@@ -182,19 +187,19 @@ def corner_fraction(mesh, center=(0.0, 0.0), radius: float = 0.1):
     c = np.asarray(center, dtype=float)
     p = mesh.vertices[mesh.triangles]          # (nt, 3, 2)
     d2 = np.full(mesh.n_triangles, np.inf)
+    cross = np.empty((3, mesh.n_triangles))
     for k in range(3):
         a = p[:, k]
-        b = p[:, (k + 1) % 3]
-        ab = b - a
-        t = np.clip(np.einsum("td,td->t", c - a, ab)
+        ab = p[:, (k + 1) % 3] - a
+        ac = c - a
+        t = np.clip(np.einsum("td,td->t", ac, ab)
                     / np.einsum("td,td->t", ab, ab), 0.0, 1.0)
         proj = a + t[:, None] * ab
         d2 = np.minimum(d2, np.einsum("td,td->t", c - proj, c - proj))
-    # points inside a triangle have distance zero
-    v0 = p[:, 0]
-    g = np.linalg.inv(np.stack([p[:, 1] - v0, p[:, 2] - v0], axis=-1))
-    lam = np.einsum("tde,te->td", g, c - v0)
-    inside = (lam[:, 0] >= -1e-12) & (lam[:, 1] >= -1e-12) \
-        & (lam.sum(axis=1) <= 1 + 1e-12)
+        # twice the area of (a, b, c): 2|T| times lambda of the third vertex
+        cross[k] = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    # points inside a (counterclockwise) triangle have distance zero; the
+    # three crosses sum to 2|T|, so each lambda >= -1e-12 reads
+    inside = (cross >= -1e-12 * cross.sum(axis=0)).all(axis=0)
     d2[inside] = 0.0
     return float(np.count_nonzero(d2 <= radius ** 2) / mesh.n_triangles)

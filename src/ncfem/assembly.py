@@ -40,6 +40,7 @@ import scipy.sparse as sparse
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
+from .quadrature import quad_triangle
 from .spaces import (DofMap, SpaceTag, basis_tables, build_dofmap,
                      local_coefficients, space_of, volume_quadrature)
 
@@ -109,7 +110,7 @@ class Assembler:
         self.geom = geometry(mesh)
         self.tables = basis_tables(mesh, space)
         xq, wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
-        vals = self.tables.values_at(np.arange(mesh.n_triangles), xq)
+        vals = self.tables.values_at(quad_triangle(VOLUME_QUAD_DEGREE).points)
         self._b_csr = None
         if space is SpaceTag.MORLEY:
             a_loc = self._init_morley(wdx, vals)
@@ -137,9 +138,8 @@ class Assembler:
             # so int_T phi_j,y phi_k,x = |T| g_j,y g_k,x + (H_j M H_k)_yx
             # with M the second moment of T about its centroid c
             p = self.mesh.vertices[self.mesh.triangles]
-            c = p.mean(axis=1)
-            g = np.swapaxes(tab.grads_at(np.arange(len(c)), c), 1, 2)  # (nt, 2, 6)
-            d = p - c[:, None, :]
+            d = p - p.mean(axis=1, keepdims=True)
+            g = np.swapaxes(tab.centroid_grads(), 1, 2)       # (nt, 2, 6)
             M = (area / 12.0) * (np.swapaxes(d, 1, 2) @ d)    # (nt, 2, 2)
             P = (area * (g[:, 1, :, None] * g[:, 0, None, :])
                  + hess[:, :, 1, :] @ M @ np.swapaxes(hess[:, :, :, 0], 1, 2))

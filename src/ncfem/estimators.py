@@ -103,8 +103,7 @@ def _estimate_morley(asm, U) -> EstimatorReport:
         erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
         pts = edge_points(mesh, erule)
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
-        g = np.einsum("tjd,tj->td",
-                      tab.grads_at(np.arange(mesh.n_triangles), cent), cs[0])
+        g = np.einsum("tjd,tj->td", tab.centroid_grads(), cs[0])
         w_plus = _lap_grad_at_edges(Hs[0], g, cent, t_plus, pts)
         w_minus = np.zeros_like(w_plus)
         interior = t_minus >= 0

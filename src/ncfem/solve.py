@@ -500,9 +500,8 @@ def discrete_embedding_ratio(asm):
     bary = np.vstack([np.eye(3), 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0)),
                       rule.points])
     pts = physical_points(mesh, bary)
-    tris = np.arange(mesh.n_triangles)
     fo = dofmap.free_of_dof[dofmap.element_dofs]     # (nt, nloc), -1 if fixed
-    V = asm.tables.values_at(tris, pts) * (fo >= 0)[:, None, :]   # (nt, nq, nloc)
+    V = asm.tables.values_at(bary) * (fo >= 0)[:, None, :]   # (nt, nq, nloc)
     nq = pts.shape[1]
     # start where some free phi_i(x) != 0 (on the unrefined square the only
     # free function vanishes at the centroid)

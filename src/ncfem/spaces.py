@@ -28,13 +28,17 @@ its space and its number of components.
 
 Second derivatives are constant per element, and so are CR gradients: the
 tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
-`grads` (nt, 3, 2) on the CR table.  bary_at, values_at and the Morley
-grads_at accept either paired input (tris (n,), pts (n, 2)) or one point set
-per element (tris (nt,), pts (nt, nq, 2)).  Morley gradients are affine,
+`grads` (nt, 3, 2) on the CR table.  values_at and the Morley grads_at take
+barycentric points lambda, either (nq, 3) shared by every element or
+(nt, nq, 3), one set per element, and return (nt, nq, ...); the CR values do
+not depend on the element, so shared points give a broadcast view.  Every
+caller knows lambda in advance (quadrature nodes, vertices, edge midpoints,
+centroids); bary_at(tris, pts) maps paired physical points back to lambda
+for the transfer between nested meshes only.  Morley gradients are affine,
 grad u(x) = g_T + H_T (x - c_T), so kernels that need one function's
-gradient or a pairing of basis gradients can start from grads_at at the
-centroids c_T and the hessians instead of a table; barycentric_form folds a
-function's six local coefficients once for evaluation at many points.
+gradient or a pairing of basis gradients can start from centroid_grads and
+the hessians instead of a table; barycentric_form folds a function's six
+local coefficients once for evaluation at many points.
 """
 from __future__ import annotations
 
@@ -95,18 +99,6 @@ def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
                   dof_of_free=dof_of_free, n_free=len(dof_of_free))
 
 
-def _per_element(arr, pts_ndim):
-    """Insert a broadcast axis for per-element point sets (pts of ndim 3)."""
-    return arr[:, None, ...] if pts_ndim == 3 else arr
-
-
-def _rowmul(x, M):
-    """Rows x (n, k) or (n, nq, k) times the matrices M (n, k, l): one small
-    matmul per element, or per point when paired."""
-    out = (x if x.ndim == 3 else x[:, None, :]) @ M
-    return out.reshape(x.shape[:-1] + M.shape[-1:])
-
-
 class _Barycentric:
     """The barycentric coordinates lambda of every element: their constant
     gradients and the first vertex, from which lambda_1, lambda_2 are read."""
@@ -122,11 +114,12 @@ class _Barycentric:
         self.v0 = mesh.vertices[mesh.triangles[:, 0]]
 
     def bary_at(self, tris, pts):
-        """lambda (..., 3) at paired or per-element points (see module doc)."""
-        d = pts - _per_element(self.v0[tris], pts.ndim)
-        lam12 = _rowmul(d, np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2))
+        """lambda (n, 3) of the elements tris (n,) at the points pts (n, 2)."""
+        d = pts - self.v0[tris]
+        lam12 = (d[:, None, :]
+                 @ np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2))[:, 0]
         lam0 = 1.0 - lam12.sum(axis=-1)
-        return np.concatenate([lam0[..., None], lam12], axis=-1)
+        return np.concatenate([lam0[:, None], lam12], axis=-1)
 
 
 class _MorleyTables(_Barycentric):
@@ -138,35 +131,35 @@ class _MorleyTables(_Barycentric):
         gl = self.grad_lambda
         nu = geometry(mesh).nu_E[mesh.edge_of_triangle]        # (nt, 3, 2)
         self.B = gl @ np.swapaxes(nu, 1, 2)                     # (nt, 3, 3)
+        self.a = np.diagonal(self.B, axis1=1, axis2=2)          # (nt, 3) view
         # D^2 psi_m = -2 grad lambda_m (x) grad lambda_m / a_m
-        hpsi = ((-2.0 / self._a(slice(None)))[:, :, None, None]
+        hpsi = ((-2.0 / self.a)[:, :, None, None]
                 * (gl[:, :, :, None] * gl[:, :, None, :]))
         hphi = -np.einsum("tim,tmab->tiab", self.B, hpsi)
         self.hess = np.concatenate([hphi, hpsi], axis=1)       # (nt, 6, 2, 2)
 
-    def _a(self, tris):
-        return np.diagonal(self.B, axis1=1, axis2=2)[tris]
-
-    def values_at(self, tris, pts):
-        lam = self.bary_at(tris, pts)
-        psi = lam * (1.0 - lam) / _per_element(self._a(tris), pts.ndim)
-        phi = lam - _rowmul(psi, np.swapaxes(self.B[tris], 1, 2))
+    def values_at(self, lam):
+        psi = lam * (1.0 - lam) / self.a[:, None, :]
+        phi = lam - psi @ np.swapaxes(self.B, 1, 2)
         return np.concatenate([phi, psi], axis=-1)
 
-    def grads_at(self, tris, pts):
-        lam = self.bary_at(tris, pts)
-        s = (1.0 - 2.0 * lam) / _per_element(self._a(tris), pts.ndim)
-        gl = _per_element(self.grad_lambda[tris], pts.ndim)    # (..., 3, 2)
+    def grads_at(self, lam):
+        s = (1.0 - 2.0 * lam) / self.a[:, None, :]
+        gl = self.grad_lambda[:, None]                          # (nt, 1, 3, 2)
         gpsi = s[..., None] * gl
-        gphi = gl - _per_element(self.B[tris], pts.ndim) @ gpsi
+        gphi = gl - self.B[:, None] @ gpsi
         return np.concatenate([gphi, gpsi], axis=-2)
+
+    def centroid_grads(self):
+        """The basis gradients (nt, 6, 2) at the centroids."""
+        return self.grads_at(np.full((1, 3), 1.0 / 3.0))[:, 0]
 
     def barycentric_form(self, c):
         """The functions with local coefficients c (nt, 6) as
         u = lambda . c_v + lambda (1 - lambda) . w: returns (c_v, w), each
         (nt, 3), with w_m = (c_{e,m} - sum_i B_im c_{v,i}) / a_m."""
         cv = c[:, :3]
-        return cv, (c[:, 3:] - _rowmul(cv, self.B)) / self._a(slice(None))
+        return cv, (c[:, 3:] - (cv[:, None, :] @ self.B)[:, 0]) / self.a
 
 
 class _CRTables(_Barycentric):
@@ -176,9 +169,10 @@ class _CRTables(_Barycentric):
         super().__init__(mesh)
         self.grads = -2.0 * self.grad_lambda    # constant basis gradients
 
-    def values_at(self, tris, pts):
-        lam = self.bary_at(tris, pts)
-        return 1.0 - 2.0 * lam
+    def values_at(self, lam):
+        # the same on every element: shared points give a broadcast view
+        return np.broadcast_to(1.0 - 2.0 * lam,
+                               (len(self.grads),) + lam.shape[-2:])
 
 
 # one entry: a level's lookups are consecutive, and finished levels are freed

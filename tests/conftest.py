@@ -69,8 +69,10 @@ class MorleyByInverse:
     """Per-element Morley basis as C = inv(D), with D[t, i, m] the i-th dof
     functional (3 vertex values, then 3 edge-mean normal derivatives against
     the global edge normal, edge k opposite vertex k) of the m-th monomial
-    in the local frame (x - center) / h_T.  values_at / grads_at take paired
-    points (n, 2) or one point set per element (nt, nq, 2)."""
+    in the local frame (x - center) / h_T.  Unlike the tables it works in
+    physical coordinates: values_at / grads_at take paired points
+    (tris (n,), pts (n, 2)) or a point set per listed element
+    (tris (n,), pts (n, nq, 2))."""
 
     def __init__(self, mesh):
         p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
@@ -111,16 +113,27 @@ def random_function(dofmap, rng, n_components=1, scale=1.0):
     return scale * rng.standard_normal(n_components * dofmap.n_free)
 
 
-def evaluate(mesh, dofmap, u, triangle, point, derivative="value"):
-    """Value or (Morley) gradient of u at one point, from the polynomial of
-    the given element; no inter-element continuity is assumed."""
+def evaluate(mesh, dofmap, u, triangle, lam, derivative="value"):
+    """Value or (Morley) gradient of u at the barycentric point lam (3,) of
+    the given element, from its polynomial; no inter-element continuity is
+    assumed."""
     tab = basis_tables(mesh, dofmap.space)
     loc = local_coefficients(dofmap, u)[triangle]
-    tris = np.asarray([triangle])
-    pts = np.asarray(point, dtype=float)[None, :]
+    lam = np.asarray(lam, dtype=float)[None, :]
     if derivative == "value":
-        return float(tab.values_at(tris, pts)[0] @ loc)
-    return tab.grads_at(tris, pts)[0].T @ loc
+        return float(tab.values_at(lam)[triangle, 0] @ loc)
+    return tab.grads_at(lam)[triangle, 0].T @ loc
+
+
+def vertex_lam(mesh, triangle, vertex):
+    """Barycentric coordinates of a vertex of the given element."""
+    return np.eye(3)[list(mesh.triangles[triangle]).index(vertex)]
+
+
+def midpoint_lam(mesh, triangle, edge):
+    """Barycentric coordinates of the midpoint of an edge of the element;
+    local edge k is opposite local vertex k."""
+    return 0.5 * (1.0 - np.eye(3)[list(mesh.edge_of_triangle[triangle]).index(edge)])
 
 
 def morley_dofmap(mesh):

@@ -9,6 +9,7 @@ from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
                             assembler)
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
+from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
 from ncfem.spaces import local_coefficients, volume_quadrature
 from ncfem.interpolation import morley_interpolate
@@ -71,7 +72,7 @@ def test_cr_stiffness_closed_form_reference_triangle():
     m = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     asm = Assembler(m, cr_problem())
     xq, wdx = volume_quadrature(m, 4)
-    a_loc, _ = asm._init_cr(xq, wdx, asm.tables.values_at(np.arange(1), xq))
+    a_loc, _ = asm._init_cr(xq, wdx, asm.tables.values_at(quad_triangle(4).points))
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
     assert np.allclose(a_loc[0], expected, atol=1e-13)
 
@@ -114,15 +115,16 @@ def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     m = lshape if mesh == "lshape" else graded_lshape[1]
     asm = Assembler(m, NS)
     tab = asm.tables
-    xq, wdx = volume_quadrature(m, 4)
-    g = tab.grads_at(np.arange(m.n_triangles), xq)        # (nt, nq, 6, 2)
+    rule = quad_triangle(4)
+    _, wdx = volume_quadrature(m, 4)
+    g = tab.grads_at(rule.points)                          # (nt, nq, 6, 2)
     gx, gy = g[..., 0], g[..., 1]
     S = (np.einsum("tq,tqj,tqk->tjk", wdx, gy, gx)
          - np.einsum("tq,tqj,tqk->tjk", wdx, gx, gy))
     scale = np.abs(S).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(asm.S - S) <= 1e-12 * scale)
     assert np.array_equal(asm.S, -np.transpose(asm.S, (0, 2, 1)))
-    a_loc = asm._init_morley(wdx, tab.values_at(np.arange(m.n_triangles), xq))
+    a_loc = asm._init_morley(wdx, tab.values_at(rule.points))
     a = np.einsum("t,tiab,tjab->tij", asm.geom.area, tab.hess, tab.hess)
     scale = np.abs(a).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(a_loc - a) <= 1e-12 * scale)
@@ -139,8 +141,8 @@ def test_gamma_ns_value_matches_quadrature(mesh, lshape, graded_lshape):
     m = refine(lshape, 1) if mesh == "lshape" else graded_lshape[1]
     asm = Assembler(m, NS)
     dm, tab = asm.dofmap, asm.tables
-    xq, wdx = volume_quadrature(m, 4)
-    g = tab.grads_at(np.arange(m.n_triangles), xq)        # (nt, nq, 6, 2)
+    _, wdx = volume_quadrature(m, 4)
+    g = tab.grads_at(quad_triangle(4).points)              # (nt, nq, 6, 2)
     lap = tab.hess[:, :, 0, 0] + tab.hess[:, :, 1, 1]     # (nt, 6)
     rng = np.random.default_rng(7)
     for _ in range(5):

@@ -141,6 +141,13 @@ def test_cli_bad_level_arguments_are_usage_errors(argv, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_cli_afem_refuses_a_cr_problem(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["afem", "--problem", "cr_sine", "--out", str(out)]) == 2
+    assert "Morley problem" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
 def test_cli_config_file_with_overrides(tmp_path):
     out = tmp_path / "o1"
     cfgfile = tmp_path / "run.cfg"

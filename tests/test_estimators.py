@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import morley_dofmap, random_function
+from conftest import MorleyByInverse, morley_dofmap, random_function
 from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (EstimatorReport, _hessians, _lap_grad_at_edges,
@@ -82,8 +82,9 @@ def test_ns_estimator_report_consistency(square32):
 
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
 def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
-    """The affine gradient g_T + H_T (x - c_T) against the basis gradients
-    of grads_at contracted with u, from both sides of every edge."""
+    """The affine gradient g_T + H_T (x - c_T), from centroid_grads, against
+    the basis gradients of the dof-matrix inverse at the physical edge
+    points contracted with u, from both sides of every edge."""
     if mesh == "lshape":
         m = lshape
         dm = morley_dofmap(m)
@@ -98,11 +99,11 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
     t_plus, t_minus = m.triangles_of_edge.T
     interior = t_minus >= 0
     cent = m.vertices[m.triangles].mean(axis=1)
-    g_cent = np.einsum("tjd,tj->td",
-                       tab.grads_at(np.arange(m.n_triangles), cent), cu)
+    g_cent = np.einsum("tjd,tj->td", tab.centroid_grads(), cu)
+    ref = MorleyByInverse(m)
     for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
         got = _lap_grad_at_edges(H, g_cent, cent, tris, x)
-        g = np.einsum("eqjd,ej->eqd", tab.grads_at(tris, x), cu[tris])
+        g = np.einsum("eqjd,ej->eqd", ref.grads_at(tris, x), cu[tris])
         want = lap[tris][:, None, None] * g
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 

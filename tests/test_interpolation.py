@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (cr_dofmap, evaluate, mean_gradient_by_parts,
-                      mean_hessian_by_parts, morley_dofmap, random_function)
+                      mean_hessian_by_parts, morley_dofmap, random_function,
+                      vertex_lam)
 from ncfem.assembly import Assembler
 from ncfem.interpolation import (cr_dof_values, cr_interpolate,
                                  morley_dof_values, morley_interpolate,
@@ -47,7 +48,7 @@ def test_morley_reproduces_p2_dofs(square8):
     for z in square8.interior_vertices():
         t = next(t for t in range(square8.n_triangles)
                  if z in square8.triangles[t])
-        assert evaluate(square8, dm, u, t, square8.vertices[z]) == pytest.approx(
+        assert evaluate(square8, dm, u, t, vertex_lam(square8, t, z)) == pytest.approx(
             fld.value(square8.vertices[z][None, :])[0], abs=1e-11)
 
 
@@ -250,7 +251,7 @@ def test_transfer_preserves_shared_vertex_dofs(square32):
                                        axis=1))[0])
         t_c = next(t for t in range(square32.n_triangles)
                    if z in square32.triangles[t])
-        expect = evaluate(square32, dm_c, u, t_c, square32.vertices[z])
+        expect = evaluate(square32, dm_c, u, t_c, vertex_lam(square32, t_c, z))
         got = v[dm_f.free_of_dof[zf]]
         assert got == pytest.approx(expect, abs=1e-11)
 

@@ -255,12 +255,11 @@ def test_no_new_module_cache_pins_a_level():
 
 
 # the only dense inverses and solves in src/ncfem, by (file, outermost class
-# or function): the 3 x 3 barycentric matrices of the basis tables, the 3 x 3
-# least-squares fits of osc_1, and the 2 x 2 point-in-triangle test
+# or function): the 3 x 3 barycentric matrices of the basis tables and the
+# 3 x 3 least-squares fits of osc_1
 DENSE_SOLVERS = {"inv", "solve"}
 DENSE_SOLVE_OWNERS = {("spaces.py", "_Barycentric"),
-                      ("interpolation.py", "oscillation"),
-                      ("afem.py", "corner_fraction")}
+                      ("interpolation.py", "oscillation")}
 
 
 def test_dense_inverses_stay_in_their_owners():
@@ -281,3 +280,23 @@ def test_dense_inverses_stay_in_their_owners():
                     offenders.append(f"{path.name}:{node.lineno} "
                                      f"linalg.{node.attr} in {owner}")
     assert not offenders, f"dense inverses off their owners: {offenders}"
+
+
+# the one map from physical points back to barycentric coordinates: the
+# basis tables take lambda, which every other caller knows in advance
+BARY_AT_CALLERS = {("interpolation.py", "transfer_morley")}
+
+
+def test_only_the_transfer_maps_physical_points_to_barycentric():
+    """bary_at is called in src/ncfem only by transfer_morley, which locates
+    fine points in coarse elements, so physical points do not flow back into
+    basis evaluation."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for owner, call in _calls_by_function(ast.parse(path.read_text())):
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name == "bary_at" and (path.name, owner) not in BARY_AT_CALLERS:
+                offenders.append(f"{path.name}:{call.lineno} in {owner}")
+    assert not offenders, f"bary_at off the transfer: {offenders}"

@@ -794,13 +794,12 @@ def test_embedding_ratio_positive_and_finite(square32):
 
 def _dense_embedding_constant(asm):
     """max over the point set of sqrt(phi_x^T G^-1 phi_x), with G^-1 dense."""
-    mesh, dm = asm.mesh, asm.dofmap
+    dm = asm.dofmap
     Ginv = np.linalg.inv(asm.gram().toarray())
     eye = np.eye(3)
     bary = np.vstack([eye, 0.5 * (eye + np.roll(eye, 1, axis=0)),
                       quad_triangle(4).points])
-    pts = np.einsum("qk,tkd->tqd", bary, mesh.vertices[mesh.triangles])
-    V = asm.tables.values_at(np.arange(mesh.n_triangles), pts)
+    V = asm.tables.values_at(bary)
     # phi_x as a dense vector over free dofs, by the local coefficients of e_i
     loc = np.stack([local_coefficients(dm, e) for e in np.eye(dm.n_free)])
     Phi = np.einsum("tqj,itj->tqi", V, loc).reshape(-1, dm.n_free)

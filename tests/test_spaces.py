@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (MorleyByInverse, cr_dofmap, evaluate, morley_dofmap,
-                      random_function)
+from conftest import (MorleyByInverse, cr_dofmap, evaluate, midpoint_lam,
+                      morley_dofmap, random_function, vertex_lam)
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, local_coefficients,
@@ -29,19 +29,17 @@ def test_dimension_formula(square32, lshape):
 
 def test_cr_basis_kronecker(square8):
     tab = basis_tables(square8, SpaceTag.CROUZEIX_RAVIART)
+    # midpoint k of every element (edge k opposite vertex k)
+    values = tab.values_at(0.5 * (1.0 - np.eye(3)))
+    assert values.shape == (square8.n_triangles, 3, 3)
+    assert np.abs(values - np.eye(3)).max() < 1e-13
     for t in (0, 3):
-        for j in range(3):
-            e = square8.edge_of_triangle[t, j]
-            mid = square8.vertices[square8.edges[e]].mean(axis=0)
-            values = tab.values_at(np.array([t]), mid[None, :])[0]
-            expected = np.zeros(3)
-            expected[j] = 1.0
-            assert np.allclose(values, expected, atol=1e-13)
-        # the basis is affine: every second difference vanishes
-        c = square8.vertices[square8.triangles[t]].mean(axis=0)
+        # the basis is affine: every second difference vanishes, here along
+        # physical steps from the centroid
         steps = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, 0.1],
                           [0.0, -0.1], [0.1, 0.1], [-0.1, -0.1]])
-        v = tab.values_at(np.full(7, t), c + steps)
+        lam = 1.0 / 3.0 + steps @ tab.grad_lambda[t].T
+        v = tab.values_at(lam)[t]
         for i in (1, 3, 5):
             assert np.allclose(v[i] - 2.0 * v[0] + v[i + 1], 0.0, atol=1e-13)
 
@@ -52,48 +50,51 @@ def test_morley_dof_duality_every_element(square32, lshape):
     edge means since the gradients are affine."""
     for m in (square32, lshape):
         tab = basis_tables(m, SpaceTag.MORLEY)
-        tris = np.arange(m.n_triangles)
-        p = m.vertices[m.triangles]
-        mids = np.stack([0.5 * (p[:, (k + 1) % 3] + p[:, (k + 2) % 3])
-                         for k in range(3)], axis=1)
         nu = geometry(m).nu_E[m.edge_of_triangle]
-        dn = np.einsum("tkjd,tkd->tkj", tab.grads_at(tris, mids), nu)
-        functionals = np.concatenate([tab.values_at(tris, p), dn], axis=1)
+        dn = np.einsum("tkjd,tkd->tkj", tab.grads_at(0.5 * (1.0 - np.eye(3))), nu)
+        functionals = np.concatenate([tab.values_at(np.eye(3)), dn], axis=1)
         assert np.abs(functionals - np.eye(6)).max() < 1e-12
 
 
 @pytest.mark.parametrize("mesh", ["square32", "lshape", "graded_lshape"])
 def test_morley_closed_form_matches_the_dof_matrix_inverse(mesh, request):
-    """values_at, grads_at (paired and per-element input) and hess equal the
-    basis C = inv(D) of the monomial dof matrix to 1e-12 relative."""
+    """values_at, grads_at (shared and per-element barycentric input) and
+    hess equal the basis C = inv(D) of the monomial dof matrix, which works
+    on physical points, to 1e-12 relative; bary_at maps the physical points
+    back."""
     m = request.getfixturevalue(mesh)
     m = m[1] if mesh == "graded_lshape" else m
     tab, ref = basis_tables(m, SpaceTag.MORLEY), MorleyByInverse(m)
     assert np.abs(np.einsum("tim,tmj->tij", ref.D, ref.C) - np.eye(6)).max() < 1e-12
-    tris = np.arange(m.n_triangles)
+    nt = m.n_triangles
+    tris = np.arange(nt)
     rng = np.random.default_rng(2)
-    pts = physical_points(m, rng.dirichlet(np.ones(3), size=5))     # (nt, 5, 2)
-    ptris = np.repeat(tris, 2)
-    ppts = np.einsum("nk,nkd->nd", rng.dirichlet(np.ones(3), size=len(ptris)),
-                     m.vertices[m.triangles[ptris]])                 # (n, 2)
+    shared = rng.dirichlet(np.ones(3), size=5)                      # (5, 3)
+    pts = physical_points(m, shared)                                # (nt, 5, 2)
+    assert np.abs(tab.bary_at(np.repeat(tris, 5), pts.reshape(-1, 2))
+                  - np.tile(shared, (nt, 1))).max() < 1e-12
+    # per element: two random physical points each, mapped by bary_at
+    epts = np.einsum("tqk,tkd->tqd", rng.dirichlet(np.ones(3), size=(nt, 2)),
+                     m.vertices[m.triangles])                       # (nt, 2, 2)
+    lam = tab.bary_at(np.repeat(tris, 2), epts.reshape(-1, 2)).reshape(nt, 2, 3)
 
     def close(got, want):
         scale = np.abs(want).max(axis=tuple(range(1, want.ndim)))
         extra = (None,) * (want.ndim - 1)
         assert np.all(np.abs(got - want) <= 1e-12 * scale[(slice(None),) + extra])
 
-    for t, x in ((tris, pts), (ptris, ppts)):
-        close(tab.values_at(t, x), ref.values_at(t, x))
-        close(tab.grads_at(t, x), ref.grads_at(t, x))
+    for lam_in, x in ((shared, pts), (lam, epts)):
+        close(tab.values_at(lam_in), ref.values_at(tris, x))
+        close(tab.grads_at(lam_in), ref.grads_at(tris, x))
     close(tab.hess, ref.hess)
 
 
 def test_evaluate_zero_function(square8):
     dm = morley_dofmap(square8)
     u = np.zeros(dm.n_free)
-    pt = square8.vertices[square8.triangles[0]].mean(axis=0)
-    assert evaluate(square8, dm, u, 0, pt) == 0.0
-    assert np.allclose(evaluate(square8, dm, u, 0, pt, "gradient"), 0.0)
+    centroid = np.full(3, 1.0 / 3.0)
+    assert evaluate(square8, dm, u, 0, centroid) == 0.0
+    assert np.allclose(evaluate(square8, dm, u, 0, centroid, "gradient"), 0.0)
 
 
 def test_morley_vertex_dof_continuity(square8):
@@ -107,7 +108,7 @@ def test_morley_vertex_dof_continuity(square8):
                 if z in square8.triangles[t]]
     assert len(adjacent) >= 3
     for t in adjacent:
-        assert evaluate(square8, dm, u, t, square8.vertices[z]) == pytest.approx(
+        assert evaluate(square8, dm, u, t, vertex_lam(square8, t, z)) == pytest.approx(
             1.0, abs=1e-12)
 
 
@@ -118,7 +119,7 @@ def test_morley_interelement_behavior(square32):
     g = geometry(square32)
     # value jumps vanish at interior vertices
     for z in square32.interior_vertices()[:8]:
-        vals = [evaluate(square32, dm, u, t, square32.vertices[z])
+        vals = [evaluate(square32, dm, u, t, vertex_lam(square32, t, z))
                 for t in range(square32.n_triangles)
                 if z in square32.triangles[t]]
         assert np.ptp(vals) < 1e-10
@@ -127,39 +128,36 @@ def test_morley_interelement_behavior(square32):
     for e in square32.interior_edges()[:12]:
         t0, t1 = square32.triangles_of_edge[e]
         assert min(t0, t1) >= 0
-        mid = square32.vertices[square32.edges[e]].mean(axis=0)
-        g0 = evaluate(square32, dm, u, t0, mid, "gradient") @ g.nu_E[e]
-        g1 = evaluate(square32, dm, u, t1, mid, "gradient") @ g.nu_E[e]
+        g0, g1 = (evaluate(square32, dm, u, t, midpoint_lam(square32, t, e),
+                           "gradient") @ g.nu_E[e] for t in (t0, t1))
         assert g0 == pytest.approx(g1, abs=1e-10)
 
 
 def test_cr_grads_match_central_differences(square8, lshape):
     for m in (square8, lshape):
         tab = basis_tables(m, SpaceTag.CROUZEIX_RAVIART)
-        tris = np.arange(m.n_triangles)
-        centroid = m.vertices[m.triangles].mean(axis=1)
         step = 1e-3 * geometry(m).h_T
         fd = np.empty((m.n_triangles, 3, 2))
         for d in range(2):
-            shift = np.zeros((m.n_triangles, 2))
-            shift[:, d] = step
-            fd[:, :, d] = ((tab.values_at(tris, centroid + shift)
-                            - tab.values_at(tris, centroid - shift))
+            # the centroid moved by +-step e_d: lambda shifts by step grad lambda . e_d
+            shift = step[:, None, None] * tab.grad_lambda[:, None, :, d]
+            fd[:, :, d] = ((tab.values_at(1.0 / 3.0 + shift)
+                            - tab.values_at(1.0 / 3.0 - shift))[:, 0]
                            / (2.0 * step[:, None]))
         defect = np.abs(tab.grads - fd).max(axis=(1, 2))
         assert (defect <= 1e-8 * np.abs(tab.grads).max(axis=(1, 2))).all()
 
 
-def morley_grads_by_central_differences(tab, tris, pts, step):
-    """Central differences of values_at; exact up to round-off for the
-    quadratic Morley basis.  step broadcasts against pts[..., 0]."""
-    fd = np.empty(pts.shape[:-1] + (6, 2))
+def morley_grads_by_central_differences(tab, lam, step):
+    """Central differences of values_at at the barycentric points lam,
+    (nq, 3) or (nt, nq, 3), with the physical step (nt,) per element: a move
+    by step e_d shifts lambda by step grad lambda . e_d.  Exact up to
+    round-off for the quadratic Morley basis."""
+    fd = np.empty((len(step), lam.shape[-2], 6, 2))
     for d in range(2):
-        shift = np.zeros(pts.shape)
-        shift[..., d] = step
-        fd[..., d] = ((tab.values_at(tris, pts + shift)
-                       - tab.values_at(tris, pts - shift))
-                      / (2.0 * step[..., None]))
+        shift = step[:, None, None] * tab.grad_lambda[:, None, :, d]
+        fd[..., d] = ((tab.values_at(lam + shift) - tab.values_at(lam - shift))
+                      / (2.0 * step[:, None, None]))
     return fd
 
 
@@ -167,20 +165,15 @@ def morley_grads_by_central_differences(tab, tris, pts, step):
 def test_morley_grads_match_central_differences(mesh, lshape, graded_lshape):
     m = lshape if mesh == "lshape" else graded_lshape[1]
     tab = basis_tables(m, SpaceTag.MORLEY)
-    h = geometry(m).h_T
-    # one point set per element: the degree-4 volume rule, (nt, nq, 2)
-    tris = np.arange(m.n_triangles)
-    pts = physical_points(m, quad_triangle(4).points)
-    step = 1e-3 * h[:, None]
-    # paired input: three random interior points per element, (n, 2)
+    step = 1e-3 * geometry(m).h_T
+    # shared points: the degree-4 volume rule, (nq, 3); one set per element:
+    # three random interior points each, (nt, 3, 3)
     rng = np.random.default_rng(0)
-    bary = rng.dirichlet(np.ones(3), size=3 * m.n_triangles)
-    ptris = np.repeat(tris, 3)
-    ppts = np.einsum("nk,nkd->nd", bary, m.vertices[m.triangles[ptris]])
-    for t, x, s in ((tris, pts, step), (ptris, ppts, 1e-3 * h[ptris])):
-        g = tab.grads_at(t, x)
-        fd = morley_grads_by_central_differences(tab, t, x, s)
-        assert g.shape == x.shape[:-1] + (6, 2)
+    for lam in (quad_triangle(4).points,
+                rng.dirichlet(np.ones(3), size=(m.n_triangles, 3))):
+        g = tab.grads_at(lam)
+        fd = morley_grads_by_central_differences(tab, lam, step)
+        assert g.shape == (m.n_triangles, lam.shape[-2], 6, 2)
         scale = np.abs(g).max(axis=(-2, -1), keepdims=True)
         assert np.all(np.abs(g - fd) <= 1e-8 * scale)
 
