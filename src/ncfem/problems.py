@@ -141,23 +141,25 @@ _G = np.array([0.0, 0.0, 1.0, -2.0, 1.0])      # t^2 (1 - t)^2
 _BUMP = np.outer(_G, _G)                         # in H^2_0 of the unit square
 
 
+def _sine_parts(pts):
+    """sin(pi x), cos(pi x), sin(pi y), cos(pi y) at points (..., 2)."""
+    pts = np.asarray(pts, dtype=float)
+    x, y = np.pi * pts[..., 0], np.pi * pts[..., 1]
+    return np.sin(x), np.cos(x), np.sin(y), np.cos(y)
+
+
 def _sine_field() -> Field:
     """u = sin(pi x) sin(pi y) with its gradient and Hessian."""
-    def parts(pts):
-        pts = np.asarray(pts, dtype=float)
-        x, y = np.pi * pts[..., 0], np.pi * pts[..., 1]
-        return np.sin(x), np.cos(x), np.sin(y), np.cos(y)
-
     def value(pts):
-        sx, _, sy, _ = parts(pts)
+        sx, _, sy, _ = _sine_parts(pts)
         return sx * sy
 
     def gradient(pts):
-        sx, cx, sy, cy = parts(pts)
+        sx, cx, sy, cy = _sine_parts(pts)
         return np.pi * np.stack([cx * sy, sx * cy], axis=-1)
 
     def hessian(pts):
-        sx, cx, sy, cy = parts(pts)
+        sx, cx, sy, cy = _sine_parts(pts)
         d, o = -sx * sy, cx * cy
         return np.pi ** 2 * np.stack([np.stack([d, o], axis=-1),
                                       np.stack([o, d], axis=-1)], axis=-2)
@@ -191,11 +193,12 @@ def _build(name: str) -> Manufactured:
         u = _sine_field()
         gamma = -20
         # -div(grad u + u b) + gamma u with A = I, b = (1, 1):
-        # -Lap u = 2 pi^2 u, so f = (2 pi^2 + gamma) u - u_x - u_y
+        # -Lap u = 2 pi^2 u, so f = (2 pi^2 + gamma) u - u_x - u_y, from one
+        # evaluation of the sines and the same products as u.value, u.gradient
         def f(pts):
-            grad = u.gradient(pts)
-            return ((2 * np.pi ** 2 + gamma) * u.value(pts)
-                    - grad[..., 0] - grad[..., 1])
+            sx, cx, sy, cy = _sine_parts(pts)
+            return ((2 * np.pi ** 2 + gamma) * (sx * sy)
+                    - np.pi * (cx * sy) - np.pi * (sx * cy))
 
         problem = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR,
                               f=f, A=_identity_matrix,

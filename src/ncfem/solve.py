@@ -8,24 +8,32 @@ SuperLU without pivoting (perm_r == perm_c).  A routine on one level takes
 its Assembler.
 
 newton_solve factors G once and reuses the factor for every residual norm and
-as the preconditioner of every Newton step after the first.  It factors G
-only after that first step, a direct solve with J whose LU is gone by then,
-so the two factors are never alive together; a start that already meets tol
-pays for one discarded direct solve.  J is a compact perturbation of the
+as the preconditioner of its GMRES steps.  J is a compact perturbation of the
 energy operator, so G^-1 J is the identity plus a compact term, and GMRES on
 it needs a number of iterations that does not grow with the mesh (Kirby,
 SIAM Rev. 2010).  _gram_gmres runs it in the G inner product (Pestana and
 Wathen, JCAM 2013), so that it stops on the dual norm the Newton loop tests,
 not on a Euclidean norm, which would mis-weigh the Morley vertex values
 against the normal derivatives.  A step only has to keep the next residual
-under tol, so its target is tol / 100: from the second step on that is a
-relative reduction of 1e-2 to 5e-9, which takes 1-3 iterations.  On
-the first step it is 3e-10 to 3e-12, and GMRES meets even that in 3-4
-iterations with no fallback on the afem and study levels.  The first step
-stays a direct solve through sparse_solve only because the benchmark in
-perfbench/ requires the solve.spsolve span on every workload (ROADMAP items
-1-2).  A later step whose GMRES misses its target within KRYLOV_MAX
-iterations falls back to sparse_solve too.
+under tol, so its target is tol / 100.
+
+A warm start (a given U0; every afem and study level after level 0 starts
+from the previous solution carried to its mesh) takes every step by GMRES,
+the first included, so G is the only matrix Newton factors, and a U0 that
+already meets tol costs that factor and no solve.  On the afem L-shape
+levels the first step is a relative reduction of 8e-12 to 3e-10, met in 3-4
+iterations (1 on the 13- and 17-dof levels), and each later one of 3e-3 to
+1e-8 in 1-3.  A cold start (U0 None: level 0 of
+every run, every CR level and the ncfem solve command) keeps a direct first
+step through sparse_solve, taken before G is factored and before the
+residual test, so that the LU of J is gone when the G factor is made; a cold
+start that already meets tol pays for one discarded direct solve.  For CR
+that is the right solve on its own terms: the problem is linear, so that
+step is its only one, and its operator is indefinite (beta0 dips to 0.0066).
+For a Morley cold start the only reason is that the benchmark in perfbench/
+requires the solve.spsolve span on every workload (ROADMAP items 1-2); once
+it does not, the cold start goes to GMRES too.  A step whose GMRES misses its
+target within KRYLOV_MAX iterations falls back to sparse_solve.
 
 Every splu here (_splu: G, and B in _infsup) orders the columns by
 minimum degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989),
@@ -35,9 +43,10 @@ supernodes (Demmel et al., SIMAX 1999) merge small subtrees of the
 elimination tree into dense blocks; under this ordering they store explicit
 zeros.  On the final G of the afem L-shape run (60421 dofs) the default relax
 stores 49 nnz(G) and factors in 4.9-6.3 s, relax=1 stores 4.4 nnz(G) in
-0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  Newton's direct step
-alone stays on COLAMD: sparse_solve calls spla.spsolve, which takes no relax
-option, and the benchmark in perfbench/ requires its span on every workload.
+0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  Newton's direct solves
+(a cold first step, a fallback) alone stay on COLAMD: sparse_solve calls
+spla.spsolve, which takes no relax option, and the benchmark in perfbench/
+requires its span on every workload.
 Without relax=1 the symmetric order does not pay there: on the final afem J,
 spsolve with permc_spec="MMD_AT_PLUS_A" took 17.2 s (fill 49.7) against
 1.05 s for COLAMD (fill 15.5), and "MMD_ATA" 1.13 s.
@@ -231,18 +240,22 @@ def _initial_iterate(asm, U0):
 def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     """Undamped Newton iteration on the level asm from U0 (default 0); stops
     once the correction energy norm or the residual dual norm drops to tol.
-    The first step solves with J directly (sparse_solve: GMRES would do, but
-    the benchmark requires the solve.spsolve span), and it is taken before G
-    is factored and before the residual test, so that the LU of J is gone
-    when the G factor is made; a U0 that already meets tol costs that one
-    discarded solve, and max_iter = 0 makes no solve.  Every later step
-    takes the G-preconditioned GMRES correction of _gram_gmres, whose linear
-    residual is at most tol / 100 in the dual norm, and falls back to
-    sparse_solve if GMRES misses that.  trace.krylov_iterations has one
-    entry per GMRES step and trace.direct_fallbacks counts the fallbacks.
-    Linear problems converge in one step.  Returns (solution, trace);
-    max_iter exhaustion is reported via trace.converged = False, a singular
-    Jacobian raises, and so does a mesh without free dofs."""
+    Every step takes the G-preconditioned GMRES correction of _gram_gmres,
+    whose linear residual is at most tol / 100 in the dual norm, and falls
+    back to sparse_solve if GMRES misses that; trace.krylov_iterations has
+    one entry per GMRES step and trace.direct_fallbacks counts the
+    fallbacks.  So a warm start (U0 given) factors G and nothing else, and a
+    U0 that already meets tol costs that factor and no solve.  A cold start
+    (U0 None) alone takes its first step with J directly (sparse_solve), before
+    G is factored and before the residual test, so that the LU of J is gone
+    when the G factor is made, and a cold start that already meets tol costs
+    that one discarded solve: CR is linear and indefinite, so one direct
+    step is its right solve, and for Morley the benchmark requires the
+    solve.spsolve span (see the module docstring).  max_iter = 0 makes no
+    solve and no factor.  Linear problems converge in one step.  Returns
+    (solution, trace); max_iter exhaustion is reported via trace.converged =
+    False, a singular Jacobian raises, and so does a mesh without free
+    dofs."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if asm.dofmap.n_free == 0:
@@ -257,8 +270,10 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     trace = NewtonTrace()
     for _ in range(max_iter):
         r = asm.residual(U)
-        if Glu is None:     # J and its LU are gone before G is factored
-            d = sparse_solve(asm.jacobian(U), -r)
+        d = None
+        if Glu is None:
+            if U0 is None:  # cold: J and its LU are gone before G is factored
+                d = sparse_solve(asm.jacobian(U), -r)
             Glu = _gram_factor(G)
             trace.gram_fill = Glu.nnz / G.nnz
         rn = dual(r)
@@ -266,7 +281,7 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
         if rn <= tol:
             trace.converged = True
             break
-        if trace.iterations:
+        if d is None:
             J = asm.jacobian(U)
             step = _gram_gmres(J, -r, Glu, tol / 100)
             if step is None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from ncfem.afem import afem_loop
 from ncfem.mesh import builtin_domain, geometry, refine
@@ -220,3 +221,35 @@ def patch_newton(monkeypatch, fail_from_level=None):
 
     monkeypatch.setattr(ncfem.afem, "newton_solve", newton_solve)
     return calls
+
+
+class SplaSpy:
+    """Stands in for scipy.sparse.linalg inside ncfem.solve, as the
+    benchmark's tracer does, and records the calls its spans see and what
+    they return, per name and in one ordered log of (name, args); `perturb`
+    is added to the first spsolve solution."""
+
+    def __init__(self, perturb=0.0):
+        self.args = {"splu": [], "spsolve": []}
+        self.results = {"splu": [], "spsolve": []}
+        self.log = []
+        self.perturb = perturb
+
+    @property
+    def calls(self):
+        return {name: len(seen) for name, seen in self.args.items()}
+
+    def __getattr__(self, name):
+        fn = getattr(scipy.sparse.linalg, name)
+        if name not in self.args:
+            return fn
+
+        def recorded(*args, **kwargs):
+            self.args[name].append((args, kwargs))
+            self.log.append((name, args))
+            out = fn(*args, **kwargs)
+            if name == "spsolve" and len(self.args[name]) == 1:
+                out = out + self.perturb
+            self.results[name].append(out)
+            return out
+        return recorded

@@ -3,12 +3,13 @@ import weakref
 
 import pytest
 
-from conftest import patch_newton
+from conftest import SplaSpy, patch_newton
 from ncfem.afem import (NewtonDivergence, afem_loop, corner_fraction,
                         uniform_study)
 from ncfem.assembly import assembler
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured, ns_unit_load
+import ncfem.solve
 from ncfem.spaces import basis_tables
 
 
@@ -38,6 +39,22 @@ def test_afem_ns_manufactured_eta_decreases():
     etas = [r.eta_total for r in res.records]
     assert all(b < a for a, b in zip(etas[1:], etas[2:]))
     assert all(r.error_pw is not None and r.error_pw > 0 for r in res.records)
+
+
+def test_afem_factors_only_g_after_level_0(monkeypatch):
+    """Level 0 starts cold, and its direct first step is the run's one
+    spsolve.  Every later level starts from the transferred solution, makes
+    the G factor its one splu and takes every Newton step by GMRES on it."""
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    calls = []
+    res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5, 1000,
+                    on_level=lambda asm, U, rec: calls.append(spla.calls))
+    assert res.records[-1].n_free > 1000
+    assert calls == [{"splu": k + 1, "spsolve": 1} for k in range(len(calls))]
+    for trace in res.traces[1:]:
+        assert trace.iterations >= 1 and trace.direct_fallbacks == 0
+        assert len(trace.krylov_iterations) == trace.iterations
 
 
 def test_afem_stops_at_budget():

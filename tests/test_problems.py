@@ -91,6 +91,30 @@ def test_cr_frozen_values():
     assert np.allclose(f(pts), expected, atol=1e-12)
 
 
+def test_cr_load_evaluates_the_sines_once(monkeypatch):
+    """f = (2 pi^2 + gamma) u - u_x - u_y takes sin and cos of pi x and pi y
+    once per call, and matches u.value and u.gradient bitwise."""
+    man = manufactured("cr_sine")
+    pts = RNG.random((40, 2))
+    u = man.exact[0]
+    grad = u.gradient(pts)
+    expected = (2 * np.pi ** 2 - 20) * u.value(pts) - grad[..., 0] - grad[..., 1]
+    calls = []
+
+    def counted(name):
+        ufunc = getattr(np, name)
+
+        def call(x):
+            calls.append(name)
+            return ufunc(x)
+        return call
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(np, name, counted(name))
+    out = man.problem.f(pts)
+    assert sorted(calls) == ["cos", "cos", "sin", "sin"]
+    assert np.array_equal(out, expected)
+
+
 def test_ns_load_against_hand_derivation():
     f = manufactured("ns_poly").problem.f
     pts = RNG.random((40, 2))

@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from conftest import SplaSpy
 from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
@@ -81,38 +82,6 @@ def test_gram_factor_fills_less_than_partial_pivoting():
     G = assembler(mesh, NS).gram()
     lu, pivoted = _gram_factor(G), scipy.sparse.linalg.splu(G.tocsc())
     assert lu.L.nnz + lu.U.nnz < pivoted.L.nnz + pivoted.U.nnz
-
-
-class SplaSpy:
-    """Stands in for scipy.sparse.linalg inside ncfem.solve, as the
-    benchmark's tracer does, and records the calls its spans see and what
-    they return, per name and in one ordered log of (name, args); `perturb`
-    is added to the first spsolve solution."""
-
-    def __init__(self, perturb=0.0):
-        self.args = {"splu": [], "spsolve": []}
-        self.results = {"splu": [], "spsolve": []}
-        self.log = []
-        self.perturb = perturb
-
-    @property
-    def calls(self):
-        return {name: len(seen) for name, seen in self.args.items()}
-
-    def __getattr__(self, name):
-        fn = getattr(scipy.sparse.linalg, name)
-        if name not in self.args:
-            return fn
-
-        def recorded(*args, **kwargs):
-            self.args[name].append((args, kwargs))
-            self.log.append((name, args))
-            out = fn(*args, **kwargs)
-            if name == "spsolve" and len(self.args[name]) == 1:
-                out = out + self.perturb
-            self.results[name].append(out)
-            return out
-        return recorded
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +233,8 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
                                                            monkeypatch):
     """Each step makes one linear solve: the first with J directly, every
     later one by GMRES on the G factor, unless it falls back to a direct
-    solve.  So J is factored once per Newton solve, plus once per fallback."""
+    solve.  So J is factored once per cold Newton solve, plus once per
+    fallback."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     _, trace = newton_solve(assembler(square32, manufactured(name).problem))
@@ -318,6 +288,44 @@ def test_newton_falls_back_to_the_direct_solve(square32, monkeypatch):
     assert max(krylov.krylov_iterations) > 1 and krylov.direct_fallbacks == 0
     assert direct.direct_fallbacks >= 1 and direct.converged
     assert direct.iterations == krylov.iterations
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+def test_warm_newton_takes_every_step_by_gmres(square32, name, monkeypatch):
+    """From a given U0 the G factor is the only factorization: every step,
+    the first included, is a GMRES step on it, and the solution agrees with
+    the cold start's to round-off in the energy norm."""
+    man = manufactured(name)
+    asm = assembler(square32, man.problem)
+    cold, _ = newton_solve(asm)
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    U, trace = newton_solve(asm, U0=interpolant(asm, man))
+    assert trace.converged and trace.iterations >= 1
+    assert spla.calls == {"splu": 1, "spsolve": 0}
+    assert (len(trace.krylov_iterations) + trace.direct_fallbacks
+            == trace.iterations)
+    G, e = asm.gram(), U - cold
+    assert np.sqrt(e @ (G @ e)) <= 1e-10 * np.sqrt(cold @ (G @ cold))
+
+
+def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
+    """With one GMRES iteration allowed, every warm step, the first
+    included, falls back to a direct solve, and Newton takes the same
+    number of steps."""
+    man = manufactured("vk_poly")
+    asm = assembler(square32, man.problem)
+    U0 = interpolant(asm, man)
+    _, krylov = newton_solve(asm, U0=U0)
+    assert min(krylov.krylov_iterations) > 1 and krylov.direct_fallbacks == 0
+    monkeypatch.setattr(ncfem.solve, "KRYLOV_MAX", 1)
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    _, direct = newton_solve(asm, U0=U0)
+    assert direct.converged and direct.iterations == krylov.iterations
+    assert direct.krylov_iterations == []
+    assert direct.direct_fallbacks == direct.iterations
+    assert spla.calls == {"splu": 1, "spsolve": direct.iterations}
 
 
 def test_newton_with_krylov_steps_repeats_bitwise():
@@ -422,8 +430,8 @@ def test_newton_fixed_point(square8, monkeypatch):
     assert trace2.converged
     assert trace2.iterations == 0
     assert np.array_equal(U2, U)
-    # the direct first step is taken before the residual test, then dropped
-    assert spla.calls == {"splu": 1, "spsolve": 1}
+    # a warm start factors G, meets tol and solves nothing
+    assert spla.calls == {"splu": 1, "spsolve": 0}
 
 
 def test_newton_from_interpolant_converges_quickly():
