@@ -24,7 +24,10 @@ For the Morley space the trilinear forms factor elementwise:
 
 Each Gamma is written out once, in Assembler.gamma_gradient; the residual
 a_pw(U, .) + Gamma(U, U, .) - F and gamma_ns_value / gamma_vk_value contract
-its slot-2 vector, and only it and the Jacobian read the tensors above.
+its slot-2 vector.  Besides, only the private _linearization reads the
+tensors above: it computes the element factors of J(U) that depend on U,
+from which jacobian assembles a CSR and jacobian_operator applies J element
+by element, with no matrix built (the Newton GMRES steps use the latter).
 
 An Assembler is one level: a mesh, a problem, its dof map and basis tables,
 and every operator on them.  The level driver and the CLI build it once per
@@ -37,6 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
@@ -67,12 +71,20 @@ def _scatter_matrix(loc, dofmap: DofMap):
     return out
 
 
-def _scatter_vector(loc, dofmap: DofMap):
+def _slots(dofmap: DofMap):
+    """The free index of every element dof (nt, nloc), n_free where the dof
+    is fixed: a gather from [u, 0] reads 0 there, and a scatter drops it."""
     fo = dofmap.free_of_dof[dofmap.element_dofs]
-    out = np.zeros(dofmap.n_free)
-    keep = fo >= 0
-    np.add.at(out, fo[keep], loc[keep])
-    return out
+    return np.where(fo < 0, dofmap.n_free, fo)
+
+
+def _scatter_vector(loc, dofmap: DofMap, slots=None):
+    """Assemble local vectors loc (nt, nloc).  bincount adds in input order,
+    as np.add.at does, so the sums are the same to the bit."""
+    if slots is None:
+        slots = _slots(dofmap)
+    n = dofmap.n_free
+    return np.bincount(slots.ravel(), loc.ravel(), minlength=n + 1)[:n]
 
 
 def _check_spd_bounds(A_vals, bounds):
@@ -230,26 +242,75 @@ class Assembler:
             return (self.a_matrix() + self.b_matrix()) @ U - self.load()
         return self.a_matrix() @ U - self.load() + self.gamma_gradient(2, U, U, None)
 
+    def _linearization(self, U):
+        """The element factors of J(U) - a_pw that depend on U, computed once
+        per state, with the Gamma tensors they pair with.  Navier-Stokes:
+        (tr H . u_T, u_T S, S, tr H), and J_T - a_T = (tr H . u_T) S^T +
+        (u_T S) (x) tr H.  von Karman: (Br u, Br v, IV), and the element
+        blocks are [[-IV (x) Br v, -IV (x) Br u], [IV (x) Br u, 0]]."""
+        dm = self.dofmap
+        if self.problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
+            cu = local_coefficients(dm, U)
+            return (np.einsum("ti,ti->t", self.trH, cu),
+                    np.einsum("ti,tik->tk", cu, self.S), self.S, self.trH)
+        cu, cv = (local_coefficients(dm, U, c) for c in (0, 1))
+        return (np.einsum("tij,tj->ti", self.Br, cu),
+                np.einsum("tij,tj->ti", self.Br, cv), self.IV)
+
     def jacobian(self, U):
         """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .)."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
             return (self.a_matrix() + self.b_matrix()).tocsr()
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-            cu = local_coefficients(self.dofmap, U)
-            a_t = np.einsum("ti,ti->t", self.trH, cu)
-            su = np.einsum("ti,tik->tk", cu, self.S)
-            loc = (a_t[:, None, None] * np.transpose(self.S, (0, 2, 1))
-                   + su[:, :, None] * self.trH[:, None, :])
+            a_t, su, S, trH = self._linearization(U)
+            loc = (a_t[:, None, None] * np.transpose(S, (0, 2, 1))
+                   + su[:, :, None] * trH[:, None, :])
             return self.a_matrix() + _scatter_matrix(loc, self.dofmap)
-        cu, cv = (local_coefficients(self.dofmap, U, c) for c in (0, 1))
-        brU = np.einsum("tij,tj->ti", self.Br, cu)
-        brV = np.einsum("tij,tj->ti", self.Br, cv)
-        J11 = _scatter_matrix(-np.einsum("tk,tj->tkj", self.IV, brV), self.dofmap)
-        J12 = _scatter_matrix(-np.einsum("tk,tj->tkj", self.IV, brU), self.dofmap)
-        J21 = _scatter_matrix(np.einsum("tk,tj->tkj", self.IV, brU), self.dofmap)
+        brU, brV, IV = self._linearization(U)
+        J11 = _scatter_matrix(-np.einsum("tk,tj->tkj", IV, brV), self.dofmap)
+        J12 = _scatter_matrix(-np.einsum("tk,tj->tkj", IV, brU), self.dofmap)
+        J21 = _scatter_matrix(np.einsum("tk,tj->tkj", IV, brU), self.dofmap)
         blocks = sparse.bmat([[J11, J12], [J21, None]])
         return (self.a_matrix() + blocks).tocsr()
+
+    def jacobian_operator(self, U):
+        """J(U) as a LinearOperator: a product applies the element factors of
+        _linearization to the local coefficients of its argument and
+        scatters the element vectors once, with no matrix built.  The
+        gather and scatter index is made once per operator.  Equals
+        jacobian(U) @ v up to round-off."""
+        A = self.a_matrix()
+        kind = self.problem.kind
+        if kind is ProblemKind.SECOND_ORDER_CR:
+            return spla.aslinearoperator(self.jacobian(U))
+        dm, factors = self.dofmap, self._linearization(U)
+        n, slots = dm.n_free, _slots(dm)
+
+        def local(v, c):        # local coefficients of component c
+            return np.append(v[c * n:(c + 1) * n], 0.0)[slots]
+
+        if kind is ProblemKind.NAVIER_STOKES_MORLEY:
+            a_t, su, S, trH = factors
+
+            def matvec(v):
+                v = np.ravel(v)     # scipy hands matmat its columns as (n, 1)
+                c = local(v, 0)
+                loc = np.einsum("tj,tji->ti", c, S)
+                loc *= a_t[:, None]
+                loc += np.einsum("ti,ti->t", trH, c)[:, None] * su
+                return A @ v + _scatter_vector(loc, dm, slots)
+        else:
+            brU, brV, IV = factors
+
+            def matvec(v):
+                v = np.ravel(v)
+                c1, c2 = local(v, 0), local(v, 1)
+                s1 = np.einsum("tj,tj->t", brV, c1) + np.einsum("tj,tj->t", brU, c2)
+                s2 = np.einsum("tj,tj->t", brU, c1)
+                return A @ v + np.concatenate(
+                    [_scatter_vector(s[:, None] * IV, dm, slots) for s in (-s1, s2)])
+        return spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
 
     # -- trilinear forms -----------------------------------------------------
 

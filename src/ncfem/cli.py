@@ -1,6 +1,7 @@
 """Command line driver.
 
     ncfem solve|afem|study|infsup|verify [--config FILE] [overrides...]
+    python -m ncfem ...    (the same; python -m cProfile -m ncfem ... profiles it)
 
 Config files are plain 'key = value' text (comments with '#'); command-line
 flags override file entries.  Exit codes: 0 success, 1 numerical failure
@@ -23,6 +24,8 @@ from .problems import (ProblemKind, manufactured, ns_unit_load,
                        polynomial_field, registry_names)
 from .reporting import emit_plots, write_records_csv
 from .spaces import volume_quadrature
+
+__all__ = ["main"]
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import geometry
-from .quadrature import quad_edge
+from .quadrature import quad_edge, quad_triangle
 from .spaces import (DofMap, SpaceTag, function_from_element_values,
                      local_coefficients, volume_quadrature)
 
@@ -81,28 +81,25 @@ def oscillation(mesh, gq, k: int, p: int):
     fourth-order problems, from the samples gq (nt, nq) of g at the points of
     volume_quadrature(mesh, OSCILLATION_DEGREE), which the caller has
     already sampled its data on.  Pi_k, k in {0, 1}, is the elementwise L2
-    projection onto P_k: the weighted mean, or the weighted least-squares
-    fit in the monomials 1, xi, eta of (x - c_T) / h_T."""
+    projection onto P_k: the weighted mean, or the fit in the barycentric
+    basis lambda, whose mass matrix |T| (I + 1 1^T) / 12 has the inverse
+    (3 / |T|) (4 I - 1 1^T); the rule integrates that matrix exactly."""
     if k not in (0, 1):
         raise ValueError("oscillation degree k must be 0 or 1")
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
     geom = geometry(mesh)
-    xq, wdx = volume_quadrature(mesh, OSCILLATION_DEGREE)
+    wdx = volume_quadrature(mesh, OSCILLATION_DEGREE)[1]
     if np.shape(gq) != wdx.shape:
         raise ValueError(f"oscillation needs samples of shape {wdx.shape}, "
                          f"not {np.shape(gq)}")
     if k == 0:
         fit = ((wdx * gq).sum(axis=1) / geom.area)[:, None]
     else:
-        center = mesh.vertices[mesh.triangles].mean(axis=1)
-        xi, eta = np.moveaxis((xq - center[:, None, :])
-                              / geom.h_T[:, None, None], -1, 0)
-        mono = np.stack([np.ones_like(xi), xi, eta], axis=-1)   # (nt, nq, 3)
-        M = np.swapaxes(wdx[..., None] * mono, 1, 2) @ mono
-        rhs = np.einsum("tq,tqi->ti", wdx * gq, mono)
-        c = np.linalg.solve(M, rhs[..., None])                  # (nt, 3, 1)
-        fit = c[:, 0] + (c[:, 1] * xi + c[:, 2] * eta)
+        lam = quad_triangle(OSCILLATION_DEGREE).points            # (nq, 3)
+        b = (wdx * gq) @ lam                                       # (nt, 3)
+        c = (3.0 / geom.area)[:, None] * (4.0 * b - b.sum(axis=1, keepdims=True))
+        fit = c @ lam.T
     per_element = geom.h_T ** (2 * p) * (wdx * (gq - fit) ** 2).sum(axis=1)
     return per_element, float(np.sqrt(per_element.sum()))
 

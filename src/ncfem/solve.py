@@ -15,7 +15,15 @@ SIAM Rev. 2010).  _gram_gmres runs it in the G inner product (Pestana and
 Wathen, JCAM 2013), so that it stops on the dual norm the Newton loop tests,
 not on a Euclidean norm, which would mis-weigh the Morley vertex values
 against the normal derivatives.  A step only has to keep the next residual
-under tol, so its target is tol / 100.
+under tol, so its target is tol / 100.  GMRES multiplies by J a few times
+per step and never needs it as a matrix: Assembler.jacobian_operator applies
+the element factors that depend on U, computed once per step, and scatters
+once.  On the final afem L-shape level (60421 dofs) a product takes about
+6 ms and the operator 5 ms to build, where the CSR of J takes 68-72 ms (most
+of it the scatter) and a product with it 0.9 ms; a step makes 2-5 products.
+So newton_solve builds the CSR only for a direct solve (a cold first step,
+a fallback).  GMRES starts from the residual test's G^-1 r, since G^-1 (-r)
+= -G^-1 r to the bit, so a GMRES step of k iterations makes k + 1 G solves.
 
 A warm start (a given U0; every afem and study level after level 0 starts
 from the previous solution carried to its mesh) takes every step by GMRES,
@@ -35,18 +43,24 @@ requires the solve.spsolve span on every workload (ROADMAP items 1-2); once
 it does not, the cold start goes to GMRES too.  A step whose GMRES misses its
 target within KRYLOV_MAX iterations falls back to sparse_solve.
 
-Every splu here (_splu: G, and B in _infsup) orders the columns by
-minimum degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989),
-which fits these pattern-symmetric matrices better than COLAMD, which orders
-A^T A, and keeps SuperLU's supernodes unrelaxed (relax=1).  Relaxed
-supernodes (Demmel et al., SIMAX 1999) merge small subtrees of the
-elimination tree into dense blocks; under this ordering they store explicit
-zeros.  On the final G of the afem L-shape run (60421 dofs) the default relax
-stores 49 nnz(G) and factors in 4.9-6.3 s, relax=1 stores 4.4 nnz(G) in
-0.08-0.16 s, and COLAMD 15.5 nnz(G) in 0.29-0.38 s.  Newton's direct solves
-(a cold first step, a fallback) alone stay on COLAMD: sparse_solve calls
-spla.spsolve, which takes no relax option, and the benchmark in perfbench/
-requires its span on every workload.
+Every splu here (_splu: G, and B in _infsup) orders the columns by minimum
+degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989), which
+fits these pattern-symmetric matrices better than COLAMD, which orders
+A^T A; it keeps SuperLU's supernodes unrelaxed (relax=1) and its panels one
+column wide (panel_size=1).  Relaxed supernodes (Demmel et al., SIMAX 1999)
+merge small subtrees of the elimination tree into dense blocks; under this
+ordering they store explicit zeros.  On the final G of the afem L-shape run
+(60421 dofs) the default relax stores 49 nnz(G) and factors in 4.9-6.3 s,
+relax=1 stores 4.4 nnz(G) in 0.08-0.16 s, and COLAMD 15.5 nnz(G) in
+0.29-0.38 s.  A panel (same paper) is the group of columns that SuperLU
+updates together, 10 by default; with supernodes this small the wider panel
+only costs.  Width 1 keeps the fill as it is and takes the 30 G factors
+of the afem L-shape run from 0.67-0.72 s to 0.49-0.54 s, the 35 of its
+2.5e5-dof variant from 4.5-5.0 s to 3.6-3.8 s, and B in _infsup by 25-35%
+from 12160 to 48896 dofs.  Newton's direct solves (a cold first step, a
+fallback) alone stay on COLAMD: sparse_solve calls spla.spsolve, which
+takes no relax option, and the benchmark in perfbench/ requires its span on
+every workload.
 Without relax=1 the symmetric order does not pay there: on the final afem J,
 spsolve with permc_spec="MMD_AT_PLUS_A" took 17.2 s (fill 49.7) against
 1.05 s for COLAMD (fill 15.5), and "MMD_ATA" 1.13 s.
@@ -164,7 +178,8 @@ def sparse_solve(A, rhs):
 def _splu(A, **options):
     """SuperLU factor of a CSC matrix with the minimum-degree order of
     A^T + A and unrelaxed supernodes (see the module docstring)."""
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, **options)
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
+                     **options)
 
 
 def _gram_factor(G):
@@ -178,18 +193,23 @@ def _gram_factor(G):
 KRYLOV_MAX = 40         # GMRES iterations before a Newton step falls back
 
 
-def _gram_gmres(J, b, Glu, target):
+def _gram_gmres(J, b, Glu, target, z=None):
     """(d, k): a d with |b - J d|_{G^-1} <= target, from k iterations of GMRES
     on G^-1 J in the G inner product (Pestana and Wathen, JCAM 2013), started
-    from 0 without restart; Glu is the factor of G.  None if KRYLOV_MAX
-    iterations do not reach target, or if the true residual misses it.
+    from 0 without restart; Glu is the factor of G, J a matrix or the
+    element-wise LinearOperator of Assembler.jacobian_operator, and z, if
+    given, is G^-1 b.  None if KRYLOV_MAX iterations do not reach target, or
+    if the true residual misses it.
 
     The basis V is G-orthonormal and G V is carried next to it: G v_{k+1} is
     the Gram-Schmidt remainder of J v_k, so an iteration costs one J product
     and one G solve, and no G product.  The Hessenberg least-squares residual
     is then |G^-1 (b - J d)|_G = |b - J d|_{G^-1}, the dual norm that
-    newton_solve tests; one more G solve confirms it at the end."""
-    z = Glu.solve(b)
+    newton_solve tests; one more J product and G solve confirm it at the
+    end.  So k iterations make k + 1 G solves when z is given, k + 2 if
+    not."""
+    if z is None:
+        z = Glu.solve(b)
     beta = np.sqrt(max(z @ b, 0.0))
     V, GV = [z / beta], [b / beta]
     H = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
@@ -244,8 +264,11 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     whose linear residual is at most tol / 100 in the dual norm, and falls
     back to sparse_solve if GMRES misses that; trace.krylov_iterations has
     one entry per GMRES step and trace.direct_fallbacks counts the
-    fallbacks.  So a warm start (U0 given) factors G and nothing else, and a
-    U0 that already meets tol costs that factor and no solve.  A cold start
+    fallbacks.  GMRES applies J element-wise (asm.jacobian_operator) and
+    starts from the residual test's G^-1 r, so a GMRES step assembles no
+    matrix; the CSR of J (asm.jacobian) is built only for a direct solve.
+    So a warm start (U0 given) factors G and nothing else, and a U0 that
+    already meets tol costs that factor and no solve.  A cold start
     (U0 None) alone takes its first step with J directly (sparse_solve), before
     G is factored and before the residual test, so that the LU of J is gone
     when the G factor is made, and a cold start that already meets tol costs
@@ -264,8 +287,9 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     G = asm.gram()
     Glu = None
 
-    def dual(r):
-        return float(np.sqrt(max(r @ Glu.solve(r), 0.0)))
+    def dual(r):                # (|r|_{G^-1}, G^-1 r)
+        z = Glu.solve(r)
+        return float(np.sqrt(max(r @ z, 0.0))), z
 
     trace = NewtonTrace()
     for _ in range(max_iter):
@@ -276,17 +300,17 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
                 d = sparse_solve(asm.jacobian(U), -r)
             Glu = _gram_factor(G)
             trace.gram_fill = Glu.nnz / G.nnz
-        rn = dual(r)
+        rn, z = dual(r)
         trace.residual_norms.append(rn)
         if rn <= tol:
             trace.converged = True
             break
         if d is None:
-            J = asm.jacobian(U)
-            step = _gram_gmres(J, -r, Glu, tol / 100)
+            # G^-1 (-r) = -z exactly: GMRES starts from the test's solve
+            step = _gram_gmres(asm.jacobian_operator(U), -r, Glu, tol / 100, -z)
             if step is None:
                 trace.direct_fallbacks += 1
-                d = sparse_solve(J, -r)
+                d = sparse_solve(asm.jacobian(U), -r)
             else:
                 d, k = step
                 trace.krylov_iterations.append(k)
@@ -295,7 +319,7 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
         trace.iterations += 1
         U = U + d
         if dn <= tol:
-            trace.residual_norms.append(dual(asm.residual(U)))
+            trace.residual_norms.append(dual(asm.residual(U))[0])
             trace.converged = True
             break
     return U, trace

@@ -104,13 +104,12 @@ class _Barycentric:
     gradients and the first vertex, from which lambda_1, lambda_2 are read."""
 
     def __init__(self, mesh):
-        p = mesh.vertices[mesh.triangles]
-        mats = np.empty((mesh.n_triangles, 3, 3))
-        mats[:, :, 0] = 1.0
-        mats[:, :, 1:] = p
-        inv = np.linalg.inv(mats)
-        # lambda_k(x) = inv[0, k] + inv[1, k] x + inv[2, k] y
-        self.grad_lambda = np.transpose(inv[:, 1:, :], (0, 2, 1))  # (nt, 3, 2)
+        p = mesh.vertices[mesh.triangles]                       # (nt, 3, 2)
+        # grad lambda_k = rot(p_{k+2} - p_{k+1}) / (2 |T|), rot(x, y) = (-y, x):
+        # normal to the opposite edge, of length 1 / height
+        e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+        rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+        self.grad_lambda = rot / (2.0 * geometry(mesh).area)[:, None, None]
         self.v0 = mesh.vertices[mesh.triangles[:, 0]]
 
     def bary_at(self, tris, pts):

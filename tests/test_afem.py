@@ -6,7 +6,7 @@ import pytest
 from conftest import SplaSpy, patch_newton
 from ncfem.afem import (NewtonDivergence, afem_loop, corner_fraction,
                         uniform_study)
-from ncfem.assembly import assembler
+from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured, ns_unit_load
 import ncfem.solve
@@ -43,15 +43,24 @@ def test_afem_ns_manufactured_eta_decreases():
 
 def test_afem_factors_only_g_after_level_0(monkeypatch):
     """Level 0 starts cold, and its direct first step is the run's one
-    spsolve.  Every later level starts from the transferred solution, makes
-    the G factor its one splu and takes every Newton step by GMRES on it."""
+    spsolve and its one assembled Jacobian.  Every later level starts from
+    the transferred solution, makes the G factor its one splu and takes
+    every Newton step by GMRES on it, with J applied element-wise."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
+    jacobian, assembled = Assembler.jacobian, []
+
+    def counted(self, U):
+        assembled.append(len(calls))
+        return jacobian(self, U)
+
+    monkeypatch.setattr(Assembler, "jacobian", counted)
     calls = []
     res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5, 1000,
                     on_level=lambda asm, U, rec: calls.append(spla.calls))
     assert res.records[-1].n_free > 1000
     assert calls == [{"splu": k + 1, "spsolve": 1} for k in range(len(calls))]
+    assert assembled == [0]
     for trace in res.traces[1:]:
         assert trace.iterations >= 1 and trace.direct_fallbacks == 0
         assert len(trace.krylov_iterations) == trace.iterations

@@ -359,6 +359,37 @@ def test_jacobian_differentiates_the_one_gamma(name, square32):
     assert np.linalg.norm(nonlinear) > 1e-3 * np.linalg.norm(Jd)
 
 
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+@pytest.mark.parametrize("domain", ["square32", "lshape", "graded_lshape"])
+def test_jacobian_operator_matches_the_assembled_jacobian(name, domain, request):
+    """The element-wise product of jacobian_operator is the product with the
+    assembled J(U), to round-off."""
+    mesh = request.getfixturevalue(domain)
+    if domain == "graded_lshape":
+        mesh = mesh[1]
+    problem = manufactured(name).problem
+    asm = Assembler(mesh, problem)
+    rng = np.random.default_rng(9)
+    U, v = (random_function(asm.dofmap, rng, n_components=problem.n_components)
+            for _ in range(2))
+    Jv = asm.jacobian(U) @ v
+    assert np.linalg.norm(Jv) > 0
+    assert np.linalg.norm(asm.jacobian_operator(U) @ v - Jv) <= (
+        1e-13 * np.linalg.norm(Jv))
+
+
+@pytest.mark.parametrize("name", ["cr_sine", "ns_poly", "vk_poly"])
+def test_jacobian_operator_matches_finite_differences(name, square8):
+    problem = manufactured(name).problem
+    asm = Assembler(square8, problem)
+    rng = np.random.default_rng(10)
+    U = random_function(asm.dofmap, rng, n_components=problem.n_components,
+                        scale=0.3)
+    J = asm.jacobian_operator(U) @ np.eye(len(U))
+    fd = fd_jacobian(asm, U)
+    assert np.abs(J - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
 def test_jacobian_at_zero_is_a_pw(square8):
     dm = morley_dofmap(square8)
     U0 = np.zeros(dm.n_free)

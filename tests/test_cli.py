@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import os
 import re
 import subprocess
 import sys
@@ -250,6 +251,19 @@ def test_cli_solve_one_free_dof_stops_gamma_cleanly(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert re.findall(r"gamma_rounds = (\d+)", proc.stdout) == ["1", "1"]
+
+
+def test_python_m_ncfem_runs_the_cli(tmp_path):
+    """python -m ncfem reaches cli.main, so python -m cProfile -m ncfem
+    profiles a run, not the import alone."""
+    src = str(Path(ncfem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "ncfem", "solve", "--levels",
+                           "2", "--out", str(tmp_path)], capture_output=True,
+                          text=True, cwd=tmp_path, env={**os.environ,
+                                                        "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "kantorovich:" in proc.stdout
 
 
 def test_cli_verify_passes(capsys):

@@ -188,13 +188,14 @@ def test_one_entry_point_per_factorization():
 # the element tensors of Gamma (Navier-Stokes S and tr H, von Karman Br and
 # IV) and the Assembler methods that may read them
 GAMMA_TENSORS = {"S", "trH", "Br", "IV"}
-GAMMA_READERS = {"_init_morley", "gamma_gradient", "jacobian"}
+GAMMA_READERS = {"_init_morley", "gamma_gradient", "_linearization"}
 
 
 def test_one_gamma_kernel_per_problem():
     """Each Gamma is written out once, in Assembler.gamma_gradient; the
-    residual and gamma_ns_value / gamma_vk_value contract it, and only the
-    Jacobian, which needs element matrices, reads the tensors besides."""
+    residual and gamma_ns_value / gamma_vk_value contract it.  Besides, only
+    _linearization reads the tensors: it hands the element factors of J(U)
+    to both jacobian and jacobian_operator."""
     tree = ast.parse((Path(ncfem.__file__).parent / "assembly.py").read_text())
     (cls,) = [node for node in tree.body
               if isinstance(node, ast.ClassDef) and node.name == "Assembler"]
@@ -254,18 +255,17 @@ def test_no_new_module_cache_pins_a_level():
     assert not offenders, f"module caches off the allowed list: {offenders}"
 
 
-# the only dense inverses and solves in src/ncfem, by (file, outermost class
-# or function): the 3 x 3 barycentric matrices of the basis tables and the
-# 3 x 3 least-squares fits of osc_1
+# the dense inverses and solves allowed in src/ncfem, by (file, outermost
+# class or function): none.  grad lambda and the P1 mass inverse of osc_1
+# are closed forms
 DENSE_SOLVERS = {"inv", "solve"}
-DENSE_SOLVE_OWNERS = {("spaces.py", "_Barycentric"),
-                      ("interpolation.py", "oscillation")}
+DENSE_SOLVE_OWNERS = set()
 
 
 def test_dense_inverses_stay_in_their_owners():
     """np.linalg.inv and np.linalg.solve appear only in DENSE_SOLVE_OWNERS,
-    so no per-element dof-matrix inverse comes back: the Morley basis is a
-    closed form in the barycentric coordinates."""
+    so no per-element inverse comes back: the barycentric gradients, the
+    Morley basis and the P1 fit of osc_1 are closed forms."""
     offenders = []
     for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

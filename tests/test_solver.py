@@ -212,8 +212,10 @@ def test_gram_and_b_factors_solve_like_spsolve(graded_ns, monkeypatch):
 
 def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
     """SuperLU's default relaxed supernodes store 49 nnz(G) and take 40-60
-    times as long on the final G of the afem L-shape run (60421 dofs); every
-    splu must keep the symmetric order and relax=1."""
+    times as long on the final G of the afem L-shape run (60421 dofs), and
+    its default panel width of 10 factors the unrelaxed supernodes 30-40%
+    slower than width 1; every splu must keep the symmetric order, relax=1
+    and panel_size=1."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     asm = assembler(square32, manufactured("ns_poly").problem)
@@ -226,6 +228,7 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
     for _, kwargs in spla.args["splu"]:
         assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
         assert kwargs["relax"] == 1
+        assert kwargs["panel_size"] == 1
 
 
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
@@ -307,6 +310,48 @@ def test_warm_newton_takes_every_step_by_gmres(square32, name, monkeypatch):
             == trace.iterations)
     G, e = asm.gram(), U - cold
     assert np.sqrt(e @ (G @ e)) <= 1e-10 * np.sqrt(cold @ (G @ cold))
+
+
+class CountingFactor:
+    """A G factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+def test_warm_gmres_step_starts_from_the_residual_test(square32, name,
+                                                       monkeypatch):
+    """The residual test's G^-1 r is GMRES's first basis vector, so a warm
+    step of k iterations makes k + 1 G solves: one per iteration and the
+    final check.  Each residual test makes one more, and J is never
+    assembled."""
+    man = manufactured(name)
+    asm = assembler(square32, man.problem)
+    factors = []
+
+    def counting(G):
+        factors.append(CountingFactor(_gram_factor(G)))
+        return factors[-1]
+
+    monkeypatch.setattr(ncfem.solve, "_gram_factor", counting)
+
+    def assembled(self, U):
+        raise AssertionError("a warm GMRES step assembled J")
+
+    monkeypatch.setattr(Assembler, "jacobian", assembled)
+    _, trace = newton_solve(asm, U0=interpolant(asm, man))
+    assert trace.converged and trace.iterations >= 1
+    assert len(trace.krylov_iterations) == trace.iterations
+    assert factors[0].solves == (len(trace.residual_norms)
+                                 + sum(k + 1 for k in trace.krylov_iterations))
 
 
 def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
