@@ -193,23 +193,20 @@ def _gram_factor(G):
 KRYLOV_MAX = 40         # GMRES iterations before a Newton step falls back
 
 
-def _gram_gmres(J, b, Glu, target, z=None):
+def _gram_gmres(J, b, Glu, target, z):
     """(d, k): a d with |b - J d|_{G^-1} <= target, from k iterations of GMRES
     on G^-1 J in the G inner product (Pestana and Wathen, JCAM 2013), started
     from 0 without restart; Glu is the factor of G, J a matrix or the
-    element-wise LinearOperator of Assembler.jacobian_operator, and z, if
-    given, is G^-1 b.  None if KRYLOV_MAX iterations do not reach target, or
-    if the true residual misses it.
+    element-wise LinearOperator of Assembler.jacobian_operator, and z is
+    G^-1 b.  None if KRYLOV_MAX iterations do not reach target, or if the
+    true residual misses it.
 
     The basis V is G-orthonormal and G V is carried next to it: G v_{k+1} is
     the Gram-Schmidt remainder of J v_k, so an iteration costs one J product
     and one G solve, and no G product.  The Hessenberg least-squares residual
     is then |G^-1 (b - J d)|_G = |b - J d|_{G^-1}, the dual norm that
     newton_solve tests; one more J product and G solve confirm it at the
-    end.  So k iterations make k + 1 G solves when z is given, k + 2 if
-    not."""
-    if z is None:
-        z = Glu.solve(b)
+    end.  So k iterations make k + 1 G solves."""
     beta = np.sqrt(max(z @ b, 0.0))
     V, GV = [z / beta], [b / beta]
     H = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))

@@ -276,7 +276,7 @@ def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
         return np.sqrt(v @ Glu.solve(v))
 
     target = 1e-8 * dual(r)
-    d, k = _gram_gmres(J, -r, Glu, target)
+    d, k = _gram_gmres(J, -r, Glu, target, Glu.solve(-r))
     residual = dual(J @ d + r)
     assert 1 <= k <= KRYLOV_MAX and residual <= target
     e = d - np.linalg.solve(J.toarray(), -r)
