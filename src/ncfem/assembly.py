@@ -4,6 +4,8 @@ Matrix convention: M[i, j] = form(trial basis j, test basis i), so the
 residual of a linear problem reads M u - F.  Constrained dofs are eliminated;
 all matrices and vectors live on free dofs (von Karman systems are 2x2 block
 systems ordered [u-block, v-block]), and so are the states U (see spaces).
+Element vectors and matrices reach them through dofmap.slots, where a
+constrained dof has the index n_free: the scatters drop or mask it.
 
 Everything is element-local and assembled with deterministic numpy
 reductions, so repeated runs are bitwise reproducible.  The piecewise
@@ -57,13 +59,12 @@ def _scatter_matrix(loc, dofmap: DofMap):
     """Assemble local matrices loc (nt, a, b), convention [test, trial]."""
     # int32 indices, masked once from broadcast views: the COO transients
     # are the largest arrays alive right before a Jacobian is factored
-    fo = dofmap.free_of_dof[dofmap.element_dofs].astype(np.int32)
-    nt, nloc = fo.shape
-    rows = np.broadcast_to(fo[:, :, None], (nt, nloc, nloc))
-    cols = np.broadcast_to(fo[:, None, :], (nt, nloc, nloc))
-    free = fo >= 0
+    slots, n = dofmap.slots, dofmap.n_free
+    nt, nloc = slots.shape
+    rows = np.broadcast_to(slots[:, :, None], (nt, nloc, nloc))
+    cols = np.broadcast_to(slots[:, None, :], (nt, nloc, nloc))
+    free = slots < n
     keep = free[:, :, None] & free[:, None, :]
-    n = dofmap.n_free
     mat = sparse.coo_matrix((loc[keep], (rows[keep], cols[keep])), shape=(n, n))
     out = mat.tocsr()
     out.sum_duplicates()
@@ -71,20 +72,12 @@ def _scatter_matrix(loc, dofmap: DofMap):
     return out
 
 
-def _slots(dofmap: DofMap):
-    """The free index of every element dof (nt, nloc), n_free where the dof
-    is fixed: a gather from [u, 0] reads 0 there, and a scatter drops it."""
-    fo = dofmap.free_of_dof[dofmap.element_dofs]
-    return np.where(fo < 0, dofmap.n_free, fo)
-
-
-def _scatter_vector(loc, dofmap: DofMap, slots=None):
+def _scatter_vector(loc, dofmap: DofMap):
     """Assemble local vectors loc (nt, nloc).  bincount adds in input order,
-    as np.add.at does, so the sums are the same to the bit."""
-    if slots is None:
-        slots = _slots(dofmap)
+    as np.add.at does, so the sums are the same to the bit; constrained dofs
+    land in slot n_free, which is dropped."""
     n = dofmap.n_free
-    return np.bincount(slots.ravel(), loc.ravel(), minlength=n + 1)[:n]
+    return np.bincount(dofmap.slots.ravel(), loc.ravel(), minlength=n + 1)[:n]
 
 
 def _check_spd_bounds(A_vals, bounds):
@@ -277,39 +270,33 @@ class Assembler:
     def jacobian_operator(self, U):
         """J(U) as a LinearOperator: a product applies the element factors of
         _linearization to the local coefficients of its argument and
-        scatters the element vectors once, with no matrix built.  The
-        gather and scatter index is made once per operator.  Equals
+        scatters the element vectors once, with no matrix built.  Equals
         jacobian(U) @ v up to round-off."""
         A = self.a_matrix()
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
             return spla.aslinearoperator(self.jacobian(U))
         dm, factors = self.dofmap, self._linearization(U)
-        n, slots = dm.n_free, _slots(dm)
-
-        def local(v, c):        # local coefficients of component c
-            return np.append(v[c * n:(c + 1) * n], 0.0)[slots]
-
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
             a_t, su, S, trH = factors
 
             def matvec(v):
                 v = np.ravel(v)     # scipy hands matmat its columns as (n, 1)
-                c = local(v, 0)
+                c = local_coefficients(dm, v)
                 loc = np.einsum("tj,tji->ti", c, S)
                 loc *= a_t[:, None]
                 loc += np.einsum("ti,ti->t", trH, c)[:, None] * su
-                return A @ v + _scatter_vector(loc, dm, slots)
+                return A @ v + _scatter_vector(loc, dm)
         else:
             brU, brV, IV = factors
 
             def matvec(v):
                 v = np.ravel(v)
-                c1, c2 = local(v, 0), local(v, 1)
+                c1, c2 = (local_coefficients(dm, v, c) for c in (0, 1))
                 s1 = np.einsum("tj,tj->t", brV, c1) + np.einsum("tj,tj->t", brU, c2)
                 s2 = np.einsum("tj,tj->t", brU, c1)
                 return A @ v + np.concatenate(
-                    [_scatter_vector(s[:, None] * IV, dm, slots) for s in (-s1, s2)])
+                    [_scatter_vector(s[:, None] * IV, dm) for s in (-s1, s2)])
         return spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
 
     # -- trilinear forms -----------------------------------------------------
@@ -357,11 +344,14 @@ class Assembler:
             g1 = 0.5 * (iv2[:, None] * bo1 - iv1[:, None] * bo2)
             g2 = -0.5 * iv1[:, None] * bo1
         else:
+            # y is x in the residual: gather once and take q21 = q12, which
+            # is then the same einsum of the same operands, to the bit
             x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
-            y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
+            y1, y2 = ((x1, x2) if y is x
+                      else (local_coefficients(dm, y, c) for c in (0, 1)))
             q12 = np.einsum("ti,tij,tj->t", x1, self.Br, y2)
-            # = x2^T Br y1 (Br symmetric bitwise), and q12 + q21 = 2 q12 at x = y
-            q21 = np.einsum("ti,tij,tj->t", y1, self.Br, x2)
+            # = x2^T Br y1 (Br symmetric bitwise)
+            q21 = q12 if y is x else np.einsum("ti,tij,tj->t", y1, self.Br, x2)
             q11 = np.einsum("ti,tij,tj->t", x1, self.Br, y1)
             g1 = -0.5 * (q12 + q21)[:, None] * self.IV
             g2 = 0.5 * q11[:, None] * self.IV

@@ -107,7 +107,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .problems import ProblemKind
-from .spaces import physical_points
+from .spaces import local_coefficients, physical_points
 from .quadrature import quad_triangle
 
 __all__ = [
@@ -536,8 +536,8 @@ def discrete_embedding_ratio(asm):
     bary = np.vstack([np.eye(3), 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0)),
                       rule.points])
     pts = physical_points(mesh, bary)
-    fo = dofmap.free_of_dof[dofmap.element_dofs]     # (nt, nloc), -1 if fixed
-    V = asm.tables.values_at(bary) * (fo >= 0)[:, None, :]   # (nt, nq, nloc)
+    slots = dofmap.slots                             # (nt, nloc), n if fixed
+    V = asm.tables.values_at(bary) * (slots < n)[:, None, :]   # (nt, nq, nloc)
     nq = pts.shape[1]
     # start where some free phi_i(x) != 0 (on the unrefined square the only
     # free function vanishes at the centroid)
@@ -547,10 +547,11 @@ def discrete_embedding_ratio(asm):
     while True:   # the ratio rises strictly, so no point comes back
         t, q = divmod(x, nq)
         phi = np.zeros(n + 1)                        # slot n takes fixed dofs
-        phi[fo[t]] = V[t, q]
+        phi[slots[t]] = V[t, q]
         c = Glu.solve(phi[:n])
         energy = np.sqrt(c @ phi[:n])                # = |v|_pw > 0
-        vals = np.abs(np.einsum("tqj,tj->tq", V, c[fo])).ravel()  # V is 0 at fixed dofs
+        vals = np.abs(np.einsum("tqj,tj->tq", V,
+                                local_coefficients(dofmap, c))).ravel()
         x_next = int(np.argmax(vals))
         ratio = vals[x_next] / energy
         if ratio <= best:

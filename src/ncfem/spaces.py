@@ -24,7 +24,10 @@ global normal.  Gradients (1 - 2 lambda_m) grad lambda_m / a_m and hessians
 A discrete function is its free-dof coefficient vector: a 1-D float array of
 length n_components * n_free, the components concatenated in order (the
 [u-block, v-block] of a von Karman pair); the dof map and the problem give
-its space and its number of components.
+its space and its number of components.  The dof map stores the one index
+through which it is read, DofMap.slots (nt, nloc, int32): the free index of
+each element dof, n_free where the dof is constrained, so a gather from
+[u, 0] reads 0 there and a scatter drops that slot.
 
 Second derivatives are constant per element, and so are CR gradients: the
 tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
@@ -68,7 +71,7 @@ class SpaceTag(Enum):
 class DofMap:
     space: SpaceTag
     element_dofs: np.ndarray     # (nt, nloc) global dof indices
-    free_of_dof: np.ndarray      # (n_dofs,) free index, -1 = constrained to zero
+    slots: np.ndarray            # (nt, nloc) int32 free index, n_free = constrained
     dof_of_free: np.ndarray      # (n_free,) global dof index
     n_free: int
 
@@ -92,11 +95,12 @@ def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
     else:
         raise ValueError(f"unknown space {space}")
 
-    free_of_dof = np.full(len(is_bdry), -1, dtype=np.int64)
     dof_of_free = np.flatnonzero(~is_bdry)
-    free_of_dof[dof_of_free] = np.arange(len(dof_of_free))
-    return DofMap(space=space, element_dofs=element_dofs, free_of_dof=free_of_dof,
-                  dof_of_free=dof_of_free, n_free=len(dof_of_free))
+    n_free = len(dof_of_free)
+    slot = np.full(len(is_bdry), n_free, dtype=np.int32)
+    slot[dof_of_free] = np.arange(n_free)
+    return DofMap(space=space, element_dofs=element_dofs, slots=slot[element_dofs],
+                  dof_of_free=dof_of_free, n_free=n_free)
 
 
 class _Barycentric:
@@ -201,11 +205,7 @@ def local_coefficients(dofmap: DofMap, u, component: int = 0):
     """Per-element local coefficient vectors (nt, nloc) of one component of
     the coefficient vector u; constrained dofs are 0."""
     n = dofmap.n_free
-    comp = u[component * n:(component + 1) * n]
-    fo = dofmap.free_of_dof[dofmap.element_dofs]
-    vals = comp[np.clip(fo, 0, None)]
-    vals[fo < 0] = 0.0
-    return vals
+    return np.append(u[component * n:(component + 1) * n], 0.0)[dofmap.slots]
 
 
 def function_from_element_values(dofmap: DofMap, dof_values) -> np.ndarray:

@@ -145,6 +145,15 @@ def cr_dofmap(mesh):
     return build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
 
 
+def free_index(dofmap):
+    """The free index of every element dof (nt, nloc) as int64, -1 where the
+    dof is constrained, built from dof_of_free alone: a reference that
+    shares nothing with DofMap.slots."""
+    index = np.full(dofmap.element_dofs.max() + 1, -1)
+    index[dofmap.dof_of_free] = np.arange(dofmap.n_free)
+    return index[dofmap.element_dofs]
+
+
 def mean_gradient_by_parts(mesh, field, edge_degree=16):
     """Elementwise mean of grad(field) via the divergence theorem; an oracle
     that needs edge quadrature only and is exact to round-off for smooth

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import cr_dofmap, morley_dofmap, random_function
+from conftest import cr_dofmap, free_index, morley_dofmap, random_function
 from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
                             assembler)
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
@@ -297,6 +297,19 @@ def test_gamma_gradient_gathers_only_what_the_slot_reads(square32, problem,
             assert all(c[1] is not args[slot] for c in calls)
 
 
+@pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
+def test_gamma_gradient_at_y_is_x_matches_the_general_path(square32, problem):
+    """The residual passes y is x, which lets the von Karman slot-2 gradient
+    gather once and take q21 = q12; a copy of x takes the general path, and
+    the two agree to the bit."""
+    dm = morley_dofmap(square32)
+    asm = Assembler(square32, problem)
+    U = random_function(dm, np.random.default_rng(13),
+                        n_components=problem.n_components)
+    assert np.array_equal(asm.gamma_gradient(2, U, U, None),
+                          asm.gamma_gradient(2, U, U.copy(), None))
+
+
 def test_residual_zero_state_zero_load(square8):
     dm = morley_dofmap(square8)
     U = np.zeros(dm.n_free)
@@ -454,9 +467,8 @@ def test_piecewise_constant_coefficient_sampling(square8):
     # sum_T w_T |T| / 3 over the triangles of each free edge
     w = gamma(square8.vertices[square8.triangles].mean(axis=1))
     assert set(np.unique(w)) == {2.0, 3.0}
-    fo = asm.dofmap.free_of_dof[asm.dofmap.element_dofs]   # -1 if fixed
     diag = np.zeros(asm.dofmap.n_free + 1)                  # last slot: fixed
-    np.add.at(diag, fo, (w * asm.geom.area / 3.0)[:, None])
+    np.add.at(diag, asm.dofmap.slots, (w * asm.geom.area / 3.0)[:, None])
     assert np.allclose(M, np.diag(diag[:-1]), rtol=1e-13, atol=1e-15)
     smeared = Assembler(square8, replace(p, piecewise_constant=False))
     assert np.abs(smeared.b_matrix().toarray() - M).max() > 1e-3
@@ -489,11 +501,12 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 3.5-5% above 1282 (ns), 1468 (vk) and 496 (CR)
+# refine(l_shape, 5): 5%, 5% and 10% above 1265 (ns), 1452 (vk) and 471 (CR)
 # measured with G, the load and b_pw built.  The closed-form basis tables
-# hold grad lambda, the first vertices, B and the hessians; the monomial
-# coefficients of a dof-matrix inverse (1426, 1612 and 528 with them) break
-# each budget, and so does keeping the energy element matrices
+# hold grad lambda, the first vertices, B and the hessians, and the dof map
+# its int32 slots; the monomial coefficients of a Morley dof-matrix inverse
+# (144 more) break the ns and vk budgets, and keeping the energy element
+# matrices breaks each
 LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1330, "vk_poly": 1520, "cr_sine": 520}
 
 
@@ -517,7 +530,7 @@ def test_scatter_matrix_matches_the_int64_assembly(name, square32):
     nloc = dm.element_dofs.shape[1]
     loc = np.random.default_rng(3).standard_normal((len(dm.element_dofs),
                                                     nloc, nloc))
-    fo = dm.free_of_dof[dm.element_dofs]
+    fo = free_index(dm)                                     # int64, -1 if fixed
     rows = np.repeat(fo[:, :, None], nloc, axis=2).ravel()
     cols = np.repeat(fo[:, None, :], nloc, axis=1).ravel()
     keep = (rows >= 0) & (cols >= 0)

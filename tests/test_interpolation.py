@@ -252,7 +252,7 @@ def test_transfer_preserves_shared_vertex_dofs(square32):
         t_c = next(t for t in range(square32.n_triangles)
                    if z in square32.triangles[t])
         expect = evaluate(square32, dm_c, u, t_c, vertex_lam(square32, t_c, z))
-        got = v[dm_f.free_of_dof[zf]]
+        got = v[np.searchsorted(dm_f.dof_of_free, zf)]   # vertex dof zf
         assert got == pytest.approx(expect, abs=1e-11)
 
 

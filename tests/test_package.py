@@ -300,3 +300,23 @@ def test_only_the_transfer_maps_physical_points_to_barycentric():
             if name == "bary_at" and (path.name, owner) not in BARY_AT_CALLERS:
                 offenders.append(f"{path.name}:{call.lineno} in {owner}")
     assert not offenders, f"bary_at off the transfer: {offenders}"
+
+
+# the modules that may read DofMap.element_dofs: spaces.py builds the slots
+# from it, and cli.py's verify indexes full, unconstrained dof vectors
+ELEMENT_DOFS_READERS = {"spaces.py", "cli.py"}
+
+
+def test_only_the_dof_map_and_verify_read_element_dofs():
+    """Every other module reads coefficients through DofMap.slots (by
+    local_coefficients and the scatters), so none rebuilds a free index from
+    the global element dofs."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        if path.name in ELEMENT_DOFS_READERS:
+            continue
+        offenders += [f"{path.name}:{node.lineno}"
+                      for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "element_dofs"]
+    assert not offenders, f"element_dofs read off its owners: {offenders}"

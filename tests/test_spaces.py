@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import (MorleyByInverse, cr_dofmap, evaluate, midpoint_lam,
-                      morley_dofmap, random_function, vertex_lam)
+from conftest import (MorleyByInverse, cr_dofmap, evaluate, free_index,
+                      midpoint_lam, morley_dofmap, random_function, vertex_lam)
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, local_coefficients,
@@ -102,7 +102,7 @@ def test_morley_vertex_dof_continuity(square8):
     interior = square8.interior_vertices()
     z = interior[0]
     coeffs = np.zeros(dm.n_free)
-    coeffs[dm.free_of_dof[z]] = 1.0
+    coeffs[np.searchsorted(dm.dof_of_free, z)] = 1.0   # vertex dof z is global dof z
     u = coeffs
     adjacent = [t for t in range(square8.n_triangles)
                 if z in square8.triangles[t]]
@@ -183,5 +183,30 @@ def test_local_coefficients_zero_on_boundary(square8):
     dm = morley_dofmap(square8)
     u = random_function(dm, rng)
     loc = local_coefficients(dm, u)
-    fo = dm.free_of_dof[dm.element_dofs]
-    assert (loc[fo < 0] == 0.0).all()
+    assert (loc[dm.slots == dm.n_free] == 0.0).all()
+
+
+@pytest.mark.parametrize("space", [SpaceTag.MORLEY, SpaceTag.CROUZEIX_RAVIART])
+@pytest.mark.parametrize("mesh_name", ["square8", "lshape"])
+def test_slots_index_the_free_dofs(space, mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    dm = morley_dofmap(mesh) if space is SpaceTag.MORLEY else cr_dofmap(mesh)
+    assert dm.slots.dtype == np.int32
+    assert dm.slots.shape == dm.element_dofs.shape
+    free = np.isin(dm.element_dofs, dm.dof_of_free)
+    assert not free.all() and free.any()
+    assert np.array_equal(dm.slots == dm.n_free, ~free)
+    assert np.array_equal(dm.dof_of_free[dm.slots[free]], dm.element_dofs[free])
+
+
+@pytest.mark.parametrize("mesh_name", ["square8", "lshape"])
+def test_local_coefficients_match_a_clip_and_mask_reference(mesh_name, request):
+    """Both components of a von Karman pair, gathered through slots, equal
+    the clipped gather through the int64 free index, masked to 0."""
+    dm = morley_dofmap(request.getfixturevalue(mesh_name))
+    u = random_function(dm, np.random.default_rng(11), n_components=2)
+    fo = free_index(dm)
+    for c in (0, 1):
+        ref = u[c * dm.n_free:(c + 1) * dm.n_free][np.clip(fo, 0, None)]
+        ref[fo < 0] = 0.0
+        assert np.array_equal(local_coefficients(dm, u, c), ref)
