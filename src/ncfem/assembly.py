@@ -8,12 +8,13 @@ Element vectors and matrices reach them through dofmap.slots, where a
 constrained dof has the index n_free: the scatters drop or mask it.
 
 Everything is element-local and assembled with deterministic numpy
-reductions, so repeated runs are bitwise reproducible.  The piecewise
-structure of Morley functions makes every Morley element tensor exact:
-hessians are elementwise constant, so the energy tensor is |T| H H^T, and
-basis gradients are affine, so the Navier-Stokes pairing S comes in closed
-form from the centroid gradients and the second moment of the element; the
-load and the basis integrals use the degree-4 rule.
+reductions, so repeated runs are bitwise reproducible.  Every Morley
+element tensor is exact, in closed form in grad lambda and the bubble
+weights W of u = lambda . c_v + lambda (1 - lambda) . W c (see spaces), from
+int_T (1 - 2 lambda_m) (1 - 2 lambda_n) = |T| delta_mn / 3 and
+int_T lambda (1 - lambda) = |T| / 6: the energy tensor is
+4 |T| W^T (K o K) W with K = grad lambda grad lambda^T.  The loads take the
+degree-4 rule through the moments int f lambda and int f lambda (1 - lambda).
 
 For the Morley space the trilinear forms factor elementwise:
 
@@ -72,6 +73,15 @@ def _scatter_matrix(loc, dofmap: DofMap):
     return out
 
 
+def _block_diag2(A):
+    """[[A, 0], [0, A]] for a CSR A, as a CSR built from A's own arrays."""
+    n, nnz = A.shape[0], A.nnz
+    return sparse.csr_matrix((np.concatenate([A.data, A.data]),
+                              np.concatenate([A.indices, A.indices + n]),
+                              np.concatenate([A.indptr, A.indptr[1:] + nnz])),
+                             shape=(2 * n, 2 * n))
+
+
 def _scatter_vector(loc, dofmap: DofMap):
     """Assemble local vectors loc (nt, nloc).  bincount adds in input order,
     as np.add.at does, so the sums are the same to the bit; constrained dofs
@@ -104,7 +114,8 @@ class Assembler:
     U (G, the load, and b_pw for CR), so Newton iterations only pay for the
     state-dependent contractions.  It keeps those and the element tensors of
     Gamma (S and trH, or Br and IV), which the Jacobian reads; the energy
-    element matrices and the quadrature points go once G exists.
+    element matrices go once G exists, and on a Morley level the quadrature
+    points once the loads are sampled, which is done first.
     """
 
     def __init__(self, mesh, problem: ProblemSpec):
@@ -115,47 +126,66 @@ class Assembler:
         self.geom = geometry(mesh)
         self.tables = basis_tables(mesh, space)
         xq, wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
-        vals = self.tables.values_at(quad_triangle(VOLUME_QUAD_DEGREE).points)
+        lam = quad_triangle(VOLUME_QUAD_DEGREE).points
         self._b_csr = None
         if space is SpaceTag.MORLEY:
-            a_loc = self._init_morley(wdx, vals)
+            W = self.tables.bubble_weights()
+
+            def moments(wf):        # [int f lambda, 0] + W^T int f bubble
+                loc = np.einsum("tm,tmj->tj", wf @ (lam * (1.0 - lam)), W)
+                loc[:, :3] += wf @ lam
+                return loc
+            # sampled while the fewest arrays are alive
+            self._load = self._assemble_load(xq, wdx, moments)
+            del xq, wdx
+            a_loc = self._init_morley(W)
+            del W
         else:
+            vals = 1.0 - 2.0 * lam                      # the CR basis
             a_loc, b_loc = self._init_cr(xq, wdx, vals)
             self._b_csr = _scatter_matrix(b_loc, self.dofmap)
+            self._load = self._assemble_load(
+                xq, wdx, lambda wf: np.einsum("tq,qk->tk", wf, vals))
         single = _scatter_matrix(a_loc, self.dofmap)
-        if problem.n_components == 2:
-            single = sparse.block_diag([single, single]).tocsr()
-        self._a_csr = single
-        self._load = self._assemble_load(xq, wdx, vals)
+        del a_loc
+        self._a_csr = single if problem.n_components == 1 else _block_diag2(single)
 
     # -- element tensors ----------------------------------------------------
 
-    def _init_morley(self, wdx, vals):
-        """Sets the Gamma tensors; returns the energy element matrices."""
-        tab = self.tables
-        hess = tab.hess                                       # (nt, 6, 2, 2)
-        area = self.geom.area[:, None, None]
-        h4 = hess.reshape(-1, 6, 4)
-        self.trH = hess[:, :, 0, 0] + hess[:, :, 1, 1]        # (nt, 6)
+    def _init_morley(self, W):
+        """Sets the Gamma tensors; returns the energy element matrices, all
+        from grad lambda and the bubble weights W (see the module docstring)."""
+        area = self.geom.area[:, None]
+        gl = self.tables.grad_lambda
+        gx, gy = np.moveaxis(gl, 2, 0)                          # (nt, 3) each
+        # D^2 phi_j = -2 sum_m W_mj grad lambda_m (x) grad lambda_m: its
+        # xx, xy, yx and yy entries are -2 y[:, 0], ..., -2 y[:, 3]
+        y = np.stack([gx * gx, gx * gy, gx * gy, gy * gy], axis=1) @ W
         kind = self.problem.kind
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-            # grad phi_j = g_j + H_j (x - c) is affine and int_T (x - c) = 0,
-            # so int_T phi_j,y phi_k,x = |T| g_j,y g_k,x + (H_j M H_k)_yx
-            # with M the second moment of T about its centroid c
-            p = self.mesh.vertices[self.mesh.triangles]
-            d = p - p.mean(axis=1, keepdims=True)
-            g = np.swapaxes(tab.centroid_grads(), 1, 2)       # (nt, 2, 6)
-            M = (area / 12.0) * (np.swapaxes(d, 1, 2) @ d)    # (nt, 2, 2)
-            P = (area * (g[:, 1, :, None] * g[:, 0, None, :])
-                 + hess[:, :, 1, :] @ M @ np.swapaxes(hess[:, :, :, 0], 1, 2))
+            self.trH = -2.0 * (y[:, 0] + y[:, 3])
+            # grad phi_j = a_j + sum_m (1 - 2 lambda_m) W_mj grad lambda_m
+            # (a_j = grad lambda_j at a vertex, 0 at an edge), so up to a part
+            # symmetric in j, k, int_T phi_j,y phi_k,x is
+            # |T| a_j,y (a_k,x + w_k,x / 3) + |T| w_j,y a_k,x / 3, w = W^T gl
+            ax, ay = (np.pad(g, ((0, 0), (0, 3))) for g in (gx, gy))
+            wx, wy = np.moveaxis(np.swapaxes(gl, 1, 2) @ W, 1, 0) / 3.0
+            P = np.stack([ay, wy], axis=2) @ np.stack([ax + wx, ax], axis=1)
             self.S = P - np.swapaxes(P, 1, 2)
+            self.S *= area[:, :, None]
         elif kind is ProblemKind.VON_KARMAN_MORLEY:
-            hxx, hxy, hyy = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
-            self.Br = (np.einsum("ti,tj->tij", hxx, hyy)
-                       + np.einsum("ti,tj->tij", hyy, hxx)
-                       - 2.0 * np.einsum("ti,tj->tij", hxy, hxy))
-            self.IV = np.einsum("tq,tqk->tk", wdx, vals)
-        return area * (h4 @ np.swapaxes(h4, 1, 2))
+            # [D^2 phi_i, D^2 phi_j] = sum_{m != n} W_mi W_nj / |T|^2, as
+            # (grad lambda_m x grad lambda_n)^2 = 1 / (4 |T|^2) for m != n
+            X = (np.swapaxes(W[:, :2], 1, 2)
+                 @ np.stack([W[:, 1] + W[:, 2], W[:, 2]], axis=1))
+            self.Br = X + np.swapaxes(X, 1, 2)
+            self.Br /= (area ** 2)[:, :, None]
+            self.IV = area * ((W[:, 0] + W[:, 1] + W[:, 2]) / 6.0)
+            self.IV[:, :3] += area / 3.0
+        # 4 |T| W^T (K o K) W = 4 |T| y^T y, one syrk: symmetric to the bit
+        E = np.swapaxes(y, 1, 2) @ y
+        E *= 4.0 * area[:, :, None]
+        return E
 
     def _init_cr(self, xq, wdx, rule_vals):
         """Element matrices of the energy form and of b_pw, by matmuls over
@@ -197,17 +227,15 @@ class Assembler:
             b_loc += np.swapaxes(wg_vals, 1, 2) @ rule_vals
         return a_loc, b_loc
 
-    def _assemble_load(self, xq, wdx, vals):
-        def scatter(fn):
-            loc = np.einsum("tq,tqk->tk", wdx * fn(xq), vals)
-            return _scatter_vector(loc, self.dofmap)
-
-        load = scatter(self.problem.f)
-        if self.problem.n_components == 2:
-            g = self.problem.g
-            F2 = np.zeros(self.dofmap.n_free) if g is None else scatter(g)
-            load = np.concatenate([load, F2])
-        return load
+    def _assemble_load(self, xq, wdx, moments):
+        """The load vector [F(f), F(g)] (F(g) = 0 if g is unset; pairs
+        only); moments(wf) maps the weighted samples wf (nt, nq) of a load
+        to its element vectors (nt, nloc)."""
+        p, dm = self.problem, self.dofmap
+        return np.concatenate([
+            np.zeros(dm.n_free) if fn is None
+            else _scatter_vector(moments(wdx * fn(xq)), dm)
+            for fn in (p.f, p.g)[:p.n_components]])
 
     # -- assembled operators -------------------------------------------------
 

@@ -285,7 +285,7 @@ def _verify_checks(cfg: RunConfig):
     for _ in range(20):
         fld = random_poly(4)
         loc = morley_dof_values(mesh, fld)[dm.element_dofs]
-        Him = np.einsum("tjab,tj->tab", tab.hess, loc)
+        Him = tab.hessians(loc)
         mean = np.einsum("tq,tqab->tab", wdx, fld.hessian(xq)) / geom.area[:, None, None]
         worst = max(worst, np.abs(Him - mean).max())
     yield "morley commuting identity D2 I_M = Pi0 D2", worst, 1e-10

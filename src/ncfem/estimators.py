@@ -57,8 +57,11 @@ class EstimatorReport:
     eta_total: float          # sqrt(sum eta_K^2 + sum eta_E^2)
 
 
-def _hessians(tab, c_loc):
-    return np.einsum("tjab,tj->tab", tab.hess, c_loc)
+def _centroid_gradients(tab, c_loc):
+    """grad u (nt, 2) at the centroids, sum_i (c_v,i + w_i / 3) grad lambda_i,
+    of the functions with local coefficients c_loc (nt, 6)."""
+    cv, w = tab.barycentric_form(c_loc)
+    return np.einsum("ti,tid->td", cv + w / 3.0, tab.grad_lambda)
 
 
 def _hessian_jump_term(geom, H, t_plus, t_minus):
@@ -89,7 +92,7 @@ def _estimate_morley(asm, U) -> EstimatorReport:
     problem = asm.problem
     ns = problem.kind is ProblemKind.NAVIER_STOKES_MORLEY
     cs = [local_coefficients(dofmap, U, c) for c in range(problem.n_components)]
-    Hs = [_hessians(tab, c_loc) for c_loc in cs]
+    Hs = [tab.hessians(c_loc) for c_loc in cs]
 
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
     loads = [load(xq) for load in (problem.f, problem.g) if load is not None]
@@ -103,7 +106,7 @@ def _estimate_morley(asm, U) -> EstimatorReport:
         erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
         pts = edge_points(mesh, erule)
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
-        g = np.einsum("tjd,tj->td", tab.centroid_grads(), cs[0])
+        g = _centroid_gradients(tab, cs[0])
         w_plus = _lap_grad_at_edges(Hs[0], g, cent, t_plus, pts)
         w_minus = np.zeros_like(w_plus)
         interior = t_minus >= 0
@@ -178,7 +181,7 @@ def broken_energy_error(asm, U, exact):
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:
         for comp, fld in enumerate(exact):
-            H = _hessians(asm.tables, local_coefficients(dofmap, U, comp))
+            H = asm.tables.hessians(local_coefficients(dofmap, U, comp))
             diff = fld.hessian(xq) - H[:, None, :, :]
             total += (wdx * np.einsum("tqab,tqab->tq", diff, diff)).sum()
     else:

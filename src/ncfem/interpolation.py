@@ -18,7 +18,7 @@ import numpy as np
 from .mesh import geometry
 from .quadrature import quad_edge, quad_triangle
 from .spaces import (DofMap, SpaceTag, function_from_element_values,
-                     local_coefficients, volume_quadrature)
+                     local_coefficients)
 
 __all__ = [
     "morley_interpolate", "cr_interpolate", "morley_dof_values",
@@ -89,14 +89,15 @@ def oscillation(mesh, gq, k: int, p: int):
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
     geom = geometry(mesh)
-    wdx = volume_quadrature(mesh, OSCILLATION_DEGREE)[1]
+    rule = quad_triangle(OSCILLATION_DEGREE)
+    wdx = 2.0 * geom.area[:, None] * rule.weights   # volume_quadrature weights
     if np.shape(gq) != wdx.shape:
         raise ValueError(f"oscillation needs samples of shape {wdx.shape}, "
                          f"not {np.shape(gq)}")
     if k == 0:
         fit = ((wdx * gq).sum(axis=1) / geom.area)[:, None]
     else:
-        lam = quad_triangle(OSCILLATION_DEGREE).points            # (nq, 3)
+        lam = rule.points                                          # (nq, 3)
         b = (wdx * gq) @ lam                                       # (nt, 3)
         c = (3.0 / geom.area)[:, None] * (4.0 * b - b.sum(axis=1, keepdims=True))
         fit = c @ lam.T

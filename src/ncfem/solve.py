@@ -186,8 +186,11 @@ def _gram_factor(G):
     """SuperLU factor of an energy Gram matrix without pivoting.  G is SPD, so
     every pivot of its Cholesky-like LU is positive and the rows may follow
     the minimum-degree column order (perm_r == perm_c); partial pivoting
-    would only add fill.  A singular G raises RuntimeError."""
-    return _splu(_as_csc(G), diag_pivot_thresh=0.0)
+    would only add fill.  An assembled G is symmetric to the bit, so the
+    arrays of a CSR G are those of its CSC, and G.T hands them to SuperLU
+    without a copy.  A singular G raises RuntimeError."""
+    csr = sparse.issparse(G) and G.format == "csr"
+    return _splu(G.T if csr else _as_csc(G), diag_pivot_thresh=0.0)
 
 
 KRYLOV_MAX = 40         # GMRES iterations before a Newton step falls back

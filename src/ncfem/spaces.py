@@ -29,19 +29,19 @@ through which it is read, DofMap.slots (nt, nloc, int32): the free index of
 each element dof, n_free where the dof is constrained, so a gather from
 [u, 0] reads 0 there and a scatter drops that slot.
 
-Second derivatives are constant per element, and so are CR gradients: the
-tables hold them once, as `hess` (nt, 6, 2, 2) on the Morley table and
-`grads` (nt, 3, 2) on the CR table.  values_at and the Morley grads_at take
-barycentric points lambda, either (nq, 3) shared by every element or
-(nt, nq, 3), one set per element, and return (nt, nq, ...); the CR values do
-not depend on the element, so shared points give a broadcast view.  Every
-caller knows lambda in advance (quadrature nodes, vertices, edge midpoints,
-centroids); bary_at(tris, pts) maps paired physical points back to lambda
-for the transfer between nested meshes only.  Morley gradients are affine,
-grad u(x) = g_T + H_T (x - c_T), so kernels that need one function's
-gradient or a pairing of basis gradients can start from centroid_grads and
-the hessians instead of a table; barycentric_form folds a function's six
-local coefficients once for evaluation at many points.
+A Morley function with local coefficients c is u = lambda . c_v +
+lambda (1 - lambda) . w with w = W c, W (3 x 6) the bubble weights
+(bubble_weights; barycentric_form folds c into (c_v, w)).  So its hessian
+-2 sum_m w_m grad lambda_m (x) grad lambda_m is constant (hessians), its
+gradient sum_i (c_v,i + (1 - 2 lambda_i) w_i) grad lambda_i affine, and the
+element tensors of assembly are closed forms in grad lambda and W: the
+Morley table keeps grad lambda, the first vertices, B and a, and the CR
+table its constant gradients `grads` (nt, 3, 2).  values_at and the Morley
+grads_at serve the checks that evaluate the basis at points; they take
+barycentric points lambda, (nq, 3) shared by every element or (nt, nq, 3),
+and return (nt, nq, ...); shared points give a broadcast view of the CR
+values.  bary_at(tris, pts) maps paired physical points back to lambda for
+the transfer between nested meshes only.
 """
 from __future__ import annotations
 
@@ -127,19 +127,13 @@ class _Barycentric:
 
 class _MorleyTables(_Barycentric):
     """Morley basis in closed form: B[t, i, m] = grad lambda_i . nu_m, with
-    a_m = B[t, m, m], and the constant basis hessians."""
+    a_m = B[t, m, m]."""
 
     def __init__(self, mesh):
         super().__init__(mesh)
-        gl = self.grad_lambda
         nu = geometry(mesh).nu_E[mesh.edge_of_triangle]        # (nt, 3, 2)
-        self.B = gl @ np.swapaxes(nu, 1, 2)                     # (nt, 3, 3)
+        self.B = self.grad_lambda @ np.swapaxes(nu, 1, 2)       # (nt, 3, 3)
         self.a = np.diagonal(self.B, axis1=1, axis2=2)          # (nt, 3) view
-        # D^2 psi_m = -2 grad lambda_m (x) grad lambda_m / a_m
-        hpsi = ((-2.0 / self.a)[:, :, None, None]
-                * (gl[:, :, :, None] * gl[:, :, None, :]))
-        hphi = -np.einsum("tim,tmab->tiab", self.B, hpsi)
-        self.hess = np.concatenate([hphi, hpsi], axis=1)       # (nt, 6, 2, 2)
 
     def values_at(self, lam):
         psi = lam * (1.0 - lam) / self.a[:, None, :]
@@ -153,16 +147,27 @@ class _MorleyTables(_Barycentric):
         gphi = gl - self.B[:, None] @ gpsi
         return np.concatenate([gphi, gpsi], axis=-2)
 
-    def centroid_grads(self):
-        """The basis gradients (nt, 6, 2) at the centroids."""
-        return self.grads_at(np.full((1, 3), 1.0 / 3.0))[:, 0]
-
     def barycentric_form(self, c):
         """The functions with local coefficients c (nt, 6) as
         u = lambda . c_v + lambda (1 - lambda) . w: returns (c_v, w), each
         (nt, 3), with w_m = (c_{e,m} - sum_i B_im c_{v,i}) / a_m."""
         cv = c[:, :3]
         return cv, (c[:, 3:] - (cv[:, None, :] @ self.B)[:, 0]) / self.a
+
+    def bubble_weights(self):
+        """W (nt, 3, 6) with w = W c: W[m, i] = -B_im / a_m, W[m, 3 + m] =
+        1 / a_m."""
+        eye = np.broadcast_to(np.eye(3), self.B.shape)
+        return (np.concatenate([-np.swapaxes(self.B, 1, 2), eye], axis=2)
+                / self.a[:, :, None])
+
+    def hessians(self, c):
+        """D^2 u = -2 sum_m w_m grad lambda_m (x) grad lambda_m (nt, 2, 2) of
+        the functions with local coefficients c (nt, 6)."""
+        gl = self.grad_lambda
+        w = self.barycentric_form(c)[1]
+        return np.einsum("tm,tmab->tab", -2.0 * w,
+                         gl[:, :, :, None] * gl[:, :, None, :])
 
 
 class _CRTables(_Barycentric):

@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import cr_dofmap, free_index, morley_dofmap, random_function
+from conftest import (MorleyByInverse, cr_dofmap, free_index, morley_dofmap,
+                      random_function)
 from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
                             assembler)
-from ncfem.mesh import build_from_arrays, builtin_domain, refine
-from ncfem.problems import ProblemKind, ProblemSpec, manufactured
+from ncfem.mesh import build_from_arrays, builtin_domain, geometry, refine
+from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
 from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
 from ncfem.spaces import local_coefficients, volume_quadrature
@@ -108,10 +110,10 @@ def test_gamma_ns_antisymmetry(square8):
 
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
 def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
-    """S from the centroid gradients and the second moment of each element
-    against the degree-4 rule (exact for the quadratic integrand) applied to
-    grads_at, and the energy element matrices of _init_morley against the
-    hessian pairing."""
+    """S from grad lambda and the bubble weights against the degree-4 rule
+    (exact for the quadratic integrand) applied to grads_at, and the energy
+    element matrices of _init_morley against the hessian pairing of the
+    monomial dof-matrix oracle."""
     m = lshape if mesh == "lshape" else graded_lshape[1]
     asm = Assembler(m, NS)
     tab = asm.tables
@@ -124,17 +126,63 @@ def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     scale = np.abs(S).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(asm.S - S) <= 1e-12 * scale)
     assert np.array_equal(asm.S, -np.transpose(asm.S, (0, 2, 1)))
-    a_loc = asm._init_morley(wdx, tab.values_at(rule.points))
-    a = np.einsum("t,tiab,tjab->tij", asm.geom.area, tab.hess, tab.hess)
+    a_loc = asm._init_morley(tab.bubble_weights())
+    hess = MorleyByInverse(m).hess
+    a = np.einsum("t,tiab,tjab->tij", asm.geom.area, hess, hess)
     scale = np.abs(a).max(axis=(1, 2), keepdims=True)
     assert np.all(np.abs(a_loc - a) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "ns_unit_load"])
+def test_closed_forms_match_the_quadrature_of_the_oracle(name, graded_lshape):
+    """The energy element matrices E, tr H and S (Navier-Stokes) or Br and
+    IV (von Karman), and the loads, all from grad lambda and the bubble
+    weights, against the degree-4 rule applied to the basis of the monomial
+    dof-matrix oracle on the graded L-shape: exact for every integrand but
+    the loads', which it samples at the same points.  Element tensors agree
+    to 1e-12 of their largest entry, and each load entry to 1e-12 of the sum
+    of its element contributions in absolute value."""
+    m = graded_lshape[1]
+    problem = (ns_unit_load() if name == "ns_unit_load"
+               else manufactured(name).problem)
+    asm, ref = Assembler(m, problem), MorleyByInverse(m)
+    dm, area, hess = asm.dofmap, asm.geom.area, ref.hess
+    xq, wdx = volume_quadrature(m, 4)
+    tris = np.arange(m.n_triangles)
+    vals, grads = ref.values_at(tris, xq), ref.grads_at(tris, xq)
+
+    def close(got, want):
+        scale = np.abs(want).max(axis=tuple(range(1, want.ndim)), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    close(asm._init_morley(asm.tables.bubble_weights()),
+          np.einsum("t,tiab,tjab->tij", area, hess, hess))
+    hxx, hxy, hyy = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
+    if problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
+        close(asm.trH, hxx + hyy)
+        gx, gy = grads[..., 0], grads[..., 1]
+        close(asm.S, np.einsum("tq,tqj,tqk->tjk", wdx, gy, gx)
+              - np.einsum("tq,tqj,tqk->tjk", wdx, gx, gy))
+    else:
+        close(asm.Br, np.einsum("ti,tj->tij", hxx, hyy)
+              + np.einsum("ti,tj->tij", hyy, hxx)
+              - 2.0 * np.einsum("ti,tj->tij", hxy, hxy))
+        close(asm.IV, np.einsum("tq,tqk->tk", wdx, vals))
+    loads = [fn for fn in (problem.f, problem.g) if fn is not None]
+    assert len(asm.load()) == problem.n_components * dm.n_free
+    for c, fn in enumerate(loads):
+        loc = np.einsum("tq,tqk->tk", wdx * fn(xq), vals)
+        got = asm.load()[c * dm.n_free:(c + 1) * dm.n_free]
+        scale = _scatter_vector(np.abs(loc), dm)
+        assert np.all(np.abs(got - _scatter_vector(loc, dm)) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
 def test_gamma_ns_value_matches_quadrature(mesh, lshape, graded_lshape):
     """gamma_ns_value against sum_T int_T Delta(eta) (chi_y phi_x - chi_x phi_y)
     by the degree-4 rule on grads_at (exact for the quadratic integrand), with
-    the constant Laplacians from tab.hess, for random triples.  The L-shape is
+    the constant Laplacians of the monomial dof-matrix oracle, for random
+    triples.  The L-shape is
     refined once: with no interior vertex Gamma vanishes on it.  The graded
     sum cancels (sum_T |Gamma_T| reaches 1300 |Gamma|), so the tolerance is
     relative to sum_T |Gamma_T|."""
@@ -143,7 +191,8 @@ def test_gamma_ns_value_matches_quadrature(mesh, lshape, graded_lshape):
     dm, tab = asm.dofmap, asm.tables
     _, wdx = volume_quadrature(m, 4)
     g = tab.grads_at(quad_triangle(4).points)              # (nt, nq, 6, 2)
-    lap = tab.hess[:, :, 0, 0] + tab.hess[:, :, 1, 1]     # (nt, 6)
+    hess = MorleyByInverse(m).hess
+    lap = hess[:, :, 0, 0] + hess[:, :, 1, 1]             # (nt, 6)
     rng = np.random.default_rng(7)
     for _ in range(5):
         eta, chi, phi = (random_function(dm, rng) for _ in range(3))
@@ -501,13 +550,13 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 5%, 5% and 10% above 1265 (ns), 1452 (vk) and 471 (CR)
+# refine(l_shape, 5): 5%, 5% and 10% above 1073 (ns), 1212 (vk) and 471 (CR)
 # measured with G, the load and b_pw built.  The closed-form basis tables
-# hold grad lambda, the first vertices, B and the hessians, and the dof map
-# its int32 slots; the monomial coefficients of a Morley dof-matrix inverse
-# (144 more) break the ns and vk budgets, and keeping the energy element
-# matrices breaks each
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1330, "vk_poly": 1520, "cr_sine": 520}
+# hold grad lambda, the first vertices and B, and the dof map its int32
+# slots; a table of the basis hessians (192 more) or the monomial
+# coefficients of a Morley dof-matrix inverse (144 more) breaks the ns and
+# vk budgets, and keeping the energy element matrices breaks each
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1127, "vk_poly": 1272, "cr_sine": 520}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
@@ -520,6 +569,30 @@ def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
         asm.b_matrix()
     per_triangle = _ndarray_bytes(asm, asm.mesh) / mesh.n_triangles
     assert per_triangle <= LEVEL_BYTES_PER_TRIANGLE[name]
+
+
+# tracemalloc bytes per triangle that building one Morley level may peak at
+# and keep, on refine(l_shape, 6) with its geometry built: measured 1900 and
+# 1006 (ns), 1916 and 1148 (vk).  A hessian table on the basis tables, the
+# (nt, nq, 6) value table of the old load and the loads sampled after G
+# took ns to 3055 and 1198, vk to 3227 and 1388
+SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 1010), "vk_poly": (2800, 1200)}
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_BYTES_PER_TRIANGLE))
+def test_a_morley_level_builds_within_its_memory_budget(name, lshape):
+    mesh = refine(lshape, 6)
+    geometry(mesh)
+    problem = manufactured(name).problem
+    tracemalloc.start()
+    try:
+        asm = Assembler(mesh, problem)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert asm.load().shape == (problem.n_components * asm.dofmap.n_free,)
+    assert peak / mesh.n_triangles <= SETUP_BYTES_PER_TRIANGLE[name][0]
+    assert kept / mesh.n_triangles <= SETUP_BYTES_PER_TRIANGLE[name][1]
 
 
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly"])

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import MorleyByInverse, morley_dofmap, random_function
 from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
-from ncfem.estimators import (EstimatorReport, _hessians, _lap_grad_at_edges,
-                              broken_energy_error, cr_apriori_terms, estimate)
+from ncfem.estimators import (EstimatorReport, _centroid_gradients,
+                              _lap_grad_at_edges, broken_energy_error,
+                              cr_apriori_terms, estimate)
 from ncfem.interpolation import OSCILLATION_DEGREE, edge_points, oscillation
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
@@ -82,8 +83,9 @@ def test_ns_estimator_report_consistency(square32):
 
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
 def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
-    """The affine gradient g_T + H_T (x - c_T), from centroid_grads, against
-    the basis gradients of the dof-matrix inverse at the physical edge
+    """The hessians and centroid gradients from barycentric_form, and the
+    affine gradient g_T + H_T (x - c_T) built from them, against the basis
+    of the dof-matrix inverse: at the centroids, and at the physical edge
     points contracted with u, from both sides of every edge."""
     if mesh == "lshape":
         m = lshape
@@ -93,14 +95,19 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
         _, m, dm, u = graded_lshape
     tab = Assembler(m, manufactured("ns_poly").problem).tables
     cu = local_coefficients(dm, u)
-    H = _hessians(tab, cu)
+    H = tab.hessians(cu)
     lap = H[:, 0, 0] + H[:, 1, 1]
     pts = edge_points(m, quad_edge(4))
     t_plus, t_minus = m.triangles_of_edge.T
     interior = t_minus >= 0
     cent = m.vertices[m.triangles].mean(axis=1)
-    g_cent = np.einsum("tjd,tj->td", tab.centroid_grads(), cu)
+    g_cent = _centroid_gradients(tab, cu)
     ref = MorleyByInverse(m)
+    H_ref = np.einsum("tjab,tj->tab", ref.hess, cu)
+    assert np.abs(H - H_ref).max() <= 1e-12 * np.abs(H_ref).max()
+    tris = np.arange(m.n_triangles)
+    g_ref = np.einsum("tjd,tj->td", ref.grads_at(tris, cent), cu)
+    assert np.abs(g_cent - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
     for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
         got = _lap_grad_at_edges(H, g_cent, cent, tris, x)
         g = np.einsum("eqjd,ej->eqd", ref.grads_at(tris, x), cu[tris])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (cr_dofmap, evaluate, mean_gradient_by_parts,
-                      mean_hessian_by_parts, morley_dofmap, random_function,
-                      vertex_lam)
+from conftest import (MorleyByInverse, cr_dofmap, evaluate,
+                      mean_gradient_by_parts, mean_hessian_by_parts,
+                      morley_dofmap, random_function, vertex_lam)
 from ncfem.assembly import Assembler
 from ncfem.interpolation import (cr_dof_values, cr_interpolate,
                                  morley_dof_values, morley_interpolate,
@@ -26,8 +26,9 @@ def random_poly(max_deg, rng=RNG):
 
 
 def hessians_of(mesh, dm, u):
-    tab = basis_tables(mesh, SpaceTag.MORLEY)
-    return np.einsum("tjab,tj->tab", tab.hess, local_coefficients(dm, u))
+    """The elementwise hessians of u from the monomial dof-matrix oracle."""
+    return np.einsum("tjab,tj->tab", MorleyByInverse(mesh).hess,
+                     local_coefficients(dm, u))
 
 
 def test_morley_interpolate_zero(square8):
@@ -56,7 +57,7 @@ def test_commuting_identity_polynomials(square8):
     # D^2_pw I_M = Pi_0 D^2 for 20 random quartics, default degree-4 rules;
     # the full dof vector is used since the fields are not clamped
     dm = morley_dofmap(square8)
-    tab = basis_tables(square8, SpaceTag.MORLEY)
+    hess = MorleyByInverse(square8).hess
     geom = geometry(square8)
     rule = quad_triangle(4)
     xq = physical_points(square8, rule.points)
@@ -65,7 +66,7 @@ def test_commuting_identity_polynomials(square8):
     for _ in range(20):
         fld = random_poly(4)
         loc = morley_dof_values(square8, fld)[dm.element_dofs]
-        H = np.einsum("tjab,tj->tab", tab.hess, loc)
+        H = np.einsum("tjab,tj->tab", hess, loc)
         mean = np.einsum("tq,tqab->tab", wdx, fld.hessian(xq)) / geom.area[:, None, None]
         worst = max(worst, np.abs(H - mean).max())
     assert worst < 1e-10
@@ -78,11 +79,11 @@ def test_morley_interpolation_stability(square8):
     rule = quad_triangle(4)
     xq = physical_points(square8, rule.points)
     wdx = 2.0 * geom.area[:, None] * rule.weights
-    tab = basis_tables(square8, SpaceTag.MORLEY)
+    hess = MorleyByInverse(square8).hess
     for _ in range(20):
         fld = random_poly(4)
         loc = morley_dof_values(square8, fld)[dm.element_dofs]
-        H = np.einsum("tjab,tj->tab", tab.hess, loc)
+        H = np.einsum("tjab,tj->tab", hess, loc)
         lhs = np.sqrt(np.einsum("t,tab,tab->", geom.area, H, H))
         hq = fld.hessian(xq)
         rhs = np.sqrt(np.einsum("tq,tqab,tqab->", wdx, hq, hq))

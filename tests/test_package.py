@@ -320,3 +320,29 @@ def test_only_the_dof_map_and_verify_read_element_dofs():
                       if isinstance(node, ast.Attribute)
                       and node.attr == "element_dofs"]
     assert not offenders, f"element_dofs read off its owners: {offenders}"
+
+
+# the callers of the basis tables' values_at and grads_at, by (file,
+# function), besides spaces.py, which defines the basis: verify checks its
+# dof duality and discrete_embedding_ratio samples it at points.  The level
+# kernels and the estimators are closed forms in grad lambda and B
+BASIS_EVALUATORS = {("cli.py", "_verify_checks"),
+                    ("solve.py", "discrete_embedding_ratio")}
+
+
+def test_level_kernels_build_no_basis_value_table():
+    """values_at and grads_at are called in src/ncfem only by spaces.py and
+    BASIS_EVALUATORS, so no (nt, nq, 6) basis table comes back into
+    assembly, the estimators or the transfer."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        if path.name == "spaces.py":
+            continue
+        for owner, call in _calls_by_function(ast.parse(path.read_text())):
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if (name in ("values_at", "grads_at")
+                    and (path.name, owner) not in BASIS_EVALUATORS):
+                offenders.append(f"{path.name}:{call.lineno} {name} in {owner}")
+    assert not offenders, f"basis tables evaluated off their owners: {offenders}"

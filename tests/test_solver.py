@@ -77,6 +77,35 @@ def test_gram_factor_keeps_column_order_and_solves(square32, name):
     assert np.linalg.norm(lu.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine", "afem"])
+def test_gram_factor_takes_the_csr_arrays_of_a_symmetric_g(name, lshape,
+                                                           graded_lshape,
+                                                           monkeypatch):
+    """An assembled G is symmetric to the bit, on refine(l_shape, 5) and on
+    an afem level (ns_unit_load on the graded L-shape), so _gram_factor hands
+    SuperLU the arrays of the CSR G as its CSC, with no copy, and gets
+    bitwise the permutations, L and U of a factor of G.tocsc()."""
+    if name == "afem":
+        problem, mesh = graded_lshape[:2]
+    else:
+        problem, mesh = manufactured(name).problem, refine(lshape, 5)
+    G = Assembler(mesh, problem).gram()
+    assert G.format == "csr" and (G - G.T).count_nonzero() == 0
+    splu, seen = ncfem.solve._splu, []
+    monkeypatch.setattr(ncfem.solve, "_splu",
+                        lambda A, **kw: seen.append(A) or splu(A, **kw))
+    lu, ref = _gram_factor(G), _gram_factor(G.tocsc())
+    assert seen[0].format == "csc"
+    assert all(np.shares_memory(getattr(seen[0], a), getattr(G, a))
+               for a in ("data", "indices", "indptr"))
+    assert np.array_equal(lu.perm_c, ref.perm_c)
+    assert np.array_equal(lu.perm_r, ref.perm_r)
+    for factor in ("L", "U"):
+        got, want = getattr(lu, factor), getattr(ref, factor)
+        for a in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, a), getattr(want, a))
+
+
 def test_gram_factor_fills_less_than_partial_pivoting():
     mesh = refine(builtin_domain("unit_square"), 3)
     G = assembler(mesh, NS).gram()
