@@ -25,12 +25,15 @@ For the Morley space the trilinear forms factor elementwise:
   with Br the constant bracket pairing [phi_i, phi_j] and IV the basis
   integrals.
 
-Each Gamma is written out once, in Assembler.gamma_gradient; the residual
+Each Gamma is written out once, in Assembler.gamma_gradient, every
+contraction as a two-operand einsum and a row dot; the residual
 a_pw(U, .) + Gamma(U, U, .) - F and gamma_ns_value / gamma_vk_value contract
 its slot-2 vector.  Besides, only the private _linearization reads the
 tensors above: it computes the element factors of J(U) that depend on U,
 from which jacobian assembles a CSR and jacobian_operator applies J element
 by element, with no matrix built (the Newton GMRES steps use the latter).
+The CR problem is linear, with the one operator J = a_pw + b_pw, which set-up
+assembles and residual, jacobian and jacobian_operator read.
 
 An Assembler is one level: a mesh, a problem, its dof map and basis tables,
 and every operator on them.  The level driver and the CLI build it once per
@@ -66,11 +69,10 @@ def _scatter_matrix(loc, dofmap: DofMap):
     cols = np.broadcast_to(slots[:, None, :], (nt, nloc, nloc))
     free = slots < n
     keep = free[:, :, None] & free[:, None, :]
-    mat = sparse.coo_matrix((loc[keep], (rows[keep], cols[keep])), shape=(n, n))
-    out = mat.tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
+    # tocsr returns a canonical CSR, its duplicates summed in place in
+    # buffers as long as the COO: the copy keeps exactly nnz entries
+    return sparse.coo_matrix((loc[keep], (rows[keep], cols[keep])),
+                             shape=(n, n)).tocsr().copy()
 
 
 def _block_diag2(A):
@@ -111,11 +113,12 @@ class Assembler:
     assembled operators on one mesh.
 
     Building one assembles every operator that does not depend on the state
-    U (G, the load, and b_pw for CR), so Newton iterations only pay for the
-    state-dependent contractions.  It keeps those and the element tensors of
-    Gamma (S and trH, or Br and IV), which the Jacobian reads; the energy
-    element matrices go once G exists, and on a Morley level the quadrature
-    points once the loads are sampled, which is done first.
+    U (G, the load, and for CR its Jacobian a_pw + b_pw), so Newton
+    iterations only pay for the state-dependent contractions.  It keeps
+    those and the element tensors of Gamma (S and trH, or Br and IV), which
+    the Jacobian reads; the element matrices go once scattered, and on a
+    Morley level the quadrature points once the loads are sampled, which is
+    done first.
     """
 
     def __init__(self, mesh, problem: ProblemSpec):
@@ -127,7 +130,6 @@ class Assembler:
         self.tables = basis_tables(mesh, space)
         xq, wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
         lam = quad_triangle(VOLUME_QUAD_DEGREE).points
-        self._b_csr = None
         if space is SpaceTag.MORLEY:
             W = self.tables.bubble_weights()
 
@@ -143,12 +145,16 @@ class Assembler:
         else:
             vals = 1.0 - 2.0 * lam                      # the CR basis
             a_loc, b_loc = self._init_cr(xq, wdx, vals)
-            self._b_csr = _scatter_matrix(b_loc, self.dofmap)
             self._load = self._assemble_load(
                 xq, wdx, lambda wf: np.einsum("tq,qk->tk", wf, vals))
         single = _scatter_matrix(a_loc, self.dofmap)
         del a_loc
-        self._a_csr = single if problem.n_components == 1 else _block_diag2(single)
+        self._gram = single if problem.n_components == 1 else _block_diag2(single)
+        if space is SpaceTag.CROUZEIX_RAVIART:
+            # the CR problem is linear: J = a_pw + b_pw, the same for every U;
+            # the copy drops the sum's buffers of nnz(G) + nnz(b_pw) entries
+            self._jacobian = (self._gram
+                              + _scatter_matrix(b_loc, self.dofmap)).copy()
 
     # -- element tensors ----------------------------------------------------
 
@@ -239,19 +245,11 @@ class Assembler:
 
     # -- assembled operators -------------------------------------------------
 
-    def a_matrix(self):
-        """Piecewise energy form: sum_T (D^2 ., D^2 .) for Morley,
-        sum_T (A grad ., grad .) for CR; block diagonal for pairs."""
-        return self._a_csr
-
-    def b_matrix(self):
-        if self.problem.kind is not ProblemKind.SECOND_ORDER_CR:
-            raise ValueError("b_pw matrix is defined for the CR problem only")
-        return self._b_csr
-
     def gram(self):
-        """Gram matrix of the piecewise energy norm (equals a_matrix)."""
-        return self.a_matrix()
+        """Gram matrix G of the piecewise energy norm, the form a_pw:
+        sum_T (D^2 ., D^2 .) for Morley, sum_T (A grad ., grad .) for CR;
+        block diagonal for pairs."""
+        return self._gram
 
     def load(self):
         return self._load
@@ -260,8 +258,8 @@ class Assembler:
         """Entries N_h(U; phi_j) = a_pw(U, phi_j) + Gamma(U, U, phi_j) - F(phi_j)
         of the discrete residual over free test dofs (a_pw + b_pw for CR)."""
         if self.problem.kind is ProblemKind.SECOND_ORDER_CR:
-            return (self.a_matrix() + self.b_matrix()) @ U - self.load()
-        return self.a_matrix() @ U - self.load() + self.gamma_gradient(2, U, U, None)
+            return self._jacobian @ U - self.load()
+        return self._gram @ U - self.load() + self.gamma_gradient(2, U, U, None)
 
     def _linearization(self, U):
         """The element factors of J(U) - a_pw that depend on U, computed once
@@ -279,32 +277,31 @@ class Assembler:
                 np.einsum("tij,tj->ti", self.Br, cv), self.IV)
 
     def jacobian(self, U):
-        """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .)."""
+        """Derivative of the residual at U: a_pw + Gamma(U, ., .) + Gamma(., U, .);
+        for CR the one matrix a_pw + b_pw assembled at set-up, whatever U."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
-            return (self.a_matrix() + self.b_matrix()).tocsr()
+            return self._jacobian
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
             a_t, su, S, trH = self._linearization(U)
             loc = (a_t[:, None, None] * np.transpose(S, (0, 2, 1))
                    + su[:, :, None] * trH[:, None, :])
-            return self.a_matrix() + _scatter_matrix(loc, self.dofmap)
+            return self._gram + _scatter_matrix(loc, self.dofmap)
         brU, brV, IV = self._linearization(U)
         J11 = _scatter_matrix(-np.einsum("tk,tj->tkj", IV, brV), self.dofmap)
         J12 = _scatter_matrix(-np.einsum("tk,tj->tkj", IV, brU), self.dofmap)
-        J21 = _scatter_matrix(np.einsum("tk,tj->tkj", IV, brU), self.dofmap)
-        blocks = sparse.bmat([[J11, J12], [J21, None]])
-        return (self.a_matrix() + blocks).tocsr()
+        blocks = sparse.bmat([[J11, J12], [-J12, None]])
+        return (self._gram + blocks).tocsr()
 
     def jacobian_operator(self, U):
         """J(U) as a LinearOperator: a product applies the element factors of
         _linearization to the local coefficients of its argument and
         scatters the element vectors once, with no matrix built.  Equals
         jacobian(U) @ v up to round-off."""
-        A = self.a_matrix()
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
-            return spla.aslinearoperator(self.jacobian(U))
-        dm, factors = self.dofmap, self._linearization(U)
+            return spla.aslinearoperator(self._jacobian)
+        G, dm, factors = self._gram, self.dofmap, self._linearization(U)
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
             a_t, su, S, trH = factors
 
@@ -314,7 +311,7 @@ class Assembler:
                 loc = np.einsum("tj,tji->ti", c, S)
                 loc *= a_t[:, None]
                 loc += np.einsum("ti,ti->t", trH, c)[:, None] * su
-                return A @ v + _scatter_vector(loc, dm)
+                return G @ v + _scatter_vector(loc, dm)
         else:
             brU, brV, IV = factors
 
@@ -323,9 +320,9 @@ class Assembler:
                 c1, c2 = (local_coefficients(dm, v, c) for c in (0, 1))
                 s1 = np.einsum("tj,tj->t", brV, c1) + np.einsum("tj,tj->t", brU, c2)
                 s2 = np.einsum("tj,tj->t", brU, c1)
-                return A @ v + np.concatenate(
+                return G @ v + np.concatenate(
                     [_scatter_vector(s[:, None] * IV, dm) for s in (-s1, s2)])
-        return spla.LinearOperator(A.shape, matvec=matvec, dtype=float)
+        return spla.LinearOperator(G.shape, matvec=matvec, dtype=float)
 
     # -- trilinear forms -----------------------------------------------------
 
@@ -345,44 +342,37 @@ class Assembler:
         Gamma(x, y, z) = w . (coefficients of that slot's argument)."""
         dm = self.dofmap
         kind = self.problem.kind
+        # every contraction is a two-operand einsum and a row dot, and a
+        # slot gathers only the two arguments it reads
         if kind is ProblemKind.NAVIER_STOKES_MORLEY:
-            # gather only the two arguments the slot reads
+            if slot == 2:
+                su = np.einsum("tj,tjk->tk", local_coefficients(dm, y), self.S)
+            else:
+                su = np.einsum("tjk,tk->tj", self.S, local_coefficients(dm, z))
             if slot == 0:
-                cy, cz = (local_coefficients(dm, u) for u in (y, z))
-                loc = self.trH * np.einsum("tj,tjk,tk->t", cy, self.S, cz)[:, None]
+                cy = local_coefficients(dm, y)
+                loc = self.trH * np.einsum("tj,tj->t", cy, su)[:, None]
             else:
                 cx = local_coefficients(dm, x)
-                if slot == 1:
-                    su = np.einsum("tjk,tk->tj", self.S, local_coefficients(dm, z))
-                else:
-                    su = np.einsum("tj,tjk->tk", local_coefficients(dm, y), self.S)
                 loc = np.einsum("ti,ti->t", self.trH, cx)[:, None] * su
             return _scatter_vector(loc, dm)
         if kind is not ProblemKind.VON_KARMAN_MORLEY:
             raise ValueError("the CR problem has no trilinear form")
+        # Br is symmetric, so Gamma is symmetric in its first two slots, and
+        # each slot pairs Br with the argument in one of them
+        o = x if slot == 1 else y
+        b1, b2 = (np.einsum("tij,tj->ti", self.Br, local_coefficients(dm, o, c))
+                  for c in (0, 1))
         if slot < 2:
-            # Gamma is symmetric in its first two slots (Br is symmetric)
-            p1, p2 = (local_coefficients(dm, z, c) for c in (0, 1))
-            iv1 = np.einsum("tk,tk->t", self.IV, p1)
-            iv2 = np.einsum("tk,tk->t", self.IV, p2)
-            o1, o2 = (local_coefficients(dm, y if slot == 0 else x, c)
-                      for c in (0, 1))
-            bo1 = np.einsum("tij,tj->ti", self.Br, o1)
-            bo2 = np.einsum("tij,tj->ti", self.Br, o2)
-            g1 = 0.5 * (iv2[:, None] * bo1 - iv1[:, None] * bo2)
-            g2 = -0.5 * iv1[:, None] * bo1
+            iv1, iv2 = (np.einsum("tk,tk->t", self.IV, local_coefficients(dm, z, c))
+                        for c in (0, 1))
+            g1 = 0.5 * (iv2[:, None] * b1 - iv1[:, None] * b2)
+            g2 = -0.5 * iv1[:, None] * b1
         else:
-            # y is x in the residual: gather once and take q21 = q12, which
-            # is then the same einsum of the same operands, to the bit
             x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
-            y1, y2 = ((x1, x2) if y is x
-                      else (local_coefficients(dm, y, c) for c in (0, 1)))
-            q12 = np.einsum("ti,tij,tj->t", x1, self.Br, y2)
-            # = x2^T Br y1 (Br symmetric bitwise)
-            q21 = q12 if y is x else np.einsum("ti,tij,tj->t", y1, self.Br, x2)
-            q11 = np.einsum("ti,tij,tj->t", x1, self.Br, y1)
-            g1 = -0.5 * (q12 + q21)[:, None] * self.IV
-            g2 = 0.5 * q11[:, None] * self.IV
+            q = np.einsum("ti,ti->t", x1, b2) + np.einsum("ti,ti->t", x2, b1)
+            g1 = -0.5 * q[:, None] * self.IV
+            g2 = 0.5 * np.einsum("ti,ti->t", x1, b1)[:, None] * self.IV
         return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
 
 

@@ -203,8 +203,7 @@ def _cmd_infsup(cfg: RunConfig):
     rows = []
     for level in range(cfg.levels):
         asm = assembly.assembler(mesh, problem)
-        B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
-        beta = solvemod.infsup_constant(B, asm.gram())
+        beta = solvemod.infsup_constant(asm.jacobian(None).T, asm.gram())
         rows.append((level, asm.dofmap.n_free, beta))
         print(f"{level:>3} {asm.dofmap.n_free:>8} {beta:>12.6e}")
         if level + 1 < cfg.levels:

@@ -3,10 +3,12 @@ import pytest
 import scipy.sparse.linalg
 
 from ncfem.afem import afem_loop
+from ncfem.assembly import VOLUME_QUAD_DEGREE, _scatter_matrix
 from ncfem.mesh import builtin_domain, geometry, refine
 from ncfem.problems import ns_unit_load
+from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
-                          local_coefficients)
+                          local_coefficients, volume_quadrature)
 
 
 @pytest.fixture(scope="session")
@@ -143,6 +145,15 @@ def morley_dofmap(mesh):
 
 def cr_dofmap(mesh):
     return build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
+
+
+def b_pw(asm):
+    """The matrix of b_pw alone on the CR level asm: Assembler._init_cr's
+    element matrices on the set-up's quadrature and basis values, scattered
+    as set-up scatters them before it adds G."""
+    xq, wdx = volume_quadrature(asm.mesh, VOLUME_QUAD_DEGREE)
+    vals = 1.0 - 2.0 * quad_triangle(VOLUME_QUAD_DEGREE).points
+    return _scatter_matrix(asm._init_cr(xq, wdx, vals)[1], asm.dofmap)
 
 
 def free_index(dofmap):

@@ -200,7 +200,7 @@ def test_criterion_8_infsup_plateau():
     betas = []
     for _ in range(4):
         asm = assembler(mesh, man.problem)
-        B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+        B = asm.jacobian(None).T.tocsr()
         betas.append(infsup_constant(B, asm.gram()))
         mesh = uniform_refine(mesh)
     plateau = min(betas[-2:]) >= 0.9 * betas[-1]

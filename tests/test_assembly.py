@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from conftest import (MorleyByInverse, cr_dofmap, free_index, morley_dofmap,
-                      random_function)
+from conftest import (MorleyByInverse, b_pw, cr_dofmap, free_index,
+                      morley_dofmap, random_function)
 from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
                             assembler)
 from ncfem.mesh import build_from_arrays, builtin_domain, geometry, refine
@@ -61,7 +61,7 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
     rng = np.random.default_rng(0)
     for mesh in (square8, square32, lshape):
         dm = morley_dofmap(mesh)
-        A = assembler(mesh, NS).a_matrix()
+        A = assembler(mesh, NS).gram()
         dense = A.toarray()
         assert np.abs(dense - dense.T).max() < 1e-12
         assert np.linalg.eigvalsh(dense).min() > 0
@@ -80,20 +80,33 @@ def test_cr_stiffness_closed_form_reference_triangle():
 
 
 def test_b_pw_zero_and_mass(square8):
-    B0 = assembler(square8, cr_problem()).b_matrix()
+    B0 = b_pw(assembler(square8, cr_problem()))
     assert B0.nnz == 0 or np.abs(B0.toarray()).max() == 0.0
 
     one = lambda pts: np.ones(np.shape(pts)[:-1])
-    M = assembler(square8, cr_problem(gamma=one)).b_matrix().toarray()
+    M = b_pw(assembler(square8, cr_problem(gamma=one))).toarray()
     assert np.abs(M - M.T).max() < 1e-12
     assert np.linalg.eigvalsh(M).min() > 0
+
+
+def test_cr_jacobian_is_one_matrix_a_pw_plus_b_pw(square32):
+    """The CR problem is linear: set-up assembles J = a_pw + b_pw once, and
+    jacobian hands that matrix out for every state."""
+    asm = Assembler(refine(square32, 1), manufactured("cr_sine").problem)
+    rng = np.random.default_rng(4)
+    U, V = (rng.standard_normal(asm.dofmap.n_free) for _ in range(2))
+    J = asm.jacobian(U)
+    assert J is asm.jacobian(V) and J is asm.jacobian(None)
+    ref = asm.gram() + b_pw(asm)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(J, attr), getattr(ref, attr))
 
 
 def test_indefinite_symmetric_part(square32):
     mesh = refine(square32, 1)  # 128 triangles
     problem = manufactured("cr_sine").problem
     asm = assembler(mesh, problem)
-    M = (asm.a_matrix() + asm.b_matrix()).toarray()
+    M = asm.jacobian(None).toarray()
     sym = 0.5 * (M + M.T)
     assert np.linalg.eigvalsh(sym).min() < 0
 
@@ -283,14 +296,15 @@ def test_gamma_gradient_matches_value(square32, problem, slot):
 
 
 def _gamma_gradient_gathering_all(asm, slot, x, y, z):
-    """Assembler.gamma_gradient as it was when it gathered the local
-    coefficients of all three arguments (the z coefficients and their
-    integrals IV . z also for the vk slot 2, which reads neither)."""
+    """Assembler.gamma_gradient's contractions, with the local coefficients
+    of all three arguments gathered (the z coefficients and their integrals
+    IV . z also for the vk slot 2, which reads neither)."""
     dm = asm.dofmap
     if asm.problem.kind is ProblemKind.NAVIER_STOKES_MORLEY:
         cx, cy, cz = (local_coefficients(dm, u) for u in (x, y, z))
         if slot == 0:
-            loc = asm.trH * np.einsum("tj,tjk,tk->t", cy, asm.S, cz)[:, None]
+            sz = np.einsum("tjk,tk->tj", asm.S, cz)
+            loc = asm.trH * np.einsum("tj,tj->t", cy, sz)[:, None]
         else:
             su = (np.einsum("tjk,tk->tj", asm.S, cz) if slot == 1
                   else np.einsum("tj,tjk->tk", cy, asm.S))
@@ -308,10 +322,11 @@ def _gamma_gradient_gathering_all(asm, slot, x, y, z):
         g2 = -0.5 * iv1[:, None] * bo1
     else:
         x1, x2 = (local_coefficients(dm, x, c) for c in (0, 1))
-        y1, y2 = (local_coefficients(dm, y, c) for c in (0, 1))
-        q12 = np.einsum("ti,tij,tj->t", x1, asm.Br, y2)
-        q21 = np.einsum("ti,tij,tj->t", y1, asm.Br, x2)
-        q11 = np.einsum("ti,tij,tj->t", x1, asm.Br, y1)
+        by1, by2 = (np.einsum("tij,tj->ti", asm.Br, local_coefficients(dm, y, c))
+                    for c in (0, 1))
+        q12 = np.einsum("ti,ti->t", x1, by2)
+        q21 = np.einsum("ti,ti->t", x2, by1)        # = y1^T Br x2
+        q11 = np.einsum("ti,ti->t", x1, by1)
         g1 = -0.5 * (q12 + q21)[:, None] * asm.IV
         g2 = 0.5 * q11[:, None] * asm.IV
     return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
@@ -348,9 +363,8 @@ def test_gamma_gradient_gathers_only_what_the_slot_reads(square32, problem,
 
 @pytest.mark.parametrize("problem", [NS, VK], ids=["ns", "vk"])
 def test_gamma_gradient_at_y_is_x_matches_the_general_path(square32, problem):
-    """The residual passes y is x, which lets the von Karman slot-2 gradient
-    gather once and take q21 = q12; a copy of x takes the general path, and
-    the two agree to the bit."""
+    """The residual passes y is x; the gradient does not depend on whether
+    its arguments are one object, so a copy of x gives the same bits."""
     dm = morley_dofmap(square32)
     asm = Assembler(square32, problem)
     U = random_function(dm, np.random.default_rng(13),
@@ -368,7 +382,7 @@ def test_residual_zero_state_zero_load(square8):
 def test_residual_vanishes_at_discrete_solution(square8):
     problem = manufactured("cr_sine").problem
     asm = assembler(square8, problem)
-    A = (asm.a_matrix() + asm.b_matrix()).tocsc()
+    A = asm.jacobian(None).tocsc()
     F = asm.load()
     u = sparse_solve(A, F)
     r = asm.residual(u)
@@ -416,7 +430,7 @@ def test_jacobian_differentiates_the_one_gamma(name, square32):
             for _ in range(2))
     nonlinear = asm.gamma_gradient(2, d, U, None) + asm.gamma_gradient(2, U, d, None)
     Jd = asm.jacobian(U) @ d
-    assert np.linalg.norm(Jd - asm.a_matrix() @ d - nonlinear) <= (
+    assert np.linalg.norm(Jd - asm.gram() @ d - nonlinear) <= (
         1e-12 * np.linalg.norm(Jd))
     assert np.linalg.norm(nonlinear) > 1e-3 * np.linalg.norm(Jd)
 
@@ -456,7 +470,7 @@ def test_jacobian_at_zero_is_a_pw(square8):
     dm = morley_dofmap(square8)
     U0 = np.zeros(dm.n_free)
     J = assembler(square8, NS).jacobian(U0)
-    A = assembler(square8, NS).a_matrix()
+    A = assembler(square8, NS).gram()
     assert np.abs((J - A).toarray()).max() < 1e-14
 
 
@@ -511,7 +525,7 @@ def test_piecewise_constant_coefficient_sampling(square8):
     p = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR, f=zero_load, A=ident,
                     gamma=gamma, piecewise_constant=True)
     asm = Assembler(square8, p)
-    M = asm.b_matrix().toarray()
+    M = b_pw(asm).toarray()
     # the CR local mass is |T|/3 I, so M is diagonal with entries
     # sum_T w_T |T| / 3 over the triangles of each free edge
     w = gamma(square8.vertices[square8.triangles].mean(axis=1))
@@ -520,7 +534,7 @@ def test_piecewise_constant_coefficient_sampling(square8):
     np.add.at(diag, asm.dofmap.slots, (w * asm.geom.area / 3.0)[:, None])
     assert np.allclose(M, np.diag(diag[:-1]), rtol=1e-13, atol=1e-15)
     smeared = Assembler(square8, replace(p, piecewise_constant=False))
-    assert np.abs(smeared.b_matrix().toarray() - M).max() > 1e-3
+    assert np.abs(b_pw(smeared).toarray() - M).max() > 1e-3
 
 
 def _ndarray_bytes(root, skip):
@@ -550,13 +564,15 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 5%, 5% and 10% above 1073 (ns), 1212 (vk) and 471 (CR)
-# measured with G, the load and b_pw built.  The closed-form basis tables
-# hold grad lambda, the first vertices and B, and the dof map its int32
-# slots; a table of the basis hessians (192 more) or the monomial
+# refine(l_shape, 5): 5%, 5% and 10% above 924 (ns), 1212 (vk) and 436 (CR)
+# measured with G, the load and (CR) J = a_pw + b_pw built.  The closed-form
+# basis tables hold grad lambda, the first vertices and B, and the dof map
+# its int32 slots; a table of the basis hessians (192 more) or the monomial
 # coefficients of a Morley dof-matrix inverse (144 more) breaks the ns and
-# vk budgets, and keeping the energy element matrices breaks each
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 1127, "vk_poly": 1272, "cr_sine": 520}
+# vk budgets, a G in the COO-long buffers of tocsr (149 more) the ns one, J
+# in the buffers of the sum A + B (88 more) the CR one, and keeping the
+# energy element matrices breaks each
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 971, "vk_poly": 1272, "cr_sine": 480}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
@@ -564,19 +580,20 @@ def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
     mesh = refine(lshape, 5)
     problem = manufactured(name).problem
     asm = Assembler(mesh, problem)
-    asm.a_matrix(), asm.load()
+    asm.gram(), asm.load()
     if problem.kind is ProblemKind.SECOND_ORDER_CR:
-        asm.b_matrix()
+        asm.jacobian(None)
     per_triangle = _ndarray_bytes(asm, asm.mesh) / mesh.n_triangles
     assert per_triangle <= LEVEL_BYTES_PER_TRIANGLE[name]
 
 
 # tracemalloc bytes per triangle that building one Morley level may peak at
 # and keep, on refine(l_shape, 6) with its geometry built: measured 1900 and
-# 1006 (ns), 1916 and 1148 (vk).  A hessian table on the basis tables, the
+# 854 (ns), 1780 and 1012 (vk).  A hessian table on the basis tables, the
 # (nt, nq, 6) value table of the old load and the loads sampled after G
-# took ns to 3055 and 1198, vk to 3227 and 1388
-SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 1010), "vk_poly": (2800, 1200)}
+# took ns to 3055 and 1198, vk to 3227 and 1388; a G kept in the COO-long
+# buffers of tocsr takes ns to 1006 kept
+SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 858), "vk_poly": (2800, 1200)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BYTES_PER_TRIANGLE))
@@ -614,3 +631,9 @@ def test_scatter_matrix_matches_the_int64_assembly(name, square32):
     out = _scatter_matrix(loc, dm)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(out, attr), getattr(ref, attr))
+    # canonical, with buffers of exactly nnz entries
+    assert out.has_canonical_format
+    for a in (out.indices, out.data):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        assert a.size == out.nnz

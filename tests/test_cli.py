@@ -403,6 +403,27 @@ def test_cli_vk_study_trajectory_pinned(tmp_path):
                                                            rel=1e-12)
 
 
+# The 6-level Crouzeix-Raviart study: one linear solve per level through
+# the J = a_pw + b_pw that set-up assembles.
+CR_STUDY_N_FREE = [1, 8, 40, 176, 736, 3008]
+CR_STUDY_ERROR = [2.3094870300794033, 3.1244837823957248, 6.36993439734221,
+                  1.9912952700987119, 0.35895449877384117, 0.11083244547415493]
+CR_STUDY_ETA = [7.328201115334552, 1.0916441462364932, 0.6147582252195777,
+                0.3042130939011316, 0.15241357786857707, 0.07626804301814682]
+
+
+def test_cli_cr_study_trajectory_pinned(tmp_path):
+    out = tmp_path / "out"
+    assert main(["study", "--problem", "cr_sine", "--levels", "6",
+                 "--out", str(out)]) == 0
+    records = read_records_csv(out / "study_cr_sine.csv")
+    assert [r.n_free for r in records] == CR_STUDY_N_FREE
+    assert [r.error_pw for r in records] == pytest.approx(CR_STUDY_ERROR,
+                                                          rel=1e-12)
+    assert [r.eta_total for r in records] == pytest.approx(CR_STUDY_ETA,
+                                                           rel=1e-12)
+
+
 @pytest.mark.parametrize("argv, csv", [
     (["afem", "--problem", "ns_unit_load", "--domain", "l_shape",
       "--theta", "0.5", "--max-free-dofs", "4000"],

@@ -252,7 +252,7 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
     kantorovich_report(asm, U)
     discrete_embedding_ratio(asm)
     asm = assembler(square32, manufactured("cr_sine").problem)
-    infsup_constant((asm.a_matrix() + asm.b_matrix()).T, asm.gram())
+    infsup_constant(asm.jacobian(None).T, asm.gram())
     assert spla.calls["splu"] >= 4
     for _, kwargs in spla.args["splu"]:
         assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
@@ -792,7 +792,7 @@ def test_infsup_releases_the_gram_check_before_factoring_b(square32,
     """The factor that validates G is gone before _infsup factors B, and the
     value is bitwise unchanged."""
     asm = assembler(square32, manufactured("cr_sine").problem)
-    B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+    B = asm.jacobian(None).T.tocsr()
     G = asm.gram()
     expected = infsup_constant(B, G)
     gram_factor, infsup = ncfem.solve._gram_factor, ncfem.solve._infsup
@@ -821,7 +821,7 @@ def test_infsup_releases_the_gram_check_before_factoring_b(square32,
 
 def test_infsup_basis_change_invariance(square32):
     asm = assembler(square32, manufactured("cr_sine").problem)
-    B = (asm.a_matrix() + asm.b_matrix()).T.toarray()
+    B = asm.jacobian(None).T.toarray()
     G = asm.gram().toarray()
     beta = infsup_constant(B, G)
     rng = np.random.default_rng(8)
@@ -834,7 +834,7 @@ def test_infsup_basis_change_invariance(square32):
 
 def test_infsup_iterative_path_matches_dense(square32):
     asm = assembler(square32, manufactured("cr_sine").problem)
-    B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+    B = asm.jacobian(None).T.tocsr()
     G = asm.gram()
     Bd, Gd = B.toarray(), G.toarray()
     A = Bd @ scipy.linalg.solve(Gd, Bd.T, assume_a="pos")
@@ -844,7 +844,7 @@ def test_infsup_iterative_path_matches_dense(square32):
 
 def test_infsup_bitwise_deterministic(square32):
     asm = assembler(square32, manufactured("cr_sine").problem)
-    B = (asm.a_matrix() + asm.b_matrix()).T.tocsr()
+    B = asm.jacobian(None).T.tocsr()
     G = asm.gram()
     first = infsup_constant(B, G)
     assert infsup_constant(B, G) == first
