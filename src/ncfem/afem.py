@@ -25,7 +25,7 @@ from .interpolation import transfer_morley
 from .mesh import bisect, uniform_refine
 from .problems import ProblemSpec
 from .solve import newton_solve
-from .spaces import SpaceTag, space_of
+from .spaces import SpaceTag, function_from_element_values, space_of
 
 __all__ = [
     "ConvergenceRecord", "NewtonDivergence", "dorfler_mark", "afem_loop",
@@ -99,23 +99,21 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
                 on_level=None) -> AfemResult:
     """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh.
 
-    Each level is one Assembler, built once per mesh and handed to Newton,
-    the estimators and the transfer.  Newton starts from the previous
-    solution carried to the new mesh by the previous level's tables (Morley
-    spaces; the linear CR problem restarts from zero), and the previous level
-    is let go before Newton factors anything on the new one.
+    The driver is each level's only owner: a level is one Assembler, built
+    once per mesh and handed to Newton and the estimators.  transfer_morley
+    takes U's Morley dof values on the next mesh, and the level is let go
+    before the next one is set up and restricts them to Newton's start
+    (Morley spaces; the linear CR problem restarts from zero).
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
     on_level(asm, U, record), if given, is called once per level after its
     record is made; whatever it keeps of asm stays alive."""
     res = AfemResult(records=[], solutions=[], traces=[])
-    mesh, coarse = mesh0, None
+    mesh, values = mesh0, None
     while mesh is not None:
         asm = assembler(mesh, problem)
-        U0 = None
-        if coarse is not None and asm.dofmap.space is SpaceTag.MORLEY:
-            U0 = transfer_morley(coarse, res.solutions[-1], asm)
-        coarse = None
+        U0 = (None if values is None
+              else function_from_element_values(asm.dofmap, values))
         U, trace = newton_solve(asm, U0=U0, tol=tol)
         if not trace.converged:
             raise NewtonDivergence(
@@ -139,7 +137,10 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
         res.traces.append(trace)
         if on_level is not None:
             on_level(asm, U, rec)
-        mesh, coarse = refine_step(rec, mesh, report), asm
+        mesh = refine_step(rec, mesh, report)
+        if mesh is not None and asm.dofmap.space is SpaceTag.MORLEY:
+            values = transfer_morley(asm, U, mesh)
+        asm = report = None
     return res
 
 

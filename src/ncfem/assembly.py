@@ -37,8 +37,8 @@ assembles and residual, jacobian and jacobian_operator read.
 
 An Assembler is one level: a mesh, a problem, its dof map and basis tables,
 and every operator on them.  The level driver and the CLI build it once per
-mesh and hand it to the solvers, estimators and transfers, which read
-asm.dofmap, asm.tables, asm.geom and asm.problem.
+mesh, own it alone and hand it to the solvers, estimators and transfer,
+which read asm.dofmap, asm.tables, asm.geom and asm.problem.
 """
 from __future__ import annotations
 
@@ -376,8 +376,8 @@ class Assembler:
         return np.concatenate([_scatter_vector(g1, dm), _scatter_vector(g2, dm)])
 
 
-# one entry, the last level built: each level is built once and handed down
-@lru_cache(maxsize=1)
+# caches nothing: perfbench traces it and reads cache_info() (ROADMAP item 1)
+@lru_cache(maxsize=0)
 def assembler(mesh, problem) -> Assembler:
     return Assembler(mesh, problem)
 

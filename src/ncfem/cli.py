@@ -206,6 +206,7 @@ def _cmd_infsup(cfg: RunConfig):
         beta = solvemod.infsup_constant(asm.jacobian(None).T, asm.gram())
         rows.append((level, asm.dofmap.n_free, beta))
         print(f"{level:>3} {asm.dofmap.n_free:>8} {beta:>12.6e}")
+        asm = None     # let the level go before the next one is refined
         if level + 1 < cfg.levels:
             mesh = meshmod.uniform_refine(mesh)
     out = Path(cfg.output_dir)

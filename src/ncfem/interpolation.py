@@ -8,8 +8,8 @@ require exact edge means).  Oscillations of general data use degree-6 volume
 quadrature to resolve (I - Pi_k) honestly; Pi_k g is fitted and subtracted
 at those same points.
 
-transfer_morley moves a solution between two levels, each given by its
-Assembler (see assembly), and reads the coarse basis tables from it.
+transfer_morley carries a solution from a coarse level, given by its
+Assembler (see assembly), to the Morley dof values on a finer mesh.
 """
 from __future__ import annotations
 
@@ -105,20 +105,20 @@ def oscillation(mesh, gq, k: int, p: int):
     return per_element, float(np.sqrt(per_element.sum()))
 
 
-def transfer_morley(asm_c, U, asm_f):
-    """Re-evaluate the Morley dof functionals of a function on the coarse
-    level asm_c on the fine level asm_f (whose mesh must descend from the
-    coarse one, i.e. carry `parent`), one component per coarse n_free
-    coefficients of U.
+def transfer_morley(asm_c, U, mesh_f):
+    """The Morley dof values (n_components, nv_f + ne_f) on mesh_f, which
+    must descend from the coarse mesh (carry `parent`), of a function on the
+    coarse level asm_c, one component per coarse n_free coefficients of U;
+    function_from_element_values restricts them to a fine level.
 
     At points on coarse inter-element edges, where the nonconforming function
     jumps, the trace from the lowest-indexed coarse ancestor among the
     adjacent fine triangles is used; the result is a deterministic Newton
     starting iterate, not an interpolant in any optimal sense.
     """
-    mesh_c, dofmap_c, mesh_f = asm_c.mesh, asm_c.dofmap, asm_f.mesh
-    if {dofmap_c.space, asm_f.dofmap.space} != {SpaceTag.MORLEY}:
-        raise ValueError("transfer_morley needs two Morley levels")
+    mesh_c, dofmap_c = asm_c.mesh, asm_c.dofmap
+    if dofmap_c.space is not SpaceTag.MORLEY:
+        raise ValueError("transfer_morley needs a Morley coarse level")
     n_c = dofmap_c.n_free
     n_components = len(U) // n_c if n_c else 0
     if n_components < 1 or len(U) != n_components * n_c:
@@ -129,7 +129,7 @@ def transfer_morley(asm_c, U, asm_f):
         raise ValueError("fine mesh does not carry a parent map onto the coarse mesh")
     if parent.max(initial=-1) >= mesh_c.n_triangles:
         raise ValueError("parent map does not match the coarse mesh")
-    tab, nu_f = asm_c.tables, asm_f.geom.nu_E
+    tab, nu_f = asm_c.tables, geometry(mesh_f).nu_E
     # geometric containment guards against a parent map onto a different mesh
     cent = mesh_f.vertices[mesh_f.triangles].mean(axis=1)
     if tab.bary_at(parent, cent).min() < -1e-10:
@@ -156,4 +156,4 @@ def transfer_morley(asm_c, U, asm_f):
         gvals = np.einsum("ei,ei->e", dn,
                           cv[eparent] + (1.0 - 2.0 * lam_e) * w[eparent])
         rows.append(np.concatenate([vvals, gvals]))
-    return function_from_element_values(asm_f.dofmap, np.stack(rows))
+    return np.stack(rows)

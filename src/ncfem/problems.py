@@ -241,8 +241,15 @@ def polynomial_field(coeffs) -> Field:
 
     def ev(cc):
         def fn(pts):
+            # polyval2d's Horner, one column at a time: bitwise its values
             pts = np.asarray(pts, dtype=float)
-            return P.polyval2d(pts[..., 0], pts[..., 1], cc)
+            x, y, out = pts[..., 0], pts[..., 1], 0.0
+            for col in cc.T[::-1]:
+                h = 0.0
+                for a in col[::-1]:
+                    h = a + h * x
+                out = h + out * y
+            return out
         return fn
 
     v, gx, gy, hxx, hxy, hyy = (ev(cc) for cc in (c, cx, cy, cxx, cxy, cyy))

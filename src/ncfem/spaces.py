@@ -183,8 +183,8 @@ class _CRTables(_Barycentric):
                                (len(self.grads),) + lam.shape[-2:])
 
 
-# one entry: a level's lookups are consecutive, and finished levels are freed
-@lru_cache(maxsize=1)
+# caches nothing: perfbench traces it and reads cache_info() (ROADMAP item 1)
+@lru_cache(maxsize=0)
 def basis_tables(mesh: Triangulation, space: SpaceTag):
     if space is SpaceTag.MORLEY:
         return _MorleyTables(mesh)
@@ -214,7 +214,9 @@ def local_coefficients(dofmap: DofMap, u, component: int = 0):
 
 
 def function_from_element_values(dofmap: DofMap, dof_values) -> np.ndarray:
-    """Coefficient vector of values indexed by global dof, one row per
-    component (or one 1-D row): the free entries of each row, concatenated."""
+    """Coefficient vector of values given at every dof of the map, one row
+    per component (or one 1-D row): the free entries of each row, in turn."""
     dof_values = np.atleast_2d(np.asarray(dof_values, dtype=float))
+    if dof_values.shape[1] != dofmap.element_dofs.max() + 1:
+        raise ValueError(f"{dof_values.shape[1]} values per row, not one per dof")
     return dof_values[:, dofmap.dof_of_free].ravel()

@@ -19,6 +19,7 @@ from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
 from ncfem.solve import (discrete_embedding_ratio, infsup_constant,
                          kantorovich_report)
+from ncfem.spaces import function_from_element_values
 
 RATE_WINDOW = (0.85, 1.15)
 EFFECTIVITY_FACTOR = 3.0
@@ -116,9 +117,10 @@ def _kantorovich_h_values(study, problem):
         h_max = geometry(meshes[lvl]).h_max
         if h_max > 0.125 + 1e-12:
             continue
-        coarse = Assembler(meshes[lvl - 1], problem)
+        values = transfer_morley(Assembler(meshes[lvl - 1], problem),
+                                 res.solutions[lvl - 1], meshes[lvl])
         fine = Assembler(meshes[lvl], problem)
-        U0 = transfer_morley(coarse, res.solutions[lvl - 1], fine)
+        U0 = function_from_element_values(fine.dofmap, values)
         rep = kantorovich_report(fine, U0)
         hs.append((lvl, rep.h, rep.condition_met))
     return hs

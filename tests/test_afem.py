@@ -9,8 +9,9 @@ from ncfem.afem import (NewtonDivergence, afem_loop, corner_fraction,
 from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured, ns_unit_load
+import ncfem.afem
 import ncfem.solve
-from ncfem.spaces import basis_tables
+from ncfem.spaces import SpaceTag, basis_tables
 
 
 def test_afem_refuses_a_cr_problem(monkeypatch):
@@ -117,15 +118,19 @@ def test_uniform_study_single_level():
 
 
 def test_finished_levels_are_not_cached():
+    """No module cache keeps a level: neither a level that a caller built and
+    dropped, nor any level of a finished study."""
     man = manufactured("ns_poly")
-    assembler.cache_clear()
-    basis_tables.cache_clear()
-    uniform_study(man.problem, builtin_domain("unit_square"), 3,
-                  exact=man.exact)
-    asm, tab = assembler.cache_info(), basis_tables.cache_info()
-    # one miss per level and no recomputation within a level
-    assert (asm.misses, asm.hits, asm.currsize) == (3, 0, 1)
-    assert (tab.misses, tab.currsize) == (3, 1)
+    mesh = builtin_domain("unit_square")
+    refs = [weakref.ref(assembler(mesh, man.problem)),
+            weakref.ref(basis_tables(mesh, SpaceTag.MORLEY))]
+
+    def on_level(asm, U, record):
+        refs.extend([weakref.ref(asm), weakref.ref(asm.tables)])
+
+    uniform_study(man.problem, mesh, 3, exact=man.exact, on_level=on_level)
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 8
 
 
 @pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])
@@ -151,8 +156,7 @@ def test_each_level_builds_its_assembler_and_tables_once(driver):
 @pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])
 def test_finished_levels_are_let_go(driver):
     """The drivers keep no mesh: on_level sees each level once, and after the
-    run only the last level's mesh is alive (the one-entry assembler cache
-    pins it)."""
+    run no level's mesh is alive."""
     seen = []
 
     def on_level(asm, U, record):
@@ -170,7 +174,34 @@ def test_finished_levels_are_let_go(driver):
     gc.collect()
     assert [rec for _, _, rec in seen] == res.records
     assert all(U is V for (_, U, _), V in zip(seen, res.solutions))
-    assert [ref() is not None for ref, _, _ in seen] == [False, False, True]
+    assert [ref() is not None for ref, _, _ in seen] == [False, False, False]
+
+
+@pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])
+def test_the_coarse_level_is_gone_before_the_fine_set_up(driver, monkeypatch):
+    """When a driver sets up a level, every earlier level's Assembler, tables
+    and mesh are already collected: the driver is their only owner.  Level
+    0's mesh is the caller's mesh0, alive for the whole run."""
+    levels, alive = [], []
+
+    def spy(mesh, problem):
+        gc.collect()
+        alive.append([ref() is not None for level in levels for ref in level])
+        asm = assembler(mesh, problem)
+        levels.append([weakref.ref(asm), weakref.ref(asm.tables),
+                       weakref.ref(asm.mesh)])
+        return asm
+
+    monkeypatch.setattr(ncfem.afem, "assembler", spy)
+    if driver == "uniform_study":
+        man = manufactured("ns_poly")
+        uniform_study(man.problem, builtin_domain("unit_square"), 3,
+                      exact=man.exact)
+    else:
+        # 5, 13 and 17 free dofs: the third level passes 15
+        afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
+                  max_free_dofs=15)
+    assert alive == [[], [False, False, True], [False, False, True] + [False] * 3]
 
 
 def test_corner_fraction_geometry():

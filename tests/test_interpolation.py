@@ -11,7 +11,8 @@ from ncfem.interpolation import (cr_dof_values, cr_interpolate,
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, manufactured, polynomial_field
 from ncfem.quadrature import quad_triangle
-from ncfem.spaces import (SpaceTag, basis_tables, local_coefficients,
+from ncfem.spaces import (SpaceTag, basis_tables,
+                          function_from_element_values, local_coefficients,
                           physical_points)
 
 RNG = np.random.default_rng(21)
@@ -237,6 +238,13 @@ def morley_level(mesh):
     return Assembler(mesh, manufactured("ns_poly").problem)
 
 
+def transfer(coarse, U, fine):
+    """U carried from the coarse level onto the free dofs of the fine level,
+    as the level driver does."""
+    return function_from_element_values(
+        fine.dofmap, transfer_morley(coarse, U, fine.mesh))
+
+
 def test_transfer_preserves_shared_vertex_dofs(square32):
     coarse = morley_level(square32)
     dm_c = coarse.dofmap
@@ -244,7 +252,7 @@ def test_transfer_preserves_shared_vertex_dofs(square32):
     fine = uniform_refine(square32)
     level_f = morley_level(fine)
     dm_f = level_f.dofmap
-    v = transfer_morley(coarse, u, level_f)
+    v = transfer(coarse, u, level_f)
     # coarse interior vertices keep their values (Morley is continuous there)
     for z in square32.interior_vertices()[:10]:
         zf = int(np.flatnonzero(np.all(np.isclose(fine.vertices,
@@ -261,13 +269,13 @@ def test_transfer_requires_parent(square32):
     level = morley_level(square32)
     u = random_function(level.dofmap, RNG)
     with pytest.raises(ValueError, match="parent"):
-        transfer_morley(level, u, level)
+        transfer_morley(level, u, square32)
 
 
 def test_transfer_rejects_a_parent_map_onto_a_larger_mesh(square8, square32):
     # the fine mesh's parents index the 32 triangles of square32, not square8
     coarse = morley_level(square8)
-    fine = morley_level(uniform_refine(square32))
+    fine = uniform_refine(square32)
     with pytest.raises(ValueError, match="does not match the coarse mesh"):
         transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine)
 
@@ -276,8 +284,8 @@ def test_transfer_rejects_a_parent_map_that_does_not_nest(square8, square32):
     # the parents of a refined square8 are valid indices into square32, but
     # the fine triangles do not lie in the square32 triangles they name
     coarse = morley_level(square32)
-    fine = morley_level(uniform_refine(square8))
-    assert fine.mesh.parent.max() < square32.n_triangles
+    fine = uniform_refine(square8)
+    assert fine.parent.max() < square32.n_triangles
     with pytest.raises(ValueError, match="does not nest"):
         transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine)
 
@@ -289,29 +297,34 @@ def test_transfer_of_a_pair_stacks_the_scalar_transfers(square32):
     U = random_function(coarse.dofmap, np.random.default_rng(4), n_components=2)
     fine = morley_level(uniform_refine(square32))
     n = coarse.dofmap.n_free
-    pair = transfer_morley(coarse, U, fine)
-    stacked = np.concatenate([transfer_morley(coarse, U[:n], fine),
-                              transfer_morley(coarse, U[n:], fine)])
-    assert len(pair) == 2 * fine.dofmap.n_free
+    pair = transfer_morley(coarse, U, fine.mesh)
+    stacked = np.concatenate([transfer_morley(coarse, U[:n], fine.mesh),
+                              transfer_morley(coarse, U[n:], fine.mesh)])
+    assert pair.shape == (2, fine.mesh.n_vertices + fine.mesh.n_edges)
     assert np.array_equal(pair, stacked)
+    assert len(transfer(coarse, U, fine)) == 2 * fine.dofmap.n_free
 
 
 @pytest.mark.parametrize("length", [0, 1, 8, 10, 17])
 def test_transfer_rejects_a_length_off_the_coarse_dofs(square8, length):
     coarse = morley_level(square8)
     assert coarse.dofmap.n_free == 9
-    fine = morley_level(uniform_refine(square8))
+    fine = uniform_refine(square8)
     with pytest.raises(ValueError, match="positive multiple"):
         transfer_morley(coarse, np.zeros(length), fine)
 
 
 def test_transfer_rejects_a_cr_level(square8):
-    # a CR fine level would take the Morley dof values of the wrong mesh
-    # entities without an error
+    # a CR fine map would take the Morley dof values of the wrong mesh
+    # entities without an error: the restriction counts the values per row
     coarse = morley_level(square8)
-    fine = Assembler(uniform_refine(square8), manufactured("cr_sine").problem)
-    with pytest.raises(ValueError, match="two Morley levels"):
-        transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine)
+    cr = manufactured("cr_sine").problem
+    fine = Assembler(uniform_refine(square8), cr)
+    values = transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine.mesh)
+    with pytest.raises(ValueError, match="values per row"):
+        function_from_element_values(fine.dofmap, values)
+    with pytest.raises(ValueError, match="Morley coarse level"):
+        transfer_morley(Assembler(square8, cr), np.zeros(8), fine.mesh)
 
 
 def test_transfer_keeps_interpolation_error_order(square8):
@@ -328,7 +341,7 @@ def test_transfer_keeps_interpolation_error_order(square8):
     u_c = morley_interpolate(square8, coarse.dofmap, man.exact[0],
                              edge_degree=10)
     fine = Assembler(uniform_refine(square8), probe)
-    moved = transfer_morley(coarse, u_c, fine)
+    moved = transfer(coarse, u_c, fine)
     err_coarse = broken_energy_error(coarse, u_c, man.exact)
     err_moved = broken_energy_error(fine, moved, man.exact)
     assert err_moved <= 2.5 * err_coarse

@@ -215,13 +215,16 @@ def test_one_gamma_kernel_per_problem():
     assert not offenders, f"Gamma written out outside gamma_gradient: {offenders}"
 
 
-# the only functools caches in src/ncfem, by (file, function).  A module cache
-# pins what it returns for as long as the process lives, so none may hold a
-# level.  assembler and basis_tables (one entry each) go with ROADMAP item 3,
-# once item 1 drops the benchmark's CACHED hit-ratio spans; problems._build
-# holds small problem specs that set-up reuses.
-ALLOWED_CACHES = {("assembly.py", "assembler"), ("spaces.py", "basis_tables"),
-                  ("problems.py", "_build")}
+# the only functools caches in src/ncfem, by (file, function), with the
+# maxsize each must declare.  A module cache pins what it returns for as long
+# as the process lives, so none may hold a level: the level driver and the
+# CLI own every level.  assembler and basis_tables are lru_cache(maxsize=0),
+# which caches nothing, only because the benchmark traces them and reads
+# their cache_info(); they go with ROADMAP item 3, once item 1 drops those
+# spans.  problems._build holds small problem specs that set-up reuses.
+ALLOWED_CACHES = {("assembly.py", "assembler"): 0,
+                  ("spaces.py", "basis_tables"): 0,
+                  ("problems.py", "_build"): None}
 CACHE_NAMES = {"lru_cache", "cache", "cached_property"}
 
 
@@ -238,22 +241,35 @@ def _cache_name(node):
     return None
 
 
+def _maxsize(dec):
+    """The maxsize that an lru_cache(maxsize=...) decorator declares, or
+    "unset" for any other form."""
+    if isinstance(dec, ast.Call) and not dec.args:
+        for kw in dec.keywords:
+            if kw.arg == "maxsize":
+                return ast.literal_eval(kw.value)
+    return "unset"
+
+
 def test_no_new_module_cache_pins_a_level():
-    """functools caches decorate only the functions in ALLOWED_CACHES, and
-    no module applies one any other way."""
-    allowed_nodes, found, offenders = set(), set(), []
+    """functools caches decorate only the functions in ALLOWED_CACHES, each
+    as lru_cache(maxsize=<its entry>), and no module applies one any other
+    way."""
+    allowed_nodes, found, offenders = set(), {}, []
     for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
                     if _cache_name(dec) is not None:
-                        found.add((path.name, node.name))
+                        found[(path.name, node.name)] = _maxsize(dec)
                         allowed_nodes.update(id(n) for n in ast.walk(dec))
         for node in ast.walk(tree):
             if id(node) not in allowed_nodes and _cache_name(node) is not None:
                 offenders.append(f"{path.name}:{node.lineno}")
-    offenders += [f"{f}: {name}" for f, name in sorted(found - ALLOWED_CACHES)]
+    offenders += [f"{f}: {name} maxsize={size}"
+                  for (f, name), size in sorted(found.items())
+                  if ALLOWED_CACHES.get((f, name), "off the list") != size]
     assert not offenders, f"module caches off the allowed list: {offenders}"
 
 

@@ -8,14 +8,19 @@ checks do not share code with the registry's coefficient arrays.
 """
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 import pytest
 import sympy as sp
 
 import ncfem
+from ncfem.mesh import refine
 from ncfem.problems import manufactured, ns_unit_load, polynomial_field, registry_names
+from ncfem.quadrature import quad_triangle
+from ncfem.spaces import physical_points
 
 RNG = np.random.default_rng(11)
 
@@ -191,6 +196,42 @@ def test_polynomial_field_derivatives():
     for d, e in ((0, np.array([h, 0.0])), (1, np.array([0.0, h]))):
         fd = (fld.value(pts + e) - fld.value(pts - e)) / (2 * h)
         assert np.allclose(fld.gradient(pts)[:, d], fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 5), (9, 9)])
+def test_polynomial_field_is_bitwise_polyval2d(shape):
+    """The nested Horner evaluation keeps polyval2d's operation order."""
+    rng = np.random.default_rng(sum(shape))
+    c = rng.standard_normal(shape)
+    pts = rng.uniform(-2.0, 2.0, (40, 7, 2))
+    fld = polynomial_field(c)
+    got = fld.value(pts)
+    expect = P.polyval2d(pts[..., 0], pts[..., 1], c)
+    assert got.shape == expect.shape == (40, 7)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.array_equal(fld.gradient(pts)[..., 1],
+                          P.polyval2d(pts[..., 0], pts[..., 1], P.polyder(c, axis=1)))
+
+
+# tracemalloc bytes per triangle that sampling a load on the degree-6 points
+# of refine(l_shape, 6) may peak at: measured 288 for every polynomial load
+# (three arrays of the sample shape); polyval2d peaked at 2304 for ns f
+LOAD_BYTES_PER_TRIANGLE = 480
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+def test_a_polynomial_load_samples_within_its_memory_budget(name, lshape):
+    mesh = refine(lshape, 6)
+    xq = physical_points(mesh, quad_triangle(6).points)
+    f = manufactured(name).problem.f
+    tracemalloc.start()
+    try:
+        fq = f(xq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fq.shape == xq.shape[:-1]
+    assert peak / mesh.n_triangles <= LOAD_BYTES_PER_TRIANGLE
 
 
 # ---------------------------------------------------------------------------

@@ -416,7 +416,6 @@ def test_newton_trace_gram_fill_repeats_bitwise(square32, name):
     problem = manufactured(name).problem
     G = assembler(square32, problem).gram()
     first = newton_solve(assembler(square32, problem))[1].gram_fill
-    assembler.cache_clear()
     assert newton_solve(assembler(square32, problem))[1].gram_fill == first
     assert first == _gram_factor(G).nnz / G.nnz
     assert first >= 1.0
@@ -919,6 +918,5 @@ def test_diagnostics_bitwise_repeat(square32):
     first = diagnostics()
     # fresh assemblers and unrelated draws from the global generator in
     # between must not change a bit
-    assembler.cache_clear()
     np.random.standard_normal(50)
     assert diagnostics() == first
