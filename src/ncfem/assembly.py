@@ -61,12 +61,11 @@ VOLUME_QUAD_DEGREE = 4
 
 def _scatter_matrix(loc, dofmap: DofMap):
     """Assemble local matrices loc (nt, a, b), convention [test, trial]."""
-    # int32 indices, masked once from broadcast views: the COO transients
-    # are the largest arrays alive right before a Jacobian is factored
-    slots, n = dofmap.slots, dofmap.n_free
-    nt, nloc = slots.shape
-    rows = np.broadcast_to(slots[:, :, None], (nt, nloc, nloc))
-    cols = np.broadcast_to(slots[:, None, :], (nt, nloc, nloc))
+    # the one int32 copy of the slots (numpy gathers faster with intp): the
+    # COO indices, masked once from broadcast views, are the largest arrays
+    # alive right before a Jacobian is factored, and the CSR is int32 anyway
+    slots, n = dofmap.slots.astype(np.int32), dofmap.n_free
+    rows, cols = np.broadcast_arrays(slots[:, :, None], slots[:, None, :])
     free = slots < n
     keep = free[:, :, None] & free[:, None, :]
     # tocsr returns a canonical CSR, its duplicates summed in place in

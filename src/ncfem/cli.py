@@ -23,7 +23,7 @@ from .interpolation import cr_dof_values, morley_dof_values
 from .problems import (ProblemKind, manufactured, ns_unit_load,
                        polynomial_field, registry_names)
 from .reporting import emit_plots, write_records_csv
-from .spaces import volume_quadrature
+from .spaces import element_dofs, volume_quadrature
 
 __all__ = ["main"]
 
@@ -284,7 +284,7 @@ def _verify_checks(cfg: RunConfig):
     worst = 0.0
     for _ in range(20):
         fld = random_poly(4)
-        loc = morley_dof_values(mesh, fld)[dm.element_dofs]
+        loc = morley_dof_values(mesh, fld)[element_dofs(mesh, dm.space)]
         Him = tab.hessians(loc)
         mean = np.einsum("tq,tqab->tab", wdx, fld.hessian(xq)) / geom.area[:, None, None]
         worst = max(worst, np.abs(Him - mean).max())
@@ -295,7 +295,7 @@ def _verify_checks(cfg: RunConfig):
     worst = 0.0
     for _ in range(20):
         fld = random_poly(4)
-        loc = cr_dof_values(mesh, fld)[dm_cr.element_dofs]
+        loc = cr_dof_values(mesh, fld)[element_dofs(mesh, dm_cr.space)]
         g_h = np.einsum("tjd,tj->td", tab_cr.grads, loc)
         mean = np.einsum("tq,tqd->td", wdx, fld.gradient(xq)) / geom.area[:, None]
         worst = max(worst, np.abs(g_h - mean).max())

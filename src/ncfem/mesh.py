@@ -251,6 +251,9 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
 
     mesh = _finalize(vertices, triangles, ref_edge)
     _hanging_node_check(vertices, mesh.edges)
+    used = np.bincount(triangles.ravel(), minlength=len(vertices))
+    if used.min(initial=1) == 0:
+        raise ValueError(f"vertex {used.argmin()} belongs to no triangle")
     return mesh
 
 

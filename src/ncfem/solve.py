@@ -493,6 +493,8 @@ def infsup_constant(B, G):
     n = B.shape[0]
     if n == 0:
         raise ValueError(NO_FREE_DOFS)
+    if not B.shape == G.shape == (n, n):
+        raise ValueError("infsup_constant needs a square B matching G")
     if abs(G - G.T).max() > 1e-10 * max(abs(G).max(), 1.0):
         raise ValueError("G is not symmetric")
     try:
@@ -502,8 +504,6 @@ def infsup_constant(B, G):
     if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
         raise ValueError("G is not positive definite")
     del lu                      # not alive next to the factor of B
-    if not B.shape == G.shape == (n, n):
-        raise ValueError("infsup_constant needs a square B matching G")
     if n == 1:  # no factor of B
         return float(abs(B[0, 0]) / G[0, 0])
     return _infsup(B, G)[0]

@@ -24,10 +24,10 @@ global normal.  Gradients (1 - 2 lambda_m) grad lambda_m / a_m and hessians
 A discrete function is its free-dof coefficient vector: a 1-D float array of
 length n_components * n_free, the components concatenated in order (the
 [u-block, v-block] of a von Karman pair); the dof map and the problem give
-its space and its number of components.  The dof map stores the one index
-through which it is read, DofMap.slots (nt, nloc, int32): the free index of
-each element dof, n_free where the dof is constrained, so a gather from
-[u, 0] reads 0 there and a scatter drops that slot.
+its space and its number of components.  The dof map keeps the one index
+through which it is read, DofMap.slots (nt, nloc, intp): the free index of
+each element_dofs entry, n_free where that dof is constrained, so a gather
+from [u, 0] reads 0 there and a scatter drops that slot.
 
 A Morley function with local coefficients c is u = lambda . c_v +
 lambda (1 - lambda) . w with w = W c, W (3 x 6) the bubble weights
@@ -56,9 +56,9 @@ from .problems import ProblemKind
 from .quadrature import quad_triangle
 
 __all__ = [
-    "SpaceTag", "DofMap", "build_dofmap", "basis_tables", "local_coefficients",
-    "function_from_element_values", "space_of", "volume_quadrature",
-    "physical_points",
+    "SpaceTag", "DofMap", "element_dofs", "build_dofmap", "basis_tables",
+    "local_coefficients", "function_from_element_values", "space_of",
+    "volume_quadrature", "physical_points",
 ]
 
 
@@ -70,10 +70,10 @@ class SpaceTag(Enum):
 @dataclass(frozen=True, eq=False)
 class DofMap:
     space: SpaceTag
-    element_dofs: np.ndarray     # (nt, nloc) global dof indices
-    slots: np.ndarray            # (nt, nloc) int32 free index, n_free = constrained
+    slots: np.ndarray            # (nt, nloc) intp free index, n_free = constrained
     dof_of_free: np.ndarray      # (n_free,) global dof index
     n_free: int
+    n_dofs: int                  # free and constrained dofs
 
 
 def space_of(kind: ProblemKind) -> SpaceTag:
@@ -84,23 +84,24 @@ def space_of(kind: ProblemKind) -> SpaceTag:
     return SpaceTag.MORLEY
 
 
-def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
+def element_dofs(mesh: Triangulation, space: SpaceTag) -> np.ndarray:
+    """Global dof indices (nt, nloc): Morley vertices, then edges; CR edges."""
     if space is SpaceTag.MORLEY:
-        nv = mesh.n_vertices
-        element_dofs = np.hstack([mesh.triangles, nv + mesh.edge_of_triangle])
-        is_bdry = np.concatenate([mesh.boundary_vertex, mesh.boundary_edge])
-    elif space is SpaceTag.CROUZEIX_RAVIART:
-        element_dofs = mesh.edge_of_triangle.copy()
-        is_bdry = mesh.boundary_edge
-    else:
-        raise ValueError(f"unknown space {space}")
+        return np.hstack([mesh.triangles, mesh.n_vertices + mesh.edge_of_triangle])
+    if space is SpaceTag.CROUZEIX_RAVIART:
+        return mesh.edge_of_triangle
+    raise ValueError(f"unknown space {space}")
 
+
+def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
+    is_bdry = (np.concatenate([mesh.boundary_vertex, mesh.boundary_edge])
+               if space is SpaceTag.MORLEY else mesh.boundary_edge)
     dof_of_free = np.flatnonzero(~is_bdry)
     n_free = len(dof_of_free)
-    slot = np.full(len(is_bdry), n_free, dtype=np.int32)
+    slot = np.full(len(is_bdry), n_free, dtype=np.intp)
     slot[dof_of_free] = np.arange(n_free)
-    return DofMap(space=space, element_dofs=element_dofs, slots=slot[element_dofs],
-                  dof_of_free=dof_of_free, n_free=n_free)
+    return DofMap(space=space, slots=slot[element_dofs(mesh, space)],
+                  dof_of_free=dof_of_free, n_free=n_free, n_dofs=len(is_bdry))
 
 
 class _Barycentric:
@@ -217,6 +218,6 @@ def function_from_element_values(dofmap: DofMap, dof_values) -> np.ndarray:
     """Coefficient vector of values given at every dof of the map, one row
     per component (or one 1-D row): the free entries of each row, in turn."""
     dof_values = np.atleast_2d(np.asarray(dof_values, dtype=float))
-    if dof_values.shape[1] != dofmap.element_dofs.max() + 1:
+    if dof_values.shape[1] != dofmap.n_dofs:
         raise ValueError(f"{dof_values.shape[1]} values per row, not one per dof")
     return dof_values[:, dofmap.dof_of_free].ravel()

@@ -7,7 +7,7 @@ from ncfem.assembly import VOLUME_QUAD_DEGREE, _scatter_matrix
 from ncfem.mesh import builtin_domain, geometry, refine
 from ncfem.problems import ns_unit_load
 from ncfem.quadrature import quad_triangle
-from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap,
+from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap, element_dofs,
                           local_coefficients, volume_quadrature)
 
 
@@ -156,13 +156,14 @@ def b_pw(asm):
     return _scatter_matrix(asm._init_cr(xq, wdx, vals)[1], asm.dofmap)
 
 
-def free_index(dofmap):
+def free_index(mesh, dofmap):
     """The free index of every element dof (nt, nloc) as int64, -1 where the
-    dof is constrained, built from dof_of_free alone: a reference that
-    shares nothing with DofMap.slots."""
-    index = np.full(dofmap.element_dofs.max() + 1, -1)
+    dof is constrained, built from element_dofs and dof_of_free alone: a
+    reference that shares nothing with DofMap.slots."""
+    dofs = element_dofs(mesh, dofmap.space)
+    index = np.full(dofs.max() + 1, -1)
     index[dofmap.dof_of_free] = np.arange(dofmap.n_free)
-    return index[dofmap.element_dofs]
+    return index[dofs]
 
 
 def mean_gradient_by_parts(mesh, field, edge_degree=16):

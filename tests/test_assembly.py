@@ -13,7 +13,7 @@ from ncfem.mesh import build_from_arrays, builtin_domain, geometry, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
 from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
-from ncfem.spaces import local_coefficients, volume_quadrature
+from ncfem.spaces import element_dofs, local_coefficients, volume_quadrature
 from ncfem.interpolation import morley_interpolate
 
 
@@ -255,7 +255,7 @@ def test_vk_bracket_constant_hessian_value():
     # u = x^2 + 3xy - y^2 has constant hessian [[2, 3], [3, -2]], det = -13
     c = np.zeros((3, 3))
     c[2, 0], c[1, 1], c[0, 2] = 1.0, 3.0, -1.0
-    cu = morley_dof_values(m, polynomial_field(c))[dm.element_dofs]
+    cu = morley_dof_values(m, polynomial_field(c))[element_dofs(m, dm.space)]
     vals = np.einsum("ti,tij,tj->t", cu, Assembler(m, VK).Br, cu)
     assert np.allclose(vals, 2 * (-13.0), atol=1e-10)
 
@@ -564,15 +564,16 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 5%, 5% and 10% above 924 (ns), 1212 (vk) and 436 (CR)
+# refine(l_shape, 5): 5%, 5% and 10% above 900 (ns), 1188 (vk) and 424 (CR)
 # measured with G, the load and (CR) J = a_pw + b_pw built.  The closed-form
 # basis tables hold grad lambda, the first vertices and B, and the dof map
-# its int32 slots; a table of the basis hessians (192 more) or the monomial
-# coefficients of a Morley dof-matrix inverse (144 more) breaks the ns and
-# vk budgets, a G in the COO-long buffers of tocsr (149 more) the ns one, J
-# in the buffers of the sum A + B (88 more) the CR one, and keeping the
-# energy element matrices breaks each
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 971, "vk_poly": 1272, "cr_sine": 480}
+# its intp slots alone; a table of the basis hessians (192 more) or the
+# monomial coefficients of a Morley dof-matrix inverse (144 more) breaks the
+# ns and vk budgets, the int64 global element dofs kept beside the slots (48
+# more) or a G in the COO-long buffers of tocsr (149 more) the ns one, J in
+# the buffers of the sum A + B (88 more) the CR one, and keeping the energy
+# element matrices breaks each
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 945, "vk_poly": 1247, "cr_sine": 466}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
@@ -589,7 +590,7 @@ def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
 
 # tracemalloc bytes per triangle that building one Morley level may peak at
 # and keep, on refine(l_shape, 6) with its geometry built: measured 1900 and
-# 854 (ns), 1780 and 1012 (vk).  A hessian table on the basis tables, the
+# 830 (ns), 1916 and 1124 (vk).  A hessian table on the basis tables, the
 # (nt, nq, 6) value table of the old load and the loads sampled after G
 # took ns to 3055 and 1198, vk to 3227 and 1388; a G kept in the COO-long
 # buffers of tocsr takes ns to 1006 kept
@@ -617,10 +618,9 @@ def test_scatter_matrix_matches_the_int64_assembly(name, square32):
     """The int32 scatter gives bitwise the CSR of a plain int64 COO build."""
     asm = Assembler(refine(square32, 1), manufactured(name).problem)
     dm = asm.dofmap
-    nloc = dm.element_dofs.shape[1]
-    loc = np.random.default_rng(3).standard_normal((len(dm.element_dofs),
-                                                    nloc, nloc))
-    fo = free_index(dm)                                     # int64, -1 if fixed
+    nt, nloc = dm.slots.shape
+    loc = np.random.default_rng(3).standard_normal((nt, nloc, nloc))
+    fo = free_index(asm.mesh, dm)                           # int64, -1 if fixed
     rows = np.repeat(fo[:, :, None], nloc, axis=2).ravel()
     cols = np.repeat(fo[:, None, :], nloc, axis=1).ravel()
     keep = (rows >= 0) & (cols >= 0)

@@ -458,6 +458,23 @@ def test_cli_malformed_mesh_file_is_usage_error(text, line, tmp_path, capsys):
     assert f"{path}:{line}:" in capsys.readouterr().err
 
 
+# the unit square with vertex 4 in no triangle
+STRAY_VERTEX = "5 2\n0 0\n1 0\n1 1\n0 1\n0.5 0.25\n0 1 2\n0 2 3\n"
+
+
+@pytest.mark.parametrize("problem", ["ns_poly", "cr_sine"])
+def test_cli_mesh_with_an_unused_vertex_is_usage_error(problem, tmp_path,
+                                                      capsys):
+    path = tmp_path / "stray.mesh"
+    path.write_text(STRAY_VERTEX)
+    code = main(["study", "--problem", problem, "--domain", str(path),
+                 "--levels", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "vertex 4 belongs to no triangle" in err
+    assert "Traceback" not in err
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

@@ -463,6 +463,14 @@ def test_hanging_node_check_reports_smallest_vertex():
         build_from_arrays(v, t)
 
 
+def test_build_from_arrays_rejects_an_unused_vertex():
+    # the unit square with a stray vertex 4 inside it: as a Morley dof it
+    # would give G an empty row; the smallest unused vertex is named
+    v = SQUARE_V + [(0.5, 0.25), (0.25, 0.5)]
+    with pytest.raises(ValueError, match="^vertex 4 belongs to no triangle$"):
+        build_from_arrays(v, SQUARE_T)
+
+
 def test_graded_mesh_passes_hanging_node_check():
     m = uniform_refine(_graded_l_shape(24))
     rebuilt = build_from_arrays(m.vertices, m.triangles)

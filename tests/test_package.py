@@ -128,17 +128,23 @@ def test_only_the_level_owners_build_a_level():
 SCIPY_KRYLOV = {"gmres", "lgmres", "bicgstab"}
 
 
-def _calls_by_function(tree):
-    """(enclosing function name or None, Call node) for every call."""
+def _nodes_by_function(tree):
+    """(enclosing function name or None, node) for every node below the
+    function definitions."""
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
             else:
-                if isinstance(child, ast.Call):
-                    yield owner, child
+                yield owner, child
                 yield from visit(child, owner)
     return visit(tree, None)
+
+
+def _calls_by_function(tree):
+    """(enclosing function name or None, Call node) for every call."""
+    return ((owner, node) for owner, node in _nodes_by_function(tree)
+            if isinstance(node, ast.Call))
 
 
 def test_one_entry_point_per_linear_solve_path():
@@ -320,24 +326,43 @@ def test_only_the_transfer_maps_physical_points_to_barycentric():
     assert not offenders, f"bary_at off the transfer: {offenders}"
 
 
-# the modules that may read DofMap.element_dofs: spaces.py builds the slots
-# from it, and cli.py's verify indexes full, unconstrained dof vectors
-ELEMENT_DOFS_READERS = {"spaces.py", "cli.py"}
+# the callers of the global dof numbering spaces.element_dofs, by (file,
+# function): the dof map reads it once to build its slots, and verify
+# indexes full, unconstrained dof vectors with it
+ELEMENT_DOFS_CALLERS = {("spaces.py", "build_dofmap"),
+                        ("cli.py", "_verify_checks")}
 
 
 def test_only_the_dof_map_and_verify_read_element_dofs():
-    """Every other module reads coefficients through DofMap.slots (by
-    local_coefficients and the scatters), so none rebuilds a free index from
-    the global element dofs."""
+    """element_dofs(...) is called in src/ncfem only by ELEMENT_DOFS_CALLERS,
+    and no module reads an .element_dofs attribute: every other reader takes
+    coefficients through DofMap.slots (by local_coefficients and the
+    scatters), so none rebuilds a free index from the global numbering."""
     offenders = []
     for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
-        if path.name in ELEMENT_DOFS_READERS:
-            continue
-        offenders += [f"{path.name}:{node.lineno}"
-                      for node in ast.walk(ast.parse(path.read_text()))
-                      if isinstance(node, ast.Attribute)
-                      and node.attr == "element_dofs"]
+        for owner, node in _nodes_by_function(ast.parse(path.read_text())):
+            called = (isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "element_dofs")
+            if ((called and (path.name, owner) not in ELEMENT_DOFS_CALLERS)
+                    or (isinstance(node, ast.Attribute)
+                        and node.attr == "element_dofs")):
+                offenders.append(f"{path.name}:{node.lineno} in {owner}")
     assert not offenders, f"element_dofs read off its owners: {offenders}"
+
+
+def test_int32_only_in_the_coo_scatter():
+    """np.int32 appears in src/ncfem only in assembly._scatter_matrix, which
+    casts the slots once for its COO indices: the gathers and bincount
+    scatters read intp slots, on numpy's fast indexing path."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for owner, node in _nodes_by_function(ast.parse(path.read_text())):
+            int32 = ((isinstance(node, ast.Attribute) and node.attr == "int32")
+                     or (isinstance(node, ast.Constant) and node.value == "int32"))
+            if int32 and (path.name, owner) != ("assembly.py", "_scatter_matrix"):
+                offenders.append(f"{path.name}:{node.lineno} in {owner}")
+    assert not offenders, f"int32 off the COO scatter: {offenders}"
 
 
 # the callers of the basis tables' values_at and grads_at, by (file,

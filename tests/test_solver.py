@@ -768,6 +768,20 @@ def test_infsup_diag_epsilon():
     assert infsup_constant(B, I2) == pytest.approx(1e-4, rel=1e-8)
 
 
+def test_infsup_checks_shapes_before_it_factors_g(monkeypatch):
+    calls = []
+    gram_factor = ncfem.solve._gram_factor
+    monkeypatch.setattr(ncfem.solve, "_gram_factor",
+                        lambda G: calls.append(G) or gram_factor(G))
+    with pytest.raises(ValueError, match="square B matching G"):
+        infsup_constant(sp.identity(3, format="csr"),
+                        sp.identity(2, format="csr"))
+    assert calls == []
+    I2 = sp.identity(2, format="csr")
+    assert infsup_constant(I2, I2) == pytest.approx(1.0, abs=1e-8)
+    assert len(calls) == 1
+
+
 def test_infsup_rejects_nonsymmetric_gram():
     B = sp.identity(2, format="csr")
     G = sp.csr_matrix(np.array([[1.0, 0.5], [0.0, 1.0]]))

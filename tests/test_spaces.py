@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from conftest import (MorleyByInverse, cr_dofmap, evaluate, free_index,
                       midpoint_lam, morley_dofmap, random_function, vertex_lam)
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
-from ncfem.spaces import (SpaceTag, basis_tables, local_coefficients,
-                          physical_points)
+from ncfem.spaces import (SpaceTag, basis_tables, element_dofs,
+                          local_coefficients, physical_points)
 
 
 def test_dof_counts_bisected_square():
@@ -194,21 +196,35 @@ def test_local_coefficients_zero_on_boundary(square8):
 def test_slots_index_the_free_dofs(space, mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
     dm = morley_dofmap(mesh) if space is SpaceTag.MORLEY else cr_dofmap(mesh)
-    assert dm.slots.dtype == np.int32
-    assert dm.slots.shape == dm.element_dofs.shape
-    free = np.isin(dm.element_dofs, dm.dof_of_free)
+    dofs = element_dofs(mesh, space)
+    assert dm.slots.dtype == np.intp
+    assert dm.slots.shape == dofs.shape
+    free = np.isin(dofs, dm.dof_of_free)
     assert not free.all() and free.any()
     assert np.array_equal(dm.slots == dm.n_free, ~free)
-    assert np.array_equal(dm.dof_of_free[dm.slots[free]], dm.element_dofs[free])
+    assert np.array_equal(dm.dof_of_free[dm.slots[free]], dofs[free])
+
+
+@pytest.mark.parametrize("space", [SpaceTag.MORLEY, SpaceTag.CROUZEIX_RAVIART])
+def test_a_dof_map_holds_one_element_index(space, lshape):
+    """The dof map keeps slots as its only (nt, nloc) array, in intp, and
+    counts the global dofs instead of keeping their element numbering."""
+    dm = morley_dofmap(lshape) if space is SpaceTag.MORLEY else cr_dofmap(lshape)
+    tables = [f.name for f in fields(dm) if np.ndim(getattr(dm, f.name)) == 2]
+    assert tables == ["slots"]
+    assert dm.slots.shape[0] == lshape.n_triangles
+    assert dm.slots.dtype == np.intp
+    assert dm.n_dofs == element_dofs(lshape, space).max() + 1
 
 
 @pytest.mark.parametrize("mesh_name", ["square8", "lshape"])
 def test_local_coefficients_match_a_clip_and_mask_reference(mesh_name, request):
     """Both components of a von Karman pair, gathered through slots, equal
     the clipped gather through the int64 free index, masked to 0."""
-    dm = morley_dofmap(request.getfixturevalue(mesh_name))
+    mesh = request.getfixturevalue(mesh_name)
+    dm = morley_dofmap(mesh)
     u = random_function(dm, np.random.default_rng(11), n_components=2)
-    fo = free_index(dm)
+    fo = free_index(mesh, dm)
     for c in (0, 1):
         ref = u[c * dm.n_free:(c + 1) * dm.n_free][np.clip(fo, 0, None)]
         ref[fo < 0] = 0.0
