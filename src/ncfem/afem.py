@@ -1,5 +1,5 @@
-"""One level driver (solve, estimate, mark, refine) for adaptive runs and
-uniform studies.
+"""The one level driver (solve, estimate, mark, refine) of adaptive runs,
+uniform studies and `ncfem solve`; a level's arrays leave it via on_level.
 
 Marking uses Doerfler bulk criterion on combined element indicators
 eta_K'^2 = eta_K^2 + sum over the element's edges of eta_E^2 / (number of
@@ -87,11 +87,9 @@ def _rate(prev, cur, q_log):
 
 @dataclass
 class AfemResult:
-    """Per level: the record, the solution coefficients and the Newton trace.
-    No mesh is kept; a caller that needs one per level reads it through the
-    drivers' on_level callback."""
+    """Per level: the record and the Newton trace.  No mesh or solution is
+    kept; a caller takes those in the drivers' on_level callback."""
     records: list
-    solutions: list
     traces: list
 
 
@@ -107,8 +105,8 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
     on_level(asm, U, record), if given, is called once per level after its
-    record is made; whatever it keeps of asm stays alive."""
-    res = AfemResult(records=[], solutions=[], traces=[])
+    record is made; whatever it keeps of asm and U stays alive."""
+    res = AfemResult(records=[], traces=[])
     mesh, values = mesh0, None
     while mesh is not None:
         asm = assembler(mesh, problem)
@@ -133,7 +131,6 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
             rec.rate_error = _rate(prev.error_pw, err, q)
             rec.rate_eta = _rate(prev.eta_total, rec.eta_total, q)
         res.records.append(rec)
-        res.solutions.append(U)
         res.traces.append(trace)
         if on_level is not None:
             on_level(asm, U, rec)

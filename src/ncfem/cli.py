@@ -18,7 +18,6 @@ import numpy as np
 
 from . import assembly, mesh as meshmod, solve as solvemod
 from .afem import NewtonDivergence, afem_loop, corner_fraction, uniform_study
-from .estimators import broken_energy_error, estimate
 from .interpolation import cr_dof_values, morley_dof_values
 from .problems import (ProblemKind, manufactured, ns_unit_load,
                        polynomial_field, registry_names)
@@ -170,23 +169,20 @@ def _cmd_solve(cfg: RunConfig):
     problem, exact = _resolve_problem(cfg.problem)
     mesh = meshmod.refine(_resolve_domain(cfg.domain),
                           cfg.base_refinements + cfg.levels - 1)
-    asm = assembly.assembler(mesh, problem)
-    U, trace = solvemod.newton_solve(asm, tol=cfg.tol)
-    if not trace.converged:
-        print("error: Newton did not converge", file=sys.stderr)
-        return NUMERICAL_ERROR
+    kants = []
+    res = uniform_study(problem, mesh, 1, tol=cfg.tol, exact=exact,
+                        on_level=lambda asm, U, record: kants.append(
+                            solvemod.kantorovich_report(asm, U)))
+    rec, trace, kant = res.records[0], res.traces[0], kants[0]
     print(f"problem {cfg.problem} on {cfg.domain}: "
-          f"n_free = {asm.dofmap.n_free}, "
+          f"n_free = {rec.n_free}, "
           f"newton_iters = {trace.iterations}, "
           f"residual = {trace.residual_norms[-1]:.3e}, "
           f"krylov_iters = {sum(trace.krylov_iterations)}, "
           f"fallbacks = {trace.direct_fallbacks}")
-    report = estimate(asm, U, exact=exact)
-    print(f"eta_total = {report.eta_total:.6e}")
+    print(f"eta_total = {rec.eta_total:.6e}")
     if exact is not None:
-        err = broken_energy_error(asm, U, exact)
-        print(f"error_pw = {err:.6e}")
-    kant = solvemod.kantorovich_report(asm, U)
+        print(f"error_pw = {rec.error_pw:.6e}")
     print(f"kantorovich: beta0 = {kant.beta0:.4e}, delta = {kant.delta:.3e}, "
           f"h = {kant.h:.3e}, condition_met = {kant.condition_met}, "
           f"gamma_rounds = {kant.gamma_rounds}")
@@ -373,7 +369,7 @@ def main(argv=None):
                 "infsup": _cmd_infsup, "verify": _cmd_verify}
     try:
         return dispatch[cfg.command](cfg)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except RuntimeError as exc:

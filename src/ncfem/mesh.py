@@ -387,8 +387,8 @@ def builtin_domain(name: str) -> Triangulation:
 
 
 def read_mesh(path) -> Triangulation:
-    """Read the text format above; a malformed file raises
-    ValueError('<path>:<line>: ...')."""
+    """Read the text format above; a malformed file, or a mesh that
+    build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...')."""
     rows = []   # (line number, fields) of the non-empty lines
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -423,7 +423,10 @@ def read_mesh(path) -> Triangulation:
                          "on every triangle row or on none")
     triangles = np.array(tri_rows, dtype=np.int64)
     ref_edge = triangles[:, 3] if has_ref[0] else None
-    return build_from_arrays(vertices, triangles[:, :3], ref_edge=ref_edge)
+    try:
+        return build_from_arrays(vertices, triangles[:, :3], ref_edge=ref_edge)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_mesh(mesh: Triangulation, path):

@@ -36,12 +36,12 @@ def graded_lshape():
     """Last level (1249 free dofs) of an adaptive NVB run of ns_unit_load on
     the L-shape: (problem, mesh, dofmap, solution)."""
     problem = ns_unit_load()
-    meshes = []
+    levels = []
     res = afem_loop(problem, builtin_domain("l_shape"), 0.5, 1000,
-                    on_level=lambda asm, U, record: meshes.append(asm.mesh))
+                    on_level=lambda asm, U, record: levels.append((asm.mesh, U)))
     assert res.records[-1].n_free == 1249
-    mesh = meshes[-1]
-    return problem, mesh, morley_dofmap(mesh), res.solutions[-1]
+    mesh, U = levels[-1]
+    return problem, mesh, morley_dofmap(mesh), U
 
 
 # ---------------------------------------------------------------------------

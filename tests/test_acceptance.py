@@ -36,14 +36,21 @@ def report(criterion, ok, detail):
 
 
 def _study(name, mesh0, levels):
-    """A uniform study with its meshes, which the level driver does not keep."""
+    """A uniform study with its meshes and solutions, which the level driver
+    does not keep."""
     man = manufactured(name)
-    meshes = []
+    meshes, solutions = [], []
     t0 = time.perf_counter()
+
+    def on_level(asm, U, rec):
+        meshes.append(asm.mesh)
+        solutions.append(U)
+
     result = uniform_study(man.problem, mesh0, levels, exact=man.exact,
-                           on_level=lambda asm, U, rec: meshes.append(asm.mesh))
+                           on_level=on_level)
     return {"man": man, "records": result.records, "result": result,
-            "meshes": meshes, "elapsed": time.perf_counter() - t0}
+            "meshes": meshes, "solutions": solutions,
+            "elapsed": time.perf_counter() - t0}
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +118,14 @@ def _newton_checks(study, label):
 
 
 def _kantorovich_h_values(study, problem):
-    res, meshes = study["result"], study["meshes"]
+    meshes, solutions = study["meshes"], study["solutions"]
     hs = []
     for lvl in range(1, len(meshes)):
         h_max = geometry(meshes[lvl]).h_max
         if h_max > 0.125 + 1e-12:
             continue
         values = transfer_morley(Assembler(meshes[lvl - 1], problem),
-                                 res.solutions[lvl - 1], meshes[lvl])
+                                 solutions[lvl - 1], meshes[lvl])
         fine = Assembler(meshes[lvl], problem)
         U0 = function_from_element_values(fine.dofmap, values)
         rep = kantorovich_report(fine, U0)
@@ -169,9 +176,8 @@ def test_criterion_5_effectivity(ns_study, vk_study):
 
 def test_criterion_6_average_term_decay(ns_study):
     man = ns_study["man"]
-    res = ns_study["result"]
     S = []
-    for mesh, U in zip(ns_study["meshes"], res.solutions):
+    for mesh, U in zip(ns_study["meshes"], ns_study["solutions"]):
         rep = estimate(Assembler(mesh, man.problem), U)
         S.append(np.sqrt(rep.avg_term_S_sq))
     rates = [np.log2(a / b) for a, b in zip(S[1:], S[2:])]

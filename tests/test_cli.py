@@ -380,6 +380,53 @@ def test_cli_divergence_writes_partial_csv(argv, csv, tmp_path, monkeypatch,
     assert not list(out.glob("*.svg"))
 
 
+def test_cli_solve_divergence_is_numerical_failure(tmp_path, monkeypatch,
+                                                   capsys):
+    patch_newton(monkeypatch, fail_from_level=0)
+    assert main(["solve", "--problem", "ns_poly", "--levels", "2",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: Newton did not converge" in err
+    assert "n_free = 9" in err
+
+
+# meshes that parse but that build_from_arrays rejects, with its message
+REJECTED_MESHES = {
+    "stray_vertex": ("4 1\n0 0\n1 0\n0 1\n5 5\n0 1 2\n",
+                     "vertex 3 belongs to no triangle"),
+    "duplicate_vertex": ("4 1\n0 0\n1 0\n0 1\n0 0\n0 1 2\n",
+                         "duplicate vertices"),
+    "zero_area": ("3 1\n0 0\n1 0\n2 0\n0 1 2\n", "zero-area triangle"),
+    # vertex 3 lies on the open edge 0-1 of triangle 0
+    "hanging_vertex": ("5 3\n0 0\n2 0\n0 2\n1 0\n1 -1\n0 1 2\n0 3 4\n3 1 4\n",
+                       "vertex 3 hangs on an edge"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_MESHES))
+def test_cli_rejected_mesh_names_its_file(name, tmp_path, capsys):
+    text, message = REJECTED_MESHES[name]
+    path = tmp_path / f"{name}.msh"
+    path.write_text(text)
+    assert main(["study", "--domain", str(path), "--levels", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {path}: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_cli_os_errors_are_configuration_errors(tmp_path, capsys):
+    # a directory given as the mesh file, and a file given as the output
+    # directory
+    assert main(["study", "--domain", str(tmp_path), "--levels", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["study", "--levels", "1", "--out", str(taken)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 # The first 4 levels of the von Karman study of scripts/vk_convergence.py
 # (its 6-level run in perfbench/reference.json): the two-component transfer
 # and the h_max rates must keep every level the same.

@@ -117,9 +117,7 @@ def test_only_the_level_owners_build_a_level():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
+            name = _called_name(node)
             if name in LEVEL_BUILDERS and path.name not in LEVEL_BUILDERS[name]:
                 offenders.append(f"{path.name}:{node.lineno} {name}")
     assert not offenders, f"level built outside its owners: {offenders}"
@@ -147,6 +145,41 @@ def _calls_by_function(tree):
             if isinstance(node, ast.Call))
 
 
+def _called_name(node):
+    func = node.func
+    return (func.id if isinstance(func, ast.Name)
+            else func.attr if isinstance(func, ast.Attribute) else None)
+
+
+# the level steps that only the level driver runs: uniform studies, adaptive
+# runs and `ncfem solve` all solve, estimate and measure a level through it
+DRIVER_STEPS = {"newton_solve", "estimate", "broken_energy_error"}
+
+
+def test_only_the_level_driver_solves_estimates_and_measures():
+    """newton_solve, estimate and broken_energy_error are called in ncfem
+    only by afem._run_levels."""
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for owner, node in _calls_by_function(ast.parse(path.read_text())):
+            name = _called_name(node)
+            if name in DRIVER_STEPS and (path.name, owner) != ("afem.py",
+                                                               "_run_levels"):
+                offenders.append(f"{path.name}:{node.lineno} {name} in {owner}")
+    assert not offenders, f"level steps off the driver: {offenders}"
+
+
+def test_the_cli_sets_up_a_level_only_for_infsup_and_verify():
+    """In cli.py only _cmd_infsup and _verify_checks call assembler: every
+    other command runs its levels through the level driver."""
+    path = Path(ncfem.__file__).parent / "cli.py"
+    offenders = [f"cli.py:{node.lineno} in {owner}"
+                 for owner, node in _calls_by_function(ast.parse(path.read_text()))
+                 if _called_name(node) == "assembler"
+                 and owner not in ("_cmd_infsup", "_verify_checks")]
+    assert not offenders, f"assembler called off infsup and verify: {offenders}"
+
+
 def test_one_entry_point_per_linear_solve_path():
     """Direct Jacobian solves go through solve.sparse_solve, the only caller
     of spla.spsolve, and Krylov solves through solve._gram_gmres: no module
@@ -156,9 +189,7 @@ def test_one_entry_point_per_linear_solve_path():
     for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         for owner, node in _calls_by_function(tree):
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
+            name = _called_name(node)
             if name == "spsolve" and (path.name, owner) != ("solve.py",
                                                             "sparse_solve"):
                 offenders.append(f"{path.name}:{node.lineno} spsolve in {owner}")
@@ -184,9 +215,7 @@ def test_one_entry_point_per_factorization():
     offenders = []
     for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
         for owner, node in _calls_by_function(ast.parse(path.read_text())):
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
+            name = _called_name(node)
             if name in FACTOR_CALLERS and not (
                     path.name == "solve.py" and owner in FACTOR_CALLERS[name]):
                 offenders.append(f"{path.name}:{node.lineno} {name} in {owner}")
