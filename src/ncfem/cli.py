@@ -126,7 +126,8 @@ def _run_and_report(cfg: RunConfig, stem: str, drive, summary=None):
         result = drive(problem, mesh, exact)
     except NewtonDivergence as exc:
         write_records_csv(exc.records, csv_path)
-        print(f"error: {exc} (partial results in {csv_path})", file=sys.stderr)
+        print(f"numerical failure: {exc} (partial results in {csv_path})",
+              file=sys.stderr)
         return NUMERICAL_ERROR
     write_records_csv(result.records, csv_path)
     emit_plots(result.records, out, stem=stem)

@@ -112,14 +112,6 @@ def _bracket(u, v):
                  -2.0 * _pmul(_dx(_dy(u)), _dx(_dy(v))))
 
 
-def _identity_matrix(pts):
-    pts = np.asarray(pts, dtype=float)
-    out = np.zeros(pts.shape[:-1] + (2, 2))
-    out[..., 0, 0] = 1.0
-    out[..., 1, 1] = 1.0
-    return out
-
-
 def _constant_vector(bx, by):
     def b(pts):
         pts = np.asarray(pts, dtype=float)
@@ -192,7 +184,7 @@ def _build(name: str) -> Manufactured:
     if name == "cr_sine":
         u = _sine_field()
         gamma = -20
-        # -div(grad u + u b) + gamma u with A = I, b = (1, 1):
+        # -div(grad u + u b) + gamma u with A = I (unset), b = (1, 1):
         # -Lap u = 2 pi^2 u, so f = (2 pi^2 + gamma) u - u_x - u_y, from one
         # evaluation of the sines and the same products as u.value, u.gradient
         def f(pts):
@@ -201,8 +193,7 @@ def _build(name: str) -> Manufactured:
                     - np.pi * (cx * sy) - np.pi * (sx * cy))
 
         problem = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR,
-                              f=f, A=_identity_matrix,
-                              b=_constant_vector(1.0, 1.0),
+                              f=f, b=_constant_vector(1.0, 1.0),
                               gamma=_constant(gamma),
                               lambda_bounds=(1.0, 1.0), name=name)
         return Manufactured(name=name, problem=problem, exact=(u,))
@@ -241,14 +232,18 @@ def polynomial_field(coeffs) -> Field:
 
     def ev(cc):
         def fn(pts):
-            # polyval2d's Horner, one column at a time: bitwise its values
+            # polyval2d's Horner, one column at a time and in place (two
+            # arrays of the sample shape): bitwise its values
             pts = np.asarray(pts, dtype=float)
-            x, y, out = pts[..., 0], pts[..., 1], 0.0
+            x, y = pts[..., 0], pts[..., 1]
+            out, h = np.zeros(x.shape), np.empty(x.shape)
             for col in cc.T[::-1]:
-                h = 0.0
+                h.fill(0.0)
                 for a in col[::-1]:
-                    h = a + h * x
-                out = h + out * y
+                    h *= x
+                    h += a
+                out *= y
+                out += h
             return out
         return fn
 

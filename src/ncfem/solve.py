@@ -65,6 +65,17 @@ Without relax=1 the symmetric order does not pay there: on the final afem J,
 spsolve with permc_spec="MMD_AT_PLUS_A" took 17.2 s (fill 49.7) against
 1.05 s for COLAMD (fill 15.5), and "MMD_ATA" 1.13 s.
 
+Every SuperLU factor (_splu, and the first spsolve of sparse_solve) starts
+from a trimmed heap: _release_free_heap hands the C heap's free pages back to
+the system through glibc's malloc_trim(0), and does nothing where the C
+library has no such call.  By the time a level factors, it has freed its
+set-up, estimator and transfer buffers and the previous level's arrays, but
+glibc keeps those pages resident, and the L and U that SuperLU grows do not
+reuse the freed chunks: its pages land on top of them.  Right before the final
+G factor of the afem L-shape run (60421 dofs) a trim takes the resident set
+from 142 to 98 MB, and the run's peak falls from 170-175 MB to 142-147 MB; its
+31 trims take 15 ms in all.  A trim changes no number.
+
 J is not symmetric, so its factor keeps partial pivoting.  But J is a compact
 perturbation of the energy operator, and the Morley diagonal mixes vertex
 values and edge normal derivatives, whose entries differ by about h^-2 (more
@@ -98,6 +109,7 @@ report's delta; non-convergence raises ArpackNoConvergence (RuntimeError).
 """
 from __future__ import annotations
 
+import ctypes
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -118,6 +130,20 @@ __all__ = [
 
 NO_FREE_DOFS = "the mesh has no free dofs: refine it (--base-refinements 1)"
 FD_STEP = 1e-6          # the central-difference step of fd_jacobian
+
+
+try:                # glibc's; musl, macOS and Windows have no malloc_trim
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap():
+    """Hand the C heap's free pages back to the system before a SuperLU
+    factor (see the module docstring); a no-op without malloc_trim."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 def _as_csc(A):
@@ -160,7 +186,9 @@ def sparse_solve(A, rhs):
     """Direct sparse solve x = d * (D A D)^-1 (d * rhs) with the power-of-two
     equilibration d of _equilibrate, so that partial pivoting keeps the
     diagonal; one step of iterative refinement through the same scaled matrix
-    if the residual check on the unscaled system fails, then an error."""
+    if the residual check on the unscaled system fails, then an error.  The
+    refinement's factor reuses the pages the first one freed, so only the
+    first starts from a trimmed heap."""
     A = _as_csc(A)
     rhs = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != rhs.shape[0]:
@@ -169,6 +197,7 @@ def sparse_solve(A, rhs):
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:
+            _release_free_heap()
             x = d * spla.spsolve(As, d * rhs)
         except (spla.MatrixRankWarning, RuntimeError) as exc:
             raise RuntimeError("matrix is numerically singular") from exc
@@ -178,6 +207,7 @@ def sparse_solve(A, rhs):
 def _splu(A, **options):
     """SuperLU factor of a CSC matrix with the minimum-degree order of
     A^T + A and unrelaxed supernodes (see the module docstring)."""
+    _release_free_heap()
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1,
                      **options)
 

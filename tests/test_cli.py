@@ -375,7 +375,9 @@ def test_cli_divergence_writes_partial_csv(argv, csv, tmp_path, monkeypatch,
     patch_newton(monkeypatch, fail_from_level=2)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
-    assert "partial results" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure: Newton did not converge" in err
+    assert "partial results" in err
     assert [r.level for r in read_records_csv(out / csv)] == [0, 1]
     assert not list(out.glob("*.svg"))
 

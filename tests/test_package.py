@@ -204,14 +204,16 @@ def test_one_entry_point_per_linear_solve_path():
 
 
 # the callers each private factorization helper of solve.py may have, so
-# that the minimum-degree order, relax=1 and the power-of-two scaling each
-# keep one entry point
-FACTOR_CALLERS = {"splu": {"_splu"}, "_equilibrate": {"sparse_solve", "_infsup"}}
+# that the minimum-degree order, relax=1, the power-of-two scaling and the
+# heap trim each keep one entry point
+FACTOR_CALLERS = {"splu": {"_splu"}, "_equilibrate": {"sparse_solve", "_infsup"},
+                  "_release_free_heap": {"_splu", "sparse_solve"}}
 
 
 def test_one_entry_point_per_factorization():
-    """spla.splu is called only inside solve._splu, and solve._equilibrate
-    only by sparse_solve and the inf-sup routine _infsup."""
+    """spla.splu is called only inside solve._splu, solve._equilibrate only
+    by sparse_solve and the inf-sup routine _infsup, and the heap trim only
+    by the two SuperLU entry points, _splu and sparse_solve."""
     offenders = []
     for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
         for owner, node in _calls_by_function(ast.parse(path.read_text())):

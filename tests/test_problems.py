@@ -176,8 +176,7 @@ def test_exact_solution_is_clamped():
 def test_cr_coefficients():
     p = manufactured("cr_sine").problem
     pts = RNG.random((5, 2))
-    A = p.A(pts)
-    assert np.allclose(A, np.broadcast_to(np.eye(2), (5, 2, 2)))
+    assert p.A is None          # the identity, sampled nowhere
     assert np.allclose(p.b(pts), 1.0)
     assert np.allclose(p.gamma(pts), -20.0)
     assert p.lambda_bounds == (1.0, 1.0)
@@ -214,8 +213,10 @@ def test_polynomial_field_is_bitwise_polyval2d(shape):
 
 
 # tracemalloc bytes per triangle that sampling a load on the degree-6 points
-# of refine(l_shape, 6) may peak at: measured 288 for every polynomial load
-# (three arrays of the sample shape); polyval2d peaked at 2304 for ns f
+# of refine(l_shape, 6) may peak at: measured 192 for every polynomial load
+# (two arrays of the sample shape: the sum and one Horner column, both
+# updated in place; 384 with a new array per Horner step); polyval2d peaked
+# at 2304 for ns f
 LOAD_BYTES_PER_TRIANGLE = 480
 
 

@@ -1,3 +1,4 @@
+import os
 import warnings
 import weakref
 
@@ -258,6 +259,56 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
         assert kwargs["permc_spec"] == "MMD_AT_PLUS_A"
         assert kwargs["relax"] == 1
         assert kwargs["panel_size"] == 1
+
+
+def test_every_factor_starts_from_a_trimmed_heap(square32, monkeypatch):
+    """Each splu and spsolve follows exactly one malloc_trim(0): a cold
+    Newton solve (its direct first step and its G factor) and an inf-sup
+    constant (the test factor of G and the factor of B)."""
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    monkeypatch.setattr(ncfem.solve, "_malloc_trim",
+                        lambda pad: spla.log.append(("trim", pad)))
+    newton_solve(assembler(square32, manufactured("ns_poly").problem))
+    asm = assembler(square32, manufactured("cr_sine").problem)
+    infsup_constant(asm.jacobian(None).T, asm.gram())
+    assert [name for name, _ in spla.log] == ["trim", "spsolve"] + ["trim", "splu"] * 3
+    assert [pad for name, pad in spla.log if name == "trim"] == [0] * 4
+
+
+def test_solves_without_malloc_trim_repeat_bitwise(square32, monkeypatch):
+    """Where the C library has no malloc_trim the trim is skipped, and every
+    number stays the same."""
+    def run():
+        asm = assembler(square32, manufactured("ns_poly").problem)
+        U, _ = newton_solve(asm)
+        cr = assembler(square32, manufactured("cr_sine").problem)
+        return (U, sparse_solve(cr.jacobian(None), cr.load()),
+                infsup_constant(cr.jacobian(None).T, cr.gram()))
+
+    trimmed = run()
+    monkeypatch.setattr(ncfem.solve, "_malloc_trim", None)
+    for a, b in zip(trimmed, run()):
+        assert np.array_equal(np.asarray(a).view(np.int64),
+                              np.asarray(b).view(np.int64))
+
+
+@pytest.mark.skipif(ncfem.solve._malloc_trim is None
+                    or not os.path.exists("/proc/self/statm"),
+                    reason="needs glibc's malloc_trim and /proc/self/statm")
+def test_release_free_heap_returns_freed_pages():
+    """1000 freed 64 KB arrays between live ones stay resident until the
+    trim returns them; at least half of the 62.5 MB must go."""
+    def resident():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    blocks = [np.ones(8192) for _ in range(2000)]
+    del blocks[::2]
+    freed = 1000 * blocks[0].nbytes
+    before = resident()
+    ncfem.solve._release_free_heap()
+    assert before - resident() >= freed / 2
 
 
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
