@@ -38,7 +38,7 @@ class ConvergenceRecord:
     level: int
     n_free: int
     h_max: float
-    error_pw: float | None     # broken energy error, None without exact solution
+    error_pw: float | None     # broken energy error, None without problem.exact
     eta_total: float
     newton_iters: int
     rate_error: float | None = None
@@ -93,7 +93,7 @@ class AfemResult:
     traces: list
 
 
-def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
+def _run_levels(problem, mesh0, refine_step, q_log, tol,
                 on_level=None) -> AfemResult:
     """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh.
 
@@ -104,6 +104,7 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
     (Morley spaces; the linear CR problem restarts from zero).
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
+    error_pw is measured only when the problem carries an exact solution.
     on_level(asm, U, record), if given, is called once per level after its
     record is made; whatever it keeps of asm and U stays alive."""
     res = AfemResult(records=[], traces=[])
@@ -117,9 +118,9 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
             raise NewtonDivergence(
                 f"Newton did not converge within {len(trace.residual_norms)} "
                 f"iterations at n_free = {asm.dofmap.n_free}", res.records)
-        report = estimate(asm, U, exact=exact)
-        err = (broken_energy_error(asm, U, exact)
-               if exact is not None else None)
+        report = estimate(asm, U)
+        err = (broken_energy_error(asm, U)
+               if problem.exact is not None else None)
         rec = ConvergenceRecord(level=len(res.records),
                                 n_free=asm.dofmap.n_free,
                                 h_max=asm.geom.h_max, error_pw=err,
@@ -142,7 +143,7 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol, exact,
 
 
 def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
-              tol: float = 1e-10, exact=None, on_level=None) -> AfemResult:
+              tol: float = 1e-10, on_level=None) -> AfemResult:
     """Adaptive loop with Doerfler marking and bisection; stops once n_free
     exceeds max_free_dofs or nothing is marked.  on_level(asm, U, record)
     is called once per level (see _run_levels).  Morley problems only: the
@@ -161,12 +162,12 @@ def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
 
     return _run_levels(
         problem, mesh0, mark_and_bisect,
-        lambda prev, rec: 0.5 * math.log2(rec.n_free / prev.n_free), tol, exact,
+        lambda prev, rec: 0.5 * math.log2(rec.n_free / prev.n_free), tol,
         on_level)
 
 
 def uniform_study(problem: ProblemSpec, mesh0, levels: int,
-                  tol: float = 1e-10, exact=None, on_level=None) -> AfemResult:
+                  tol: float = 1e-10, on_level=None) -> AfemResult:
     """Uniform-refinement convergence study over `levels` meshes (level 0 is
     mesh0); on_level as in afem_loop."""
     if levels < 1:
@@ -175,8 +176,7 @@ def uniform_study(problem: ProblemSpec, mesh0, levels: int,
         problem, mesh0,
         lambda rec, mesh, report: (uniform_refine(mesh)
                                    if rec.level + 1 < levels else None),
-        lambda prev, rec: math.log2(prev.h_max / rec.h_max), tol, exact,
-        on_level)
+        lambda prev, rec: math.log2(prev.h_max / rec.h_max), tol, on_level)
 
 
 def corner_fraction(mesh, center=(0.0, 0.0), radius: float = 0.1):

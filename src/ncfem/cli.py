@@ -19,8 +19,8 @@ import numpy as np
 from . import assembly, mesh as meshmod, solve as solvemod
 from .afem import NewtonDivergence, afem_loop, corner_fraction, uniform_study
 from .interpolation import cr_dof_values, morley_dof_values
-from .problems import (ProblemKind, manufactured, ns_unit_load,
-                       polynomial_field, registry_names)
+from .problems import (ProblemKind, manufactured, polynomial_field,
+                       registry_names)
 from .reporting import emit_plots, write_records_csv
 from .spaces import element_dofs, volume_quadrature
 
@@ -28,13 +28,11 @@ __all__ = ["main"]
 
 USAGE_ERROR, NUMERICAL_ERROR = 2, 1
 
-_PROBLEM_NAMES = tuple(registry_names()) + ("ns_unit_load",)
-
 
 @dataclass
 class RunConfig:
     command: str = "study"
-    problem: str = "ns_poly"
+    problem: str = registry_names()[0]     # ns_poly
     domain: str = "unit_square"
     levels: int = 4
     theta: float = 0.5
@@ -55,6 +53,9 @@ class RunConfig:
             raise ValueError("theta must lie in (0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.problem not in registry_names():
+            raise ValueError(f"unknown problem {self.problem!r}; available: "
+                             + ", ".join(registry_names()))
 
 
 def _parse_config_file(path) -> dict:
@@ -90,18 +91,6 @@ def _resolve_domain(name):
                      "(unit_square, l_shape) and not a mesh file")
 
 
-def _resolve_problem(name):
-    """Returns (ProblemSpec, exact fields or None)."""
-    if name == "ns_unit_load":
-        return ns_unit_load(), None
-    try:
-        man = manufactured(name)
-    except KeyError:
-        raise ValueError(f"unknown problem {name!r}; available: "
-                         + ", ".join(_PROBLEM_NAMES))
-    return man.problem, man.exact
-
-
 def _print_records(records):
     print(f"{'lvl':>3} {'n_free':>8} {'h_max':>10} {'error_pw':>12} "
           f"{'eta_total':>12} {'it':>3} {'r_err':>6} {'r_eta':>6}")
@@ -114,16 +103,16 @@ def _print_records(records):
 
 
 def _run_and_report(cfg: RunConfig, stem: str, drive, summary=None):
-    """Shared body of `study` and `afem`: drive(problem, mesh, exact) runs
-    the levels; the records go to <stem>.csv, <stem>.svg and stdout, or to
-    the CSV alone when Newton diverges.  summary(result) may print more."""
-    problem, exact = _resolve_problem(cfg.problem)
+    """Shared body of `study` and `afem`: drive(problem, mesh) runs the
+    levels; the records go to <stem>.csv, <stem>.svg and stdout, or to the
+    CSV alone when Newton diverges.  summary(result) may print more."""
+    problem = manufactured(cfg.problem)
     mesh = meshmod.refine(_resolve_domain(cfg.domain), cfg.base_refinements)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{stem}.csv"
     try:
-        result = drive(problem, mesh, exact)
+        result = drive(problem, mesh)
     except NewtonDivergence as exc:
         write_records_csv(exc.records, csv_path)
         print(f"numerical failure: {exc} (partial results in {csv_path})",
@@ -141,8 +130,8 @@ def _run_and_report(cfg: RunConfig, stem: str, drive, summary=None):
 def _cmd_study(cfg: RunConfig):
     return _run_and_report(
         cfg, f"study_{cfg.problem}",
-        lambda problem, mesh, exact: uniform_study(
-            problem, mesh, cfg.levels, tol=cfg.tol, exact=exact))
+        lambda problem, mesh: uniform_study(problem, mesh, cfg.levels,
+                                            tol=cfg.tol))
 
 
 def _cmd_afem(cfg: RunConfig):
@@ -160,18 +149,18 @@ def _cmd_afem(cfg: RunConfig):
 
     return _run_and_report(
         cfg, f"afem_{cfg.problem}_{Path(cfg.domain).stem}",
-        lambda problem, mesh, exact: afem_loop(
+        lambda problem, mesh: afem_loop(
             problem, mesh, cfg.theta, cfg.max_free_dofs, tol=cfg.tol,
-            exact=exact, on_level=on_level if l_shape else None),
+            on_level=on_level if l_shape else None),
         corner_fractions if l_shape else None)
 
 
 def _cmd_solve(cfg: RunConfig):
-    problem, exact = _resolve_problem(cfg.problem)
+    problem = manufactured(cfg.problem)
     mesh = meshmod.refine(_resolve_domain(cfg.domain),
                           cfg.base_refinements + cfg.levels - 1)
     kants = []
-    res = uniform_study(problem, mesh, 1, tol=cfg.tol, exact=exact,
+    res = uniform_study(problem, mesh, 1, tol=cfg.tol,
                         on_level=lambda asm, U, record: kants.append(
                             solvemod.kantorovich_report(asm, U)))
     rec, trace, kant = res.records[0], res.traces[0], kants[0]
@@ -182,7 +171,7 @@ def _cmd_solve(cfg: RunConfig):
           f"krylov_iters = {sum(trace.krylov_iterations)}, "
           f"fallbacks = {trace.direct_fallbacks}")
     print(f"eta_total = {rec.eta_total:.6e}")
-    if exact is not None:
+    if problem.exact is not None:
         print(f"error_pw = {rec.error_pw:.6e}")
     print(f"kantorovich: beta0 = {kant.beta0:.4e}, delta = {kant.delta:.3e}, "
           f"h = {kant.h:.3e}, condition_met = {kant.condition_met}, "
@@ -191,7 +180,7 @@ def _cmd_solve(cfg: RunConfig):
 
 
 def _cmd_infsup(cfg: RunConfig):
-    problem, _ = _resolve_problem(cfg.problem)
+    problem = manufactured(cfg.problem)
     if problem.kind is not ProblemKind.SECOND_ORDER_CR:
         print("infsup expects a CR problem (e.g. cr_sine)", file=sys.stderr)
         return USAGE_ERROR
@@ -238,7 +227,7 @@ def _verify_checks(cfg: RunConfig):
                 worst_q = max(worst_q, abs(val - reference_triangle_monomial_integral(p, q)))
     yield "quadrature exactness", worst_q, 1e-12
 
-    asm = assembly.assembler(mesh, manufactured("ns_poly").problem)
+    asm = assembly.assembler(mesh, manufactured("ns_poly"))
     dm, tab = asm.dofmap, asm.tables
     # the six functionals of the closed-form basis: values at the vertices,
     # normal derivatives at the edge midpoints (the edge means, as the
@@ -256,7 +245,7 @@ def _verify_checks(cfg: RunConfig):
         worst = max(worst, abs(asm.gamma_ns_value(eta, chi, chi)) / scale)
     yield "gamma antisymmetry (navier-stokes)", worst, 1e-12
 
-    asm = assembly.assembler(mesh, manufactured("vk_poly").problem)
+    asm = assembly.assembler(mesh, manufactured("vk_poly"))
     zero = np.zeros(dm.n_free)
 
     def bracket(e, c, p):       # b(e, c, p) = Gamma((e, 0), (0, c), (p, 0))
@@ -287,7 +276,7 @@ def _verify_checks(cfg: RunConfig):
         worst = max(worst, np.abs(Him - mean).max())
     yield "morley commuting identity D2 I_M = Pi0 D2", worst, 1e-10
 
-    asm_cr = assembly.assembler(mesh, manufactured("cr_sine").problem)
+    asm_cr = assembly.assembler(mesh, manufactured("cr_sine"))
     dm_cr, tab_cr = asm_cr.dofmap, asm_cr.tables
     worst = 0.0
     for _ in range(20):
@@ -300,7 +289,7 @@ def _verify_checks(cfg: RunConfig):
 
     # jacobian against central finite differences of the residual
     for name in ("cr_sine", "ns_poly", "vk_poly"):
-        problem = manufactured(name).problem
+        problem = manufactured(name)
         asm = assembly.assembler(mesh, problem)
         U = 0.1 * rng.standard_normal(asm.dofmap.n_free * problem.n_components)
         J = asm.jacobian(U).toarray()
@@ -334,7 +323,8 @@ def build_parser():
                         ("verify", "run the identity suite")]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--problem", help=f"one of: {', '.join(_PROBLEM_NAMES)}")
+        p.add_argument("--problem",
+                       help=f"one of: {', '.join(registry_names())}")
         p.add_argument("--domain", help="unit_square, l_shape or a mesh file")
         p.add_argument("--levels", type=int)
         p.add_argument("--theta", type=float)

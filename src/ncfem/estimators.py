@@ -25,7 +25,7 @@ loads that are set (f, then g), each sampled once on the degree-6 points
 that the volume residuals and `oscillation` share.  Only the volume residuals
 and the Navier-Stokes flux terms depend on the problem.  `estimate` takes the
 level's Assembler (see assembly) and reads the mesh, dof map, basis tables
-and data from it.
+and data from it, the exact solution of a CR problem included.
 """
 from __future__ import annotations
 
@@ -171,12 +171,15 @@ def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
     return float(np.sqrt(p_sq.sum())), osc1
 
 
-def broken_energy_error(asm, U, exact):
-    """Broken energy error of U on the level asm against a manufactured
-    solution, exact one Field per component: the piecewise H^2 seminorm
-    distance for Morley (summed over components), the A-weighted piecewise
-    H^1 distance for CR."""
-    dofmap, A = asm.dofmap, asm.problem.A
+def broken_energy_error(asm, U):
+    """Broken energy error of U on the level asm against the exact solution
+    of its problem (problem.exact, one Field per component): the piecewise
+    H^2 seminorm distance for Morley (summed over components), the
+    A-weighted piecewise H^1 distance for CR."""
+    dofmap, A, exact = asm.dofmap, asm.problem.A, asm.problem.exact
+    if exact is None:
+        raise ValueError("the broken energy error needs the exact solution, "
+                         "and the problem has none")
     xq, wdx = volume_quadrature(asm.mesh, ESTIMATOR_VOLUME_DEGREE)
     total = 0.0
     if dofmap.space is SpaceTag.MORLEY:
@@ -193,15 +196,14 @@ def broken_energy_error(asm, U, exact):
     return float(np.sqrt(total))
 
 
-def estimate(asm, U, exact=None) -> EstimatorReport:
+def estimate(asm, U) -> EstimatorReport:
     """Problem-dispatching estimate step of the level driver, for U on the
     level asm: the residual estimator for both Morley problems.
 
-    For the CR problem the a priori diagnostic terms (which need the exact
-    solution, one Field per component) stand in as element indicators, by
-    design: they never read U, which is only checked against the dof map.
-    Without an exact solution there is nothing to estimate a CR level by,
-    and a ValueError is raised."""
+    For the CR problem the a priori diagnostic terms of problem.exact stand
+    in as element indicators, by design: they never read U, which is only
+    checked against the dof map.  Without an exact solution there is nothing
+    to estimate a CR level by, and a ValueError is raised."""
     mesh, problem, n_free = asm.mesh, asm.problem, asm.dofmap.n_free
     cr = problem.kind is ProblemKind.SECOND_ORDER_CR
     if len(U) != problem.n_components * n_free:
@@ -209,10 +211,11 @@ def estimate(asm, U, exact=None) -> EstimatorReport:
                          f"{'CR' if cr else 'Morley'} component(s) of n_free = {n_free}")
     if not cr:
         return _estimate_morley(asm, U)
-    if exact is None:
+    if problem.exact is None:
         raise ValueError("a CR level is estimated by the a priori terms of "
-                         "its exact solution, and none was given")
-    p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, exact[0], problem)
+                         "its exact solution, and the problem has none")
+    p_sq, osc_el, osc1 = _cr_apriori_integrands(mesh, problem.exact[0],
+                                                problem)
     eta_K_sq = p_sq.sum(axis=1) + osc_el
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=np.zeros(mesh.n_edges),
                            avg_term_S_sq=0.0, osc_sq=float(osc1 ** 2),

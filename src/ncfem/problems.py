@@ -1,4 +1,4 @@
-"""Problem definitions and the manufactured-solution registry.
+"""Problem definitions and the registry of named problems.
 
 Three problem families are supported:
 
@@ -13,15 +13,17 @@ that are only piecewise constant with respect to the mesh can set
 ``piecewise_constant=True``; assembly then samples them at element centroids
 only, honoring discontinuities aligned with the mesh.
 
-The manufactured entries carry the exact solution as a `Field` (value,
-gradient, hessian) plus the matching loads.  The polynomial entries are
-bivariate coefficient arrays c[i, j] of x^i y^j: derivatives come from
-`polyder` along one axis, products from a small 2-D convolution, and the
-loads (bilaplacian, transport term, Monge-Ampere bracket) are built from
-these on the arrays and evaluated through `polynomial_field`.  The sine entry
-has closed-form derivatives.  The second von Karman equation gets a
-verification-only load g so that a manufactured pair can be tested; g = 0
-recovers the plain plate system.
+A problem carries its exact solution, if one is known, in `exact`: one
+`Field` (value, gradient, hessian) per component.  The registry is one table
+of builders, looked up by `manufactured(name)`; the manufactured entries set
+`exact` and the matching loads, and `ns_unit_load` sets none.  The
+polynomial entries are bivariate coefficient arrays c[i, j] of x^i y^j:
+derivatives come from `polyder` along one axis, products from a small 2-D
+convolution, and the loads (bilaplacian, transport term, Monge-Ampere
+bracket) are built from these on the arrays and evaluated through
+`polynomial_field`.  The sine entry has closed-form derivatives.  The second
+von Karman equation gets a verification-only load g so that a manufactured
+pair can be tested; g = 0 recovers the plain plate system.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 __all__ = [
-    "ProblemKind", "ProblemSpec", "Field", "Manufactured", "manufactured",
+    "ProblemKind", "ProblemSpec", "Field", "manufactured",
     "registry_names", "ns_unit_load", "polynomial_field",
 ]
 
@@ -62,18 +64,11 @@ class ProblemSpec:
     g: callable = None                # von Karman second-equation load, tests only
     lambda_bounds: tuple = (1.0, 1.0)  # declared eigenvalue bounds of A
     piecewise_constant: bool = False  # sample coefficients at centroids only
-    name: str = ""
+    exact: tuple = None               # one Field per component, or None
 
     @property
     def n_components(self):
         return 2 if self.kind is ProblemKind.VON_KARMAN_MORLEY else 1
-
-
-@dataclass(frozen=True, eq=False)
-class Manufactured:
-    name: str
-    problem: ProblemSpec
-    exact: tuple  # one Field per component
 
 
 def _dx(c):
@@ -159,69 +154,69 @@ def _sine_field() -> Field:
     return Field(value=value, gradient=gradient, hessian=hessian)
 
 
+def _ns_poly() -> ProblemSpec:
+    u = _BUMP
+    w = -_lap(u)
+    f = _padd(_lap(_lap(u)), _dx(_pmul(w, _dy(u))), -_dy(_pmul(w, _dx(u))))
+    return ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
+                       f=polynomial_field(f).value,
+                       exact=(polynomial_field(u),))
+
+
+def _vk_poly() -> ProblemSpec:
+    u = v = _BUMP
+    f = _padd(_lap(_lap(u)), -_bracket(u, v))
+    g = _padd(_lap(_lap(v)), 0.5 * _bracket(u, u))
+    return ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
+                       f=polynomial_field(f).value,
+                       g=polynomial_field(g).value,
+                       exact=(polynomial_field(u), polynomial_field(v)))
+
+
+def _cr_sine() -> ProblemSpec:
+    u = _sine_field()
+    gamma = -20
+    # -div(grad u + u b) + gamma u with A = I (unset), b = (1, 1):
+    # -Lap u = 2 pi^2 u, so f = (2 pi^2 + gamma) u - u_x - u_y, from one
+    # evaluation of the sines and the same products as u.value, u.gradient
+    def f(pts):
+        sx, cx, sy, cy = _sine_parts(pts)
+        return ((2 * np.pi ** 2 + gamma) * (sx * sy)
+                - np.pi * (cx * sy) - np.pi * (sx * cy))
+
+    return ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR,
+                       f=f, b=_constant_vector(1.0, 1.0),
+                       gamma=_constant(gamma), exact=(u,))
+
+
+def ns_unit_load() -> ProblemSpec:
+    """Navier-Stokes with constant load f = 1 and no exact solution; the
+    standard adaptive test case on the L-shaped domain."""
+    return ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
+                       f=_constant(1.0))
+
+
+# every named problem, in the order the CLI lists them
+_REGISTRY = {"ns_poly": _ns_poly, "vk_poly": _vk_poly, "cr_sine": _cr_sine,
+             "ns_unit_load": ns_unit_load}
+
+
 @lru_cache(maxsize=None)
-def _build(name: str) -> Manufactured:
-    if name == "ns_poly":
-        u = _BUMP
-        w = -_lap(u)
-        f = _padd(_lap(_lap(u)), _dx(_pmul(w, _dy(u))), -_dy(_pmul(w, _dx(u))))
-        problem = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
-                              f=polynomial_field(f).value, name=name)
-        return Manufactured(name=name, problem=problem,
-                            exact=(polynomial_field(u),))
-
-    if name == "vk_poly":
-        u = _BUMP
-        v = _BUMP
-        f = _padd(_lap(_lap(u)), -_bracket(u, v))
-        g = _padd(_lap(_lap(v)), 0.5 * _bracket(u, u))
-        problem = ProblemSpec(kind=ProblemKind.VON_KARMAN_MORLEY,
-                              f=polynomial_field(f).value,
-                              g=polynomial_field(g).value, name=name)
-        return Manufactured(name=name, problem=problem,
-                            exact=(polynomial_field(u), polynomial_field(v)))
-
-    if name == "cr_sine":
-        u = _sine_field()
-        gamma = -20
-        # -div(grad u + u b) + gamma u with A = I (unset), b = (1, 1):
-        # -Lap u = 2 pi^2 u, so f = (2 pi^2 + gamma) u - u_x - u_y, from one
-        # evaluation of the sines and the same products as u.value, u.gradient
-        def f(pts):
-            sx, cx, sy, cy = _sine_parts(pts)
-            return ((2 * np.pi ** 2 + gamma) * (sx * sy)
-                    - np.pi * (cx * sy) - np.pi * (sx * cy))
-
-        problem = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR,
-                              f=f, b=_constant_vector(1.0, 1.0),
-                              gamma=_constant(gamma),
-                              lambda_bounds=(1.0, 1.0), name=name)
-        return Manufactured(name=name, problem=problem, exact=(u,))
-
-    raise KeyError(name)
-
-
-_REGISTRY = ("ns_poly", "vk_poly", "cr_sine")
+def _build(name: str) -> ProblemSpec:
+    return _REGISTRY[name]()
 
 
 def registry_names():
-    return _REGISTRY
+    return tuple(_REGISTRY)
 
 
-def manufactured(name: str) -> Manufactured:
-    """Look up a manufactured problem by name; raises KeyError with the
+def manufactured(name: str) -> ProblemSpec:
+    """Look up a registry problem by name; raises KeyError with the
     available names otherwise."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown manufactured problem {name!r}; "
                        f"available: {', '.join(_REGISTRY)}")
     return _build(name)
-
-
-def ns_unit_load() -> ProblemSpec:
-    """Navier-Stokes with constant load f = 1 (no exact solution attached);
-    the standard adaptive test case on the L-shaped domain."""
-    return ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
-                       f=_constant(1.0), name="ns_unit_load")
 
 
 def polynomial_field(coeffs) -> Field:

@@ -1,9 +1,10 @@
 """CSV serialization of convergence records and static SVG log-log plots.
 
 CSV uses a header row, '.' decimal separator and repr() floats (shortest
-round-trip), newline-terminated; missing values are empty fields.  The SVG
-writer emits plain SVG 1.1 with fixed-format coordinates, so identical input
-produces byte-identical files.
+round-trip); missing values are empty fields.  The record CSVs end each row
+with CR LF (the csv.writer default), the inf-sup CSV of `ncfem infsup` with
+LF alone.  The SVG writer emits plain SVG 1.1 with fixed-format coordinates,
+so identical input produces byte-identical files.
 """
 from __future__ import annotations
 

@@ -46,8 +46,7 @@ def _study(name, mesh0, levels):
         meshes.append(asm.mesh)
         solutions.append(U)
 
-    result = uniform_study(man.problem, mesh0, levels, exact=man.exact,
-                           on_level=on_level)
+    result = uniform_study(man, mesh0, levels, on_level=on_level)
     return {"man": man, "records": result.records, "result": result,
             "meshes": meshes, "solutions": solutions,
             "elapsed": time.perf_counter() - t0}
@@ -92,7 +91,7 @@ def test_criterion_3_cr_convergence(cr_study):
     records = cr_study["records"]
     man = cr_study["man"]
     rate = records[-1].rate_error
-    terms = [cr_apriori_terms(m, man.exact[0], man.problem)
+    terms = [cr_apriori_terms(m, man.exact[0], man)
              for m in cr_study["meshes"][-2:]]
     p_rate = np.log2(terms[0][0] / terms[1][0])
     osc_rate = np.log2(terms[0][1] / terms[1][1])
@@ -136,8 +135,8 @@ def _kantorovich_h_values(study, problem):
 def test_criterion_4_newton_behavior(ns_study, vk_study):
     ok_ns, iters_ns, ratios_ns = _newton_checks(ns_study, "ns")
     ok_vk, iters_vk, ratios_vk = _newton_checks(vk_study, "vk")
-    hs = (_kantorovich_h_values(ns_study, ns_study["man"].problem)
-          + _kantorovich_h_values(vk_study, vk_study["man"].problem))
+    hs = (_kantorovich_h_values(ns_study, ns_study["man"])
+          + _kantorovich_h_values(vk_study, vk_study["man"]))
     ok_h = bool(hs) and all(h < 0.5 for _, h, _ in hs)
     max_ratio = max(ratios_ns + ratios_vk, default=0.0)
     ok = ok_ns and ok_vk and ok_h
@@ -178,7 +177,7 @@ def test_criterion_6_average_term_decay(ns_study):
     man = ns_study["man"]
     S = []
     for mesh, U in zip(ns_study["meshes"], ns_study["solutions"]):
-        rep = estimate(Assembler(mesh, man.problem), U)
+        rep = estimate(Assembler(mesh, man), U)
         S.append(np.sqrt(rep.avg_term_S_sq))
     rates = [np.log2(a / b) for a, b in zip(S[1:], S[2:])]
     ok = all(r >= 0.85 for r in rates)
@@ -207,7 +206,7 @@ def test_criterion_8_infsup_plateau():
     mesh = refine(builtin_domain("unit_square"), 3)
     betas = []
     for _ in range(4):
-        asm = assembler(mesh, man.problem)
+        asm = assembler(mesh, man)
         B = asm.jacobian(None).T.tocsr()
         betas.append(infsup_constant(B, asm.gram()))
         mesh = uniform_refine(mesh)

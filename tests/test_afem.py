@@ -21,8 +21,8 @@ def test_afem_refuses_a_cr_problem(monkeypatch):
     calls = patch_newton(monkeypatch)
     man = manufactured("cr_sine")
     with pytest.raises(ValueError, match="Morley"):
-        afem_loop(man.problem, builtin_domain("unit_square"), 0.5,
-                  max_free_dofs=300, exact=man.exact)
+        afem_loop(man, builtin_domain("unit_square"), 0.5,
+                  max_free_dofs=300)
     assert calls == []
 
 
@@ -35,8 +35,8 @@ def test_afem_ns_eta_decreases():
 
 def test_afem_ns_manufactured_eta_decreases():
     man = manufactured("ns_poly")
-    res = afem_loop(man.problem, builtin_domain("unit_square"), 0.5,
-                    max_free_dofs=500, exact=man.exact)
+    res = afem_loop(man, builtin_domain("unit_square"), 0.5,
+                    max_free_dofs=500)
     etas = [r.eta_total for r in res.records]
     assert all(b < a for a, b in zip(etas[1:], etas[2:]))
     assert all(r.error_pw is not None and r.error_pw > 0 for r in res.records)
@@ -90,29 +90,26 @@ def test_divergence_carries_the_converged_levels(driver, monkeypatch):
     man = manufactured("ns_poly")
     with pytest.raises(NewtonDivergence, match="did not converge") as info:
         if driver == "afem":
-            afem_loop(man.problem, builtin_domain("unit_square"), 0.5,
-                      max_free_dofs=10_000, exact=man.exact)
+            afem_loop(man, builtin_domain("unit_square"), 0.5,
+                      max_free_dofs=10_000)
         else:
-            uniform_study(man.problem, builtin_domain("unit_square"), 4,
-                          exact=man.exact)
+            uniform_study(man, builtin_domain("unit_square"), 4)
     assert [r.level for r in info.value.records] == [0, 1]
 
 
 def test_uniform_study_levels_and_rates():
     man = manufactured("cr_sine")
-    records = uniform_study(man.problem, builtin_domain("unit_square"), 3,
-                            exact=man.exact).records
+    records = uniform_study(man, builtin_domain("unit_square"), 3).records
     assert [r.level for r in records] == [0, 1, 2]
     assert records[0].rate_error is None and records[0].rate_eta is None
     assert records[1].rate_error is not None
     with pytest.raises(ValueError):
-        uniform_study(man.problem, builtin_domain("unit_square"), 0)
+        uniform_study(man, builtin_domain("unit_square"), 0)
 
 
 def test_uniform_study_single_level():
     man = manufactured("cr_sine")
-    records = uniform_study(man.problem, builtin_domain("unit_square"), 1,
-                            exact=man.exact).records
+    records = uniform_study(man, builtin_domain("unit_square"), 1).records
     assert len(records) == 1
     assert records[0].rate_error is None
 
@@ -122,13 +119,13 @@ def test_finished_levels_are_not_cached():
     dropped, nor any level of a finished study."""
     man = manufactured("ns_poly")
     mesh = builtin_domain("unit_square")
-    refs = [weakref.ref(assembler(mesh, man.problem)),
+    refs = [weakref.ref(assembler(mesh, man)),
             weakref.ref(basis_tables(mesh, SpaceTag.MORLEY))]
 
     def on_level(asm, U, record):
         refs.extend([weakref.ref(asm), weakref.ref(asm.tables)])
 
-    uniform_study(man.problem, mesh, 3, exact=man.exact, on_level=on_level)
+    uniform_study(man, mesh, 3, on_level=on_level)
     gc.collect()
     assert [ref() for ref in refs] == [None] * 8
 
@@ -141,8 +138,7 @@ def test_each_level_builds_its_assembler_and_tables_once(driver):
     basis_tables.cache_clear()
     if driver == "uniform_study":
         man = manufactured("ns_poly")
-        res = uniform_study(man.problem, builtin_domain("unit_square"), 3,
-                            exact=man.exact)
+        res = uniform_study(man, builtin_domain("unit_square"), 3)
     else:
         # 5, 13 and 17 free dofs: the third level passes 15
         res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
@@ -165,8 +161,8 @@ def test_finished_levels_are_let_go(driver):
 
     if driver == "uniform_study":
         man = manufactured("ns_poly")
-        res = uniform_study(man.problem, builtin_domain("unit_square"), 3,
-                            exact=man.exact, on_level=on_level)
+        res = uniform_study(man, builtin_domain("unit_square"), 3,
+                            on_level=on_level)
     else:
         # 5, 13 and 17 free dofs: the third level passes 15
         res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
@@ -195,8 +191,7 @@ def test_the_coarse_level_is_gone_before_the_fine_set_up(driver, monkeypatch):
     monkeypatch.setattr(ncfem.afem, "assembler", spy)
     if driver == "uniform_study":
         man = manufactured("ns_poly")
-        uniform_study(man.problem, builtin_domain("unit_square"), 3,
-                      exact=man.exact)
+        uniform_study(man, builtin_domain("unit_square"), 3)
     else:
         # 5, 13 and 17 free dofs: the third level passes 15
         afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,

@@ -10,7 +10,7 @@ from conftest import (MorleyByInverse, b_pw, cr_dofmap, free_index,
 from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
                             assembler)
 from ncfem.mesh import build_from_arrays, builtin_domain, geometry, refine
-from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load
+from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
 from ncfem.spaces import element_dofs, local_coefficients, volume_quadrature
@@ -92,7 +92,7 @@ def test_b_pw_zero_and_mass(square8):
 def test_cr_jacobian_is_one_matrix_a_pw_plus_b_pw(square32):
     """The CR problem is linear: set-up assembles J = a_pw + b_pw once, and
     jacobian hands that matrix out for every state."""
-    asm = Assembler(refine(square32, 1), manufactured("cr_sine").problem)
+    asm = Assembler(refine(square32, 1), manufactured("cr_sine"))
     rng = np.random.default_rng(4)
     U, V = (rng.standard_normal(asm.dofmap.n_free) for _ in range(2))
     J = asm.jacobian(U)
@@ -104,7 +104,7 @@ def test_cr_jacobian_is_one_matrix_a_pw_plus_b_pw(square32):
 
 def test_indefinite_symmetric_part(square32):
     mesh = refine(square32, 1)  # 128 triangles
-    problem = manufactured("cr_sine").problem
+    problem = manufactured("cr_sine")
     asm = assembler(mesh, problem)
     M = asm.jacobian(None).toarray()
     sym = 0.5 * (M + M.T)
@@ -156,8 +156,7 @@ def test_closed_forms_match_the_quadrature_of_the_oracle(name, graded_lshape):
     to 1e-12 of their largest entry, and each load entry to 1e-12 of the sum
     of its element contributions in absolute value."""
     m = graded_lshape[1]
-    problem = (ns_unit_load() if name == "ns_unit_load"
-               else manufactured(name).problem)
+    problem = manufactured(name)
     asm, ref = Assembler(m, problem), MorleyByInverse(m)
     dm, area, hess = asm.dofmap, asm.geom.area, ref.hess
     xq, wdx = volume_quadrature(m, 4)
@@ -380,7 +379,7 @@ def test_residual_zero_state_zero_load(square8):
 
 
 def test_residual_vanishes_at_discrete_solution(square8):
-    problem = manufactured("cr_sine").problem
+    problem = manufactured("cr_sine")
     asm = assembler(square8, problem)
     A = asm.jacobian(None).tocsc()
     F = asm.load()
@@ -396,7 +395,7 @@ def test_residual_dual_norm_rate_at_interpolant():
     for _ in range(4):
         dm = morley_dofmap(mesh)
         U = morley_interpolate(mesh, dm, man.exact[0], edge_degree=10)
-        asm = assembler(mesh, man.problem)
+        asm = assembler(mesh, man)
         r = asm.residual(U)
         norms.append(np.sqrt(r @ _gram_factor(asm.gram()).solve(r)))
         mesh = refine(mesh, 1)
@@ -406,7 +405,7 @@ def test_residual_dual_norm_rate_at_interpolant():
 
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly", "vk_poly"])
 def test_jacobian_matches_finite_differences(name, square8):
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     asm = assembler(square8, problem)
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -423,7 +422,7 @@ def test_jacobian_matches_finite_differences(name, square8):
 def test_jacobian_differentiates_the_one_gamma(name, square32):
     # the residual is a_pw(U, .) + Gamma(U, U, .) - F with Gamma the slot-2
     # gradient, so J(U) d = a_pw(d, .) + Gamma(d, U, .) + Gamma(U, d, .)
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     asm = Assembler(square32, problem)
     rng = np.random.default_rng(8)
     U, d = (random_function(asm.dofmap, rng, n_components=problem.n_components)
@@ -443,7 +442,7 @@ def test_jacobian_operator_matches_the_assembled_jacobian(name, domain, request)
     mesh = request.getfixturevalue(domain)
     if domain == "graded_lshape":
         mesh = mesh[1]
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     asm = Assembler(mesh, problem)
     rng = np.random.default_rng(9)
     U, v = (random_function(asm.dofmap, rng, n_components=problem.n_components)
@@ -456,7 +455,7 @@ def test_jacobian_operator_matches_the_assembled_jacobian(name, domain, request)
 
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly", "vk_poly"])
 def test_jacobian_operator_matches_finite_differences(name, square8):
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     asm = Assembler(square8, problem)
     rng = np.random.default_rng(10)
     U = random_function(asm.dofmap, rng, n_components=problem.n_components,
@@ -487,7 +486,7 @@ def test_jacobian_affine_in_state(square8):
 
 
 def test_cr_jacobian_independent_of_state(square8):
-    problem = manufactured("cr_sine").problem
+    problem = manufactured("cr_sine")
     dm = cr_dofmap(square8)
     rng = np.random.default_rng(7)
     asm = assembler(square8, problem)
@@ -579,7 +578,7 @@ LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 945, "vk_poly": 1247, "cr_sine": 466}
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
 def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
     mesh = refine(lshape, 5)
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     asm = Assembler(mesh, problem)
     asm.gram(), asm.load()
     if problem.kind is ProblemKind.SECOND_ORDER_CR:
@@ -601,7 +600,7 @@ SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 858), "vk_poly": (2800, 1200)}
 def test_a_morley_level_builds_within_its_memory_budget(name, lshape):
     mesh = refine(lshape, 6)
     geometry(mesh)
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     tracemalloc.start()
     try:
         asm = Assembler(mesh, problem)
@@ -616,7 +615,7 @@ def test_a_morley_level_builds_within_its_memory_budget(name, lshape):
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly"])
 def test_scatter_matrix_matches_the_int64_assembly(name, square32):
     """The int32 scatter gives bitwise the CSR of a plain int64 COO build."""
-    asm = Assembler(refine(square32, 1), manufactured(name).problem)
+    asm = Assembler(refine(square32, 1), manufactured(name))
     dm = asm.dofmap
     nt, nloc = dm.slots.shape
     loc = np.random.default_rng(3).standard_normal((nt, nloc, nloc))

@@ -88,19 +88,23 @@ def test_cli_study_single_level_empty_rates(tmp_path):
 
 
 def test_cli_unknown_problem_is_usage_error(tmp_path, capsys):
-    code = main(["study", "--problem", "bogus", "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    for name in ("ns_poly", "vk_poly", "cr_sine"):
-        assert name in err
+    # verify runs fixed problems, but its --problem is checked all the same
+    for command in ("study", "verify"):
+        code = main([command, "--problem", "bogus", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        for name in ("ns_poly", "vk_poly", "cr_sine"):
+            assert name in err
 
 
 def test_cli_bad_config_value(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("theta = 1.5\n")
-    code = main(["study", "--config", str(cfgfile)])
-    assert code == 2
-    assert f"{cfgfile}:1: theta:" in capsys.readouterr().err
+    for text, key in (("theta = 1.5\n", "theta"),
+                      ("problem = nope\n", "problem")):
+        cfgfile.write_text(text)
+        code = main(["study", "--config", str(cfgfile)])
+        assert code == 2
+        assert f"{cfgfile}:1: {key}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, key", [
@@ -231,7 +235,7 @@ def test_cli_solve(capsys):
     m = re.search(r"gamma_rounds = (\d+)", out)
     assert m is not None, "solve output lacks gamma_rounds"
     mesh = refine(builtin_domain("unit_square"), 1)
-    problem = manufactured("ns_poly").problem
+    problem = manufactured("ns_poly")
     asm = Assembler(mesh, problem)
     U, _ = newton_solve(asm)
     assert int(m.group(1)) == kantorovich_report(asm, U).gamma_rounds

@@ -72,7 +72,7 @@ def test_vk_second_equation_verification_load(square8):
 
 
 def test_ns_estimator_report_consistency(square32):
-    asm = assembler(square32, manufactured("ns_poly").problem)
+    asm = assembler(square32, manufactured("ns_poly"))
     U, _ = newton_solve(asm)
     rep = estimate(asm, U)
     assert (rep.eta_K_sq >= 0).all() and (rep.eta_E_sq >= 0).all()
@@ -93,7 +93,7 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
         u = random_function(dm, np.random.default_rng(1))
     else:
         _, m, dm, u = graded_lshape
-    tab = Assembler(m, manufactured("ns_poly").problem).tables
+    tab = Assembler(m, manufactured("ns_poly")).tables
     cu = local_coefficients(dm, u)
     H = tab.hessians(cu)
     lap = H[:, 0, 0] + H[:, 1, 1]
@@ -120,7 +120,7 @@ def test_estimator_decay_under_refinement():
     mesh = refine(builtin_domain("unit_square"), 1)
     totals = []
     for _ in range(4):
-        asm = assembler(mesh, man.problem)
+        asm = assembler(mesh, man)
         U, _ = newton_solve(asm)
         totals.append(estimate(asm, U).eta_total)
         mesh = uniform_refine(mesh)
@@ -135,25 +135,31 @@ def test_estimators_reject_space_mismatch(square8):
         estimate(asm, scalar)
     # the CR indicators never read U, but its length must fit the dof map
     cr = Assembler(refine(builtin_domain("unit_square"), 2),
-                   manufactured("cr_sine").problem)
+                   manufactured("cr_sine"))
     assert cr.dofmap.n_free == 40
     with pytest.raises(ValueError, match="1 CR component"):
         estimate(cr, np.zeros(3))
     man = manufactured("ns_poly")
     with pytest.raises(ValueError, match="CR"):
-        cr_apriori_terms(square8, man.exact[0], man.problem)
+        cr_apriori_terms(square8, man.exact[0], man)
 
 
 def test_cr_estimate_needs_the_exact_solution():
     """A CR level is estimated by its exact solution's a priori terms; without
     one there is nothing to estimate by, so no indicators come back."""
     man = manufactured("cr_sine")
-    cr = Assembler(refine(builtin_domain("unit_square"), 2), man.problem)
+    cr = Assembler(refine(builtin_domain("unit_square"), 2), man)
     assert cr.dofmap.n_free == 40
     U = np.zeros(cr.dofmap.n_free)
     with pytest.raises(ValueError, match="exact solution"):
-        estimate(cr, U)
-    assert estimate(cr, U, exact=man.exact).eta_total > 0.0
+        estimate(Assembler(cr.mesh, dataclasses.replace(man, exact=None)), U)
+    assert estimate(cr, U).eta_total > 0.0
+
+
+def test_broken_energy_error_needs_the_exact_solution(square8):
+    asm = Assembler(square8, manufactured("ns_unit_load"))
+    with pytest.raises(ValueError, match="exact solution"):
+        broken_energy_error(asm, np.zeros(asm.dofmap.n_free))
 
 
 def test_vk_edge_indicators_sum_over_components(lshape):
@@ -220,8 +226,8 @@ def test_cr_apriori_terms_sample_the_data_once(square8):
     man = manufactured("cr_sine")
     u = man.exact[0]
     value = Sampled(u.value)
-    prob = dataclasses.replace(man.problem, f=Sampled(man.problem.f),
-                               gamma=Sampled(man.problem.gamma))
+    prob = dataclasses.replace(man, f=Sampled(man.f),
+                               gamma=Sampled(man.gamma))
     cr_apriori_terms(square8, dataclasses.replace(u, value=value), prob)
     assert (prob.f.calls, prob.gamma.calls, value.calls) == (1, 1, 1)
 
@@ -230,7 +236,7 @@ def test_cr_apriori_terms_zero_cases(square8):
     man = manufactured("cr_sine")
     zero = Field(value=lambda p: np.zeros(np.shape(p)[:-1]),
                  gradient=lambda p: np.zeros(np.shape(p)))
-    prob0 = dataclasses.replace(man.problem,
+    prob0 = dataclasses.replace(man,
                                 f=lambda p: np.zeros(np.shape(p)[:-1]),
                                 gamma=None, b=None)
     p_term, osc1 = cr_apriori_terms(square8, zero, prob0)
@@ -242,7 +248,7 @@ def test_cr_apriori_constant_flux(square8):
     # u with constant A grad(u) + u b: u linear, b = 0 -> first term vanishes
     from ncfem.problems import polynomial_field
     man = manufactured("cr_sine")
-    prob = dataclasses.replace(man.problem, b=None)
+    prob = dataclasses.replace(man, b=None)
     lin = polynomial_field([[0.0, 2.0], [1.0, 0.0]])
     p_term, _ = cr_apriori_terms(square8, lin, prob)
     assert p_term == pytest.approx(0.0, abs=1e-12)
@@ -253,7 +259,7 @@ def test_cr_apriori_decay():
     mesh = builtin_domain("unit_square")
     hist = []
     for _ in range(4):
-        hist.append(cr_apriori_terms(mesh, man.exact[0], man.problem))
+        hist.append(cr_apriori_terms(mesh, man.exact[0], man))
         mesh = uniform_refine(mesh)
     p_rate = np.log2(hist[-2][0] / hist[-1][0])
     osc_rate = np.log2(hist[-2][1] / hist[-1][1])
@@ -264,9 +270,9 @@ def test_cr_apriori_decay():
 def test_broken_energy_error_zero_for_exact_interpolated():
     # against itself the error must vanish: compare discrete vs discrete
     man = manufactured("ns_poly")
-    asm = assembler(refine(builtin_domain("unit_square"), 1), man.problem)
+    asm = assembler(refine(builtin_domain("unit_square"), 1), man)
     U, _ = newton_solve(asm)
-    err = broken_energy_error(asm, U, man.exact)
+    err = broken_energy_error(asm, U)
     assert err > 0.0
 
 

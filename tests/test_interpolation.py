@@ -235,7 +235,7 @@ def test_oscillation_rejects_samples_off_its_rule(square8):
 
 def morley_level(mesh):
     """A level of the Navier-Stokes problem (any Morley problem would do)."""
-    return Assembler(mesh, manufactured("ns_poly").problem)
+    return Assembler(mesh, manufactured("ns_poly"))
 
 
 def transfer(coarse, U, fine):
@@ -318,7 +318,7 @@ def test_transfer_rejects_a_cr_level(square8):
     # a CR fine map would take the Morley dof values of the wrong mesh
     # entities without an error: the restriction counts the values per row
     coarse = morley_level(square8)
-    cr = manufactured("cr_sine").problem
+    cr = manufactured("cr_sine")
     fine = Assembler(uniform_refine(square8), cr)
     values = transfer_morley(coarse, np.zeros(coarse.dofmap.n_free), fine.mesh)
     with pytest.raises(ValueError, match="values per row"):
@@ -336,12 +336,13 @@ def test_transfer_keeps_interpolation_error_order(square8):
 
     man = manufactured("ns_poly")
     probe = ProblemSpec(kind=ProblemKind.NAVIER_STOKES_MORLEY,
-                        f=lambda p: np.zeros(np.shape(p)[:-1]))
+                        f=lambda p: np.zeros(np.shape(p)[:-1]),
+                        exact=man.exact)
     coarse = Assembler(square8, probe)
     u_c = morley_interpolate(square8, coarse.dofmap, man.exact[0],
                              edge_degree=10)
     fine = Assembler(uniform_refine(square8), probe)
     moved = transfer(coarse, u_c, fine)
-    err_coarse = broken_energy_error(coarse, u_c, man.exact)
-    err_moved = broken_energy_error(fine, moved, man.exact)
+    err_coarse = broken_energy_error(coarse, u_c)
+    err_moved = broken_energy_error(fine, moved)
     assert err_moved <= 2.5 * err_coarse

@@ -310,6 +310,22 @@ def test_no_new_module_cache_pins_a_level():
     assert not offenders, f"module caches off the allowed list: {offenders}"
 
 
+def test_the_cli_names_registry_problems_only_in_verify():
+    """No string constant of cli.py but those in _verify_checks, which runs
+    its identities on fixed problems, is a registry name: a problem without
+    an exact solution is one more registry entry, not a special case of the
+    command line."""
+    from ncfem.problems import registry_names
+
+    path = Path(ncfem.__file__).parent / "cli.py"
+    offenders = [f"cli.py:{node.lineno} {node.value!r} in {owner}"
+                 for owner, node in _nodes_by_function(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant)
+                 and node.value in registry_names()
+                 and owner != "_verify_checks"]
+    assert not offenders, f"registry names in cli.py: {offenders}"
+
+
 # the dense inverses and solves allowed in src/ncfem, by (file, outermost
 # class or function): none.  grad lambda and the P1 mass inverse of osc_1
 # are closed forms

@@ -18,7 +18,8 @@ import sympy as sp
 
 import ncfem
 from ncfem.mesh import refine
-from ncfem.problems import manufactured, ns_unit_load, polynomial_field, registry_names
+from ncfem.problems import (Field, ProblemSpec, manufactured, ns_unit_load,
+                            polynomial_field, registry_names)
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import physical_points
 
@@ -66,13 +67,24 @@ def bracket_uu(x, y):
 
 
 def test_registry_names():
-    assert set(registry_names()) == {"ns_poly", "vk_poly", "cr_sine"}
+    assert registry_names() == ("ns_poly", "vk_poly", "cr_sine", "ns_unit_load")
     with pytest.raises(KeyError, match="cr_sine"):
         manufactured("nope")
 
 
+@pytest.mark.parametrize("name", registry_names())
+def test_every_registry_entry_is_a_problem_with_its_exact_solution(name):
+    """A registry entry is the problem itself: its exact solution, if known,
+    travels in it as one Field per component."""
+    p = manufactured(name)
+    assert isinstance(p, ProblemSpec)
+    assert p.exact is None or (
+        len(p.exact) == p.n_components
+        and all(isinstance(fld, Field) for fld in p.exact))
+
+
 def test_ns_frozen_values():
-    f = manufactured("ns_poly").problem.f
+    f = manufactured("ns_poly").f
     pts = np.array([[0.5, 0.5], [0.25, 0.75], [0.3, 0.2]])
     expected = [5.0, 1.8125, 1.58873166848]
     assert np.allclose(f(pts), expected, atol=1e-12)
@@ -81,16 +93,16 @@ def test_ns_frozen_values():
 def test_vk_frozen_values():
     man = manufactured("vk_poly")
     pts = np.array([[0.5, 0.5], [0.25, 0.75], [0.3, 0.2]])
-    assert np.allclose(man.problem.f(pts),
+    assert np.allclose(man.f(pts),
                        [639 / 128, 1.8148174285888672, 1.591774828544],
                        atol=1e-12)
-    assert np.allclose(man.problem.g(pts),
+    assert np.allclose(man.g(pts),
                        [1281 / 256, 1.8113412857055664, 1.588512585728],
                        atol=1e-12)
 
 
 def test_cr_frozen_values():
-    f = manufactured("cr_sine").problem.f
+    f = manufactured("cr_sine").f
     pts = np.array([[0.5, 0.5], [0.25, 0.75], [0.3, 0.2]])
     expected = [2 * np.pi ** 2 - 20, -0.13039559891064138, -3.265606237629968]
     assert np.allclose(f(pts), expected, atol=1e-12)
@@ -115,13 +127,13 @@ def test_cr_load_evaluates_the_sines_once(monkeypatch):
         return call
     for name in ("sin", "cos"):
         monkeypatch.setattr(np, name, counted(name))
-    out = man.problem.f(pts)
+    out = man.f(pts)
     assert sorted(calls) == ["cos", "cos", "sin", "sin"]
     assert np.array_equal(out, expected)
 
 
 def test_ns_load_against_hand_derivation():
-    f = manufactured("ns_poly").problem.f
+    f = manufactured("ns_poly").f
     pts = RNG.random((40, 2))
     assert np.allclose(f(pts), ns_load(pts[:, 0], pts[:, 1]), atol=1e-12)
 
@@ -130,14 +142,14 @@ def test_vk_loads_against_hand_derivation():
     man = manufactured("vk_poly")
     pts = RNG.random((40, 2))
     x, y = pts[:, 0], pts[:, 1]
-    assert np.allclose(man.problem.f(pts), bilap_bump(x, y) - bracket_uu(x, y),
+    assert np.allclose(man.f(pts), bilap_bump(x, y) - bracket_uu(x, y),
                        atol=1e-12)
-    assert np.allclose(man.problem.g(pts),
+    assert np.allclose(man.g(pts),
                        bilap_bump(x, y) + 0.5 * bracket_uu(x, y), atol=1e-12)
 
 
 def test_cr_load_against_hand_derivation():
-    f = manufactured("cr_sine").problem.f
+    f = manufactured("cr_sine").f
     pts = RNG.random((40, 2))
     x, y = pts[:, 0], pts[:, 1]
     ss = np.sin(np.pi * x) * np.sin(np.pi * y)
@@ -174,7 +186,7 @@ def test_exact_solution_is_clamped():
 
 
 def test_cr_coefficients():
-    p = manufactured("cr_sine").problem
+    p = manufactured("cr_sine")
     pts = RNG.random((5, 2))
     assert p.A is None          # the identity, sampled nowhere
     assert np.allclose(p.b(pts), 1.0)
@@ -224,7 +236,7 @@ LOAD_BYTES_PER_TRIANGLE = 480
 def test_a_polynomial_load_samples_within_its_memory_budget(name, lshape):
     mesh = refine(lshape, 6)
     xq = physical_points(mesh, quad_triangle(6).points)
-    f = manufactured(name).problem.f
+    f = manufactured(name).f
     tracemalloc.start()
     try:
         fq = f(xq)
@@ -280,7 +292,7 @@ def assert_rel(actual, expected, rel=1e-12):
 
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_loads_match_symbolic_derivation(name):
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     f, g = symbolic_loads(name)
     pts = np.random.default_rng(5).random((200, 2))
     assert_rel(problem.f(pts), sym_eval(f, pts))

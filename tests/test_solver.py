@@ -65,7 +65,7 @@ def test_gram_factor_singular_raises():
         _gram_factor(G)
 
 
-GRAMS = {"ns": NS, "vk": VK, "cr": manufactured("cr_sine").problem}
+GRAMS = {"ns": NS, "vk": VK, "cr": manufactured("cr_sine")}
 
 
 @pytest.mark.parametrize("name", sorted(GRAMS))
@@ -89,7 +89,7 @@ def test_gram_factor_takes_the_csr_arrays_of_a_symmetric_g(name, lshape,
     if name == "afem":
         problem, mesh = graded_lshape[:2]
     else:
-        problem, mesh = manufactured(name).problem, refine(lshape, 5)
+        problem, mesh = manufactured(name), refine(lshape, 5)
     G = Assembler(mesh, problem).gram()
     assert G.format == "csr" and (G - G.T).count_nonzero() == 0
     splu, seen = ncfem.solve._splu, []
@@ -175,7 +175,7 @@ def test_sparse_solve_matches_plain_spsolve_bitwise_on_cr():
     """Pivots stay on the diagonal of this J unscaled, so scaling by powers
     of two must not change a bit; any other scaling would."""
     mesh = refine(builtin_domain("unit_square"), 4)
-    asm = assembler(mesh, manufactured("cr_sine").problem)
+    asm = assembler(mesh, manufactured("cr_sine"))
     U = np.zeros(asm.dofmap.n_free)
     J = asm.jacobian(U).tocsc()
     assert not np.all(_equilibrate(J)[1] == 1.0)
@@ -248,11 +248,11 @@ def test_every_factor_orders_by_minimum_degree_unrelaxed(square32, monkeypatch):
     and panel_size=1."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    asm = assembler(square32, manufactured("ns_poly").problem)
+    asm = assembler(square32, manufactured("ns_poly"))
     U, _ = newton_solve(asm)
     kantorovich_report(asm, U)
     discrete_embedding_ratio(asm)
-    asm = assembler(square32, manufactured("cr_sine").problem)
+    asm = assembler(square32, manufactured("cr_sine"))
     infsup_constant(asm.jacobian(None).T, asm.gram())
     assert spla.calls["splu"] >= 4
     for _, kwargs in spla.args["splu"]:
@@ -269,8 +269,8 @@ def test_every_factor_starts_from_a_trimmed_heap(square32, monkeypatch):
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     monkeypatch.setattr(ncfem.solve, "_malloc_trim",
                         lambda pad: spla.log.append(("trim", pad)))
-    newton_solve(assembler(square32, manufactured("ns_poly").problem))
-    asm = assembler(square32, manufactured("cr_sine").problem)
+    newton_solve(assembler(square32, manufactured("ns_poly")))
+    asm = assembler(square32, manufactured("cr_sine"))
     infsup_constant(asm.jacobian(None).T, asm.gram())
     assert [name for name, _ in spla.log] == ["trim", "spsolve"] + ["trim", "splu"] * 3
     assert [pad for name, pad in spla.log if name == "trim"] == [0] * 4
@@ -280,9 +280,9 @@ def test_solves_without_malloc_trim_repeat_bitwise(square32, monkeypatch):
     """Where the C library has no malloc_trim the trim is skipped, and every
     number stays the same."""
     def run():
-        asm = assembler(square32, manufactured("ns_poly").problem)
+        asm = assembler(square32, manufactured("ns_poly"))
         U, _ = newton_solve(asm)
-        cr = assembler(square32, manufactured("cr_sine").problem)
+        cr = assembler(square32, manufactured("cr_sine"))
         return (U, sparse_solve(cr.jacobian(None), cr.load()),
                 infsup_constant(cr.jacobian(None).T, cr.gram()))
 
@@ -320,7 +320,7 @@ def test_newton_factors_gram_once_and_solves_once_per_step(square32, name,
     fallback."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    _, trace = newton_solve(assembler(square32, manufactured(name).problem))
+    _, trace = newton_solve(assembler(square32, manufactured(name)))
     assert trace.converged and trace.iterations >= 1
     assert spla.calls == {"splu": 1, "spsolve": 1 + trace.direct_fallbacks}
     assert (len(trace.krylov_iterations) + trace.direct_fallbacks
@@ -335,7 +335,7 @@ def test_newton_solves_with_j_before_it_factors_g(square32, name, monkeypatch):
     and the factor of G are never alive together."""
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    newton_solve(assembler(square32, manufactured(name).problem))
+    newton_solve(assembler(square32, manufactured(name)))
     names = [call for call, _ in spla.log]
     assert names[:2] == ["spsolve", "splu"] and names.count("splu") == 1
 
@@ -345,7 +345,7 @@ def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
     """At a state of energy norm 30 (beta0 0.84 for ns, 0.46 for vk), the
     correction's linear residual meets the target in the G-dual norm, and its
     energy error against the dense solve is at most residual / beta0."""
-    asm = assembler(square32, manufactured(name).problem)
+    asm = assembler(square32, manufactured(name))
     G = asm.gram()
     x = np.random.default_rng(0).standard_normal(G.shape[0])
     U = 30.0 * x / np.sqrt(x @ (G @ x))
@@ -364,7 +364,7 @@ def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
 
 
 def test_newton_falls_back_to_the_direct_solve(square32, monkeypatch):
-    asm = assembler(square32, manufactured("vk_poly").problem)
+    asm = assembler(square32, manufactured("vk_poly"))
     _, krylov = newton_solve(asm)
     monkeypatch.setattr(ncfem.solve, "KRYLOV_MAX", 1)
     _, direct = newton_solve(asm)
@@ -379,7 +379,7 @@ def test_warm_newton_takes_every_step_by_gmres(square32, name, monkeypatch):
     the first included, is a GMRES step on it, and the solution agrees with
     the cold start's to round-off in the energy norm."""
     man = manufactured(name)
-    asm = assembler(square32, man.problem)
+    asm = assembler(square32, man)
     cold, _ = newton_solve(asm)
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
@@ -414,7 +414,7 @@ def test_warm_gmres_step_starts_from_the_residual_test(square32, name,
     final check.  Each residual test makes one more, and J is never
     assembled."""
     man = manufactured(name)
-    asm = assembler(square32, man.problem)
+    asm = assembler(square32, man)
     factors = []
 
     def counting(G):
@@ -439,7 +439,7 @@ def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
     included, falls back to a direct solve, and Newton takes the same
     number of steps."""
     man = manufactured("vk_poly")
-    asm = assembler(square32, man.problem)
+    asm = assembler(square32, man)
     U0 = interpolant(asm, man)
     _, krylov = newton_solve(asm, U0=U0)
     assert min(krylov.krylov_iterations) > 1 and krylov.direct_fallbacks == 0
@@ -454,7 +454,7 @@ def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
 
 
 def test_newton_with_krylov_steps_repeats_bitwise():
-    problem = manufactured("vk_poly").problem
+    problem = manufactured("vk_poly")
     mesh = refine(builtin_domain("unit_square"), 4)
     (U1, t1), (U2, t2) = (newton_solve(Assembler(mesh, problem))
                           for _ in range(2))
@@ -464,7 +464,7 @@ def test_newton_with_krylov_steps_repeats_bitwise():
 
 @pytest.mark.parametrize("name", ["ns_poly", "cr_sine"])
 def test_newton_trace_gram_fill_repeats_bitwise(square32, name):
-    problem = manufactured(name).problem
+    problem = manufactured(name)
     G = assembler(square32, problem).gram()
     first = newton_solve(assembler(square32, problem))[1].gram_fill
     assert newton_solve(assembler(square32, problem))[1].gram_fill == first
@@ -478,7 +478,7 @@ def test_kantorovich_report_factors_and_solves(square32, monkeypatch):
     for name, splu in [("ns_poly", 2), ("vk_poly", 2), ("cr_sine", 1)]:
         spla = SplaSpy()
         monkeypatch.setattr(ncfem.solve, "spla", spla)
-        kantorovich_report(assembler(square32, manufactured(name).problem))
+        kantorovich_report(assembler(square32, manufactured(name)))
         assert spla.calls == {"splu": splu, "spsolve": 0}, name
         [j_factor] = [args[0] for args, kwargs in spla.args["splu"]
                       if "diag_pivot_thresh" not in kwargs]
@@ -486,7 +486,7 @@ def test_kantorovich_report_factors_and_solves(square32, monkeypatch):
 
 
 def interpolant(asm, man):
-    interpolate = (cr_interpolate if man.problem.kind is ProblemKind.SECOND_ORDER_CR
+    interpolate = (cr_interpolate if man.kind is ProblemKind.SECOND_ORDER_CR
                    else morley_interpolate)
     return np.concatenate([interpolate(asm.mesh, asm.dofmap, v)
                            for v in man.exact])
@@ -499,8 +499,8 @@ def test_kantorovich_report_matches_its_parts(square32, name, at):
     gamma_norm_lower_bound; delta solves with the J^T factor instead of
     sparse_solve's COLAMD factor of J, so it agrees to round-off."""
     man = manufactured(name)
-    asm = assembler(square32, man.problem)
-    U = (np.zeros(asm.dofmap.n_free * man.problem.n_components) if at == "zero"
+    asm = assembler(square32, man)
+    U = (np.zeros(asm.dofmap.n_free * man.n_components) if at == "zero"
          else interpolant(asm, man))
     rep = kantorovich_report(asm, U)
     G, J = asm.gram(), asm.jacobian(U)
@@ -517,7 +517,7 @@ def test_kantorovich_delta_refines_once(square32, first_only, monkeypatch):
     """A J solve off by 1e-3 fails the residual check: the report refines
     once through the same factor, as sparse_solve does, and raises if that
     fails too."""
-    asm = assembler(square32, manufactured("ns_poly").problem)
+    asm = assembler(square32, manufactured("ns_poly"))
     infsup, rhs = ncfem.solve._infsup, []
 
     def perturbed(B, G):
@@ -539,13 +539,13 @@ def test_kantorovich_delta_refines_once(square32, first_only, monkeypatch):
 
 
 def test_newton_linear_problem_one_iteration(square8):
-    U, trace = newton_solve(assembler(square8, manufactured("cr_sine").problem))
+    U, trace = newton_solve(assembler(square8, manufactured("cr_sine")))
     assert trace.converged
     assert trace.iterations == 1
 
 
 def test_newton_fixed_point(square8, monkeypatch):
-    asm = assembler(square8, manufactured("ns_poly").problem)
+    asm = assembler(square8, manufactured("ns_poly"))
     U, trace = newton_solve(asm)
     assert trace.converged
     spla = SplaSpy()
@@ -561,7 +561,7 @@ def test_newton_fixed_point(square8, monkeypatch):
 def test_newton_from_interpolant_converges_quickly():
     man = manufactured("ns_poly")
     mesh = refine(builtin_domain("unit_square"), 3)  # h_max = sqrt(2)/8
-    asm = assembler(mesh, man.problem)
+    asm = assembler(mesh, man)
     U0 = morley_interpolate(mesh, asm.dofmap, man.exact[0])
     U, trace = newton_solve(asm, U0=U0, tol=1e-10)
     assert trace.converged
@@ -569,14 +569,14 @@ def test_newton_from_interpolant_converges_quickly():
 
 
 def test_newton_max_iter_reports_failure(square8):
-    asm = assembler(square8, manufactured("ns_poly").problem)
+    asm = assembler(square8, manufactured("ns_poly"))
     _, trace = newton_solve(asm, max_iter=0)
     assert not trace.converged
     assert trace.iterations == 0
 
 
 def test_newton_without_iterations_makes_no_solve(square8, monkeypatch):
-    asm = assembler(square8, manufactured("ns_poly").problem)
+    asm = assembler(square8, manufactured("ns_poly"))
     U0 = np.ones(asm.dofmap.n_free)
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
@@ -588,7 +588,7 @@ def test_newton_without_iterations_makes_no_solve(square8, monkeypatch):
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_newton_rejects_a_mesh_without_free_dofs(name):
     tri = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    asm = assembler(tri, manufactured(name).problem)
+    asm = assembler(tri, manufactured(name))
     assert asm.dofmap.n_free == 0
     with pytest.raises(ValueError, match="no free dofs"):
         newton_solve(asm)
@@ -602,14 +602,14 @@ def test_infsup_rejects_empty_matrices():
 
 def test_newton_rejects_bad_tol(square8):
     with pytest.raises(ValueError):
-        newton_solve(assembler(square8, manufactured("ns_poly").problem),
+        newton_solve(assembler(square8, manufactured("ns_poly")),
                      tol=0.0)
 
 
 @pytest.mark.parametrize("length", [98, 48])
 def test_kantorovich_rejects_a_state_off_the_dof_map(square32, length):
     # a 49-dof ns level: twice the length, and one coefficient short
-    asm = assembler(square32, manufactured("ns_poly").problem)
+    asm = assembler(square32, manufactured("ns_poly"))
     assert asm.dofmap.n_free == 49
     with pytest.raises(ValueError,
                        match="initial iterate does not match the dof map"):
@@ -618,7 +618,7 @@ def test_kantorovich_rejects_a_state_off_the_dof_map(square32, length):
 
 def test_kantorovich_linear_degenerate(square8):
     rep = kantorovich_report(assembler(square8,
-                                       manufactured("cr_sine").problem))
+                                       manufactured("cr_sine")))
     assert rep.gamma_norm_estimate == 0.0 and rep.gamma_rounds == 0
     assert rep.m == 0.0 and rep.h == 0.0 and rep.r_minus == 0.0
     assert rep.rho == np.inf
@@ -635,7 +635,7 @@ def test_kantorovich_beta0_of_energy_operator(square8):
 def test_kantorovich_ns_manufactured_fine_mesh():
     man = manufactured("ns_poly")
     mesh = refine(builtin_domain("unit_square"), 3)
-    asm = assembler(mesh, man.problem)
+    asm = assembler(mesh, man)
     U0 = morley_interpolate(mesh, asm.dofmap, man.exact[0])
     rep = kantorovich_report(asm, U0)
     assert 1 <= rep.gamma_rounds <= GAMMA_MAX_ROUNDS
@@ -649,7 +649,7 @@ def test_kantorovich_r_minus_at_a_newton_solution(square32, name):
     """At a Newton solution h is at round-off, and r_minus = (1 - sqrt(1 -
     2h)) / m - delta = delta 2h / (1 + sqrt(1 - 2h))^2, about delta h / 2,
     must not cancel to round-off in delta."""
-    asm = assembler(square32, manufactured(name).problem)
+    asm = assembler(square32, manufactured(name))
     rep = kantorovich_report(asm, newton_solve(asm)[0])
     assert 0.0 < rep.h < 1e-8
     closed = rep.delta * 2.0 * rep.h / (1.0 + np.sqrt(1.0 - 2.0 * rep.h)) ** 2
@@ -790,7 +790,7 @@ def test_gamma_rounds_at_diagnostics_sizes(name, levels, n):
     # the solves `ncfem solve --problem ns_poly --levels 6` and `--problem
     # vk_poly --levels 5` report on; the plain method took 99 and 73 rounds
     mesh = refine(builtin_domain("unit_square"), levels - 1)
-    asm = assembler(mesh, manufactured(name).problem)
+    asm = assembler(mesh, manufactured(name))
     assert asm.dofmap.n_free == n
     _, rounds = gamma_norm_lower_bound(asm)
     assert rounds <= 30
@@ -855,7 +855,7 @@ def test_infsup_releases_the_gram_check_before_factoring_b(square32,
                                                           monkeypatch):
     """The factor that validates G is gone before _infsup factors B, and the
     value is bitwise unchanged."""
-    asm = assembler(square32, manufactured("cr_sine").problem)
+    asm = assembler(square32, manufactured("cr_sine"))
     B = asm.jacobian(None).T.tocsr()
     G = asm.gram()
     expected = infsup_constant(B, G)
@@ -884,7 +884,7 @@ def test_infsup_releases_the_gram_check_before_factoring_b(square32,
 
 
 def test_infsup_basis_change_invariance(square32):
-    asm = assembler(square32, manufactured("cr_sine").problem)
+    asm = assembler(square32, manufactured("cr_sine"))
     B = asm.jacobian(None).T.toarray()
     G = asm.gram().toarray()
     beta = infsup_constant(B, G)
@@ -897,7 +897,7 @@ def test_infsup_basis_change_invariance(square32):
 
 
 def test_infsup_iterative_path_matches_dense(square32):
-    asm = assembler(square32, manufactured("cr_sine").problem)
+    asm = assembler(square32, manufactured("cr_sine"))
     B = asm.jacobian(None).T.tocsr()
     G = asm.gram()
     Bd, Gd = B.toarray(), G.toarray()
@@ -907,7 +907,7 @@ def test_infsup_iterative_path_matches_dense(square32):
 
 
 def test_infsup_bitwise_deterministic(square32):
-    asm = assembler(square32, manufactured("cr_sine").problem)
+    asm = assembler(square32, manufactured("cr_sine"))
     B = asm.jacobian(None).T.tocsr()
     G = asm.gram()
     first = infsup_constant(B, G)
@@ -921,7 +921,7 @@ def test_infsup_bitwise_deterministic(square32):
 def test_kantorovich_beta0_matches_dense_svd(name, n):
     man = manufactured(name)
     mesh = refine(builtin_domain("unit_square"), 4)
-    asm = assembler(mesh, man.problem)
+    asm = assembler(mesh, man)
     U0 = morley_interpolate(mesh, asm.dofmap, man.exact)
     assert len(U0) == n
     J, G = asm.jacobian(U0).toarray(), asm.gram().toarray()
