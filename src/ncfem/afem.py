@@ -101,7 +101,8 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
     once per mesh and handed to Newton and the estimators.  transfer_morley
     takes U's Morley dof values on the next mesh, and the level is let go
     before the next one is set up and restricts them to Newton's start
-    (Morley spaces; the linear CR problem restarts from zero).
+    (Morley spaces; the linear CR problem restarts from zero); the values
+    go once restricted.
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
     error_pw is measured only when the problem carries an exact solution.
@@ -113,6 +114,7 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
         asm = assembler(mesh, problem)
         U0 = (None if values is None
               else function_from_element_values(asm.dofmap, values))
+        values = None
         U, trace = newton_solve(asm, U0=U0, tol=tol)
         if not trace.converged:
             raise NewtonDivergence(

@@ -115,9 +115,9 @@ class Assembler:
     U (G, the load, and for CR its Jacobian a_pw + b_pw), so Newton
     iterations only pay for the state-dependent contractions.  It keeps
     those and the element tensors of Gamma (S and trH, or Br and IV), which
-    the Jacobian reads; the element matrices go once scattered, and on a
-    Morley level the quadrature points once the loads are sampled, which is
-    done first.
+    the Jacobian reads; the element matrices go once scattered, and the
+    quadrature points once the loads are sampled, which a Morley level does
+    first.  The CR Jacobian shares G's index arrays.
     """
 
     def __init__(self, mesh, problem: ProblemSpec):
@@ -146,14 +146,19 @@ class Assembler:
             a_loc, b_loc = self._init_cr(xq, wdx, vals)
             self._load = self._assemble_load(
                 xq, wdx, lambda wf: np.einsum("tq,qk->tk", wf, vals))
+            del xq, wdx
         single = _scatter_matrix(a_loc, self.dofmap)
         del a_loc
         self._gram = single if problem.n_components == 1 else _block_diag2(single)
         if space is SpaceTag.CROUZEIX_RAVIART:
-            # the CR problem is linear: J = a_pw + b_pw, the same for every U;
-            # the copy drops the sum's buffers of nnz(G) + nnz(b_pw) entries
-            self._jacobian = (self._gram
-                              + _scatter_matrix(b_loc, self.dofmap)).copy()
+            # the CR problem is linear: J = a_pw + b_pw, the same for every U.
+            # Both scatter the same slots, so b_pw has G's pattern, and J keeps
+            # G's index arrays, with the sums that G + b_pw would make
+            b_pw = _scatter_matrix(b_loc, self.dofmap)
+            del b_loc
+            G = self._gram
+            self._jacobian = sparse.csr_matrix(
+                (G.data + b_pw.data, G.indices, G.indptr), shape=G.shape)
 
     # -- element tensors ----------------------------------------------------
 

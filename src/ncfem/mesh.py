@@ -6,10 +6,11 @@ k).  All derived incidence tables are numpy arrays built once, without loops
 over vertices, edges or triangles: `triangles_of_edge` is an (ne, 2) array
 holding the lower-indexed adjacent triangle in column 0 and the other one, or
 -1 on a boundary edge, in column 1.  Instances are immutable and safe for
-concurrent reads; `geometry(mesh)` is computed on first use, kept on the
-instance and returned read-only.  `bisect` returns a new mesh and never
-mutates its input; the `parent` attribute of a refined mesh maps each
-triangle to the triangle of the input mesh it descends from.
+concurrent reads; `geometry(mesh)` is computed on first use, its edge
+fields on their first read, kept on the instance and returned read-only.
+`bisect` returns a new mesh and never mutates its input; the `parent`
+attribute of a refined mesh maps each triangle to the triangle of the input
+mesh it descends from.
 
 The newest-vertex rule: when a triangle is bisected at the midpoint of its
 refinement edge, the midpoint becomes the newest vertex of both children and
@@ -69,14 +70,55 @@ class Triangulation:
         return np.flatnonzero(~self.boundary_vertex)
 
 
-@dataclass(frozen=True, eq=False)
 class MeshGeometry:
-    h_T: np.ndarray      # (nt,) triangle diameter = longest edge
-    area: np.ndarray     # (nt,) positive triangle area
-    h_E: np.ndarray      # (ne,) edge length
-    nu_E: np.ndarray     # (ne, 2) unit normal, from lower- to higher-indexed triangle
-    tau_E: np.ndarray    # (ne, 2) unit tangent, nu rotated by +90 degrees
-    h_max: float
+    """Per-triangle geometry, built with the instance, and per-edge geometry,
+    built on the first read of h_E, nu_E or tau_E (a CR level reads none).
+    Until then it keeps the mesh arrays these are built from, never the
+    mesh: a geometry that pointed back at its mesh would put each mesh in
+    a reference cycle, freed only by the cyclic garbage collector."""
+
+    def __init__(self, mesh):
+        lengths = _edge_lengths_local(mesh.vertices, mesh.triangles)
+        self.h_T = lengths.max(axis=1)          # (nt,) longest edge
+        self.area = _signed_area(mesh.vertices, mesh.triangles)   # (nt,)
+        self.h_max = float(self.h_T.max())
+        for arr in (self.h_T, self.area):
+            arr.setflags(write=False)
+        # the arguments of _edge_fields, then its result: one attribute, so
+        # that a concurrent reader sees the one or the other
+        self._edges = (mesh.vertices, mesh.triangles, mesh.edges,
+                       mesh.triangles_of_edge)
+
+    def _edge(self, k):
+        edges = self._edges
+        if len(edges) == 4:
+            edges = self._edges = _edge_fields(*edges)
+        return edges[k]
+
+    h_E = property(lambda self: self._edge(0), doc="(ne,) edge length")
+    nu_E = property(lambda self: self._edge(1), doc="(ne, 2) unit normal, "
+                    "from the lower- to the higher-indexed triangle")
+    tau_E = property(lambda self: self._edge(2), doc="(ne, 2) unit tangent, "
+                     "nu rotated by +90 degrees")
+
+
+def _edge_fields(vertices, triangles, edges, triangles_of_edge):
+    """The read-only (h_E, nu_E, tau_E) of MeshGeometry (see geometry)."""
+    a = vertices[edges[:, 0]]
+    b = vertices[edges[:, 1]]
+    vec = b - a
+    h_E = np.linalg.norm(vec, axis=1)
+    nu = np.stack([vec[:, 1], -vec[:, 0]], axis=1) / h_E[:, None]
+
+    centroids = vertices[triangles].mean(axis=1)
+    mids = 0.5 * (a + b)
+    from_tri = triangles_of_edge[:, 0]
+    flip = np.einsum("ij,ij->i", nu, mids - centroids[from_tri]) < 0
+    nu[flip] *= -1.0
+    tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
+    for arr in (h_E, nu, tau):
+        arr.setflags(write=False)
+    return h_E, nu, tau
 
 
 def _signed_area(vertices, triangles):
@@ -340,33 +382,12 @@ def geometry(mesh: Triangulation) -> MeshGeometry:
 
     nu_E points from the lower-indexed adjacent triangle into the
     higher-indexed one, and outward on boundary edges; tau_E is nu_E rotated
-    by +90 degrees.  Computed once per mesh; its arrays are read-only, since
-    every caller shares them.
+    by +90 degrees.  Computed once per mesh, the edge fields on first read;
+    its arrays are read-only, since every caller shares them.
     """
-    if mesh._geometry is not None:
-        return mesh._geometry
-    lengths = _edge_lengths_local(mesh.vertices, mesh.triangles)
-    h_T = lengths.max(axis=1)
-    area = _signed_area(mesh.vertices, mesh.triangles)
-
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    vec = b - a
-    h_E = np.linalg.norm(vec, axis=1)
-    nu = np.stack([vec[:, 1], -vec[:, 0]], axis=1) / h_E[:, None]
-
-    centroids = mesh.vertices[mesh.triangles].mean(axis=1)
-    mids = 0.5 * (a + b)
-    from_tri = mesh.triangles_of_edge[:, 0]
-    flip = np.einsum("ij,ij->i", nu, mids - centroids[from_tri]) < 0
-    nu[flip] *= -1.0
-    tau = np.stack([-nu[:, 1], nu[:, 0]], axis=1)
-    for arr in (h_T, area, h_E, nu, tau):
-        arr.setflags(write=False)
-    geom = MeshGeometry(h_T=h_T, area=area, h_E=h_E, nu_E=nu, tau_E=tau,
-                        h_max=float(h_T.max()))
-    object.__setattr__(mesh, "_geometry", geom)
-    return geom
+    if mesh._geometry is None:
+        object.__setattr__(mesh, "_geometry", MeshGeometry(mesh))
+    return mesh._geometry
 
 
 def builtin_domain(name: str) -> Triangulation:

@@ -153,15 +153,17 @@ def _as_csc(A):
 
 
 def _equilibrate(A):
-    """(D A D, d) for a CSC matrix A, d_i = 2^-floor(e_i / 2) with e_i the
-    exponent of |a_ii| = m 2^e_i, m in [1/2, 1), and d_i = 1 where a_ii = 0.
-    Scaling by powers of two is exact, and every nonzero |a_ii| of D A D is
-    m 2^(e_i mod 2), so it lies in [1/2, 2)."""
-    diag = np.abs(A.diagonal())
-    d = np.ones(A.shape[0])
+    """(D A D, d) for a sparse or dense matrix A, d_i = 2^-floor(e_i / 2)
+    with e_i the exponent of |a_ii| = m 2^e_i, m in [1/2, 1), and d_i = 1
+    where a_ii = 0.  D A D is one float CSC copy of A, scaled in place; A
+    is left as it is.  Scaling by powers of two is exact, and every nonzero
+    |a_ii| of D A D is m 2^(e_i mod 2), so it lies in [1/2, 2)."""
+    As = _as_csc(A)
+    As = As.astype(float, copy=As is A)     # the one copy, if _as_csc made none
+    diag = np.abs(As.diagonal())
+    d = np.ones(As.shape[0])
     nz = diag > 0
     d[nz] = np.ldexp(1.0, -(np.frexp(diag[nz])[1] // 2))
-    As = A.astype(float)          # a copy
     As.data *= d[As.indices] * np.repeat(d, np.diff(As.indptr))
     return As, d
 
@@ -186,14 +188,14 @@ def sparse_solve(A, rhs):
     """Direct sparse solve x = d * (D A D)^-1 (d * rhs) with the power-of-two
     equilibration d of _equilibrate, so that partial pivoting keeps the
     diagonal; one step of iterative refinement through the same scaled matrix
-    if the residual check on the unscaled system fails, then an error.  The
-    refinement's factor reuses the pages the first one freed, so only the
-    first starts from a trimmed heap."""
-    A = _as_csc(A)
+    if the residual check on the unscaled system fails, then an error.  A
+    (sparse, or a dense array) is copied once, into D A D; the residual
+    check reads A itself.  The refinement's factor reuses the pages the
+    first one freed, so only the first starts from a trimmed heap."""
     rhs = np.asarray(rhs, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != rhs.shape[0]:
-        raise ValueError("sparse_solve needs a square matrix matching the rhs")
     As, d = _equilibrate(A)
+    if As.shape[0] != As.shape[1] or As.shape[0] != rhs.shape[0]:
+        raise ValueError("sparse_solve needs a square matrix matching the rhs")
     with warnings.catch_warnings():
         warnings.simplefilter("error", spla.MatrixRankWarning)
         try:

@@ -40,8 +40,8 @@ table its constant gradients `grads` (nt, 3, 2).  values_at and the Morley
 grads_at serve the checks that evaluate the basis at points; they take
 barycentric points lambda, (nq, 3) shared by every element or (nt, nq, 3),
 and return (nt, nq, ...); shared points give a broadcast view of the CR
-values.  bary_at(tris, pts) maps paired physical points back to lambda for
-the transfer between nested meshes only.
+values.  The Morley bary_at(tris, pts) maps paired physical points back to
+lambda for the transfer between nested meshes only.
 """
 from __future__ import annotations
 
@@ -104,18 +104,26 @@ def build_dofmap(mesh: Triangulation, space: SpaceTag) -> DofMap:
                   dof_of_free=dof_of_free, n_free=n_free, n_dofs=len(is_bdry))
 
 
-class _Barycentric:
-    """The barycentric coordinates lambda of every element: their constant
-    gradients and the first vertex, from which lambda_1, lambda_2 are read."""
+def _grad_lambda(mesh):
+    """The constant gradients (nt, 3, 2) of the barycentric coordinates of
+    every element: grad lambda_k = rot(p_{k+2} - p_{k+1}) / (2 |T|) with
+    rot(x, y) = (-y, x), normal to the opposite edge, of length 1 / height."""
+    p = mesh.vertices[mesh.triangles]                           # (nt, 3, 2)
+    e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
+    return rot / (2.0 * geometry(mesh).area)[:, None, None]
+
+
+class _MorleyTables:
+    """Morley basis in closed form: B[t, i, m] = grad lambda_i . nu_m, with
+    a_m = B[t, m, m].  The first vertices v0 serve bary_at."""
 
     def __init__(self, mesh):
-        p = mesh.vertices[mesh.triangles]                       # (nt, 3, 2)
-        # grad lambda_k = rot(p_{k+2} - p_{k+1}) / (2 |T|), rot(x, y) = (-y, x):
-        # normal to the opposite edge, of length 1 / height
-        e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
-        rot = np.stack([-e[..., 1], e[..., 0]], axis=-1)
-        self.grad_lambda = rot / (2.0 * geometry(mesh).area)[:, None, None]
+        self.grad_lambda = _grad_lambda(mesh)
         self.v0 = mesh.vertices[mesh.triangles[:, 0]]
+        nu = geometry(mesh).nu_E[mesh.edge_of_triangle]        # (nt, 3, 2)
+        self.B = self.grad_lambda @ np.swapaxes(nu, 1, 2)       # (nt, 3, 3)
+        self.a = np.diagonal(self.B, axis1=1, axis2=2)          # (nt, 3) view
 
     def bary_at(self, tris, pts):
         """lambda (n, 3) of the elements tris (n,) at the points pts (n, 2)."""
@@ -124,17 +132,6 @@ class _Barycentric:
                  @ np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2))[:, 0]
         lam0 = 1.0 - lam12.sum(axis=-1)
         return np.concatenate([lam0[:, None], lam12], axis=-1)
-
-
-class _MorleyTables(_Barycentric):
-    """Morley basis in closed form: B[t, i, m] = grad lambda_i . nu_m, with
-    a_m = B[t, m, m]."""
-
-    def __init__(self, mesh):
-        super().__init__(mesh)
-        nu = geometry(mesh).nu_E[mesh.edge_of_triangle]        # (nt, 3, 2)
-        self.B = self.grad_lambda @ np.swapaxes(nu, 1, 2)       # (nt, 3, 3)
-        self.a = np.diagonal(self.B, axis1=1, axis2=2)          # (nt, 3) view
 
     def values_at(self, lam):
         psi = lam * (1.0 - lam) / self.a[:, None, :]
@@ -171,12 +168,13 @@ class _MorleyTables(_Barycentric):
                          gl[:, :, :, None] * gl[:, :, None, :])
 
 
-class _CRTables(_Barycentric):
-    """CR basis 1 - 2*lambda from the barycentric coordinates lambda."""
+class _CRTables:
+    """CR basis 1 - 2*lambda from the barycentric coordinates lambda; it keeps
+    only its constant gradients, -2 grad lambda."""
 
     def __init__(self, mesh):
-        super().__init__(mesh)
-        self.grads = -2.0 * self.grad_lambda    # constant basis gradients
+        self.grads = _grad_lambda(mesh)
+        self.grads *= -2.0
 
     def values_at(self, lam):
         # the same on every element: shared points give a broadcast view

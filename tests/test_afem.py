@@ -10,6 +10,7 @@ from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured, ns_unit_load
 import ncfem.afem
+import ncfem.mesh
 import ncfem.solve
 from ncfem.spaces import SpaceTag, basis_tables
 
@@ -171,6 +172,36 @@ def test_finished_levels_are_let_go(driver):
     assert [rec for _, _, rec in seen] == res.records
     assert [ref() is not None for ref, _, _ in seen] == [False, False, False]
     assert [ref() is not None for _, ref, _ in seen] == [False, False, False]
+
+
+def test_transferred_values_go_once_restricted(monkeypatch):
+    """The Morley dof values that the transfer carries to the next mesh are
+    freed once they are restricted to Newton's start, before Newton runs."""
+    refs, alive = [], []
+    restrict, solve = (ncfem.afem.function_from_element_values,
+                       ncfem.afem.newton_solve)
+
+    def restrict_spy(dofmap, values):
+        refs.append(weakref.ref(values))
+        return restrict(dofmap, values)
+
+    def solve_spy(asm, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return solve(asm, **kwargs)
+    monkeypatch.setattr(ncfem.afem, "function_from_element_values", restrict_spy)
+    monkeypatch.setattr(ncfem.afem, "newton_solve", solve_spy)
+    uniform_study(manufactured("ns_poly"), builtin_domain("unit_square"), 3)
+    assert alive == [[], [False], [False, False]]
+
+
+def test_a_cr_study_leaves_the_edge_geometry_unbuilt(monkeypatch):
+    """No CR level reads h_E, nu_E or tau_E, so none is built."""
+    built, build = [], ncfem.mesh._edge_fields
+    monkeypatch.setattr(ncfem.mesh, "_edge_fields",
+                        lambda *arrays: built.append(1) or build(*arrays))
+    res = uniform_study(manufactured("cr_sine"), builtin_domain("unit_square"),
+                        3)
+    assert len(res.records) == 3 and built == []
 
 
 @pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])

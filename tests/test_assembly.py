@@ -102,6 +102,17 @@ def test_cr_jacobian_is_one_matrix_a_pw_plus_b_pw(square32):
         assert np.array_equal(getattr(J, attr), getattr(ref, attr))
 
 
+def test_cr_jacobian_shares_the_index_arrays_of_g(square32):
+    """J = a_pw + b_pw is built on G's pattern: its indices and indptr are
+    G's own arrays, and it equals G + b_pw entry for entry."""
+    asm = Assembler(refine(square32, 1), manufactured("cr_sine"))
+    G, J = asm.gram(), asm.jacobian(None)
+    assert np.shares_memory(J.indices, G.indices)
+    assert np.shares_memory(J.indptr, G.indptr)
+    assert not np.shares_memory(J.data, G.data)
+    assert (J != G + b_pw(asm)).nnz == 0
+
+
 def test_indefinite_symmetric_part(square32):
     mesh = refine(square32, 1)  # 128 triangles
     problem = manufactured("cr_sine")
@@ -563,16 +574,19 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 5%, 5% and 10% above 900 (ns), 1188 (vk) and 424 (CR)
+# refine(l_shape, 5): 5%, 5% and 10% above 900 (ns), 1188 (vk) and 345 (CR)
 # measured with G, the load and (CR) J = a_pw + b_pw built.  The closed-form
-# basis tables hold grad lambda, the first vertices and B, and the dof map
-# its intp slots alone; a table of the basis hessians (192 more) or the
-# monomial coefficients of a Morley dof-matrix inverse (144 more) breaks the
-# ns and vk budgets, the int64 global element dofs kept beside the slots (48
-# more) or a G in the COO-long buffers of tocsr (149 more) the ns one, J in
-# the buffers of the sum A + B (88 more) the CR one, and keeping the energy
-# element matrices breaks each
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 945, "vk_poly": 1247, "cr_sine": 466}
+# Morley table holds grad lambda, the first vertices and B, the CR table its
+# gradients alone, and the dof map its intp slots alone; of the CR bytes, 81
+# are the mesh's own arrays, reached through its unbuilt edge geometry.  A
+# table of the basis hessians (192 more) or the monomial coefficients of a
+# Morley dof-matrix inverse (144 more) breaks the ns and vk budgets, the
+# int64 global element dofs kept beside the slots (48 more) or a G in the
+# COO-long buffers of tocsr (149 more) the ns one; J with index arrays of
+# its own (35 more), in the buffers of the sum A + B (88 more), or grad
+# lambda and the first vertices kept on the CR table (64 more) break the CR
+# one, and keeping the energy element matrices breaks each
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 945, "vk_poly": 1247, "cr_sine": 379}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
@@ -587,19 +601,23 @@ def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
     assert per_triangle <= LEVEL_BYTES_PER_TRIANGLE[name]
 
 
-# tracemalloc bytes per triangle that building one Morley level may peak at
-# and keep, on refine(l_shape, 6) with its geometry built: measured 1900 and
-# 830 (ns), 1916 and 1124 (vk).  A hessian table on the basis tables, the
-# (nt, nq, 6) value table of the old load and the loads sampled after G
-# took ns to 3055 and 1198, vk to 3227 and 1388; a G kept in the COO-long
-# buffers of tocsr takes ns to 1006 kept
-SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 858), "vk_poly": (2800, 1200)}
+# tracemalloc bytes per triangle that building one level may peak at and
+# keep, on refine(l_shape, 6) with its geometry built, edge fields included:
+# measured 1900 and 830 (ns), 1916 and 1124 (vk), 876 and 250 (CR, budget
+# 10% above).  A hessian table on the basis tables, the (nt, nq, 6) value
+# table of the old load and the loads sampled after G took ns to 3055 and
+# 1198, vk to 3227 and 1388; a G kept in the COO-long buffers of tocsr takes
+# ns to 1006 kept; a CR table that keeps grad lambda and the first vertices,
+# J built as (G + b_pw).copy() and the quadrature points kept through the
+# scatters took CR to 940 and 350
+SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 858), "vk_poly": (2800, 1200),
+                            "cr_sine": (963, 275)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BYTES_PER_TRIANGLE))
 def test_a_morley_level_builds_within_its_memory_budget(name, lshape):
     mesh = refine(lshape, 6)
-    geometry(mesh)
+    geometry(mesh).nu_E             # the edge fields too
     problem = manufactured(name)
     tracemalloc.start()
     try:

@@ -1,10 +1,13 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncfem.mesh
 from ncfem.mesh import (_finalize, _hanging_node_check, bisect,
                         build_from_arrays, builtin_domain, geometry, read_mesh,
                         refine, uniform_refine, write_mesh)
@@ -249,6 +252,35 @@ def test_geometry_computed_once_and_read_only():
         g.area *= 2.0
     # a refined mesh gets its own geometry
     assert geometry(uniform_refine(m)) is not g
+
+
+def test_reference_counting_alone_frees_a_mesh():
+    """A geometry keeps the mesh's arrays, never the mesh: with the cyclic
+    collector off, a refined mesh whose edge geometry was read is freed as
+    soon as its last reference goes."""
+    m = refine(builtin_domain("l_shape"), 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        geometry(m).nu_E
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_edge_geometry_is_built_once_on_first_read(monkeypatch):
+    calls, build = [], ncfem.mesh._edge_fields
+    monkeypatch.setattr(ncfem.mesh, "_edge_fields",
+                        lambda *arrays: calls.append(1) or build(*arrays))
+    m = uniform_refine(builtin_domain("l_shape"))
+    g = geometry(m)
+    assert calls == []
+    nu = g.nu_E
+    assert g.nu_E is nu and g.tau_E is geometry(m).tau_E
+    assert calls == [1]
 
 
 def test_triangles_of_edge_layout():

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 import warnings
 import weakref
 
@@ -182,6 +183,30 @@ def test_sparse_solve_matches_plain_spsolve_bitwise_on_cr():
     b = np.random.default_rng(0).standard_normal(J.shape[0])
     assert np.array_equal(sparse_solve(J, b),
                           scipy.sparse.linalg.spsolve(J, b))
+
+
+def test_sparse_solve_copies_the_matrix_once(monkeypatch):
+    """When SuperLU is called, sparse_solve holds one nnz-long copy of the
+    CSR J, its equilibrated CSC, besides vectors of length n: a second copy
+    would add 12 bytes per entry, about 60 per row here."""
+    asm = assembler(refine(builtin_domain("l_shape"), 5), manufactured("cr_sine"))
+    J, b = asm.jacobian(None), asm.load()
+    n = J.shape[0]
+    spsolve, held = scipy.sparse.linalg.spsolve, []
+
+    def traced_spsolve(A, rhs):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return spsolve(A, rhs)
+    monkeypatch.setattr(ncfem.solve.spla, "spsolve", traced_spsolve)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        x = sparse_solve(J, b)
+    finally:
+        tracemalloc.stop()
+    one_copy = 12 * J.nnz + 4 * (n + 1)     # float data, int32 indices, indptr
+    assert held[0] - base <= one_copy + 32 * n
+    assert np.abs(J @ x - b).max() <= 1e-10 * (1.0 + np.abs(b).max())
 
 
 @pytest.mark.parametrize("M", [

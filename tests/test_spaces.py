@@ -40,10 +40,19 @@ def test_cr_basis_kronecker(square8):
         # physical steps from the centroid
         steps = np.array([[0.0, 0.0], [0.1, 0.0], [-0.1, 0.0], [0.0, 0.1],
                           [0.0, -0.1], [0.1, 0.1], [-0.1, -0.1]])
-        lam = 1.0 / 3.0 + steps @ tab.grad_lambda[t].T
+        lam = 1.0 / 3.0 + steps @ (-0.5 * tab.grads[t]).T
         v = tab.values_at(lam)[t]
         for i in (1, 3, 5):
             assert np.allclose(v[i] - 2.0 * v[0] + v[i + 1], 0.0, atol=1e-13)
+
+
+def test_cr_tables_keep_only_their_gradients(square8):
+    """The CR table keeps grads = -2 grad lambda, not grad lambda beside it,
+    and not the first vertices, which only the Morley transfer reads."""
+    tab = basis_tables(square8, SpaceTag.CROUZEIX_RAVIART)
+    assert list(vars(tab)) == ["grads"]
+    assert not hasattr(tab, "grad_lambda") and not hasattr(tab, "v0")
+    assert tab.grads.shape == (square8.n_triangles, 3, 2)
 
 
 def test_morley_dof_duality_every_element(square32, lshape):
@@ -145,7 +154,7 @@ def test_cr_grads_match_central_differences(square8, lshape):
         fd = np.empty((m.n_triangles, 3, 2))
         for d in range(2):
             # the centroid moved by +-step e_d: lambda shifts by step grad lambda . e_d
-            shift = step[:, None, None] * tab.grad_lambda[:, None, :, d]
+            shift = step[:, None, None] * (-0.5 * tab.grads)[:, None, :, d]
             fd[:, :, d] = ((tab.values_at(1.0 / 3.0 + shift)
                             - tab.values_at(1.0 / 3.0 - shift))[:, 0]
                            / (2.0 * step[:, None]))
