@@ -11,8 +11,7 @@ from .spaces import SpaceTag, DofMap, build_dofmap
 from .problems import (ProblemKind, ProblemSpec, Field, manufactured,
                        registry_names, ns_unit_load, polynomial_field)
 from .assembly import Assembler, assembler
-from .interpolation import (morley_interpolate, cr_interpolate, oscillation,
-                            transfer_morley)
+from .interpolation import interpolate, oscillation, transfer_morley
 from .solve import (sparse_solve, newton_solve, NewtonTrace,
                     KantorovichReport, kantorovich_report, infsup_constant,
                     gamma_norm_lower_bound, discrete_embedding_ratio,

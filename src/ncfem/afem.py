@@ -21,7 +21,7 @@ import numpy as np
 
 from .assembly import assembler
 from .estimators import EstimatorReport, broken_energy_error, estimate
-from .interpolation import transfer_morley
+from .interpolation import dof_values, transfer_morley
 from .mesh import bisect, uniform_refine
 from .problems import ProblemSpec
 from .solve import newton_solve
@@ -38,7 +38,7 @@ class ConvergenceRecord:
     level: int
     n_free: int
     h_max: float
-    error_pw: float | None     # broken energy error, None without problem.exact
+    error_pw: float | None     # broken energy error; None, see _run_levels
     eta_total: float
     newton_iters: int
     rate_error: float | None = None
@@ -60,7 +60,8 @@ def _check_theta(theta):
 
 def dorfler_mark(mesh, report: EstimatorReport, theta: float):
     """Greedy minimal bulk-marking set M with
-    sum_{K in M} eta_K'^2 >= theta * sum_K eta_K'^2."""
+    sum_{K in M} eta_K'^2 >= theta * sum_K eta_K'^2, as its element indices
+    in ascending order (an intp array)."""
     _check_theta(theta)
     ind = report.eta_K_sq.astype(float).copy()
     adj = mesh.triangles_of_edge.ravel()
@@ -73,16 +74,25 @@ def dorfler_mark(mesh, report: EstimatorReport, theta: float):
     csum = np.cumsum(ind[order])
     total = csum[-1] if len(csum) else 0.0
     if total <= 0.0:
-        return set()
+        return np.empty(0, dtype=np.intp)
     k = int(np.searchsorted(csum, theta * total * (1.0 - 1e-12))) + 1
     chosen = order[:k]
-    return set(int(t) for t in chosen if ind[t] > 0.0)
+    return np.sort(chosen[ind[chosen] > 0.0])
 
 
 def _rate(prev, cur, q_log):
     if prev is None or cur is None or prev <= 0 or cur <= 0 or q_log == 0:
         return None
     return math.log2(prev / cur) / q_log
+
+
+def _clamped(mesh, dofmap, exact):
+    """Whether the dof values of exact vanish (to 1e-8) at every constrained
+    dof of dofmap: whether exact satisfies the clamped conditions on the
+    domain of mesh, and so can solve its problem there."""
+    rows = dof_values(mesh, dofmap.space, exact)
+    return bool(np.abs(np.delete(rows, dofmap.dof_of_free, axis=1))
+                .max(initial=0.0) <= 1e-8)
 
 
 @dataclass
@@ -105,13 +115,18 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
     go once restricted.
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
-    error_pw is measured only when the problem carries an exact solution.
+    error_pw is measured only when the problem carries an exact solution
+    whose dof values vanish at the constrained dofs of level 0, i.e. that
+    satisfies the clamped conditions on this domain.
     on_level(asm, U, record), if given, is called once per level after its
     record is made; whatever it keeps of asm and U stays alive."""
     res = AfemResult(records=[], traces=[])
     mesh, values = mesh0, None
+    measured = problem.exact is not None
     while mesh is not None:
         asm = assembler(mesh, problem)
+        if measured and not res.records:
+            measured = _clamped(mesh, asm.dofmap, problem.exact)
         U0 = (None if values is None
               else function_from_element_values(asm.dofmap, values))
         values = None
@@ -121,8 +136,7 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
                 f"Newton did not converge within {len(trace.residual_norms)} "
                 f"iterations at n_free = {asm.dofmap.n_free}", res.records)
         report = estimate(asm, U)
-        err = (broken_energy_error(asm, U)
-               if problem.exact is not None else None)
+        err = broken_energy_error(asm, U) if measured else None
         rec = ConvergenceRecord(level=len(res.records),
                                 n_free=asm.dofmap.n_free,
                                 h_max=asm.geom.h_max, error_pw=err,
@@ -160,7 +174,7 @@ def afem_loop(problem: ProblemSpec, mesh0, theta: float, max_free_dofs: int,
         if rec.n_free > max_free_dofs:
             return None
         marked = dorfler_mark(mesh, report, theta)
-        return bisect(mesh, marked) if marked else None
+        return bisect(mesh, marked) if len(marked) else None
 
     return _run_levels(
         problem, mesh0, mark_and_bisect,

@@ -171,7 +171,7 @@ def _cmd_solve(cfg: RunConfig):
           f"krylov_iters = {sum(trace.krylov_iterations)}, "
           f"fallbacks = {trace.direct_fallbacks}")
     print(f"eta_total = {rec.eta_total:.6e}")
-    if problem.exact is not None:
+    if rec.error_pw is not None:
         print(f"error_pw = {rec.error_pw:.6e}")
     print(f"kantorovich: beta0 = {kant.beta0:.4e}, delta = {kant.delta:.3e}, "
           f"h = {kant.h:.3e}, condition_met = {kant.condition_met}, "

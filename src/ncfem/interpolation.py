@@ -21,9 +21,8 @@ from .spaces import (DofMap, SpaceTag, function_from_element_values,
                      local_coefficients)
 
 __all__ = [
-    "morley_interpolate", "cr_interpolate", "morley_dof_values",
-    "cr_dof_values", "oscillation", "OSCILLATION_DEGREE", "transfer_morley",
-    "edge_points",
+    "interpolate", "dof_values", "morley_dof_values", "cr_dof_values",
+    "oscillation", "OSCILLATION_DEGREE", "transfer_morley", "edge_points",
 ]
 
 OSCILLATION_DEGREE = 6   # volume rule that oscillation's samples lie on
@@ -50,29 +49,28 @@ def morley_dof_values(mesh, v, edge_degree: int = 4):
     return np.concatenate([v.value(mesh.vertices), gn @ rule.weights])
 
 
-def morley_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
-    """Coefficient vector of the Morley interpolant in the clamped space:
-    vertex dofs take the point values, edge dofs the edge means of the normal
-    derivative; constrained boundary dofs are dropped.  Accepts a Field or a
-    tuple of Fields (component pairs)."""
-    if dofmap.space is not SpaceTag.MORLEY:
-        raise ValueError("morley_interpolate needs a Morley dof map")
-    fields = v if isinstance(v, (tuple, list)) else (v,)
-    rows = [morley_dof_values(mesh, f, edge_degree) for f in fields]
-    return function_from_element_values(dofmap, np.stack(rows))
-
-
 def cr_dof_values(mesh, v, edge_degree: int = 4):
     """Edge means of v over every edge (all CR dof functionals)."""
     rule = quad_edge(edge_degree)
     return v.value(edge_points(mesh, rule)) @ rule.weights
 
 
-def cr_interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
-    """Crouzeix-Raviart interpolant (its coefficients) in the clamped space."""
-    if dofmap.space is not SpaceTag.CROUZEIX_RAVIART:
-        raise ValueError("cr_interpolate needs a CR dof map")
-    return function_from_element_values(dofmap, cr_dof_values(mesh, v, edge_degree))
+def dof_values(mesh, space: SpaceTag, v, edge_degree: int = 4):
+    """Every dof functional of the space on mesh (morley_dof_values or
+    cr_dof_values), one row per Field of v, a Field or a tuple of Fields
+    (component pairs): (n_components, n_dofs)."""
+    values = morley_dof_values if space is SpaceTag.MORLEY else cr_dof_values
+    fields = v if isinstance(v, (tuple, list)) else (v,)
+    return np.stack([values(mesh, f, edge_degree) for f in fields])
+
+
+def interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
+    """Coefficient vector of the interpolant of v in the clamped space of
+    dofmap: its dof values (see dof_values) at the free dofs; Morley vertex
+    dofs take the point values and edge dofs the edge means of the normal
+    derivative, CR dofs the edge means of the value."""
+    return function_from_element_values(
+        dofmap, dof_values(mesh, dofmap.space, v, edge_degree))
 
 
 def oscillation(mesh, gq, k: int, p: int):
@@ -105,6 +103,15 @@ def oscillation(mesh, gq, k: int, p: int):
     return per_element, float(np.sqrt(per_element.sum()))
 
 
+def _barycentric(mesh, grad_lambda, tris, pts):
+    """lambda (n, 3) of the elements tris (n,) of mesh, whose barycentric
+    gradients are grad_lambda (nt, 3, 2), at the points pts (n, 2)."""
+    d = pts - mesh.vertices[mesh.triangles[tris, 0]]
+    lam12 = (d[:, None, :] @ np.swapaxes(grad_lambda[tris, 1:, :], 1, 2))[:, 0]
+    lam0 = 1.0 - lam12.sum(axis=-1)
+    return np.concatenate([lam0[:, None], lam12], axis=-1)
+
+
 def transfer_morley(asm_c, U, mesh_f):
     """The Morley dof values (n_components, nv_f + ne_f) on mesh_f, which
     must descend from the coarse mesh (carry `parent`), of a function on the
@@ -130,9 +137,10 @@ def transfer_morley(asm_c, U, mesh_f):
     if parent.max(initial=-1) >= mesh_c.n_triangles:
         raise ValueError("parent map does not match the coarse mesh")
     tab, nu_f = asm_c.tables, geometry(mesh_f).nu_E
+    gl = tab.grad_lambda
     # geometric containment guards against a parent map onto a different mesh
     cent = mesh_f.vertices[mesh_f.triangles].mean(axis=1)
-    if tab.bary_at(parent, cent).min() < -1e-10:
+    if _barycentric(mesh_c, gl, parent, cent).min() < -1e-10:
         raise ValueError("parent map does not nest in the coarse mesh")
 
     # lowest coarse ancestor seen from each fine vertex / fine edge
@@ -143,9 +151,9 @@ def transfer_morley(asm_c, U, mesh_f):
 
     mids = 0.5 * (mesh_f.vertices[mesh_f.edges[:, 0]]
                   + mesh_f.vertices[mesh_f.edges[:, 1]])
-    lam_v = tab.bary_at(vparent, mesh_f.vertices)             # (nv, 3)
-    lam_e = tab.bary_at(eparent, mids)                        # (ne, 3)
-    dn = (tab.grad_lambda[eparent] @ nu_f[:, :, None])[..., 0]  # grad lambda . nu
+    lam_v = _barycentric(mesh_c, gl, vparent, mesh_f.vertices)  # (nv, 3)
+    lam_e = _barycentric(mesh_c, gl, eparent, mids)             # (ne, 3)
+    dn = (gl[eparent] @ nu_f[:, :, None])[..., 0]               # grad lambda . nu
     rows = []
     for comp in range(n_components):
         # u = lambda . c_v + lambda (1 - lambda) . w on each coarse element,

@@ -290,27 +290,15 @@ def _initial_iterate(asm, U0):
 
 
 def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
-    """Undamped Newton iteration on the level asm from U0 (default 0); stops
-    once the correction energy norm or the residual dual norm drops to tol.
-    Every step takes the G-preconditioned GMRES correction of _gram_gmres,
-    whose linear residual is at most tol / 100 in the dual norm, and falls
-    back to sparse_solve if GMRES misses that; trace.krylov_iterations has
-    one entry per GMRES step and trace.direct_fallbacks counts the
-    fallbacks.  GMRES applies J element-wise (asm.jacobian_operator) and
-    starts from the residual test's G^-1 r, so a GMRES step assembles no
-    matrix; the CSR of J (asm.jacobian) is built only for a direct solve.
-    So a warm start (U0 given) factors G and nothing else, and a U0 that
-    already meets tol costs that factor and no solve.  A cold start
-    (U0 None) alone takes its first step with J directly (sparse_solve), before
-    G is factored and before the residual test, so that the LU of J is gone
-    when the G factor is made, and a cold start that already meets tol costs
-    that one discarded solve: CR is linear and indefinite, so one direct
-    step is its right solve, and for Morley the benchmark requires the
-    solve.spsolve span (see the module docstring).  max_iter = 0 makes no
-    solve and no factor.  Linear problems converge in one step.  Returns
-    (solution, trace); max_iter exhaustion is reported via trace.converged =
-    False, a singular Jacobian raises, and so does a mesh without free
-    dofs."""
+    """Undamped Newton iteration on the level asm from the coefficient
+    vector U0 (None: zero, a cold start; see the module docstring for the
+    cold and warm steps) until the correction energy norm or the residual
+    dual norm drops to tol, for at most max_iter steps; max_iter = 0 makes
+    no solve and no factor.  Returns (solution, trace): trace.converged is
+    False once max_iter is exhausted, trace.krylov_iterations has one entry
+    per GMRES step and trace.direct_fallbacks counts the sparse_solve
+    fallbacks.  Raises ValueError for tol <= 0, a U0 of the wrong length
+    or a level without free dofs; a singular Jacobian raises."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     if asm.dofmap.n_free == 0:

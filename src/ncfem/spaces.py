@@ -35,13 +35,11 @@ lambda (1 - lambda) . w with w = W c, W (3 x 6) the bubble weights
 -2 sum_m w_m grad lambda_m (x) grad lambda_m is constant (hessians), its
 gradient sum_i (c_v,i + (1 - 2 lambda_i) w_i) grad lambda_i affine, and the
 element tensors of assembly are closed forms in grad lambda and W: the
-Morley table keeps grad lambda, the first vertices, B and a, and the CR
-table its constant gradients `grads` (nt, 3, 2).  values_at and the Morley
-grads_at serve the checks that evaluate the basis at points; they take
-barycentric points lambda, (nq, 3) shared by every element or (nt, nq, 3),
-and return (nt, nq, ...); shared points give a broadcast view of the CR
-values.  The Morley bary_at(tris, pts) maps paired physical points back to
-lambda for the transfer between nested meshes only.
+Morley table keeps grad lambda, B and a, and the CR table its constant
+gradients `grads` (nt, 3, 2).  values_at and the Morley grads_at serve the
+checks that evaluate the basis at points; they take barycentric points
+lambda, (nq, 3) shared by every element or (nt, nq, 3), and return
+(nt, nq, ...); shared points give a broadcast view of the CR values.
 """
 from __future__ import annotations
 
@@ -116,22 +114,13 @@ def _grad_lambda(mesh):
 
 class _MorleyTables:
     """Morley basis in closed form: B[t, i, m] = grad lambda_i . nu_m, with
-    a_m = B[t, m, m].  The first vertices v0 serve bary_at."""
+    a_m = B[t, m, m]."""
 
     def __init__(self, mesh):
         self.grad_lambda = _grad_lambda(mesh)
-        self.v0 = mesh.vertices[mesh.triangles[:, 0]]
         nu = geometry(mesh).nu_E[mesh.edge_of_triangle]        # (nt, 3, 2)
         self.B = self.grad_lambda @ np.swapaxes(nu, 1, 2)       # (nt, 3, 3)
         self.a = np.diagonal(self.B, axis1=1, axis2=2)          # (nt, 3) view
-
-    def bary_at(self, tris, pts):
-        """lambda (n, 3) of the elements tris (n,) at the points pts (n, 2)."""
-        d = pts - self.v0[tris]
-        lam12 = (d[:, None, :]
-                 @ np.swapaxes(self.grad_lambda[tris, 1:, :], 1, 2))[:, 0]
-        lam0 = 1.0 - lam12.sum(axis=-1)
-        return np.concatenate([lam0[:, None], lam12], axis=-1)
 
     def values_at(self, lam):
         psi = lam * (1.0 - lam) / self.a[:, None, :]

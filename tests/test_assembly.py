@@ -14,7 +14,7 @@ from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
 from ncfem.spaces import element_dofs, local_coefficients, volume_quadrature
-from ncfem.interpolation import morley_interpolate
+from ncfem.interpolation import interpolate
 
 
 def zero_load(pts):
@@ -405,7 +405,7 @@ def test_residual_dual_norm_rate_at_interpolant():
     norms = []
     for _ in range(4):
         dm = morley_dofmap(mesh)
-        U = morley_interpolate(mesh, dm, man.exact[0], edge_degree=10)
+        U = interpolate(mesh, dm, man.exact[0], edge_degree=10)
         asm = assembler(mesh, man)
         r = asm.residual(U)
         norms.append(np.sqrt(r @ _gram_factor(asm.gram()).solve(r)))
@@ -547,20 +547,28 @@ def test_piecewise_constant_coefficient_sampling(square8):
     assert np.abs(b_pw(smeared).toarray() - M).max() > 1e-3
 
 
+def _buffer(a):
+    """The ndarray that owns the buffer of a."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def _ndarray_bytes(root, skip):
     """Bytes of the distinct ndarray buffers reachable from root through
     instance attributes, containers and sparse matrices, never through skip
-    or a callable."""
-    seen, buffers, total, stack = set(), set(), 0, [root]
+    or a callable, and never those of skip's own ndarray fields, however
+    they are reached: what root holds besides skip."""
+    buffers = {id(_buffer(a)) for a in vars(skip).values()
+               if isinstance(a, np.ndarray)}
+    seen, total, stack = set(), 0, [root]
     while stack:
         obj = stack.pop()
         if obj is skip or id(obj) in seen:
             continue
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
-            base = obj
-            while isinstance(base.base, np.ndarray):
-                base = base.base
+            base = _buffer(obj)
             if id(base) not in buffers:
                 buffers.add(id(base))
                 total += base.nbytes
@@ -574,11 +582,11 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 5%, 5% and 10% above 900 (ns), 1188 (vk) and 345 (CR)
+# refine(l_shape, 5): 5%, 5% and 10% above 884 (ns), 1172 (vk) and 264 (CR)
 # measured with G, the load and (CR) J = a_pw + b_pw built.  The closed-form
-# Morley table holds grad lambda, the first vertices and B, the CR table its
-# gradients alone, and the dof map its intp slots alone; of the CR bytes, 81
-# are the mesh's own arrays, reached through its unbuilt edge geometry.  A
+# Morley table holds grad lambda and B, the CR table its gradients alone,
+# and the dof map its intp slots alone; the mesh's own arrays count nowhere,
+# also where the level reaches them through its unbuilt edge geometry.  A
 # table of the basis hessians (192 more) or the monomial coefficients of a
 # Morley dof-matrix inverse (144 more) breaks the ns and vk budgets, the
 # int64 global element dofs kept beside the slots (48 more) or a G in the
@@ -586,7 +594,7 @@ def _ndarray_bytes(root, skip):
 # its own (35 more), in the buffers of the sum A + B (88 more), or grad
 # lambda and the first vertices kept on the CR table (64 more) break the CR
 # one, and keeping the energy element matrices breaks each
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 945, "vk_poly": 1247, "cr_sine": 379}
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 929, "vk_poly": 1231, "cr_sine": 290}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
@@ -599,6 +607,18 @@ def test_a_level_keeps_only_what_its_solvers_read(name, lshape):
         asm.jacobian(None)
     per_triangle = _ndarray_bytes(asm, asm.mesh) / mesh.n_triangles
     assert per_triangle <= LEVEL_BYTES_PER_TRIANGLE[name]
+
+
+def test_a_level_holds_more_once_its_edge_geometry_is_built(lshape):
+    """A CR level builds no edge fields; reading nu_E adds h_E, nu_E and
+    tau_E to it, and the measure of the budgets above must see that as more,
+    not count the mesh arrays that the unbuilt geometry keeps as the
+    level's own."""
+    asm = Assembler(refine(lshape, 5), manufactured("cr_sine"))
+    asm.gram(), asm.load(), asm.jacobian(None)
+    before = _ndarray_bytes(asm, asm.mesh)
+    asm.geom.nu_E
+    assert _ndarray_bytes(asm, asm.mesh) > before
 
 
 # tracemalloc bytes per triangle that building one level may peak at and

@@ -477,6 +477,24 @@ def test_cli_cr_study_trajectory_pinned(tmp_path):
                                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("problem, measured", [("ns_poly", False),
+                                               ("cr_sine", True)])
+def test_cli_error_pw_needs_an_exact_solution_clamped_on_the_domain(
+        problem, measured, tmp_path, capsys):
+    """The ns_poly bump is clamped on the unit square, not on the L-shape's
+    edges x = -1 and y = -1, so it solves no problem there: study writes an
+    empty error_pw column and solve prints none.  The cr_sine solution
+    vanishes on every L-shape edge, so it keeps both."""
+    out = tmp_path / "out"
+    assert main(["study", "--problem", problem, "--domain", "l_shape",
+                 "--levels", "2", "--out", str(out)]) == 0
+    errors = [r.error_pw for r in read_records_csv(out / f"study_{problem}.csv")]
+    assert all((e is not None and e > 0) is measured for e in errors)
+    capsys.readouterr()
+    assert main(["solve", "--problem", problem, "--domain", "l_shape"]) == 0
+    assert ("error_pw = " in capsys.readouterr().out) is measured
+
+
 @pytest.mark.parametrize("argv, csv", [
     (["afem", "--problem", "ns_unit_load", "--domain", "l_shape",
       "--theta", "0.5", "--max-free-dofs", "4000"],
@@ -562,3 +580,41 @@ def test_benchmark_spans_resolve():
     for span in cached:
         layer, name = span.split(".")
         assert hasattr(getattr(importlib.import_module(f"ncfem.{layer}"), name), "cache_info"), span
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _without_out(argv):
+    """argv without its `--out DIR` pair."""
+    argv = list(argv)
+    i = argv.index("--out")
+    return argv[:i] + argv[i + 2:]
+
+
+def _script_argvs(name):
+    """The argv lists that scripts/<name> passes to main, in source order."""
+    calls = [node for node in ast.walk(ast.parse((SCRIPTS / name).read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "main"]
+    return [_without_out(ast.literal_eval(call.args[0]))
+            for call in sorted(calls, key=lambda c: c.lineno)]
+
+
+def _workload_argvs(name):
+    """The argvs of one perfbench workload, read without importing it."""
+    workloads = _perfbench_assignment("workloads.py", "WORKLOADS")
+    [call] = [v for k, v in zip(workloads.keys, workloads.values)
+              if ast.literal_eval(k) == name]
+    [commands] = [kw.value for kw in call.keywords if kw.arg == "commands"]
+    return [_without_out(argv) for argv in ast.literal_eval(commands)]
+
+
+def test_benchmark_runs_the_scripts_tables():
+    """uniform_studies runs the study argvs of the three convergence scripts
+    and diagnostics the infsup half of cr_convergence.py, up to the output
+    directory, as perfbench/workloads.py says."""
+    ns, vk = _script_argvs("ns_convergence.py"), _script_argvs("vk_convergence.py")
+    cr_study, cr_infsup = _script_argvs("cr_convergence.py")
+    assert _workload_argvs("uniform_studies") == ns + vk + [cr_study]
+    assert cr_infsup in _workload_argvs("diagnostics")

@@ -5,9 +5,9 @@ from conftest import (MorleyByInverse, cr_dofmap, evaluate,
                       mean_gradient_by_parts, mean_hessian_by_parts,
                       morley_dofmap, random_function, vertex_lam)
 from ncfem.assembly import Assembler
-from ncfem.interpolation import (cr_dof_values, cr_interpolate,
-                                 morley_dof_values, morley_interpolate,
-                                 oscillation, transfer_morley)
+from ncfem.interpolation import (cr_dof_values, interpolate,
+                                 morley_dof_values, oscillation,
+                                 transfer_morley)
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, manufactured, polynomial_field
 from ncfem.quadrature import quad_triangle
@@ -36,7 +36,7 @@ def test_morley_interpolate_zero(square8):
     dm = morley_dofmap(square8)
     zero = Field(value=lambda p: np.zeros(np.shape(p)[:-1]),
                  gradient=lambda p: np.zeros(np.shape(p)))
-    u = morley_interpolate(square8, dm, zero)
+    u = interpolate(square8, dm, zero)
     assert np.abs(u).max() == 0.0
 
 
@@ -46,7 +46,7 @@ def test_morley_reproduces_p2_dofs(square8):
     c = np.zeros((3, 3))
     c[0, 0], c[1, 0], c[2, 0], c[1, 1], c[0, 2] = 0.3, -1.0, 2.0, 0.7, -0.4
     fld = polynomial_field(c)
-    u = morley_interpolate(square8, dm, fld)
+    u = interpolate(square8, dm, fld)
     for z in square8.interior_vertices():
         t = next(t for t in range(square8.n_triangles)
                  if z in square8.triangles[t])
@@ -96,7 +96,7 @@ def test_commuting_identity_smooth_field(square32):
     # means exact; the element means come from the divergence theorem
     man = manufactured("ns_poly")
     dm = morley_dofmap(square32)
-    u = morley_interpolate(square32, dm, man.exact[0], edge_degree=12)
+    u = interpolate(square32, dm, man.exact[0], edge_degree=12)
     mean = mean_hessian_by_parts(square32, man.exact[0])
     assert np.abs(hessians_of(square32, dm, u) - mean).max() < 1e-10
 
@@ -121,7 +121,7 @@ def test_cr_identity_polynomials(square8):
 def test_cr_identity_sine(square32):
     man = manufactured("cr_sine")
     dm = cr_dofmap(square32)
-    u = cr_interpolate(square32, dm, man.exact[0], edge_degree=12)
+    u = interpolate(square32, dm, man.exact[0], edge_degree=12)
     tab = basis_tables(square32, SpaceTag.CROUZEIX_RAVIART)
     gh = np.einsum("tjd,tj->td", tab.grads, local_coefficients(dm, u))
     mean = mean_gradient_by_parts(square32, man.exact[0])
@@ -131,7 +131,7 @@ def test_cr_identity_sine(square32):
 def test_cr_interpolates_constant(square8):
     dm = cr_dofmap(square8)
     one = Field(value=lambda p: np.ones(np.shape(p)[:-1]))
-    u = cr_interpolate(square8, dm, one)
+    u = interpolate(square8, dm, one)
     # all free (interior-edge) dofs carry the constant value
     assert np.allclose(u, 1.0, atol=1e-14)
 
@@ -339,8 +339,7 @@ def test_transfer_keeps_interpolation_error_order(square8):
                         f=lambda p: np.zeros(np.shape(p)[:-1]),
                         exact=man.exact)
     coarse = Assembler(square8, probe)
-    u_c = morley_interpolate(square8, coarse.dofmap, man.exact[0],
-                             edge_degree=10)
+    u_c = interpolate(square8, coarse.dofmap, man.exact[0], edge_degree=10)
     fine = Assembler(uniform_refine(square8), probe)
     moved = transfer(coarse, u_c, fine)
     err_coarse = broken_energy_error(coarse, u_c)

@@ -353,26 +353,6 @@ def test_dense_inverses_stay_in_their_owners():
     assert not offenders, f"dense inverses off their owners: {offenders}"
 
 
-# the one map from physical points back to barycentric coordinates: the
-# basis tables take lambda, which every other caller knows in advance
-BARY_AT_CALLERS = {("interpolation.py", "transfer_morley")}
-
-
-def test_only_the_transfer_maps_physical_points_to_barycentric():
-    """bary_at is called in src/ncfem only by transfer_morley, which locates
-    fine points in coarse elements, so physical points do not flow back into
-    basis evaluation."""
-    offenders = []
-    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
-        for owner, call in _calls_by_function(ast.parse(path.read_text())):
-            func = call.func
-            name = (func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute) else None)
-            if name == "bary_at" and (path.name, owner) not in BARY_AT_CALLERS:
-                offenders.append(f"{path.name}:{call.lineno} in {owner}")
-    assert not offenders, f"bary_at off the transfer: {offenders}"
-
-
 # the callers of the global dof numbering spaces.element_dofs, by (file,
 # function): the dof map reads it once to build its slots, and verify
 # indexes full, unconstrained dof vectors with it

@@ -13,7 +13,7 @@ from conftest import SplaSpy
 from ncfem.assembly import Assembler, assembler
 from ncfem.mesh import build_from_arrays, builtin_domain, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
-from ncfem.interpolation import cr_interpolate, morley_interpolate
+from ncfem.interpolation import interpolate
 import ncfem.solve
 from ncfem.solve import (GAMMA_MAX_ROUNDS, GAMMA_RTOL, KRYLOV_MAX,
                          _equilibrate, _gamma_power_method, _gram_factor,
@@ -408,7 +408,7 @@ def test_warm_newton_takes_every_step_by_gmres(square32, name, monkeypatch):
     cold, _ = newton_solve(asm)
     spla = SplaSpy()
     monkeypatch.setattr(ncfem.solve, "spla", spla)
-    U, trace = newton_solve(asm, U0=interpolant(asm, man))
+    U, trace = newton_solve(asm, U0=interpolate(asm.mesh, asm.dofmap, man.exact))
     assert trace.converged and trace.iterations >= 1
     assert spla.calls == {"splu": 1, "spsolve": 0}
     assert (len(trace.krylov_iterations) + trace.direct_fallbacks
@@ -452,7 +452,7 @@ def test_warm_gmres_step_starts_from_the_residual_test(square32, name,
         raise AssertionError("a warm GMRES step assembled J")
 
     monkeypatch.setattr(Assembler, "jacobian", assembled)
-    _, trace = newton_solve(asm, U0=interpolant(asm, man))
+    _, trace = newton_solve(asm, U0=interpolate(asm.mesh, asm.dofmap, man.exact))
     assert trace.converged and trace.iterations >= 1
     assert len(trace.krylov_iterations) == trace.iterations
     assert factors[0].solves == (len(trace.residual_norms)
@@ -465,7 +465,7 @@ def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
     number of steps."""
     man = manufactured("vk_poly")
     asm = assembler(square32, man)
-    U0 = interpolant(asm, man)
+    U0 = interpolate(asm.mesh, asm.dofmap, man.exact)
     _, krylov = newton_solve(asm, U0=U0)
     assert min(krylov.krylov_iterations) > 1 and krylov.direct_fallbacks == 0
     monkeypatch.setattr(ncfem.solve, "KRYLOV_MAX", 1)
@@ -510,13 +510,6 @@ def test_kantorovich_report_factors_and_solves(square32, monkeypatch):
         assert_equilibrated(j_factor)
 
 
-def interpolant(asm, man):
-    interpolate = (cr_interpolate if man.kind is ProblemKind.SECOND_ORDER_CR
-                   else morley_interpolate)
-    return np.concatenate([interpolate(asm.mesh, asm.dofmap, v)
-                           for v in man.exact])
-
-
 @pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 @pytest.mark.parametrize("at", ["zero", "interpolant"])
 def test_kantorovich_report_matches_its_parts(square32, name, at):
@@ -526,7 +519,7 @@ def test_kantorovich_report_matches_its_parts(square32, name, at):
     man = manufactured(name)
     asm = assembler(square32, man)
     U = (np.zeros(asm.dofmap.n_free * man.n_components) if at == "zero"
-         else interpolant(asm, man))
+         else interpolate(asm.mesh, asm.dofmap, man.exact))
     rep = kantorovich_report(asm, U)
     G, J = asm.gram(), asm.jacobian(U)
     assert rep.beta0 == infsup_constant(J.T, G)
@@ -587,7 +580,7 @@ def test_newton_from_interpolant_converges_quickly():
     man = manufactured("ns_poly")
     mesh = refine(builtin_domain("unit_square"), 3)  # h_max = sqrt(2)/8
     asm = assembler(mesh, man)
-    U0 = morley_interpolate(mesh, asm.dofmap, man.exact[0])
+    U0 = interpolate(mesh, asm.dofmap, man.exact[0])
     U, trace = newton_solve(asm, U0=U0, tol=1e-10)
     assert trace.converged
     assert trace.iterations <= 6
@@ -661,7 +654,7 @@ def test_kantorovich_ns_manufactured_fine_mesh():
     man = manufactured("ns_poly")
     mesh = refine(builtin_domain("unit_square"), 3)
     asm = assembler(mesh, man)
-    U0 = morley_interpolate(mesh, asm.dofmap, man.exact[0])
+    U0 = interpolate(mesh, asm.dofmap, man.exact[0])
     rep = kantorovich_report(asm, U0)
     assert 1 <= rep.gamma_rounds <= GAMMA_MAX_ROUNDS
     assert rep.h < 0.5
@@ -947,7 +940,7 @@ def test_kantorovich_beta0_matches_dense_svd(name, n):
     man = manufactured(name)
     mesh = refine(builtin_domain("unit_square"), 4)
     asm = assembler(mesh, man)
-    U0 = morley_interpolate(mesh, asm.dofmap, man.exact)
+    U0 = interpolate(mesh, asm.dofmap, man.exact)
     assert len(U0) == n
     J, G = asm.jacobian(U0).toarray(), asm.gram().toarray()
     L = scipy.linalg.cholesky(G, lower=True)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (MorleyByInverse, cr_dofmap, evaluate, free_index,
                       midpoint_lam, morley_dofmap, random_function, vertex_lam)
+from ncfem.interpolation import _barycentric
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, element_dofs,
@@ -47,12 +48,15 @@ def test_cr_basis_kronecker(square8):
 
 
 def test_cr_tables_keep_only_their_gradients(square8):
-    """The CR table keeps grads = -2 grad lambda, not grad lambda beside it,
-    and not the first vertices, which only the Morley transfer reads."""
+    """The CR table keeps grads = -2 grad lambda, not grad lambda beside it;
+    neither table keeps the first vertices or maps physical points back to
+    lambda, which only the Morley transfer does, from the coarse mesh."""
     tab = basis_tables(square8, SpaceTag.CROUZEIX_RAVIART)
     assert list(vars(tab)) == ["grads"]
     assert not hasattr(tab, "grad_lambda") and not hasattr(tab, "v0")
     assert tab.grads.shape == (square8.n_triangles, 3, 2)
+    morley = basis_tables(square8, SpaceTag.MORLEY)
+    assert not hasattr(morley, "v0") and not hasattr(morley, "bary_at")
 
 
 def test_morley_dof_duality_every_element(square32, lshape):
@@ -72,8 +76,8 @@ def test_morley_closed_form_matches_the_dof_matrix_inverse(mesh, request):
     """values_at, grads_at (shared and per-element barycentric input) and
     the hessians of each basis function equal the basis C = inv(D) of the
     monomial dof matrix, which works
-    on physical points, to 1e-12 relative; bary_at maps the physical points
-    back."""
+    on physical points, to 1e-12 relative; the transfer's _barycentric maps
+    the physical points back."""
     m = request.getfixturevalue(mesh)
     m = m[1] if mesh == "graded_lshape" else m
     tab, ref = basis_tables(m, SpaceTag.MORLEY), MorleyByInverse(m)
@@ -83,12 +87,14 @@ def test_morley_closed_form_matches_the_dof_matrix_inverse(mesh, request):
     rng = np.random.default_rng(2)
     shared = rng.dirichlet(np.ones(3), size=5)                      # (5, 3)
     pts = physical_points(m, shared)                                # (nt, 5, 2)
-    assert np.abs(tab.bary_at(np.repeat(tris, 5), pts.reshape(-1, 2))
+    assert np.abs(_barycentric(m, tab.grad_lambda, np.repeat(tris, 5),
+                               pts.reshape(-1, 2))
                   - np.tile(shared, (nt, 1))).max() < 1e-12
-    # per element: two random physical points each, mapped by bary_at
+    # per element: two random physical points each, mapped by _barycentric
     epts = np.einsum("tqk,tkd->tqd", rng.dirichlet(np.ones(3), size=(nt, 2)),
                      m.vertices[m.triangles])                       # (nt, 2, 2)
-    lam = tab.bary_at(np.repeat(tris, 2), epts.reshape(-1, 2)).reshape(nt, 2, 3)
+    lam = _barycentric(m, tab.grad_lambda, np.repeat(tris, 2),
+                       epts.reshape(-1, 2)).reshape(nt, 2, 3)
 
     def close(got, want):
         scale = np.abs(want).max(axis=tuple(range(1, want.ndim)))
