@@ -17,7 +17,9 @@ equation (g = 0 recovers the plain plate system):
     eta_E^2 = h_E (|| [D^2 u]_E tau_E ||^2 + || [D^2 v]_E tau_E ||^2)
 
 Jumps and averages on boundary edges are the traces themselves.  All sums
-run over all edges.
+run over all edges.  Every edge term is a closed form, with no edge
+quadrature: D^2 u_M is constant on each element, and from each side
+(Lap u_M grad u_M) . tau_E is affine along the edge.
 
 Both are one estimator, reached through `estimate`: the Hessian jumps are
 summed over the components, and osc_sq sums osc_0(.)^2 with p = 2 over the
@@ -35,16 +37,14 @@ import numpy as np
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
-from .quadrature import quad_edge
 from .spaces import SpaceTag, local_coefficients, volume_quadrature
-from .interpolation import OSCILLATION_DEGREE, edge_points, oscillation
+from .interpolation import OSCILLATION_DEGREE, oscillation
 
 __all__ = [
     "EstimatorReport", "cr_apriori_terms", "broken_energy_error", "estimate",
 ]
 
 ESTIMATOR_VOLUME_DEGREE = OSCILLATION_DEGREE  # loads are sampled once for both
-ESTIMATOR_EDGE_DEGREE = 4
 MORLEY_OSC_K = 0    # the Morley estimator reports osc_0 of its loads
 
 
@@ -73,15 +73,19 @@ def _hessian_jump_term(geom, H, t_plus, t_minus):
     return geom.h_E ** 2 * np.einsum("ea,ea->e", vec, vec)
 
 
-def _lap_grad_at_edges(H, g, cent, tris, pts):
-    """(Lap u) grad u from the side `tris` at edge points (ne, nq, 2); H are
-    the per-element hessians of u and g (nt, 2) its gradients at the
-    centroids cent (nt, 2).  grad u is affine on each element:
-    g_T + H_T (x - c_T)."""
-    lap = H[:, 0, 0] + H[:, 1, 1]
-    # H is symmetric, so (x - c) @ H is H (x - c)
-    grad = g[tris, None, :] + (pts - cent[tris, None, :]) @ H[tris]
-    return lap[tris][:, None, None] * grad
+def _tangential_flux(H, g, cent, mids, tau, tris):
+    """(a, b) (2, ne) of (Lap u grad u) . tau = a + b s from the side `tris`
+    of the edges of midpoints mids and tangents tau (ne, 2), s the arc
+    length from the midpoint; H are the per-element hessians of u and g
+    (nt, 2) its gradients at the centroids cent (nt, 2): grad u is affine on
+    each element, g_T + H_T (x - c_T)."""
+    Ht = H[tris]
+    # H is symmetric, so (m - c) . H tau is H (m - c) . tau
+    Htau = np.einsum("eab,eb->ea", Ht, tau)
+    a = (np.einsum("ed,ed->e", g[tris], tau)
+         + np.einsum("ed,ed->e", mids - cent[tris], Htau))
+    return (Ht[:, 0, 0] + Ht[:, 1, 1]) * np.stack(
+        [a, np.einsum("ed,ed->e", tau, Htau)])
 
 
 def _estimate_morley(asm, U) -> EstimatorReport:
@@ -103,21 +107,19 @@ def _estimate_morley(asm, U) -> EstimatorReport:
     if ns:
         # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
         residuals = (fq,)
-        erule = quad_edge(ESTIMATOR_EDGE_DEGREE)
-        pts = edge_points(mesh, erule)
+        mids = mesh.vertices[mesh.edges].mean(axis=1)
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
         g = _centroid_gradients(tab, cs[0])
-        w_plus = _lap_grad_at_edges(Hs[0], g, cent, t_plus, pts)
-        w_minus = np.zeros_like(w_plus)
         interior = t_minus >= 0
-        w_minus[interior] = _lap_grad_at_edges(Hs[0], g, cent,
-                                               t_minus[interior], pts[interior])
-        avg = np.where(interior[:, None, None], 0.5 * (w_plus + w_minus),
-                       w_plus)
-        tangential = (np.einsum("eqd,ed->eq", w, geom.tau_E)
-                      for w in (w_plus - w_minus, avg))
-        jump_sq, avg_sq = (geom.h_E ** 3 * (geom.h_E * (t ** 2 @ erule.weights))
-                           for t in tangential)
+        plus, minus = (_tangential_flux(Hs[0], g, cent, mids, geom.tau_E, t)
+                       for t in (t_plus, np.where(interior, t_minus, t_plus)))
+        # minus is plus on a boundary edge: the average there is the trace,
+        # and so is the jump once minus is dropped.  h_E^3 times the squared
+        # L2(E) norm of a + b s is h_E^4 (a^2 + b^2 h_E^2 / 12)
+        h = geom.h_E
+        jump_sq, avg_sq = (h ** 4 * (a ** 2 + b ** 2 * h ** 2 / 12.0)
+                           for a, b in (plus - interior * minus,
+                                        0.5 * (plus + minus)))
         eta_E_sq = eta_E_sq + jump_sq + avg_sq
         avg_term_S_sq = float(avg_sq.sum())
     else:

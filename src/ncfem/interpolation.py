@@ -1,12 +1,15 @@
 """Interpolation operators, data oscillations and level-to-level transfer.
 
-Edge means default to degree-4 Gauss rules; that is exact for the cubic edge
-traces arising from quartic fields and below.  Non-polynomial inputs can pass
-a higher `edge_degree` where an identity is to hold to round-off (the
-commuting identities D^2_pw I_M = Pi_0 D^2 and grad_pw I_CR = Pi_0 grad
-require exact edge means).  Oscillations of general data use degree-6 volume
-quadrature to resolve (I - Pi_k) honestly; Pi_k g is fitted and subtracted
-at those same points.
+dof_values is the one producer of the dof values of a field, for both
+spaces, and the only function in ncfem that takes edge means by quadrature:
+the estimators' edge terms are closed forms.  Its edge means default to
+degree-4 Gauss rules; that is exact for the cubic edge traces arising from
+quartic fields and below.  Non-polynomial inputs can pass a higher
+`edge_degree` where an identity is to hold to round-off (the commuting
+identities D^2_pw I_M = Pi_0 D^2 and grad_pw I_CR = Pi_0 grad require exact
+edge means).  Oscillations of general data use degree-6 volume quadrature to
+resolve (I - Pi_k) honestly; Pi_k g is fitted and subtracted at those same
+points.
 
 transfer_morley carries a solution from a coarse level, given by its
 Assembler (see assembly), to the Morley dof values on a finer mesh.
@@ -21,47 +24,38 @@ from .spaces import (DofMap, SpaceTag, function_from_element_values,
                      local_coefficients)
 
 __all__ = [
-    "interpolate", "dof_values", "morley_dof_values", "cr_dof_values",
-    "oscillation", "OSCILLATION_DEGREE", "transfer_morley", "edge_points",
+    "interpolate", "dof_values", "oscillation", "OSCILLATION_DEGREE",
+    "transfer_morley",
 ]
 
 OSCILLATION_DEGREE = 6   # volume rule that oscillation's samples lie on
 
 
-def edge_points(mesh, rule):
+def _edge_points(mesh, rule):
     """Points (ne, nq, 2) of the edge rule on every edge."""
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
 
 
-def morley_dof_values(mesh, v, edge_degree: int = 4):
-    """All Morley dof functionals of a smooth field: point values at every
-    vertex, then mean normal derivatives (against the global normal) over
-    every edge.  The elementwise commuting identity D^2_pw I_M = Pi_0 D^2
-    holds for this full dof vector whether or not v satisfies the clamped
-    boundary conditions."""
-    geom = geometry(mesh)
-    rule = quad_edge(edge_degree)
-    pts = edge_points(mesh, rule)
-    grads = v.gradient(pts)                           # (ne, nq, 2)
-    gn = np.einsum("eqd,ed->eq", grads, geom.nu_E)
-    return np.concatenate([v.value(mesh.vertices), gn @ rule.weights])
-
-
-def cr_dof_values(mesh, v, edge_degree: int = 4):
-    """Edge means of v over every edge (all CR dof functionals)."""
-    rule = quad_edge(edge_degree)
-    return v.value(edge_points(mesh, rule)) @ rule.weights
-
-
 def dof_values(mesh, space: SpaceTag, v, edge_degree: int = 4):
-    """Every dof functional of the space on mesh (morley_dof_values or
-    cr_dof_values), one row per Field of v, a Field or a tuple of Fields
-    (component pairs): (n_components, n_dofs)."""
-    values = morley_dof_values if space is SpaceTag.MORLEY else cr_dof_values
+    """Every dof functional of the space on mesh, one row per Field of v, a
+    Field or a tuple of Fields (component pairs): (n_components, n_dofs).
+    Morley: point values at every vertex, then mean normal derivatives
+    (against the global normal) over every edge; the elementwise commuting
+    identity D^2_pw I_M = Pi_0 D^2 holds for this full dof vector whether or
+    not v satisfies the clamped boundary conditions.  CR: the edge means of
+    v over every edge.  Edge means take the Gauss rule of edge_degree."""
+    rule = quad_edge(edge_degree)
+    pts = _edge_points(mesh, rule)
     fields = v if isinstance(v, (tuple, list)) else (v,)
-    return np.stack([values(mesh, f, edge_degree) for f in fields])
+    if space is not SpaceTag.MORLEY:
+        return np.stack([f.value(pts) @ rule.weights for f in fields])
+    nu = geometry(mesh).nu_E
+    return np.stack([np.concatenate(
+        [f.value(mesh.vertices),
+         np.einsum("eqd,ed->eq", f.gradient(pts), nu) @ rule.weights])
+        for f in fields])
 
 
 def interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):

@@ -274,10 +274,14 @@ class NewtonTrace:
     residual_norms: list = field(default_factory=list)   # per visited iterate
     correction_norms: list = field(default_factory=list)  # per Newton step
     converged: bool = False
-    iterations: int = 0
     gram_fill: float = 0.0      # stored nnz of the G factor / nnz(G)
     krylov_iterations: list = field(default_factory=list)  # per Krylov step
     direct_fallbacks: int = 0   # later steps that fell back to sparse_solve
+
+    @property
+    def iterations(self) -> int:
+        """Newton steps taken: one correction norm each."""
+        return len(self.correction_norms)
 
 
 def _initial_iterate(asm, U0):
@@ -336,7 +340,6 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
                 trace.krylov_iterations.append(k)
         dn = float(np.sqrt(max(d @ (G @ d), 0.0)))
         trace.correction_norms.append(dn)
-        trace.iterations += 1
         U = U + d
         if dn <= tol:
             trace.residual_norms.append(dual(asm.residual(U))[0])

@@ -259,13 +259,13 @@ def test_vk_bracket_constant_hessian_value():
     # full dof vector since the quadratic is not clamped
     m = refine(builtin_domain("unit_square"), 1)
     dm = morley_dofmap(m)
-    from ncfem.interpolation import morley_dof_values
+    from ncfem.interpolation import dof_values
     from ncfem.problems import polynomial_field
 
     # u = x^2 + 3xy - y^2 has constant hessian [[2, 3], [3, -2]], det = -13
     c = np.zeros((3, 3))
     c[2, 0], c[1, 1], c[0, 2] = 1.0, 3.0, -1.0
-    cu = morley_dof_values(m, polynomial_field(c))[element_dofs(m, dm.space)]
+    cu = dof_values(m, dm.space, polynomial_field(c))[0][element_dofs(m, dm.space)]
     vals = np.einsum("ti,tij,tj->t", cu, Assembler(m, VK).Br, cu)
     assert np.allclose(vals, 2 * (-13.0), atol=1e-10)
 

@@ -14,11 +14,11 @@ import ncfem
 from conftest import patch_newton
 from ncfem.afem import ConvergenceRecord
 from ncfem.assembly import Assembler
-from ncfem.cli import main
+from ncfem.cli import RunConfig, main
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured
 from ncfem.reporting import emit_plots, read_records_csv, write_records_csv
-from ncfem.solve import kantorovich_report, newton_solve
+from ncfem.solve import kantorovich_report, newton_solve, sparse_solve
 
 
 def records_sample():
@@ -239,6 +239,31 @@ def test_cli_solve(capsys):
     asm = Assembler(mesh, problem)
     U, _ = newton_solve(asm)
     assert int(m.group(1)) == kantorovich_report(asm, U).gamma_rounds
+
+
+@pytest.mark.parametrize("problem", ["ns_poly", "vk_poly"])
+def test_cli_solve_reports_kantorovich_at_the_interpolant(problem, capsys,
+                                                          monkeypatch):
+    """solve takes its report at the start x0 = I_h u, where the theorem says
+    something: the converged u_h lies within r_minus of the first Newton
+    iterate x1 in the G-norm, and delta is far above Newton's tol (at u_h it
+    would be Newton's residual).  CR is left out: its m = 0 gives
+    r_minus = 0."""
+    seen = []
+
+    def spy(asm, U0=None):
+        seen.append((asm, U0, kantorovich_report(asm, U0)))
+        return seen[-1][2]
+    monkeypatch.setattr(ncfem.solve, "kantorovich_report", spy)
+    assert main(["solve", "--problem", problem, "--levels", "4"]) == 0
+    delta = float(re.search(SOLVE_FIELDS["delta"],
+                            capsys.readouterr().out).group(1))
+    assert delta > 1e3 * RunConfig().tol
+    [(asm, x0, rep)] = seen
+    u_h, trace = newton_solve(asm, U0=x0)
+    assert trace.converged
+    e = u_h - (x0 + sparse_solve(asm.jacobian(x0), -asm.residual(x0)))
+    assert np.sqrt(e @ (asm.gram() @ e)) <= rep.r_minus
 
 
 def test_cli_solve_one_free_dof_stops_gamma_cleanly(tmp_path):
@@ -483,8 +508,8 @@ def test_cli_error_pw_needs_an_exact_solution_clamped_on_the_domain(
         problem, measured, tmp_path, capsys):
     """The ns_poly bump is clamped on the unit square, not on the L-shape's
     edges x = -1 and y = -1, so it solves no problem there: study writes an
-    empty error_pw column and solve prints none.  The cr_sine solution
-    vanishes on every L-shape edge, so it keeps both."""
+    empty error_pw column, and solve prints none and no Kantorovich delta.
+    The cr_sine solution vanishes on every L-shape edge, so it keeps all."""
     out = tmp_path / "out"
     assert main(["study", "--problem", problem, "--domain", "l_shape",
                  "--levels", "2", "--out", str(out)]) == 0
@@ -492,7 +517,9 @@ def test_cli_error_pw_needs_an_exact_solution_clamped_on_the_domain(
     assert all((e is not None and e > 0) is measured for e in errors)
     capsys.readouterr()
     assert main(["solve", "--problem", problem, "--domain", "l_shape"]) == 0
-    assert ("error_pw = " in capsys.readouterr().out) is measured
+    out = capsys.readouterr().out
+    assert ("error_pw = " in out) is measured
+    assert ("delta = n/a, h = n/a, condition_met = n/a" in out) is not measured
 
 
 @pytest.mark.parametrize("argv, csv", [

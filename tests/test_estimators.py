@@ -9,9 +9,9 @@ from conftest import MorleyByInverse, morley_dofmap, random_function
 from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (EstimatorReport, _centroid_gradients,
-                              _lap_grad_at_edges, broken_energy_error,
+                              _tangential_flux, broken_energy_error,
                               cr_apriori_terms, estimate)
-from ncfem.interpolation import OSCILLATION_DEGREE, edge_points, oscillation
+from ncfem.interpolation import OSCILLATION_DEGREE, _edge_points, oscillation
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_edge
@@ -84,20 +84,28 @@ def test_ns_estimator_report_consistency(square32):
 @pytest.mark.parametrize("mesh", ["lshape", "graded"])
 def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
     """The hessians and centroid gradients from barycentric_form, and the
-    affine gradient g_T + H_T (x - c_T) built from them, against the basis
-    of the dof-matrix inverse: at the centroids, and at the physical edge
-    points contracted with u, from both sides of every edge."""
+    closed-form tangential flux a + b s of (Lap u) grad u . tau_E built from
+    them, against the basis of the dof-matrix inverse: at the centroids, and
+    at the Gauss points of every edge from both sides.  The Navier-Stokes
+    edge indicators of estimate then match those Gauss sums of the oracle's
+    jumps and averages."""
     if mesh == "lshape":
         m = lshape
         dm = morley_dofmap(m)
         u = random_function(dm, np.random.default_rng(1))
     else:
         _, m, dm, u = graded_lshape
-    tab = Assembler(m, manufactured("ns_poly")).tables
+    asm = Assembler(m, manufactured("ns_poly"))
+    tab = asm.tables
     cu = local_coefficients(dm, u)
     H = tab.hessians(cu)
     lap = H[:, 0, 0] + H[:, 1, 1]
-    pts = edge_points(m, quad_edge(4))
+    rule = quad_edge(4)
+    pts = _edge_points(m, rule)
+    geom = geometry(m)
+    tau, h = geom.tau_E, geom.h_E
+    mids = m.vertices[m.edges].mean(axis=1)
+    s = np.einsum("eqd,ed->eq", pts - mids[:, None, :], tau)
     t_plus, t_minus = m.triangles_of_edge.T
     interior = t_minus >= 0
     cent = m.vertices[m.triangles].mean(axis=1)
@@ -108,11 +116,24 @@ def test_lap_grad_at_edges_matches_basis_gradients(mesh, lshape, graded_lshape):
     tris = np.arange(m.n_triangles)
     g_ref = np.einsum("tjd,tj->td", ref.grads_at(tris, cent), cu)
     assert np.abs(g_cent - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
-    for tris, x in ((t_plus, pts), (t_minus[interior], pts[interior])):
-        got = _lap_grad_at_edges(H, g_cent, cent, tris, x)
-        g = np.einsum("eqjd,ej->eqd", ref.grads_at(tris, x), cu[tris])
-        want = lap[tris][:, None, None] * g
+    sides = []
+    for tris, e in ((t_plus, slice(None)), (t_minus[interior], interior)):
+        a, b = _tangential_flux(H, g_cent, cent, mids[e], tau[e], tris)
+        got = a[:, None] + b[:, None] * s[e]
+        g = np.einsum("eqjd,ej->eqd", ref.grads_at(tris, pts[e]), cu[tris])
+        want = lap[tris][:, None] * np.einsum("eqd,ed->eq", g, tau[e])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        sides.append(want)
+    plus, minus = sides[0], np.zeros_like(sides[0])
+    minus[interior] = sides[1]
+    avg = np.where(interior[:, None], 0.5 * (plus + minus), plus)
+    jump = np.einsum("eab,eb->ea", H_ref[t_plus] - np.where(
+        interior[:, None, None], H_ref[t_minus], 0.0), tau)
+    flux_sq = [h ** 4 * (w ** 2 @ rule.weights) for w in (plus - minus, avg)]
+    want = h ** 2 * (jump ** 2).sum(axis=1) + flux_sq[0] + flux_sq[1]
+    rep = estimate(asm, u)
+    assert np.abs(rep.eta_E_sq - want).max() <= 1e-12 * want.max()
+    assert rep.avg_term_S_sq == pytest.approx(flux_sq[1].sum(), rel=1e-12)
 
 
 def test_estimator_decay_under_refinement():

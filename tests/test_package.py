@@ -378,6 +378,23 @@ def test_only_the_dof_map_and_verify_read_element_dofs():
     assert not offenders, f"element_dofs read off its owners: {offenders}"
 
 
+def test_only_dof_values_takes_edge_means_by_quadrature():
+    """quad_edge is called in src/ncfem only by interpolation.dof_values, the
+    one producer of dof values, and the edge point helper is private: every
+    estimator edge term is a closed form, so no other module knows an edge
+    rule."""
+    import ncfem.interpolation
+
+    offenders = []
+    for path in sorted(Path(ncfem.__file__).parent.glob("*.py")):
+        for owner, call in _calls_by_function(ast.parse(path.read_text())):
+            if (_called_name(call) == "quad_edge"
+                    and (path.name, owner) != ("interpolation.py", "dof_values")):
+                offenders.append(f"{path.name}:{call.lineno} in {owner}")
+    assert not offenders, f"edge quadrature off dof_values: {offenders}"
+    assert "edge_points" not in ncfem.interpolation.__all__
+
+
 def test_int32_only_in_the_coo_scatter():
     """np.int32 appears in src/ncfem only in assembly._scatter_matrix, which
     casts the slots once for its COO indices: the gathers and bincount
