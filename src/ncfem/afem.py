@@ -110,9 +110,11 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
     The driver is each level's only owner: a level is one Assembler, built
     once per mesh and handed to Newton and the estimators.  transfer_morley
     takes U's Morley dof values on the next mesh, and the level is let go
-    before the next one is set up and restricts them to Newton's start
-    (Morley spaces; the linear CR problem restarts from zero); the values
-    go once restricted.
+    before the next one is set up and restricts them to Newton's start; the
+    values go once restricted.  The linear CR problem starts every later
+    level from zero.  So only the run's first level is a cold start (U0
+    None, a direct first Newton step); every later one is warm and takes
+    its steps by GMRES on the G factor (see solve).
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
     error_pw is measured only when the problem carries an exact solution
@@ -125,10 +127,13 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
     measured = problem.exact is not None
     while mesh is not None:
         asm = assembler(mesh, problem)
-        if measured and not res.records:
-            measured = _clamped(mesh, asm.dofmap, problem.exact)
-        U0 = (None if values is None
-              else function_from_element_values(asm.dofmap, values))
+        if not res.records:         # the run's one cold start
+            measured = measured and _clamped(mesh, asm.dofmap, problem.exact)
+            U0 = None
+        elif values is None:        # CR: the linear problem starts from zero
+            U0 = np.zeros(asm.dofmap.n_free)
+        else:
+            U0 = function_from_element_values(asm.dofmap, values)
         values = None
         U, trace = newton_solve(asm, U0=U0, tol=tol)
         if not trace.converged:

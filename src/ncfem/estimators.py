@@ -146,22 +146,25 @@ def _estimate_morley(asm, U) -> EstimatorReport:
 
 def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec):
     """Weighted quadrature values (nt, nq) of |p - Pi_0 p|^2 with
-    p = A grad(u) + u b, and osc_1(f - gamma u) per element and in total."""
+    p = A grad(u) + u b, and osc_1(f - gamma u) per element and in total.
+    A Field's gradient is a fresh array, so p is built in place on it; the
+    data and each sample array go once they have been read."""
     geom = geometry(mesh)
     xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-
-    grad = u_exact.gradient(xq)
     val = u_exact.value(xq)
-    p = np.einsum("tqab,tqb->tqa", problem.A(xq), grad) if problem.A is not None else grad.copy()
-    if problem.b is not None:
-        p = p + val[..., None] * problem.b(xq)
-    mean = (wdx[..., None] * p).sum(axis=1) / geom.area[:, None]
-    diff = p - mean[:, None, :]
     data = problem.f(xq)
     if problem.gamma is not None:
         data = data - problem.gamma(xq) * val
     osc_el, osc1 = oscillation(mesh, data, k=1, p=1)
-    return wdx * np.einsum("tqa,tqa->tq", diff, diff), osc_el, osc1
+    del data
+    p = u_exact.gradient(xq)
+    if problem.A is not None:
+        p = np.einsum("tqab,tqb->tqa", problem.A(xq), p)
+    if problem.b is not None:
+        p += val[..., None] * problem.b(xq)
+    del val, xq
+    p -= ((wdx[..., None] * p).sum(axis=1) / geom.area[:, None])[:, None, :]
+    return wdx * np.einsum("tqa,tqa->tq", p, p), osc_el, osc1
 
 
 def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
@@ -192,7 +195,8 @@ def broken_energy_error(asm, U):
     else:
         gh = np.einsum("tjd,tj->td", asm.tables.grads,
                        local_coefficients(dofmap, U))
-        diff = exact[0].gradient(xq) - gh[:, None, :]
+        diff = exact[0].gradient(xq)
+        diff -= gh[:, None, :]
         Adiff = diff if A is None else np.einsum("tqab,tqb->tqa", A(xq), diff)
         total += (wdx * np.einsum("tqa,tqa->tq", diff, Adiff)).sum()
     return float(np.sqrt(total))

@@ -25,23 +25,25 @@ So newton_solve builds the CSR only for a direct solve (a cold first step,
 a fallback).  GMRES starts from the residual test's G^-1 r, since G^-1 (-r)
 = -G^-1 r to the bit, so a GMRES step of k iterations makes k + 1 G solves.
 
-A warm start (a given U0; every afem and study level after level 0 starts
-from the previous solution carried to its mesh) takes every step by GMRES,
-the first included, so G is the only matrix Newton factors, and a U0 that
-already meets tol costs that factor and no solve.  On the afem L-shape
-levels the first step is a relative reduction of 8e-12 to 3e-10, met in 3-4
-iterations (1 on the 13- and 17-dof levels), and each later one of 3e-3 to
-1e-8 in 1-3.  A cold start (U0 None: level 0 of
-every run, every CR level and the ncfem solve command) keeps a direct first
-step through sparse_solve, taken before G is factored and before the
-residual test, so that the LU of J is gone when the G factor is made; a cold
-start that already meets tol pays for one discarded direct solve.  For CR
-that is the right solve on its own terms: the problem is linear, so that
-step is its only one, and its operator is indefinite (beta0 dips to 0.0066).
-For a Morley cold start the only reason is that the benchmark in perfbench/
-requires the solve.spsolve span on every workload (ROADMAP items 1-2); once
-it does not, the cold start goes to GMRES too.  A step whose GMRES misses its
-target within KRYLOV_MAX iterations falls back to sparse_solve.
+A warm start (a given U0: every afem and study level after the run's
+first, a Morley level from the previous solution carried to its mesh and a
+CR level from zero) takes every step by GMRES, the first included, so G is
+the only matrix Newton factors, and a U0 that already meets tol costs that
+factor and no solve.  On the afem L-shape levels the first step is a
+relative reduction of 8e-12 to 3e-10, met in 3-4 iterations (1 on the 13-
+and 17-dof levels), and each later one of 3e-3 to 1e-8 in 1-3.  The linear
+CR problem takes one step, in 5-14 iterations on the unit square up to
+48896 dofs and in 22-23 on the L-shape up to 36608 dofs: its operator is
+indefinite (beta0 dips to 0.0066), but G^-1 J is still the identity plus a
+compact term.  A cold start (U0 None: the run's first level and the ncfem
+solve command) keeps a direct first step through sparse_solve, taken before
+G is factored and before the residual test, so that the LU of J is gone
+when the G factor is made; a cold start that already meets tol pays for one
+discarded direct solve.  The only reason for that step is that the
+benchmark in perfbench/ requires the solve.spsolve span on every workload
+(ROADMAP items 1-2); once it does not, the cold start goes to GMRES too.  A
+step whose GMRES misses its target within KRYLOV_MAX iterations falls back
+to sparse_solve.
 
 Every splu here (_splu: G, and B in _infsup) orders the columns by minimum
 degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989), which
@@ -295,8 +297,9 @@ def _initial_iterate(asm, U0):
 
 def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     """Undamped Newton iteration on the level asm from the coefficient
-    vector U0 (None: zero, a cold start; see the module docstring for the
-    cold and warm steps) until the correction energy norm or the residual
+    vector U0 (None: zero, a cold start with a direct first step; a given
+    U0, zero included, is a warm start that takes every step by GMRES; see
+    the module docstring) until the correction energy norm or the residual
     dual norm drops to tol, for at most max_iter steps; max_iter = 0 makes
     no solve and no factor.  Returns (solution, trace): trace.converged is
     False once max_iter is exhausted, trace.krylov_iterations has one entry

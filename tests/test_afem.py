@@ -68,6 +68,26 @@ def test_afem_factors_only_g_after_level_0(monkeypatch):
         assert len(trace.krylov_iterations) == trace.iterations
 
 
+@pytest.mark.parametrize("domain, levels", [("unit_square", 5), ("l_shape", 4)])
+def test_a_cr_study_factors_j_once_on_level_0(domain, levels, monkeypatch):
+    """Only level 0 of a CR study is a cold start: its direct step is the
+    run's one spsolve.  Every later level starts from zero and takes its
+    one Newton step by GMRES on the G factor, its one splu."""
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    calls = []
+    res = uniform_study(manufactured("cr_sine"), builtin_domain(domain),
+                        levels, on_level=lambda asm, U, rec:
+                        calls.append(spla.calls))
+    assert calls == [{"splu": k + 1, "spsolve": 1} for k in range(levels)]
+    assert [r.newton_iters for r in res.records] == [1] * levels
+    assert [t.direct_fallbacks for t in res.traces] == [0] * levels
+    assert res.traces[0].krylov_iterations == []
+    for trace in res.traces[1:]:
+        assert len(trace.krylov_iterations) == 1
+        assert 1 <= trace.krylov_iterations[0] <= 30
+
+
 def test_afem_stops_at_budget():
     res = afem_loop(ns_unit_load(), builtin_domain("unit_square"), 0.5,
                     max_free_dofs=200)

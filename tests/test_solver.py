@@ -365,9 +365,10 @@ def test_newton_solves_with_j_before_it_factors_g(square32, name, monkeypatch):
     assert names[:2] == ["spsolve", "splu"] and names.count("splu") == 1
 
 
-@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
-    """At a state of energy norm 30 (beta0 0.84 for ns, 0.46 for vk), the
+    """At a state of energy norm 30 (beta0 0.84 for ns, 0.46 for vk, and
+    0.0081 for the indefinite CR J, which no state changes), the
     correction's linear residual meets the target in the G-dual norm, and its
     energy error against the dense solve is at most residual / beta0."""
     asm = assembler(square32, manufactured(name))
@@ -398,23 +399,27 @@ def test_newton_falls_back_to_the_direct_solve(square32, monkeypatch):
     assert direct.iterations == krylov.iterations
 
 
-@pytest.mark.parametrize("name", ["ns_poly", "vk_poly"])
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
 def test_warm_newton_takes_every_step_by_gmres(square32, name, monkeypatch):
-    """From a given U0 the G factor is the only factorization: every step,
-    the first included, is a GMRES step on it, and the solution agrees with
-    the cold start's to round-off in the energy norm."""
+    """From a given U0, the interpolant or zero, the G factor is the only
+    factorization: every step, the first included, is a GMRES step on it,
+    and the solution agrees with the cold start's to round-off in the
+    energy norm."""
     man = manufactured(name)
     asm = assembler(square32, man)
     cold, _ = newton_solve(asm)
-    spla = SplaSpy()
-    monkeypatch.setattr(ncfem.solve, "spla", spla)
-    U, trace = newton_solve(asm, U0=interpolate(asm.mesh, asm.dofmap, man.exact))
-    assert trace.converged and trace.iterations >= 1
-    assert spla.calls == {"splu": 1, "spsolve": 0}
-    assert (len(trace.krylov_iterations) + trace.direct_fallbacks
-            == trace.iterations)
-    G, e = asm.gram(), U - cold
-    assert np.sqrt(e @ (G @ e)) <= 1e-10 * np.sqrt(cold @ (G @ cold))
+    G = asm.gram()
+    for U0 in (interpolate(asm.mesh, asm.dofmap, man.exact),
+               np.zeros_like(cold)):
+        spla = SplaSpy()
+        monkeypatch.setattr(ncfem.solve, "spla", spla)
+        U, trace = newton_solve(asm, U0=U0)
+        assert trace.converged and trace.iterations >= 1
+        assert spla.calls == {"splu": 1, "spsolve": 0}
+        assert (len(trace.krylov_iterations) + trace.direct_fallbacks
+                == trace.iterations)
+        e = U - cold
+        assert np.sqrt(e @ (G @ e)) <= 1e-10 * np.sqrt(cold @ (G @ cold))
 
 
 class CountingFactor:
@@ -459,11 +464,12 @@ def test_warm_gmres_step_starts_from_the_residual_test(square32, name,
                                  + sum(k + 1 for k in trace.krylov_iterations))
 
 
-def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
+@pytest.mark.parametrize("name", ["vk_poly", "cr_sine"])
+def test_warm_newton_falls_back_on_every_step(square32, name, monkeypatch):
     """With one GMRES iteration allowed, every warm step, the first
     included, falls back to a direct solve, and Newton takes the same
-    number of steps."""
-    man = manufactured("vk_poly")
+    number of steps (one for the linear CR problem)."""
+    man = manufactured(name)
     asm = assembler(square32, man)
     U0 = interpolate(asm.mesh, asm.dofmap, man.exact)
     _, krylov = newton_solve(asm, U0=U0)
@@ -473,6 +479,7 @@ def test_warm_newton_falls_back_on_every_step(square32, monkeypatch):
     monkeypatch.setattr(ncfem.solve, "spla", spla)
     _, direct = newton_solve(asm, U0=U0)
     assert direct.converged and direct.iterations == krylov.iterations
+    assert name != "cr_sine" or direct.iterations == 1
     assert direct.krylov_iterations == []
     assert direct.direct_fallbacks == direct.iterations
     assert spla.calls == {"splu": 1, "spsolve": direct.iterations}
