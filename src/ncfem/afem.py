@@ -86,13 +86,13 @@ def _rate(prev, cur, q_log):
     return math.log2(prev / cur) / q_log
 
 
-def _clamped(mesh, dofmap, exact):
-    """Whether the dof values of exact vanish (to 1e-8) at every constrained
-    dof of dofmap: whether exact satisfies the clamped conditions on the
-    domain of mesh, and so can solve its problem there."""
-    rows = dof_values(mesh, dofmap.space, exact)
-    return bool(np.abs(np.delete(rows, dofmap.dof_of_free, axis=1))
-                .max(initial=0.0) <= 1e-8)
+def _clamped(mesh, space, exact):
+    """Whether the dof values of exact vanish (to 1e-8) at every boundary
+    dof of the space on mesh, the dofs that its clamped space constrains:
+    whether exact satisfies the clamped conditions on the domain of mesh,
+    and so can solve its problem there."""
+    rows = dof_values(mesh, space, exact, boundary_only=True)
+    return bool(np.abs(rows).max(initial=0.0) <= 1e-8)
 
 
 @dataclass
@@ -128,7 +128,8 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
     while mesh is not None:
         asm = assembler(mesh, problem)
         if not res.records:         # the run's one cold start
-            measured = measured and _clamped(mesh, asm.dofmap, problem.exact)
+            measured = measured and _clamped(mesh, asm.dofmap.space,
+                                            problem.exact)
             U0 = None
         elif values is None:        # CR: the linear problem starts from zero
             U0 = np.zeros(asm.dofmap.n_free)

@@ -28,6 +28,15 @@ that the volume residuals and `oscillation` share.  Only the volume residuals
 and the Navier-Stokes flux terms depend on the problem.  `estimate` takes the
 level's Assembler (see assembly) and reads the mesh, dof map, basis tables
 and data from it, the exact solution of a CR problem included.
+
+Every volume term is a sweep over spaces.element_blocks: the data and the
+exact solution are sampled, and the integrands formed, one fixed block of
+elements at a time, so no temporary grows like nt x nq; only the outputs
+do, the per-element values and the (nt, nq) load samples and integrands
+that are written block by block.  Each element's arithmetic is that of a
+whole-mesh sample, so every per-element value keeps its bits, and every
+total is summed as before from a full per-element or (nt, nq) array: the
+reported totals are bitwise those of one whole-mesh sweep.
 """
 from __future__ import annotations
 
@@ -37,7 +46,8 @@ import numpy as np
 
 from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
-from .spaces import SpaceTag, local_coefficients, volume_quadrature
+from .quadrature import quad_triangle
+from .spaces import SpaceTag, element_blocks, local_coefficients
 from .interpolation import OSCILLATION_DEGREE, oscillation
 
 __all__ = [
@@ -55,6 +65,13 @@ class EstimatorReport:
     avg_term_S_sq: float      # NS only: the separately-tracked average term
     osc_sq: float             # oscillation of the data, k and p per problem
     eta_total: float          # sqrt(sum eta_K^2 + sum eta_E^2)
+
+
+def _samples(mesh, *lead):
+    """An empty float array (*lead, nt, nq) for values at the estimator's
+    volume points, filled block by block."""
+    nq = len(quad_triangle(ESTIMATOR_VOLUME_DEGREE).weights)
+    return np.empty(lead + (mesh.n_triangles, nq))
 
 
 def _centroid_gradients(tab, c_loc):
@@ -88,6 +105,12 @@ def _tangential_flux(H, g, cent, mids, tau, tris):
         [a, np.einsum("ed,ed->e", tau, Htau)])
 
 
+def _bracket(Ha, Hb):
+    """[a, b] = a_xx b_yy + a_yy b_xx - 2 a_xy b_xy of hessians (n, 2, 2)."""
+    return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
+            - 2.0 * Ha[:, 0, 1] * Hb[:, 0, 1])
+
+
 def _estimate_morley(asm, U) -> EstimatorReport:
     """The residual estimator of the Morley function U on the level asm, with
     the loads f and g (None: unset) of its problem: one component u_M for
@@ -98,15 +121,29 @@ def _estimate_morley(asm, U) -> EstimatorReport:
     cs = [local_coefficients(dofmap, U, c) for c in range(problem.n_components)]
     Hs = [tab.hessians(c_loc) for c_loc in cs]
 
-    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    loads = [load(xq) for load in (problem.f, problem.g) if load is not None]
-    fq = loads[0]
+    lq = _samples(mesh, 1 + (problem.g is not None))   # f, then g if set
+    vol = np.empty(mesh.n_triangles)    # sum of ||residual||^2_{L2(K)}
+    for sl, xq, wdx in element_blocks(mesh, ESTIMATOR_VOLUME_DEGREE):
+        lq[0, sl] = problem.f(xq)
+        if problem.g is not None:
+            lq[1, sl] = problem.g(xq)
+        fq = lq[0, sl]
+        if ns:
+            # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
+            residuals = (fq,)
+        else:
+            Hu, Hv = (H[sl] for H in Hs)
+            res2 = _bracket(Hu, Hu)[:, None]
+            if problem.g is not None:
+                res2 = res2 - 2.0 * lq[1, sl]
+            residuals = (_bracket(Hu, Hv)[:, None] + fq, res2)
+        vol[sl] = sum((wdx * r ** 2).sum(axis=1) for r in residuals)
+    eta_K_sq = geom.h_T ** 4 * vol
+
     t_plus, t_minus = mesh.triangles_of_edge.T    # t_minus < 0: boundary
     eta_E_sq = sum(_hessian_jump_term(geom, H, t_plus, t_minus) for H in Hs)
     avg_term_S_sq = 0.0
     if ns:
-        # curl(-Lap u grad u) = -grad(Lap u) x grad u = 0 elementwise for P2
-        residuals = (fq,)
         mids = mesh.vertices[mesh.edges].mean(axis=1)
         cent = mesh.vertices[mesh.triangles].mean(axis=1)
         g = _centroid_gradients(tab, cs[0])
@@ -122,22 +159,9 @@ def _estimate_morley(asm, U) -> EstimatorReport:
                                         0.5 * (plus + minus)))
         eta_E_sq = eta_E_sq + jump_sq + avg_sq
         avg_term_S_sq = float(avg_sq.sum())
-    else:
-        Hu, Hv = Hs
 
-        def bracket(Ha, Hb):
-            return (Ha[:, 0, 0] * Hb[:, 1, 1] + Ha[:, 1, 1] * Hb[:, 0, 0]
-                    - 2.0 * Ha[:, 0, 1] * Hb[:, 0, 1])
-
-        res2 = bracket(Hu, Hu)[:, None]
-        if problem.g is not None:
-            res2 = res2 - 2.0 * loads[1]
-        residuals = (bracket(Hu, Hv)[:, None] + fq, res2)
-    eta_K_sq = geom.h_T ** 4 * sum((wdx * r ** 2).sum(axis=1)
-                                   for r in residuals)
-
-    osc_sq = sum((oscillation(mesh, load, k=MORLEY_OSC_K, p=2)[1] ** 2
-                  for load in loads), 0.0)
+    osc_sq = sum((oscillation(mesh, q, k=MORLEY_OSC_K, p=2)[1] ** 2
+                  for q in lq), 0.0)
     return EstimatorReport(eta_K_sq=eta_K_sq, eta_E_sq=eta_E_sq,
                            avg_term_S_sq=avg_term_S_sq, osc_sq=osc_sq,
                            eta_total=float(np.sqrt(eta_K_sq.sum()
@@ -147,24 +171,23 @@ def _estimate_morley(asm, U) -> EstimatorReport:
 def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec):
     """Weighted quadrature values (nt, nq) of |p - Pi_0 p|^2 with
     p = A grad(u) + u b, and osc_1(f - gamma u) per element and in total.
-    A Field's gradient is a fresh array, so p is built in place on it; the
-    data and each sample array go once they have been read."""
-    geom = geometry(mesh)
-    xq, wdx = volume_quadrature(mesh, ESTIMATOR_VOLUME_DEGREE)
-    val = u_exact.value(xq)
-    data = problem.f(xq)
-    if problem.gamma is not None:
-        data = data - problem.gamma(xq) * val
+    A Field's gradient is a fresh array, so p is built in place on it."""
+    area = geometry(mesh).area
+    data, p_sq = _samples(mesh), _samples(mesh)
+    for sl, xq, wdx in element_blocks(mesh, ESTIMATOR_VOLUME_DEGREE):
+        val = u_exact.value(xq)
+        data[sl] = problem.f(xq)
+        if problem.gamma is not None:
+            data[sl] -= problem.gamma(xq) * val
+        p = u_exact.gradient(xq)
+        if problem.A is not None:
+            p = np.einsum("tqab,tqb->tqa", problem.A(xq), p)
+        if problem.b is not None:
+            p += val[..., None] * problem.b(xq)
+        p -= ((wdx[..., None] * p).sum(axis=1) / area[sl, None])[:, None, :]
+        p_sq[sl] = wdx * np.einsum("tqa,tqa->tq", p, p)
     osc_el, osc1 = oscillation(mesh, data, k=1, p=1)
-    del data
-    p = u_exact.gradient(xq)
-    if problem.A is not None:
-        p = np.einsum("tqab,tqb->tqa", problem.A(xq), p)
-    if problem.b is not None:
-        p += val[..., None] * problem.b(xq)
-    del val, xq
-    p -= ((wdx[..., None] * p).sum(axis=1) / geom.area[:, None])[:, None, :]
-    return wdx * np.einsum("tqa,tqa->tq", p, p), osc_el, osc1
+    return p_sq, osc_el, osc1
 
 
 def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
@@ -185,20 +208,28 @@ def broken_energy_error(asm, U):
     if exact is None:
         raise ValueError("the broken energy error needs the exact solution, "
                          "and the problem has none")
-    xq, wdx = volume_quadrature(asm.mesh, ESTIMATOR_VOLUME_DEGREE)
-    total = 0.0
-    if dofmap.space is SpaceTag.MORLEY:
-        for comp, fld in enumerate(exact):
-            H = asm.tables.hessians(local_coefficients(dofmap, U, comp))
-            diff = fld.hessian(xq) - H[:, None, :, :]
-            total += (wdx * np.einsum("tqab,tqab->tq", diff, diff)).sum()
+    morley = dofmap.space is SpaceTag.MORLEY
+    if morley:
+        Ds = [asm.tables.hessians(local_coefficients(dofmap, U, comp))
+              for comp in range(len(exact))]
     else:
-        gh = np.einsum("tjd,tj->td", asm.tables.grads,
-                       local_coefficients(dofmap, U))
-        diff = exact[0].gradient(xq)
-        diff -= gh[:, None, :]
-        Adiff = diff if A is None else np.einsum("tqab,tqb->tqa", A(xq), diff)
-        total += (wdx * np.einsum("tqa,tqa->tq", diff, Adiff)).sum()
+        Ds = [np.einsum("tjd,tj->td", asm.tables.grads,
+                        local_coefficients(dofmap, U))]
+    sq = _samples(asm.mesh, len(exact))      # the integrand of each component
+    for sl, xq, wdx in element_blocks(asm.mesh, ESTIMATOR_VOLUME_DEGREE):
+        for fld, D, out in zip(exact, Ds, sq):
+            if morley:
+                diff = fld.hessian(xq) - D[sl, None, :, :]
+                out[sl] = wdx * np.einsum("tqab,tqab->tq", diff, diff)
+            else:
+                diff = fld.gradient(xq)
+                diff -= D[sl, None, :]
+                Adiff = (diff if A is None
+                         else np.einsum("tqab,tqb->tqa", A(xq), diff))
+                out[sl] = wdx * np.einsum("tqa,tqa->tq", diff, Adiff)
+    total = 0.0
+    for out in sq:
+        total += out.sum()
     return float(np.sqrt(total))
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .mesh import geometry
 from .quadrature import quad_edge, quad_triangle
-from .spaces import (DofMap, SpaceTag, function_from_element_values,
-                     local_coefficients)
+from .spaces import (DofMap, SpaceTag, element_blocks,
+                     function_from_element_values, local_coefficients)
 
 __all__ = [
     "interpolate", "dof_values", "oscillation", "OSCILLATION_DEGREE",
@@ -31,29 +31,36 @@ __all__ = [
 OSCILLATION_DEGREE = 6   # volume rule that oscillation's samples lie on
 
 
-def _edge_points(mesh, rule):
-    """Points (ne, nq, 2) of the edge rule on every edge."""
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
+def _edge_points(mesh, rule, edges=slice(None)):
+    """Points (ne, nq, 2) of the edge rule on the edges (an index or mask),
+    every edge by default."""
+    a = mesh.vertices[mesh.edges[edges, 0]]
+    b = mesh.vertices[mesh.edges[edges, 1]]
     return a[:, None, :] + rule.points[None, :, None] * (b - a)[:, None, :]
 
 
-def dof_values(mesh, space: SpaceTag, v, edge_degree: int = 4):
+def dof_values(mesh, space: SpaceTag, v, edge_degree: int = 4,
+               boundary_only: bool = False):
     """Every dof functional of the space on mesh, one row per Field of v, a
     Field or a tuple of Fields (component pairs): (n_components, n_dofs).
     Morley: point values at every vertex, then mean normal derivatives
     (against the global normal) over every edge; the elementwise commuting
     identity D^2_pw I_M = Pi_0 D^2 holds for this full dof vector whether or
     not v satisfies the clamped boundary conditions.  CR: the edge means of
-    v over every edge.  Edge means take the Gauss rule of edge_degree."""
+    v over every edge.  Edge means take the Gauss rule of edge_degree.
+    boundary_only keeps the boundary vertices and edges, the dofs that the
+    clamped space constrains, in the same order, and evaluates v at no
+    other point."""
     rule = quad_edge(edge_degree)
-    pts = _edge_points(mesh, rule)
+    edges, verts = ((mesh.boundary_edge, mesh.boundary_vertex)
+                    if boundary_only else (slice(None),) * 2)
+    pts = _edge_points(mesh, rule, edges)
     fields = v if isinstance(v, (tuple, list)) else (v,)
     if space is not SpaceTag.MORLEY:
         return np.stack([f.value(pts) @ rule.weights for f in fields])
-    nu = geometry(mesh).nu_E
+    nu = geometry(mesh).nu_E[edges]
     return np.stack([np.concatenate(
-        [f.value(mesh.vertices),
+        [f.value(mesh.vertices[verts]),
          np.einsum("eqd,ed->eq", f.gradient(pts), nu) @ rule.weights])
         for f in fields])
 
@@ -75,25 +82,31 @@ def oscillation(mesh, gq, k: int, p: int):
     already sampled its data on.  Pi_k, k in {0, 1}, is the elementwise L2
     projection onto P_k: the weighted mean, or the fit in the barycentric
     basis lambda, whose mass matrix |T| (I + 1 1^T) / 12 has the inverse
-    (3 / |T|) (4 I - 1 1^T); the rule integrates that matrix exactly."""
+    (3 / |T|) (4 I - 1 1^T); the rule integrates that matrix exactly.  The
+    fit and the residual are taken one element block at a time (see
+    spaces.element_blocks), so its temporaries do not grow with nt; the
+    total sums the full per-element array."""
     if k not in (0, 1):
         raise ValueError("oscillation degree k must be 0 or 1")
     if p not in (1, 2):
         raise ValueError("oscillation power p must be 1 or 2")
     geom = geometry(mesh)
-    rule = quad_triangle(OSCILLATION_DEGREE)
-    wdx = 2.0 * geom.area[:, None] * rule.weights   # volume_quadrature weights
-    if np.shape(gq) != wdx.shape:
-        raise ValueError(f"oscillation needs samples of shape {wdx.shape}, "
+    lam = quad_triangle(OSCILLATION_DEGREE).points                 # (nq, 3)
+    shape = (mesh.n_triangles, len(lam))
+    if np.shape(gq) != shape:
+        raise ValueError(f"oscillation needs samples of shape {shape}, "
                          f"not {np.shape(gq)}")
-    if k == 0:
-        fit = ((wdx * gq).sum(axis=1) / geom.area)[:, None]
-    else:
-        lam = rule.points                                          # (nq, 3)
-        b = (wdx * gq) @ lam                                       # (nt, 3)
-        c = (3.0 / geom.area)[:, None] * (4.0 * b - b.sum(axis=1, keepdims=True))
-        fit = c @ lam.T
-    per_element = geom.h_T ** (2 * p) * (wdx * (gq - fit) ** 2).sum(axis=1)
+    per_element = np.empty(mesh.n_triangles)
+    for sl, _, wdx in element_blocks(mesh, OSCILLATION_DEGREE, points=False):
+        g, area = gq[sl], geom.area[sl]
+        if k == 0:
+            fit = ((wdx * g).sum(axis=1) / area)[:, None]
+        else:
+            b = (wdx * g) @ lam                                    # (n, 3)
+            c = (3.0 / area)[:, None] * (4.0 * b - b.sum(axis=1, keepdims=True))
+            fit = c @ lam.T
+        per_element[sl] = (geom.h_T[sl] ** (2 * p)
+                           * (wdx * (g - fit) ** 2).sum(axis=1))
     return per_element, float(np.sqrt(per_element.sum()))
 
 

@@ -143,7 +143,11 @@ def _sine_field() -> Field:
 
     def gradient(pts):
         sx, cx, sy, cy = _sine_parts(pts)
-        return np.pi * np.stack([cx * sy, sx * cy], axis=-1)
+        out = np.empty(sx.shape + (2,))
+        np.multiply(cx, sy, out=out[..., 0])
+        np.multiply(sx, cy, out=out[..., 1])
+        out *= np.pi
+        return out
 
     def hessian(pts):
         sx, cx, sy, cy = _sine_parts(pts)

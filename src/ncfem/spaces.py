@@ -56,8 +56,12 @@ from .quadrature import quad_triangle
 __all__ = [
     "SpaceTag", "DofMap", "element_dofs", "build_dofmap", "basis_tables",
     "local_coefficients", "function_from_element_values", "space_of",
-    "volume_quadrature", "physical_points",
+    "volume_quadrature", "element_blocks", "physical_points",
 ]
+
+# elements per block of element_blocks (at least 2): 0.4 MB per (block, 12)
+# float array
+ELEMENT_BLOCK = 4096
 
 
 class SpaceTag(Enum):
@@ -181,9 +185,11 @@ def basis_tables(mesh: Triangulation, space: SpaceTag):
     raise ValueError(f"unknown space {space}")
 
 
-def physical_points(mesh, bary):
-    """Map barycentric points (nq, 3) to physical points per element (nt, nq, 2)."""
-    return bary @ mesh.vertices[mesh.triangles]
+def physical_points(mesh, bary, elements=slice(None)):
+    """Map barycentric points (nq, 3) to physical points per element
+    (n, nq, 2) on the elements of the slice `elements`, every element by
+    default."""
+    return bary @ mesh.vertices[mesh.triangles[elements]]
 
 
 def volume_quadrature(mesh, degree: int):
@@ -192,6 +198,27 @@ def volume_quadrature(mesh, degree: int):
     rule = quad_triangle(degree)
     xq = physical_points(mesh, rule.points)
     return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
+
+
+def element_blocks(mesh, degree: int, points: bool = True):
+    """volume_quadrature one block of ELEMENT_BLOCK elements at a time, in
+    element order: (sl, xq, wdx) per block, sl the slice of its elements
+    (xq None without points).  Each element's points and weights are
+    bitwise those of the whole-mesh rule, so a sweep that fills its
+    per-element or (nt, nq) outputs block by block gets their bits with
+    temporaries of one block's size.  A last block of one element joins
+    the block before it: numpy multiplies a one-row matrix by a vector
+    product whose sums round differently, and so the whole mesh is one row
+    only when it has one element."""
+    rule, area = quad_triangle(degree), geometry(mesh).area
+    nt = mesh.n_triangles
+    starts = list(range(0, nt, ELEMENT_BLOCK))
+    if len(starts) > 1 and nt - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [nt]):
+        sl = slice(start, stop)
+        yield (sl, physical_points(mesh, rule.points, sl) if points else None,
+               2.0 * area[sl, None] * rule.weights)
 
 
 def local_coefficients(dofmap: DofMap, u, component: int = 0):

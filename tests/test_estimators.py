@@ -17,7 +17,8 @@ from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_edge
 from ncfem.solve import newton_solve
-from ncfem.spaces import local_coefficients, volume_quadrature
+from ncfem.spaces import element_blocks, local_coefficients, volume_quadrature
+import ncfem.spaces
 
 
 def const_field(c):
@@ -290,16 +291,17 @@ def test_cr_apriori_decay():
 
 
 # tracemalloc bytes per triangle that estimating a CR level or taking its
-# broken error may peak at, on refine(unit_square, 6) (8192 triangles):
-# measured 1160 (estimate) and 1072 (broken error), budget 10% above the
-# larger.  A p built beside a copy of grad u, out of place, with the load
-# data and the values of u still alive took estimate to 1552
-CR_ESTIMATE_BYTES_PER_TRIANGLE = 1280
+# broken error may peak at, on refine(unit_square, 6) (8192 triangles, two
+# element blocks): measured 869 (estimate) and 640 (broken error), budget
+# 10% above the larger.  Sampled on the whole mesh at once, estimate took
+# 1160 and the broken error 1072
+CR_ESTIMATE_BYTES_PER_TRIANGLE = 950
 
 
-@pytest.mark.parametrize("step", [estimate, broken_energy_error])
-def test_a_cr_estimate_peaks_within_its_memory_budget(step):
-    mesh = refine(builtin_domain("unit_square"), 6)
+def cr_step_peak(step, levels):
+    """tracemalloc peak per triangle of one CR estimate step on
+    refine(unit_square, levels)."""
+    mesh = refine(builtin_domain("unit_square"), levels)
     asm = Assembler(mesh, manufactured("cr_sine"))
     U = np.zeros(asm.dofmap.n_free)
     tracemalloc.start()
@@ -308,7 +310,68 @@ def test_a_cr_estimate_peaks_within_its_memory_budget(step):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / mesh.n_triangles <= CR_ESTIMATE_BYTES_PER_TRIANGLE
+    return peak / mesh.n_triangles
+
+
+@pytest.mark.parametrize("step", [estimate, broken_energy_error])
+def test_a_cr_estimate_peaks_within_its_memory_budget(step):
+    assert cr_step_peak(step, 6) <= CR_ESTIMATE_BYTES_PER_TRIANGLE
+
+
+@pytest.mark.parametrize("step", [estimate, broken_energy_error])
+def test_a_cr_estimate_sweeps_its_points_in_element_blocks(step):
+    """Only the per-element and (nt, nq) outputs grow with nt; the
+    quadrature-point temporaries are one block's, so the peak per triangle
+    falls from 8192 triangles (two blocks) to 32768 (eight)."""
+    assert cr_step_peak(step, 7) < cr_step_peak(step, 6)
+
+
+def block_outputs(asm, U):
+    """The fields of the estimator report of U, and its broken error."""
+    rep = estimate(asm, U)
+    return ([getattr(rep, f.name) for f in dataclasses.fields(rep)],
+            broken_energy_error(asm, U))
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+@pytest.mark.parametrize("domain, levels", [("unit_square", 3),
+                                            ("l_shape", 2)])
+def test_element_blocks_keep_every_bit(name, domain, levels, monkeypatch):
+    """Blocks of 7 elements (no divisor of nt, so a partial last block) give
+    the estimate and the broken error of a single whole-mesh block to the
+    bit, and cover every element once, in order."""
+    mesh = refine(builtin_domain(domain), levels)
+    assert mesh.n_triangles % 7 > 1
+    asm = Assembler(mesh, manufactured(name))
+    U, _ = newton_solve(asm)
+    outputs = []
+    for block in (mesh.n_triangles + 1, 7):
+        monkeypatch.setattr(ncfem.spaces, "ELEMENT_BLOCK", block)
+        covered = [np.arange(mesh.n_triangles)[sl]
+                   for sl, _, _ in element_blocks(mesh, 6)]
+        assert np.array_equal(np.concatenate(covered),
+                              np.arange(mesh.n_triangles))
+        outputs.append(block_outputs(asm, U))
+    (whole, err_whole), (blocked, err_blocked) = outputs
+    assert len(covered) == -(-mesh.n_triangles // 7)
+    for a, b in zip(whole, blocked):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    assert np.float64(err_whole).tobytes() == np.float64(err_blocked).tobytes()
+
+
+def test_a_one_element_last_block_joins_the_one_before(monkeypatch):
+    """numpy takes a one-row matmul down its vector path, which rounds the
+    P1 fit of oscillation differently; element_blocks never ends on one."""
+    mesh = refine(builtin_domain("l_shape"), 2)        # 96 = 5 * 19 + 1
+    gq = np.random.default_rng(0).standard_normal((mesh.n_triangles, 12))
+    monkeypatch.setattr(ncfem.spaces, "ELEMENT_BLOCK", mesh.n_triangles)
+    whole = oscillation(mesh, gq, k=1, p=1)
+    monkeypatch.setattr(ncfem.spaces, "ELEMENT_BLOCK", 19)
+    sizes = [sl.stop - sl.start for sl, _, _ in element_blocks(mesh, 6)]
+    assert sizes == [19] * 4 + [20]
+    blocked = oscillation(mesh, gq, k=1, p=1)
+    assert whole[0].tobytes() == blocked[0].tobytes()
+    assert whole[1] == blocked[1]
 
 
 def test_broken_energy_error_zero_for_exact_interpolated():

@@ -10,11 +10,11 @@ from ncfem.interpolation import (dof_values, interpolate, oscillation,
                                  transfer_morley)
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, manufactured, polynomial_field
-from ncfem.quadrature import quad_triangle
+from ncfem.quadrature import quad_edge, quad_triangle
 from ncfem.solve import newton_solve
-from ncfem.spaces import (SpaceTag, basis_tables, element_dofs,
+from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap, element_dofs,
                           function_from_element_values, local_coefficients,
-                          physical_points)
+                          physical_points, space_of)
 
 RNG = np.random.default_rng(21)
 
@@ -249,6 +249,36 @@ def test_oscillation_rejects_samples_off_its_rule(square8):
         oscillation(square8, np.ones(xq.shape[:-1])[:, :-1], k=0, p=2)
     with pytest.raises(ValueError, match="samples of shape"):
         oscillation(square8, 1.0, k=0, p=2)
+
+
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+@pytest.mark.parametrize("domain", ["unit_square", "l_shape"])
+def test_boundary_dof_values_are_the_constrained_ones(name, domain):
+    """boundary_only gives the dof values at the constrained dofs of the
+    clamped space, in order, and samples the field on the boundary only."""
+    mesh = refine(builtin_domain(domain), 2)
+    problem = manufactured(name)
+    dm = build_dofmap(mesh, space_of(problem.kind))
+    seen = []
+
+    def record(fn):
+        def sampled(pts):
+            seen.append(np.asarray(pts).reshape(-1, 2))
+            return fn(pts)
+        return sampled
+    fields = tuple(Field(value=record(f.value), gradient=record(f.gradient))
+                   for f in problem.exact)
+    bdry = dof_values(mesh, dm.space, fields, boundary_only=True)
+    full = dof_values(mesh, dm.space, problem.exact)
+    np.testing.assert_allclose(bdry, np.delete(full, dm.dof_of_free, axis=1),
+                               rtol=1e-14, atol=1e-15)
+    # the boundary vertices (Morley values) and the edge rule's points on
+    # the boundary edges, each with a coordinate in {-1, 0, 1}
+    pts = np.concatenate(seen)
+    n_edge_pts = len(quad_edge(4).weights) * mesh.boundary_edge.sum()
+    n_vertices = mesh.boundary_vertex.sum() * (dm.space is SpaceTag.MORLEY)
+    assert len(pts) == len(fields) * (n_edge_pts + n_vertices)
+    assert np.isclose(pts[:, :, None], [-1.0, 0.0, 1.0]).any(axis=(1, 2)).all()
 
 
 def morley_level(mesh):

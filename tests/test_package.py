@@ -395,6 +395,54 @@ def test_only_dof_values_takes_edge_means_by_quadrature():
     assert "edge_points" not in ncfem.interpolation.__all__
 
 
+# the whole-mesh point makers, and the calls that sample a Field (value,
+# gradient, hessian) or a datum of the problem (its loads and coefficients)
+WHOLE_MESH_POINTS = {"volume_quadrature", "physical_points"}
+SAMPLERS = {"value", "gradient", "hessian", "f", "g", "A", "b", "gamma"}
+
+
+def _block_sampling_offenders(tree):
+    """(line, name) of each whole-mesh point maker called in tree, and of
+    each sampler call whose first argument is not the points of an
+    enclosing `for sl, xq, wdx in element_blocks(...)` loop."""
+    offenders = []
+
+    def visit(node, points):
+        for child in ast.iter_child_nodes(node):
+            inner = points
+            if (isinstance(child, ast.For) and isinstance(child.iter, ast.Call)
+                    and _called_name(child.iter) == "element_blocks"
+                    and isinstance(child.target, ast.Tuple)
+                    and isinstance(child.target.elts[1], ast.Name)):
+                inner = points | {child.target.elts[1].id}
+            elif isinstance(child, ast.Call):
+                name = _called_name(child)
+                arg = child.args[0] if child.args else None
+                if name in WHOLE_MESH_POINTS or (
+                        name in SAMPLERS and not (isinstance(arg, ast.Name)
+                                                  and arg.id in points)):
+                    offenders.append((child.lineno, name))
+            visit(child, inner)
+    visit(tree, frozenset())
+    return offenders
+
+
+def test_the_estimators_sample_in_element_blocks():
+    """estimators.py builds no whole-mesh quadrature points, and samples
+    every Field and datum at the points of an element_blocks loop: only its
+    per-element and (nt, nq) outputs grow with nt, never an (nt, nq, ...)
+    temporary."""
+    path = Path(ncfem.__file__).parent / "estimators.py"
+    offenders = _block_sampling_offenders(ast.parse(path.read_text()))
+    assert not offenders, f"estimators sampled off element blocks: {offenders}"
+    # the lint sees a whole-mesh sample, and one outside its block loop
+    assert _block_sampling_offenders(ast.parse(
+        "xq, w = volume_quadrature(mesh, 6)\nu.value(xq)\n"
+        "for sl, pts, w in element_blocks(mesh, 6):\n    pass\n"
+        "problem.f(pts)\n")) == [(1, "volume_quadrature"), (2, "value"),
+                                  (5, "f")]
+
+
 def test_int32_only_in_the_coo_scatter():
     """np.int32 appears in src/ncfem only in assembly._scatter_matrix, which
     casts the slots once for its COO indices: the gathers and bincount
