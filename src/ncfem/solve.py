@@ -23,7 +23,10 @@ once.  On the final afem L-shape level (60421 dofs) a product takes about
 of it the scatter) and a product with it 0.9 ms; a step makes 2-5 products.
 So newton_solve builds the CSR only for a direct solve (a cold first step,
 a fallback).  GMRES starts from the residual test's G^-1 r, since G^-1 (-r)
-= -G^-1 r to the bit, so a GMRES step of k iterations makes k + 1 G solves.
+= -G^-1 r to the bit, so a GMRES step of k iterations makes k + 1 G solves,
+k + 1 J products and 2k CSR products with G; it holds one basis block and
+no G-images of it (_gram_gmres).  The von Karman G is diag(A, A), and its
+factor is that of A (_gram_factor).
 
 A warm start (a given U0: every afem and study level after the run's
 first, a Morley level from the previous solution carried to its mesh and a
@@ -216,21 +219,46 @@ def _splu(A, **options):
                      **options)
 
 
-def _gram_factor(G):
+def _leading_block(G, n):
+    """The leading n x n block of a CSR G whose first n rows have no entry
+    right of column n (an Assembler's G), as a CSR on G's own arrays."""
+    m = G.indptr[n]
+    return sparse.csr_matrix((G.data[:m], G.indices[:m], G.indptr[:n + 1]),
+                             shape=(n, n))
+
+
+class _BlockFactor:
+    """The factor of diag(A, ..., A) from the factor lu of A: a solve takes
+    the blocks of b as the columns of one right-hand side, and nnz counts
+    the L and U of every block."""
+
+    def __init__(self, lu, blocks):
+        self.lu, self.blocks, self.nnz = lu, blocks, blocks * lu.nnz
+
+    def solve(self, b):
+        return self.lu.solve(b.reshape(self.blocks, -1).T).T.ravel()
+
+
+def _gram_factor(G, blocks=1):
     """SuperLU factor of an energy Gram matrix without pivoting.  G is SPD, so
     every pivot of its Cholesky-like LU is positive and the rows may follow
     the minimum-degree column order (perm_r == perm_c); partial pivoting
     would only add fill.  An assembled G is symmetric to the bit, so the
     arrays of a CSR G are those of its CSC, and G.T hands them to SuperLU
-    without a copy.  A singular G raises RuntimeError."""
+    without a copy.  A CSR G of blocks > 1 equal diagonal blocks (the vk G,
+    diag(A, A)) factors its leading block alone and returns a _BlockFactor.
+    A singular G raises RuntimeError."""
+    if blocks > 1:
+        G = _leading_block(G, G.shape[0] // blocks)
     csr = sparse.issparse(G) and G.format == "csr"
-    return _splu(G.T if csr else _as_csc(G), diag_pivot_thresh=0.0)
+    lu = _splu(G.T if csr else _as_csc(G), diag_pivot_thresh=0.0)
+    return lu if blocks == 1 else _BlockFactor(lu, blocks)
 
 
 KRYLOV_MAX = 40         # GMRES iterations before a Newton step falls back
 
 
-def _gram_gmres(J, b, Glu, target, z):
+def _gram_gmres(J, b, G, Glu, target, z):
     """(d, k): a d with |b - J d|_{G^-1} <= target, from k iterations of GMRES
     on G^-1 J in the G inner product (Pestana and Wathen, JCAM 2013), started
     from 0 without restart; Glu is the factor of G, J a matrix or the
@@ -238,33 +266,44 @@ def _gram_gmres(J, b, Glu, target, z):
     G^-1 b.  None if KRYLOV_MAX iterations do not reach target, or if the
     true residual misses it.
 
-    The basis V is G-orthonormal and G V is carried next to it: G v_{k+1} is
-    the Gram-Schmidt remainder of J v_k, so an iteration costs one J product
-    and one G solve, and no G product.  The Hessenberg least-squares residual
-    is then |G^-1 (b - J d)|_G = |b - J d|_{G^-1}, the dual norm that
+    The G-orthonormal basis is one preallocated (KRYLOV_MAX + 1, n) block V;
+    a row is resident once written, and row k + 1 holds the iteration's
+    scratch vectors until it takes v_{k+1}.  Iteration k orthogonalizes
+    z = G^-1 J v_k by two passes of classical Gram-Schmidt in the G inner
+    product, which keep the basis orthogonal to working precision (Giraud,
+    Langou, Rozloznik and van den Eshof, Numer. Math. 2005).  The first
+    pass needs no G product: G z = J v_k, so its coefficients are V_k J v_k.
+    The second pass takes one CSR product with G, and the norm |z|_G one
+    more.  So an iteration costs one J product, one G solve and two G
+    products, and no G V is stored.  The Hessenberg least-squares residual
+    is |G^-1 (b - J d)|_G = |b - J d|_{G^-1}, the dual norm that
     newton_solve tests; one more J product and G solve confirm it at the
-    end.  So k iterations make k + 1 G solves."""
+    end, after the basis is released.  So k iterations make k + 1 G
+    solves."""
     beta = np.sqrt(max(z @ b, 0.0))
-    V, GV = [z / beta], [b / beta]
+    V = np.empty((KRYLOV_MAX + 1, len(b)))
+    np.divide(z, beta, out=V[0])
     H = np.zeros((KRYLOV_MAX + 1, KRYLOV_MAX))
     for k in range(KRYLOV_MAX):
-        w = J @ V[k]
-        z = Glu.solve(w)
-        for i in range(k + 1):          # modified Gram-Schmidt, G inner product
-            H[i, k] = z @ GV[i]
-            z -= H[i, k] * V[i]
-            w -= H[i, k] * GV[i]
-        H[k + 1, k] = h = np.sqrt(max(z @ w, 0.0))
+        Vk, v = V[:k + 1], V[k + 1]
+        v[:] = J @ V[k]
+        z = Glu.solve(v)
+        for _ in range(2):              # v = G z on entry to each pass
+            c = Vk @ v                  # (V_k, z)_G
+            H[:k + 1, k] += c
+            z -= np.matmul(c, Vk, out=v)
+            v[:] = G @ z
+        H[k + 1, k] = h = np.sqrt(max(z @ v, 0.0))
         Hk, e = H[:k + 2, :k + 1], np.zeros(k + 2)
         e[0] = beta
         y = np.linalg.lstsq(Hk, e, rcond=None)[0]     # min |beta e_1 - Hk y|
         if np.linalg.norm(Hk @ y - e) <= target or h == 0:
             break
-        V.append(z / h)
-        GV.append(w / h)
+        np.divide(z, h, out=v)
     else:
         return None
-    d = y @ np.array(V)
+    d = y @ Vk
+    del V, Vk, v, z             # the final check runs without the basis
     r = b - J @ d
     if r @ Glu.solve(r) > target ** 2:
         return None
@@ -325,7 +364,7 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
         if Glu is None:
             if U0 is None:  # cold: J and its LU are gone before G is factored
                 d = sparse_solve(asm.jacobian(U), -r)
-            Glu = _gram_factor(G)
+            Glu = _gram_factor(G, asm.problem.n_components)
             trace.gram_fill = Glu.nnz / G.nnz
         rn, z = dual(r)
         trace.residual_norms.append(rn)
@@ -334,7 +373,8 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
             break
         if d is None:
             # G^-1 (-r) = -z exactly: GMRES starts from the test's solve
-            step = _gram_gmres(asm.jacobian_operator(U), -r, Glu, tol / 100, -z)
+            step = _gram_gmres(asm.jacobian_operator(U), -r, G, Glu, tol / 100,
+                               -z)
             if step is None:
                 trace.direct_fallbacks += 1
                 d = sparse_solve(asm.jacobian(U), -r)
@@ -366,7 +406,7 @@ def _gamma_power_method(asm):
     value = (asm.gamma_ns_value if kind is ProblemKind.NAVIER_STOKES_MORLEY
              else asm.gamma_vk_value)
     G = asm.gram()
-    Glu = _gram_factor(G)
+    Glu = _gram_factor(G, asm.problem.n_components)
     n = asm.dofmap.n_free * asm.problem.n_components
 
     def normalized(u):          # (u, G u) with every slot of unit G norm
@@ -560,7 +600,7 @@ def discrete_embedding_ratio(asm):
     n = dofmap.n_free
     if n == 0:
         return 0.0
-    Glu = _gram_factor(asm.gram()[:n, :n])
+    Glu = _gram_factor(_leading_block(asm.gram(), n))
     rule = quad_triangle(4)
     bary = np.vstack([np.eye(3), 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0)),
                       rule.points])

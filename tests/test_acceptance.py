@@ -102,6 +102,19 @@ def test_criterion_3_cr_convergence(cr_study):
                   f"osc1 rate {osc_rate:.2f} >= 0.85")
 
 
+# GMRES iterations per Newton step of the warm levels 1, 2, ... of the two
+# uniform studies.  A basis that loses G-orthogonality takes more.
+CR_STUDY_KRYLOV = [[5], [12], [14], [13], [13], [14], [14]]
+NS_STUDY_KRYLOV = [[4, 3], [4, 2], [3, 2], [3, 2], [3, 1]]
+
+
+def test_study_krylov_iterations_pinned(cr_study, ns_study):
+    assert [t.krylov_iterations for t in cr_study["result"].traces[1:]] == \
+        CR_STUDY_KRYLOV
+    assert [t.krylov_iterations for t in ns_study["result"].traces[1:]] == \
+        NS_STUDY_KRYLOV
+
+
 def _newton_checks(study, label):
     records = study["records"]
     iters = [r.newton_iters for r in records]

@@ -481,11 +481,13 @@ def test_cli_vk_study_trajectory_pinned(tmp_path):
                                                            rel=1e-12)
 
 
-# The 6-level Crouzeix-Raviart study: one linear solve per level through
-# the J = a_pw + b_pw that set-up assembles.
+# The 6-level Crouzeix-Raviart study: one linear solve per level, direct on
+# level 0 and by GMRES on the G factor from level 1 on.  GMRES stops at
+# tol / 100, so the last digits of error_pw from level 1 on are the
+# solver's rounding; they are pinned from the one-block Gram GMRES.
 CR_STUDY_N_FREE = [1, 8, 40, 176, 736, 3008]
-CR_STUDY_ERROR = [2.3094870300794033, 3.1244837823957248, 6.36993439734221,
-                  1.9912952700987119, 0.35895449877384117, 0.11083244547415493]
+CR_STUDY_ERROR = [2.3094870300794033, 3.1244837823957257, 6.369934397339946,
+                  1.9912952700989437, 0.3589544987726715, 0.11083244547363333]
 CR_STUDY_ETA = [7.328201115334552, 1.0916441462364932, 0.6147582252195777,
                 0.3042130939011316, 0.15241357786857707, 0.07626804301814682]
 

@@ -382,11 +382,97 @@ def test_gram_gmres_meets_its_target_and_the_dense_error_bound(square32, name):
         return np.sqrt(v @ Glu.solve(v))
 
     target = 1e-8 * dual(r)
-    d, k = _gram_gmres(J, -r, Glu, target, Glu.solve(-r))
+    d, k = _gram_gmres(J, -r, G, Glu, target, Glu.solve(-r))
     residual = dual(J @ d + r)
     assert 1 <= k <= KRYLOV_MAX and residual <= target
     e = d - np.linalg.solve(J.toarray(), -r)
     assert np.sqrt(e @ (G @ e)) <= residual / infsup_constant(J.T, G)
+
+
+def test_gram_gmres_holds_one_basis_block(monkeypatch):
+    """One GMRES step on a CR level of 12160 dofs (14 iterations) holds one
+    basis block and a few vectors of n: at most (k + 4) n doubles, where a
+    basis kept with its G-images and copied for the solution holds about
+    3 (k + 1) n.  tracemalloc counts the whole (KRYLOV_MAX + 1, n) block,
+    written rows or not, so the step runs with KRYLOV_MAX set to its own k."""
+    asm = Assembler(refine(builtin_domain("unit_square"), 6),
+                    manufactured("cr_sine"))
+    G = asm.gram()
+    n = G.shape[0]
+    assert n == 12160
+    Glu = _gram_factor(G)
+    J, b = asm.jacobian_operator(None), asm.load()
+    z = Glu.solve(b)
+    _, k = _gram_gmres(J, b, G, Glu, 1e-12, z)
+    assert k == 14
+    monkeypatch.setattr(ncfem.solve, "KRYLOV_MAX", k)
+    tracemalloc.start()
+    try:
+        assert _gram_gmres(J, b, G, Glu, 1e-12, z)[1] == k
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k + 4) * n * 8
+
+
+class NumpyKeepingBlocks:
+    """Stands in for numpy inside ncfem.solve and keeps every array that
+    np.empty hands out, so a test can read the GMRES basis block after
+    _gram_gmres has let it go."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        self.blocks.append(np.empty(*args, **kwargs))
+        return self.blocks[-1]
+
+
+def test_gram_gmres_basis_stays_g_orthonormal(monkeypatch):
+    """On the indefinite CR problem on the L-shape (23 iterations) the
+    basis is G-orthonormal to round-off.  A single Gram-Schmidt pass takes
+    the same number of iterations here but loses orthogonality to 7e-3."""
+    asm = Assembler(refine(builtin_domain("l_shape"), 4),
+                    manufactured("cr_sine"))
+    G = asm.gram()
+    Glu = _gram_factor(G)
+    b = asm.load()
+    spy = NumpyKeepingBlocks()
+    monkeypatch.setattr(ncfem.solve, "np", spy)
+    _, k = _gram_gmres(asm.jacobian_operator(None), b, G, Glu, 1e-12,
+                       Glu.solve(b))
+    assert k >= 20
+    [V] = spy.blocks
+    Vk = V[:k]
+    assert np.abs(Vk @ (G @ Vk.T) - np.eye(k)).max() <= 1e-12
+
+
+def test_vk_newton_factors_one_block_of_g(square32, monkeypatch):
+    """The vk G is diag(A, A): Newton factors A alone, once, and solves
+    both components through that factor; gram_fill still counts the L and
+    U of both blocks."""
+    asm = assembler(square32, manufactured("vk_poly"))
+    G, n = asm.gram(), asm.dofmap.n_free
+    spla = SplaSpy()
+    monkeypatch.setattr(ncfem.solve, "spla", spla)
+    _, trace = newton_solve(asm)
+    assert trace.converged and trace.krylov_iterations
+    [(args, _)] = spla.args["splu"]
+    assert args[0].shape == (n, n)
+    lu = spla.results["splu"][0]
+    assert trace.gram_fill == 2 * lu.nnz / G.nnz
+
+
+def test_block_factor_solves_as_the_factor_of_the_whole_g(square32):
+    asm = assembler(square32, manufactured("vk_poly"))
+    G = asm.gram()
+    b = np.random.default_rng(0).standard_normal(G.shape[0])
+    whole, block = _gram_factor(G), _gram_factor(G, 2)
+    assert block.nnz == whole.nnz
+    assert np.array_equal(block.solve(b), whole.solve(b))
 
 
 def test_newton_falls_back_to_the_direct_solve(square32, monkeypatch):
@@ -447,8 +533,8 @@ def test_warm_gmres_step_starts_from_the_residual_test(square32, name,
     asm = assembler(square32, man)
     factors = []
 
-    def counting(G):
-        factors.append(CountingFactor(_gram_factor(G)))
+    def counting(G, blocks=1):
+        factors.append(CountingFactor(_gram_factor(G, blocks)))
         return factors[-1]
 
     monkeypatch.setattr(ncfem.solve, "_gram_factor", counting)
