@@ -52,7 +52,7 @@ from .mesh import geometry
 from .problems import ProblemKind, ProblemSpec
 from .quadrature import quad_triangle
 from .spaces import (DofMap, SpaceTag, basis_tables, build_dofmap,
-                     local_coefficients, space_of, volume_quadrature)
+                     element_blocks, local_coefficients, space_of)
 
 __all__ = ["Assembler", "assembler"]
 
@@ -91,15 +91,25 @@ def _scatter_vector(loc, dofmap: DofMap):
     return np.bincount(dofmap.slots.ravel(), loc.ravel(), minlength=n + 1)[:n]
 
 
-def _check_spd_bounds(A_vals, bounds):
-    lo, hi = bounds
-    sym_defect = np.abs(A_vals[..., 0, 1] - A_vals[..., 1, 0]).max()
-    if sym_defect > 1e-10 * (1.0 + np.abs(A_vals).max()):
-        raise ValueError("coefficient matrix A is not symmetric")
+def _spd_extremes(A_vals):
+    """[symmetry defect, max |A|, -lambda_min, lambda_max] of the samples
+    A_vals (..., 2, 2): every entry a maximum, so np.maximum joins those of
+    element blocks into the whole mesh's, NaN included."""
     half_tr = 0.5 * (A_vals[..., 0, 0] + A_vals[..., 1, 1])
     rad = np.sqrt((0.5 * (A_vals[..., 0, 0] - A_vals[..., 1, 1])) ** 2
                   + A_vals[..., 0, 1] ** 2)
-    lam_min, lam_max = (half_tr - rad).min(), (half_tr + rad).max()
+    return np.array([np.abs(A_vals[..., 0, 1] - A_vals[..., 1, 0]).max(),
+                     np.abs(A_vals).max(), -(half_tr - rad).min(),
+                     (half_tr + rad).max()])
+
+
+def _check_spd_bounds(extremes, bounds):
+    """Raise unless the _spd_extremes of A are symmetric and within bounds."""
+    lo, hi = bounds
+    sym_defect, a_max, neg_lam_min, lam_max = extremes
+    if sym_defect > 1e-10 * (1.0 + a_max):
+        raise ValueError("coefficient matrix A is not symmetric")
+    lam_min = -neg_lam_min
     tol = 1e-8 * max(1.0, hi)
     if lam_min < lo - tol or lam_max > hi + tol:
         raise ValueError(
@@ -115,9 +125,9 @@ class Assembler:
     U (G, the load, and for CR its Jacobian a_pw + b_pw), so Newton
     iterations only pay for the state-dependent contractions.  It keeps
     those and the element tensors of Gamma (S and trH, or Br and IV), which
-    the Jacobian reads; the element matrices go once scattered, and the
-    quadrature points once the loads are sampled, which a Morley level does
-    first.  The CR Jacobian shares G's index arrays.
+    the Jacobian reads; the element matrices go once scattered.  The loads
+    and the CR coefficients are sampled by element blocks
+    (spaces.element_blocks).  The CR Jacobian shares G's index arrays.
     """
 
     def __init__(self, mesh, problem: ProblemSpec):
@@ -127,26 +137,22 @@ class Assembler:
         self.dofmap = build_dofmap(mesh, space)
         self.geom = geometry(mesh)
         self.tables = basis_tables(mesh, space)
-        xq, wdx = volume_quadrature(mesh, VOLUME_QUAD_DEGREE)
         lam = quad_triangle(VOLUME_QUAD_DEGREE).points
         if space is SpaceTag.MORLEY:
             W = self.tables.bubble_weights()
 
-            def moments(wf):        # [int f lambda, 0] + W^T int f bubble
-                loc = np.einsum("tm,tmj->tj", wf @ (lam * (1.0 - lam)), W)
+            def moments(sl, wf):    # [int f lambda, 0] + W^T int f bubble
+                loc = np.einsum("tm,tmj->tj", wf @ (lam * (1.0 - lam)), W[sl])
                 loc[:, :3] += wf @ lam
                 return loc
-            # sampled while the fewest arrays are alive
-            self._load = self._assemble_load(xq, wdx, moments)
-            del xq, wdx
+            self._load = self._assemble_load(moments)
             a_loc = self._init_morley(W)
             del W
         else:
             vals = 1.0 - 2.0 * lam                      # the CR basis
-            a_loc, b_loc = self._init_cr(xq, wdx, vals)
+            a_loc, b_loc = self._init_cr(vals)
             self._load = self._assemble_load(
-                xq, wdx, lambda wf: np.einsum("tq,qk->tk", wf, vals))
-            del xq, wdx
+                lambda sl, wf: np.einsum("tq,qk->tk", wf, vals))
         single = _scatter_matrix(a_loc, self.dofmap)
         del a_loc
         self._gram = single if problem.n_components == 1 else _block_diag2(single)
@@ -197,55 +203,55 @@ class Assembler:
         E *= 4.0 * area[:, :, None]
         return E
 
-    def _init_cr(self, xq, wdx, rule_vals):
+    def _init_cr(self, rule_vals):
         """Element matrices of the energy form and of b_pw, by matmuls over
-        the quadrature points."""
-        p = self.problem
-        nt, nq = xq.shape[:2]
+        the quadrature points of one element block at a time; rule_vals
+        (nq, 3) are the basis values at the rule's points.  The samples of
+        A are judged against its bounds once, over the whole mesh."""
+        p, mesh = self.problem, self.mesh
         grads = self.tables.grads                              # (nt, 3, 2)
-        gradsT = np.swapaxes(grads, 1, 2)
-
-        def coeff(fn, trailing):
+        a_loc = np.empty((mesh.n_triangles, 3, 3))
+        b_loc = np.zeros_like(a_loc)
+        extremes = np.full(4, -np.inf)
+        for sl, xq, wdx in element_blocks(mesh, VOLUME_QUAD_DEGREE):
+            (n, nq), g = wdx.shape, grads[sl]
+            gT = np.swapaxes(g, 1, 2)
             # sampled at quadrature points, or at centroids only for
             # mesh-aligned piecewise constant coefficients
-            if fn is None:
-                return None
-            if p.piecewise_constant:
-                vals = fn(self.mesh.vertices[self.mesh.triangles].mean(axis=1))
-                vals = vals[:, None, ...]
+            pts = (mesh.vertices[mesh.triangles[sl]].mean(axis=1)[:, None]
+                   if p.piecewise_constant else xq)
+            A_vals, b_vals, g_vals = (
+                None if fn is None else np.broadcast_to(fn(pts), (n, nq) + trailing)
+                for fn, trailing in ((p.A, (2, 2)), (p.b, (2,)), (p.gamma, ())))
+            if A_vals is not None:
+                np.maximum(extremes, _spd_extremes(A_vals), out=extremes)
+                # A enters the constant gradients only through its weighted sum
+                A_bar = (wdx[:, None, :] @ A_vals.reshape(n, nq, 4)).reshape(n, 2, 2)
+                a_loc[sl] = g @ A_bar @ gT
             else:
-                vals = fn(xq)
-            return np.broadcast_to(vals, (nt, nq) + trailing)
-
-        A_vals = coeff(p.A, (2, 2))
-        if A_vals is not None:
-            _check_spd_bounds(A_vals, p.lambda_bounds)
-            # A enters the constant gradients only through its weighted sum
-            A_bar = (wdx[:, None, :] @ A_vals.reshape(nt, nq, 4)).reshape(nt, 2, 2)
-            a_loc = grads @ A_bar @ gradsT
-        else:
-            a_loc = wdx.sum(axis=1)[:, None, None] * (grads @ gradsT)
-
-        b_vals = coeff(p.b, (2,))
-        g_vals = coeff(p.gamma, ())
-        b_loc = np.zeros_like(a_loc)
-        if b_vals is not None:
-            bg = b_vals @ gradsT                               # (nt, nq, 3)
-            b_loc += np.swapaxes(bg, 1, 2) @ (wdx[:, :, None] * rule_vals)
-        if g_vals is not None:
-            wg_vals = (wdx * g_vals)[:, :, None] * rule_vals
-            b_loc += np.swapaxes(wg_vals, 1, 2) @ rule_vals
+                a_loc[sl] = wdx.sum(axis=1)[:, None, None] * (g @ gT)
+            if b_vals is not None:
+                bg = b_vals @ gT                               # (n, nq, 3)
+                b_loc[sl] += np.swapaxes(bg, 1, 2) @ (wdx[:, :, None] * rule_vals)
+            if g_vals is not None:
+                wg_vals = (wdx * g_vals)[:, :, None] * rule_vals
+                b_loc[sl] += np.swapaxes(wg_vals, 1, 2) @ rule_vals
+        if p.A is not None:
+            _check_spd_bounds(extremes, p.lambda_bounds)
         return a_loc, b_loc
 
-    def _assemble_load(self, xq, wdx, moments):
+    def _assemble_load(self, moments):
         """The load vector [F(f), F(g)] (F(g) = 0 if g is unset; pairs
-        only); moments(wf) maps the weighted samples wf (nt, nq) of a load
-        to its element vectors (nt, nloc)."""
+        only); moments(sl, wf) maps the weighted samples wf (n, nq) of a
+        load on the element block sl to its element vectors (n, nloc)."""
         p, dm = self.problem, self.dofmap
-        return np.concatenate([
-            np.zeros(dm.n_free) if fn is None
-            else _scatter_vector(moments(wdx * fn(xq)), dm)
-            for fn in (p.f, p.g)[:p.n_components]])
+        loads = (p.f, p.g)[:p.n_components]
+        loc = np.zeros((len(loads),) + dm.slots.shape)
+        for sl, xq, wdx in element_blocks(self.mesh, VOLUME_QUAD_DEGREE):
+            for c, fn in enumerate(loads):
+                if fn is not None:
+                    loc[c, sl] = moments(sl, wdx * fn(xq))
+        return np.concatenate([_scatter_vector(part, dm) for part in loc])
 
     # -- assembled operators -------------------------------------------------
 

@@ -78,14 +78,14 @@ def oscillation(mesh, gq, k: int, p: int):
     """Oscillation osc_k(g)^2 per element and its square-rooted total,
     osc_k(g) = || h^p (I - Pi_k) g ||, p = 1 for second-order and p = 2 for
     fourth-order problems, from the samples gq (nt, nq) of g at the points of
-    volume_quadrature(mesh, OSCILLATION_DEGREE), which the caller has
-    already sampled its data on.  Pi_k, k in {0, 1}, is the elementwise L2
+    element_blocks(mesh, OSCILLATION_DEGREE), which the caller has already
+    sampled its data on.  Pi_k, k in {0, 1}, is the elementwise L2
     projection onto P_k: the weighted mean, or the fit in the barycentric
     basis lambda, whose mass matrix |T| (I + 1 1^T) / 12 has the inverse
     (3 / |T|) (4 I - 1 1^T); the rule integrates that matrix exactly.  The
-    fit and the residual are taken one element block at a time (see
-    spaces.element_blocks), so its temporaries do not grow with nt; the
-    total sums the full per-element array."""
+    fit and the residual are taken one of those blocks at a time, so its
+    temporaries do not grow with nt; the total sums the full per-element
+    array."""
     if k not in (0, 1):
         raise ValueError("oscillation degree k must be 0 or 1")
     if p not in (1, 2):
@@ -97,7 +97,7 @@ def oscillation(mesh, gq, k: int, p: int):
         raise ValueError(f"oscillation needs samples of shape {shape}, "
                          f"not {np.shape(gq)}")
     per_element = np.empty(mesh.n_triangles)
-    for sl, _, wdx in element_blocks(mesh, OSCILLATION_DEGREE, points=False):
+    for sl, _, wdx in element_blocks(mesh, OSCILLATION_DEGREE):
         g, area = gq[sl], geom.area[sl]
         if k == 0:
             fit = ((wdx * g).sum(axis=1) / area)[:, None]

@@ -56,7 +56,7 @@ from .quadrature import quad_triangle
 __all__ = [
     "SpaceTag", "DofMap", "element_dofs", "build_dofmap", "basis_tables",
     "local_coefficients", "function_from_element_values", "space_of",
-    "volume_quadrature", "element_blocks", "physical_points",
+    "element_blocks", "physical_points",
 ]
 
 # elements per block of element_blocks (at least 2): 0.4 MB per (block, 12)
@@ -192,24 +192,17 @@ def physical_points(mesh, bary, elements=slice(None)):
     return bary @ mesh.vertices[mesh.triangles[elements]]
 
 
-def volume_quadrature(mesh, degree: int):
-    """Points (nt, nq, 2) and weights (nt, nq) of the degree-exact volume rule
-    on every element; the weights carry the element area."""
-    rule = quad_triangle(degree)
-    xq = physical_points(mesh, rule.points)
-    return xq, 2.0 * geometry(mesh).area[:, None] * rule.weights
-
-
-def element_blocks(mesh, degree: int, points: bool = True):
-    """volume_quadrature one block of ELEMENT_BLOCK elements at a time, in
-    element order: (sl, xq, wdx) per block, sl the slice of its elements
-    (xq None without points).  Each element's points and weights are
-    bitwise those of the whole-mesh rule, so a sweep that fills its
-    per-element or (nt, nq) outputs block by block gets their bits with
-    temporaries of one block's size.  A last block of one element joins
-    the block before it: numpy multiplies a one-row matrix by a vector
-    product whose sums round differently, and so the whole mesh is one row
-    only when it has one element."""
+def element_blocks(mesh, degree: int):
+    """The degree-exact volume rule one block of ELEMENT_BLOCK elements at a
+    time, in element order: (sl, xq, wdx) per block, sl the slice of its
+    elements, xq (n, nq, 2) the points and wdx (n, nq) the weights, which
+    carry the area.  Every volume sample of a load, coefficient or Field
+    is taken here.  An element's points and weights have the same bits in
+    every block, so a sweep that fills per-element or (nt, nq) outputs by
+    blocks gets the bits of one whole-mesh block from one block's
+    temporaries.  A last block of one element joins the one before it:
+    numpy multiplies a one-row matrix by a vector product whose sums round
+    differently."""
     rule, area = quad_triangle(degree), geometry(mesh).area
     nt = mesh.n_triangles
     starts = list(range(0, nt, ELEMENT_BLOCK))
@@ -217,7 +210,7 @@ def element_blocks(mesh, degree: int, points: bool = True):
         starts.pop()
     for start, stop in zip(starts, starts[1:] + [nt]):
         sl = slice(start, stop)
-        yield (sl, physical_points(mesh, rule.points, sl) if points else None,
+        yield (sl, physical_points(mesh, rule.points, sl),
                2.0 * area[sl, None] * rule.weights)
 
 

@@ -8,7 +8,7 @@ from ncfem.mesh import builtin_domain, geometry, refine
 from ncfem.problems import ns_unit_load
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap, element_dofs,
-                          local_coefficients, volume_quadrature)
+                          local_coefficients)
 
 
 @pytest.fixture(scope="session")
@@ -147,13 +147,22 @@ def cr_dofmap(mesh):
     return build_dofmap(mesh, SpaceTag.CROUZEIX_RAVIART)
 
 
+def volume_rule(mesh, degree):
+    """Points (nt, nq, 2) and weights (nt, nq) of the degree-exact volume
+    rule on every element at once, the weights carrying the element area: a
+    whole-mesh reference for the checks, apart from the element blocks that
+    the package samples on."""
+    rule = quad_triangle(degree)
+    return (rule.points @ mesh.vertices[mesh.triangles],
+            2.0 * geometry(mesh).area[:, None] * rule.weights)
+
+
 def b_pw(asm):
     """The matrix of b_pw alone on the CR level asm: Assembler._init_cr's
-    element matrices on the set-up's quadrature and basis values, scattered
-    as set-up scatters them before it adds G."""
-    xq, wdx = volume_quadrature(asm.mesh, VOLUME_QUAD_DEGREE)
+    element matrices on the set-up's basis values, scattered as set-up
+    scatters them before it adds G."""
     vals = 1.0 - 2.0 * quad_triangle(VOLUME_QUAD_DEGREE).points
-    return _scatter_matrix(asm._init_cr(xq, wdx, vals)[1], asm.dofmap)
+    return _scatter_matrix(asm._init_cr(vals)[1], asm.dofmap)
 
 
 def free_index(mesh, dofmap):

@@ -6,14 +6,15 @@ import pytest
 import scipy.sparse as sparse
 
 from conftest import (MorleyByInverse, b_pw, cr_dofmap, free_index,
-                      morley_dofmap, random_function)
+                      morley_dofmap, random_function, volume_rule)
 from ncfem.assembly import (Assembler, _scatter_matrix, _scatter_vector,
                             assembler)
 from ncfem.mesh import build_from_arrays, builtin_domain, geometry, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
-from ncfem.spaces import element_dofs, local_coefficients, volume_quadrature
+from ncfem.spaces import element_dofs, local_coefficients
+import ncfem.spaces
 from ncfem.interpolation import interpolate
 
 
@@ -73,8 +74,7 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
 def test_cr_stiffness_closed_form_reference_triangle():
     m = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     asm = Assembler(m, cr_problem())
-    xq, wdx = volume_quadrature(m, 4)
-    a_loc, _ = asm._init_cr(xq, wdx, asm.tables.values_at(quad_triangle(4).points))
+    a_loc, _ = asm._init_cr(asm.tables.values_at(quad_triangle(4).points)[0])
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
     assert np.allclose(a_loc[0], expected, atol=1e-13)
 
@@ -142,7 +142,7 @@ def test_ns_element_tensors_match_quadrature(mesh, lshape, graded_lshape):
     asm = Assembler(m, NS)
     tab = asm.tables
     rule = quad_triangle(4)
-    _, wdx = volume_quadrature(m, 4)
+    _, wdx = volume_rule(m, 4)
     g = tab.grads_at(rule.points)                          # (nt, nq, 6, 2)
     gx, gy = g[..., 0], g[..., 1]
     S = (np.einsum("tq,tqj,tqk->tjk", wdx, gy, gx)
@@ -170,7 +170,7 @@ def test_closed_forms_match_the_quadrature_of_the_oracle(name, graded_lshape):
     problem = manufactured(name)
     asm, ref = Assembler(m, problem), MorleyByInverse(m)
     dm, area, hess = asm.dofmap, asm.geom.area, ref.hess
-    xq, wdx = volume_quadrature(m, 4)
+    xq, wdx = volume_rule(m, 4)
     tris = np.arange(m.n_triangles)
     vals, grads = ref.values_at(tris, xq), ref.grads_at(tris, xq)
 
@@ -212,7 +212,7 @@ def test_gamma_ns_value_matches_quadrature(mesh, lshape, graded_lshape):
     m = refine(lshape, 1) if mesh == "lshape" else graded_lshape[1]
     asm = Assembler(m, NS)
     dm, tab = asm.dofmap, asm.tables
-    _, wdx = volume_quadrature(m, 4)
+    _, wdx = volume_rule(m, 4)
     g = tab.grads_at(quad_triangle(4).points)              # (nt, nq, 6, 2)
     hess = MorleyByInverse(m).hess
     lap = hess[:, :, 0, 0] + hess[:, :, 1, 1]             # (nt, 6)
@@ -519,6 +519,42 @@ def test_spd_bounds_spot_check(square8):
         Assembler(square8, problem)
 
 
+@pytest.mark.parametrize("breach", ["bounds", "symmetry"])
+def test_a_breach_on_a_later_block_raises_as_on_one_block(breach, square32,
+                                                          monkeypatch):
+    """A leaves its declared bounds, or its symmetry, only inside the last
+    element: with blocks of 7 elements (the breach in the fifth) set-up
+    raises the message of a single whole-mesh block, as the symmetry
+    defect, max |A| and the eigenvalue range build up over the blocks and
+    are judged once.  A grows with x, so the least eigenvalue of the
+    message is not that of the fifth block."""
+    p0, p1, p2 = square32.vertices[square32.triangles[-1]]
+    to_bary = np.linalg.inv(np.stack([p1 - p0, p2 - p0]))
+
+    def A(pts):
+        lam = (np.asarray(pts) - p0) @ to_bary
+        inside = (lam > 0).all(axis=-1) & (lam.sum(axis=-1) < 1)
+        out = np.zeros(np.shape(pts)[:-1] + (2, 2))
+        out[..., 0, 0] = out[..., 1, 1] = 1.0 + 0.2 * np.asarray(pts)[..., 0]
+        if breach == "bounds":
+            out[..., 1, 1] += 3.0 * inside
+        else:
+            out[..., 0, 1] += 0.5 * inside
+        return out
+
+    problem = ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR, f=zero_load,
+                          A=A, lambda_bounds=(1.0, 2.0))
+    messages = []
+    for block in (square32.n_triangles, 7):
+        monkeypatch.setattr(ncfem.spaces, "ELEMENT_BLOCK", block)
+        with pytest.raises(ValueError) as err:
+            Assembler(square32, problem)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert ("violate the declared bounds [1, 2]" if breach == "bounds"
+            else "not symmetric") in messages[0]
+
+
 def test_piecewise_constant_coefficient_sampling(square8):
     # the jump line x = 0.3 cuts triangles: centroid sampling gives each
     # triangle one weight, quadrature-point sampling mixes both
@@ -624,7 +660,8 @@ def test_a_level_holds_more_once_its_edge_geometry_is_built(lshape):
 # tracemalloc bytes per triangle that building one level may peak at and
 # keep, on refine(l_shape, 6) with its geometry built, edge fields included:
 # measured 1900 and 830 (ns), 1916 and 1124 (vk), 876 and 250 (CR, budget
-# 10% above).  A hessian table on the basis tables, the (nt, nq, 6) value
+# 10% above; the CR peak is 542 since set-up samples by element blocks, see
+# CR_SETUP_PEAK_BYTES_PER_TRIANGLE).  A hessian table on the basis tables, the (nt, nq, 6) value
 # table of the old load and the loads sampled after G took ns to 3055 and
 # 1198, vk to 3227 and 1388; a G kept in the COO-long buffers of tocsr takes
 # ns to 1006 kept; a CR table that keeps grad lambda and the first vertices,
@@ -648,6 +685,24 @@ def test_a_morley_level_builds_within_its_memory_budget(name, lshape):
     assert asm.load().shape == (problem.n_components * asm.dofmap.n_free,)
     assert peak / mesh.n_triangles <= SETUP_BYTES_PER_TRIANGLE[name][0]
     assert kept / mesh.n_triangles <= SETUP_BYTES_PER_TRIANGLE[name][1]
+
+
+# tracemalloc bytes per triangle that a CR set-up may peak at on
+# refine(unit_square, 7) (32768 triangles, eight element blocks), its
+# geometry built inside: measured 560, budget 10% above.  Sampling the
+# coefficients and the load on the whole mesh at once took 892
+CR_SETUP_PEAK_BYTES_PER_TRIANGLE = 615
+
+
+def test_a_cr_set_up_samples_within_its_memory_budget():
+    mesh = refine(builtin_domain("unit_square"), 7)
+    tracemalloc.start()
+    try:
+        Assembler(mesh, manufactured("cr_sine"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / mesh.n_triangles <= CR_SETUP_PEAK_BYTES_PER_TRIANGLE
 
 
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly"])

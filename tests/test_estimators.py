@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MorleyByInverse, morley_dofmap, random_function
+from conftest import MorleyByInverse, morley_dofmap, random_function, volume_rule
 from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (EstimatorReport, _centroid_gradients,
@@ -17,7 +17,7 @@ from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_edge
 from ncfem.solve import newton_solve
-from ncfem.spaces import element_blocks, local_coefficients, volume_quadrature
+from ncfem.spaces import element_blocks, local_coefficients
 import ncfem.spaces
 
 
@@ -209,7 +209,7 @@ def test_vk_oscillation_sums_both_loads(square8):
     f = lambda p: np.sin(3.0 * p[..., 0]) * p[..., 1]
     g = lambda p: np.exp(p[..., 0] - 2.0 * p[..., 1])
     zero = np.zeros(2 * morley_dofmap(square8).n_free)
-    xq, _ = volume_quadrature(square8, OSCILLATION_DEGREE)
+    xq, _ = volume_rule(square8, OSCILLATION_DEGREE)
     osc_f = oscillation(square8, f(xq), k=0, p=2)[1]
     osc_g = oscillation(square8, g(xq), k=0, p=2)[1]
     assert osc_f > 0.0 and osc_g > 0.0
@@ -326,31 +326,62 @@ def test_a_cr_estimate_sweeps_its_points_in_element_blocks(step):
     assert cr_step_peak(step, 7) < cr_step_peak(step, 6)
 
 
+def _wavy_A(pts):
+    """A symmetric coefficient that varies on every element, its
+    eigenvalues in [1.2, 2.8]."""
+    x, y = pts[..., 0], pts[..., 1]
+    out = np.empty(np.shape(pts)[:-1] + (2, 2))
+    out[..., 0, 0] = 2.0 + 0.5 * np.sin(3.0 * x)
+    out[..., 1, 1] = 2.0 + 0.5 * np.cos(2.0 * y)
+    out[..., 0, 1] = out[..., 1, 0] = 0.3 * np.sin(x * y)
+    return out
+
+
+# CR problems with A set and every coefficient varying, sampled at the
+# quadrature points or at the centroids
+_WAVY = dataclasses.replace(
+    manufactured("cr_sine"), A=_wavy_A, lambda_bounds=(1.0, 3.0),
+    b=lambda p: np.stack([np.cos(p[..., 1]), p[..., 0] ** 2], axis=-1),
+    gamma=lambda p: -20.0 + 5.0 * np.exp(p[..., 0] - p[..., 1]))
+BLOCK_PROBLEMS = {"cr_A": _WAVY, "cr_pwc": dataclasses.replace(
+    _WAVY, piecewise_constant=True)}
+
+
 def block_outputs(asm, U):
-    """The fields of the estimator report of U, and its broken error."""
+    """The set-up's G (data, indices, indptr), load and CR Jacobian, the
+    fields of the estimator report of U, and its broken error."""
+    G = asm.gram()
+    out = [G.data, G.indices, G.indptr, asm.load()]
+    if asm.problem.kind is ProblemKind.SECOND_ORDER_CR:
+        J = asm.jacobian(None)
+        out += [J.data, J.indices, J.indptr]
     rep = estimate(asm, U)
-    return ([getattr(rep, f.name) for f in dataclasses.fields(rep)],
+    return (out + [getattr(rep, f.name) for f in dataclasses.fields(rep)],
             broken_energy_error(asm, U))
 
 
-@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
+@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine", "cr_A",
+                                  "cr_pwc"])
 @pytest.mark.parametrize("domain, levels", [("unit_square", 3),
                                             ("l_shape", 2)])
 def test_element_blocks_keep_every_bit(name, domain, levels, monkeypatch):
     """Blocks of 7 elements (no divisor of nt, so a partial last block) give
-    the estimate and the broken error of a single whole-mesh block to the
-    bit, and cover every element once, in order."""
+    the set-up (G, the load and the CR Jacobian), the estimate and the
+    broken error of a single whole-mesh block to the bit, and cover every
+    element once, in order."""
     mesh = refine(builtin_domain(domain), levels)
     assert mesh.n_triangles % 7 > 1
-    asm = Assembler(mesh, manufactured(name))
-    U, _ = newton_solve(asm)
-    outputs = []
+    problem = BLOCK_PROBLEMS.get(name) or manufactured(name)
+    U, outputs = None, []
     for block in (mesh.n_triangles + 1, 7):
         monkeypatch.setattr(ncfem.spaces, "ELEMENT_BLOCK", block)
         covered = [np.arange(mesh.n_triangles)[sl]
                    for sl, _, _ in element_blocks(mesh, 6)]
         assert np.array_equal(np.concatenate(covered),
                               np.arange(mesh.n_triangles))
+        asm = Assembler(mesh, problem)
+        if U is None:
+            U, _ = newton_solve(asm)
         outputs.append(block_outputs(asm, U))
     (whole, err_whole), (blocked, err_blocked) = outputs
     assert len(covered) == -(-mesh.n_triangles // 7)

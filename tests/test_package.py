@@ -395,16 +395,22 @@ def test_only_dof_values_takes_edge_means_by_quadrature():
     assert "edge_points" not in ncfem.interpolation.__all__
 
 
-# the whole-mesh point makers, and the calls that sample a Field (value,
-# gradient, hessian) or a datum of the problem (its loads and coefficients)
+# the whole-mesh point makers, called only in spaces.py and, to sample the
+# basis, by the one BASIS_EVALUATORS entry below; the calls that sample a
+# Field (value, gradient, hessian) or a datum of the problem (its loads and
+# coefficients); and the modules, or (module, function), that must take
+# every such sample at the points of an element_blocks loop
 WHOLE_MESH_POINTS = {"volume_quadrature", "physical_points"}
+WHOLE_MESH_POINT_CALLERS = {("solve.py", "discrete_embedding_ratio")}
 SAMPLERS = {"value", "gradient", "hessian", "f", "g", "A", "b", "gamma"}
+BLOCK_SAMPLED = [("assembly.py", None), ("cli.py", "_verify_checks"),
+                 ("estimators.py", None)]
 
 
 def _block_sampling_offenders(tree):
-    """(line, name) of each whole-mesh point maker called in tree, and of
-    each sampler call whose first argument is not the points of an
-    enclosing `for sl, xq, wdx in element_blocks(...)` loop."""
+    """(line, name) of each sampler call in tree whose first argument is not
+    the points of an enclosing `for sl, xq, wdx in element_blocks(...)`
+    loop."""
     offenders = []
 
     def visit(node, points):
@@ -418,9 +424,8 @@ def _block_sampling_offenders(tree):
             elif isinstance(child, ast.Call):
                 name = _called_name(child)
                 arg = child.args[0] if child.args else None
-                if name in WHOLE_MESH_POINTS or (
-                        name in SAMPLERS and not (isinstance(arg, ast.Name)
-                                                  and arg.id in points)):
+                if name in SAMPLERS and not (isinstance(arg, ast.Name)
+                                             and arg.id in points):
                     offenders.append((child.lineno, name))
             visit(child, inner)
     visit(tree, frozenset())
@@ -428,19 +433,34 @@ def _block_sampling_offenders(tree):
 
 
 def test_the_estimators_sample_in_element_blocks():
-    """estimators.py builds no whole-mesh quadrature points, and samples
-    every Field and datum at the points of an element_blocks loop: only its
-    per-element and (nt, nq) outputs grow with nt, never an (nt, nq, ...)
-    temporary."""
-    path = Path(ncfem.__file__).parent / "estimators.py"
-    offenders = _block_sampling_offenders(ast.parse(path.read_text()))
-    assert not offenders, f"estimators sampled off element blocks: {offenders}"
-    # the lint sees a whole-mesh sample, and one outside its block loop
+    """No module but spaces.py builds whole-mesh volume points, save the
+    basis sampling of WHOLE_MESH_POINT_CALLERS, and the level set-up, the
+    estimators and verify's identity checks sample every Field and datum at
+    the points of an element_blocks loop: only their per-element and
+    (nt, nq) outputs grow with nt, never an (nt, nq, ...) temporary."""
+    src = Path(ncfem.__file__).parent
+    whole = [f"{path.name}:{call.lineno} in {owner}"
+             for path in sorted(src.glob("*.py")) if path.name != "spaces.py"
+             for owner, call in _calls_by_function(ast.parse(path.read_text()))
+             if _called_name(call) in WHOLE_MESH_POINTS
+             and (path.name, owner) not in WHOLE_MESH_POINT_CALLERS]
+    assert not whole, f"whole-mesh volume points: {whole}"
+    assert WHOLE_MESH_POINT_CALLERS <= BASIS_EVALUATORS
+    assert not hasattr(ncfem.spaces, "volume_quadrature")
+    offenders = []
+    for name, owner in BLOCK_SAMPLED:
+        tree = ast.parse((src / name).read_text())
+        if owner is not None:
+            tree, = (node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == owner)
+        offenders += [f"{name}:{line} {call}"
+                      for line, call in _block_sampling_offenders(tree)]
+    assert not offenders, f"sampled off element blocks: {offenders}"
+    # the lint sees a sample outside its block loop, and one at other points
     assert _block_sampling_offenders(ast.parse(
-        "xq, w = volume_quadrature(mesh, 6)\nu.value(xq)\n"
-        "for sl, pts, w in element_blocks(mesh, 6):\n    pass\n"
-        "problem.f(pts)\n")) == [(1, "volume_quadrature"), (2, "value"),
-                                  (5, "f")]
+        "u.value(xq)\nfor sl, pts, w in element_blocks(mesh, 6):\n"
+        "    u.gradient(pts)\n    p.A(xq)\nproblem.f(pts)\n")) == [
+            (1, "value"), (4, "A"), (5, "f")]
 
 
 def test_int32_only_in_the_coo_scatter():
