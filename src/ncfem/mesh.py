@@ -27,7 +27,9 @@ raises ValueError naming the file and line.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -189,6 +191,7 @@ def _hanging_node_check(vertices, edges):
     there are tested.  The smallest hanging vertex index is reported.  A block
     holds O(1) vertices on shape-regular meshes; on anisotropic ones (a long
     edge beside many short ones) the time is still O(nv * ne).
+    build_from_arrays passes only the edges of one triangle (see there).
     """
     nv = len(vertices)
     a = vertices[edges[:, 0]]
@@ -257,6 +260,12 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
     Clockwise triangles are reoriented.  Unless `ref_edge` is given, the
     refinement edge of each triangle is its longest edge, with ties broken by
     the smallest global index of the opposite vertex.
+
+    The triangles must not overlap; that is not checked.  A vertex that a
+    triangle uses cannot then lie inside an edge of two triangles, so the
+    hanging-node check tests the vertices against the edges of one triangle
+    alone.  A vertex that no triangle uses is rejected as well: as hanging
+    if it lies inside such an edge, else as belonging to no triangle.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -268,7 +277,9 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
         raise ValueError("triangles must be an (nt, 3) array")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise ValueError("triangle vertex index out of range")
-    if len(np.unique(vertices, axis=0)) != len(vertices):
+    # equal rows are adjacent once sorted by x, then y
+    by_xy = vertices[np.lexsort((vertices[:, 1], vertices[:, 0]))]
+    if (by_xy[1:] == by_xy[:-1]).all(axis=1).any():
         raise ValueError("duplicate vertices")
 
     triangles = triangles.copy()
@@ -292,7 +303,7 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
         ref_edge[swap] = 3 - ref_edge[swap]
 
     mesh = _finalize(vertices, triangles, ref_edge)
-    _hanging_node_check(vertices, mesh.edges)
+    _hanging_node_check(vertices, mesh.edges[mesh.boundary_edge])
     used = np.bincount(triangles.ravel(), minlength=len(vertices))
     if used.min(initial=1) == 0:
         raise ValueError(f"vertex {used.argmin()} belongs to no triangle")
@@ -407,15 +418,73 @@ def builtin_domain(name: str) -> Triangulation:
     return build_from_arrays(vertices, triangles)
 
 
-def read_mesh(path) -> Triangulation:
-    """Read the text format above; a malformed file, or a mesh that
-    build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...')."""
+# the characters of the fields _parse_fast takes; it leaves underscores, hex
+# floats, words and non-ASCII digits, which float() or int() may read and
+# np.fromstring does not, to _parse_rows
+_NUMBER_CHARS = b"0123456789+-.eE"
+
+
+def _parse_fast(text):
+    """The arrays of _parse_rows(path, text), parsed in C, or None where the
+    two might differ.
+
+    The fields of the comment-stripped rows are taken from _NUMBER_CHARS,
+    those of triangle rows without '.', 'e' and 'E'.  np.fromstring reads a
+    field with PyOS_string_to_double, as float() does, and goes on past it
+    only if that used all of it; so with as many numbers as fields, and a
+    last field that float() reads, every field is a number float() reads
+    alike.  A triangle field is then an integer, exact below 2^53.
+    """
+    if "#" in text:
+        text = re.sub("#.*", "", text)
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if data.translate(None, _NUMBER_CHARS + b" \t\n"):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8)
+    blank = chars <= ord(" ")   # a space, tab or line end
+    starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1   # of the fields
+    if len(blank) and not blank[0]:
+        starts = np.concatenate([[0], starts])
+    line_end = np.append(np.flatnonzero(chars == ord("\n")), len(data))
+    fields = np.diff(np.searchsorted(starts, line_end), prepend=0)
+    row_end = line_end[fields > 0]
+    counts = fields[fields > 0]
+    if len(counts) == 0 or counts[0] != 2:
+        return None
+    try:
+        nv, nt = (int(f) for f in text[:row_end[0]].split())
+        float(data[starts[-1]:])
+    except ValueError:
+        return None
+    tri = counts[1 + nv:]
+    if (nv < 0 or nt < 1 or len(counts) != 1 + nv + nt
+            or (counts[1:1 + nv] != 2).any() or tri[0] not in (3, 4)
+            or (tri != tri[0]).any()):
+        return None
+    tri_start = starts[2 + 2 * nv]
+    if any(data.find(c, tri_start) >= 0 for c in (b".", b"e", b"E")):
+        return None
+    try:
+        values = np.fromstring(data, sep=" ")
+    except ValueError:
+        return None
+    triangles = values[2 + 2 * nv:]
+    if len(values) != len(starts) or np.abs(triangles).max() >= 2.0 ** 53:
+        return None
+    return (values[2:2 + 2 * nv].reshape(nv, 2).copy(),
+            triangles.astype(np.int64).reshape(nt, tri[0]))
+
+
+def _parse_rows(path, text):
+    """The field-by-field parse of read_mesh that names the first bad line."""
     rows = []   # (line number, fields) of the non-empty lines
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            fields = line.split("#", 1)[0].split()
-            if fields:
-                rows.append((lineno, fields))
+    for lineno, line in enumerate(text.split("\n"), 1):
+        fields = line.split("#", 1)[0].split()
+        if fields:
+            rows.append((lineno, fields))
     if not rows:
         raise ValueError(f"empty mesh file {path}")
 
@@ -442,8 +511,23 @@ def read_mesh(path) -> Triangulation:
         lineno = rows[1 + nv + has_ref.index(not has_ref[0])][0]
         raise ValueError(f"{path}:{lineno}: the refinement edge r must be given "
                          "on every triangle row or on none")
-    triangles = np.array(tri_rows, dtype=np.int64)
-    ref_edge = triangles[:, 3] if has_ref[0] else None
+    return vertices, np.array(tri_rows, dtype=np.int64)
+
+
+def read_mesh(path) -> Triangulation:
+    """Read the text format above; a malformed file, or a mesh that
+    build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...').
+
+    The file is read once and, where its rows hold plain numbers, parsed in
+    C (_parse_fast), in time and memory linear in its size; any other file
+    goes through _parse_rows, which reads the same arrays and names the
+    first bad line.
+    """
+    with open(path) as fh:
+        text = fh.read()
+    vertices, triangles = _parse_fast(text) or _parse_rows(path, text)
+    del text   # not held while the mesh is built
+    ref_edge = triangles[:, 3] if triangles.shape[1] == 4 else None
     try:
         return build_from_arrays(vertices, triangles[:, :3], ref_edge=ref_edge)
     except ValueError as exc:
@@ -451,9 +535,9 @@ def read_mesh(path) -> Triangulation:
 
 
 def write_mesh(mesh: Triangulation, path):
+    rows = chain([f"{mesh.n_vertices} {mesh.n_triangles}\n"],
+                 (f"{x!r} {y!r}\n" for x, y in mesh.vertices.tolist()),
+                 (f"{i} {j} {k} {r}\n" for (i, j, k), r in
+                  zip(mesh.triangles.tolist(), mesh.ref_edge.tolist())))
     with open(path, "w") as fh:
-        fh.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        for tri, r in zip(mesh.triangles, mesh.ref_edge):
-            fh.write(f"{tri[0]} {tri[1]} {tri[2]} {r}\n")
+        fh.writelines(rows)

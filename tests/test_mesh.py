@@ -1,4 +1,5 @@
 import gc
+import io
 import tracemalloc
 import weakref
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncfem.mesh
-from ncfem.mesh import (_finalize, _hanging_node_check, bisect,
-                        build_from_arrays, builtin_domain, geometry, read_mesh,
-                        refine, uniform_refine, write_mesh)
+from ncfem.mesh import (_finalize, _hanging_node_check, _parse_fast,
+                        _parse_rows, bisect, build_from_arrays, builtin_domain,
+                        geometry, read_mesh, refine, uniform_refine, write_mesh)
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -220,14 +221,54 @@ def test_bisect_invariants(marked, domain_idx):
             assert lam.min() > -1e-10
 
 
-def test_mesh_file_roundtrip(tmp_path):
-    m = uniform_refine(builtin_domain("l_shape"))
+def _jittered_grid(cells, seed):
+    """The unit square cut into cells^2 squares of two triangles each, with
+    every interior vertex moved by up to a tenth of the cell width."""
+    rng = np.random.default_rng(seed)
+    x, y = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 1.0, cells + 1),
+                                           np.linspace(0.0, 1.0, cells + 1)))
+    interior = (x > 0) & (x < 1) & (y > 0) & (y < 1)
+    radius = 0.1 / cells * np.sqrt(rng.random(interior.sum()))
+    angle = 2.0 * np.pi * rng.random(interior.sum())
+    x[interior] += radius * np.cos(angle)
+    y[interior] += radius * np.sin(angle)
+    i, j = np.meshgrid(np.arange(cells), np.arange(cells))
+    v00 = (j * (cells + 1) + i).ravel()
+    tris = np.concatenate([np.stack([v00, v00 + 1, v00 + cells + 2], axis=1),
+                           np.stack([v00, v00 + cells + 2, v00 + cells + 1], axis=1)])
+    return np.column_stack([x, y]), tris
+
+
+def _write_mesh_reference(mesh, path):
+    """The row-by-row writer that write_mesh replaces."""
+    with open(path, "w") as fh:
+        fh.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        for tri, r in zip(mesh.triangles, mesh.ref_edge):
+            fh.write(f"{tri[0]} {tri[1]} {tri[2]} {r}\n")
+
+
+def _assert_roundtrip(m, tmp_path):
     path = tmp_path / "mesh.txt"
     write_mesh(m, path)
+    _write_mesh_reference(m, tmp_path / "reference.txt")
+    assert path.read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    # repr floats read back to the same bits, so every table does
     m2 = read_mesh(path)
-    assert np.array_equal(m.triangles, m2.triangles)
-    assert np.allclose(m.vertices, m2.vertices)
-    assert np.array_equal(m.ref_edge, m2.ref_edge)
+    for table in _TABLES[:-1]:
+        a, b = getattr(m2, table), getattr(m, table)
+        assert a.dtype == b.dtype and np.array_equal(a, b), table
+        assert a.tobytes() == b.tobytes(), table
+
+
+def test_mesh_file_roundtrip(tmp_path):
+    _assert_roundtrip(uniform_refine(builtin_domain("l_shape")), tmp_path)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mesh_file_roundtrip_on_a_jittered_grid(seed, tmp_path):
+    _assert_roundtrip(build_from_arrays(*_jittered_grid(78, seed)), tmp_path)
 
 
 def test_mesh_file_comments_and_optional_refinement_edge(tmp_path):
@@ -447,6 +488,16 @@ def _check_outcome(check, vertices, edges):
     return None
 
 
+def _unit_grid(nx, ny):
+    """The unit square cut into nx x ny cells of two triangles each."""
+    x, y = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
+    v0 = (j * (nx + 1) + i).ravel()
+    tris = np.concatenate([np.column_stack([v0, v0 + 1, v0 + nx + 2]),
+                           np.column_stack([v0, v0 + nx + 2, v0 + nx + 1])])
+    return np.column_stack([x.ravel(), y.ravel()]), tris
+
+
 # positions along an edge ab: inside (0.5, 0.25), inside but within 1e-10 of
 # an endpoint (1e-11), and collinear beyond an endpoint
 _ALONG = [0.5, 0.25, 1e-11, 1 - 1e-11, 1 + 1e-9, -1e-9, 1.25, -0.5]
@@ -466,12 +517,8 @@ _ACROSS = [0.0, 0.0, 1e-13, 1e-11]
        seed=st.integers(0, 2 ** 32 - 1))
 def test_hanging_node_check_matches_reference(nx, ny, scale, shift, injected,
                                               seed):
-    x, y = np.meshgrid(np.arange(nx + 1) / nx, np.arange(ny + 1) / ny)
-    grid = scale * np.column_stack([x.ravel(), y.ravel()]) + np.asarray(shift)
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny))
-    v0 = (j * (nx + 1) + i).ravel()
-    tris = np.concatenate([np.column_stack([v0, v0 + 1, v0 + nx + 2]),
-                           np.column_stack([v0, v0 + nx + 2, v0 + nx + 1])])
+    points, tris = _unit_grid(nx, ny)
+    grid = scale * points + np.asarray(shift)
     edges = np.unique(np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2),
                               axis=1), axis=0)
     extra = []
@@ -485,6 +532,46 @@ def test_hanging_node_check_matches_reference(nx, ny, scale, shift, injected,
     rank = np.argsort(perm)
     vertices, edges = vertices[perm], rank[edges]
     assert (_check_outcome(_hanging_node_check, vertices, edges)
+            == _check_outcome(_hanging_node_check_reference, vertices, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(nx=st.integers(1, 4), ny=st.integers(1, 4),
+       scale=st.sampled_from([1.0, 1e-3, 3e2]),
+       shift=st.tuples(st.floats(-10, 10), st.floats(-10, 10)),
+       splits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                                 st.sampled_from([0.5, 0.25, 0.75])),
+                       max_size=5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_build_from_arrays_finds_every_hanging_vertex(nx, ny, scale, shift,
+                                                      splits, seed):
+    # a grid of two triangles per cell, some of them cut in two through a
+    # point of one edge, without closure: the point hangs on the edge unless
+    # the triangle across it is cut there too or there is none; the
+    # triangles never overlap
+    points, grid = _unit_grid(nx, ny)
+    vertices = list(scale * points + np.asarray(shift))
+    cut = {}
+    for t, k, at in splits:
+        cut.setdefault(t % len(grid), (k, at))
+    point_on, tris = {}, []
+    for t, tri in enumerate(grid.tolist()):
+        if t not in cut:
+            tris.append(tri)
+            continue
+        k, at = cut[t]
+        p, a, b = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+        edge = (min(a, b), max(a, b))
+        if edge not in point_on:
+            lo, hi = vertices[edge[0]], vertices[edge[1]]
+            vertices.append(lo + at * (hi - lo))
+            point_on[edge] = len(vertices) - 1
+        tris += [[p, a, point_on[edge]], [p, point_on[edge], b]]
+    perm = np.random.default_rng(seed).permutation(len(vertices))
+    vertices, tris = np.asarray(vertices)[perm], np.argsort(perm)[tris]
+    edges = np.unique(np.sort(tris[:, [[1, 2], [2, 0], [0, 1]]].reshape(-1, 2),
+                              axis=1), axis=0)
+    assert (_check_outcome(lambda v, t: build_from_arrays(v, t), vertices, tris)
             == _check_outcome(_hanging_node_check_reference, vertices, edges))
 
 
@@ -543,3 +630,117 @@ def test_hanging_node_check_on_sliver_strip():
     expected = _check_outcome(_hanging_node_check_reference, v, m.edges)
     assert f"vertex {m.n_vertices} hangs" in expected
     assert _check_outcome(_hanging_node_check, v, m.edges) == expected
+
+
+def _decode(raw):
+    """The text that read_mesh reads from a file of these bytes."""
+    return io.TextIOWrapper(io.BytesIO(raw.encode())).read()
+
+
+def _assert_same_arrays(got, expected):
+    assert len(got) == len(expected) == 2
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+_SIGN = st.sampled_from(["", "+", "-"])
+_DIGITS = st.text("0123456789", min_size=1, max_size=4)
+_FLOAT_FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(lambda s, a, b, e: f"{s}{a}.{b}{e}", _SIGN, _DIGITS, _DIGITS,
+              st.sampled_from(["", "e5", "E-3", "e+07", "e-400", "e400"])),
+    st.builds(lambda s, a: f"{s}.{a}", _SIGN, _DIGITS),
+    st.builds(lambda s, a: f"{s}{a}.", _SIGN, _DIGITS),
+    st.builds(lambda s, a, e: f"{s}{a}E{e}", _SIGN, _DIGITS, st.integers(-20, 20)))
+_INT_FIELD = st.builds(lambda s, a: s + a, _SIGN, _DIGITS)
+_BLANKS = st.sampled_from([" ", "  ", "\t", " \t "])
+_LINE_END = st.sampled_from(["\n", "\r\n"])
+
+
+@st.composite
+def _mesh_text(draw, float_field=_FLOAT_FIELD, int_field=_INT_FIELD):
+    """A mesh file in the text format: comments, blank lines, tabs, either
+    line end, signs, exponents and the optional r column."""
+    nv, nt = draw(st.integers(0, 5)), draw(st.integers(1, 5))
+    has_ref = draw(st.booleans())
+    header = [str(nv), str(nt)]
+    rows = [header] + [[draw(float_field) for _ in range(2)]
+                       for _ in range(nv)]
+    rows += [[draw(int_field) for _ in range(3 + has_ref)]
+             for _ in range(nt)]
+    lines = []
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " \t", "# a comment",
+                                               "  # 1 2 3"])))
+        line = draw(_BLANKS).join(row)
+        if draw(st.booleans()):
+            line = draw(_BLANKS) + line + draw(st.sampled_from(["", " ", "\t", " # x 1"]))
+        lines.append(line)
+    end = draw(_LINE_END)
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_mesh_text())
+def test_fast_parse_reads_the_row_parsers_arrays(raw):
+    text = _decode(raw)
+    fast = _parse_fast(text)
+    assert fast is not None
+    _assert_same_arrays(fast, _parse_rows("mesh.txt", text))
+
+
+# fields that float() or int() read and np.fromstring does not, or the other
+# way round, or that neither reads
+_ODD_FIELDS = ["1_0", "0x1p3", "inf", "-nan", "1e", "e5", "+", "-", ".", "1-2",
+               "+-1", "1.2.3", "1e5.5", "--1", "1.0", "1e3", "\u0663",
+               "9007199254740993", "99999999999999999999", "1\x0b2", "\xa0"]
+_ANY_FIELD = st.one_of(_INT_FIELD, _FLOAT_FIELD, st.sampled_from(_ODD_FIELDS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_mesh_text(_ANY_FIELD, _ANY_FIELD),
+       drop=st.integers(0, 3))
+def test_fast_parse_declines_what_it_might_read_otherwise(raw, drop):
+    # drop one character here and there, to shift rows and fields as well
+    text = _decode(raw[:len(raw) * drop // 4] + raw[len(raw) * drop // 4 + (drop > 0):])
+    fast = _parse_fast(text)
+    try:
+        rows = _parse_rows("mesh.txt", text)
+    except (ValueError, OverflowError):
+        assert fast is None
+    else:
+        if fast is not None:
+            _assert_same_arrays(fast, rows)
+
+
+# last fields that np.fromstring reads in part ("2e": "2", then it raises, or
+# on older numpy only warns), or as a float that int() does not read, or
+# reads as another integer, or that it does not read at all
+@pytest.mark.parametrize("field", ["2e", "2.", "2e0", "9007199254740993",
+                                   "-9007199254740993", "2_0", "\u0662"])
+def test_fast_parse_declines_a_last_field_it_might_read_otherwise(field):
+    text = "3 1\n0 0\n1 0\n0 1\n0 1 2\n"
+    assert _parse_fast(text) is not None
+    assert _parse_fast(text[:-2] + field + "\n") is None
+
+
+# tracemalloc bytes per triangle that read_mesh may peak at, on a 150 x 150
+# jittered grid (45000 triangles) written to a file: measured 305 with the
+# numpy parse, against 1602 with a Python list of fields per row
+READ_MESH_BYTES_PER_TRIANGLE = 360
+
+
+def test_read_mesh_peaks_within_its_memory_budget(tmp_path):
+    path = tmp_path / "grid.msh"
+    mesh = build_from_arrays(*_jittered_grid(150, 0))
+    write_mesh(mesh, path)
+    del mesh
+    tracemalloc.start()
+    try:
+        read_mesh(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 45000 <= READ_MESH_BYTES_PER_TRIANGLE
