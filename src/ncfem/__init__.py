@@ -16,8 +16,7 @@ from .solve import (sparse_solve, newton_solve, NewtonTrace,
                     KantorovichReport, kantorovich_report, infsup_constant,
                     gamma_norm_lower_bound, discrete_embedding_ratio,
                     fd_jacobian)
-from .estimators import (EstimatorReport, cr_apriori_terms,
-                         broken_energy_error)
+from .estimators import EstimatorReport, broken_energy_error
 from .afem import (ConvergenceRecord, dorfler_mark, afem_loop, AfemResult,
                    uniform_study, corner_fraction, NewtonDivergence)
 

@@ -51,7 +51,7 @@ from .spaces import SpaceTag, element_blocks, local_coefficients
 from .interpolation import OSCILLATION_DEGREE, oscillation
 
 __all__ = [
-    "EstimatorReport", "cr_apriori_terms", "broken_energy_error", "estimate",
+    "EstimatorReport", "broken_energy_error", "estimate",
 ]
 
 ESTIMATOR_VOLUME_DEGREE = OSCILLATION_DEGREE  # loads are sampled once for both
@@ -188,15 +188,6 @@ def _cr_apriori_integrands(mesh, u_exact, problem: ProblemSpec):
         p_sq[sl] = wdx * np.einsum("tqa,tqa->tq", p, p)
     osc_el, osc1 = oscillation(mesh, data, k=1, p=1)
     return p_sq, osc_el, osc1
-
-
-def cr_apriori_terms(mesh, u_exact, problem: ProblemSpec):
-    """Diagnostic terms || p - Pi_0 p || with p = A grad(u) + u b, and
-    osc_1(f - gamma u), sampled from the exact solution."""
-    if problem.kind is not ProblemKind.SECOND_ORDER_CR:
-        raise ValueError("cr_apriori_terms applies to the CR problem")
-    p_sq, _, osc1 = _cr_apriori_integrands(mesh, u_exact, problem)
-    return float(np.sqrt(p_sq.sum())), osc1
 
 
 def broken_energy_error(asm, U):

@@ -65,12 +65,6 @@ class Triangulation:
     def n_edges(self):
         return len(self.edges)
 
-    def interior_edges(self):
-        return np.flatnonzero(~self.boundary_edge)
-
-    def interior_vertices(self):
-        return np.flatnonzero(~self.boundary_vertex)
-
 
 class MeshGeometry:
     """Per-triangle geometry, built with the instance, and per-edge geometry,

@@ -12,9 +12,7 @@ import csv
 import math
 import sys
 
-from .afem import ConvergenceRecord
-
-__all__ = ["write_records_csv", "read_records_csv", "emit_plots"]
+__all__ = ["write_records_csv", "emit_plots"]
 
 _COLUMNS = ["level", "n_free", "h_max", "error_pw", "eta_total",
             "newton_iters", "rate_error", "rate_eta"]
@@ -34,22 +32,6 @@ def write_records_csv(records, path):
         writer.writerow(_COLUMNS)
         for r in records:
             writer.writerow([_fmt(getattr(r, c)) for c in _COLUMNS])
-
-
-def read_records_csv(path):
-    records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            def fget(key, cast=float):
-                return cast(row[key]) if row[key] not in ("", None) else None
-            records.append(ConvergenceRecord(
-                level=int(row["level"]), n_free=int(row["n_free"]),
-                h_max=float(row["h_max"]), error_pw=fget("error_pw"),
-                eta_total=float(row["eta_total"]),
-                newton_iters=int(row["newton_iters"]),
-                rate_error=fget("rate_error"), rate_eta=fget("rate_eta")))
-    return records
 
 
 # ---------------------------------------------------------------------------

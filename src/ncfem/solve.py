@@ -1,96 +1,41 @@
 """Sparse solves, Newton iteration with Kantorovich diagnostics, inf-sup.
 
-All norms here are energy norms: the Gram matrix G is the assembled piecewise
-energy form (broken H^2 for Morley, A-weighted broken H^1 for CR), residuals
-are measured in the G-dual norm sqrt(r^T G^-1 r) and corrections in
-sqrt(d^T G d).  G is SPD, so every factorization of it (_gram_factor) is
-SuperLU without pivoting (perm_r == perm_c).  A routine on one level takes
-its Assembler.
+Norms.  All norms are energy norms: the Gram matrix G is the assembled
+piecewise energy form (broken H^2 for Morley, A-weighted broken H^1 for CR),
+residuals are measured in the G-dual norm sqrt(r^T G^-1 r) and corrections
+in sqrt(d^T G d).  A routine on one level takes its Assembler.
 
-newton_solve factors G once and reuses the factor for every residual norm and
-as the preconditioner of its GMRES steps.  J is a compact perturbation of the
-energy operator, so G^-1 J is the identity plus a compact term, and GMRES on
-it needs a number of iterations that does not grow with the mesh (Kirby,
-SIAM Rev. 2010).  _gram_gmres runs it in the G inner product (Pestana and
-Wathen, JCAM 2013), so that it stops on the dual norm the Newton loop tests,
-not on a Euclidean norm, which would mis-weigh the Morley vertex values
-against the normal derivatives.  A step only has to keep the next residual
-under tol, so its target is tol / 100.  GMRES multiplies by J a few times
-per step and never needs it as a matrix: Assembler.jacobian_operator applies
-the element factors that depend on U, computed once per step, and scatters
-once.  On the final afem L-shape level (60421 dofs) a product takes about
-6 ms and the operator 5 ms to build, where the CSR of J takes 68-72 ms (most
-of it the scatter) and a product with it 0.9 ms; a step makes 2-5 products.
-So newton_solve builds the CSR only for a direct solve (a cold first step,
-a fallback).  GMRES starts from the residual test's G^-1 r, since G^-1 (-r)
-= -G^-1 r to the bit, so a GMRES step of k iterations makes k + 1 G solves,
-k + 1 J products and 2k CSR products with G; it holds one basis block and
-no G-images of it (_gram_gmres).  The von Karman G is diag(A, A), and its
-factor is that of A (_gram_factor).
-
-A warm start (a given U0: every afem and study level after the run's
-first, a Morley level from the previous solution carried to its mesh and a
-CR level from zero) takes every step by GMRES, the first included, so G is
-the only matrix Newton factors, and a U0 that already meets tol costs that
-factor and no solve.  On the afem L-shape levels the first step is a
-relative reduction of 8e-12 to 3e-10, met in 3-4 iterations (1 on the 13-
-and 17-dof levels), and each later one of 3e-3 to 1e-8 in 1-3.  The linear
-CR problem takes one step, in 5-14 iterations on the unit square up to
-48896 dofs and in 22-23 on the L-shape up to 36608 dofs: its operator is
-indefinite (beta0 dips to 0.0066), but G^-1 J is still the identity plus a
-compact term.  A cold start (U0 None: the run's first level and the ncfem
-solve command) keeps a direct first step through sparse_solve, taken before
-G is factored and before the residual test, so that the LU of J is gone
-when the G factor is made; a cold start that already meets tol pays for one
-discarded direct solve.  The only reason for that step is that the
-benchmark in perfbench/ requires the solve.spsolve span on every workload
-(ROADMAP items 1-2); once it does not, the cold start goes to GMRES too.  A
-step whose GMRES misses its target within KRYLOV_MAX iterations falls back
-to sparse_solve.
-
-Every splu here (_splu: G, and B in _infsup) orders the columns by minimum
-degree on the pattern of A^T + A (George and Liu, SIAM Rev. 1989), which
-fits these pattern-symmetric matrices better than COLAMD, which orders
-A^T A; it keeps SuperLU's supernodes unrelaxed (relax=1) and its panels one
-column wide (panel_size=1).  Relaxed supernodes (Demmel et al., SIMAX 1999)
-merge small subtrees of the elimination tree into dense blocks; under this
-ordering they store explicit zeros.  On the final G of the afem L-shape run
-(60421 dofs) the default relax stores 49 nnz(G) and factors in 4.9-6.3 s,
-relax=1 stores 4.4 nnz(G) in 0.08-0.16 s, and COLAMD 15.5 nnz(G) in
-0.29-0.38 s.  A panel (same paper) is the group of columns that SuperLU
-updates together, 10 by default; with supernodes this small the wider panel
-only costs.  Width 1 keeps the fill as it is and takes the 30 G factors
-of the afem L-shape run from 0.67-0.72 s to 0.49-0.54 s, the 35 of its
-2.5e5-dof variant from 4.5-5.0 s to 3.6-3.8 s, and B in _infsup by 25-35%
-from 12160 to 48896 dofs.  Newton's direct solves (a cold first step, a
-fallback) alone stay on COLAMD: sparse_solve calls spla.spsolve, which
-takes no relax option, and the benchmark in perfbench/ requires its span on
-every workload.
-Without relax=1 the symmetric order does not pay there: on the final afem J,
-spsolve with permc_spec="MMD_AT_PLUS_A" took 17.2 s (fill 49.7) against
-1.05 s for COLAMD (fill 15.5), and "MMD_ATA" 1.13 s.
-
-Every SuperLU factor (_splu, and the first spsolve of sparse_solve) starts
-from a trimmed heap: _release_free_heap hands the C heap's free pages back to
-the system through glibc's malloc_trim(0), and does nothing where the C
-library has no such call.  By the time a level factors, it has freed its
-set-up, estimator and transfer buffers and the previous level's arrays, but
-glibc keeps those pages resident, and the L and U that SuperLU grows do not
-reuse the freed chunks: its pages land on top of them.  Right before the final
-G factor of the afem L-shape run (60421 dofs) a trim takes the resident set
-from 142 to 98 MB, and the run's peak falls from 170-175 MB to 142-147 MB; its
-31 trims take 15 ms in all.  A trim changes no number.
-
-J is not symmetric, so its factor keeps partial pivoting.  But J is a compact
-perturbation of the energy operator, and the Morley diagonal mixes vertex
-values and edge normal derivatives, whose entries differ by about h^-2 (more
-on graded meshes); unscaled, partial pivoting leaves the diagonal in about
-half the columns and raises the fill by some 70%.  So every nonsymmetric
-factorization (sparse_solve, and B in _infsup) first equilibrates
+Factors.  G is SPD, so _gram_factor factors it without pivoting (perm_r ==
+perm_c); the von Karman G = diag(A, A) is factored through A.  Every splu
+(_splu: G, and B in _infsup) orders the columns by minimum degree on the
+pattern of A^T + A (George and Liu, SIAM Rev. 1989), which suits these
+pattern-symmetric matrices, with unrelaxed supernodes (relax=1) and panels
+one column wide: under this order wider ones store zeros and cost time.
+sparse_solve's spla.spsolve takes no relax, so it stays on COLAMD.  Every
+nonsymmetric factorization (sparse_solve, B in _infsup) first equilibrates
 symmetrically by powers of two (_equilibrate; Duff and Koster, SIMAX 2001),
-which makes every nonzero |a_ii| lie in [1/2, 2) and adds no rounding error.
+exactly, so that partial pivoting keeps the Morley diagonal, whose entries
+differ by about h^-2.  Every splu, and the first spsolve of sparse_solve,
+starts from a trimmed heap (_release_free_heap), so that freed buffers are
+not resident under its L and U; a trim changes no number.
 
-The Kantorovich report computes
+Newton.  newton_solve is undamped: divergence is reported, not masked.  It
+factors G once and reuses the factor for every residual norm and as the
+preconditioner of its GMRES steps.  G^-1 J is the identity plus a compact
+term, so GMRES on it needs a number of iterations that does not grow with
+the mesh (Kirby, SIAM Rev. 2010); _gram_gmres runs it in the G inner
+product (Pestana and Wathen, JCAM 2013) to the G-dual norm that the Newton
+loop tests, with target tol / 100, and applies J element by element
+(Assembler.jacobian_operator), so the CSR of J is built only for a direct
+solve.  A warm start (a given U0) takes every step by GMRES, so G is the
+only matrix it factors, and a U0 that already meets tol costs that factor
+and no solve.  A cold start (U0 None) takes a direct first step through
+sparse_solve before G is factored and before the residual test, so the LU
+of J is gone when G is factored; it stays only because perfbench/ requires
+the solve.spsolve span on every workload.  A step whose GMRES misses its
+target within KRYLOV_MAX iterations falls back to sparse_solve.
+
+Kantorovich.  The report computes
   beta0  smallest singular value of the Jacobian between energy norms,
   delta  energy norm of the first Newton correction at the given state,
   m      = 2 * gamma_norm_estimate / beta0   (curvature / stability ratio),
@@ -98,19 +43,11 @@ The Kantorovich report computes
 and the radii r_minus = (1 - sqrt(1 - 2h)) / m - delta (around the first
 iterate), computed as delta 2h / (1 + sqrt(1 - 2h))^2 because the difference
 cancels for small h, and rho = (1 + sqrt(1 - 2h)) / m (uniqueness radius).
-The trilinear form norm is not computable in closed form; gamma_norm_estimate
-is the lower bound that the higher-order power method (De Lathauwer, De Moor
-and Vandewalle, SIMAX 2000) reaches from one fixed start, its sweeps
-extrapolated by safeguarded Anderson mixing (Walker and Ni, SINUM 2011).
-It is |Gamma| at a triple the method visited, and it can stop at a
-stationary point below the maximum, so condition_met (4 delta |Gamma| <
-beta0) is advisory and never gates a solve.  Newton damping is intentionally
-absent; divergence is reported, not masked.
-
-beta0 = infsup_constant(J^T, G) and the discrete inf-sup constant share
-_infsup: ARPACK shift-invert Lanczos (Lehoucq, Sorensen and Yang, 1998) from a
-fixed start vector on one factor of the equilibrated B, which also gives the
-report's delta; non-convergence raises ArpackNoConvergence (RuntimeError).
+gamma_norm_estimate is a lower bound for |Gamma| that can stop below the
+maximum, so condition_met (4 delta |Gamma| < beta0) is advisory and never
+gates a solve.  beta0 = infsup_constant(J^T, G) and the discrete inf-sup
+constant share _infsup; non-convergence raises ArpackNoConvergence
+(RuntimeError).  README's Notes hold the measurements behind these choices.
 """
 from __future__ import annotations
 
@@ -190,13 +127,13 @@ def _checked(A, rhs, x, solve):
 
 
 def sparse_solve(A, rhs):
-    """Direct sparse solve x = d * (D A D)^-1 (d * rhs) with the power-of-two
-    equilibration d of _equilibrate, so that partial pivoting keeps the
-    diagonal; one step of iterative refinement through the same scaled matrix
-    if the residual check on the unscaled system fails, then an error.  A
-    (sparse, or a dense array) is copied once, into D A D; the residual
-    check reads A itself.  The refinement's factor reuses the pages the
-    first one freed, so only the first starts from a trimmed heap."""
+    """x with A x = rhs for a square A (sparse, or a dense array): a direct
+    solve of the power-of-two equilibration D A D (_equilibrate), and one
+    step of iterative refinement through it if the residual check on A
+    fails.  A is copied once, into D A D; only the first factor starts from
+    a trimmed heap, the refinement's reuses the pages it freed.  Raises
+    ValueError for a non-square A or an rhs that does not match it, and
+    RuntimeError for a numerically singular A or a failed residual check."""
     rhs = np.asarray(rhs, dtype=float)
     As, d = _equilibrate(A)
     if As.shape[0] != As.shape[1] or As.shape[0] != rhs.shape[0]:
@@ -240,14 +177,13 @@ class _BlockFactor:
 
 
 def _gram_factor(G, blocks=1):
-    """SuperLU factor of an energy Gram matrix without pivoting.  G is SPD, so
-    every pivot of its Cholesky-like LU is positive and the rows may follow
-    the minimum-degree column order (perm_r == perm_c); partial pivoting
-    would only add fill.  An assembled G is symmetric to the bit, so the
-    arrays of a CSR G are those of its CSC, and G.T hands them to SuperLU
-    without a copy.  A CSR G of blocks > 1 equal diagonal blocks (the vk G,
-    diag(A, A)) factors its leading block alone and returns a _BlockFactor.
-    A singular G raises RuntimeError."""
+    """SuperLU factor of an energy Gram matrix without pivoting: G is SPD, so
+    every pivot is positive and the rows may follow the column order, where
+    partial pivoting would only add fill.  An assembled G is symmetric to the
+    bit, so G.T hands the arrays of a CSR G to SuperLU as its CSC, without a
+    copy.  A CSR G of blocks > 1 equal diagonal blocks (the vk G, diag(A, A))
+    factors its leading block alone and returns a _BlockFactor.  A singular
+    G raises RuntimeError."""
     if blocks > 1:
         G = _leading_block(G, G.shape[0] // blocks)
     csr = sparse.issparse(G) and G.format == "csr"
@@ -260,26 +196,18 @@ KRYLOV_MAX = 40         # GMRES iterations before a Newton step falls back
 
 def _gram_gmres(J, b, G, Glu, target, z):
     """(d, k): a d with |b - J d|_{G^-1} <= target, from k iterations of GMRES
-    on G^-1 J in the G inner product (Pestana and Wathen, JCAM 2013), started
-    from 0 without restart; Glu is the factor of G, J a matrix or the
-    element-wise LinearOperator of Assembler.jacobian_operator, and z is
-    G^-1 b.  None if KRYLOV_MAX iterations do not reach target, or if the
-    true residual misses it.
+    on G^-1 J in the G inner product, started from 0 without restart; Glu is
+    the factor of G, J a matrix or the element-wise LinearOperator of
+    Assembler.jacobian_operator, and z is G^-1 b.  None if KRYLOV_MAX
+    iterations do not reach target, or if the true residual misses it.
 
-    The G-orthonormal basis is one preallocated (KRYLOV_MAX + 1, n) block V;
-    a row is resident once written, and row k + 1 holds the iteration's
-    scratch vectors until it takes v_{k+1}.  Iteration k orthogonalizes
-    z = G^-1 J v_k by two passes of classical Gram-Schmidt in the G inner
-    product, which keep the basis orthogonal to working precision (Giraud,
-    Langou, Rozloznik and van den Eshof, Numer. Math. 2005).  The first
-    pass needs no G product: G z = J v_k, so its coefficients are V_k J v_k.
-    The second pass takes one CSR product with G, and the norm |z|_G one
-    more.  So an iteration costs one J product, one G solve and two G
-    products, and no G V is stored.  The Hessenberg least-squares residual
-    is |G^-1 (b - J d)|_G = |b - J d|_{G^-1}, the dual norm that
-    newton_solve tests; one more J product and G solve confirm it at the
-    end, after the basis is released.  So k iterations make k + 1 G
-    solves."""
+    The G-orthonormal basis is one preallocated (KRYLOV_MAX + 1, n) block V,
+    and no G V is stored; row k + 1 holds iteration k's scratch vectors until
+    it takes v_{k+1}.  Two passes of classical Gram-Schmidt in the G inner
+    product keep the basis orthogonal to working precision (Giraud, Langou,
+    Rozloznik and van den Eshof, Numer. Math. 2005).  k iterations make
+    k + 1 G solves and k + 1 J products, the last of each confirming the
+    true residual after the basis is released."""
     beta = np.sqrt(max(z @ b, 0.0))
     V = np.empty((KRYLOV_MAX + 1, len(b)))
     np.divide(z, beta, out=V[0])
@@ -326,7 +254,10 @@ class NewtonTrace:
 
 
 def _initial_iterate(asm, U0):
-    """U0 (default: the level's zero state), checked against the dof map."""
+    """U0 (default: the level's zero state), checked against the dof map.
+    A level without free dofs has nothing to solve: ValueError."""
+    if asm.dofmap.n_free == 0:
+        raise ValueError(NO_FREE_DOFS)
     n = asm.dofmap.n_free * asm.problem.n_components
     U = np.zeros(n) if U0 is None else U0
     if len(U) != n:
@@ -347,8 +278,6 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     or a level without free dofs; a singular Jacobian raises."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if asm.dofmap.n_free == 0:
-        raise ValueError(NO_FREE_DOFS)
     U = _initial_iterate(asm, U0)
     G = asm.gram()
     Glu = None
@@ -453,28 +382,18 @@ def gamma_norm_lower_bound(asm):
     """Lower bound for the trilinear form norm of the level asm,
     sup |Gamma(x, y, z)| / (|x| |y| |z|) in energy norms, and the rounds used.
 
-    Higher-order power method from one fixed triple u, with safeguarded
-    Anderson extrapolation (Walker and Ni, SINUM 2011).  A round first
-    sweeps: it sets every slot in turn to the normalized G-Riesz
-    representative G^-1 w of that slot's gradient w, which never lowers
-    |Gamma|.  Gamma is linear in each slot, so with c = G^-1 w the new slot
-    c / |w|_{G^-1} gives Gamma = w . c / |w|_{G^-1} = |w|_{G^-1}: the sweep's
-    value is the dual norm of the last slot's gradient.  Then it mixes the
-    sweep outputs F(u) of the last GAMMA_HISTORY rounds with the weights
-    a (sum 1) that minimize the G norm of sum a_i r_i, r = F(u) - u the
-    concatenated sweep residuals.  G F(u) = w / |w|_{G^-1} comes with the
-    gradients, so the weights need no G product, only an m x m least-squares
-    solve (m <= GAMMA_HISTORY); normalizing the mix in the G norm takes one G
-    product per slot.  The mix replaces the sweep's triple only if |Gamma|
-    there beats the best value so far; else the history is cleared.  So a
-    round costs three gradients, three G solves, one Gamma evaluation and the
-    least-squares solve (a round with one sweep in the history only sweeps),
-    and the estimate is |Gamma|, to round-off, at the triple the method ends
-    on.  Stops once a round raises the best value by at most
-    GAMMA_RTOL (relative), after GAMMA_MAX_ROUNDS, or as soon as a gradient
-    vanishes, as every gradient does with one free dof: Gamma is then 0
-    along the other two slots, and the rounds returned count the round that
-    stopped.  Returns (estimate, rounds); (0.0, 0) for the CR problem."""
+    The higher-order power method (De Lathauwer, De Moor and Vandewalle,
+    SIMAX 2000) from one fixed triple: a round sets every slot in turn to
+    the normalized G-Riesz representative of its gradient, which never
+    lowers |Gamma|, then mixes the sweeps of the last GAMMA_HISTORY rounds
+    by safeguarded Anderson extrapolation (Walker and Ni, SINUM 2011) and
+    keeps the mix only if |Gamma| there beats the best value so far.  The
+    estimate is |Gamma|, to round-off, at the triple the method ends on.
+    Stops once a round raises the best value by at most GAMMA_RTOL
+    (relative), after GAMMA_MAX_ROUNDS, or as soon as a gradient vanishes,
+    as every gradient does with one free dof; the rounds returned count the
+    round that stopped.  Returns (estimate, rounds); (0.0, 0) for the CR
+    problem."""
     estimate, rounds, _ = _gamma_power_method(asm)
     return estimate, rounds
 
@@ -489,15 +408,16 @@ class KantorovichReport:
     r_minus: float
     rho: float
     condition_met: bool
-    gamma_rounds: int           # power-method rounds (sweep plus extrapolation)
-                                # run, up to GAMMA_MAX_ROUNDS (the cap); 1 if a
-                                # first-round gradient vanishes
+    gamma_rounds: int           # power-method rounds, up to GAMMA_MAX_ROUNDS
 
 
 def kantorovich_report(asm, U0=None):
-    """Newton-Kantorovich constants of the level asm at U0 (default 0):
-    beta0 = infsup_constant(J^T, G) without its SPD test of G, and delta =
-    |J^-1 r|_G from the same factor of J^T, checked as by sparse_solve."""
+    """Newton-Kantorovich constants of the level asm at U0 (default 0), as
+    a KantorovichReport (definitions in the module docstring): beta0 =
+    infsup_constant(J^T, G) without its SPD test of G, and delta =
+    |J^-1 r|_G from the same factor of J^T, checked as by sparse_solve.
+    Raises ValueError for a U0 of the wrong length or a level without free
+    dofs, and RuntimeError for a singular Jacobian."""
     U0 = _initial_iterate(asm, U0)
     G = asm.gram()
     J = asm.jacobian(U0)
@@ -554,7 +474,8 @@ def infsup_constant(B, G):
     of a square B: sqrt(lambda_min) of the pencil (B G^-1 B^T, G), found by
     shift-invert Lanczos at sigma = 0 with the inverse B^-T G B^-1 (_infsup).
     G is factored only to test it: unpivoted, an SPD G keeps perm_r == perm_c
-    and, by Sylvester's law of inertia, positive pivots; else ValueError."""
+    and, by Sylvester's law of inertia, positive pivots; else ValueError, as
+    for an empty B (no free dofs) or a B that does not match G."""
     B, G = _as_csc(B), _as_csc(G)
     n = B.shape[0]
     if n == 0:
@@ -570,8 +491,6 @@ def infsup_constant(B, G):
     if (lu.perm_r != lu.perm_c).any() or (lu.U.diagonal() <= 0).any():
         raise ValueError("G is not positive definite")
     del lu                      # not alive next to the factor of B
-    if n == 1:  # no factor of B
-        return float(abs(B[0, 0]) / G[0, 0])
     return _infsup(B, G)[0]
 
 
@@ -593,9 +512,8 @@ def discrete_embedding_ratio(asm):
     discrete Green's function v = G^-1 phi_x and equals
     sqrt(phi_x^T G^-1 phi_x).  From the point nearest the vertex centroid,
     alternate: v = G^-1 phi_x, then move x to argmax |v|; the ratio
-    max |v| / |v|_pw never falls, and the loop stops once it stops rising.
-    It can stop at a local maximum over x: it meets the dense maximum on the
-    uniform unit-square meshes and falls up to 12% short on the L-shape."""
+    max |v| / |v|_pw never falls, and the loop stops once it stops rising,
+    possibly at a local maximum over x.  0.0 on a level without free dofs."""
     mesh, dofmap = asm.mesh, asm.dofmap
     n = dofmap.n_free
     if n == 0:

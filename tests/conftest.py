@@ -1,11 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from ncfem.afem import afem_loop
+from ncfem.afem import ConvergenceRecord, afem_loop
 from ncfem.assembly import VOLUME_QUAD_DEGREE, _scatter_matrix
+from ncfem.estimators import _cr_apriori_integrands
 from ncfem.mesh import builtin_domain, geometry, refine
-from ncfem.problems import ns_unit_load
+from ncfem.problems import ProblemKind, ns_unit_load
 from ncfem.quadrature import quad_triangle
 from ncfem.spaces import (SpaceTag, basis_tables, build_dofmap, element_dofs,
                           local_coefficients)
@@ -137,6 +140,41 @@ def midpoint_lam(mesh, triangle, edge):
     """Barycentric coordinates of the midpoint of an edge of the element;
     local edge k is opposite local vertex k."""
     return 0.5 * (1.0 - np.eye(3)[list(mesh.edge_of_triangle[triangle]).index(edge)])
+
+
+def interior_edges(mesh):
+    return np.flatnonzero(~mesh.boundary_edge)
+
+
+def interior_vertices(mesh):
+    return np.flatnonzero(~mesh.boundary_vertex)
+
+
+def read_records_csv(path):
+    """The ConvergenceRecords of a CSV that write_records_csv wrote; an
+    empty field reads as None."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            def fget(key, cast=float):
+                return cast(row[key]) if row[key] not in ("", None) else None
+            records.append(ConvergenceRecord(
+                level=int(row["level"]), n_free=int(row["n_free"]),
+                h_max=float(row["h_max"]), error_pw=fget("error_pw"),
+                eta_total=float(row["eta_total"]),
+                newton_iters=int(row["newton_iters"]),
+                rate_error=fget("rate_error"), rate_eta=fget("rate_eta")))
+    return records
+
+
+def cr_apriori_terms(mesh, u_exact, problem):
+    """The CR a priori terms || p - Pi_0 p || with p = A grad(u) + u b, and
+    osc_1(f - gamma u), from the integrands that `estimate` sums."""
+    if problem.kind is not ProblemKind.SECOND_ORDER_CR:
+        raise ValueError("cr_apriori_terms applies to the CR problem")
+    p_sq, _, osc1 = _cr_apriori_integrands(mesh, u_exact, problem)
+    return float(np.sqrt(p_sq.sum())), osc1
 
 
 def morley_dofmap(mesh):

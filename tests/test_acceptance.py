@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import morley_dofmap
+from conftest import cr_apriori_terms, morley_dofmap
 from ncfem.afem import afem_loop, corner_fraction, uniform_study
 from ncfem.assembly import Assembler, assembler
 from ncfem.cli import RunConfig, _verify_checks
-from ncfem.estimators import cr_apriori_terms, estimate
+from ncfem.estimators import estimate
 from ncfem.interpolation import transfer_morley
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured, ns_unit_load

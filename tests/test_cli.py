@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 import ncfem
-from conftest import patch_newton
+from conftest import patch_newton, read_records_csv
 from ncfem.afem import ConvergenceRecord
 from ncfem.assembly import Assembler
 from ncfem.cli import RunConfig, main
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured
-from ncfem.reporting import emit_plots, read_records_csv, write_records_csv
+from ncfem.reporting import emit_plots, write_records_csv
 from ncfem.solve import kantorovich_report, newton_solve, sparse_solve
 
 

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MorleyByInverse, morley_dofmap, random_function, volume_rule
+from conftest import (MorleyByInverse, cr_apriori_terms, interior_edges,
+                      morley_dofmap, random_function, volume_rule)
 from ncfem.afem import dorfler_mark
 from ncfem.assembly import Assembler, assembler
 from ncfem.estimators import (EstimatorReport, _centroid_gradients,
                               _tangential_flux, broken_energy_error,
-                              cr_apriori_terms, estimate)
+                              estimate)
 from ncfem.interpolation import OSCILLATION_DEGREE, _edge_points, oscillation
 from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
 from ncfem.problems import Field, ProblemKind, ProblemSpec, manufactured
@@ -466,7 +467,7 @@ def test_dorfler_rejects_bad_theta(square8):
 def test_dorfler_edge_split(square8):
     # a single dominant edge marks exactly its two neighbours at fitting theta
     eta_E = np.zeros(square8.n_edges)
-    e = square8.interior_edges()[0]
+    e = interior_edges(square8)[0]
     eta_E[e] = 1.0
     rep = report_from(np.zeros(square8.n_triangles), eta_E)
     marked = dorfler_mark(square8, rep, 0.9)

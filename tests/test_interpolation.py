@@ -3,7 +3,8 @@ import pytest
 
 from conftest import (MorleyByInverse, cr_dofmap, evaluate,
                       mean_gradient_by_parts, mean_hessian_by_parts,
-                      morley_dofmap, random_function, vertex_lam)
+                      interior_vertices, morley_dofmap, random_function,
+                      vertex_lam)
 from ncfem.assembly import Assembler
 from ncfem.estimators import broken_energy_error
 from ncfem.interpolation import (dof_values, interpolate, oscillation,
@@ -48,7 +49,7 @@ def test_morley_reproduces_p2_dofs(square8):
     c[0, 0], c[1, 0], c[2, 0], c[1, 1], c[0, 2] = 0.3, -1.0, 2.0, 0.7, -0.4
     fld = polynomial_field(c)
     u = interpolate(square8, dm, fld)
-    for z in square8.interior_vertices():
+    for z in interior_vertices(square8):
         t = next(t for t in range(square8.n_triangles)
                  if z in square8.triangles[t])
         assert evaluate(square8, dm, u, t, vertex_lam(square8, t, z)) == pytest.approx(
@@ -302,7 +303,7 @@ def test_transfer_preserves_shared_vertex_dofs(square32):
     dm_f = level_f.dofmap
     v = transfer(coarse, u, level_f)
     # coarse interior vertices keep their values (Morley is continuous there)
-    for z in square32.interior_vertices()[:10]:
+    for z in interior_vertices(square32)[:10]:
         zf = int(np.flatnonzero(np.all(np.isclose(fine.vertices,
                                                   square32.vertices[z]),
                                        axis=1))[0])

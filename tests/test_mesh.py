@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interior_edges
 import ncfem.mesh
 from ncfem.mesh import (_finalize, _hanging_node_check, _parse_fast,
                         _parse_rows, bisect, build_from_arrays, builtin_domain,
@@ -32,9 +33,9 @@ def min_angle(mesh):
 def test_unit_square_tables():
     m = build_from_arrays(SQUARE_V, SQUARE_T)
     assert m.n_edges == 5
-    assert len(m.interior_edges()) == 1
+    assert len(interior_edges(m)) == 1
     assert int(m.boundary_edge.sum()) == 4
-    diag = m.edges[m.interior_edges()[0]]
+    diag = m.edges[interior_edges(m)[0]]
     assert set(diag) == {0, 2}
 
 
@@ -89,7 +90,7 @@ def test_bisect_both_counts():
     m = build_from_arrays(SQUARE_V, SQUARE_T)
     m2 = bisect(m, {0, 1})
     assert (m2.n_triangles, m2.n_vertices, m2.n_edges) == (4, 5, 8)
-    assert len(m2.interior_edges()) == 4
+    assert len(interior_edges(m2)) == 4
 
 
 def test_bisect_rejects_out_of_range():

@@ -696,13 +696,20 @@ def test_newton_without_iterations_makes_no_solve(square8, monkeypatch):
     assert trace.residual_norms == [] and np.array_equal(U, U0)
 
 
-@pytest.mark.parametrize("name", ["ns_poly", "vk_poly", "cr_sine"])
-def test_newton_rejects_a_mesh_without_free_dofs(name):
+@pytest.mark.parametrize("name, solve", [
+    *(pytest.param(name, newton_solve, id=name)
+      for name in ("ns_poly", "vk_poly", "cr_sine")),
+    *(pytest.param(name, kantorovich_report, id=f"{name}-kantorovich_report")
+      for name in ("ns_poly", "vk_poly", "cr_sine")),
+])
+def test_newton_rejects_a_mesh_without_free_dofs(name, solve):
+    """newton_solve and kantorovich_report share the one guard of
+    _initial_iterate."""
     tri = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     asm = assembler(tri, manufactured(name))
     assert asm.dofmap.n_free == 0
     with pytest.raises(ValueError, match="no free dofs"):
-        newton_solve(asm)
+        solve(asm)
 
 
 def test_infsup_rejects_empty_matrices():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import (MorleyByInverse, cr_dofmap, evaluate, free_index,
-                      midpoint_lam, morley_dofmap, random_function, vertex_lam)
+                      interior_edges, interior_vertices, midpoint_lam,
+                      morley_dofmap, random_function, vertex_lam)
 from ncfem.interpolation import _barycentric
 from ncfem.mesh import bisect, builtin_domain, geometry
 from ncfem.quadrature import quad_triangle
@@ -25,9 +26,9 @@ def test_dof_counts_two_triangle_square(square2):
 
 def test_dimension_formula(square32, lshape):
     for m in (square32, lshape):
-        assert morley_dofmap(m).n_free == (len(m.interior_vertices())
-                                           + len(m.interior_edges()))
-        assert cr_dofmap(m).n_free == len(m.interior_edges())
+        assert morley_dofmap(m).n_free == (len(interior_vertices(m))
+                                           + len(interior_edges(m)))
+        assert cr_dofmap(m).n_free == len(interior_edges(m))
 
 
 def test_cr_basis_kronecker(square8):
@@ -119,7 +120,7 @@ def test_evaluate_zero_function(square8):
 
 def test_morley_vertex_dof_continuity(square8):
     dm = morley_dofmap(square8)
-    interior = square8.interior_vertices()
+    interior = interior_vertices(square8)
     z = interior[0]
     coeffs = np.zeros(dm.n_free)
     coeffs[np.searchsorted(dm.dof_of_free, z)] = 1.0   # vertex dof z is global dof z
@@ -138,14 +139,14 @@ def test_morley_interelement_behavior(square32):
     u = random_function(dm, rng)
     g = geometry(square32)
     # value jumps vanish at interior vertices
-    for z in square32.interior_vertices()[:8]:
+    for z in interior_vertices(square32)[:8]:
         vals = [evaluate(square32, dm, u, t, vertex_lam(square32, t, z))
                 for t in range(square32.n_triangles)
                 if z in square32.triangles[t]]
         assert np.ptp(vals) < 1e-10
     # edge means of the normal derivative agree (linear along the edge, so
     # the midpoint value is the mean)
-    for e in square32.interior_edges()[:12]:
+    for e in interior_edges(square32)[:12]:
         t0, t1 = square32.triangles_of_edge[e]
         assert min(t0, t1) >= 0
         g0, g1 = (evaluate(square32, dm, u, t, midpoint_lam(square32, t, e),
