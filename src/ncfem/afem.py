@@ -1,16 +1,9 @@
 """The one level driver (solve, estimate, mark, refine) of adaptive runs,
 uniform studies and `ncfem solve`; a level's arrays leave it via on_level.
 
-Marking uses Doerfler bulk criterion on combined element indicators
-eta_K'^2 = eta_K^2 + sum over the element's edges of eta_E^2 / (number of
-adjacent elements), i.e. edge terms split evenly between their neighbours.
-The greedy minimal set is deterministic: ties break by ascending element
-index.
-
-Rate conventions: uniform studies report rates against h_max ratios,
-rate = log2(e_prev / e_cur) / log2(h_prev / h_cur); the adaptive loop, where
-h_max can stall under local refinement, reports rates against the free dof
-count, rate = -2 log(q_e) / log(q_n).
+Rates: a uniform study reports log2(e_prev / e_cur) / log2(h_prev / h_cur);
+the adaptive loop, where h_max can stall, reports -2 log(q_e) / log(q_n)
+against the ratio q_n of free dof counts.
 """
 from __future__ import annotations
 
@@ -61,7 +54,9 @@ def _check_theta(theta):
 def dorfler_mark(mesh, report: EstimatorReport, theta: float):
     """Greedy minimal bulk-marking set M with
     sum_{K in M} eta_K'^2 >= theta * sum_K eta_K'^2, as its element indices
-    in ascending order (an intp array)."""
+    in ascending order (an intp array), ties broken by ascending index.
+    eta_K'^2 is eta_K^2 plus an even share of the eta_E^2 of each edge of K
+    between the edge's triangles.  Raises ValueError unless 0 < theta <= 1."""
     _check_theta(theta)
     ind = report.eta_K_sq.astype(float).copy()
     adj = mesh.triangles_of_edge.ravel()
@@ -105,23 +100,16 @@ class AfemResult:
 
 def _run_levels(problem, mesh0, refine_step, q_log, tol,
                 on_level=None) -> AfemResult:
-    """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh.
-
-    The driver is each level's only owner: a level is one Assembler, built
-    once per mesh and handed to Newton and the estimators.  transfer_morley
-    takes U's Morley dof values on the next mesh, and the level is let go
-    before the next one is set up and restricts them to Newton's start; the
-    values go once restricted.  The linear CR problem starts every later
-    level from zero.  So only the run's first level is a cold start (U0
-    None, a direct first Newton step); every later one is warm and takes
-    its steps by GMRES on the G factor (see solve).
+    """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh, with one
+    Assembler per level, let go before the next one is built.
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
     error_pw is measured only when the problem carries an exact solution
     whose dof values vanish at the constrained dofs of level 0, i.e. that
     satisfies the clamped conditions on this domain.
     on_level(asm, U, record), if given, is called once per level after its
-    record is made; whatever it keeps of asm and U stays alive."""
+    record is made; whatever it keeps of asm and U stays alive.  Raises
+    NewtonDivergence, holding the records so far, when Newton fails."""
     res = AfemResult(records=[], traces=[])
     mesh, values = mesh0, None
     measured = problem.exact is not None

@@ -1,22 +1,13 @@
 """Assembly of bilinear/trilinear forms, residuals and Jacobians.
 
 Matrix convention: M[i, j] = form(trial basis j, test basis i), so the
-residual of a linear problem reads M u - F.  Constrained dofs are eliminated;
-all matrices and vectors live on free dofs (von Karman systems are 2x2 block
-systems ordered [u-block, v-block]), and so are the states U (see spaces).
-Element vectors and matrices reach them through dofmap.slots, where a
-constrained dof has the index n_free: the scatters drop or mask it.
+residual of a linear problem reads M u - F.  Matrices, vectors and states U
+live on the free dofs (von Karman: [u-block, v-block]); element arrays reach
+them through dofmap.slots, whose constrained index n_free the scatters drop.
+Every reduction is deterministic, so repeated runs are bitwise reproducible.
 
-Everything is element-local and assembled with deterministic numpy
-reductions, so repeated runs are bitwise reproducible.  Every Morley
-element tensor is exact, in closed form in grad lambda and the bubble
-weights W of u = lambda . c_v + lambda (1 - lambda) . W c (see spaces), from
-int_T (1 - 2 lambda_m) (1 - 2 lambda_n) = |T| delta_mn / 3 and
-int_T lambda (1 - lambda) = |T| / 6: the energy tensor is
-4 |T| W^T (K o K) W with K = grad lambda grad lambda^T.  The loads take the
-degree-4 rule through the moments int f lambda and int f lambda (1 - lambda).
-
-For the Morley space the trilinear forms factor elementwise:
+The Morley element tensors are exact closed forms in grad lambda and the
+bubble weights W (README Notes), and the trilinear forms factor elementwise:
 
 * Navier-Stokes:   Gamma(eta, chi, phi)|_T = (tr H . eta) (chi^T S phi)
   with tr H the constant basis Laplacians and S the antisymmetrized
@@ -24,21 +15,6 @@ For the Morley space the trilinear forms factor elementwise:
 * von Karman:      b(eta, chi, phi)|_T = -1/2 (eta^T Br chi) (IV . phi)
   with Br the constant bracket pairing [phi_i, phi_j] and IV the basis
   integrals.
-
-Each Gamma is written out once, in Assembler.gamma_gradient, every
-contraction as a two-operand einsum and a row dot; the residual
-a_pw(U, .) + Gamma(U, U, .) - F and gamma_ns_value / gamma_vk_value contract
-its slot-2 vector.  Besides, only the private _linearization reads the
-tensors above: it computes the element factors of J(U) that depend on U,
-from which jacobian assembles a CSR and jacobian_operator applies J element
-by element, with no matrix built (the Newton GMRES steps use the latter).
-The CR problem is linear, with the one operator J = a_pw + b_pw, which set-up
-assembles and residual, jacobian and jacobian_operator read.
-
-An Assembler is one level: a mesh, a problem, its dof map and basis tables,
-and every operator on them.  The level driver and the CLI build it once per
-mesh, own it alone and hand it to the solvers, estimators and transfer,
-which read asm.dofmap, asm.tables, asm.geom and asm.problem.
 """
 from __future__ import annotations
 
@@ -84,9 +60,8 @@ def _block_diag2(A):
 
 
 def _scatter_vector(loc, dofmap: DofMap):
-    """Assemble local vectors loc (nt, nloc).  bincount adds in input order,
-    as np.add.at does, so the sums are the same to the bit; constrained dofs
-    land in slot n_free, which is dropped."""
+    """Assemble local vectors loc (nt, nloc), summed in input order; the
+    constrained slot n_free is dropped."""
     n = dofmap.n_free
     return np.bincount(dofmap.slots.ravel(), loc.ravel(), minlength=n + 1)[:n]
 
@@ -118,16 +93,13 @@ def _check_spd_bounds(extremes, bounds):
 
 
 class Assembler:
-    """One level: the problem's dof map, basis tables, element tensors and
-    assembled operators on one mesh.
+    """One level: the dof map, basis tables, Gamma tensors and assembled
+    operators of one problem on one mesh.
 
-    Building one assembles every operator that does not depend on the state
-    U (G, the load, and for CR its Jacobian a_pw + b_pw), so Newton
-    iterations only pay for the state-dependent contractions.  It keeps
-    those and the element tensors of Gamma (S and trH, or Br and IV), which
-    the Jacobian reads; the element matrices go once scattered.  The loads
-    and the CR coefficients are sampled by element blocks
-    (spaces.element_blocks).  The CR Jacobian shares G's index arrays.
+    Building it assembles every operator that does not depend on the state
+    U (G, the load and, for CR, the Jacobian a_pw + b_pw), so a Newton step
+    pays only for the contractions that do.  Raises ValueError when the
+    samples of A are not symmetric or break problem.lambda_bounds.
     """
 
     def __init__(self, mesh, problem: ProblemSpec):
@@ -169,8 +141,7 @@ class Assembler:
     # -- element tensors ----------------------------------------------------
 
     def _init_morley(self, W):
-        """Sets the Gamma tensors; returns the energy element matrices, all
-        from grad lambda and the bubble weights W (see the module docstring)."""
+        """Sets the Gamma tensors; returns the energy element matrices."""
         area = self.geom.area[:, None]
         gl = self.tables.grad_lambda
         gx, gy = np.moveaxis(gl, 2, 0)                          # (nt, 3) each
@@ -204,10 +175,8 @@ class Assembler:
         return E
 
     def _init_cr(self, rule_vals):
-        """Element matrices of the energy form and of b_pw, by matmuls over
-        the quadrature points of one element block at a time; rule_vals
-        (nq, 3) are the basis values at the rule's points.  The samples of
-        A are judged against its bounds once, over the whole mesh."""
+        """Element matrices of the energy form and of b_pw; rule_vals (nq, 3)
+        are the basis values at the rule's points."""
         p, mesh = self.problem, self.mesh
         grads = self.tables.grads                              # (nt, 3, 2)
         a_loc = np.empty((mesh.n_triangles, 3, 3))
@@ -304,10 +273,9 @@ class Assembler:
         return (self._gram + blocks).tocsr()
 
     def jacobian_operator(self, U):
-        """J(U) as a LinearOperator: a product applies the element factors of
-        _linearization to the local coefficients of its argument and
-        scatters the element vectors once, with no matrix built.  Equals
-        jacobian(U) @ v up to round-off."""
+        """J(U) as a LinearOperator that applies the element factors of
+        _linearization, with no matrix built; equals jacobian(U) up to
+        round-off."""
         kind = self.problem.kind
         if kind is ProblemKind.SECOND_ORDER_CR:
             return spla.aslinearoperator(self._jacobian)

@@ -58,13 +58,16 @@ class RunConfig:
                              + ", ".join(registry_names()))
 
 
+# the cast of each RunConfig field that a flag and a config key set: all
+# but the subcommand
+_SETTINGS = {f.name: {"int": int, "float": float, "str": str}[f.type]
+             for f in fields(RunConfig) if f.name != "command"}
+
+
 def _parse_config_file(path) -> dict:
     """Keys and cast values of a config file; each value is validated on its
     own, so an error names the path and line.  The subcommand is no key."""
     values = {}
-    field_types = {f.name: f.type for f in fields(RunConfig)
-                   if f.name != "command"}
-    casts = {"int": int, "float": float, "str": str}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -72,10 +75,10 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in field_types:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = casts[field_types[key]](val)
+            values[key] = _SETTINGS[key](val)
             replace(RunConfig(), **{key: values[key]}).validate()
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
@@ -267,10 +270,9 @@ def _verify_checks(cfg: RunConfig):
 
     # commuting identities for random polynomials of degree <= 4
     def random_poly(max_deg):
-        c = np.zeros((max_deg + 1, max_deg + 1))
-        for i in range(max_deg + 1):
-            for j in range(max_deg + 1 - i):
-                c[i, j] = rng.standard_normal()
+        deg = np.add.outer(np.arange(max_deg + 1), np.arange(max_deg + 1))
+        c = np.zeros(deg.shape)
+        c[deg <= max_deg] = rng.standard_normal(np.count_nonzero(deg <= max_deg))
         return polynomial_field(c)
 
     area = geometry(mesh).area
@@ -325,6 +327,8 @@ def build_parser():
                     "solvers, Newton-Kantorovich diagnostics, residual "
                     "estimators, adaptive bisection refinement.")
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {"problem": f"one of: {', '.join(registry_names())}",
+             "domain": "unit_square, l_shape or a mesh file"}
     for name, help_ in [("solve", "solve one problem and print diagnostics"),
                         ("afem", "adaptive refinement loop"),
                         ("study", "uniform-refinement convergence study"),
@@ -332,16 +336,9 @@ def build_parser():
                         ("verify", "run the identity suite")]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--problem",
-                       help=f"one of: {', '.join(registry_names())}")
-        p.add_argument("--domain", help="unit_square, l_shape or a mesh file")
-        p.add_argument("--levels", type=int)
-        p.add_argument("--theta", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-free-dofs", type=int, dest="max_free_dofs")
-        p.add_argument("--out", dest="output_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--base-refinements", type=int, dest="base_refinements")
+        for key, cast in _SETTINGS.items():
+            flag = "--out" if key == "output_dir" else "--" + key.replace("_", "-")
+            p.add_argument(flag, dest=key, type=cast, help=helps.get(key))
     return parser
 
 
@@ -349,10 +346,10 @@ def load_config(args) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         cfg = replace(cfg, **_parse_config_file(args.config))
-    for f in fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None and f.name != "command":
-            setattr(cfg, f.name, val)
+    for key in _SETTINGS:
+        val = getattr(args, key, None)
+        if val is not None:
+            setattr(cfg, key, val)
     cfg.validate()
     return cfg
 

@@ -7,36 +7,16 @@ Navier-Stokes (Morley):
             + h_E^3 || [Lap u_M grad u_M]_E . tau_E ||_{L2(E)}^2
             + h_E^3 || {Lap u_M grad u_M}_E . tau_E ||_{L2(E)}^2
 The average contribution (third line) is reported separately as well: its
-efficiency is unknown, only its decay is asserted.  For quadratics the
-elementwise curl of Lap(u) grad(u) vanishes identically (grad Lap u_M = 0),
-so the volume residual reduces to the data f.
+efficiency is unknown, only its decay is asserted.
 
 Von Karman (Morley), with the optional verification load g in the second
-equation (g = 0 recovers the plain plate system):
+equation:
     eta_K^2 = h_K^4 (|| [u,v] + f ||_{L2(K)}^2 + || [u,u] - 2g ||_{L2(K)}^2)
     eta_E^2 = h_E (|| [D^2 u]_E tau_E ||^2 + || [D^2 v]_E tau_E ||^2)
 
-Jumps and averages on boundary edges are the traces themselves.  All sums
-run over all edges.  Every edge term is a closed form, with no edge
-quadrature: D^2 u_M is constant on each element, and from each side
-(Lap u_M grad u_M) . tau_E is affine along the edge.
-
-Both are one estimator, reached through `estimate`: the Hessian jumps are
-summed over the components, and osc_sq sums osc_0(.)^2 with p = 2 over the
-loads that are set (f, then g), each sampled once on the degree-6 points
-that the volume residuals and `oscillation` share.  Only the volume residuals
-and the Navier-Stokes flux terms depend on the problem.  `estimate` takes the
-level's Assembler (see assembly) and reads the mesh, dof map, basis tables
-and data from it, the exact solution of a CR problem included.
-
-Every volume term is a sweep over spaces.element_blocks: the data and the
-exact solution are sampled, and the integrands formed, one fixed block of
-elements at a time, so no temporary grows like nt x nq; only the outputs
-do, the per-element values and the (nt, nq) load samples and integrands
-that are written block by block.  Each element's arithmetic is that of a
-whole-mesh sample, so every per-element value keeps its bits, and every
-total is summed as before from a full per-element or (nt, nq) array: the
-reported totals are bitwise those of one whole-mesh sweep.
+Jumps and averages on boundary edges are the traces themselves, and every
+edge term is a closed form (README Notes).  osc_sq sums osc_0(.)^2 with
+p = 2 over the loads that are set, f and then g.
 """
 from __future__ import annotations
 

@@ -1,18 +1,9 @@
 """Interpolation operators, data oscillations and level-to-level transfer.
 
 dof_values is the one producer of the dof values of a field, for both
-spaces, and the only function in ncfem that takes edge means by quadrature:
-the estimators' edge terms are closed forms.  Its edge means default to
-degree-4 Gauss rules; that is exact for the cubic edge traces arising from
-quartic fields and below.  Non-polynomial inputs can pass a higher
-`edge_degree` where an identity is to hold to round-off (the commuting
-identities D^2_pw I_M = Pi_0 D^2 and grad_pw I_CR = Pi_0 grad require exact
-edge means).  Oscillations of general data use degree-6 volume quadrature to
-resolve (I - Pi_k) honestly; Pi_k g is fitted and subtracted at those same
-points.
-
-transfer_morley carries a solution from a coarse level, given by its
-Assembler (see assembly), to the Morley dof values on a finer mesh.
+spaces; oscillation fits Pi_k g on degree-6 volume points (README Notes);
+transfer_morley carries a solution from a coarse level to the Morley dof
+values on a finer mesh.
 """
 from __future__ import annotations
 
@@ -47,7 +38,8 @@ def dof_values(mesh, space: SpaceTag, v, edge_degree: int = 4,
     (against the global normal) over every edge; the elementwise commuting
     identity D^2_pw I_M = Pi_0 D^2 holds for this full dof vector whether or
     not v satisfies the clamped boundary conditions.  CR: the edge means of
-    v over every edge.  Edge means take the Gauss rule of edge_degree.
+    v over every edge.  Edge means take the Gauss rule of edge_degree,
+    exact for quartic v at the default 4.
     boundary_only keeps the boundary vertices and edges, the dofs that the
     clamped space constrains, in the same order, and evaluates v at no
     other point."""

@@ -1,29 +1,13 @@
 """Conforming triangulations with newest-vertex bisection (NVB).
 
-A Triangulation stores vertices, counterclockwise triangles and one designated
-refinement edge per triangle (local edge k is the edge opposite local vertex
-k).  All derived incidence tables are numpy arrays built once, without loops
-over vertices, edges or triangles: `triangles_of_edge` is an (ne, 2) array
-holding the lower-indexed adjacent triangle in column 0 and the other one, or
--1 on a boundary edge, in column 1.  Instances are immutable and safe for
-concurrent reads; `geometry(mesh)` is computed on first use, its edge
-fields on their first read, kept on the instance and returned read-only.
-`bisect` returns a new mesh and never mutates its input; the `parent`
-attribute of a refined mesh maps each triangle to the triangle of the input
-mesh it descends from.
+A Triangulation holds vertices, counterclockwise triangles, one refinement
+edge per triangle (local edge k is opposite local vertex k) and the edge
+tables derived from them.  It is immutable and safe to read concurrently;
+`bisect` returns a new mesh.
 
-The newest-vertex rule: when a triangle is bisected at the midpoint of its
-refinement edge, the midpoint becomes the newest vertex of both children and
-each child's refinement edge is its edge opposite that midpoint.
-
-`bisect` works on arrays alone (after Funken, Praetorius and Wissgott, 2011);
-its four-slot rule numbers the children as cutting one triangle at a time,
-depth first, does, so every table comes out the same.
-
-Text file format: 'nv nt' on the first line, then nv lines 'x y', then nt
-lines 'i j k [r]' with optional refinement-edge index r in {0,1,2}.  Comments
-start with '#'.  `r` is given on every triangle row or on none; a malformed file
-raises ValueError naming the file and line.
+Mesh file format: 'nv nt', then nv lines 'x y', then nt lines 'i j k [r]',
+the refinement edge r in {0, 1, 2} on every triangle row or on none; '#'
+starts a comment.
 """
 from __future__ import annotations
 
@@ -67,11 +51,9 @@ class Triangulation:
 
 
 class MeshGeometry:
-    """Per-triangle geometry, built with the instance, and per-edge geometry,
-    built on the first read of h_E, nu_E or tau_E (a CR level reads none).
-    Until then it keeps the mesh arrays these are built from, never the
-    mesh: a geometry that pointed back at its mesh would put each mesh in
-    a reference cycle, freed only by the cyclic garbage collector."""
+    """Per-triangle geometry, and per-edge geometry built on the first read
+    of h_E, nu_E or tau_E.  It keeps the mesh's arrays, never the mesh, so
+    that reference counting alone frees a mesh."""
 
     def __init__(self, mesh):
         lengths = _edge_lengths_local(mesh.vertices, mesh.triangles)
@@ -176,16 +158,13 @@ _PAIRS_PER_BATCH = 1 << 16
 
 
 def _hanging_node_check(vertices, edges):
-    """Reject vertices lying strictly inside an edge.
+    """Raise ValueError naming the smallest vertex that lies strictly inside
+    one of the edges.
 
-    A vertex on the open segment ab lies in the ball of radius |ab|/2 around
-    the midpoint of ab.  Edges are grouped by level k = ceil(log2 |ab|); at
-    level k the vertices are binned into square cells of side 2^k, so each
-    ball meets at most a 2 x 2 block of cells, and only the vertices binned
-    there are tested.  The smallest hanging vertex index is reported.  A block
-    holds O(1) vertices on shape-regular meshes; on anisotropic ones (a long
-    edge beside many short ones) the time is still O(nv * ne).
-    build_from_arrays passes only the edges of one triangle (see there).
+    A vertex on edge ab lies in the ball of radius |ab|/2 around its
+    midpoint, which meets at most 2 x 2 cells of side 2^ceil(log2 |ab|); only
+    the vertices binned in those cells are tested: O(1) per edge on
+    shape-regular meshes, O(nv) on anisotropic ones.
     """
     nv = len(vertices)
     a = vertices[edges[:, 0]]
@@ -239,8 +218,7 @@ def _hanging_node_check(vertices, edges):
         raise ValueError(f"non-conforming input: vertex {hanging} hangs on an edge")
 
 
-def _longest_edge_assignment(vertices, triangles):
-    lengths = _edge_lengths_local(vertices, triangles)
+def _longest_edge_assignment(triangles, lengths):
     lmax = lengths.max(axis=1, keepdims=True)
     candidate = lengths >= lmax * (1.0 - 1e-12)
     # tie break: smallest global index of the vertex opposite the edge
@@ -253,13 +231,12 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
 
     Clockwise triangles are reoriented.  Unless `ref_edge` is given, the
     refinement edge of each triangle is its longest edge, with ties broken by
-    the smallest global index of the opposite vertex.
-
-    The triangles must not overlap; that is not checked.  A vertex that a
-    triangle uses cannot then lie inside an edge of two triangles, so the
-    hanging-node check tests the vertices against the edges of one triangle
-    alone.  A vertex that no triangle uses is rejected as well: as hanging
-    if it lies inside such an edge, else as belonging to no triangle.
+    the smallest global index of the opposite vertex.  Raises ValueError for
+    malformed arrays, no triangle, duplicate vertices, a zero-area triangle,
+    an edge of three triangles, a hanging vertex or an unused one.  The
+    triangles must not overlap, which is not checked: then a vertex cannot
+    lie inside an edge of two triangles, so only one-triangle edges are
+    tested for hanging vertices.
     """
     vertices = np.ascontiguousarray(vertices, dtype=float)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -269,6 +246,8 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
         raise ValueError("vertex coordinates must be finite")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise ValueError("triangles must be an (nt, 3) array")
+    if len(triangles) == 0:
+        raise ValueError("a mesh needs at least one triangle")
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= len(vertices):
         raise ValueError("triangle vertex index out of range")
     # equal rows are adjacent once sorted by x, then y
@@ -281,12 +260,12 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
     flip = signed < 0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
     signed = np.abs(signed)
-    scale = _edge_lengths_local(vertices, triangles).max(axis=1) ** 2
-    if (signed <= 1e-14 * scale).any():
+    lengths = _edge_lengths_local(vertices, triangles)
+    if (signed <= 1e-14 * lengths.max(axis=1) ** 2).any():
         raise ValueError("zero-area triangle")
 
     if ref_edge is None:
-        ref_edge = _longest_edge_assignment(vertices, triangles)
+        ref_edge = _longest_edge_assignment(triangles, lengths)
     else:
         ref_edge = np.asarray(ref_edge, dtype=np.int64).copy()
         if ref_edge.shape != (len(triangles),) or ((ref_edge < 0) | (ref_edge > 2)).any():
@@ -305,21 +284,17 @@ def build_from_arrays(vertices, triangles, ref_edge=None) -> Triangulation:
 
 
 def bisect(mesh: Triangulation, marked) -> Triangulation:
-    """Bisect the marked triangles, with conforming closure.
+    """Bisect the marked triangles, with conforming closure, into a new mesh
+    whose `parent` maps each triangle to the one of `mesh` it came from.
 
     `marked` holds integer triangle indices (array, list, range or set); a
-    mask or a non-integral index raises ValueError.  The closure marks the
-    refinement edge of every marked triangle, and of any triangle with a
-    marked edge, until a fixed point.  A triangle with peak p and refinement
-    edge (a, b) is then cut at the midpoint m of (a, b) if that is marked,
-    and its halves at the midpoints ma of (p, a) and mb of (b, p) where
-    marked; its children (triangle, local refinement edge) fill four slots:
-        0: unsplit (tri, ref); else (p, a, m), 2, or with ma (m, p, ma), 2
-        1: with ma (m, ma, a), 1
-        2: if split (p, m, b), 1, or with mb (m, b, mb), 2
-        3: with mb (m, mb, p), 1
-    Read in triangle and slot order, the filled slots list the children as
-    cutting one triangle at a time, depth first, left before right, does.
+    mask, a non-integral or an out-of-range index raises ValueError.  The
+    closure marks the refinement edge of each marked triangle, and of each
+    triangle with a marked edge, until a fixed point.  A cut makes the
+    midpoint the newest vertex of both children, whose refinement edges lie
+    opposite it.  The children are numbered as cutting one triangle at a
+    time, depth first, left before right, would number them (after Funken,
+    Praetorius and Wissgott, 2011).
     """
     nt = mesh.n_triangles
     marked = np.asarray(list(marked) if isinstance(marked, (set, frozenset)) else marked)
@@ -363,10 +338,8 @@ def bisect(mesh: Triangulation, marked) -> Triangulation:
                          np.where(mb < 0, 1, 2), np.full(nt, 1)], dtype=np.int64)
     keep = np.stack([np.ones(nt, dtype=bool), ma >= 0, split, mb >= 0], axis=1)
 
-    out = _finalize(vertices, np.moveaxis(slots, 2, 0)[keep], slot_ref.T[keep],
-                    parent=np.repeat(rows, keep.sum(axis=1)))
-    assert abs(out.n_vertices - mesh.n_vertices - len(marked_ids)) == 0
-    return out
+    return _finalize(vertices, np.moveaxis(slots, 2, 0)[keep], slot_ref.T[keep],
+                     parent=np.repeat(rows, keep.sum(axis=1)))
 
 
 def uniform_refine(mesh: Triangulation) -> Triangulation:
@@ -383,13 +356,10 @@ def refine(mesh: Triangulation, levels: int) -> Triangulation:
 
 
 def geometry(mesh: Triangulation) -> MeshGeometry:
-    """Per-triangle and per-edge geometric quantities.
-
-    nu_E points from the lower-indexed adjacent triangle into the
-    higher-indexed one, and outward on boundary edges; tau_E is nu_E rotated
-    by +90 degrees.  Computed once per mesh, the edge fields on first read;
-    its arrays are read-only, since every caller shares them.
-    """
+    """The mesh's MeshGeometry, built on first use and kept on the mesh;
+    its arrays are read-only, since every caller shares them.  nu_E points
+    from the lower-indexed triangle of an edge into the other one, and
+    outward on a boundary edge."""
     if mesh._geometry is None:
         object.__setattr__(mesh, "_geometry", MeshGeometry(mesh))
     return mesh._geometry
@@ -422,12 +392,10 @@ def _parse_fast(text):
     """The arrays of _parse_rows(path, text), parsed in C, or None where the
     two might differ.
 
-    The fields of the comment-stripped rows are taken from _NUMBER_CHARS,
-    those of triangle rows without '.', 'e' and 'E'.  np.fromstring reads a
-    field with PyOS_string_to_double, as float() does, and goes on past it
-    only if that used all of it; so with as many numbers as fields, and a
-    last field that float() reads, every field is a number float() reads
-    alike.  A triangle field is then an integer, exact below 2^53.
+    np.fromstring reads each field as float() does and goes on past it only
+    if float() would use all of it; so as many numbers as fields, and a last
+    field that float() reads, mean every field reads alike.  Triangle fields
+    hold no '.', 'e' or 'E', and below 2^53 they are exact integers.
     """
     if "#" in text:
         text = re.sub("#.*", "", text)
@@ -509,14 +477,9 @@ def _parse_rows(path, text):
 
 
 def read_mesh(path) -> Triangulation:
-    """Read the text format above; a malformed file, or a mesh that
-    build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...').
-
-    The file is read once and, where its rows hold plain numbers, parsed in
-    C (_parse_fast), in time and memory linear in its size; any other file
-    goes through _parse_rows, which reads the same arrays and names the
-    first bad line.
-    """
+    """Read the mesh file format above, in time and memory linear in its
+    size where its rows hold plain numbers; a malformed file, or a mesh that
+    build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...')."""
     with open(path) as fh:
         text = fh.read()
     vertices, triangles = _parse_fast(text) or _parse_rows(path, text)

@@ -16,14 +16,9 @@ only, honoring discontinuities aligned with the mesh.
 A problem carries its exact solution, if one is known, in `exact`: one
 `Field` (value, gradient, hessian) per component.  The registry is one table
 of builders, looked up by `manufactured(name)`; the manufactured entries set
-`exact` and the matching loads, and `ns_unit_load` sets none.  The
-polynomial entries are bivariate coefficient arrays c[i, j] of x^i y^j:
-derivatives come from `polyder` along one axis, products from a small 2-D
-convolution, and the loads (bilaplacian, transport term, Monge-Ampere
-bracket) are built from these on the arrays and evaluated through
-`polynomial_field`.  The sine entry has closed-form derivatives.  The second
-von Karman equation gets a verification-only load g so that a manufactured
-pair can be tested; g = 0 recovers the plain plate system.
+`exact` and the matching loads (the polynomial ones built on coefficient
+arrays), and `ns_unit_load` sets none.  The second von Karman equation gets
+a verification-only load g; g = 0 recovers the plain plate system.
 """
 from __future__ import annotations
 
@@ -107,21 +102,11 @@ def _bracket(u, v):
                  -2.0 * _pmul(_dx(_dy(u)), _dx(_dy(v))))
 
 
-def _constant_vector(bx, by):
-    def b(pts):
-        pts = np.asarray(pts, dtype=float)
-        out = np.empty(pts.shape[:-1] + (2,))
-        out[..., 0] = bx
-        out[..., 1] = by
-        return out
-    return b
-
-
-def _constant(c):
-    def g(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.full(pts.shape[:-1], float(c))
-    return g
+def _constant(value):
+    """The field equal to value, a scalar or a vector, at points (..., 2)."""
+    def c(pts):
+        return np.full(np.shape(pts)[:-1] + np.shape(value), value, dtype=float)
+    return c
 
 
 _G = np.array([0.0, 0.0, 1.0, -2.0, 1.0])      # t^2 (1 - t)^2
@@ -189,7 +174,7 @@ def _cr_sine() -> ProblemSpec:
                 - np.pi * (cx * sy) - np.pi * (sx * cy))
 
     return ProblemSpec(kind=ProblemKind.SECOND_ORDER_CR,
-                       f=f, b=_constant_vector(1.0, 1.0),
+                       f=f, b=_constant((1.0, 1.0)),
                        gamma=_constant(gamma), exact=(u,))
 
 

@@ -1,45 +1,16 @@
 """Finite element spaces on a triangulation: Morley and Crouzeix-Raviart.
 
-Degrees of freedom
-------------------
-Morley   : one value per vertex plus one mean normal derivative per edge;
-           boundary vertices and boundary edges are constrained to zero
-           (homogeneous clamped conditions).
-CR       : one value per edge midpoint; boundary edges constrained to zero.
+Morley: one value per vertex, then one mean normal derivative per edge,
+against the global edge normal; CR: one value per edge midpoint.  Boundary
+dofs are constrained to zero (homogeneous clamped conditions).  A discrete
+function is its free-dof coefficient vector, the components concatenated
+(README); DofMap.slots (nt, nloc, intp) holds the free index of each
+element_dofs entry, and n_free where that dof is constrained.
 
-Both bases are closed forms in the barycentric coordinates lambda_i of each
-element (Ciarlet, 1978; Wang and Xu, Numer. Math. 103, 2006), so no dof
-matrix is built or inverted.  CR: 1 - 2 lambda_k.  Morley, with edge m
-opposite vertex m, nu_m its global normal, B_im = grad lambda_i . nu_m and
-a_m = B_mm:
-    edge function    psi_m = lambda_m (1 - lambda_m) / a_m,
-    vertex function  phi_i = lambda_i - sum_m B_im psi_m.
-psi_m vanishes at the vertices, and its normal derivative has mean 1 on
-edge m and 0 on the other two, where 1 - 2 lambda_m has mean zero; the sum
-in phi_i cancels the normal-derivative means of lambda_i.  Both elements
-sharing an edge see one dof with a consistent sign because both use the same
-global normal.  Gradients (1 - 2 lambda_m) grad lambda_m / a_m and hessians
--2 grad lambda_m (x) grad lambda_m / a_m combine through B in the same way.
-
-A discrete function is its free-dof coefficient vector: a 1-D float array of
-length n_components * n_free, the components concatenated in order (the
-[u-block, v-block] of a von Karman pair); the dof map and the problem give
-its space and its number of components.  The dof map keeps the one index
-through which it is read, DofMap.slots (nt, nloc, intp): the free index of
-each element_dofs entry, n_free where that dof is constrained, so a gather
-from [u, 0] reads 0 there and a scatter drops that slot.
-
-A Morley function with local coefficients c is u = lambda . c_v +
-lambda (1 - lambda) . w with w = W c, W (3 x 6) the bubble weights
-(bubble_weights; barycentric_form folds c into (c_v, w)).  So its hessian
--2 sum_m w_m grad lambda_m (x) grad lambda_m is constant (hessians), its
-gradient sum_i (c_v,i + (1 - 2 lambda_i) w_i) grad lambda_i affine, and the
-element tensors of assembly are closed forms in grad lambda and W: the
-Morley table keeps grad lambda, B and a, and the CR table its constant
-gradients `grads` (nt, 3, 2).  values_at and the Morley grads_at serve the
-checks that evaluate the basis at points; they take barycentric points
-lambda, (nq, 3) shared by every element or (nt, nq, 3), and return
-(nt, nq, ...); shared points give a broadcast view of the CR values.
+Both bases are closed forms in the barycentric coordinates lambda of each
+element (README Notes), so no dof matrix is built or inverted.  values_at
+and grads_at take barycentric points lambda, (nq, 3) shared by every
+element or (nt, nq, 3), and return (nt, nq, ...).
 """
 from __future__ import annotations
 
@@ -186,9 +157,8 @@ def basis_tables(mesh: Triangulation, space: SpaceTag):
 
 
 def physical_points(mesh, bary, elements=slice(None)):
-    """Map barycentric points (nq, 3) to physical points per element
-    (n, nq, 2) on the elements of the slice `elements`, every element by
-    default."""
+    """Physical points (n, nq, 2) of barycentric points (nq, 3) on the
+    elements of the slice `elements`, every element by default."""
     return bary @ mesh.vertices[mesh.triangles[elements]]
 
 
@@ -196,13 +166,10 @@ def element_blocks(mesh, degree: int):
     """The degree-exact volume rule one block of ELEMENT_BLOCK elements at a
     time, in element order: (sl, xq, wdx) per block, sl the slice of its
     elements, xq (n, nq, 2) the points and wdx (n, nq) the weights, which
-    carry the area.  Every volume sample of a load, coefficient or Field
-    is taken here.  An element's points and weights have the same bits in
-    every block, so a sweep that fills per-element or (nt, nq) outputs by
-    blocks gets the bits of one whole-mesh block from one block's
-    temporaries.  A last block of one element joins the one before it:
-    numpy multiplies a one-row matrix by a vector product whose sums round
-    differently."""
+    carry the area.  An element's points and weights have the same bits in
+    every block, so outputs filled block by block have the bits of one
+    whole-mesh sweep; a last block of one element joins the one before it,
+    as a one-row matmul rounds differently."""
     rule, area = quad_triangle(degree), geometry(mesh).area
     nt = mesh.n_triangles
     starts = list(range(0, nt, ELEMENT_BLOCK))

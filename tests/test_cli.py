@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import ncfem
 from conftest import patch_newton, read_records_csv
 from ncfem.afem import ConvergenceRecord
 from ncfem.assembly import Assembler
-from ncfem.cli import RunConfig, main
+from ncfem.cli import RunConfig, _parse_config_file, build_parser, main
 from ncfem.mesh import builtin_domain, refine
 from ncfem.problems import manufactured
 from ncfem.reporting import emit_plots, write_records_csv
@@ -116,6 +118,36 @@ def test_cli_bad_config_cast_names_path_and_line(tmp_path, capsys, text, key):
     cfgfile.write_text(text)
     assert main(["verify", "--config", str(cfgfile)]) == 2
     assert f"{cfgfile}:2: {key}:" in capsys.readouterr().err
+
+
+def test_cli_flags_and_config_keys_are_the_run_config_fields(tmp_path):
+    """Each subcommand takes --config and one flag per RunConfig field but
+    the subcommand, and a flag and a config key parse to the field's type."""
+    settings = [f for f in fields(RunConfig) if f.name != "command"]
+    defaults = RunConfig()
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {"solve", "afem", "study", "infsup", "verify"}
+    for name, sub in commands.items():
+        flags = {a.dest: a.option_strings for a in sub._actions
+                 if a.dest != "help"}
+        assert flags == {"config": ["--config"], "output_dir": ["--out"],
+                         **{f.name: ["--" + f.name.replace("_", "-")]
+                            for f in settings if f.name != "output_dir"}}
+        for f in settings:
+            default = getattr(defaults, f.name)
+            args = parser.parse_args([name, *flags[f.name], str(default)])
+            value = getattr(args, f.name)
+            assert type(value).__name__ == f.type and value == default
+    cfgfile = tmp_path / "all.cfg"
+    cfgfile.write_text("".join(f"{f.name} = {getattr(defaults, f.name)}\n"
+                               for f in settings))
+    values = _parse_config_file(cfgfile)
+    assert list(values) == [f.name for f in settings]
+    for f in settings:
+        assert type(values[f.name]).__name__ == f.type
+        assert values[f.name] == getattr(defaults, f.name)
 
 
 def test_cli_unknown_config_key(tmp_path):

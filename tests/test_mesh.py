@@ -63,6 +63,14 @@ def test_degenerate_triangle_rejected():
         build_from_arrays([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
 
 
+@pytest.mark.parametrize("nv", [0, 3])
+def test_mesh_without_triangles_rejected(nv):
+    # as read_mesh rejects nt < 1: geometry() would have nothing to reduce
+    vertices = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])[:nv]
+    with pytest.raises(ValueError, match="^a mesh needs at least one triangle$"):
+        build_from_arrays(vertices, np.empty((0, 3), dtype=int))
+
+
 def test_edge_shared_three_times_rejected():
     v = [(0, 0), (1, 0), (0, 1), (0, -1), (1, 1)]
     t = [(0, 1, 2), (0, 3, 1), (0, 1, 4)]

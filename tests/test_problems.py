@@ -185,18 +185,31 @@ def test_exact_solution_is_clamped():
     assert np.abs(fld.gradient(boundary)).max() < 1e-15
 
 
+def _sample_points(pts):
+    """pts (n, 2) as the samples a field sees: points (n, 2), block
+    quadrature points (3, 4, 2) and block centroids (3, 1, 2)."""
+    return pts, np.repeat(pts[:3, None], 4, axis=1), pts[:3, None]
+
+
+def _assert_constant(out, expected):
+    assert out.dtype == np.float64 and out.shape == expected.shape
+    assert np.array_equal(out, expected)
+
+
 def test_cr_coefficients():
     p = manufactured("cr_sine")
     pts = RNG.random((5, 2))
     assert p.A is None          # the identity, sampled nowhere
-    assert np.allclose(p.b(pts), 1.0)
-    assert np.allclose(p.gamma(pts), -20.0)
+    for x in _sample_points(pts):
+        _assert_constant(p.b(x), np.ones(x.shape))
+        _assert_constant(p.gamma(x), np.full(x.shape[:-1], -20.0))
     assert p.lambda_bounds == (1.0, 1.0)
 
 
 def test_ns_unit_load():
     p = ns_unit_load()
-    assert np.allclose(p.f(RNG.random((7, 2))), 1.0)
+    for x in _sample_points(RNG.random((7, 2))):
+        _assert_constant(p.f(x), np.ones(x.shape[:-1]))
 
 
 def test_polynomial_field_derivatives():
