@@ -51,8 +51,8 @@ class RunConfig:
             raise ValueError("max_free_dofs must be >= 1")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.problem not in registry_names():
             raise ValueError(f"unknown problem {self.problem!r}; available: "
                              + ", ".join(registry_names()))

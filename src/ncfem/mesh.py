@@ -5,9 +5,13 @@ edge per triangle (local edge k is opposite local vertex k) and the edge
 tables derived from them.  It is immutable and safe to read concurrently;
 `bisect` returns a new mesh.
 
-Mesh file format: 'nv nt', then nv lines 'x y', then nt lines 'i j k [r]',
-the refinement edge r in {0, 1, 2} on every triangle row or on none; '#'
-starts a comment.
+Mesh file format: 'nv nt', then nv rows 'x y', then nt rows 'i j k [r]',
+the refinement edge r in {0, 1, 2} on every triangle row or on none.  Its
+fields are ASCII decimals, separated by spaces and tabs: x and y are
+[+-]d[.[d]] or [+-].d, either with an optional (e|E)[+-]d (d: one or more
+digits); nv, nt, i, j, k and r are [+-]d below 10^15 in magnitude.  '#'
+starts a comment; blank lines are skipped; lines end in LF or CR LF.
+Any other field is an error that names its line.
 """
 from __future__ import annotations
 
@@ -382,107 +386,88 @@ def builtin_domain(name: str) -> Triangulation:
     return build_from_arrays(vertices, triangles)
 
 
-# the characters of the fields _parse_fast takes; it leaves underscores, hex
-# floats, words and non-ASCII digits, which float() or int() may read and
-# np.fromstring does not, to _parse_rows
-_NUMBER_CHARS = b"0123456789+-.eE"
+def _not_field(field):
+    """A regex for the first character of a field that `field` does not
+    match whole."""
+    return re.compile(rf"(?<![^ \t\n])(?!(?:{field})(?![^ \t\n]))[^ \t\n]")
 
 
-def _parse_fast(text):
-    """The arrays of _parse_rows(path, text), parsed in C, or None where the
-    two might differ.
+_NOT_INT = _not_field(r"[+-]?0*[0-9]{1,15}")
+_NOT_FLOAT = _not_field(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
-    np.fromstring reads each field as float() does and goes on past it only
-    if float() would use all of it; so as many numbers as fields, and a last
-    field that float() reads, mean every field reads alike.  Triangle fields
-    hold no '.', 'e' or 'E', and below 2^53 they are exact integers.
-    """
+
+def _parse(path, text):
+    """The (nv, 2) vertices and (nt, 3 or 4) triangles of a mesh file's
+    text, or a ValueError that names the first bad line.  A valid file takes
+    one numpy pass; the rows are searched only when a check of that pass
+    fails.  On the grammar's characters np.fromstring reads a field whole
+    exactly where float() does, so the checks fail only off the grammar."""
     if "#" in text:
         text = re.sub("#.*", "", text)
-    try:
-        data = text.encode("ascii")
-    except UnicodeEncodeError:
-        return None
-    if data.translate(None, _NUMBER_CHARS + b" \t\n"):
-        return None
+    data = text.encode("ascii", "replace")   # one byte per character
     chars = np.frombuffer(data, dtype=np.uint8)
-    blank = chars <= ord(" ")   # a space, tab or line end
+    blank = (chars == ord(" ")) | (chars == ord("\t")) | (chars == ord("\n"))
     starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1   # of the fields
     if len(blank) and not blank[0]:
         starts = np.concatenate([[0], starts])
     line_end = np.append(np.flatnonzero(chars == ord("\n")), len(data))
     fields = np.diff(np.searchsorted(starts, line_end), prepend=0)
-    row_end = line_end[fields > 0]
-    counts = fields[fields > 0]
-    if len(counts) == 0 or counts[0] != 2:
-        return None
-    try:
-        nv, nt = (int(f) for f in text[:row_end[0]].split())
-        float(data[starts[-1]:])
-    except ValueError:
-        return None
-    tri = counts[1 + nv:]
-    if (nv < 0 or nt < 1 or len(counts) != 1 + nv + nt
-            or (counts[1:1 + nv] != 2).any() or tri[0] not in (3, 4)
-            or (tri != tri[0]).any()):
-        return None
-    tri_start = starts[2 + 2 * nv]
-    if any(data.find(c, tri_start) >= 0 for c in (b".", b"e", b"E")):
-        return None
-    try:
-        values = np.fromstring(data, sep=" ")
-    except ValueError:
-        return None
-    triangles = values[2 + 2 * nv:]
-    if len(values) != len(starts) or np.abs(triangles).max() >= 2.0 ** 53:
-        return None
-    return (values[2:2 + 2 * nv].reshape(nv, 2).copy(),
-            triangles.astype(np.int64).reshape(nt, tri[0]))
-
-
-def _parse_rows(path, text):
-    """The field-by-field parse of read_mesh that names the first bad line."""
-    rows = []   # (line number, fields) of the non-empty lines
-    for lineno, line in enumerate(text.split("\n"), 1):
-        fields = line.split("#", 1)[0].split()
-        if fields:
-            rows.append((lineno, fields))
-    if not rows:
+    lines = np.flatnonzero(fields)   # the line index of each row
+    counts = fields[lines]
+    if len(lines) == 0:
         raise ValueError(f"empty mesh file {path}")
 
-    def parse(row, cast, sizes, form):
-        lineno, fields = row
+    def row_error(k, form):
+        line = text[line_end[lines[k] - 1] + 1 if lines[k] else 0:line_end[lines[k]]]
+        got = " ".join(re.findall("[^ \t]+", line))
+        return ValueError(f"{path}:{lines[k] + 1}: expected '{form}', got {got!r}")
+
+    def first_bad(not_field, k0, k1):
+        """The first of rows k0 .. k1 - 1 with a field that not_field finds,
+        or len(lines)."""
+        m = not_field.search(text, line_end[lines[k0 - 1]] if k0 else 0,
+                             line_end[lines[k1 - 1]])
+        return np.searchsorted(lines, np.searchsorted(line_end, m.start())) if m else len(lines)
+
+    if counts[0] != 2 or first_bad(_NOT_INT, 0, 1) == 0:
+        raise row_error(0, "nv nt")
+    nv, nt = (int(f) for f in text[:line_end[lines[0]]].split())
+    if nv < 0 or nt < 1:
+        raise ValueError(f"{path}:{lines[0] + 1}: need nv >= 0 and nt >= 1")
+    if len(lines) != 1 + nv + nt:
+        raise ValueError(f"mesh file {path}: expected {1 + nv + nt} records, got {len(lines)}")
+    tri = counts[1 + nv:]
+    width_ok = np.concatenate([counts[:1 + nv] == 2, (tri == 3) | (tri == 4)])
+    values = None
+    if not data.translate(None, b"0123456789+-.eE \t\n"):
         try:
-            if len(fields) in sizes:
-                return [cast(f) for f in fields]
+            # older NumPy only warns where it reads the last field in part
+            float(data[starts[-1]:])
+            values = np.fromstring(data, sep=" ")
         except ValueError:
             pass
-        raise ValueError(f"{path}:{lineno}: expected '{form}', "
-                         f"got {' '.join(fields)!r}")
-
-    nv, nt = parse(rows[0], int, (2,), "nv nt")
-    if nv < 0 or nt < 1:
-        raise ValueError(f"{path}:{rows[0][0]}: need nv >= 0 and nt >= 1")
-    if len(rows) != 1 + nv + nt:
-        raise ValueError(f"mesh file {path}: expected {1 + nv + nt} records, got {len(rows)}")
-    vertices = np.array([parse(r, float, (2,), "x y") for r in rows[1:1 + nv]],
-                        dtype=float).reshape(nv, 2)
-    tri_rows = [parse(r, int, (3, 4), "i j k [r]") for r in rows[1 + nv:]]
-    has_ref = [len(r) == 4 for r in tri_rows]
-    if not all(f == has_ref[0] for f in has_ref):
-        lineno = rows[1 + nv + has_ref.index(not has_ref[0])][0]
-        raise ValueError(f"{path}:{lineno}: the refinement edge r must be given "
-                         "on every triangle row or on none")
-    return vertices, np.array(tri_rows, dtype=np.int64)
+    tri_start = line_end[lines[nv]]
+    if (values is None or len(values) != len(starts) or not width_ok.all()
+            or any(data.find(c, tri_start) >= 0 for c in b".eE")
+            or np.abs(values[2 + 2 * nv:]).max(initial=0) >= 1e15):
+        k = min(np.append(width_ok, False).argmin(), first_bad(_NOT_FLOAT, 1, 1 + nv),
+                first_bad(_NOT_INT, 1 + nv, len(lines)))
+        raise row_error(k, "x y" if k <= nv else "i j k [r]")
+    mixed = np.flatnonzero(tri != tri[0])
+    if len(mixed):
+        raise ValueError(f"{path}:{lines[1 + nv + mixed[0]] + 1}: the refinement edge r "
+                         "must be given on every triangle row or on none")
+    return (values[2:2 + 2 * nv].reshape(nv, 2).copy(),
+            values[2 + 2 * nv:].astype(np.int64).reshape(nt, tri[0]))
 
 
 def read_mesh(path) -> Triangulation:
     """Read the mesh file format above, in time and memory linear in its
-    size where its rows hold plain numbers; a malformed file, or a mesh that
-    build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...')."""
+    size; a malformed file, or a mesh that build_from_arrays rejects, raises
+    ValueError('<path>[:<line>]: ...')."""
     with open(path) as fh:
         text = fh.read()
-    vertices, triangles = _parse_fast(text) or _parse_rows(path, text)
+    vertices, triangles = _parse(path, text)
     del text   # not held while the mesh is built
     ref_edge = triangles[:, 3] if triangles.shape[1] == 4 else None
     try:

@@ -274,10 +274,10 @@ def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     no solve and no factor.  Returns (solution, trace): trace.converged is
     False once max_iter is exhausted, trace.krylov_iterations has one entry
     per GMRES step and trace.direct_fallbacks counts the sparse_solve
-    fallbacks.  Raises ValueError for tol <= 0, a U0 of the wrong length
-    or a level without free dofs; a singular Jacobian raises."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    fallbacks.  Raises ValueError for tol outside (0, inf), a U0 of the
+    wrong length or a level without free dofs; a singular Jacobian raises."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     U = _initial_iterate(asm, U0)
     G = asm.gram()
     Glu = None

@@ -102,7 +102,8 @@ def test_cli_unknown_problem_is_usage_error(tmp_path, capsys):
 def test_cli_bad_config_value(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     for text, key in (("theta = 1.5\n", "theta"),
-                      ("problem = nope\n", "problem")):
+                      ("problem = nope\n", "problem"),
+                      ("tol = inf\n", "tol")):
         cfgfile.write_text(text)
         code = main(["study", "--config", str(cfgfile)])
         assert code == 2
@@ -580,6 +581,7 @@ def test_cli_csv_repeats_bitwise(argv, csv, tmp_path):
     ("3 1\n0 0\n1\n0 1\n0 1 2\n", 3),                  # vertex row of 1 field
     ("# header\n3 1 x\n0 0\n1 0\n0 1\n0 1 2\n", 2),    # header of 3 fields
     ("3 1\n0 0\n1 0\n0 1\n0 1 two\n", 5),              # non-integer index
+    ("3 1\n0 0\n1_0 0\n0 1\n0 1 2\n", 3),              # underscore in a number
 ])
 def test_cli_malformed_mesh_file_is_usage_error(text, line, tmp_path, capsys):
     path = tmp_path / "bad.mesh"

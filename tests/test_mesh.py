@@ -1,5 +1,6 @@
 import gc
 import io
+import re
 import tracemalloc
 import weakref
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import interior_edges
 import ncfem.mesh
-from ncfem.mesh import (_finalize, _hanging_node_check, _parse_fast,
-                        _parse_rows, bisect, build_from_arrays, builtin_domain,
-                        geometry, read_mesh, refine, uniform_refine, write_mesh)
+from ncfem.mesh import (_finalize, _hanging_node_check, _parse, bisect,
+                        build_from_arrays, builtin_domain, geometry, read_mesh,
+                        refine, uniform_refine, write_mesh)
 
 SQUARE_V = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_T = [(0, 1, 2), (0, 2, 3)]
@@ -691,13 +692,62 @@ def _mesh_text(draw, float_field=_FLOAT_FIELD, int_field=_INT_FIELD):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-@settings(max_examples=300, deadline=None)
-@given(raw=_mesh_text())
-def test_fast_parse_reads_the_row_parsers_arrays(raw):
-    text = _decode(raw)
-    fast = _parse_fast(text)
-    assert fast is not None
-    _assert_same_arrays(fast, _parse_rows("mesh.txt", text))
+# the mesh-file grammar of ncfem.mesh's docstring, stated apart from its
+# regexes: x and y as float() reads ASCII decimals, every other field an
+# integer below 10^15 in magnitude
+_FLOAT_GRAMMAR = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_INT_GRAMMAR = re.compile(r"[+-]?[0-9]+")
+
+
+def _as_float(field):
+    if not _FLOAT_GRAMMAR.fullmatch(field):
+        raise ValueError(field)
+    return float(field)
+
+
+def _as_int(field):
+    if not _INT_GRAMMAR.fullmatch(field) or abs(int(field)) >= 10 ** 15:
+        raise ValueError(field)
+    return int(field)
+
+
+def _parse_rows(path, text):
+    """The field-by-field parse that read_mesh once fell back to, with the
+    fields split at spaces and tabs and cast under the grammar: the
+    reference that _parse must match, array for array and message for
+    message."""
+    rows = []   # (line number, fields) of the non-empty lines
+    for lineno, line in enumerate(text.split("\n"), 1):
+        fields = re.findall("[^ \t]+", line.split("#", 1)[0])
+        if fields:
+            rows.append((lineno, fields))
+    if not rows:
+        raise ValueError(f"empty mesh file {path}")
+
+    def parse(row, cast, sizes, form):
+        lineno, fields = row
+        try:
+            if len(fields) in sizes:
+                return [cast(f) for f in fields]
+        except ValueError:
+            pass
+        raise ValueError(f"{path}:{lineno}: expected '{form}', "
+                         f"got {' '.join(fields)!r}")
+
+    nv, nt = parse(rows[0], _as_int, (2,), "nv nt")
+    if nv < 0 or nt < 1:
+        raise ValueError(f"{path}:{rows[0][0]}: need nv >= 0 and nt >= 1")
+    if len(rows) != 1 + nv + nt:
+        raise ValueError(f"mesh file {path}: expected {1 + nv + nt} records, got {len(rows)}")
+    vertices = np.array([parse(r, _as_float, (2,), "x y") for r in rows[1:1 + nv]],
+                        dtype=float).reshape(nv, 2)
+    tri_rows = [parse(r, _as_int, (3, 4), "i j k [r]") for r in rows[1 + nv:]]
+    has_ref = [len(r) == 4 for r in tri_rows]
+    if not all(f == has_ref[0] for f in has_ref):
+        lineno = rows[1 + nv + has_ref.index(not has_ref[0])][0]
+        raise ValueError(f"{path}:{lineno}: the refinement edge r must be given "
+                         "on every triangle row or on none")
+    return vertices, np.array(tri_rows, dtype=np.int64)
 
 
 # fields that float() or int() read and np.fromstring does not, or the other
@@ -708,31 +758,39 @@ _ODD_FIELDS = ["1_0", "0x1p3", "inf", "-nan", "1e", "e5", "+", "-", ".", "1-2",
 _ANY_FIELD = st.one_of(_INT_FIELD, _FLOAT_FIELD, st.sampled_from(_ODD_FIELDS))
 
 
-@settings(max_examples=300, deadline=None)
-@given(raw=_mesh_text(_ANY_FIELD, _ANY_FIELD),
+@settings(max_examples=500, deadline=None)
+@given(raw=st.one_of(_mesh_text(), _mesh_text(_ANY_FIELD, _ANY_FIELD)),
        drop=st.integers(0, 3))
-def test_fast_parse_declines_what_it_might_read_otherwise(raw, drop):
+def test_parse_matches_the_row_parser(raw, drop):
     # drop one character here and there, to shift rows and fields as well
     text = _decode(raw[:len(raw) * drop // 4] + raw[len(raw) * drop // 4 + (drop > 0):])
-    fast = _parse_fast(text)
     try:
-        rows = _parse_rows("mesh.txt", text)
-    except (ValueError, OverflowError):
-        assert fast is None
+        expected = _parse_rows("mesh.txt", text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _parse("mesh.txt", text)
+        assert str(got.value) == str(exc)
     else:
-        if fast is not None:
-            _assert_same_arrays(fast, rows)
+        _assert_same_arrays(_parse("mesh.txt", text), expected)
 
 
-# last fields that np.fromstring reads in part ("2e": "2", then it raises, or
-# on older numpy only warns), or as a float that int() does not read, or
-# reads as another integer, or that it does not read at all
-@pytest.mark.parametrize("field", ["2e", "2.", "2e0", "9007199254740993",
-                                   "-9007199254740993", "2_0", "\u0662"])
-def test_fast_parse_declines_a_last_field_it_might_read_otherwise(field):
-    text = "3 1\n0 0\n1 0\n0 1\n0 1 2\n"
-    assert _parse_fast(text) is not None
-    assert _parse_fast(text[:-2] + field + "\n") is None
+# fields outside the grammar that float(), int(), str.split() or
+# np.fromstring read, whole or in part, in a vertex row and as the last field
+# of the file: each is an error that names its line
+_LAST_FIELDS = ["2e", "2.", "2e0", "9007199254740993", "-9007199254740993",
+                "2_0", "\u0662"]
+
+
+@pytest.mark.parametrize("line, row", [
+    (3, "1_0 0"), (3, "\u0663 0"), (3, "1\xa00"), (3, "1\x0b0"), (3, "inf 0"),
+    (3, "0x1p3 0"), *((5, "0 1 " + field) for field in _LAST_FIELDS),
+], ids=["underscore", "arabic_indic_digit", "nbsp", "vertical_tab", "inf",
+        "hex_float", *_LAST_FIELDS])
+def test_parse_names_the_line_of_a_field_outside_the_grammar(line, row):
+    rows = "3 1\n0 0\n1 0\n0 1\n0 1 2\n".split("\n")
+    rows[line - 1] = row
+    with pytest.raises(ValueError, match=f"^mesh.txt:{line}: expected '"):
+        _parse("mesh.txt", "\n".join(rows))
 
 
 # tracemalloc bytes per triangle that read_mesh may peak at, on a 150 x 150

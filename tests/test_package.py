@@ -8,7 +8,7 @@ import ncfem
 
 # wc -l src/ncfem/*.py may not exceed this; a change that moves it records
 # the move in CHANGES.md
-SRC_LINE_BUDGET = 3099
+SRC_LINE_BUDGET = 3084
 
 
 def test_every_exported_name_resolves():

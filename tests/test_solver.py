@@ -719,9 +719,10 @@ def test_infsup_rejects_empty_matrices():
 
 
 def test_newton_rejects_bad_tol(square8):
-    with pytest.raises(ValueError):
-        newton_solve(assembler(square8, manufactured("ns_poly")),
-                     tol=0.0)
+    asm = assembler(square8, manufactured("ns_poly"))
+    for tol in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            newton_solve(asm, tol=tol)
 
 
 @pytest.mark.parametrize("length", [98, 48])
