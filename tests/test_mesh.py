@@ -758,11 +758,19 @@ _ODD_FIELDS = ["1_0", "0x1p3", "inf", "-nan", "1e", "e5", "+", "-", ".", "1-2",
 _ANY_FIELD = st.one_of(_INT_FIELD, _FLOAT_FIELD, st.sampled_from(_ODD_FIELDS))
 
 
-@settings(max_examples=500, deadline=None)
-@given(raw=st.one_of(_mesh_text(), _mesh_text(_ANY_FIELD, _ANY_FIELD)),
+@settings(max_examples=300, deadline=None)
+@given(raw=_mesh_text())
+def test_fast_parse_reads_the_row_parsers_arrays(raw):
+    text = _decode(raw)
+    _assert_same_arrays(_parse("mesh.txt", text), _parse_rows("mesh.txt", text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_mesh_text(_ANY_FIELD, _ANY_FIELD),
        drop=st.integers(0, 3))
-def test_parse_matches_the_row_parser(raw, drop):
-    # drop one character here and there, to shift rows and fields as well
+def test_fast_parse_declines_what_it_might_read_otherwise(raw, drop):
+    # drop one character here and there, to shift rows and fields as well;
+    # the numpy parse must give the reference's arrays or its exact error
     text = _decode(raw[:len(raw) * drop // 4] + raw[len(raw) * drop // 4 + (drop > 0):])
     try:
         expected = _parse_rows("mesh.txt", text)
