@@ -14,7 +14,7 @@ import numpy as np
 
 from .assembly import assembler
 from .estimators import EstimatorReport, broken_energy_error, estimate
-from .interpolation import dof_values, transfer_morley
+from .interpolation import dof_values, transfer_cr, transfer_morley
 from .mesh import bisect, uniform_refine
 from .problems import ProblemSpec
 from .solve import newton_solve
@@ -81,15 +81,6 @@ def _rate(prev, cur, q_log):
     return math.log2(prev / cur) / q_log
 
 
-def _clamped(mesh, space, exact):
-    """Whether the dof values of exact vanish (to 1e-8) at every boundary
-    dof of the space on mesh, the dofs that its clamped space constrains:
-    whether exact satisfies the clamped conditions on the domain of mesh,
-    and so can solve its problem there."""
-    rows = dof_values(mesh, space, exact, boundary_only=True)
-    return bool(np.abs(rows).max(initial=0.0) <= 1e-8)
-
-
 @dataclass
 class AfemResult:
     """Per level: the record and the Newton trace.  No mesh or solution is
@@ -101,28 +92,25 @@ class AfemResult:
 def _run_levels(problem, mesh0, refine_step, q_log, tol,
                 on_level=None) -> AfemResult:
     """SOLVE -> ESTIMATE -> (MARK ->) REFINE, once per mesh, with one
-    Assembler per level, let go before the next one is built.
+    Assembler per level, let go before the next one is built; Newton starts
+    cold on level 0 and from the carried previous solution on every other.
     refine_step(record, mesh, report) returns the next mesh, or None to stop;
     q_log(prev_record, record) is the log2 ratio that the rates divide by.
     error_pw is measured only when the problem carries an exact solution
-    whose dof values vanish at the constrained dofs of level 0, i.e. that
-    satisfies the clamped conditions on this domain.
+    whose dof values vanish (to 1e-8) at the constrained dofs of level 0,
+    i.e. that satisfies the clamped conditions on this domain.
     on_level(asm, U, record), if given, is called once per level after its
     record is made; whatever it keeps of asm and U stays alive.  Raises
     NewtonDivergence, holding the records so far, when Newton fails."""
     res = AfemResult(records=[], traces=[])
     mesh, values = mesh0, None
-    measured = problem.exact is not None
+    measured = problem.exact is not None and np.abs(dof_values(
+        mesh0, space_of(problem.kind), problem.exact,
+        boundary_only=True)).max(initial=0.0) <= 1e-8
     while mesh is not None:
         asm = assembler(mesh, problem)
-        if not res.records:         # the run's one cold start
-            measured = measured and _clamped(mesh, asm.dofmap.space,
-                                            problem.exact)
-            U0 = None
-        elif values is None:        # CR: the linear problem starts from zero
-            U0 = np.zeros(asm.dofmap.n_free)
-        else:
-            U0 = function_from_element_values(asm.dofmap, values)
+        U0 = (None if values is None    # the run's one cold start
+              else function_from_element_values(asm.dofmap, values))
         values = None
         U, trace = newton_solve(asm, U0=U0, tol=tol)
         if not trace.converged:
@@ -146,8 +134,9 @@ def _run_levels(problem, mesh0, refine_step, q_log, tol,
         if on_level is not None:
             on_level(asm, U, rec)
         mesh = refine_step(rec, mesh, report)
-        if mesh is not None and asm.dofmap.space is SpaceTag.MORLEY:
-            values = transfer_morley(asm, U, mesh)
+        if mesh is not None:
+            values = (transfer_morley if asm.dofmap.space is SpaceTag.MORLEY
+                      else transfer_cr)(asm, U, mesh)
         asm = report = None
     return res
 

@@ -93,8 +93,8 @@ def _check_spd_bounds(extremes, bounds):
 
 
 class Assembler:
-    """One level: the dof map, basis tables, Gamma tensors and assembled
-    operators of one problem on one mesh.
+    """One level: the dof map, basis tables (None for CR), Gamma tensors and
+    assembled operators of one problem on one mesh.
 
     Building it assembles every operator that does not depend on the state
     U (G, the load and, for CR, the Jacobian a_pw + b_pw), so a Newton step
@@ -108,9 +108,9 @@ class Assembler:
         self.problem = problem
         self.dofmap = build_dofmap(mesh, space)
         self.geom = geometry(mesh)
-        self.tables = basis_tables(mesh, space)
         lam = quad_triangle(VOLUME_QUAD_DEGREE).points
         if space is SpaceTag.MORLEY:
+            self.tables = basis_tables(mesh, space)
             W = self.tables.bubble_weights()
 
             def moments(sl, wf):    # [int f lambda, 0] + W^T int f bubble
@@ -121,8 +121,10 @@ class Assembler:
             a_loc = self._init_morley(W)
             del W
         else:
+            # the set-up consumes the CR table: Newton reads none
+            self.tables = None
             vals = 1.0 - 2.0 * lam                      # the CR basis
-            a_loc, b_loc = self._init_cr(vals)
+            a_loc, b_loc = self._init_cr(basis_tables(mesh, space).grads, vals)
             self._load = self._assemble_load(
                 lambda sl, wf: np.einsum("tq,qk->tk", wf, vals))
         single = _scatter_matrix(a_loc, self.dofmap)
@@ -174,11 +176,11 @@ class Assembler:
         E *= 4.0 * area[:, :, None]
         return E
 
-    def _init_cr(self, rule_vals):
-        """Element matrices of the energy form and of b_pw; rule_vals (nq, 3)
-        are the basis values at the rule's points."""
+    def _init_cr(self, grads, rule_vals):
+        """Element matrices of the energy form and of b_pw from the basis
+        gradients grads (nt, 3, 2) and values rule_vals (nq, 3) at the
+        rule's points."""
         p, mesh = self.problem, self.mesh
-        grads = self.tables.grads                              # (nt, 3, 2)
         a_loc = np.empty((mesh.n_triangles, 3, 3))
         b_loc = np.zeros_like(a_loc)
         extremes = np.full(4, -np.inf)
@@ -223,6 +225,10 @@ class Assembler:
         return np.concatenate([_scatter_vector(part, dm) for part in loc])
 
     # -- assembled operators -------------------------------------------------
+
+    def cr_gradients(self):
+        """The CR basis gradients (nt, 3, 2), built anew on every call."""
+        return basis_tables(self.mesh, SpaceTag.CROUZEIX_RAVIART).grads
 
     def gram(self):
         """Gram matrix G of the piecewise energy norm, the form a_pw:

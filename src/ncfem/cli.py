@@ -209,10 +209,8 @@ def _cmd_infsup(cfg: RunConfig):
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"infsup_{cfg.problem}.csv"
-    with open(path, "w") as fh:
-        fh.write("level,n_free,beta_h\n")
-        for level, n, beta in rows:
-            fh.write(f"{level},{n},{beta!r}\n")
+    path.write_text("level,n_free,beta_h\n" + "".join(
+        f"{level},{n},{beta!r}\n" for level, n, beta in rows))
     print(f"wrote {path}")
     return 0
 
@@ -287,12 +285,12 @@ def _verify_checks(cfg: RunConfig):
     yield "morley commuting identity D2 I_M = Pi0 D2", worst, 1e-10
 
     asm_cr = assembly.assembler(mesh, manufactured("cr_sine"))
-    dm_cr, tab_cr = asm_cr.dofmap, asm_cr.tables
+    dm_cr, grads_cr = asm_cr.dofmap, asm_cr.cr_gradients()
     worst = 0.0
     for _ in range(20):
         fld = random_poly(4)
         loc = dof_values(mesh, dm_cr.space, fld)[0][element_dofs(mesh, dm_cr.space)]
-        g_h = np.einsum("tjd,tj->td", tab_cr.grads, loc)
+        g_h = np.einsum("tjd,tj->td", grads_cr, loc)
         for sl, xq, wdx in element_blocks(mesh, 4):
             mean = np.einsum("tq,tqd->td", wdx, fld.gradient(xq)) / area[sl, None]
             worst = max(worst, np.abs(g_h[sl] - mean).max())
@@ -357,14 +355,10 @@ def load_config(args) -> RunConfig:
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = load_config(args)
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     dispatch = {"solve": _cmd_solve, "afem": _cmd_afem, "study": _cmd_study,
                 "infsup": _cmd_infsup, "verify": _cmd_verify}
     try:
+        cfg = load_config(args)
         return dispatch[cfg.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -372,7 +366,3 @@ def main(argv=None):
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

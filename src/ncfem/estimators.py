@@ -184,7 +184,7 @@ def broken_energy_error(asm, U):
         Ds = [asm.tables.hessians(local_coefficients(dofmap, U, comp))
               for comp in range(len(exact))]
     else:
-        Ds = [np.einsum("tjd,tj->td", asm.tables.grads,
+        Ds = [np.einsum("tjd,tj->td", asm.cr_gradients(),
                         local_coefficients(dofmap, U))]
     sq = _samples(asm.mesh, len(exact))      # the integrand of each component
     for sl, xq, wdx in element_blocks(asm.mesh, ESTIMATOR_VOLUME_DEGREE):
@@ -198,10 +198,7 @@ def broken_energy_error(asm, U):
                 Adiff = (diff if A is None
                          else np.einsum("tqab,tqb->tqa", A(xq), diff))
                 out[sl] = wdx * np.einsum("tqa,tqa->tq", diff, Adiff)
-    total = 0.0
-    for out in sq:
-        total += out.sum()
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(out.sum() for out in sq)))
 
 
 def estimate(asm, U) -> EstimatorReport:

@@ -2,8 +2,8 @@
 
 dof_values is the one producer of the dof values of a field, for both
 spaces; oscillation fits Pi_k g on degree-6 volume points (README Notes);
-transfer_morley carries a solution from a coarse level to the Morley dof
-values on a finer mesh.
+transfer_morley and transfer_cr carry a solution from a coarse level to the
+dof values of its space on a finer mesh.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from .spaces import (DofMap, SpaceTag, element_blocks,
 
 __all__ = [
     "interpolate", "dof_values", "oscillation", "OSCILLATION_DEGREE",
-    "transfer_morley",
+    "transfer_morley", "transfer_cr",
 ]
 
 OSCILLATION_DEGREE = 6   # volume rule that oscillation's samples lie on
@@ -59,9 +59,7 @@ def dof_values(mesh, space: SpaceTag, v, edge_degree: int = 4,
 
 def interpolate(mesh, dofmap: DofMap, v, edge_degree: int = 4):
     """Coefficient vector of the interpolant of v in the clamped space of
-    dofmap: its dof values (see dof_values) at the free dofs; Morley vertex
-    dofs take the point values and edge dofs the edge means of the normal
-    derivative, CR dofs the edge means of the value."""
+    dofmap: the dof values of v (dof_values) at its free dofs."""
     return function_from_element_values(
         dofmap, dof_values(mesh, dofmap.space, v, edge_degree))
 
@@ -111,6 +109,28 @@ def _barycentric(mesh, grad_lambda, tris, pts):
     return np.concatenate([lam0[:, None], lam12], axis=-1)
 
 
+def _carry_setup(asm_c, U, mesh_f, grad_lambda):
+    """(n_components, parent map, edge midpoints of mesh_f) of a transfer of
+    U from asm_c (barycentric gradients grad_lambda); ValueError unless U
+    holds whole components and mesh_f a parent map nesting in asm_c.mesh."""
+    mesh_c, n_c = asm_c.mesh, asm_c.dofmap.n_free
+    n_components = len(U) // n_c if n_c else 0
+    if n_components < 1 or len(U) != n_components * n_c:
+        raise ValueError(f"{len(U)} coefficients are no positive multiple of "
+                         f"the coarse n_free = {n_c}")
+    parent = mesh_f.parent
+    if parent is None or len(parent) != mesh_f.n_triangles:
+        raise ValueError("fine mesh does not carry a parent map onto the coarse mesh")
+    if parent.max(initial=-1) >= mesh_c.n_triangles:
+        raise ValueError("parent map does not match the coarse mesh")
+    # geometric containment guards against a parent map onto a different mesh
+    cent = mesh_f.vertices[mesh_f.triangles].mean(axis=1)
+    if _barycentric(mesh_c, grad_lambda, parent, cent).min() < -1e-10:
+        raise ValueError("parent map does not nest in the coarse mesh")
+    return n_components, parent, 0.5 * (mesh_f.vertices[mesh_f.edges[:, 0]]
+                                         + mesh_f.vertices[mesh_f.edges[:, 1]])
+
+
 def transfer_morley(asm_c, U, mesh_f):
     """The Morley dof values (n_components, nv_f + ne_f) on mesh_f, which
     must descend from the coarse mesh (carry `parent`), of a function on the
@@ -125,22 +145,9 @@ def transfer_morley(asm_c, U, mesh_f):
     mesh_c, dofmap_c = asm_c.mesh, asm_c.dofmap
     if dofmap_c.space is not SpaceTag.MORLEY:
         raise ValueError("transfer_morley needs a Morley coarse level")
-    n_c = dofmap_c.n_free
-    n_components = len(U) // n_c if n_c else 0
-    if n_components < 1 or len(U) != n_components * n_c:
-        raise ValueError(f"{len(U)} coefficients are no positive multiple of "
-                         f"the coarse n_free = {n_c}")
-    parent = mesh_f.parent
-    if parent is None or len(parent) != mesh_f.n_triangles:
-        raise ValueError("fine mesh does not carry a parent map onto the coarse mesh")
-    if parent.max(initial=-1) >= mesh_c.n_triangles:
-        raise ValueError("parent map does not match the coarse mesh")
     tab, nu_f = asm_c.tables, geometry(mesh_f).nu_E
     gl = tab.grad_lambda
-    # geometric containment guards against a parent map onto a different mesh
-    cent = mesh_f.vertices[mesh_f.triangles].mean(axis=1)
-    if _barycentric(mesh_c, gl, parent, cent).min() < -1e-10:
-        raise ValueError("parent map does not nest in the coarse mesh")
+    n_components, parent, mids = _carry_setup(asm_c, U, mesh_f, gl)
 
     # lowest coarse ancestor seen from each fine vertex / fine edge
     vparent = np.full(mesh_f.n_vertices, mesh_c.n_triangles, dtype=np.int64)
@@ -148,8 +155,6 @@ def transfer_morley(asm_c, U, mesh_f):
     eparent = np.full(mesh_f.n_edges, mesh_c.n_triangles, dtype=np.int64)
     np.minimum.at(eparent, mesh_f.edge_of_triangle.ravel(), np.repeat(parent, 3))
 
-    mids = 0.5 * (mesh_f.vertices[mesh_f.edges[:, 0]]
-                  + mesh_f.vertices[mesh_f.edges[:, 1]])
     lam_v = _barycentric(mesh_c, gl, vparent, mesh_f.vertices)  # (nv, 3)
     lam_e = _barycentric(mesh_c, gl, eparent, mids)             # (ne, 3)
     dn = (gl[eparent] @ nu_f[:, :, None])[..., 0]               # grad lambda . nu
@@ -164,3 +169,24 @@ def transfer_morley(asm_c, U, mesh_f):
                           cv[eparent] + (1.0 - 2.0 * lam_e) * w[eparent])
         rows.append(np.concatenate([vvals, gvals]))
     return np.stack(rows)
+
+
+def transfer_cr(asm_c, U, mesh_f):
+    """transfer_morley for a CR coarse level: the CR dof values (n_components,
+    ne_f) on mesh_f.  A fine edge midpoint takes the mean of the coarse
+    function on the coarse ancestors of the fine triangles on both sides (one
+    on the boundary): the coarse value inside a coarse triangle, the mean of
+    its two traces on a coarse edge, whatever the numbering."""
+    if asm_c.dofmap.space is not SpaceTag.CROUZEIX_RAVIART:
+        raise ValueError("transfer_cr needs a CR coarse level")
+    grads = asm_c.cr_gradients()
+    n_components, parent, mids = _carry_setup(asm_c, U, mesh_f, -0.5 * grads)
+    sides = mesh_f.triangles_of_edge.T
+    sides = parent[np.where(sides >= 0, sides, sides[0])]               # (2, ne)
+    cent = asm_c.mesh.vertices[asm_c.mesh.triangles].sum(axis=1) / 3.0
+    # on a coarse triangle u = mean(c) + (grads^T c) . (x - centroid)
+    c = np.stack([local_coefficients(asm_c.dofmap, U, k)
+                  for k in range(n_components)])                 # (n, nt, 3)
+    u0, g = c.sum(axis=-1) / 3.0, np.einsum("tjd,ntj->ntd", grads, c)
+    return 0.5 * sum(u0[:, s] + np.einsum("ned,ed->ne", g[:, s], mids - cent[s])
+                     for s in sides)

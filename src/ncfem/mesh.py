@@ -463,9 +463,9 @@ def _parse(path, text):
 
 def read_mesh(path) -> Triangulation:
     """Read the mesh file format above, in time and memory linear in its
-    size; a malformed file, or a mesh that build_from_arrays rejects, raises
-    ValueError('<path>[:<line>]: ...')."""
-    with open(path) as fh:
+    size; a malformed file (an undecodable byte reads as U+FFFD), or a mesh
+    that build_from_arrays rejects, raises ValueError('<path>[:<line>]: ...')."""
+    with open(path, errors="replace") as fh:
         text = fh.read()
     vertices, triangles = _parse(path, text)
     del text   # not held while the mesh is built

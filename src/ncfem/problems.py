@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -66,12 +66,8 @@ class ProblemSpec:
         return 2 if self.kind is ProblemKind.VON_KARMAN_MORLEY else 1
 
 
-def _dx(c):
-    return P.polyder(c, axis=0)
-
-
-def _dy(c):
-    return P.polyder(c, axis=1)
+_dx = partial(P.polyder, axis=0)     # d/dx and d/dy of coefficient arrays
+_dy = partial(P.polyder, axis=1)
 
 
 def _pmul(a, b):

@@ -19,9 +19,7 @@ _COLUMNS = ["level", "n_free", "h_max", "error_pw", "eta_total",
 
 
 def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float) and math.isnan(value):
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return repr(value) if isinstance(value, float) else str(value)
 

@@ -5,19 +5,18 @@ piecewise energy form (broken H^2 for Morley, A-weighted broken H^1 for CR),
 residuals are measured in the G-dual norm sqrt(r^T G^-1 r) and corrections
 in sqrt(d^T G d).  A routine on one level takes its Assembler.
 
-Factors.  G is SPD, so _gram_factor factors it without pivoting (perm_r ==
-perm_c); the von Karman G = diag(A, A) is factored through A.  Every splu
-(_splu: G, and B in _infsup) orders the columns by minimum degree on the
-pattern of A^T + A (George and Liu, SIAM Rev. 1989), which suits these
-pattern-symmetric matrices, with unrelaxed supernodes (relax=1) and panels
-one column wide: under this order wider ones store zeros and cost time.
-sparse_solve's spla.spsolve takes no relax, so it stays on COLAMD.  Every
-nonsymmetric factorization (sparse_solve, B in _infsup) first equilibrates
-symmetrically by powers of two (_equilibrate; Duff and Koster, SIMAX 2001),
-exactly, so that partial pivoting keeps the Morley diagonal, whose entries
-differ by about h^-2.  Every splu, and the first spsolve of sparse_solve,
-starts from a trimmed heap (_release_free_heap), so that freed buffers are
-not resident under its L and U; a trim changes no number.
+Factors.  Every splu (_splu: G, unpivoted by _gram_factor, and B in _infsup)
+orders the columns by minimum degree on the pattern of A^T + A (George and
+Liu, SIAM Rev. 1989), which suits these pattern-symmetric matrices, with
+unrelaxed supernodes (relax=1) and panels one column wide: under this order
+wider ones store zeros and cost time.  sparse_solve's spla.spsolve takes no
+relax, so it stays on COLAMD.  Every nonsymmetric factorization
+(sparse_solve, B in _infsup) first equilibrates symmetrically by powers of
+two (_equilibrate; Duff and Koster, SIMAX 2001), exactly, so that partial
+pivoting keeps the Morley diagonal, whose entries differ by about h^-2.
+Every splu, and the first spsolve of sparse_solve, starts from a trimmed
+heap (_release_free_heap), so that freed buffers are not resident under its
+L and U; a trim changes no number.
 
 Newton.  newton_solve is undamped: divergence is reported, not masked.  It
 factors G once and reuses the factor for every residual norm and as the
@@ -267,8 +266,7 @@ def _initial_iterate(asm, U0):
 
 def newton_solve(asm, U0=None, tol: float = 1e-10, max_iter: int = 20):
     """Undamped Newton iteration on the level asm from the coefficient
-    vector U0 (None: zero, a cold start with a direct first step; a given
-    U0, zero included, is a warm start that takes every step by GMRES; see
+    vector U0 (None: zero, a cold start; a given U0 is a warm start; see
     the module docstring) until the correction energy norm or the residual
     dual norm drops to tol, for at most max_iter steps; max_iter = 0 makes
     no solve and no factor.  Returns (solution, trace): trace.converged is

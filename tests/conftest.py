@@ -197,10 +197,11 @@ def volume_rule(mesh, degree):
 
 def b_pw(asm):
     """The matrix of b_pw alone on the CR level asm: Assembler._init_cr's
-    element matrices on the set-up's basis values, scattered as set-up
-    scatters them before it adds G."""
+    element matrices on the set-up's basis gradients and values, scattered
+    as set-up scatters them before it adds G."""
+    grads = basis_tables(asm.mesh, SpaceTag.CROUZEIX_RAVIART).grads
     vals = 1.0 - 2.0 * quad_triangle(VOLUME_QUAD_DEGREE).points
-    return _scatter_matrix(asm._init_cr(vals)[1], asm.dofmap)
+    return _scatter_matrix(asm._init_cr(grads, vals)[1], asm.dofmap)
 
 
 def free_index(mesh, dofmap):

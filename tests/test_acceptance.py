@@ -103,8 +103,10 @@ def test_criterion_3_cr_convergence(cr_study):
 
 
 # GMRES iterations per Newton step of the warm levels 1, 2, ... of the two
-# uniform studies.  A basis that loses G-orthogonality takes more.
-CR_STUDY_KRYLOV = [[5], [12], [14], [13], [13], [14], [14]]
+# uniform studies.  A basis that loses G-orthogonality takes more.  Every CR
+# level starts from the carried coarse solution (transfer_cr); from zero it
+# took [[5], [12], [14], [13], [13], [14], [14]].
+CR_STUDY_KRYLOV = [[5], [13], [14], [14], [13], [12], [12]]
 NS_STUDY_KRYLOV = [[4, 3], [4, 2], [3, 2], [3, 2], [3, 1]]
 
 
@@ -113,6 +115,17 @@ def test_study_krylov_iterations_pinned(cr_study, ns_study):
         CR_STUDY_KRYLOV
     assert [t.krylov_iterations for t in ns_study["result"].traces[1:]] == \
         NS_STUDY_KRYLOV
+
+
+def test_cr_levels_start_from_the_carried_coarse_solution(cr_study):
+    """Each CR level takes one Newton step; from 12160 dofs on, the start
+    carried from the coarse level keeps it to 12 GMRES iterations or fewer,
+    where the zero start took 14."""
+    levels = list(zip(cr_study["records"], cr_study["result"].traces))
+    assert [rec.newton_iters for rec, _ in levels] == [1] * 8
+    fine = [trace.krylov_iterations for rec, trace in levels
+            if rec.n_free >= 12160]
+    assert len(fine) == 2 and max(max(k) for k in fine) <= 12
 
 
 def _newton_checks(study, label):

@@ -151,23 +151,32 @@ def test_finished_levels_are_not_cached():
     assert [ref() for ref in refs] == [None] * 8
 
 
-@pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])
+@pytest.mark.parametrize("driver", ["uniform_study", "afem_loop",
+                                    "cr_uniform_study"])
 def test_each_level_builds_its_assembler_and_tables_once(driver):
     # the level driver hands each level's Assembler to Newton, the
-    # estimators and the transfer: none of them looks a level up again
+    # estimators and the transfer: none of them looks a level up again.  A
+    # CR level holds no table past its set-up, so its broken error and its
+    # carry (on every level but the last) each build the gradients anew
+    # through Assembler.cr_gradients: 3 + 3 + 2 tables on three levels
     assembler.cache_clear()
     basis_tables.cache_clear()
+    tables = 3
     if driver == "uniform_study":
         man = manufactured("ns_poly")
         res = uniform_study(man, builtin_domain("unit_square"), 3)
+    elif driver == "cr_uniform_study":
+        res = uniform_study(manufactured("cr_sine"),
+                            builtin_domain("unit_square"), 3)
+        tables = 3 + 3 + 2
     else:
         # 5, 13 and 17 free dofs: the third level passes 15
         res = afem_loop(ns_unit_load(), builtin_domain("l_shape"), 0.5,
                         max_free_dofs=15)
     assert len(res.records) == 3
-    for cached in (assembler, basis_tables):
+    for cached, misses in ((assembler, 3), (basis_tables, tables)):
         info = cached.cache_info()
-        assert (info.misses, info.hits) == (3, 0)
+        assert (info.misses, info.hits) == (misses, 0)
 
 
 @pytest.mark.parametrize("driver", ["uniform_study", "afem_loop"])

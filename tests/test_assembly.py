@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,9 @@ from ncfem.mesh import build_from_arrays, builtin_domain, geometry, refine
 from ncfem.problems import ProblemKind, ProblemSpec, manufactured
 from ncfem.quadrature import quad_triangle
 from ncfem.solve import _gram_factor, fd_jacobian, sparse_solve
-from ncfem.spaces import element_dofs, local_coefficients
+from ncfem.spaces import (SpaceTag, basis_tables, element_dofs,
+                          local_coefficients)
+import ncfem.assembly
 import ncfem.spaces
 from ncfem.interpolation import interpolate
 
@@ -74,7 +78,8 @@ def test_morley_a_pw_definite_and_symmetric(square8, square32, lshape):
 def test_cr_stiffness_closed_form_reference_triangle():
     m = build_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     asm = Assembler(m, cr_problem())
-    a_loc, _ = asm._init_cr(asm.tables.values_at(quad_triangle(4).points)[0])
+    tab = basis_tables(m, SpaceTag.CROUZEIX_RAVIART)
+    a_loc, _ = asm._init_cr(tab.grads, tab.values_at(quad_triangle(4).points)[0])
     expected = np.array([[4.0, -2.0, -2.0], [-2.0, 2.0, 0.0], [-2.0, 0.0, 2.0]])
     assert np.allclose(a_loc[0], expected, atol=1e-13)
 
@@ -618,10 +623,11 @@ def _ndarray_bytes(root, skip):
 
 
 # ndarray bytes per triangle that one level may hold besides its mesh, on
-# refine(l_shape, 5): 5%, 5% and 10% above 884 (ns), 1172 (vk) and 264 (CR)
+# refine(l_shape, 5): 5%, 5% and 10% above 884 (ns), 1172 (vk) and 216 (CR)
 # measured with G, the load and (CR) J = a_pw + b_pw built.  The closed-form
-# Morley table holds grad lambda and B, the CR table its gradients alone,
-# and the dof map its intp slots alone; the mesh's own arrays count nowhere,
+# Morley table holds grad lambda and B, a CR level no table (its gradients
+# kept took it to 264), and the dof map its intp slots alone; the mesh's
+# own arrays count nowhere,
 # also where the level reaches them through its unbuilt edge geometry.  A
 # table of the basis hessians (192 more) or the monomial coefficients of a
 # Morley dof-matrix inverse (144 more) breaks the ns and vk budgets, the
@@ -630,7 +636,7 @@ def _ndarray_bytes(root, skip):
 # its own (35 more), in the buffers of the sum A + B (88 more), or grad
 # lambda and the first vertices kept on the CR table (64 more) break the CR
 # one, and keeping the energy element matrices breaks each
-LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 929, "vk_poly": 1231, "cr_sine": 290}
+LEVEL_BYTES_PER_TRIANGLE = {"ns_poly": 929, "vk_poly": 1231, "cr_sine": 238}
 
 
 @pytest.mark.parametrize("name", sorted(LEVEL_BYTES_PER_TRIANGLE))
@@ -659,8 +665,9 @@ def test_a_level_holds_more_once_its_edge_geometry_is_built(lshape):
 
 # tracemalloc bytes per triangle that building one level may peak at and
 # keep, on refine(l_shape, 6) with its geometry built, edge fields included:
-# measured 1900 and 830 (ns), 1916 and 1124 (vk), 876 and 250 (CR, budget
-# 10% above; the CR peak is 542 since set-up samples by element blocks, see
+# measured 1900 and 830 (ns), 1916 and 1124 (vk), 876 and 202 (CR, budget
+# 10% above; 250 kept while the level kept its table; the CR peak is 494
+# since set-up samples by element blocks, see
 # CR_SETUP_PEAK_BYTES_PER_TRIANGLE).  A hessian table on the basis tables, the (nt, nq, 6) value
 # table of the old load and the loads sampled after G took ns to 3055 and
 # 1198, vk to 3227 and 1388; a G kept in the COO-long buffers of tocsr takes
@@ -668,7 +675,7 @@ def test_a_level_holds_more_once_its_edge_geometry_is_built(lshape):
 # J built as (G + b_pw).copy() and the quadrature points kept through the
 # scatters took CR to 940 and 350
 SETUP_BYTES_PER_TRIANGLE = {"ns_poly": (2100, 858), "vk_poly": (2800, 1200),
-                            "cr_sine": (963, 275)}
+                            "cr_sine": (963, 222)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BYTES_PER_TRIANGLE))
@@ -689,9 +696,10 @@ def test_a_morley_level_builds_within_its_memory_budget(name, lshape):
 
 # tracemalloc bytes per triangle that a CR set-up may peak at on
 # refine(unit_square, 7) (32768 triangles, eight element blocks), its
-# geometry built inside: measured 560, budget 10% above.  Sampling the
-# coefficients and the load on the whole mesh at once took 892
-CR_SETUP_PEAK_BYTES_PER_TRIANGLE = 615
+# geometry built inside: measured 511, budget 10% above.  Keeping the basis
+# table through the scatters took 560, and sampling the coefficients and
+# the load on the whole mesh at once 892
+CR_SETUP_PEAK_BYTES_PER_TRIANGLE = 562
 
 
 def test_a_cr_set_up_samples_within_its_memory_budget():
@@ -703,6 +711,31 @@ def test_a_cr_set_up_samples_within_its_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak / mesh.n_triangles <= CR_SETUP_PEAK_BYTES_PER_TRIANGLE
+
+
+@pytest.mark.parametrize("name", ["cr_sine", "ns_poly"])
+def test_a_cr_level_holds_no_basis_tables_after_its_set_up(name, square32,
+                                                           monkeypatch):
+    """The CR set-up consumes the table it builds: Newton reads none, and
+    cr_gradients builds the gradients anew.  A Morley level keeps its table,
+    which Newton and the estimator read."""
+    built = []
+
+    def spy(mesh, space):
+        tab = basis_tables(mesh, space)
+        built.append(weakref.ref(tab))
+        return tab
+
+    monkeypatch.setattr(ncfem.assembly, "basis_tables", spy)
+    asm = Assembler(square32, manufactured(name))
+    gc.collect()
+    assert len(built) == 1
+    if name == "cr_sine":
+        assert asm.tables is None and built[0]() is None
+        grads = asm.cr_gradients()
+        assert len(built) == 2 and grads.shape == (square32.n_triangles, 3, 2)
+    else:
+        assert asm.tables is built[0]()
 
 
 @pytest.mark.parametrize("name", ["cr_sine", "ns_poly"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from conftest import (MorleyByInverse, cr_dofmap, evaluate,
 from ncfem.assembly import Assembler
 from ncfem.estimators import broken_energy_error
 from ncfem.interpolation import (dof_values, interpolate, oscillation,
-                                 transfer_morley)
-from ncfem.mesh import builtin_domain, geometry, refine, uniform_refine
+                                 transfer_cr, transfer_morley)
+from ncfem.mesh import (bisect, build_from_arrays, builtin_domain, geometry,
+                        refine, uniform_refine)
 from ncfem.problems import Field, manufactured, polynomial_field
 from ncfem.quadrature import quad_edge, quad_triangle
 from ncfem.solve import newton_solve
@@ -394,3 +397,86 @@ def test_transfer_keeps_interpolation_error_order(square8):
     err_coarse = broken_energy_error(coarse, u_c)
     err_moved = broken_energy_error(fine, moved)
     assert err_moved <= 2.5 * err_coarse
+
+
+def cr_level(mesh):
+    return Assembler(mesh, manufactured("cr_sine"))
+
+
+def coarse_cr_value(mesh, dm, u, t, x):
+    """The CR function u on the element t of mesh at the point x, whose
+    barycentric coordinates come from a dense solve."""
+    p = mesh.vertices[mesh.triangles[t]]
+    lam = np.linalg.solve(np.vstack([p.T, np.ones(3)]), np.append(x, 1.0))
+    return evaluate(mesh, dm, u, t, lam)
+
+
+@pytest.mark.parametrize("refiner", ["uniform", "bisect"])
+def test_cr_carry_is_the_coarse_function_or_the_mean_of_its_traces(square8,
+                                                                   refiner):
+    """A fine edge inside a coarse triangle takes the coarse function at its
+    midpoint; a fine edge on a coarse edge the mean of the two traces there
+    (the one trace on the boundary)."""
+    coarse = cr_level(square8)
+    u = random_function(coarse.dofmap, np.random.default_rng(5))
+    fine = (uniform_refine(square8) if refiner == "uniform"
+            else bisect(square8, [0, 3, 5]))
+    values = transfer_cr(coarse, u, fine)
+    assert values.shape == (1, fine.n_edges)
+    kinds = {"inside": 0, "coarse edge": 0, "jump": 0}
+    for e in range(fine.n_edges):
+        mid = fine.vertices[fine.edges[e]].mean(axis=0)
+        parents = [int(fine.parent[t]) for t in fine.triangles_of_edge[e] if t >= 0]
+        traces = [coarse_cr_value(square8, coarse.dofmap, u, p, mid)
+                  for p in parents]
+        assert values[0, e] == pytest.approx(np.mean(traces), rel=1e-13, abs=1e-13)
+        interior = len(parents) == 2 and parents[0] == parents[1]
+        kinds["inside" if interior else "coarse edge"] += 1
+        kinds["jump"] += abs(traces[0] - traces[-1]) > 1e-3
+    # both kinds occur, and the traces do differ on some coarse edges
+    assert min(kinds.values()) > 0
+
+
+def by_midpoint(mesh):
+    """The edges of mesh sorted by their midpoints, x then y."""
+    mids = mesh.vertices[mesh.edges].mean(axis=1)
+    return np.lexsort((mids[:, 1], mids[:, 0]))
+
+
+def test_cr_carry_does_not_depend_on_the_coarse_numbering(square8):
+    """Relabeling the coarse triangles, with their refinement edges, leaves
+    every carried value unchanged to the bit, as the mean over both sides is
+    symmetric: the same function goes in, and the values are compared by
+    fine edge midpoint."""
+    perm = np.random.default_rng(6).permutation(square8.n_triangles)
+    relabeled = build_from_arrays(square8.vertices, square8.triangles[perm],
+                                  ref_edge=square8.ref_edge[perm])
+    levels = [cr_level(m) for m in (square8, relabeled)]
+    dofs = np.zeros((2, square8.n_edges))
+    dofs[0, levels[0].dofmap.dof_of_free] = np.random.default_rng(7).standard_normal(
+        levels[0].dofmap.n_free)
+    dofs[1, by_midpoint(relabeled)] = dofs[0, by_midpoint(square8)]
+    carried = []
+    for level, row in zip(levels, dofs):
+        fine = uniform_refine(level.mesh)
+        u = function_from_element_values(level.dofmap, row)
+        carried.append(transfer_cr(level, u, fine)[0, by_midpoint(fine)])
+    assert not np.array_equal(levels[0].dofmap.slots, levels[1].dofmap.slots)
+    assert np.array_equal(*carried)
+
+
+def test_cr_carry_rejects_a_parent_map_onto_another_mesh(square8, square32):
+    # as transfer_morley: no map, one onto a larger mesh, one that does not
+    # nest; and a Morley coarse level
+    for coarse_mesh, fine, message in (
+            (square32, replace(square32, parent=None),
+             "does not carry a parent map"),
+            (square8, uniform_refine(square32), "does not match the coarse mesh"),
+            (square32, uniform_refine(square8), "does not nest")):
+        coarse = cr_level(coarse_mesh)
+        with pytest.raises(ValueError, match=message):
+            transfer_cr(coarse, np.zeros(coarse.dofmap.n_free), fine)
+    with pytest.raises(ValueError, match="positive multiple"):
+        transfer_cr(cr_level(square8), np.zeros(3), uniform_refine(square8))
+    with pytest.raises(ValueError, match="CR coarse level"):
+        transfer_cr(morley_level(square8), np.zeros(9), uniform_refine(square8))

@@ -801,6 +801,16 @@ def test_parse_names_the_line_of_a_field_outside_the_grammar(line, row):
         _parse("mesh.txt", "\n".join(rows))
 
 
+def test_read_mesh_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # an undecodable byte is read as U+FFFD, a field outside the grammar,
+    # and not raised as a UnicodeDecodeError that names no file and no line
+    path = tmp_path / "bad.msh"
+    path.write_bytes(b"3 1\n0 0\n1 0\xff\n0 1\n0 1 2\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:3: expected 'x y', got '1 0"):
+        read_mesh(path)
+
+
 # tracemalloc bytes per triangle that read_mesh may peak at, on a 150 x 150
 # jittered grid (45000 triangles) written to a file: measured 305 with the
 # numpy parse, against 1602 with a Python list of fields per row
